@@ -6,7 +6,6 @@ Importing this package registers the paper's four managers (``constant``,
 """
 
 from repro.core.config import (
-    DECISION_CORES,
     ClusterSpec,
     DPSConfig,
     KalmanConfig,
@@ -51,7 +50,6 @@ from repro.resilience.manager import (  # noqa: E402
 __all__ = [
     "ClusterSpec",
     "ConstantManager",
-    "DECISION_CORES",
     "DPSConfig",
     "DPSManager",
     "DPSPlusManager",

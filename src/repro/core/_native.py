@@ -1,4 +1,4 @@
-"""On-demand compiled kernel behind the vectorized decision core.
+"""On-demand compiled kernel behind the decision core's peak features.
 
 The batched prominent-peak counter is the one part of the DPS decision
 whose work per unit is a data-dependent scalar walk — the shape NumPy is
@@ -7,13 +7,11 @@ transcription of the Python walk, bit-exact by construction) with the
 system C compiler the first time the kernel is requested, caches the
 shared object under a content hash, and exposes it through ctypes.
 
-Everything degrades gracefully: no compiler, a failed build, or the
-``REPRO_NO_NATIVE`` environment variable all make :func:`peak_features`
-return ``None``, and callers fall back to the pure-NumPy batch path.
+Everything degrades gracefully: no compiler or a failed build makes
+:func:`peak_features` return ``None``, and its one caller,
+:func:`repro.core.peaks.fill_features`, runs the same walk in Python.
 
 Environment:
-    ``REPRO_NO_NATIVE``: set to any non-empty value to disable the kernel
-        (forces the NumPy fallback; used to test both paths).
     ``REPRO_NATIVE_CACHE``: directory the compiled ``.so`` is cached in
         (default: ``<tempdir>/repro-native``).
     ``CC``: C compiler to use (default: first of ``cc``/``gcc``/``clang``
@@ -37,7 +35,7 @@ import numpy as np
 __all__ = ["MAX_HISTORY", "peak_features"]
 
 #: Longest history the kernel's stack buffer accepts; longer histories
-#: fall back to the NumPy path (must match REPRO_MAX_H in the C source).
+#: take the Python walk (must match REPRO_MAX_H in the C source).
 MAX_HISTORY = 64
 
 _SOURCE = Path(__file__).with_name("_peaks_kernel.c")
@@ -117,8 +115,6 @@ def _build_library() -> Path | None:
 
 
 def _load() -> Callable | None:
-    if os.environ.get("REPRO_NO_NATIVE"):
-        return None
     # The kernel writes peak counts through C long; bail out on platforms
     # where that is not np.intp (e.g. LLP64) rather than corrupt memory.
     if ctypes.sizeof(ctypes.c_long) != np.dtype(np.intp).itemsize:
@@ -149,31 +145,22 @@ def _load() -> Callable | None:
     ) -> None:
         """Fill ``pp_out`` (np.intp) / ``std_out`` (float64) per column.
 
-        Either output may be None to skip that feature.  ``history`` must
-        be a C-contiguous float64 (h, n) array with h <= MAX_HISTORY.
+        Either output may be None to skip that feature.  The outputs are
+        written through raw pointers: ``peaks.fill_features``, the one
+        caller, has checked that they are C-contiguous ``(n,)`` arrays.
         """
         h, n = history.shape
         if h > MAX_HISTORY:
             raise ValueError(f"history_len {h} exceeds kernel max {MAX_HISTORY}")
         if not (history.flags.c_contiguous and history.dtype == np.float64):
             history = np.ascontiguousarray(history, dtype=np.float64)
-        pp_ptr = None
-        if pp_out is not None:
-            assert pp_out.dtype == np.intp and pp_out.flags.c_contiguous
-            pp_ptr = pp_out.ctypes.data_as(_C_LONG_P)
-        std_ptr = None
-        if std_out is not None:
-            assert (
-                std_out.dtype == np.float64 and std_out.flags.c_contiguous
-            )
-            std_ptr = std_out.ctypes.data_as(_C_DOUBLE_P)
         raw(
             history.ctypes.data_as(_C_DOUBLE_P),
             h,
             n,
             float(min_prominence),
-            pp_ptr,
-            std_ptr,
+            None if pp_out is None else pp_out.ctypes.data_as(_C_LONG_P),
+            None if std_out is None else std_out.ctypes.data_as(_C_DOUBLE_P),
         )
 
     return call

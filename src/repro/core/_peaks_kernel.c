@@ -1,8 +1,9 @@
-/* Per-column peak/std features for the vectorized DPS decision core.
+/* Per-column peak/std features for the DPS decision core.
  *
- * Compiled on demand by repro.core._native (cc -O3 -shared); the NumPy
- * fallback in repro.core.peaks implements the same algorithm when no C
- * compiler is available.
+ * Compiled on demand by repro.core._native (cc -O3 -shared); when no C
+ * compiler is available, repro.core.peaks.fill_features runs the same
+ * algorithm in Python (the per-column walk plus a row-sequential std) and
+ * returns the same bits.
  *
  * Semantics are the `_count_walk` oracle in peaks.py: a candidate maximum
  * is strictly above its left neighbour and not below its right one; each
@@ -32,8 +33,8 @@
  *
  * The standard deviation is the population std over each column,
  * sequential summation along the history axis (independent accumulator
- * chains across units vectorize; the per-column order matches the
- * sequential definition in peaks.history_std).
+ * chains across units vectorize; the per-column order is the one the
+ * Python fallback in peaks.fill_features accumulates in).
  *
  * Layout: x is the C-contiguous (h, n) history, row-major, column u =
  * unit u.  Units are processed in blocks of REPRO_BLOCK columns: the

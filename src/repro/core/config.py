@@ -14,20 +14,6 @@ import dataclasses
 from dataclasses import dataclass, field
 
 
-#: Implementations of the per-decision hot loops.  ``"vectorized"`` is the
-#: production core (boolean-mask priority flags, column-parallel peak
-#: counting, cumulative-sum MIMD admission); ``"loop"`` is the original
-#: per-unit Python implementation, kept as the equivalence-test oracle.
-DECISION_CORES = ("loop", "vectorized")
-
-
-def _decision_core(name: str, value: str) -> None:
-    if value not in DECISION_CORES:
-        raise ValueError(
-            f"{name} must be one of {DECISION_CORES}, got {value!r}"
-        )
-
-
 def _positive(name: str, value: float) -> None:
     if not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
@@ -193,11 +179,6 @@ class DPSConfig:
             estimate instead of the raw measurement (ablation 1 in DESIGN.md).
         use_frequency: enable high-frequency detection in the priority module
             (ablation 2); when False only the derivative classifies units.
-        decision_core: ``"vectorized"`` (default) runs the array-native
-            priority/peaks/MIMD hot paths; ``"loop"`` runs the per-unit
-            oracle implementations.  Both are bit-exact equivalents (the
-            Hypothesis suite in tests/core/test_decision_core.py enforces
-            it), so the switch only trades decision latency.
     """
 
     stateless: StatelessConfig = field(default_factory=StatelessConfig)
@@ -206,10 +187,6 @@ class DPSConfig:
     readjust: ReadjustConfig = field(default_factory=ReadjustConfig)
     use_kalman: bool = True
     use_frequency: bool = True
-    decision_core: str = "vectorized"
-
-    def __post_init__(self) -> None:
-        _decision_core("decision_core", self.decision_core)
 
     def replace(self, **changes: object) -> "DPSConfig":
         """Return a copy with the given top-level fields replaced."""

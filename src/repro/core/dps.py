@@ -83,10 +83,7 @@ class DPSManager(PowerManager):
         cfg = self.config
         self._kalman = KalmanBank(self.n_units, cfg.kalman)
         self._priority_mod = PriorityModule(
-            self.n_units,
-            cfg.priority,
-            use_frequency=cfg.use_frequency,
-            core=cfg.decision_core,
+            self.n_units, cfg.priority, use_frequency=cfg.use_frequency
         )
         self._history = HistoryBuffer(cfg.priority.history_len, self.n_units)
         self._last_info = None
@@ -162,7 +159,6 @@ class DPSManager(PowerManager):
             self.min_cap_w,
             cfg.stateless,
             self._rng,
-            core=cfg.decision_core,
             scratch=self._mimd_scratch,
         )
 

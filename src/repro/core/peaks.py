@@ -7,19 +7,18 @@ variant from scratch (no SciPy dependency in the hot path): a local maximum's
 prominence is its height above the higher of the two valley floors separating
 it from the nearest higher samples on each side.
 
-This runs once per unit per control step.  For a *single* short history
-(20 steps by default) NumPy's per-call overhead dwarfs the work, so the
-1-D entry point converts the history to native floats once and walks it in
-plain Python — measured ~12x faster than slice-based NumPy on 20-sample
-histories (see DESIGN.md §8).  That argument is per-call only: batched
-across a cluster, the unit axis is the long one, so the multi-unit entry
-point defaults to a column-parallel core (``core="vectorized"``) that walks
-the short history axis in Python but does every comparison and
-valley-floor minimum as one vector operation across all units — no
-``.tolist()`` boxing of the ``(h, n_units)`` history.  The per-column walk
-is kept as the ``core="loop"`` oracle, and the full prominence computation
-keeps a NumPy implementation as the readable reference; the test suite
-cross-checks all three.
+This runs once per unit per control step, behind one dispatch
+(:func:`fill_features`): the compiled kernel of :mod:`repro.core._native`
+— one fused, cache-blocked pass over every unit — when the host has a C
+compiler, otherwise the per-column native-float walk (:func:`_count_walk`,
+which the kernel transcribes) plus a row-sequential std in the kernel's
+summation order.  Both return the same bits, and the test suite holds them
+against each other and against the full prominence computation
+(:func:`peak_prominences`), kept in NumPy as the readable reference.  There
+is deliberately no NumPy batch tier in between: at 100k x 20 it measured
+25x off the kernel, and at the paper's 20 units slower than the walk
+(docs/algorithms.md).  A *single* short history is walked in plain Python
+— ~12x faster than slice-based NumPy on 20 samples (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ __all__ = [
     "peak_prominences",
     "count_prominent_peaks",
     "count_prominent_peaks_multi",
-    "history_std",
+    "fill_features",
 ]
 
 
@@ -145,94 +144,61 @@ def count_prominent_peaks(x: np.ndarray, min_prominence: float) -> int:
     return _count_walk(x.tolist(), float(min_prominence))
 
 
-def _count_batch(
-    x: np.ndarray,
+def fill_features(
+    history: np.ndarray,
     min_prominence: float,
-    out: np.ndarray,
-    scratch: dict | None = None,
-) -> np.ndarray:
-    """Column-parallel prominent-peak counts (the multi-unit hot path).
+    pp_out: np.ndarray | None,
+    std_out: np.ndarray | None,
+) -> None:
+    """Fill per-unit prominent-peak counts and population stds.
 
-    Semantics are identical to running :func:`_count_walk` on every column.
-    The walks of *all* candidate rows advance together, one valley-floor
-    step per iteration of the walked distance ``k``: comparing every row
-    ``i`` against row ``i - k`` is one shifted whole-array operation, so
-    the pass costs O(history_len) vector operations per side instead of a
-    Python walk per (candidate, unit) pair.  The count condition
-    ``height - max(left_base, right_base) >= T`` is evaluated as
-    ``(height - left_base >= T) & (height - right_base >= T)`` — identical
-    to the last bit, since float subtraction is monotone in the subtrahend.
+    The one place that chooses between the compiled kernel and its Python
+    fallback; the two are bit-identical, so the choice never shows.
 
     Args:
-        scratch: optional dict the (history_len, n_units) work arrays are
-            cached in across calls (per-step scratch reuse on the control
-            path); pass the same dict every call.
+        history: float64 ``(history_len, n_units)``, oldest sample first.
+        min_prominence: prominence threshold in watts (> 0).
+        pp_out / std_out: C-contiguous ``np.intp`` / ``float64`` arrays of
+            shape ``(n_units,)`` to fill (anything else raises ValueError:
+            the kernel writes through raw pointers), or None to skip.
     """
-    h, n = x.shape
-    out[:] = 0
-    if h < 3:
-        return out
-    if scratch is None:
-        scratch = {}
-    if scratch.get("shape") != (h, n):
-        scratch["shape"] = (h, n)
-        scratch["ok"] = np.empty((h, n), dtype=bool)
-        scratch["alive"] = np.empty((h, n), dtype=bool)
-        scratch["take"] = np.empty((h, n), dtype=bool)
-        scratch["base"] = np.empty((h, n), dtype=np.float64)
-        scratch["diff"] = np.empty((h, n), dtype=np.float64)
-    ok = scratch["ok"]
-    alive = scratch["alive"]
-    take = scratch["take"]
-    base = scratch["base"]
-    diff = scratch["diff"]
-
-    # Candidate maxima: strictly above the left neighbour, not below the
-    # right one (rows 0 and h-1 can never be candidates).
-    ok[0] = False
-    ok[-1] = False
-    np.greater(x[1:-1], x[:-2], out=ok[1:-1])
-    np.greater_equal(x[1:-1], x[2:], out=take[1:-1])
-    ok[1:-1] &= take[1:-1]
-    if not ok.any():
-        return out
-
-    for left in (True, False):
-        # Valley-floor walk away from every candidate row at once.  A row's
-        # lane stays alive while the walked sample is <= its height; the
-        # first strictly higher sample kills the lane, exactly like the
-        # scalar walk.  Lanes that already failed the other side start dead
-        # (their base cannot change the AND-ed count condition).
-        np.copyto(base, x)
-        np.copyto(alive, ok)
-        for k in range(1, h):
-            if left:
-                rows, walked = slice(k, None), x[:-k]
-            else:
-                rows, walked = slice(None, -k), x[k:]
-            t = take[rows]
-            np.less_equal(walked, x[rows], out=t)
-            t &= alive[rows]
-            if not t.any():
-                break
-            np.minimum(base[rows], walked, out=base[rows], where=t)
-            np.copyto(alive[rows], t)
-        np.subtract(x, base, out=diff)
-        np.greater_equal(diff, min_prominence, out=take)
-        ok &= take
-        if not ok.any():
-            return out
-
-    np.sum(ok, axis=0, dtype=np.intp, out=out)
-    return out
+    h, n_units = history.shape
+    for out, dtype in ((pp_out, np.intp), (std_out, np.float64)):
+        if out is not None and not (
+            out.shape == (n_units,)
+            and out.dtype == dtype
+            and out.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"out must be a C-contiguous {np.dtype(dtype).name} array of "
+                f"shape ({n_units},), got {out.dtype.name} {out.shape} "
+                f"with strides {out.strides}"
+            )
+    kernel = _native.peak_features()
+    if kernel is not None and 1 <= h <= _native.MAX_HISTORY:
+        kernel(history, min_prominence, pp_out, std_out)
+        return
+    if pp_out is not None:
+        for u, col in enumerate(history.T.tolist()):
+            pp_out[u] = _count_walk(col, min_prominence)
+    if std_out is not None:
+        # Rows accumulated in order, exactly as _peaks_kernel.c does
+        # (np.std sums a single-column history pairwise: an ulp away).
+        total = np.zeros(n_units)
+        for row in history:
+            total += row
+        mean = total / h
+        var = np.zeros(n_units)
+        for row in history:
+            dev = row - mean
+            var += dev * dev
+        np.sqrt(var / h, out=std_out)
 
 
 def count_prominent_peaks_multi(
     history: np.ndarray,
     min_prominence: float,
     out: np.ndarray | None = None,
-    core: str = "vectorized",
-    scratch: dict | None = None,
 ) -> np.ndarray:
     """Prominent-peak counts for a bank of unit histories.
 
@@ -240,70 +206,18 @@ def count_prominent_peaks_multi(
         history: shape ``(history_len, n_units)``; column ``u`` is unit
             ``u``'s power history, oldest sample first.
         min_prominence: prominence threshold in watts.
-        out: optional preallocated integer array of shape ``(n_units,)``
-            the counts are written into (per-step scratch reuse on the
-            control path).
-        core: ``"vectorized"`` counts column-parallel across units;
-            ``"loop"`` runs the per-column native-float walk (the oracle).
-            Both return identical counts.
-        scratch: optional dict the vectorized core caches its work arrays
-            in across calls; pass the same dict every call.
+        out: optional preallocated C-contiguous ``np.intp`` array of shape
+            ``(n_units,)`` the counts are written into.
 
     Returns:
         Integer array of shape ``(n_units,)`` (``out`` when provided).
     """
     if min_prominence <= 0:
         raise ValueError(f"min_prominence must be > 0, got {min_prominence}")
-    if core not in ("loop", "vectorized"):
-        raise ValueError(
-            f"core must be 'loop' or 'vectorized', got {core!r}"
-        )
     history = np.asarray(history, dtype=np.float64)
     if history.ndim != 2:
         raise ValueError(f"expected 2-D history, got shape {history.shape}")
-    n_units = history.shape[1]
     if out is None:
-        out = np.empty(n_units, dtype=np.intp)
-    elif out.shape != (n_units,):
-        raise ValueError(f"out shape {out.shape} != ({n_units},)")
-    prominence = float(min_prominence)
-    if core == "vectorized":
-        kernel = _native.peak_features()
-        if kernel is not None and history.shape[0] <= _native.MAX_HISTORY:
-            kernel(history, prominence, out, None)
-            return out
-        return _count_batch(history, prominence, out, scratch)
-    for u, col in enumerate(history.T.tolist()):
-        out[u] = _count_walk(col, prominence)
-    return out
-
-
-def history_std(history: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Per-column population standard deviation of a history bank.
-
-    This is the priority module's second frequency feature, computed once
-    per control step and shared by *both* decision cores (it is a numeric
-    feature, not part of the per-unit flag logic the cores reimplement),
-    so loop/vectorized equivalence holds whichever implementation runs.
-
-    Uses the native kernel when available — one cache-blocked pass fused
-    with the peak counter's transpose — otherwise ``np.std``.  The two
-    differ in summation order (sequential vs. pairwise), so stds can
-    differ in the last few ulps between hosts with and without a C
-    compiler; set ``REPRO_NO_NATIVE=1`` for cross-host bit-reproducibility
-    of full simulations.
-    """
-    history = np.asarray(history, dtype=np.float64)
-    if history.ndim != 2:
-        raise ValueError(f"expected 2-D history, got shape {history.shape}")
-    n_units = history.shape[1]
-    if out is None:
-        out = np.empty(n_units, dtype=np.float64)
-    elif out.shape != (n_units,):
-        raise ValueError(f"out shape {out.shape} != ({n_units},)")
-    kernel = _native.peak_features()
-    if kernel is not None and history.shape[0] <= _native.MAX_HISTORY:
-        kernel(history, 1.0, None, out)
-        return out
-    np.std(history, axis=0, out=out)
+        out = np.empty(history.shape[1], dtype=np.intp)
+    fill_features(history, float(min_prominence), out, None)
     return out

@@ -17,20 +17,16 @@ Classifies every power-capping unit as high or low priority from the two
   priority).  In between, the previous priority is *kept*: a unit that rose
   stays high priority until its power actually falls again.
 
-The flag logic exists in two bit-exact implementations selected by
-``core``: the original per-unit walk (``"loop"``, the equivalence-test
-oracle) and a boolean-mask pass (``"vectorized"``) expressing the same
-set/clear/hysteresis transitions as a handful of whole-array operations —
-the §6.5 "handful of vector operations regardless of cluster size" claim.
+The flag logic is a boolean-mask pass (:meth:`PriorityModule._classify`):
+a handful of whole-array operations regardless of cluster size (§6.5).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core import _native
-from repro.core.config import PriorityConfig, _decision_core
-from repro.core.peaks import count_prominent_peaks_multi, history_std
+from repro.core.config import PriorityConfig
+from repro.core.peaks import fill_features
 from repro.recovery.state import decode_array, encode_array
 
 __all__ = ["PriorityModule"]
@@ -44,8 +40,6 @@ class PriorityModule:
         config: thresholds and window lengths.
         use_frequency: when False, skip high-frequency detection entirely
             (derivative-only classification; ablation 2 in DESIGN.md §5).
-        core: ``"vectorized"`` (default) classifies with boolean masks;
-            ``"loop"`` runs the per-unit oracle.  Bit-exact equivalents.
     """
 
     def __init__(
@@ -53,15 +47,12 @@ class PriorityModule:
         n_units: int,
         config: PriorityConfig | None = None,
         use_frequency: bool = True,
-        core: str = "vectorized",
     ) -> None:
         if n_units < 1:
             raise ValueError(f"n_units must be >= 1, got {n_units}")
-        _decision_core("core", core)
         self.n_units = n_units
         self.config = config or PriorityConfig()
         self.use_frequency = use_frequency
-        self.core = core
         self._high_freq = np.zeros(n_units, dtype=bool)
         self._priority = np.zeros(n_units, dtype=bool)
         # Per-step scratch: update() runs every control step on every unit,
@@ -70,14 +61,11 @@ class PriorityModule:
         self._pp = np.empty(n_units, dtype=np.intp)
         self._std = np.empty(n_units, dtype=np.float64)
         self._deriv = np.empty(n_units, dtype=np.float64)
-        # Boolean-mask scratch for the vectorized classifier.
+        # Boolean-mask scratch for the classifier.
         self._mask_a = np.empty(n_units, dtype=bool)
         self._mask_b = np.empty(n_units, dtype=bool)
         self._mask_c = np.empty(n_units, dtype=bool)
         self._low = np.empty(n_units, dtype=bool)
-        # (history_len, n_units) work arrays of the batched peak counter,
-        # cached across steps once the history buffer reaches full length.
-        self._peaks_scratch: dict = {}
         # Centered time basis for the least-squares slope; dt_s-independent
         # (the dt factor divides out at use time), so it can be precomputed.
         w = self.config.deriv_window
@@ -154,26 +142,9 @@ class PriorityModule:
             return self._priority.copy()
 
         # Batch the numeric features once per step into preallocated scratch
-        # (the classifier pass below is pure flag logic).  The std is a
-        # shared feature — same source for both cores (see history_std).
+        # (the classifier pass below is pure flag logic).
         if self.use_frequency:
-            kernel = _native.peak_features()
-            if (
-                kernel is not None
-                and self.core == "vectorized"
-                and h <= _native.MAX_HISTORY
-            ):
-                # One fused cache-blocked pass for both features.
-                kernel(history, cfg.peak_prominence, self._pp, self._std)
-            else:
-                count_prominent_peaks_multi(
-                    history,
-                    cfg.peak_prominence,
-                    out=self._pp,
-                    core=self.core,
-                    scratch=self._peaks_scratch,
-                )
-                history_std(history, out=self._std)
+            fill_features(history, cfg.peak_prominence, self._pp, self._std)
         derivs = self._deriv
         if cfg.deriv_method == "lsq":
             # Least-squares slope over the window: averages noise across
@@ -188,51 +159,16 @@ class PriorityModule:
             np.subtract(history[-1], history[-cfg.deriv_window], out=derivs)
             derivs /= span_s
 
-        if self.core == "loop":
-            self._classify_loop(derivs)
-        else:
-            self._classify_vectorized(derivs)
+        self._classify(derivs)
         return self._priority.copy()
 
-    def _classify_loop(self, derivs: np.ndarray) -> None:
-        """Per-unit flag walk (the equivalence-test oracle)."""
-        cfg = self.config
-        pp_counts = self._pp
-        stds = self._std
-        high_freq = self._high_freq
-        priority = self._priority
-        for u in range(self.n_units):
-            if self.use_frequency:
-                if not high_freq[u]:
-                    if pp_counts[u] > cfg.pp_threshold:
-                        high_freq[u] = True
-                        priority[u] = True
-                        continue
-                else:
-                    if (
-                        pp_counts[u] < cfg.pp_threshold
-                        and stds[u] < cfg.std_threshold
-                    ):
-                        high_freq[u] = False
-                        priority[u] = False
-                    # Either way a (former) high-frequency unit skips the
-                    # derivative check this step (Algorithm 2 lines 10-15).
-                    continue
-
-            # Low-frequency unit: classify by the average first derivative
-            # over the last `deriv_window` samples.
-            if derivs[u] > cfg.deriv_inc_threshold:
-                priority[u] = True
-            elif derivs[u] < cfg.deriv_dec_threshold:
-                priority[u] = False
-            # Otherwise: keep the previous priority (hysteresis).
-
-    def _classify_vectorized(self, derivs: np.ndarray) -> None:
-        """Boolean-mask transcription of :meth:`_classify_loop`.
+    def _classify(self, derivs: np.ndarray) -> None:
+        """Apply Algorithm 2's flag transitions to every unit at once.
 
         All transitions are computed from the flags as they stood at entry
         (``elig`` is built before any mask is applied), so the pass is
-        order-independent and bit-exact against the per-unit walk.
+        order-independent and bit-exact against the per-unit walk in
+        tests/core/oracles.py.
         """
         cfg = self.config
         high_freq = self._high_freq
@@ -270,7 +206,7 @@ class PriorityModule:
         # falling units go low, in-between keeps the previous priority.
         # The masks are disjoint (PriorityConfig validates inc_threshold > 0
         # > dec_threshold), so applying them in either order matches the
-        # loop's if/elif.
+        # per-unit walk's if/elif.
         rise = self._mask_a
         np.greater(derivs, cfg.deriv_inc_threshold, out=rise)
         rise &= elig

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import StatelessConfig, _decision_core
+from repro.core.config import StatelessConfig
 from repro.core.managers import PowerManager, register_manager
 from repro.core.stateless import mimd_step
 
@@ -27,21 +27,13 @@ class SlurmManager(PowerManager):
     Args:
         config: MIMD thresholds; defaults match the DPS stateless module so
             head-to-head comparisons isolate the value of power dynamics.
-        decision_core: ``"vectorized"`` or ``"loop"`` MIMD increase pass
-            (bit-exact equivalents; the loop is the test oracle).
     """
 
     name = "slurm"
 
-    def __init__(
-        self,
-        config: StatelessConfig | None = None,
-        decision_core: str = "vectorized",
-    ) -> None:
+    def __init__(self, config: StatelessConfig | None = None) -> None:
         super().__init__()
-        _decision_core("decision_core", decision_core)
         self.config = config or StatelessConfig()
-        self.decision_core = decision_core
         self._mimd_scratch: dict = {}
 
     def _decide(
@@ -56,7 +48,6 @@ class SlurmManager(PowerManager):
             self.min_cap_w,
             self.config,
             self._rng,
-            core=self.decision_core,
             scratch=self._mimd_scratch,
         )
         return result.caps

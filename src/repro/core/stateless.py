@@ -18,13 +18,8 @@ Faithfulness notes (documented deviations from the paper's pseudocode):
 * Caps are additionally clamped to ``[min_cap_w, max_cap_w]`` — the RAPL
   constraint range — which the pseudocode leaves implicit.
 
-The random-order increase loop exists in two bit-exact implementations
-selected by ``core``: the original per-unit Python walk (``"loop"``, the
-test oracle) and an array-native pass (``"vectorized"``) that replays the
-sequential budget admission with one ``np.subtract.accumulate`` — the
-running-remainder chain rounds identically to the loop's ``avail -= grow``,
-so full grants, the single partial grant at the budget boundary, and the
-returned leftover all match the oracle to the last bit.
+The random-order increase loop runs as one array pass (:func:`_increase`),
+bit-exact against the per-unit walk kept in ``tests/core/oracles.py``.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.config import StatelessConfig, _decision_core
+from repro.core.config import StatelessConfig
 
 __all__ = ["MimdResult", "mimd_step"]
 
@@ -54,7 +49,7 @@ class MimdResult(NamedTuple):
 
 
 def _mimd_scratch(scratch: dict, n: int) -> dict:
-    """(Re)size the preallocated work arrays of the vectorized pass.
+    """(Re)size the preallocated work arrays of the pass.
 
     ``mimd_step`` runs every control step; at cluster scale its float64
     temporaries are megabytes of fresh mmap traffic per call, so managers
@@ -70,7 +65,7 @@ def _mimd_scratch(scratch: dict, n: int) -> dict:
     return scratch
 
 
-def _increase_loop(
+def _increase(
     caps: np.ndarray,
     want: np.ndarray,
     order: np.ndarray,
@@ -80,39 +75,14 @@ def _increase_loop(
     changed: np.ndarray,
     scratch: dict,
 ) -> float:
-    """Per-unit increase walk (the test oracle); mutates caps/changed."""
-    del scratch
-    for u in order:
-        if not want[u] or avail <= 0.0:
-            continue
-        target = min(caps[u] * inc_factor, max_cap_w)
-        grow = min(target - caps[u], avail)
-        if grow <= 0.0:
-            continue
-        caps[u] += grow
-        avail -= grow
-        changed[u] = True
-    return avail
+    """Random-order increase pass (Alg. 1 second loop); mutates caps/changed.
 
-
-def _increase_vectorized(
-    caps: np.ndarray,
-    want: np.ndarray,
-    order: np.ndarray,
-    avail: float,
-    max_cap_w: float,
-    inc_factor: float,
-    changed: np.ndarray,
-    scratch: dict,
-) -> float:
-    """Array-native replay of :func:`_increase_loop`; mutates caps/changed.
-
-    The sequential loop grants each wanting unit its full desired growth
-    until the remaining budget no longer covers one, which then receives
-    the remainder and exhausts the budget.  ``np.subtract.accumulate``
-    reproduces the loop's running remainder with the same left-to-right
-    rounding (units the loop skips subtract exactly 0.0), so the admission
-    set, the one partial grant, and the leftover are all bit-exact.
+    A sequential walk over ``order`` grants each wanting unit its full growth
+    until the remaining budget no longer covers one, which then receives the
+    remainder and exhausts the budget.  ``np.subtract.accumulate`` reproduces
+    that walk's running remainder with the same left-to-right rounding (units
+    the walk skips subtract exactly 0.0), so the admission set, the one
+    partial grant, and the leftover are all bit-exact against it.
     """
     desired = np.multiply(caps, inc_factor, out=scratch["f1"])
     np.minimum(desired, max_cap_w, out=desired)
@@ -144,15 +114,9 @@ def _increase_vectorized(
     scattered = scratch["b3"]
     scattered[order] = granted
     np.logical_or(changed, scattered, out=changed)
-    # After a partial grant the loop's remainder is exactly 0.0 while the
+    # After a partial grant the walk's remainder is exactly 0.0 while the
     # chain keeps subtracting skipped demands; both clamp to 0 at return.
     return float(chain[-1])
-
-
-_INCREASE_CORES = {
-    "loop": _increase_loop,
-    "vectorized": _increase_vectorized,
-}
 
 
 def mimd_step(
@@ -163,7 +127,6 @@ def mimd_step(
     min_cap_w: float,
     config: StatelessConfig,
     rng: np.random.Generator,
-    core: str = "vectorized",
     scratch: dict | None = None,
 ) -> MimdResult:
     """Run one multiplicative-increase / multiplicative-decrease pass.
@@ -182,18 +145,16 @@ def mimd_step(
         max_cap_w: per-unit maximum cap (TDP).
         min_cap_w: per-unit minimum cap.
         config: MIMD thresholds and factors.
-        rng: randomness source for the increase-loop ordering.  Both cores
-            draw one permutation from it (only when there is leftover
-            budget), so the stream position advances identically.
-        core: ``"vectorized"`` or ``"loop"`` — bit-exact equivalents.
-        scratch: optional dict the vectorized pass caches its work arrays
+        rng: randomness source for the increase-loop ordering; one
+            permutation is drawn from it, only when there is leftover
+            budget.
+        scratch: optional dict the pass caches its work arrays
             in across calls (per-step scratch reuse on the control path);
             pass the same dict every call.
 
     Returns:
         :class:`MimdResult` with the new caps (a fresh array).
     """
-    _decision_core("core", core)
     power = np.asarray(power_w, dtype=np.float64)
     caps = np.asarray(caps_w, dtype=np.float64).copy()
     if power.shape != caps.shape or power.ndim != 1:
@@ -225,7 +186,7 @@ def mimd_step(
         want = np.multiply(caps, config.inc_threshold, out=scratch["f2"])
         want = np.greater(power, want, out=scratch["b1"])
         order = rng.permutation(n)
-        avail = _INCREASE_CORES[core](
+        avail = _increase(
             caps,
             want,
             order,

@@ -126,9 +126,6 @@ class ExperimentConfig:
                 readjust=ReadjustConfig(**dps["readjust"]),
                 use_kalman=bool(dps["use_kalman"]),
                 use_frequency=bool(dps["use_frequency"]),
-                # Absent in pre-decision-core documents; default matches
-                # the dataclass so old cache entries round-trip.
-                decision_core=str(dps.get("decision_core", "vectorized")),
             ),
             slurm=StatelessConfig(**doc["slurm"]),
             repeats=int(doc["repeats"]),

@@ -236,80 +236,25 @@ def overhead_analysis(
     return rows
 
 
-def _mixed_cluster_power(
-    rng: np.random.Generator, n_units: int, t: int
-) -> np.ndarray:
-    """One sampling step of the overprovisioned-cluster power profile.
-
-    The scaling benchmark's canonical workload: 40 % of units idle around
-    45 W, 35 % run steady compute phases around 110 W, and 25 % are bursty
-    — large phase swings plus heavy noise.  This is the population the
-    paper overprovisions against (most units are *not* at peak at any
-    instant); it exercises every decision-path branch while keeping the
-    per-unit dynamics realistic, unlike an all-units-chaotic i.i.d. draw.
-    """
-    base = np.empty(n_units)
-    i1 = int(0.40 * n_units)
-    i2 = int(0.75 * n_units)
-    base[:i1] = 45.0
-    base[i1:i2] = 110.0
-    base[i2:] = 80.0 + 70.0 * np.sin(
-        0.3 * t + np.linspace(0.0, 2.0 * np.pi, n_units - i2)
-    )
-    noise = np.empty(n_units)
-    noise[:i1] = rng.normal(0.0, 1.5, i1)
-    noise[i1:i2] = rng.normal(0.0, 3.0, i2 - i1)
-    noise[i2:] = rng.normal(0.0, 12.0, n_units - i2)
-    return np.clip(base + noise, 5.0, 165.0)
-
-
-def _set_decision_core(manager, core: str) -> None:
-    """Force a manager's decision core before it is bound."""
-    if hasattr(manager, "decision_core"):
-        manager.decision_core = core
-    elif hasattr(manager.config, "decision_core"):
-        manager.config = manager.config.replace(decision_core=core)
-    else:
-        raise ValueError(
-            f"manager {type(manager).__name__} has no decision core switch"
-        )
-
-
 def measure_decision_time(
     manager_name: str = "dps",
     n_units: int = 20,
     steps: int = 200,
     config: ExperimentConfig | None = None,
-    decision_core: str | None = None,
-    workload: str = "uniform",
-    warmup: int = 0,
 ) -> float:
     """Median wall time of one bare manager decision (no network).
 
     Used by the overhead bench to separate controller compute from
-    messaging cost, and by the scaling bench to compare the loop and
-    vectorized decision cores.
+    messaging cost.  Every unit draws i.i.d. 40–160 W each step.
 
     Args:
         manager_name: registry name of the manager under test.
         n_units: cluster size in power-capping units.
         steps: timed decision steps (the median is over these).
         config: campaign configuration the manager is built from.
-        decision_core: override the manager's decision core
-          (``"loop"``/``"vectorized"``); ``None`` keeps the config default.
-        workload: per-step power draw — ``"uniform"`` (i.i.d. 40–160 W,
-          every unit chaotic; a stress profile) or ``"mixed"`` (the
-          overprovisioned-cluster profile of :func:`_mixed_cluster_power`).
-        warmup: untimed steps run first, so the median measures the
-          steady state (history full, flags settled) rather than the
-          cheaper warm-up transient.
     """
-    if workload not in ("uniform", "mixed"):
-        raise ValueError(f"unknown workload {workload!r}")
     cfg = config or ExperimentConfig()
     manager = cfg.make_manager(manager_name)
-    if decision_core is not None:
-        _set_decision_core(manager, decision_core)
     manager.bind(
         n_units=n_units,
         budget_w=110.0 * n_units,
@@ -320,13 +265,9 @@ def measure_decision_time(
     )
     rng = np.random.default_rng(1)
     times = []
-    for t in range(warmup + steps):
-        if workload == "mixed":
-            power = _mixed_cluster_power(rng, n_units, t)
-        else:
-            power = rng.uniform(40.0, 160.0, size=n_units)
+    for _ in range(steps):
+        power = rng.uniform(40.0, 160.0, size=n_units)
         started = time.perf_counter()
         manager.step(power, power if manager.requires_demand else None)
-        if t >= warmup:
-            times.append(time.perf_counter() - started)
+        times.append(time.perf_counter() - started)
     return float(np.median(times))

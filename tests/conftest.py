@@ -18,12 +18,24 @@ from repro.core.config import (
     SimulationConfig,
 )
 from repro.experiments.harness import ExperimentConfig
+from tests.core import oracles
 
 
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic randomness for a test."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def no_native():
+    """Force the decision core's Python fallback: no compiled peak kernel.
+
+    ``python -m pytest -o usefixtures=no_native`` runs the whole suite as
+    a host without a C compiler would.
+    """
+    with oracles.no_native():
+        yield
 
 
 @pytest.fixture

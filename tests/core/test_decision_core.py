@@ -1,21 +1,23 @@
-"""Loop-oracle equivalence of the array-native decision core.
+"""Oracle equivalence of the array-native decision core.
 
-The vectorized decision path (batched peak counter, boolean-mask priority
-classifier, accumulate-chain MIMD increase pass) must be *bit-exact*
-against the original per-unit implementations, which are kept as the
-``decision_core="loop"`` oracle.  Any divergence is a latent bug in one of
-the two — never something to paper over with a tolerance — so every
+The decision path (fused peak/std kernel with its Python fallback,
+boolean-mask priority classifier, accumulate-chain MIMD increase pass)
+must be *bit-exact* against the per-unit reference implementations in
+``tests/core/oracles.py``.  Any divergence is a latent bug in one of the
+two — never something to paper over with a tolerance — so every
 assertion here is exact equality.
 
 The suite drives randomized histories, configurations, budgets, and
-priorities through both cores at three levels: the stateless kernels
-(peak counts, MIMD), the stateful priority classifier, and full
-DPS/SLURM manager runs including snapshot/restore across cores.
+priorities through product and oracle at three levels: the stateless
+kernels (peak counts, std, MIMD), the stateful priority classifier, and
+full DPS/SLURM manager runs including snapshot/restore across the two.
+The reference side of every comparison runs under
+:func:`oracles.loop_core` — per-unit walks, no compiled kernel.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import _native
@@ -25,14 +27,17 @@ from repro.core.config import (
     StatelessConfig,
 )
 from repro.core.dps import DPSManager
+from repro.core.history import HistoryBuffer
 from repro.core.peaks import (
-    _count_batch,
     _count_walk,
     count_prominent_peaks_multi,
+    fill_features,
+    peak_prominences,
 )
 from repro.core.priority import PriorityModule
 from repro.core.slurm import SlurmManager
 from repro.core.stateless import mimd_step
+from tests.core.oracles import loop_core, no_native
 
 # Power-like values on a coarse grid so ties, plateaus, and exact
 # threshold hits are common — the cases where a vectorization shortcut
@@ -54,6 +59,17 @@ def histories(draw, min_len=1, max_len=24, max_units=24):
     return np.array(flat, dtype=np.float64).reshape(h, n)
 
 
+def _std(history):
+    out = np.empty(history.shape[1])
+    fill_features(history, 1.0, None, out)
+    return out
+
+
+def _needs_kernel():
+    if _native.peak_features() is None:
+        pytest.skip("no native kernel on this host")
+
+
 class TestPeakCountEquivalence:
     @given(
         history=histories(),
@@ -64,34 +80,27 @@ class TestPeakCountEquivalence:
     )
     @settings(max_examples=150, deadline=None)
     def test_all_three_implementations_agree(self, history, prominence):
-        """Native kernel, NumPy batch fallback, and per-column walk all
-        return identical counts — not close, identical."""
-        oracle = count_prominent_peaks_multi(
-            history, prominence, core="loop"
-        )
-        vectorized = count_prominent_peaks_multi(
-            history, prominence, core="vectorized"
-        )
-        np.testing.assert_array_equal(vectorized, oracle)
-        # The NumPy fallback must agree even on hosts where the native
-        # kernel is available, so exercise it explicitly.
-        batch = np.empty(history.shape[1], dtype=np.intp)
-        _count_batch(history, float(prominence), batch)
-        np.testing.assert_array_equal(batch, oracle)
+        """Native kernel, per-column walk fallback, and the full
+        prominence computation all return identical counts — not close,
+        identical."""
+        kernel = count_prominent_peaks_multi(history, prominence)
+        with no_native():
+            walk = count_prominent_peaks_multi(history, prominence)
+        np.testing.assert_array_equal(kernel, walk)
+        for u, col in enumerate(history.T):
+            assert walk[u] == _count_walk(col.tolist(), float(prominence))
+            _, prom = peak_prominences(col)
+            assert walk[u] == np.count_nonzero(prom >= prominence)
 
     @given(history=histories(min_len=3))
     @settings(max_examples=60, deadline=None)
     def test_kernel_std_matches_sequential_sum(self, history):
         """The fused kernel's std uses sequential per-column summation;
-        it must equal the plain-Python sequential definition bit for bit
-        (both cores consume the same provider, so this pins the shared
-        feature itself)."""
-        kernel = _native.peak_features()
-        if kernel is None:
-            pytest.skip("no native kernel on this host")
+        it must equal the plain-Python sequential definition bit for
+        bit."""
+        _needs_kernel()
         h, n = history.shape
-        out = np.empty(n)
-        kernel(np.ascontiguousarray(history), 1.0, None, out)
+        out = _std(history)
         for c in range(n):
             col = history[:, c].tolist()
             mean = sum(col) / h
@@ -100,6 +109,39 @@ class TestPeakCountEquivalence:
                 d = v - mean
                 var += d * d
             assert out[c] == np.sqrt(np.float64(var / h))
+
+    @given(
+        n=st.integers(min_value=1, max_value=300),
+        h=st.integers(min_value=1, max_value=64),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        ring=st.booleans(),
+    )
+    @example(n=1, h=33, seed=0, ring=False)
+    @example(n=1, h=64, seed=1, ring=True)
+    @settings(max_examples=150, deadline=None)
+    def test_fallback_features_match_kernel(self, n, h, seed, ring):
+        """Kernel == fallback bit for bit, for every shape — including
+        the single-column history whose contiguous axis ``np.std`` would
+        sum pairwise — on contiguous arrays and on the zero-copy views
+        ``HistoryBuffer.chronological()`` hands the priority module."""
+        _needs_kernel()
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(0.0, 165.0, (h + int(rng.integers(0, h + 1)), n))
+        if ring:
+            buf = HistoryBuffer(h, n)
+            for row in rows:
+                buf.push(row)
+            history = buf.chronological()
+        else:
+            history = rows[-h:].copy()
+        assert history.shape == (h, n)
+        kernel_std = _std(history)
+        kernel_pp = count_prominent_peaks_multi(history, 5.0)
+        with no_native():
+            np.testing.assert_array_equal(_std(history), kernel_std)
+            np.testing.assert_array_equal(
+                count_prominent_peaks_multi(history, 5.0), kernel_pp
+            )
 
 
 class TestMimdEquivalence:
@@ -118,7 +160,7 @@ class TestMimdEquivalence:
         caps = rng.uniform(30.0, 165.0, n)
         power = rng.uniform(0.0, 170.0, n)
         # Exact threshold hits: the admission test is power > cap * thr,
-        # so equality must fall on the same side in both cores.
+        # so equality must fall on the same side in product and oracle.
         if n >= 2:
             power[0] = caps[0] * inc_threshold
         config = StatelessConfig(
@@ -127,55 +169,59 @@ class TestMimdEquivalence:
             inc_factor=inc_factor,
         )
         budget = float(budget_scale * caps.sum())
-        results = {
-            core: mimd_step(
+
+        def run():
+            return mimd_step(
                 power, caps, budget, 165.0, 30.0, config,
-                np.random.default_rng(seed), core=core,
+                np.random.default_rng(seed),
             )
-            for core in ("loop", "vectorized")
-        }
-        np.testing.assert_array_equal(
-            results["vectorized"].caps, results["loop"].caps
-        )
-        np.testing.assert_array_equal(
-            results["vectorized"].changed, results["loop"].changed
-        )
-        assert (
-            results["vectorized"].avail_budget_w
-            == results["loop"].avail_budget_w
-        )
+
+        product = run()
+        with loop_core():
+            oracle = run()
+        np.testing.assert_array_equal(product.caps, oracle.caps)
+        np.testing.assert_array_equal(product.changed, oracle.changed)
+        assert product.avail_budget_w == oracle.avail_budget_w
 
     def test_partial_grant_at_budget_boundary(self):
         """Pinned: the one unit straddling the budget boundary receives
-        exactly the loop's remainder, and the rng stream advances the
-        same way in both cores."""
+        exactly the walk's remainder, and the rng stream advances the
+        same way under product and oracle."""
         caps = np.full(8, 100.0)
         power = np.full(8, 100.0)  # all want increase
         config = StatelessConfig()
         budget = float(caps.sum()) + 13.7  # covers one full grant + change
-        out = {
-            core: mimd_step(
+
+        def run():
+            return mimd_step(
                 power, caps, budget, 165.0, 30.0, config,
-                np.random.default_rng(5), core=core,
+                np.random.default_rng(5),
             )
-            for core in ("loop", "vectorized")
-        }
-        np.testing.assert_array_equal(
-            out["vectorized"].caps, out["loop"].caps
-        )
-        assert out["vectorized"].avail_budget_w == out["loop"].avail_budget_w
+
+        product = run()
+        with loop_core():
+            oracle = run()
+        np.testing.assert_array_equal(product.caps, oracle.caps)
+        assert product.avail_budget_w == oracle.avail_budget_w
 
 
-def _pair(n, priority_config=None, use_frequency=True):
-    return {
-        core: PriorityModule(
-            n,
-            priority_config or PriorityConfig(),
-            use_frequency=use_frequency,
-            core=core,
+class _Pair:
+    """A product :class:`PriorityModule` and one driven by the oracle."""
+
+    def __init__(self, n, use_frequency=True):
+        self.product = PriorityModule(
+            n, PriorityConfig(), use_frequency=use_frequency
         )
-        for core in ("loop", "vectorized")
-    }
+        self.oracle = PriorityModule(
+            n, PriorityConfig(), use_frequency=use_frequency
+        )
+
+    def update(self, history):
+        """Step both on ``history``; return ``(product, oracle)`` flags."""
+        out = self.product.update(history, 1.0)
+        with loop_core():
+            ref = self.oracle.update(history, 1.0)
+        return out, ref
 
 
 class TestPriorityEquivalence:
@@ -190,71 +236,46 @@ class TestPriorityEquivalence:
         self, n, seed, steps, use_frequency
     ):
         rng = np.random.default_rng(seed)
-        mods = _pair(n, use_frequency=use_frequency)
+        pair = _Pair(n, use_frequency=use_frequency)
         for _ in range(steps):
             h = int(rng.integers(1, 24))
             scale = float(rng.uniform(0.5, 30.0))
             hist = np.cumsum(rng.normal(0.0, scale, (h, n)), axis=0) + 100.0
             if rng.random() < 0.3:
                 hist = np.round(hist * 4.0) / 4.0  # force ties/plateaus
-            outs = {
-                core: mod.update(hist, 1.0) for core, mod in mods.items()
-            }
+            out, ref = pair.update(hist)
+            np.testing.assert_array_equal(out, ref)
             np.testing.assert_array_equal(
-                outs["vectorized"], outs["loop"]
-            )
-            np.testing.assert_array_equal(
-                mods["vectorized"].high_freq, mods["loop"].high_freq
+                pair.product.high_freq, pair.oracle.high_freq
             )
 
     def test_warmup_history_keeps_priorities_in_both_cores(self):
         """Shorter history than the derivative window: no classification,
-        both cores return the prior flags untouched."""
-        mods = _pair(4)
+        product and oracle return the prior flags untouched."""
+        pair = _Pair(4)
         short = np.full((1, 4), 100.0)  # < deriv_window
-        for core, mod in mods.items():
-            out = mod.update(short, 1.0)
+        for out in pair.update(short):
             np.testing.assert_array_equal(out, np.zeros(4, dtype=bool))
 
     def test_all_high_frequency_population(self):
         """Every unit oscillating hard: all go (and stay) high-frequency
-        in both cores, including the clear-check path the step after."""
+        under product and oracle, including the clear-check path the
+        step after."""
         n = 6
-        mods = _pair(n)
+        pair = _Pair(n)
         t = np.arange(20)[:, None]
         hist = 100.0 + 40.0 * np.where(t % 2 == 0, 1.0, -1.0) * np.ones(
             (20, n)
         )
         for _ in range(3):
-            outs = {
-                core: mod.update(hist, 1.0) for core, mod in mods.items()
-            }
-            np.testing.assert_array_equal(outs["vectorized"], outs["loop"])
-            assert mods["loop"].high_freq.all()
-            assert mods["vectorized"].high_freq.all()
-            assert outs["loop"].all()
+            out, ref = pair.update(hist)
+            np.testing.assert_array_equal(out, ref)
+            assert pair.oracle.high_freq.all()
+            assert pair.product.high_freq.all()
+            assert ref.all()
 
 
-def _run_manager(factory, powers, snapshot_at=None, restore_into=None):
-    """Drive a manager over a power sequence, returning per-step caps.
-
-    When ``snapshot_at``/``restore_into`` are given, state is snapshotted
-    at that step and restored into a *fresh* manager built by
-    ``restore_into`` (possibly with the other decision core), which then
-    finishes the run — exercising cross-core snapshot parity.
-    """
-    manager = factory()
-    caps = []
-    for i, p in enumerate(powers):
-        if snapshot_at is not None and i == snapshot_at:
-            state = manager.snapshot()
-            manager = restore_into()
-            manager.restore(state)
-        caps.append(manager.step(p, p).copy())
-    return caps
-
-
-def _bind(manager, n, seed):
+def _bound(manager, n, seed):
     manager.bind(
         n_units=n,
         budget_w=110.0 * n,
@@ -266,6 +287,26 @@ def _bind(manager, n, seed):
     return manager
 
 
+def _steps(manager, powers):
+    """Drive ``manager`` over a power sequence; per-step caps."""
+    return [manager.step(p, p).copy() for p in powers]
+
+
+def _run_manager(factory, powers):
+    return _steps(factory(), powers)
+
+
+def _assert_runs_equal(run, reference):
+    assert len(run) == len(reference)
+    for got, want in zip(run, reference):
+        np.testing.assert_array_equal(got, want)
+
+
+def _powers(seed, n, steps):
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(20.0, 165.0, n) for _ in range(steps)]
+
+
 class TestManagerParity:
     @given(
         n=st.integers(min_value=1, max_value=16),
@@ -274,18 +315,15 @@ class TestManagerParity:
     )
     @settings(max_examples=40, deadline=None)
     def test_dps_run_bit_exact(self, n, seed, steps):
-        rng = np.random.default_rng(seed)
-        powers = [rng.uniform(20.0, 165.0, n) for _ in range(steps)]
+        powers = _powers(seed, n, steps)
 
-        def factory(core):
-            return lambda: _bind(
-                DPSManager(DPSConfig(decision_core=core)), n, seed
-            )
+        def factory():
+            return _bound(DPSManager(DPSConfig()), n, seed)
 
-        loop_caps = _run_manager(factory("loop"), powers)
-        vec_caps = _run_manager(factory("vectorized"), powers)
-        for lc, vc in zip(loop_caps, vec_caps):
-            np.testing.assert_array_equal(vc, lc)
+        product = _run_manager(factory, powers)
+        with loop_core():
+            oracle = _run_manager(factory, powers)
+        _assert_runs_equal(product, oracle)
 
     @given(
         n=st.integers(min_value=1, max_value=16),
@@ -293,18 +331,15 @@ class TestManagerParity:
     )
     @settings(max_examples=40, deadline=None)
     def test_slurm_run_bit_exact(self, n, seed):
-        rng = np.random.default_rng(seed)
-        powers = [rng.uniform(20.0, 165.0, n) for _ in range(12)]
+        powers = _powers(seed, n, 12)
 
-        def factory(core):
-            return lambda: _bind(
-                SlurmManager(decision_core=core), n, seed
-            )
+        def factory():
+            return _bound(SlurmManager(), n, seed)
 
-        loop_caps = _run_manager(factory("loop"), powers)
-        vec_caps = _run_manager(factory("vectorized"), powers)
-        for lc, vc in zip(loop_caps, vec_caps):
-            np.testing.assert_array_equal(vc, lc)
+        product = _run_manager(factory, powers)
+        with loop_core():
+            oracle = _run_manager(factory, powers)
+        _assert_runs_equal(product, oracle)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -312,28 +347,71 @@ class TestManagerParity:
     )
     @settings(max_examples=30, deadline=None)
     def test_snapshot_restore_swaps_cores_mid_run(self, seed, snapshot_at):
-        """A loop-core run snapshotted mid-flight and restored into a
-        vectorized-core manager (and vice versa) finishes with caps
-        bit-identical to never switching at all."""
+        """A run snapshotted under the oracle and restored into the
+        product manager (and vice versa) finishes with caps bit-identical
+        to never switching at all."""
         n = 7
-        rng = np.random.default_rng(seed)
-        powers = [rng.uniform(20.0, 165.0, n) for _ in range(25)]
+        powers = _powers(seed, n, 25)
 
-        def factory(core):
-            return lambda: _bind(
-                DPSManager(DPSConfig(decision_core=core)), n, seed
-            )
+        def factory():
+            return _bound(DPSManager(DPSConfig()), n, seed)
 
-        reference = _run_manager(factory("loop"), powers)
-        for first, second in (
-            ("loop", "vectorized"),
-            ("vectorized", "loop"),
-        ):
-            switched = _run_manager(
-                factory(first),
-                powers,
-                snapshot_at=snapshot_at,
-                restore_into=factory(second),
-            )
-            for rc, sc in zip(reference, switched):
-                np.testing.assert_array_equal(sc, rc)
+        with loop_core():
+            reference = _run_manager(factory, powers)
+
+        # Oracle first, product after the restore.
+        with loop_core():
+            manager = factory()
+            head = _steps(manager, powers[:snapshot_at])
+            state = manager.snapshot()
+        manager = factory()
+        manager.restore(state)
+        tail = _steps(manager, powers[snapshot_at:])
+        _assert_runs_equal(head + tail, reference)
+
+        # Product first, oracle after the restore.
+        manager = factory()
+        head = _steps(manager, powers[:snapshot_at])
+        state = manager.snapshot()
+        with loop_core():
+            manager = factory()
+            manager.restore(state)
+            tail = _steps(manager, powers[snapshot_at:])
+        _assert_runs_equal(head + tail, reference)
+
+
+class TestNoNative:
+    """The decision core on a host without a C compiler."""
+
+    @pytest.mark.parametrize("n", [1, 7, 16])
+    @pytest.mark.usefixtures("no_native")
+    def test_dps_run_bit_identical_without_kernel(self, n):
+        powers = _powers(n, n, 40)
+
+        def factory():
+            return _bound(DPSManager(DPSConfig()), n, 3)
+
+        assert _native.peak_features() is None
+        fallback = _run_manager(factory, powers)
+        with pytest.MonkeyPatch.context() as mp:
+            # Lift the fixture's patch for the kernel-on run.
+            mp.setattr(_native, "_cache", {"resolved": False, "fn": None})
+            _needs_kernel()
+            kernel = _run_manager(factory, powers)
+        _assert_runs_equal(fallback, kernel)
+
+    def test_missing_compiler_falls_back(self, monkeypatch, tmp_path):
+        """``CC`` naming a missing binary: no kernel, same decisions."""
+        n = 7
+        powers = _powers(11, n, 30)
+
+        def factory():
+            return _bound(DPSManager(DPSConfig()), n, 3)
+
+        with_kernel = _run_manager(factory, powers)
+        monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
+        monkeypatch.setattr(
+            _native, "_cache", {"resolved": False, "fn": None}
+        )
+        assert _native.peak_features() is None
+        _assert_runs_equal(_run_manager(factory, powers), with_kernel)

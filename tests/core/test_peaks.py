@@ -1,5 +1,7 @@
 """Prominent-peak detection: unit cases, reference cross-check, properties."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,10 @@ from hypothesis import strategies as st
 from repro.core.peaks import (
     count_prominent_peaks,
     count_prominent_peaks_multi,
+    fill_features,
     peak_prominences,
 )
+from tests.core.oracles import no_native
 
 
 def _reference_count(x: np.ndarray, min_prominence: float) -> int:
@@ -117,6 +121,32 @@ class TestCountMulti:
     def test_rejects_nonpositive_prominence(self):
         with pytest.raises(ValueError, match="min_prominence"):
             count_prominent_peaks_multi(np.zeros((5, 2)), -1.0)
+
+    @pytest.mark.parametrize(
+        "host", [contextlib.nullcontext, no_native], ids=["kernel", "walk"]
+    )
+    def test_rejects_out_the_kernel_cannot_write(self, host):
+        """A narrower or strided ``out`` must never reach the C kernel
+        (which writes C longs through the raw pointer), and the fallback
+        rejects it the same way."""
+        history = np.zeros((5, 4))
+        with host():
+            with pytest.raises(ValueError, match="got int32"):
+                count_prominent_peaks_multi(
+                    history, 1.0, out=np.zeros(4, dtype=np.int32)
+                )
+            with pytest.raises(ValueError, match=r"strides \(16,\)"):
+                count_prominent_peaks_multi(
+                    history, 1.0, out=np.zeros(8, dtype=np.intp)[::2]
+                )
+            with pytest.raises(ValueError, match=r"got int64 \(3,\)"):
+                count_prominent_peaks_multi(
+                    history, 1.0, out=np.zeros(3, dtype=np.intp)
+                )
+            with pytest.raises(ValueError, match="got float32"):
+                fill_features(
+                    history, 1.0, None, np.zeros(4, dtype=np.float32)
+                )
 
     def test_oscillating_column_flagged_high(self):
         t = np.arange(20)
