@@ -5,7 +5,8 @@ whose work per unit is a data-dependent scalar walk — the shape NumPy is
 worst at.  This module compiles ``_peaks_kernel.c`` (a literal C
 transcription of the Python walk, bit-exact by construction) with the
 system C compiler the first time the kernel is requested, caches the
-shared object under a content hash, and exposes it through ctypes.
+shared object under a hash of the source and the host CPU, and exposes it
+through ctypes.
 
 Everything degrades gracefully: no compiler or a failed build makes
 :func:`peak_features` return ``None``, and its one caller,
@@ -23,6 +24,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import tempfile
@@ -39,8 +41,6 @@ __all__ = ["MAX_HISTORY", "peak_features"]
 MAX_HISTORY = 64
 
 _SOURCE = Path(__file__).with_name("_peaks_kernel.c")
-_C_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
-_C_LONG_P = ctypes.POINTER(ctypes.c_long)
 
 _lock = threading.Lock()
 _cache: dict = {"resolved": False, "fn": None}
@@ -57,6 +57,38 @@ def _find_compiler() -> str | None:
     return None
 
 
+def _host_fingerprint() -> str:
+    """What ``-march=native`` code generation depends on, as a string.
+
+    Architecture plus the first CPU's model and feature flags (a
+    hypervisor can mask features of one model), so a cache directory
+    carried to another machine -- a copied work tree, an image layer, a
+    CI cache -- rebuilds instead of loading foreign-ISA code.
+    """
+    lines = [platform.machine()]
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith(("model name", "flags", "Features")):
+                    lines.append(line.strip())
+                elif not line.strip():
+                    break  # End of the first processor's stanza.
+    except OSError:
+        lines.append(platform.processor())
+    return "\n".join(lines)
+
+
+def _lib_path(source: bytes, fingerprint: str) -> Path:
+    """Where the kernel built from ``source`` for this host is cached."""
+    digest = hashlib.sha256(source)
+    digest.update(fingerprint.encode())
+    cache_root = Path(
+        os.environ.get("REPRO_NATIVE_CACHE")
+        or os.path.join(tempfile.gettempdir(), "repro-native")
+    )
+    return cache_root / f"peaks-{digest.hexdigest()[:16]}.so"
+
+
 def _build_library() -> Path | None:
     """Compile the kernel into the cache directory, or return None."""
     cc = _find_compiler()
@@ -66,12 +98,8 @@ def _build_library() -> Path | None:
         source = _SOURCE.read_bytes()
     except OSError:
         return None
-    tag = hashlib.sha256(source).hexdigest()[:16]
-    cache_root = Path(
-        os.environ.get("REPRO_NATIVE_CACHE")
-        or os.path.join(tempfile.gettempdir(), "repro-native")
-    )
-    lib_path = cache_root / f"peaks-{tag}.so"
+    lib_path = _lib_path(source, _host_fingerprint())
+    cache_root = lib_path.parent
     if lib_path.exists():
         return lib_path
     tmp_name = None
@@ -81,10 +109,10 @@ def _build_library() -> Path | None:
         os.close(fd)
         # -ffp-contract=off: no FMA contraction, so the kernel's arithmetic
         # is the same plain IEEE double sequence as the Python oracle.
-        # -march=native is attempted first: the .so cache is per host, so
-        # host-specific codegen is safe, and cmov emission for the walks
-        # is worth ~4x here; some compilers reject the flag, hence the
-        # plain retry.
+        # -march=native is attempted first: the cache tag names the host
+        # CPU, so host-specific codegen is safe, and cmov emission for the
+        # walks is worth ~4x here; some compilers reject the flag, hence
+        # the plain retry.
         base = [cc, "-O3", "-fPIC", "-shared", "-ffp-contract=off"]
         tail = [str(_SOURCE), "-o", tmp_name, "-lm"]
         try:
@@ -128,13 +156,19 @@ def _load() -> Callable | None:
     except (OSError, AttributeError):
         return None
     raw.restype = None
+    # Pointers travel as plain addresses: ``arr.ctypes.data`` costs about
+    # half of ``data_as(POINTER(...))``, which at the paper's 20 units was
+    # most of the call.
     raw.argtypes = [
-        _C_DOUBLE_P,
+        ctypes.c_void_p,
         ctypes.c_long,
         ctypes.c_long,
         ctypes.c_double,
-        _C_LONG_P,
-        _C_DOUBLE_P,
+        ctypes.c_void_p,
+        ctypes.c_void_p,
+        ctypes.c_void_p,
+        ctypes.c_long,
+        ctypes.c_double,
     ]
 
     def call(
@@ -142,25 +176,31 @@ def _load() -> Callable | None:
         min_prominence: float,
         pp_out: np.ndarray | None,
         std_out: np.ndarray | None,
+        flagged: np.ndarray | None,
+        pp_threshold: int,
+        std_threshold: float,
     ) -> None:
         """Fill ``pp_out`` (np.intp) / ``std_out`` (float64) per column.
 
-        Either output may be None to skip that feature.  The outputs are
-        written through raw pointers: ``peaks.fill_features``, the one
-        caller, has checked that they are C-contiguous ``(n,)`` arrays.
+        Either output may be None to skip that feature; ``flagged``
+        (bool) switches the verdict context of ``peaks.fill_features``
+        on.  All three are accessed through raw pointers:
+        ``fill_features``, the one caller, has checked that they are
+        C-contiguous ``(n,)`` arrays and that ``h <= MAX_HISTORY``.
         """
         h, n = history.shape
-        if h > MAX_HISTORY:
-            raise ValueError(f"history_len {h} exceeds kernel max {MAX_HISTORY}")
         if not (history.flags.c_contiguous and history.dtype == np.float64):
             history = np.ascontiguousarray(history, dtype=np.float64)
         raw(
-            history.ctypes.data_as(_C_DOUBLE_P),
+            history.ctypes.data,
             h,
             n,
             float(min_prominence),
-            None if pp_out is None else pp_out.ctypes.data_as(_C_LONG_P),
-            None if std_out is None else std_out.ctypes.data_as(_C_DOUBLE_P),
+            None if pp_out is None else pp_out.ctypes.data,
+            None if std_out is None else std_out.ctypes.data,
+            None if flagged is None else flagged.ctypes.data,
+            pp_threshold,
+            std_threshold,
         )
 
     return call

@@ -13,7 +13,7 @@
  * is plain IEEE double (no -ffast-math, contraction disabled by the build
  * flags), so counts are bit-exact against the Python oracle.
  *
- * Three departures from a naive transcription, all exactness-preserving,
+ * Four departures from a naive transcription, all exactness-preserving,
  * keep the per-column cost down on a branch-predictor-hostile workload:
  *
  * - The candidate test runs branchlessly over the whole column first
@@ -30,6 +30,16 @@
  *   the column's total range (height <= max, base >= min), and fl() is
  *   monotone, so fl(max - min) < min_prominence proves the count is zero
  *   without walking.  The min/max come for free from the std pass.
+ * - Under a verdict context (`flagged` non-NULL: the caller is Algorithm 2
+ *   and will only ever ask `pp > T` of an unflagged unit and
+ *   `pp < T && std < S` of a flagged one, T = pp_threshold, S =
+ *   std_threshold) the conjunction is evaluated cheap-first.  A flagged
+ *   column whose std, already computed, is >= S can neither set (needs an
+ *   unflagged unit) nor clear (needs std < S): it is not walked and reads
+ *   the neutral value T.  Every other walk stops once the count reaches
+ *   T + 1, since min(count, T + 1) answers both comparisons exactly as
+ *   count does.  With `flagged` NULL the same loop runs uncapped and the
+ *   counts are exact; std_out is exact for every column either way.
  *
  * The standard deviation is the population std over each column,
  * sequential summation along the history axis (independent accumulator
@@ -39,9 +49,9 @@
  * Layout: x is the C-contiguous (h, n) history, row-major, column u =
  * unit u.  Units are processed in blocks of REPRO_BLOCK columns: the
  * sum/min/max and std passes stream the rows directly (accumulators
- * indexed by column vectorize), while the walk pass transposes the block
- * into a small column-contiguous stack buffer so the data-dependent walks
- * run on cache-resident contiguous doubles.
+ * indexed by column vectorize).  A column is gathered into a contiguous
+ * stack buffer only when it is actually walked -- the block's rows are
+ * cache-resident from the std pass -- so skipped columns cost no copy.
  */
 
 #include <math.h>
@@ -51,12 +61,17 @@
 
 void repro_peak_features(const double *x, long h, long n,
                          double min_prominence, long *pp_out,
-                         double *std_out) {
-    double buf[REPRO_BLOCK * REPRO_MAX_H];
+                         double *std_out, const unsigned char *flagged,
+                         long pp_threshold, double std_threshold) {
+    double col[REPRO_MAX_H];
     double s[REPRO_BLOCK], mn[REPRO_BLOCK], mx[REPRO_BLOCK];
 
-    if (h < 1 || h > REPRO_MAX_H || n < 1)
+    if (h < 1 || h > REPRO_MAX_H || n < 1 || (flagged && !std_out))
         return;
+    /* A walk runs while count <= pp_threshold; a column has fewer than h
+     * peaks, so without a verdict context h means "never stop". */
+    if (!flagged)
+        pp_threshold = h;
 
     for (long b0 = 0; b0 < n; b0 += REPRO_BLOCK) {
         long bw = n - b0 < REPRO_BLOCK ? n - b0 : REPRO_BLOCK;
@@ -101,21 +116,24 @@ void repro_peak_features(const double *x, long h, long n,
         if (!pp_out)
             continue;
 
-        for (long i = 0; i < h; i++) {
-            const double *row = x + i * n + b0;
-            for (long c = 0; c < bw; c++)
-                buf[c * h + i] = row[c];
-        }
-
         for (long c = 0; c < bw; c++) {
+            /* Verdict skip: flagged and still noisy, so neither flag
+             * transition can fire whatever the count is. */
+            if (flagged && flagged[b0 + c] &&
+                std_out[b0 + c] >= std_threshold) {
+                pp_out[b0 + c] = pp_threshold;
+                continue;
+            }
             /* Quiet-column skip: every peak's prominence is bounded by the
              * column's total range, and fl() is monotone, so
-             * fl(mx - mn) < T implies no peak can reach prominence T. */
+             * fl(mx - mn) < min_prominence implies no peak can reach it. */
             if (mx[c] - mn[c] < min_prominence) {
                 pp_out[b0 + c] = 0;
                 continue;
             }
-            const double *col = buf + c * h;
+            const double *src = x + b0 + c;
+            for (long i = 0; i < h; i++)
+                col[i] = src[i * n];
             uint64_t cand = 0;
             for (long i = 1; i + 1 < h; i++) {
                 uint64_t o = (uint64_t)((col[i] > col[i - 1]) &
@@ -123,7 +141,7 @@ void repro_peak_features(const double *x, long h, long n,
                 cand |= o << i;
             }
             long count = 0;
-            while (cand) {
+            while (cand && count <= pp_threshold) {
                 long i = (long)__builtin_ctzll(cand);
                 cand &= cand - 1;
                 double hi = col[i];

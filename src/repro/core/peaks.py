@@ -97,14 +97,20 @@ def peak_prominences(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx[keep], prominences[keep]
 
 
-def _count_walk(xs: list[float], min_prominence: float) -> int:
+def _count_walk(
+    xs: list[float], min_prominence: float, cap: int | None = None
+) -> int:
     """Count prominent peaks of a native-float list (the hot path).
 
     Semantics match :func:`peak_prominences`: a candidate is strictly above
     its left neighbour and not below its right one; each side's valley floor
     is the minimum up to (excluding) the nearest strictly-higher sample.
+    With ``cap`` the walk stops once the count exceeds it and returns
+    ``min(count, cap + 1)`` (the verdict context of :func:`fill_features`).
     """
     n = len(xs)
+    if cap is None:
+        cap = n  # n samples have fewer than n peaks: never stops.
     count = 0
     for i in range(1, n - 1):
         h = xs[i]
@@ -128,6 +134,8 @@ def _count_walk(xs: list[float], min_prominence: float) -> int:
             min_prominence
         ):
             count += 1
+            if count > cap:
+                break
     return count
 
 
@@ -149,11 +157,24 @@ def fill_features(
     min_prominence: float,
     pp_out: np.ndarray | None,
     std_out: np.ndarray | None,
+    flagged: np.ndarray | None = None,
+    pp_threshold: int = 0,
+    std_threshold: float = 0.0,
 ) -> None:
     """Fill per-unit prominent-peak counts and population stds.
 
     The one place that chooses between the compiled kernel and its Python
     fallback; the two are bit-identical, so the choice never shows.
+
+    ``flagged`` turns on the *verdict context*: the caller is Algorithm 2,
+    which only ever asks ``pp > pp_threshold`` of an unflagged unit and
+    ``pp < pp_threshold and std < std_threshold`` of a flagged one, so the
+    conjunction is evaluated cheap-first.  A flagged unit whose std is at
+    or over ``std_threshold`` can neither set nor clear: it is not walked
+    and ``pp_out`` reads the neutral ``pp_threshold``.  Every other walk
+    stops at ``pp_threshold + 1``, and ``min(count, pp_threshold + 1)``
+    answers both comparisons exactly as the count does.  ``std_out`` is
+    exact either way; without ``flagged`` so is ``pp_out``.
 
     Args:
         history: float64 ``(history_len, n_units)``, oldest sample first.
@@ -161,26 +182,45 @@ def fill_features(
         pp_out / std_out: C-contiguous ``np.intp`` / ``float64`` arrays of
             shape ``(n_units,)`` to fill (anything else raises ValueError:
             the kernel writes through raw pointers), or None to skip.
+        flagged: the units' high-frequency flags as they stand before this
+            step, a C-contiguous ``bool`` array of shape ``(n_units,)``
+            (same ValueError; needs ``std_out``), or None for exact counts.
+        pp_threshold / std_threshold: Algorithm 2's thresholds; read only
+            with ``flagged``.
     """
     h, n_units = history.shape
-    for out, dtype in ((pp_out, np.intp), (std_out, np.float64)):
-        if out is not None and not (
-            out.shape == (n_units,)
-            and out.dtype == dtype
-            and out.flags.c_contiguous
+    for name, arr, dtype in (
+        ("pp_out", pp_out, np.intp),
+        ("std_out", std_out, np.float64),
+        ("flagged", flagged, np.bool_),
+    ):
+        if arr is not None and not (
+            arr.shape == (n_units,)
+            and arr.dtype == dtype
+            and arr.flags.c_contiguous
         ):
             raise ValueError(
-                f"out must be a C-contiguous {np.dtype(dtype).name} array of "
-                f"shape ({n_units},), got {out.dtype.name} {out.shape} "
-                f"with strides {out.strides}"
+                f"{name} must be a C-contiguous {np.dtype(dtype).name} array "
+                f"of shape ({n_units},), got {arr.dtype.name} {arr.shape} "
+                f"with strides {arr.strides}"
             )
+    if flagged is not None and std_out is None:
+        raise ValueError("a verdict context (flagged) needs std_out")
+    # The kernel takes a C long; flooring a fractional threshold moves
+    # neither comparison.
+    pp_threshold = int(pp_threshold)
     kernel = _native.peak_features()
     if kernel is not None and 1 <= h <= _native.MAX_HISTORY:
-        kernel(history, min_prominence, pp_out, std_out)
+        kernel(
+            history,
+            min_prominence,
+            pp_out,
+            std_out,
+            flagged,
+            pp_threshold,
+            std_threshold,
+        )
         return
-    if pp_out is not None:
-        for u, col in enumerate(history.T.tolist()):
-            pp_out[u] = _count_walk(col, min_prominence)
     if std_out is not None:
         # Rows accumulated in order, exactly as _peaks_kernel.c does
         # (np.std sums a single-column history pairwise: an ulp away).
@@ -193,6 +233,17 @@ def fill_features(
             dev = row - mean
             var += dev * dev
         np.sqrt(var / h, out=std_out)
+    if pp_out is None:
+        return
+    if flagged is None:
+        skip, cap = [False] * n_units, None
+    else:
+        skip = (flagged & (std_out >= std_threshold)).tolist()
+        cap = pp_threshold
+    for u, col in enumerate(history.T.tolist()):
+        pp_out[u] = (
+            pp_threshold if skip[u] else _count_walk(col, min_prominence, cap)
+        )
 
 
 def count_prominent_peaks_multi(

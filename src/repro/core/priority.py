@@ -144,7 +144,18 @@ class PriorityModule:
         # Batch the numeric features once per step into preallocated scratch
         # (the classifier pass below is pure flag logic).
         if self.use_frequency:
-            fill_features(history, cfg.peak_prominence, self._pp, self._std)
+            # Verdict context: _classify only compares _pp against
+            # pp_threshold, so a flagged unit that is still noisy is not
+            # walked and every other walk stops at pp_threshold + 1.
+            fill_features(
+                history,
+                cfg.peak_prominence,
+                self._pp,
+                self._std,
+                flagged=self._high_freq,
+                pp_threshold=cfg.pp_threshold,
+                std_threshold=cfg.std_threshold,
+            )
         derivs = self._deriv
         if cfg.deriv_method == "lsq":
             # Least-squares slope over the window: averages noise across

@@ -15,12 +15,15 @@ The reference side of every comparison runs under
 :func:`oracles.loop_core` — per-unit walks, no compiled kernel.
 """
 
+import contextlib
+import platform
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import _native
+from repro.core import _native, priority
 from repro.core.config import (
     DPSConfig,
     PriorityConfig,
@@ -63,6 +66,14 @@ def _std(history):
     out = np.empty(history.shape[1])
     fill_features(history, 1.0, None, out)
     return out
+
+
+def _verdict_features(history, prominence, **verdict):
+    """``(pp, std)`` as Algorithm 2 asks for them (verdict context)."""
+    pp = np.empty(history.shape[1], dtype=np.intp)
+    std = np.empty(history.shape[1])
+    fill_features(history, prominence, pp, std, **verdict)
+    return pp, std
 
 
 def _needs_kernel():
@@ -137,11 +148,31 @@ class TestPeakCountEquivalence:
         assert history.shape == (h, n)
         kernel_std = _std(history)
         kernel_pp = count_prominent_peaks_multi(history, 5.0)
+        # Under a verdict context pp_out is value-identical too, skipped
+        # (reads T) and saturated (reads T + 1) columns included: uniform
+        # 0-165 W has std ~48 W, so a threshold drawn around it splits the
+        # flagged columns into skipped and walked.
+        verdict = dict(
+            flagged=rng.random(n) < 0.5,
+            pp_threshold=int(rng.integers(1, 5)),
+            std_threshold=float(rng.uniform(35.0, 60.0)),
+        )
+        kernel_lazy = _verdict_features(history, 5.0, **verdict)
         with no_native():
             np.testing.assert_array_equal(_std(history), kernel_std)
             np.testing.assert_array_equal(
                 count_prominent_peaks_multi(history, 5.0), kernel_pp
             )
+            walk_lazy = _verdict_features(history, 5.0, **verdict)
+        for got, want in zip(walk_lazy, kernel_lazy):
+            np.testing.assert_array_equal(got, want)
+        lazy_pp, lazy_std = kernel_lazy
+        np.testing.assert_array_equal(lazy_std, kernel_std)
+        cap = verdict["pp_threshold"]
+        skipped = verdict["flagged"] & (kernel_std >= verdict["std_threshold"])
+        np.testing.assert_array_equal(
+            lazy_pp, np.where(skipped, cap, np.minimum(kernel_pp, cap + 1))
+        )
 
 
 class TestMimdEquivalence:
@@ -273,6 +304,131 @@ class TestPriorityEquivalence:
             assert pair.oracle.high_freq.all()
             assert pair.product.high_freq.all()
             assert ref.all()
+
+
+def _exact_features(history, min_prominence, pp_out, std_out, **_verdict):
+    """``fill_features`` as it was before the verdict context: every
+    column walked to the end, exact counts."""
+    fill_features(history, min_prominence, pp_out, std_out)
+
+
+class _LazyExactPair:
+    """Two product :class:`PriorityModule`s in lockstep: ``lazy`` hands
+    ``fill_features`` its verdict context, ``exact`` is patched not to."""
+
+    def __init__(self, n, config):
+        self.lazy = PriorityModule(n, config)
+        self.exact = PriorityModule(n, config)
+
+    def update(self, history):
+        out = self.lazy.update(history, 1.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(priority, "fill_features", _exact_features)
+            ref = self.exact.update(history, 1.0)
+        np.testing.assert_array_equal(out, ref)
+        np.testing.assert_array_equal(self.lazy.high_freq, self.exact.high_freq)
+
+
+def _phase_history(rng, h, n, config):
+    """One window in which every unit draws its own power phase: flat,
+    ramp (noisy, no peaks), and square waves from a ripple under both
+    thresholds to a hard oscillation over both -- amplitudes on
+    multiples of the thresholds, so exact hits are common.  Redrawn
+    every step, a unit sets, stays flagged, and clears over a run."""
+    t = np.arange(h, dtype=np.float64)[:, None]
+    period = rng.integers(2, 9, n)
+    wave = np.where(t % period < period / 2, 1.0, -1.0)
+    scale = rng.choice([config.peak_prominence / 2, config.std_threshold], n)
+    amp = scale * rng.choice([0.0, 0.5, 1.0, 1.0, 1.5, 4.0], n)
+    slope = rng.choice([0.0, 0.0, 0.5, 3.0], n) * config.std_threshold / 4
+    hist = 100.0 + amp * wave + slope * t
+    if rng.random() < 0.5:
+        hist += rng.normal(0.0, 0.3 * config.std_threshold, (h, n))
+    return hist
+
+
+_hosts = pytest.mark.parametrize(
+    "host", [contextlib.nullcontext, no_native], ids=["kernel", "walk"]
+)
+
+
+class TestLazyFeaturesEqualExact:
+    """Skipping and capping the peak walks never reaches a flag."""
+
+    @_hosts
+    @given(
+        n=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        steps=st.integers(min_value=2, max_value=8),
+        pp_threshold=st.integers(min_value=1, max_value=4),
+        prominence=st.sampled_from([2.0, 5.0, 20.0, 33.3]),
+        std_threshold=st.sampled_from([1.5, 6.0, 12.0, 25.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_flags_bit_identical_over_random_runs(
+        self, host, n, seed, steps, pp_threshold, prominence, std_threshold
+    ):
+        rng = np.random.default_rng(seed)
+        config = PriorityConfig(
+            peak_prominence=prominence,
+            pp_threshold=pp_threshold,
+            std_threshold=std_threshold,
+        )
+        pair = _LazyExactPair(n, config)
+        with host():
+            for _ in range(steps):
+                h = int(rng.choice([rng.integers(1, 25), 20, 20]))
+                pair.update(_phase_history(rng, h, n, config))
+
+    @_hosts
+    def test_std_on_the_threshold_skips(self, host):
+        """A flagged unit with no peaks at all and ``std == std_threshold``
+        exactly: the clear needs ``std < threshold``, so the walk is
+        skipped (``_pp`` reads T) and the flag stays; one ulp of threshold
+        more and the same window is walked and clears."""
+        hard = np.where(np.arange(20) % 2 == 0, 140.0, 60.0)[:, None]
+        step = np.repeat([88.0, 112.0], 10)[:, None]  # std exactly 12.0
+        for threshold, cleared in ((12.0, False), (np.nextafter(12.0, 13.0), True)):
+            pair = _LazyExactPair(1, PriorityConfig(std_threshold=threshold))
+            with host():
+                pair.update(hard)
+                assert pair.lazy.high_freq.all()
+                pair.update(step)
+            assert pair.lazy._std[0] == 12.0
+            assert pair.lazy._pp[0] == (0 if cleared else 1)
+            assert pair.exact._pp[0] == 0
+            assert pair.lazy.high_freq[0] == (not cleared)
+
+    @_hosts
+    @pytest.mark.parametrize("pp_threshold", [1, 2, 4])
+    def test_count_on_the_threshold_moves_no_flag(self, host, pp_threshold):
+        """Exactly T quiet peaks answer neither ``pp > T`` nor ``pp < T``:
+        an unflagged unit stays unflagged and a flagged one stays flagged,
+        with the count exact (below the cap); one peak more saturates at
+        T + 1 and sets."""
+        config = PriorityConfig(
+            peak_prominence=2.0, pp_threshold=pp_threshold
+        )
+
+        def bumps(k):
+            window = np.full((20, 1), 100.0)
+            window[2 : 2 + 3 * k : 3] = 103.0
+            return window
+
+        on, over = bumps(pp_threshold), bumps(pp_threshold + 2)
+        pair = _LazyExactPair(1, config)
+        with host():
+            pair.update(on)
+            assert pair.lazy._pp[0] == pp_threshold
+            assert not pair.lazy.high_freq[0]
+            pair.update(over)
+            assert pair.lazy._pp[0] == pp_threshold + 1  # saturated
+            assert pair.exact._pp[0] == pp_threshold + 2
+            assert pair.lazy.high_freq[0]
+            pair.update(on)  # quiet std, but count == T: no clear
+            assert pair.lazy._pp[0] == pp_threshold
+            assert pair.lazy._std[0] < config.std_threshold
+            assert pair.lazy.high_freq[0]
 
 
 def _bound(manager, n, seed):
@@ -415,3 +571,29 @@ class TestNoNative:
         )
         assert _native.peak_features() is None
         _assert_runs_equal(_run_manager(factory, powers), with_kernel)
+
+
+class TestKernelCache:
+    def test_cache_tag_names_the_host_cpu(self, monkeypatch, tmp_path):
+        """The shared object is ``-march=native`` code: a cache directory
+        carried to another CPU must miss, not load foreign instructions."""
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        source = b"void f(void) {}"
+        avx2 = "x86_64\nmodel name : A\nflags : avx2"
+        paths = {
+            _native._lib_path(source, fingerprint)
+            for fingerprint in (
+                avx2,
+                "x86_64\nmodel name : A\nflags : sse2",
+                "aarch64\nFeatures : asimd",
+            )
+        }
+        assert len(paths) == 3
+        assert {path.parent for path in paths} == {tmp_path}
+        assert _native._lib_path(source, avx2) in paths  # deterministic
+        assert _native._lib_path(source + b" ", avx2) not in paths
+
+    def test_host_fingerprint_is_stable_and_names_the_machine(self):
+        fingerprint = _native._host_fingerprint()
+        assert fingerprint == _native._host_fingerprint()
+        assert fingerprint.splitlines()[0] == platform.machine()

@@ -148,6 +148,35 @@ class TestCountMulti:
                     history, 1.0, None, np.zeros(4, dtype=np.float32)
                 )
 
+    @pytest.mark.parametrize(
+        "host", [contextlib.nullcontext, no_native], ids=["kernel", "walk"]
+    )
+    def test_rejects_flags_the_kernel_cannot_read(self, host):
+        """The kernel reads the verdict context's flags one byte per unit
+        through the raw pointer: a wider dtype, a strided view (it would
+        read the wrong units) or a wrong length never reaches it, nor does
+        a context without the std its skip rule compares."""
+        history = np.zeros((5, 4))
+        pp = np.zeros(4, dtype=np.intp)
+        std = np.zeros(4)
+
+        def fill(flagged, std_out=std):
+            fill_features(
+                history, 1.0, pp, std_out,
+                flagged=flagged, pp_threshold=1, std_threshold=12.0,
+            )
+
+        with host():
+            with pytest.raises(ValueError, match="flagged must be .* got int64"):
+                fill(np.zeros(4, dtype=np.int64))
+            with pytest.raises(ValueError, match=r"flagged .* strides \(2,\)"):
+                fill(np.zeros(8, dtype=bool)[::2])
+            with pytest.raises(ValueError, match=r"flagged .* got bool \(3,\)"):
+                fill(np.zeros(3, dtype=bool))
+            with pytest.raises(ValueError, match="needs std_out"):
+                fill(np.zeros(4, dtype=bool), std_out=None)
+            fill(np.zeros(4, dtype=bool))
+
     def test_oscillating_column_flagged_high(self):
         t = np.arange(20)
         osc = np.where(t % 4 < 2, 150.0, 60.0)
