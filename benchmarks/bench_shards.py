@@ -9,23 +9,24 @@ every shard carries the same load — doubling the cluster by doubling the
 shards roughly doubles the aggregate control work, with no superlinear
 coordination blow-up at the arbiter.
 
-This benchmark runs the real loopback harness (real ``DeployServer`` per
-shard, real TCP clients, real arbiter over wire-framed links) at each
+This benchmark runs the real harness (real ``DeployServer`` per shard,
+real TCP clients, real arbiter over wire-framed links) at each
 shard count in ``REPRO_BENCH_SHARD_COUNTS`` (default "1,2,4,8") with
 ``REPRO_BENCH_SHARD_UNITS`` units per shard (default 6400 — so the top
 configuration is 51,200 units across 8 shards).  Units are packed as
 many sockets per node so the TCP fan-out stays modest while the cap
 vectors carry full width.
 
-Two further rows compare the execution modes: a CI-small thread vs
-process comparison (``process_mode``) and the full-scale fleet row
-(``process_full_scale``), which reruns the top topology in thread mode
-and in process mode under both clock codecs — JSON float lists and the
-binary array frames of :mod:`repro.comm.wire` — recording per-codec
-wall time and wire bytes/cycle.  The binary-vs-JSON byte ratio is
-asserted unconditionally; the process-beats-thread wall-clock gate is
-opt-in via ``REPRO_BENCH_SHARD_ASSERT_FAST=1`` (the CI job sets it on
-runners with >= 4 cores, where the fleet actually has cores to win on).
+Two further rows compare the transports of the one pipelined loop: a
+CI-small thread vs process comparison (``process_mode``) and the
+full-scale fleet row (``process_full_scale``), which reruns the top
+topology in thread mode and in process mode under both clock codecs —
+JSON float lists and the binary array frames of :mod:`repro.comm.wire`
+— recording per-codec wall time and wire bytes/cycle.  The
+binary-vs-JSON byte ratio is asserted; the process-over-thread
+wall-clock ratio is reported, not gated — both modes run the same
+loop, so the ratio is what process isolation costs or (given spare
+cores) buys on the host at hand, not a property of the code.
 
 Results are printed (run with ``-s``) and written to a
 ``BENCH_shards.json`` artifact (override via
@@ -70,17 +71,13 @@ PROCESS_NODES = int(os.environ.get("REPRO_BENCH_SHARD_PROCESS_NODES", "4"))
 #: The full-scale process row runs 8 real shard-server subprocesses at
 #: the same 6400 units/shard the thread scaling rows use, so the
 #: thread-vs-process comparison is apples-to-apples at fleet scale.
-#: The per-cycle ack deadline is widened: on a saturated runner a
-#: fleet-wide cycle can take seconds, and a spurious watchdog SIGKILL
-#: would turn a perf row into a chaos drill.
+#: The per-cycle ack deadline is widened for every full-width row, in
+#: either mode: on a saturated runner a fleet-wide cycle can take
+#: seconds, and a spurious watchdog kill would turn a perf row into a
+#: chaos drill.
 FULL_HANG_TIMEOUT_S = float(
     os.environ.get("REPRO_BENCH_SHARD_FULL_TIMEOUT", "120")
 )
-#: Set to "1" (the CI job does, on runners with >= 4 cores) to turn the
-#: printed process-vs-thread and binary-vs-json comparisons into hard
-#: assertions.  On an oversubscribed single-core box the process fleet
-#: cannot be *guaranteed* to win wall-clock, so the gate is opt-in.
-ASSERT_FAST = os.environ.get("REPRO_BENCH_SHARD_ASSERT_FAST", "") == "1"
 
 
 def _measure(
@@ -151,7 +148,12 @@ def _measure(
 
 def test_shard_cycle_scaling(benchmark):
     results = benchmark.pedantic(
-        lambda: [_measure(n) for n in SHARD_COUNTS], rounds=1, iterations=1
+        lambda: [
+            _measure(n, hang_timeout_s=FULL_HANG_TIMEOUT_S)
+            for n in SHARD_COUNTS
+        ],
+        rounds=1,
+        iterations=1,
     )
 
     print(
@@ -211,9 +213,10 @@ def _merge_artifact(key: str, section: dict) -> None:
 def test_process_mode_overhead(benchmark):
     """Thread vs process mode at the same topology: the isolation tax.
 
-    Process mode swaps loopback links for real TCP and threads for
-    shard-server subprocesses; the steady-state per-cycle cost it adds
-    is wire framing plus a select round trip per shard.  Both clock
+    Process mode swaps in-memory links for real TCP and worker threads
+    for shard-server subprocesses under the same pipelined loop; the
+    steady-state per-cycle cost it adds is wire framing plus a select
+    round trip per shard, what it buys is a core per shard.  Both clock
     codecs are measured so the history tracks the JSON and the binary
     bulk plane side by side.  This row stays CI-small; the fleet-scale
     comparison lives in :func:`test_process_fleet_full_scale`.
@@ -271,12 +274,10 @@ def test_process_fleet_full_scale(benchmark):
     JSON clock plane, process over the binary plane — so the artifact
     answers two questions at fleet scale: what does real process
     isolation cost per cycle, and what does the binary bulk codec buy.
-    With pipelined cycles, checkpoint-cadence persistence, and binary
-    array frames the process fleet is expected to *beat* thread mode
-    wall-clock on a multicore runner (``overhead_x < 1.0``) while
-    moving several times fewer wire bytes per cycle; the CI job turns
-    those expectations into assertions via
-    ``REPRO_BENCH_SHARD_ASSERT_FAST=1`` on runners with >= 4 cores.
+    Thread mode runs the same pipelined loop with every shard's Python
+    under one interpreter lock, so on a multicore runner the process
+    fleet usually wins wall-clock (``overhead_x < 1.0``); that ratio is
+    recorded, the several-fold cut in wire bytes per cycle is asserted.
     """
     n_shards = max(SHARD_COUNTS)
     rows = benchmark.pedantic(
@@ -337,13 +338,8 @@ def test_process_fleet_full_scale(benchmark):
     )
 
     # The codec win is topology-determined, not load-determined: assert
-    # it unconditionally.  The wall-clock win depends on spare cores.
+    # it.  The wall-clock ratio depends on spare cores: reported above.
     assert bytes_ratio >= 5.0, (
         f"binary codec moves only {bytes_ratio:.1f}x fewer clock "
         f"bytes/cycle than JSON (expected >= 5x)"
     )
-    if ASSERT_FAST:
-        assert overhead_bin < 1.0, (
-            f"process fleet (binary codec) did not beat thread mode: "
-            f"{overhead_bin:.2f}x"
-        )

@@ -89,10 +89,6 @@ class SimulationResult:
     budget_w: float
     max_caps_sum_w: float
     durations: dict[str, float] = field(default_factory=dict)
-    #: Total protocol bytes exchanged (0 unless the comm path was used).
-    comm_bytes: int = 0
-    #: Mean control-cycle turnaround (s; 0.0 unless the comm path was used).
-    comm_turnaround_s: float = 0.0
     #: Checkpoint generations written (0 unless checkpointing was enabled).
     checkpoints_written: int = 0
     #: Journal records replayed by a resumed run (0 for cold starts).
@@ -144,18 +140,9 @@ class Simulation:
         record_telemetry: keep per-step traces (memory ~ steps x units).
         actuation_delay_steps: control intervals between a cap decision and
             it taking effect (1 models the networked client round trip).
-            Ignored when ``use_comm`` is set (the service applies caps).
-        use_comm: drive the control loop through the real server/client
-            protocol (:mod:`repro.comm`) instead of calling the manager
-            directly — readings travel as 3-byte messages (0.1 W
-            quantization included) and the result carries the measured
-            traffic/turnaround.  Not supported for demand-requiring
-            managers (the oracle has no wire format for true demand).
         failures: scheduled node crash/recovery events.  While a node is
             down its units draw no power, its workload stalls, and its
-            readings are dropouts (0.0 W).  Not supported together with
-            ``use_comm`` (the TCP deploy layer owns its own failure
-            semantics).
+            readings are dropouts (0.0 W).
         fault_config: per-reading measurement-fault probabilities; every
             socket's meter is wrapped in a
             :class:`~repro.powercap.faults.FaultyMeter` when given.
@@ -167,9 +154,7 @@ class Simulation:
             :class:`~repro.recovery.controller.RecoverableController`
             that journals every cycle's inputs to
             ``checkpoint_dir/journal.log`` and writes durable snapshot
-            generations there every ``checkpoint_every`` cycles.  Not
-            supported together with ``use_comm`` (the comm server steps
-            the manager directly, bypassing the journal).
+            generations there every ``checkpoint_every`` cycles.
         checkpoint_every: cycles between checkpoint generations (>= 1).
         resume: warm-restore the manager from the newest valid
             checkpoint in ``checkpoint_dir`` (replaying the journal
@@ -183,10 +168,7 @@ class Simulation:
             :class:`~repro.safety.guard.BudgetGuard` (worst-case
             committed power includes the actuator's in-flight pipeline
             and the domains' read-back caps), and runs the runtime
-            invariant monitors.  Not supported together with
-            ``use_comm`` (the comm server steps the manager and applies
-            caps itself, bypassing the actuation boundary the guard
-            gates).
+            invariant monitors.
     """
 
     def __init__(
@@ -201,7 +183,6 @@ class Simulation:
         seed: int = 0,
         record_telemetry: bool = False,
         actuation_delay_steps: int = 0,
-        use_comm: bool = False,
         failures: Sequence[NodeFailureEvent] = (),
         fault_config: FaultConfig | None = None,
         verify_actuation: bool = False,
@@ -214,27 +195,6 @@ class Simulation:
             raise ValueError(f"target_runs must be >= 1, got {target_runs}")
         if not assignments:
             raise ValueError("at least one workload assignment is required")
-        if use_comm and manager.requires_demand:
-            raise ValueError(
-                f"{manager.name} requires true demand, which the comm "
-                "protocol does not carry"
-            )
-        if use_comm and failures:
-            raise ValueError(
-                "node-failure injection is not supported on the comm path; "
-                "use the deploy layer's chaos schedule instead"
-            )
-        if use_comm and checkpoint_dir is not None:
-            raise ValueError(
-                "checkpointing is not supported on the comm path: the comm "
-                "server steps the manager directly, bypassing the journal"
-            )
-        if use_comm and safety is not None:
-            raise ValueError(
-                "the safety envelope is not supported on the comm path: "
-                "the comm server steps the manager and applies caps "
-                "itself, bypassing the actuation boundary the guard gates"
-            )
         if resume and checkpoint_dir is None:
             raise ValueError("resume requires checkpoint_dir")
         if checkpoint_every < 1:
@@ -257,7 +217,6 @@ class Simulation:
         self.target_runs = target_runs
         self.record_telemetry = record_telemetry
         self.actuation_delay_steps = actuation_delay_steps
-        self.use_comm = use_comm
         self.seed = seed
         self.verify_actuation = verify_actuation
         self.checkpoint_dir = (
@@ -405,18 +364,6 @@ class Simulation:
                     or getattr(node, "inner", None)
                 )
 
-        server = None
-        cycle_reports = []
-        if self.use_comm:
-            from repro.comm.network import NetworkModel
-            from repro.comm.service import PowerClient, PowerServer
-
-            server = PowerServer(
-                self.manager,
-                [PowerClient(node) for node in cluster.nodes],
-                NetworkModel(),
-            )
-
         telemetry = (
             TelemetryLog(cluster.n_units) if self.record_telemetry else None
         )
@@ -526,52 +473,47 @@ class Simulation:
                         detail=f"run {e.runs_completed}",
                     )
 
-            # 4. Measure, decide, actuate — directly or over the wire.
-            if server is not None:
-                cycle_reports.append(server.control_cycle(dt))
-                readings = server.last_readings
-                new_caps = np.asarray(self.manager.caps)
-            else:
-                readings = cluster.read_powers_w(dt)
-                if down_units is not None:
-                    # A dead host's telemetry is a dropout, not a number.
-                    readings[down_units] = 0.0
-                new_caps = stepper.step(
-                    readings,
-                    demand if self.manager.requires_demand else None,
+            # 4. Measure, decide, actuate.
+            readings = cluster.read_powers_w(dt)
+            if down_units is not None:
+                # A dead host's telemetry is a dropout, not a number.
+                readings[down_units] = 0.0
+            new_caps = stepper.step(
+                readings,
+                demand if self.manager.requires_demand else None,
+            )
+            if envelope is not None:
+                assert guard is not None
+                clock[0] = now
+                # Refresh the applied view from the hardware before
+                # judging the candidate: the domains' current caps
+                # are what the coming interval is committed to until
+                # the new dispatch lands.
+                envelope.record_applied(slice(None), cluster.caps_w())
+                envelope.record_commanded(new_caps)
+                decision = guard.enforce(
+                    new_caps,
+                    now=now,
+                    pending=actuator.pending,
+                    grants_w=last_readjust_grants(stepper),
                 )
-                if envelope is not None:
-                    assert guard is not None
-                    clock[0] = now
-                    # Refresh the applied view from the hardware before
-                    # judging the candidate: the domains' current caps
-                    # are what the coming interval is committed to until
-                    # the new dispatch lands.
-                    envelope.record_applied(slice(None), cluster.caps_w())
-                    envelope.record_commanded(new_caps)
-                    decision = guard.enforce(
-                        new_caps,
-                        now=now,
-                        pending=actuator.pending,
-                        grants_w=last_readjust_grants(stepper),
-                    )
-                    new_caps = decision.caps_w
-                actuator.issue(new_caps)
-                if envelope is not None:
-                    envelope.record_dispatched(slice(None), new_caps)
-                drain_actuator(now)
-                if monitor is not None:
-                    monitor.run(
-                        InvariantContext(
-                            budget_w=cluster.budget_w,
-                            min_cap_w=self.cluster_spec.min_cap_w,
-                            max_cap_w=self.cluster_spec.tdp_w,
-                            caps_w=new_caps,
-                            readings_w=readings,
-                            manager=stepper,
-                        ),
-                        now=now,
-                    )
+                new_caps = decision.caps_w
+            actuator.issue(new_caps)
+            if envelope is not None:
+                envelope.record_dispatched(slice(None), new_caps)
+            drain_actuator(now)
+            if monitor is not None:
+                monitor.run(
+                    InvariantContext(
+                        budget_w=cluster.budget_w,
+                        min_cap_w=self.cluster_spec.min_cap_w,
+                        max_cap_w=self.cluster_spec.tdp_w,
+                        caps_w=new_caps,
+                        readings_w=readings,
+                        manager=stepper,
+                    ),
+                    now=now,
+                )
 
             safe = bool(getattr(self.manager, "safe_mode", False))
             if safe != in_safe_mode:
@@ -612,12 +554,6 @@ class Simulation:
             telemetry.events.extend(controller.events)
         if telemetry is not None and safety_events is not None:
             telemetry.events.extend(safety_events)
-        comm_bytes = sum(r.bytes_up + r.bytes_down for r in cycle_reports)
-        comm_turnaround = (
-            float(np.mean([r.turnaround_s for r in cycle_reports]))
-            if cycle_reports
-            else 0.0
-        )
         return SimulationResult(
             executions=executions,
             telemetry=telemetry,
@@ -628,8 +564,6 @@ class Simulation:
             budget_w=cluster.budget_w,
             max_caps_sum_w=max_caps_sum,
             durations=durations,
-            comm_bytes=comm_bytes,
-            comm_turnaround_s=comm_turnaround,
             checkpoints_written=(
                 len(controller.events.of_kind("checkpoint_written"))
                 if controller is not None

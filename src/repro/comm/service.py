@@ -117,10 +117,6 @@ class PowerServer:
         self.manager = manager
         self.clients = clients
         self.network = network
-        #: Readings decoded in the most recent cycle (for telemetry).
-        self.last_readings: np.ndarray = np.zeros(
-            manager.n_units, dtype=np.float64
-        )
 
     def control_cycle(self, dt_s: float) -> CycleReport:
         """Run one full poll → decide → cap cycle.
@@ -149,7 +145,6 @@ class PowerServer:
             for payload in messages:
                 msg = decode(payload)
                 readings[base + msg.unit] = msg.value_w
-        self.last_readings = readings.copy()
 
         started = time.perf_counter()
         caps = self.manager.step(readings)

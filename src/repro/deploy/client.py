@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import socket
 import threading
-import time
 
 from repro.cluster.node import Node
 from repro.comm.protocol import MSG_CAP, MSG_READING, decode, encode
@@ -30,9 +29,6 @@ class DeployClient:
         address: server ``(host, port)``.
         dt_s: metering window passed to each power read.
         timeout_s: socket-operation timeout.
-        poll_delay_s: wall-clock delay before answering each POLL —
-            models the node-side metering latency of a real daemon (and,
-            set near the server's ``timeout_s``, a straggling node).
     """
 
     def __init__(
@@ -41,17 +37,13 @@ class DeployClient:
         address: tuple[str, int],
         dt_s: float = 1.0,
         timeout_s: float = 5.0,
-        poll_delay_s: float = 0.0,
     ) -> None:
         if len(node.sockets) > 0xFF:
             raise ValueError("a client frame addresses at most 255 units")
-        if poll_delay_s < 0:
-            raise ValueError(f"poll_delay_s must be >= 0, got {poll_delay_s}")
         self.node = node
         self.address = address
         self.dt_s = dt_s
         self.timeout_s = timeout_s
-        self.poll_delay_s = poll_delay_s
         self._sock: socket.socket | None = None
         self._thread: threading.Thread | None = None
         self.cycles_served = 0
@@ -84,8 +76,6 @@ class DeployClient:
                     break
                 if tag != framing.FRAME_POLL:
                     raise ValueError(f"unexpected frame tag {tag!r}")
-                if self.poll_delay_s > 0:
-                    time.sleep(self.poll_delay_s)
                 batch = []
                 for local, unit in enumerate(self.node.sockets):
                     power = unit.meter.read_power_w(self.dt_s)

@@ -34,6 +34,7 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.core.managers import PowerManager
 from repro.deploy.client import DeployClient
+from repro.deploy.plane import ClientPlane
 from repro.deploy.server import DeployServer
 from repro.recovery.checkpoint import CheckpointStore, CycleJournal
 from repro.recovery.controller import RecoverableController
@@ -197,39 +198,6 @@ class LoopbackResult:
     journal_replayed: int = 0
 
 
-def _await_cap_application(
-    server: DeployServer,
-    clients_by_id: Mapping[int, DeployClient],
-    served_before: Mapping[int, int],
-    timeout_s: float = 1.0,
-) -> None:
-    """Block until every healthy client has applied this cycle's caps.
-
-    ``control_cycle`` returns once the cap frames are *written*; the
-    client threads decode and program them asynchronously.  Real
-    deployments have the same property, but leaving the race in the
-    harness makes session power — and therefore every quality
-    measurement built on it — depend on thread scheduling.  The harness
-    serializes instead: physics advance only after the caps this cycle
-    decided are actually on the domains.  (A client increments
-    ``cycles_served`` immediately after programming its caps.)
-    """
-    deadline = time.monotonic() + timeout_s
-    for node_id, health in server.health.items():
-        if health is not HealthState.HEALTHY:
-            continue
-        client = clients_by_id.get(node_id)
-        if client is None:
-            continue
-        while (
-            client.cycles_served <= served_before.get(node_id, 0)
-            and client.error is None
-            and not client.killed
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.0005)
-
-
 def _validate_chaos(chaos: ChaosSchedule, cluster: Cluster) -> None:
     node_ids = {node.node_id for node in cluster.nodes}
     for label, schedule in (
@@ -251,10 +219,16 @@ def run_loopback(
     chaos: ChaosSchedule | None = None,
     resilience: ResilienceConfig | None = None,
     recovery: RecoveryOptions | None = None,
-    poll_mode: str = "concurrent",
     safety: SafetyConfig | None = None,
 ) -> LoopbackResult:
     """Drive a full TCP control-plane session on localhost.
+
+    The session is a sequence of restartable *attempts* over one step
+    counter.  With ``recovery`` the attempts run under a
+    :class:`~repro.recovery.supervisor.Supervisor` and step a
+    :class:`~repro.recovery.controller.RecoverableController`; without
+    it there is exactly one attempt, the bare manager is the stepper,
+    and nothing is checkpointed.
 
     Args:
         cluster: the simulated hardware (provides nodes and physics).
@@ -268,10 +242,6 @@ def run_loopback(
         recovery: checkpoint/supervisor configuration; required when the
             chaos schedule kills or hangs the controller, optional (plain
             periodic checkpointing) otherwise.
-        poll_mode: the server's cycle strategy — ``"concurrent"``
-            fan-out/fan-in (default) or the ``"sequential"`` baseline.
-            Sessions are reproducible cycle-for-cycle in either mode, and
-            both modes produce the identical trace.
         safety: budget-safety envelope configuration, passed through to
             every :class:`~repro.deploy.server.DeployServer` the session
             creates.  After a supervised restart the new server's
@@ -299,129 +269,28 @@ def run_loopback(
         dt_s=dt_s,
         rng=rng if rng is not None else np.random.default_rng(0),
     )
-    if recovery is None:
-        return _run_plain(
-            cluster, manager, demand_fn, cycles, dt_s, chaos, resilience,
-            poll_mode, safety,
-        )
-    return _run_supervised(
-        cluster, manager, demand_fn, cycles, dt_s, chaos, resilience,
-        recovery, poll_mode, safety,
-    )
-
-
-def _run_plain(
-    cluster: Cluster,
-    manager: PowerManager,
-    demand_fn: Callable[[int], np.ndarray],
-    cycles: int,
-    dt_s: float,
-    chaos: ChaosSchedule,
-    resilience: ResilienceConfig | None,
-    poll_mode: str,
-    safety: SafetyConfig | None,
-) -> LoopbackResult:
-    """The unsupervised session: one attempt, no checkpoints."""
-    caps_history = np.empty((cycles, cluster.n_units))
-    readings_history = np.empty((cycles, cluster.n_units))
-    power_history = np.empty((cycles, cluster.n_units))
-    bytes_total = 0
-    fallback_cycles = 0
-
-    originals: list[DeployClient] = []
-    replacements: list[DeployClient] = []
-    nodes_by_id = {node.node_id: node for node in cluster.nodes}
-    clients_by_id: dict[int, DeployClient] = {}
-    with DeployServer(
-        manager, resilience=resilience, poll_mode=poll_mode, safety=safety
-    ) as server:
-        try:
-            for node in cluster.nodes:
-                client = DeployClient(node, server.address, dt_s=dt_s)
-                client.start()
-                originals.append(client)
-                clients_by_id[node.node_id] = client
-            server.accept_clients(len(originals))
-
-            for step in range(cycles):
-                for node_id, kill_cycle in chaos.kill_at.items():
-                    if kill_cycle == step:
-                        clients_by_id[node_id].kill()
-                for node_id, rc_cycle in chaos.reconnect_at.items():
-                    if rc_cycle == step:
-                        fresh = DeployClient(
-                            nodes_by_id[node_id], server.address, dt_s=dt_s
-                        )
-                        fresh.start()
-                        replacements.append(fresh)
-                        clients_by_id[node_id] = fresh
-
-                demand = demand_fn(step)
-                cluster.step_physics(demand, dt_s)
-                served_before = {
-                    nid: c.cycles_served for nid, c in clients_by_id.items()
-                }
-                stats = server.control_cycle()
-                _await_cap_application(server, clients_by_id, served_before)
-                bytes_total += stats.bytes_up + stats.bytes_down
-                readings_history[step] = stats.readings_w
-                caps_history[step] = np.asarray(manager.caps)
-                power_history[step] = cluster.true_power_w()
-                if stats.fallback_units > 0:
-                    fallback_cycles += 1
-            final_health = server.health
-        finally:
-            server.shutdown()
-            for client in originals + replacements:
-                client.join()
-
-    return LoopbackResult(
-        cycles=cycles,
-        bytes_total=bytes_total,
-        caps_history=caps_history,
-        readings_history=readings_history,
-        power_history=power_history,
-        client_cycles=[c.cycles_served for c in originals],
-        fallback_cycles=fallback_cycles,
-        events=server.events,
-        timings=server.timings,
-        final_health=final_health,
-    )
-
-
-def _run_supervised(
-    cluster: Cluster,
-    manager: PowerManager,
-    demand_fn: Callable[[int], np.ndarray],
-    cycles: int,
-    dt_s: float,
-    chaos: ChaosSchedule,
-    resilience: ResilienceConfig | None,
-    recovery: RecoveryOptions,
-    poll_mode: str,
-    safety: SafetyConfig | None,
-) -> LoopbackResult:
-    """The supervised session: restartable attempts over one step counter."""
-    ckpt_dir = Path(recovery.checkpoint_dir)
     events = ResilienceEventLog()
     timings = CycleTimingLog()
-    controller = RecoverableController(
-        manager,
-        store=CheckpointStore(ckpt_dir, keep=recovery.keep_generations),
-        journal=CycleJournal(ckpt_dir / "journal.log"),
-        checkpoint_every=recovery.checkpoint_every,
-        events=events,
-    )
-    supervisor = Supervisor(
-        max_restarts=recovery.max_restarts,
-        hang_timeout_s=recovery.hang_timeout_s,
-        events=events,
-    )
+    stepper: PowerManager | RecoverableController = manager
+    supervisor: Supervisor | None = None
+    if recovery is not None:
+        ckpt_dir = Path(recovery.checkpoint_dir)
+        stepper = RecoverableController(
+            manager,
+            store=CheckpointStore(ckpt_dir, keep=recovery.keep_generations),
+            journal=CycleJournal(ckpt_dir / "journal.log"),
+            checkpoint_every=recovery.checkpoint_every,
+            events=events,
+        )
+        supervisor = Supervisor(
+            max_restarts=recovery.max_restarts,
+            hang_timeout_s=recovery.hang_timeout_s,
+            events=events,
+        )
 
     caps_history = np.full((cycles, cluster.n_units), np.nan)
     readings_history = np.full((cycles, cluster.n_units), np.nan)
     power_history = np.full((cycles, cluster.n_units), np.nan)
-    nodes_by_id = {node.node_id: node for node in cluster.nodes}
 
     # Shared across attempts: the global step cursor, the chaos events
     # already fired, and the session accounting.
@@ -438,6 +307,7 @@ def _run_supervised(
 
     def attempt(index: int, heartbeat: Heartbeat) -> dict[int, HealthState]:
         if index > 0:
+            assert recovery is not None  # Only a supervisor restarts.
             # The restart window: the supervisor is re-launching the
             # controller while the machines keep running under their
             # last programmed caps.
@@ -446,8 +316,8 @@ def _run_supervised(
                     break
                 outage_cycle(state["step"])
                 state["step"] += 1
-            if controller.resume():
-                state["replayed"] += controller.replayed
+            if stepper.resume():
+                state["replayed"] += stepper.replayed
             # A restarted metering daemon re-anchors its energy cursors;
             # without this the outage's accumulated energy lands on the
             # first post-restart reading.
@@ -455,28 +325,13 @@ def _run_supervised(
         if state["step"] >= cycles:
             return dict(final_health)
 
-        clients: list[DeployClient] = []
-        clients_by_id: dict[int, DeployClient] = {}
-        with DeployServer(
-            controller,
-            resilience=resilience,
-            events=events,
-            poll_mode=poll_mode,
-            safety=safety,
-        ) as server:
+        server = DeployServer(
+            stepper, resilience=resilience, events=events, safety=safety
+        )
+        with ClientPlane(server, cluster.nodes, dt_s) as plane:
+            if index == 0:
+                first_clients.extend(plane.originals)
             try:
-                for node in cluster.nodes:
-                    client = DeployClient(node, server.address, dt_s=dt_s)
-                    client.start()
-                    clients.append(client)
-                    clients_by_id[node.node_id] = client
-                if index == 0:
-                    first_clients.extend(clients)
-                # Safe until every client re-HELLOs: accept_clients blocks
-                # here, so no control decision happens before the plane is
-                # fully re-registered.
-                server.accept_clients(len(clients))
-
                 while state["step"] < cycles:
                     step = state["step"]
                     if step in chaos.controller_kill_at and step not in fired:
@@ -491,29 +346,17 @@ def _run_supervised(
                         raise ControllerHang(f"hang detected at cycle {step}")
                     for node_id, kill_cycle in chaos.kill_at.items():
                         if kill_cycle == step:
-                            clients_by_id[node_id].kill()
+                            plane.kill(node_id)
                     for node_id, rc_cycle in chaos.reconnect_at.items():
                         if rc_cycle == step:
-                            fresh = DeployClient(
-                                nodes_by_id[node_id], server.address, dt_s=dt_s
-                            )
-                            fresh.start()
-                            clients.append(fresh)
-                            clients_by_id[node_id] = fresh
+                            plane.reconnect(node_id)
 
                     cluster.step_physics(demand_fn(step), dt_s)
-                    served_before = {
-                        nid: c.cycles_served
-                        for nid, c in clients_by_id.items()
-                    }
-                    stats = server.control_cycle()
-                    _await_cap_application(
-                        server, clients_by_id, served_before
-                    )
+                    stats = plane.cycle(server.control_cycle)
                     heartbeat.beat()
                     state["bytes"] += stats.bytes_up + stats.bytes_down
                     readings_history[step] = stats.readings_w
-                    caps_history[step] = np.asarray(controller.caps)
+                    caps_history[step] = np.asarray(stepper.caps)
                     power_history[step] = cluster.true_power_w()
                     if stats.fallback_units > 0:
                         state["fallback"] += 1
@@ -523,16 +366,11 @@ def _run_supervised(
                 final_health.clear()
                 final_health.update(server.health)
                 timings.extend(server.timings)
-                server.shutdown()
-                for client in clients:
-                    # A client of a crashed controller exits on the broken
-                    # socket; don't let its error fail the session.
-                    try:
-                        client.join()
-                    except RuntimeError:
-                        pass
 
-    health = supervisor.run(attempt)
+    if supervisor is None:
+        health = attempt(0, Heartbeat())
+    else:
+        health = supervisor.run(attempt)
 
     return LoopbackResult(
         cycles=cycles,
@@ -545,7 +383,7 @@ def _run_supervised(
         events=events,
         timings=timings,
         final_health=health,
-        controller_restarts=supervisor.restarts,
+        controller_restarts=supervisor.restarts if supervisor else 0,
         checkpoints_written=len(events.of_kind("checkpoint_written")),
         journal_replayed=state["replayed"],
     )

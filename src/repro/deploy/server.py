@@ -15,9 +15,8 @@ deadline, and CAPS batches are dispatched to every client without
 waiting on any acknowledgement.  Cycle wall time is therefore
 max-of-clients instead of sum-of-clients — a slow (not yet dead) client
 no longer stalls its peers, it simply misses the deadline and takes the
-quarantine/fallback path.  ``poll_mode="sequential"`` keeps the
-artifact's strict blocking chain as a baseline for benchmarks and
-determinism checks.
+quarantine/fallback path.  (The artifact's strict blocking chain lives on
+as the test oracle in ``tests/deploy/oracles.py``.)
 
 A control cycle survives partial failures: a client that misses the
 deadline, disconnects, or violates the protocol is *quarantined* (its
@@ -164,10 +163,6 @@ class DeployServer:
             transitions (an internal log is created if omitted; see
             :attr:`events`).  Event times are control-cycle indices — the
             deploy layer has no simulated clock.
-        poll_mode: ``"concurrent"`` (default) broadcasts POLL and
-            collects readings under one deadline; ``"sequential"`` polls
-            one client at a time over blocking sockets (the artifact's
-            original chain, kept as a benchmark baseline).
         safety: budget-safety envelope configuration.  When given, the
             server tracks commanded/dispatched/applied cap views per
             unit (:attr:`envelope`), enforces the budget on worst-case
@@ -185,17 +180,10 @@ class DeployServer:
         timeout_s: float = 5.0,
         resilience: ResilienceConfig | None = None,
         events: ResilienceEventLog | None = None,
-        poll_mode: str = "concurrent",
         safety: SafetyConfig | None = None,
     ) -> None:
-        if poll_mode not in ("concurrent", "sequential"):
-            raise ValueError(
-                f"poll_mode must be 'concurrent' or 'sequential', "
-                f"got {poll_mode!r}"
-            )
         self.manager = manager
         self.timeout_s = timeout_s
-        self.poll_mode = poll_mode
         self.resilience = resilience or ResilienceConfig()
         self.events = events if events is not None else ResilienceEventLog()
         #: Per-cycle phase timings (the §6.5 overhead instrumentation).
@@ -482,14 +470,10 @@ class DeployServer:
             else:
                 polled.append(record)
 
-        if self.poll_mode == "concurrent":
-            pending, errors = self._broadcast_poll(polled)
-            t2 = time.perf_counter()
-            raw, collect_errors = self._collect_readings(pending)
-            errors.update(collect_errors)
-        else:
-            raw, errors = self._poll_sequential(polled)
-            t2 = time.perf_counter()
+        pending, errors = self._broadcast_poll(polled)
+        t2 = time.perf_counter()
+        raw, collect_errors = self._collect_readings(pending)
+        errors.update(collect_errors)
 
         # Post-collection pass in registration order: decode, validate,
         # and transition health deterministically — arrival order was
@@ -672,23 +656,6 @@ class DeployServer:
                 )
         finally:
             sel.close()
-        return raw, errors
-
-    def _poll_sequential(
-        self, polled: list[_ClientRecord]
-    ) -> tuple[dict[int, list[bytes]], dict[int, str]]:
-        """The artifact's baseline: blocking request/response per client."""
-        raw: dict[int, list[bytes]] = {}
-        errors: dict[int, str] = {}
-        for record in polled:
-            assert record.conn is not None
-            try:
-                framing.send_tag(record.conn, framing.FRAME_POLL)
-                raw[record.node_id] = framing.recv_batch(
-                    record.conn, framing.FRAME_READINGS
-                )
-            except (OSError, ValueError) as exc:
-                errors[record.node_id] = f"poll: {exc}"
         return raw, errors
 
     def _ingest_readings(

@@ -28,11 +28,12 @@ from repro.shard.lease import (
     ShardSummary,
 )
 from repro.shard.policy import Redistribution, redistribute
-from repro.shard.server import ShardServer
+from repro.shard.server import HostedShard, ShardServer
 from repro.shard.supervisor import (
     ProcessShardSpec,
     ShardProcess,
     ShardSupervisor,
+    ShardThread,
 )
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "ArbiterShard",
     "BudgetArbiter",
     "BudgetLease",
+    "HostedShard",
     "ProcessShardSpec",
     "Redistribution",
     "ShardChaosSchedule",
@@ -48,6 +50,7 @@ __all__ = [
     "ShardServer",
     "ShardSummary",
     "ShardSupervisor",
+    "ShardThread",
     "ShardedResult",
     "redistribute",
     "run_sharded",

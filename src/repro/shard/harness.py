@@ -1,37 +1,68 @@
-"""Loopback multi-shard harness with shard-level chaos.
+"""Lock-step multi-shard harness with shard-level chaos.
 
 :func:`run_sharded` is the sharded analog of
-:func:`repro.deploy.loopback.run_loopback`: one process, N real
+:func:`repro.deploy.loopback.run_loopback`: N real
 :class:`~repro.deploy.server.DeployServer` instances (one per shard,
 each on its own kernel-chosen ephemeral port, each with its own
 :class:`~repro.deploy.client.DeployClient` threads over localhost TCP)
 under one :class:`~repro.shard.arbiter.BudgetArbiter`.
 
-Each shard runs on a worker thread under a *real*
-:class:`~repro.recovery.supervisor.Supervisor`; the harness thread is
-the lock-step clock: per control cycle it fires the chaos schedule,
-advances the cluster physics exactly once, broadcasts the cycle command
-to every shard, waits for every shard's acknowledgement, and then (on
-the arbiter period) runs the arbiter cycle.  Physics are frozen while
-control runs, so a session is reproducible cycle-for-cycle despite the
-thread-per-shard concurrency — shards own disjoint nodes, sockets, and
-checkpoint directories, and never touch shared state mid-cycle.
+There is **one loop and two transports**.  The calling thread hosts the
+arbiter and the lock-step clock; a
+:class:`~repro.shard.supervisor.ShardSupervisor` drives the fleet and
+keeps the only restart bookkeeping.  Every shard is a
+:class:`~repro.shard.server.HostedShard` running the same cycle body —
+step its slice's physics with its demand slice, run the leased control
+cycle, wait for the caps to land, summarize on the arbiter period,
+acknowledge with powers/caps/events/lease — and ``mode`` picks only how
+the clock reaches it and how the arbiter's link does:
+
+* ``"thread"`` — the shard runs on a worker thread over its slice of the
+  caller's ``cluster``, commanded through a queue
+  (:class:`~repro.shard.supervisor.ShardThread`) and leased over the
+  wire-faithful in-memory :class:`~repro.shard.lease.ShardLink`.
+* ``"process"`` — the shard is a ``dps-repro shard-server`` subprocess
+  over a private sub-cluster, commanded over a TCP clock connection
+  (:class:`~repro.shard.supervisor.ShardProcess`) and leased over a
+  :class:`~repro.comm.shardlink.TcpShardLink`.  Only this transport can
+  admit and drain members live, and only it has a clock codec.
+
+Cycles are **pipelined one deep**: each step splits into a *dispatch*
+phase (cycle N+1's demand slices pushed to every shard, plus the
+clock-side chaos — kill/hang, admit spawn, drain SIGTERM) and a
+*finalize* phase (cycle N's acks collected in cycle order, histories
+scattered, link and arbiter chaos fired, the arbiter cycle run).
+Dispatching N+1 before collecting N lets every shard compute while the
+harness thread is busy finalizing, without giving up lock-step
+determinism: acks are still applied strictly in cycle order, a chaos
+victim's outstanding ack is settled before it is struck, and every
+arbiter-relative ordering (chaos after arbiter cycle N-1, before
+arbiter cycle N) is exactly the sequential schedule's.  The pipeline
+deliberately breaks at arbiter period boundaries: the arbiter re-cuts
+leases there, and its grants must reach every shard before the next
+demand slice does, or grant application would race the cycle it funds.
+It breaks the same way on a cycle with a partition or heal scheduled,
+so link chaos for cycle N fires after every shard finished N (its
+summary included) and before any shard starts N+1.
+
+Histories are assembled from the acknowledgements, so a shard that is
+down contributes NaN rows — a dead shard reports nothing, whichever
+transport it died on — and its slice of the physics stands still until
+it is back.
 
 Shard-level chaos covers the full failure matrix: shard *kill* (the
-controller process dies and is warm-restarted from its checkpoint),
-shard *hang* (detected by the supervisor's watchdog, then restarted),
-link *partition* (frames dropped both directions; the arbiter
-quarantines the shard, the shard freezes on its lease term), and
-arbiter *kill/restart* (shards run autonomously on their last leases
-and freeze when the terms expire; the restarted arbiter resumes from
-its checkpoint).  Every transition lands in the merged event log as a
-structured ``SHARD_EVENT_KINDS`` event — there is no silent failover.
+shard goes down and is warm-restarted from its checkpoint), shard *hang*
+(silent past the ack deadline, then killed and restarted), link
+*partition* (frames dropped both directions; the arbiter quarantines the
+shard, the shard freezes on its lease term), and arbiter *kill/restart*
+(shards run autonomously on their last leases and freeze when the terms
+expire; the restarted arbiter resumes from its checkpoint).  Every
+transition lands in the merged event log as a structured
+``SHARD_EVENT_KINDS`` event — there is no silent failover.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,34 +73,24 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.comm.shardlink import TcpShardLink
 from repro.core.managers import PowerManager
-from repro.deploy.client import DeployClient
-from repro.deploy.loopback import RecoveryOptions, _await_cap_application
+from repro.deploy.loopback import RecoveryOptions
 from repro.recovery.checkpoint import CheckpointStore, CycleJournal
 from repro.recovery.controller import RecoverableController
-from repro.recovery.supervisor import (
-    ControllerCrash,
-    ControllerHang,
-    Heartbeat,
-    Supervisor,
-)
 from repro.resilience.health import ResilienceConfig
 from repro.safety import SafetyConfig
 from repro.shard.arbiter import ArbiterShard, BudgetArbiter
 from repro.shard.lease import ArbiterConfig, ShardLink
-from repro.shard.process import event_from_doc
-from repro.shard.server import ShardServer
+from repro.shard.server import HostedShard, ShardServer, event_from_doc
 from repro.shard.supervisor import (
     PendingCycle,
     ProcessShardSpec,
+    ShardProcess,
     ShardSupervisor,
+    ShardThread,
 )
 from repro.telemetry.log import LeaseTimeline, ResilienceEventLog
 
 __all__ = ["ShardChaosSchedule", "ShardedResult", "run_sharded"]
-
-#: Seconds the harness waits for one shard acknowledgement before the
-#: session is declared wedged (a watchdog on the watchdogs).
-_ACK_TIMEOUT_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -227,127 +248,6 @@ class ShardedResult:
     codec: str = "json"
 
 
-class _ShardWorker:
-    """One shard's thread: a supervised control loop in lock step."""
-
-    def __init__(
-        self,
-        shard: ShardServer,
-        nodes: list,
-        recovery: RecoveryOptions,
-        dt_s: float,
-        period_cycles: int,
-        timeout_s: float,
-    ) -> None:
-        self.shard = shard
-        self.nodes = nodes
-        self.recovery = recovery
-        self.dt_s = dt_s
-        self.period_cycles = period_cycles
-        self.timeout_s = timeout_s
-        self.commands: queue.Queue = queue.Queue()
-        self.supervisor = Supervisor(
-            max_restarts=recovery.max_restarts,
-            hang_timeout_s=recovery.hang_timeout_s,
-            events=ResilienceEventLog(),  # controller_* detail log
-        )
-        self.failed = False
-        #: Unexpected (non-chaos) exception that took the worker down.
-        self.error: Exception | None = None
-        self.thread = threading.Thread(
-            target=self._run, name=f"shard-{shard.shard_id}", daemon=True
-        )
-
-    def start(self, acks: queue.Queue) -> None:
-        self._acks = acks
-        self.thread.start()
-
-    def _ack(self, step: int, status: str) -> None:
-        self._acks.put((self.shard.shard_id, step, status))
-
-    def _run(self) -> None:
-        try:
-            self.supervisor.run(self._attempt)
-            return
-        except (ControllerCrash, ControllerHang):
-            pass  # Restart budget exhausted.
-        except Exception as exc:  # noqa: BLE001 - keep the clock answered
-            self.error = exc
-        self.failed = True
-        # Keep answering the clock so the session completes; the shard's
-        # hardware holds its last caps.
-        while True:
-            cmd = self.commands.get()
-            if cmd[0] == "stop":
-                return
-            self._ack(cmd[1], "failed")
-
-    def _attempt(self, index: int, heartbeat: Heartbeat) -> str:
-        shard = self.shard
-        if index > 0:
-            consumed = 0
-            while consumed < self.recovery.restart_delay_cycles:
-                cmd = self.commands.get()
-                if cmd[0] == "stop":
-                    return "stopped"
-                self._ack(cmd[1], "outage")
-                consumed += 1
-            if shard.controller.resume():
-                shard.resume_lease_state()
-            # Only this shard's meters re-anchor — the rest of the
-            # cluster never went down.
-            for node in self.nodes:
-                for sock in node.sockets:
-                    sock.meter.rebaseline()
-            shard.events.emit(
-                float(shard.controller.cycle),
-                "shard_restarted",
-                node_id=shard.shard_id,
-                detail=f"attempt {index} of {self.recovery.max_restarts + 1}",
-            )
-
-        server = shard.start(timeout_s=self.timeout_s)
-        clients: list[DeployClient] = []
-        clients_by_id: dict[int, DeployClient] = {}
-        try:
-            for node in self.nodes:
-                client = DeployClient(node, server.address, dt_s=self.dt_s)
-                client.start()
-                clients.append(client)
-                clients_by_id[node.node_id] = client
-            server.accept_clients(len(clients))
-
-            while True:
-                cmd = self.commands.get()
-                if cmd[0] == "stop":
-                    return "stopped"
-                _, step, directive = cmd
-                if directive == "kill":
-                    self._ack(step, "crashed")
-                    raise ControllerCrash(f"injected kill at cycle {step}")
-                if directive == "hang":
-                    self._ack(step, "hung")
-                    while not heartbeat.aborted:
-                        time.sleep(0.002)
-                    raise ControllerHang(f"hang detected at cycle {step}")
-                served_before = {
-                    nid: c.cycles_served for nid, c in clients_by_id.items()
-                }
-                shard.run_cycle(now=float(step))
-                _await_cap_application(server, clients_by_id, served_before)
-                heartbeat.beat()
-                if (step + 1) % self.period_cycles == 0:
-                    shard.summarize(cycle=step)
-                self._ack(step, "ok")
-        finally:
-            shard.stop()
-            for client in clients:
-                try:
-                    client.join()
-                except RuntimeError:
-                    pass  # A crashed attempt's client dies on its socket.
-
-
 def run_sharded(
     cluster: Cluster,
     n_shards: int,
@@ -373,27 +273,36 @@ def run_sharded(
 
     Args:
         cluster: the simulated hardware; its nodes are partitioned into
-            ``n_shards`` contiguous groups.
+            ``n_shards`` contiguous groups.  Thread-mode shards step
+            their group's physics in place; process-mode shards own a
+            private sub-cluster of the same shape, so there ``cluster``
+            contributes topology and the global budget only.
         n_shards: shard servers to run (1 ≤ n_shards ≤ n_nodes).
         manager_factory: shard id → a fresh (unbound) power manager for
             that shard; bound here to the shard's slice topology with
-            the shard's initial lease as its budget.
+            the shard's initial lease as its budget.  Thread mode only —
+            a subprocess rebuilds its manager from ``manager_name``.
         demand_fn: step index → per-unit demand for the *whole* cluster.
         cycles: control cycles to run.
         checkpoint_dir: root for per-shard and arbiter checkpoints.
         dt_s: control period.
         config: arbiter/lease knobs.
         chaos: optional shard-level failure plan.
-        recovery: checkpoint/supervisor knobs shared by every shard
+        recovery: checkpoint/restart knobs shared by every shard
             (``checkpoint_dir`` inside it is ignored — shards get
-            subdirectories of this function's ``checkpoint_dir``).
+            subdirectories of this function's ``checkpoint_dir``);
+            ``hang_timeout_s`` is the per-cycle ack deadline.
         resilience: client quarantine knobs for every shard server.
+            Thread mode only: the ``shard-server`` command line cannot
+            carry it, so process mode rejects it.
         safety: deploy-layer safety config for every shard server.
+            Thread mode only, like ``resilience``.
         invariant_mode: the arbiter's invariant-monitor cadence
             (``"strict"`` raises — the chaos-test posture).
         timeout_s: per-shard deploy-server socket deadline.
-        rng: manager randomness; child streams are spawned per shard.
-        mode: ``"thread"`` runs shards on worker threads with loopback
+        rng: manager randomness; child streams are spawned per shard
+            (thread mode; a subprocess seeds itself from its shard id).
+        mode: ``"thread"`` runs shards on worker threads with in-memory
             links (the default); ``"process"`` runs each shard as a
             ``dps-repro shard-server`` subprocess behind a real TCP
             link, supervised with OS signals.
@@ -408,14 +317,15 @@ def run_sharded(
             enforces (overflow collapses into ``events_truncated``).
 
     Returns:
-        A :class:`ShardedResult`; every thread and socket is shut down
-        before returning, succeed or fail.
+        A :class:`ShardedResult`; every thread, process and socket is
+        shut down before returning, succeed or fail.
     """
     if cycles < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles}")
-    if not 1 <= n_shards <= cluster.spec.n_nodes:
+    spec = cluster.spec
+    if not 1 <= n_shards <= spec.n_nodes:
         raise ValueError(
-            f"n_shards must be in [1, {cluster.spec.n_nodes}], got {n_shards}"
+            f"n_shards must be in [1, {spec.n_nodes}], got {n_shards}"
         )
     if mode not in ("thread", "process"):
         raise ValueError(f"mode must be 'thread' or 'process', got {mode!r}")
@@ -432,412 +342,146 @@ def run_sharded(
     if mode == "process":
         if manager_name is None:
             raise ValueError("mode='process' requires manager_name")
-        return _run_sharded_process(
-            cluster=cluster,
-            n_shards=n_shards,
-            manager_name=manager_name,
-            demand_fn=demand_fn,
-            cycles=cycles,
-            root=root,
-            dt_s=dt_s,
-            cfg=cfg,
-            chaos=chaos,
-            recovery=recovery,
-            invariant_mode=invariant_mode,
-            timeout_s=timeout_s,
-            codec=codec,
-            max_ack_events=max_ack_events,
-        )
-    if chaos.admit_at is not None or chaos.drain_at:
+        for label, value in (("resilience", resilience), ("safety", safety)):
+            if value is not None:
+                raise ValueError(
+                    f"{label}= cannot reach a shard-server subprocess; "
+                    "run with mode='thread'"
+                )
+    elif chaos.admit_at is not None or chaos.drain_at:
         raise ValueError(
             "admit/drain chaos needs real shard processes; run with "
             "mode='process'"
         )
 
     # Partition the nodes (and therefore the unit range) contiguously.
-    n_nodes = cluster.spec.n_nodes
-    bounds = [round(i * n_nodes / n_shards) for i in range(n_shards + 1)]
-    groups = [
-        list(cluster.nodes[bounds[i] : bounds[i + 1]]) for i in range(n_shards)
-    ]
-    if any(not g for g in groups):
-        raise ValueError(
-            f"{n_shards} shards leave some shard empty over {n_nodes} nodes"
-        )
-    slices: list[slice] = []
-    cursor = 0
-    for group in groups:
-        width = sum(len(node.sockets) for node in group)
-        slices.append(slice(cursor, cursor + width))
-        cursor += width
-
-    units = np.asarray(
-        [s.stop - s.start for s in slices], dtype=np.float64
-    )
-    floor = units * cluster.spec.min_cap_w
-    ceiling = units * cluster.spec.tdp_w
-    initial = np.clip(
-        cluster.budget_w * units / float(units.sum()), floor, ceiling
-    )
-
-    harness_events = ResilienceEventLog()
-    timeline = LeaseTimeline()
-    shard_rngs = rng.spawn(n_shards)
-    shards: list[ShardServer] = []
-    links: list[ShardLink] = []
-    workers: list[_ShardWorker] = []
-    for i in range(n_shards):
-        manager = manager_factory(i)
-        manager.bind(
-            n_units=int(units[i]),
-            budget_w=float(initial[i]),
-            max_cap_w=cluster.spec.tdp_w,
-            min_cap_w=cluster.spec.min_cap_w,
-            dt_s=dt_s,
-            rng=shard_rngs[i],
-        )
-        shard_dir = root / f"shard-{i}"
-        controller = RecoverableController(
-            manager,
-            store=CheckpointStore(shard_dir, keep=recovery.keep_generations),
-            journal=CycleJournal(shard_dir / "journal.log"),
-            checkpoint_every=recovery.checkpoint_every,
-        )
-        link = ShardLink()
-        shard = ShardServer(
-            shard_id=i,
-            controller=controller,
-            link=link,
-            config=cfg,
-            events=ResilienceEventLog(),  # per-thread; merged at the end
-            resilience=resilience,
-            safety=safety,
-        )
-        shards.append(shard)
-        links.append(link)
-        workers.append(
-            _ShardWorker(
-                shard, groups[i], recovery, dt_s, cfg.period_cycles, timeout_s
-            )
-        )
-
-    specs = [
-        ArbiterShard(
-            shard_id=i,
-            link=links[i],
-            n_units=int(units[i]),
-            min_cap_w=cluster.spec.min_cap_w,
-            max_cap_w=cluster.spec.tdp_w,
-        )
-        for i in range(n_shards)
-    ]
-    arbiter_store = CheckpointStore(
-        root / "arbiter", keep=recovery.keep_generations
-    )
-
-    def make_arbiter() -> BudgetArbiter:
-        return BudgetArbiter(
-            budget_w=cluster.budget_w,
-            shards=specs,
-            initial_leases_w=initial,
-            config=cfg,
-            events=harness_events,
-            timeline=timeline,
-            store=arbiter_store,
-            invariant_mode=invariant_mode,
-        )
-
-    arbiter: BudgetArbiter | None = make_arbiter()
-    power_history = np.full((cycles, cluster.n_units), np.nan)
-    caps_history = np.full((cycles, cluster.n_units), np.nan)
-    counters = {
-        "arbiter_restarts": 0,
-        "arbiter_cycles": 0,
-        "sweeps": 0,
-        "violations": 0,
-    }
-    last_stats = None
-
-    cycle_wall = np.zeros(cycles, dtype=np.float64)
-    acks: queue.Queue = queue.Queue()
-    for worker in workers:
-        worker.start(acks)
-    try:
-        for step in range(cycles):
-            wall_t0 = time.perf_counter()
-            now = float(step)
-            for shard_id, at in chaos.partition_at.items():
-                if at == step:
-                    links[shard_id].partition()
-                    harness_events.emit(
-                        now,
-                        "shard_partitioned",
-                        node_id=shard_id,
-                        detail="link severed both directions",
-                    )
-            for shard_id, at in chaos.heal_at.items():
-                if at == step:
-                    links[shard_id].heal()
-                    harness_events.emit(
-                        now, "shard_partition_healed", node_id=shard_id
-                    )
-            if chaos.arbiter_kill_at == step and arbiter is not None:
-                counters["arbiter_cycles"] += arbiter.cycle
-                counters["sweeps"] += arbiter.monitor.sweeps_run
-                counters["violations"] += len(arbiter.monitor.violations)
-                arbiter = None
-                harness_events.emit(
-                    now, "arbiter_killed", detail="injected kill"
-                )
-            if chaos.arbiter_restart_at == step and arbiter is None:
-                arbiter = make_arbiter()
-                resumed = arbiter.resume()
-                counters["arbiter_restarts"] += 1
-                counters["arbiter_cycles"] -= arbiter.cycle
-                harness_events.emit(
-                    now,
-                    "arbiter_restarted",
-                    detail=f"resumed_from_checkpoint={resumed}",
-                )
-
-            cluster.step_physics(demand_fn(step), dt_s)
-            for worker in workers:
-                directive = None
-                if chaos.shard_kill_at.get(worker.shard.shard_id) == step:
-                    directive = "kill"
-                elif chaos.shard_hang_at.get(worker.shard.shard_id) == step:
-                    directive = "hang"
-                worker.commands.put(("cycle", step, directive))
-            statuses: dict[int, str] = {}
-            while len(statuses) < n_shards:
-                shard_id, ack_step, status = acks.get(timeout=_ACK_TIMEOUT_S)
-                if ack_step != step:
-                    raise RuntimeError(
-                        f"shard {shard_id} acked cycle {ack_step} during "
-                        f"cycle {step}"
-                    )
-                statuses[shard_id] = status
-            for shard_id, status in sorted(statuses.items()):
-                if status == "crashed":
-                    harness_events.emit(
-                        now,
-                        "shard_killed",
-                        node_id=shard_id,
-                        detail="controller crash injected",
-                    )
-                elif status == "hung":
-                    harness_events.emit(
-                        now,
-                        "shard_hung",
-                        node_id=shard_id,
-                        detail="watchdog abort pending",
-                    )
-
-            power_history[step] = cluster.true_power_w()
-            caps_history[step] = cluster.caps_w()
-
-            if arbiter is not None and (step + 1) % cfg.period_cycles == 0:
-                last_stats = arbiter.cycle_once(now=now)
-            cycle_wall[step] = time.perf_counter() - wall_t0
-    finally:
-        for worker in workers:
-            worker.commands.put(("stop",))
-        for worker in workers:
-            worker.thread.join(timeout=30.0)
-
-    if arbiter is not None:
-        counters["arbiter_cycles"] += arbiter.cycle
-        counters["sweeps"] += arbiter.monitor.sweeps_run
-        counters["violations"] += len(arbiter.monitor.violations)
-
-    for worker in workers:
-        if worker.error is not None:
-            harness_events.emit(
-                float(cycles),
-                "shard_dead",
-                node_id=worker.shard.shard_id,
-                detail=f"worker error: {worker.error}",
-            )
-
-    events = ResilienceEventLog()
-    events.extend(harness_events)
-    for shard in shards:
-        events.extend(shard.events)
-    for worker in workers:
-        events.extend(worker.supervisor.events)
-
-    return ShardedResult(
-        cycles=cycles,
-        n_shards=n_shards,
-        budget_w=cluster.budget_w,
-        events=events,
-        timeline=timeline,
-        leases_w=(
-            arbiter.leases_w
-            if arbiter is not None
-            else np.asarray([s.lease_w for s in shards])
-        ),
-        power_history=power_history,
-        caps_history=caps_history,
-        shard_restarts=[w.supervisor.restarts for w in workers],
-        failed_shards=tuple(
-            w.shard.shard_id for w in workers if w.failed
-        ),
-        arbiter_restarts=counters["arbiter_restarts"],
-        arbiter_cycles=counters["arbiter_cycles"],
-        invariant_sweeps=counters["sweeps"],
-        invariant_violations=counters["violations"],
-        worst_case_w=last_stats.worst_case_w if last_stats else None,
-        steady_w=last_stats.steady_w if last_stats else None,
-        bytes_links=sum(link.bytes_total for link in links),
-        checkpoint_dir=root,
-        cycle_wall_s=cycle_wall,
-    )
-
-
-def _validate_chaos(chaos: ShardChaosSchedule, n_shards: int) -> None:
-    for label, schedule in (
-        ("shard_kill_at", chaos.shard_kill_at),
-        ("shard_hang_at", chaos.shard_hang_at),
-        ("partition_at", chaos.partition_at),
-        ("heal_at", chaos.heal_at),
-        ("drain_at", chaos.drain_at),
-    ):
-        for shard_id in schedule:
-            if not 0 <= shard_id < n_shards:
-                raise ValueError(
-                    f"chaos {label} names unknown shard {shard_id}"
-                )
-
-
-def _run_sharded_process(
-    cluster: Cluster,
-    n_shards: int,
-    manager_name: str,
-    demand_fn: Callable[[int], np.ndarray],
-    cycles: int,
-    root: Path,
-    dt_s: float,
-    cfg: ArbiterConfig,
-    chaos: ShardChaosSchedule,
-    recovery: RecoveryOptions,
-    invariant_mode: str,
-    timeout_s: float,
-    codec: str = "json",
-    max_ack_events: int = 256,
-) -> ShardedResult:
-    """Process-mode session: shard-server subprocesses, real TCP links.
-
-    The parent hosts only the :class:`~repro.shard.arbiter.BudgetArbiter`
-    and the lock-step clock.  Each shard-server owns its slice of the
-    hardware as a private sub-cluster, so the ``cluster`` argument
-    contributes topology and the global budget, not live physics; the
-    per-unit power/caps histories are assembled from the shards' cycle
-    acknowledgements (NaN while a shard's process is down — a dead
-    process reports nothing, unlike a thread whose hardware the parent
-    can still read).
-
-    Cycles are **pipelined one deep**: each step splits into a
-    *dispatch* phase (cycle N+1's demand slices pushed to every shard,
-    plus the clock-side chaos — kill/hang signals, admit spawn, drain
-    SIGTERM) and a *finalize* phase (cycle N's acks collected in cycle
-    order, histories scattered, arbiter-side chaos fired, the arbiter
-    cycle run).  Dispatching N+1 before collecting N lets every shard
-    compute while the parent is busy finalizing, without giving up
-    lock-step determinism: acks are still applied strictly in cycle
-    order, a chaos victim's outstanding ack is settled before the
-    process is signalled, and every arbiter-relative ordering (chaos
-    after arbiter cycle N-1, before arbiter cycle N) is exactly the
-    sequential schedule's.  The pipeline deliberately breaks at arbiter
-    period boundaries: the arbiter re-cuts leases there, and its grants
-    must reach every shard before the next demand slice does, or grant
-    application would race the cycle it funds.  The one observable
-    shift: a shard's summary for cycle N is sent while the parent may
-    not yet have fired cycle N's link chaos, so a partition/heal lands
-    one summary later relative to the shard clock (arbiter-relative
-    timing unchanged).
-    """
-    spec = cluster.spec
-    n_nodes = spec.n_nodes
-    bounds = [round(i * n_nodes / n_shards) for i in range(n_shards + 1)]
+    bounds = [round(i * spec.n_nodes / n_shards) for i in range(n_shards + 1)]
     node_counts = [bounds[i + 1] - bounds[i] for i in range(n_shards)]
     if any(count < 1 for count in node_counts):
         raise ValueError(
-            f"{n_shards} shards leave some shard empty over {n_nodes} nodes"
+            f"{n_shards} shards leave some shard empty over "
+            f"{spec.n_nodes} nodes"
         )
-    units = np.asarray(
-        [count * spec.sockets_per_node for count in node_counts],
-        dtype=np.float64,
-    )
-    base_slices: list[slice] = []
-    cursor = 0
-    for width in units.astype(int):
-        base_slices.append(slice(cursor, cursor + int(width)))
-        cursor += int(width)
-    floor = units * spec.min_cap_w
-    ceiling = units * spec.tdp_w
+    units = np.asarray(node_counts, dtype=np.float64) * spec.sockets_per_node
+    edges = np.concatenate(([0], np.cumsum(units))).astype(int)
+    base_slices = [
+        slice(int(edges[i]), int(edges[i + 1])) for i in range(n_shards)
+    ]
     initial = np.clip(
-        cluster.budget_w * units / float(units.sum()), floor, ceiling
+        cluster.budget_w * units / float(units.sum()),
+        units * spec.min_cap_w,
+        units * spec.tdp_w,
     )
 
     harness_events = ResilienceEventLog()
     shard_events = ResilienceEventLog()
     timeline = LeaseTimeline()
+    clock_now = {"now": 0.0}
+    shard_rngs = rng.spawn(n_shards)
 
-    def make_pspec(
-        shard_id: int, nodes: int, lease_w: float
-    ) -> ProcessShardSpec:
-        return ProcessShardSpec(
-            shard_id=shard_id,
-            n_nodes=nodes,
-            sockets_per_node=spec.sockets_per_node,
-            tdp_w=spec.tdp_w,
-            min_cap_w=spec.min_cap_w,
-            idle_power_w=spec.idle_power_w,
-            manager=manager_name,
-            lease_w=lease_w,
-            dt_s=dt_s,
-            seed=shard_id,
-            dir=root / f"shard-{shard_id}",
-            period_cycles=cfg.period_cycles,
-            lease_term_cycles=cfg.lease_term_cycles,
-            checkpoint_every=recovery.checkpoint_every,
-            keep_generations=recovery.keep_generations,
-            codec=codec,
-            max_ack_events=max_ack_events,
+    # -- the two transports: what a shard handle is built from -----------
+
+    def process_shard(shard_id: int, nodes: int, lease_w: float) -> ShardProcess:
+        return ShardProcess(
+            ProcessShardSpec(
+                shard_id=shard_id,
+                n_nodes=nodes,
+                sockets_per_node=spec.sockets_per_node,
+                tdp_w=spec.tdp_w,
+                min_cap_w=spec.min_cap_w,
+                idle_power_w=spec.idle_power_w,
+                manager=manager_name,
+                lease_w=lease_w,
+                dt_s=dt_s,
+                seed=shard_id,
+                dir=root / f"shard-{shard_id}",
+                period_cycles=cfg.period_cycles,
+                lease_term_cycles=cfg.lease_term_cycles,
+                checkpoint_every=recovery.checkpoint_every,
+                keep_generations=recovery.keep_generations,
+                codec=codec,
+                max_ack_events=max_ack_events,
+            ),
+            timeout_s,
         )
 
-    pspecs = [
-        make_pspec(i, node_counts[i], float(initial[i]))
-        for i in range(n_shards)
-    ]
+    def thread_shard(shard_id: int, lease_w: float) -> ShardThread:
+        manager = manager_factory(shard_id)
+        manager.bind(
+            n_units=int(units[shard_id]),
+            budget_w=lease_w,
+            max_cap_w=spec.tdp_w,
+            min_cap_w=spec.min_cap_w,
+            dt_s=dt_s,
+            rng=shard_rngs[shard_id],
+        )
+        shard_dir = root / f"shard-{shard_id}"
+        link = ShardLink()
+        shard = ShardServer(
+            shard_id=shard_id,
+            controller=RecoverableController(
+                manager,
+                store=CheckpointStore(shard_dir, keep=recovery.keep_generations),
+                journal=CycleJournal(shard_dir / "journal.log"),
+                checkpoint_every=recovery.checkpoint_every,
+            ),
+            link=link,
+            config=cfg,
+            events=ResilienceEventLog(),  # Ships to the harness in acks.
+            resilience=resilience,
+            safety=safety,
+        )
+        nodes = cluster.nodes[bounds[shard_id] : bounds[shard_id + 1]]
+        return ShardThread(
+            HostedShard(shard, nodes, dt_s, timeout_s, max_ack_events), link
+        )
+
     supervisor = ShardSupervisor(
-        pspecs, recovery, events=harness_events, timeout_s=timeout_s
+        {
+            i: (
+                process_shard(i, node_counts[i], float(initial[i]))
+                if mode == "process"
+                else thread_shard(i, float(initial[i]))
+            )
+            for i in range(n_shards)
+        },
+        recovery,
+        events=harness_events,
     )
-    clock_now = {"now": 0.0}
-    links: dict[int, TcpShardLink] = {}
+    links: dict[int, ShardLink | TcpShardLink] = {}
     arb_specs: dict[int, ArbiterShard] = {}
 
-    def make_link(shard_id: int, consume_hello: bool = True) -> TcpShardLink:
+    def register(shard_id: int, n_units: int, consume_hello: bool = True) -> None:
+        """Give the arbiter its edge of the shard's lease channel."""
         proc = supervisor.fleet[shard_id]
-        assert proc.address is not None
-        link = TcpShardLink(
-            proc.address,
-            shard_id=shard_id,
-            seed=shard_id,
-            events=harness_events,
-            clock=lambda: clock_now["now"],
-        )
-        # Kick the dial now so the shard holds an arbiter connection
-        # before its first summary.  Member links also drain the shard's
-        # answering HELLO here, leaving the buffer empty so the
-        # pre-collection wait below latches onto the first real summary;
-        # an admitted shard's HELLO is left in place — the arbiter's
-        # admission path must see it.
-        link.take_summaries()
-        if consume_hello and link.wait_readable(2.0):
+        if isinstance(proc, ShardThread):
+            link: ShardLink | TcpShardLink = proc.link
+        else:
+            assert proc.address is not None
+            link = TcpShardLink(
+                proc.address,
+                shard_id=shard_id,
+                seed=shard_id,
+                events=harness_events,
+                clock=lambda: clock_now["now"],
+            )
+            # Kick the dial now so the shard holds an arbiter connection
+            # before its first summary.  Member links also drain the
+            # shard's answering HELLO here, leaving the buffer empty so
+            # the pre-collection wait below latches onto the first real
+            # summary; an admitted shard's HELLO is left in place — the
+            # arbiter's admission path must see it.
             link.take_summaries()
-        return link
+            if consume_hello and link.wait_readable(2.0):
+                link.take_summaries()
+        links[shard_id] = link
+        arb_specs[shard_id] = ArbiterShard(
+            shard_id=shard_id,
+            link=link,
+            n_units=n_units,
+            min_cap_w=spec.min_cap_w,
+            max_cap_w=spec.tdp_w,
+        )
 
     arbiter_store = CheckpointStore(
         root / "arbiter", keep=recovery.keep_generations
@@ -867,6 +511,10 @@ def _run_sharded_process(
     }
     last_stats = None
     cycle_wall = np.zeros(cycles, dtype=np.float64)
+    #: The lease each initial shard last acknowledged holding — the one
+    #: mode-independent answer to "what are the leases" when the arbiter
+    #: is down at session end.
+    acked_leases = np.full(n_shards, np.nan)
     admitted: list[int] = []
     drained: list[int] = []
     drained_rcs: dict[int, int | None] = {}
@@ -880,6 +528,11 @@ def _run_sharded_process(
     next_shard_id = n_shards
     arbiter: BudgetArbiter | None = None
     pending: PendingCycle | None = None
+
+    def retire_arbiter(instance: BudgetArbiter) -> None:
+        counters["arbiter_cycles"] += instance.cycle
+        counters["sweeps"] += instance.monitor.sweeps_run
+        counters["violations"] += len(instance.monitor.violations)
 
     def record_shard_events(docs) -> None:
         for doc in docs:
@@ -902,20 +555,12 @@ def _run_sharded_process(
             shard_id = next_shard_id
             next_shard_id += 1
             new_units = node_counts[0] * spec.sockets_per_node
-            pspec = make_pspec(
-                shard_id,
-                node_counts[0],
-                float(new_units * spec.min_cap_w),
+            supervisor.admit(
+                process_shard(
+                    shard_id, node_counts[0], float(new_units * spec.min_cap_w)
+                )
             )
-            supervisor.admit(pspec)
-            links[shard_id] = make_link(shard_id, consume_hello=False)
-            arb_specs[shard_id] = ArbiterShard(
-                shard_id=shard_id,
-                link=links[shard_id],
-                n_units=new_units,
-                min_cap_w=spec.min_cap_w,
-                max_cap_w=spec.tdp_w,
-            )
+            register(shard_id, new_units, consume_hello=False)
             deferred_admits.setdefault(step, []).append(shard_id)
             admitted.append(shard_id)
         drains_now = sorted(
@@ -933,13 +578,13 @@ def _run_sharded_process(
         global_demand = np.asarray(demand_fn(step), dtype=np.float64)
         fill = float(global_demand.mean()) if global_demand.size else 0.0
         demands: dict[int, np.ndarray] = {}
-        for shard_id, proc in supervisor.fleet.items():
+        for shard_id in supervisor.fleet:
             if shard_id in supervisor.draining:
                 continue
             if shard_id < n_shards:
                 demands[shard_id] = global_demand[base_slices[shard_id]]
             else:
-                demands[shard_id] = np.full(proc.spec.n_units, fill)
+                demands[shard_id] = np.full(arb_specs[shard_id].n_units, fill)
         kills = {
             sid for sid, at in chaos.shard_kill_at.items() if at == step
         }
@@ -949,10 +594,37 @@ def _run_sharded_process(
         return supervisor.dispatch(step, demands, kills, hangs, prior)
 
     def finalize_phase(step: int, pend: PendingCycle) -> None:
-        """Collect cycle ``step``; arbiter-relative chaos fires here."""
+        """Collect cycle ``step``; arbiter-relative chaos fires here.
+
+        Acks first: every shard has then finished cycle ``step``, summary
+        included, so the link chaos below can never race a summary.
+        """
         nonlocal arbiter, saved_members, last_stats
         now = float(step)
         clock_now["now"] = now
+        statuses = supervisor.collect(pend)
+        for shard_id, (status, ack) in sorted(statuses.items()):
+            if status == "crashed":
+                harness_events.emit(
+                    now,
+                    "shard_killed",
+                    node_id=shard_id,
+                    detail="shard crash injected",
+                )
+            elif status == "hung":
+                harness_events.emit(
+                    now,
+                    "shard_hung",
+                    node_id=shard_id,
+                    detail="silent past the ack deadline",
+                )
+            elif status == "ok" and ack is not None:
+                if shard_id < n_shards:
+                    sl = base_slices[shard_id]
+                    power_history[step, sl] = ack["power"]
+                    caps_history[step, sl] = ack["caps"]
+                    acked_leases[shard_id] = ack["lease_w"]
+                record_shard_events(ack.get("events", ()))
         for shard_id, at in chaos.partition_at.items():
             if at == step:
                 links[shard_id].partition()
@@ -960,7 +632,7 @@ def _run_sharded_process(
                     now,
                     "shard_partitioned",
                     node_id=shard_id,
-                    detail="TCP link severed (dial suppressed)",
+                    detail="link severed both directions",
                 )
         for shard_id, at in chaos.heal_at.items():
             if at == step:
@@ -969,9 +641,7 @@ def _run_sharded_process(
                     now, "shard_partition_healed", node_id=shard_id
                 )
         if chaos.arbiter_kill_at == step and arbiter is not None:
-            counters["arbiter_cycles"] += arbiter.cycle
-            counters["sweeps"] += arbiter.monitor.sweeps_run
-            counters["violations"] += len(arbiter.monitor.violations)
+            retire_arbiter(arbiter)
             saved_members = list(arbiter.member_specs)
             arbiter = None
             harness_events.emit(now, "arbiter_killed", detail="injected kill")
@@ -1003,59 +673,28 @@ def _run_sharded_process(
                 and shard_id not in arbiter.pending_ids
             ):
                 arbiter.admit(arb_specs[shard_id], now)
-        for shard_id in deferred_drains.get(step, []):
+        for shard_id in deferred_drains.pop(step, []):
             if arbiter is not None:
                 arbiter.drain(shard_id, now)
-
-        statuses = supervisor.collect(pend)
-        for shard_id, (status, ack) in sorted(statuses.items()):
-            if status == "crashed":
-                harness_events.emit(
-                    now,
-                    "shard_killed",
-                    node_id=shard_id,
-                    detail="SIGKILL delivered",
-                )
-            elif status == "hung":
-                harness_events.emit(
-                    now,
-                    "shard_hung",
-                    node_id=shard_id,
-                    detail="silent past the ack deadline",
-                )
-            elif status == "ok" and ack is not None:
-                if shard_id < n_shards:
-                    sl = base_slices[shard_id]
-                    power_history[step, sl] = ack["power"]
-                    caps_history[step, sl] = ack["caps"]
-                record_shard_events(ack.get("events", ()))
-        for shard_id in deferred_drains.pop(step, []):
             doc = supervisor.finish_drain(shard_id)
             drained.append(shard_id)
             drained_rcs[shard_id] = doc.get("rc") if doc is not None else None
             record_shard_events((doc or {}).get("events", ()))
 
         if arbiter is not None and (step + 1) % cfg.period_cycles == 0:
-            # Shards sent their summaries before their acks, but on a
-            # different socket: wait for each live link's frame to land
-            # before collecting, so healthy shards are never spuriously
-            # quarantined by a scheduling race.
+            # Shards sent their summaries before their acks, but over
+            # TCP on a different socket: wait for each live link's frame
+            # to land before collecting, so healthy shards are never
+            # spuriously quarantined by a scheduling race.
             for shard_id, (status, _ack) in statuses.items():
                 if status == "ok" and shard_id in links:
                     links[shard_id].wait_readable(1.0)
             last_stats = arbiter.cycle_once(now=now)
 
-    supervisor.start()
     try:
+        supervisor.start()
         for i in range(n_shards):
-            links[i] = make_link(i)
-            arb_specs[i] = ArbiterShard(
-                shard_id=i,
-                link=links[i],
-                n_units=int(units[i]),
-                min_cap_w=spec.min_cap_w,
-                max_cap_w=spec.tdp_w,
-            )
+            register(i, int(units[i]))
         arbiter = make_arbiter([arb_specs[i] for i in range(n_shards)], initial)
 
         # One-cycle pipeline: dispatch N+1, then finalize N while the
@@ -1064,7 +703,12 @@ def _run_sharded_process(
         # breaks at arbiter period boundaries: finalize N re-cuts leases
         # there, and its grants must be on the wire before demand N+1 or
         # grant application degrades into a scheduling race (applied at
-        # N+1 on a fast shard, N+2 on a slow one).
+        # N+1 on a fast shard, N+2 on a slow one).  It breaks on link
+        # chaos for the same reason: a partition or heal fired while
+        # cycle N+1 runs would race that cycle's summary.
+        unpipelined = set(chaos.partition_at.values()) | set(
+            chaos.heal_at.values()
+        )
         def close_cycle(pend: PendingCycle) -> None:
             nonlocal wall_anchor
             finalize_phase(pend.step, pend)
@@ -1074,9 +718,9 @@ def _run_sharded_process(
 
         wall_anchor = time.perf_counter()
         for step in range(cycles):
-            if (
-                pending is not None
-                and (pending.step + 1) % cfg.period_cycles == 0
+            if pending is not None and (
+                (pending.step + 1) % cfg.period_cycles == 0
+                or pending.step in unpipelined
             ):
                 close_cycle(pending)
                 pending = None
@@ -1092,9 +736,7 @@ def _run_sharded_process(
             link.close()
 
     if arbiter is not None:
-        counters["arbiter_cycles"] += arbiter.cycle
-        counters["sweeps"] += arbiter.monitor.sweeps_run
-        counters["violations"] += len(arbiter.monitor.violations)
+        retire_arbiter(arbiter)
 
     events = ResilienceEventLog()
     events.extend(harness_events)
@@ -1106,11 +748,7 @@ def _run_sharded_process(
         budget_w=cluster.budget_w,
         events=events,
         timeline=timeline,
-        leases_w=(
-            arbiter.leases_w
-            if arbiter is not None
-            else np.full(n_shards, np.nan)
-        ),
+        leases_w=arbiter.leases_w if arbiter is not None else acked_leases,
         power_history=power_history,
         caps_history=caps_history,
         shard_restarts=[supervisor.restarts.get(i, 0) for i in range(n_shards)],
@@ -1124,7 +762,7 @@ def _run_sharded_process(
         bytes_links=sum(link.bytes_total for link in links.values()),
         checkpoint_dir=root,
         cycle_wall_s=cycle_wall,
-        mode="process",
+        mode=mode,
         admitted=tuple(admitted),
         drained=tuple(drained),
         drained_rcs=drained_rcs,
@@ -1132,3 +770,18 @@ def _run_sharded_process(
         bytes_clock=supervisor.bytes_clock,
         codec=codec,
     )
+
+
+def _validate_chaos(chaos: ShardChaosSchedule, n_shards: int) -> None:
+    for label, schedule in (
+        ("shard_kill_at", chaos.shard_kill_at),
+        ("shard_hang_at", chaos.shard_hang_at),
+        ("partition_at", chaos.partition_at),
+        ("heal_at", chaos.heal_at),
+        ("drain_at", chaos.drain_at),
+    ):
+        for shard_id in schedule:
+            if not 0 <= shard_id < n_shards:
+                raise ValueError(
+                    f"chaos {label} names unknown shard {shard_id}"
+                )

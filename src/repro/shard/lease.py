@@ -220,6 +220,8 @@ class ShardLink:
         self._partitioned = False
         #: Frame bytes accepted in both directions.
         self.bytes_total = 0
+        #: Re-dials performed; an in-memory link has no session to lose.
+        self.reconnects = 0
 
     @property
     def partitioned(self) -> bool:
@@ -238,7 +240,21 @@ class ShardLink:
         with self._lock:
             self._partitioned = False
 
+    def close(self) -> None:
+        """Release the link (nothing to release in memory)."""
+
     # -- arbiter edge ---------------------------------------------------
+
+    def wait_readable(self, timeout_s: float) -> bool:
+        """Whether a summary frame is queued toward the arbiter.
+
+        The TCP link blocks here for a frame still on the wire; in
+        memory a sent frame is queued before ``send_summary`` returns,
+        so there is never anything to wait for.
+        """
+        del timeout_s
+        with self._lock:
+            return bool(self._to_arbiter)
 
     def send_grant(self, doc: dict) -> bool:
         """Frame and enqueue one grant toward the shard.

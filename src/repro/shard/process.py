@@ -5,8 +5,9 @@ OS process.  It owns a private sub-cluster (the shard's slice of the
 simulated hardware), a full crash-recoverable stack —
 :class:`~repro.recovery.controller.RecoverableController` + journal +
 checkpoints under ``--dir`` — and a :class:`~repro.shard.server.
-ShardServer` with its deploy server and node-agent clients, exactly the
-stack a thread-mode shard runs in :mod:`repro.shard.harness`.
+ShardServer` with its deploy server and node-agent clients: the same
+:class:`~repro.shard.server.HostedShard` a thread-mode shard runs, here
+behind a TCP listener instead of a queue.
 
 The host listens on one TCP port (kernel-chosen with ``--port 0``; the
 bound address is published atomically through ``--port-file``) and
@@ -58,40 +59,16 @@ from repro.comm.wire import (
 )
 from repro.core.config import ClusterSpec, RaplConfig
 from repro.core.managers import available_managers, create_manager
-from repro.deploy.client import DeployClient
-from repro.deploy.loopback import _await_cap_application
 from repro.recovery.checkpoint import CheckpointStore, CycleJournal
 from repro.recovery.controller import RecoverableController
 from repro.shard.lease import ArbiterConfig
-from repro.shard.server import ShardServer
-from repro.telemetry.log import ResilienceEvent, ResilienceEventLog
+from repro.shard.server import HostedShard, ShardServer
+from repro.telemetry.log import ResilienceEventLog
 
 __all__ = ["ShardHost", "add_shard_server_args", "run_shard_server"]
 
 #: Select poll interval — bounds signal-handling latency.
 _POLL_S = 0.05
-
-
-def event_to_doc(event: ResilienceEvent) -> dict:
-    """Serialize one structured event for a cycle acknowledgement."""
-    return {
-        "time_s": event.time_s,
-        "kind": event.kind,
-        "unit": event.unit,
-        "node_id": event.node_id,
-        "detail": event.detail,
-    }
-
-
-def event_from_doc(doc: dict) -> ResilienceEvent:
-    """Rebuild a shard-local event shipped through a cycle ack."""
-    return ResilienceEvent(
-        time_s=float(doc["time_s"]),
-        kind=str(doc["kind"]),
-        unit=doc.get("unit"),
-        node_id=doc.get("node_id"),
-        detail=str(doc.get("detail", "")),
-    )
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -174,12 +151,18 @@ class ShardHost:
             config=self.config,
             events=ResilienceEventLog(),
         )
+        self.hosted = HostedShard(
+            self.shard,
+            self.cluster.nodes,
+            self.dt_s,
+            timeout_s=float(args.timeout),
+            max_ack_events=int(args.max_ack_events),
+        )
         self.state_path = self.dir / "cluster.json"
         if args.resume:
             self._resume()
 
-        self.codec = str(getattr(args, "codec", "json"))
-        self.max_ack_events = int(getattr(args, "max_ack_events", 256))
+        self.codec = str(args.codec)
         self._persist_every = max(1, int(args.checkpoint_every))
         self._persist_queue: queue.Queue = queue.Queue()
         self._persist_worker: threading.Thread | None = None
@@ -191,10 +174,8 @@ class ShardHost:
         #: dropped with the connection exactly like its assembler.
         self._send_caches: dict[socket.socket, ArrayCache] = {}
         self._unassigned: list[socket.socket] = []
-        self._events_sent = 0
         self._step = -1
         self._terminate = False
-        self._clients: list[DeployClient] = []
 
     # -- lifecycle ------------------------------------------------------
 
@@ -204,10 +185,7 @@ class ShardHost:
             state = json.loads(self.state_path.read_text(encoding="utf-8"))
             self._step = int(state["step"])
             self.cluster.restore(state["cluster"])
-        if self.controller.resume():
-            self.shard.resume_lease_state()
-        # Meters re-anchor so the first post-restart reading is sane.
-        self.cluster.rebaseline_meters()
+        self.hosted.resume()
 
     def _install_signals(self) -> None:
         def _on_term(signum: int, frame: object) -> None:
@@ -215,23 +193,6 @@ class ShardHost:
 
         signal.signal(signal.SIGTERM, _on_term)
         signal.signal(signal.SIGINT, _on_term)
-
-    def _start_stack(self, timeout_s: float) -> None:
-        server = self.shard.start(timeout_s=timeout_s)
-        for node in self.cluster.nodes:
-            client = DeployClient(node, server.address, dt_s=self.dt_s)
-            client.start()
-            self._clients.append(client)
-        server.accept_clients(len(self._clients))
-
-    def _stop_stack(self) -> None:
-        self.shard.stop()
-        for client in self._clients:
-            try:
-                client.join()
-            except RuntimeError:
-                pass
-        self._clients = []
 
     # -- connection plumbing -------------------------------------------
 
@@ -349,36 +310,6 @@ class ShardHost:
 
     # -- the control cycle ---------------------------------------------
 
-    def _drain_events(self) -> list[dict]:
-        """Fresh events for the next ack, bounded by ``max_ack_events``.
-
-        A chaos storm (mass quarantine, flapping clients) can emit far
-        more structured events in one cycle than a frame should carry;
-        past the cap the overflow collapses into one ``events_truncated``
-        summary so the ack can never bloat past ``MAX_FRAME_BYTES`` and
-        kill the clock link.
-        """
-        events = list(self.shard.events)
-        fresh = events[self._events_sent :]
-        self._events_sent = len(events)
-        if len(fresh) > self.max_ack_events:
-            dropped = len(fresh) - self.max_ack_events
-            docs = [event_to_doc(e) for e in fresh[: self.max_ack_events]]
-            docs.append(
-                {
-                    "time_s": fresh[-1].time_s,
-                    "kind": "events_truncated",
-                    "unit": None,
-                    "node_id": self.shard_id,
-                    "detail": (
-                        f"{dropped} events over the per-ack cap of "
-                        f"{self.max_ack_events} dropped"
-                    ),
-                }
-            )
-            return docs
-        return [event_to_doc(e) for e in fresh]
-
     def _persist(self) -> None:
         """Synchronous persist: enqueue and wait for the write to land."""
         self._persist_async()
@@ -424,18 +355,9 @@ class ShardHost:
 
     def _run_cycle(self, doc: dict) -> None:
         step = int(doc["step"])
-        demand = np.asarray(doc["demand"], dtype=np.float64)
-        self.cluster.step_physics(demand, self.dt_s)
-        server = self.shard.server
-        assert server is not None
-        clients_by_id = {c.node.node_id: c for c in self._clients}
-        served_before = {
-            nid: c.cycles_served for nid, c in clients_by_id.items()
-        }
-        self.shard.run_cycle(now=float(step))
-        _await_cap_application(server, clients_by_id, served_before)
-        if (step + 1) % self.config.period_cycles == 0:
-            self.shard.summarize(cycle=step)
+        ack = self.hosted.run_cycle(
+            step, np.asarray(doc["demand"], dtype=np.float64)
+        )
         self._step = step
         # Full-cluster snapshots are the dominant per-cycle cost at
         # thousands of units; persist on the checkpoint cadence (the
@@ -445,25 +367,17 @@ class ShardHost:
         # on the same cycle of every shard at once.
         if (step + 1 + self.shard_id) % self._persist_every == 0:
             self._persist_async()
-        ack = {
-            "type": "cycle_ack",
-            "step": step,
-            "status": "ok",
-            "events": self._drain_events(),
-        }
+        if self._clock is None:
+            return
         if self.codec == "binary":
             # Vectorized ack: powers/caps ride as raw array frames —
             # f64 powers bit-exact, caps on the protocol's deci-watt
             # lattice packed as u16.
-            ack["power"] = self.cluster.true_power_w()
-            ack["caps"] = self.cluster.caps_w()
-            if self._clock is not None:
-                self._send(self._clock, ack, quantized=("caps",))
+            self._send(self._clock, ack, quantized=("caps",))
         else:
-            ack["power"] = self.cluster.true_power_w().tolist()
-            ack["caps"] = self.cluster.caps_w().tolist()
-            if self._clock is not None:
-                self._send(self._clock, ack)
+            ack["power"] = ack["power"].tolist()
+            ack["caps"] = ack["caps"].tolist()
+            self._send(self._clock, ack)
 
     def _drain_and_exit(self) -> int:
         """SIGTERM path: freeze, final summary, notify the clock."""
@@ -476,10 +390,10 @@ class ShardHost:
                 {
                     "type": "drained",
                     "step": self._step,
-                    "events": self._drain_events(),
+                    "events": self.hosted.drain_events(),
                 },
             )
-        self._stop_stack()
+        self.hosted.stop()
         return 0
 
     def _hang_forever(self) -> None:
@@ -489,12 +403,12 @@ class ShardHost:
 
     # -- main loop ------------------------------------------------------
 
-    def serve(self, port: int, port_file: str | None, timeout_s: float) -> int:
+    def serve(self, port: int, port_file: str | None) -> int:
         self._install_signals()
         self._listener = bind_listener("127.0.0.1", port)
         self._listener.setblocking(False)
         self._publish_port(port_file)
-        self._start_stack(timeout_s)
+        self.hosted.start()
         try:
             while True:
                 if self._terminate:
@@ -523,7 +437,7 @@ class ShardHost:
                             self._hang_forever()
         finally:
             self._join_persist()
-            self._stop_stack()
+            self.hosted.stop()
             if self._listener is not None:
                 try:
                     self._listener.close()
@@ -612,4 +526,4 @@ def run_shard_server(args: argparse.Namespace) -> int:
         )
         return 2
     host = ShardHost(args)
-    return host.serve(args.port, args.port_file, args.timeout)
+    return host.serve(args.port, args.port_file)

@@ -18,20 +18,55 @@ The durable parts (controller, lease state, link) live on this object
 across crashes; the :class:`~repro.deploy.server.DeployServer` and its
 sockets are per-attempt and rebuilt by :meth:`start` after every
 supervised restart.
+
+:class:`HostedShard` is a shard server together with the hardware slice
+it controls and the node daemons in between — the unit a transport
+hosts.  Its :meth:`~HostedShard.run_cycle` is the one shard cycle body:
+the ``shard-server`` process (:mod:`repro.shard.process`) and the
+in-process worker thread (:class:`~repro.shard.supervisor.ShardThread`)
+both call it and differ only in how the demand slice arrives and the
+acknowledgement leaves.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+from typing import Sequence
+
 import numpy as np
 
+from repro.cluster.node import Node
+from repro.deploy.plane import ClientPlane
 from repro.deploy.server import DeployCycleStats, DeployServer
 from repro.recovery.controller import RecoverableController
 from repro.resilience.health import ResilienceConfig
 from repro.safety import SafetyConfig
 from repro.shard.lease import ArbiterConfig, BudgetLease, ShardLink, ShardSummary
-from repro.telemetry.log import ResilienceEventLog
+from repro.telemetry.log import ResilienceEvent, ResilienceEventLog
 
-__all__ = ["ShardServer"]
+__all__ = ["HostedShard", "ShardServer", "event_from_doc", "event_to_doc"]
+
+
+def event_to_doc(event: ResilienceEvent) -> dict:
+    """Serialize one structured event for a cycle acknowledgement."""
+    return {
+        "time_s": event.time_s,
+        "kind": event.kind,
+        "unit": event.unit,
+        "node_id": event.node_id,
+        "detail": event.detail,
+    }
+
+
+def event_from_doc(doc: dict) -> ResilienceEvent:
+    """Rebuild a shard-local event shipped through a cycle ack."""
+    return ResilienceEvent(
+        time_s=float(doc["time_s"]),
+        kind=str(doc["kind"]),
+        unit=doc.get("unit"),
+        node_id=doc.get("node_id"),
+        detail=str(doc.get("detail", "")),
+    )
 
 
 class ShardServer:
@@ -331,3 +366,121 @@ class ShardServer:
             final=final,
         )
         return self.link.send_summary(summary.to_doc())
+
+
+class HostedShard:
+    """A shard server, its hardware slice, and the daemons between them.
+
+    Args:
+        shard: the leased control stack (durable across restarts).
+        nodes: the shard's slice of the hardware; physics are stepped
+            here, one demand slice per cycle, and one
+            :class:`~repro.deploy.client.DeployClient` runs per node.
+        dt_s: control period.
+        timeout_s: deploy-server socket deadline.
+        max_ack_events: per-ack structured-event cap (overflow collapses
+            into one ``events_truncated`` event).
+    """
+
+    def __init__(
+        self,
+        shard: ShardServer,
+        nodes: Sequence[Node],
+        dt_s: float,
+        timeout_s: float = 5.0,
+        max_ack_events: int = 256,
+    ) -> None:
+        self.shard = shard
+        self.nodes = list(nodes)
+        self.dt_s = dt_s
+        self.timeout_s = timeout_s
+        self.max_ack_events = max_ack_events
+        sockets = [s for node in self.nodes for s in node.sockets]
+        self._domains = [s.domain for s in sockets]
+        self._meters = [s.meter for s in sockets]
+        self._plane: ClientPlane | None = None
+        self._events_sent = 0
+
+    def start(self) -> None:
+        """Bring up this attempt's deploy server and register every daemon."""
+        server = self.shard.start(timeout_s=self.timeout_s)
+        self._plane = ClientPlane(server, self.nodes, self.dt_s)
+
+    def stop(self) -> None:
+        """Tear the attempt down (idempotent; safe after a crash)."""
+        if self._plane is not None:
+            self._plane.close(quiet=True)
+            self._plane = None
+        self.shard.stop()
+
+    def resume(self) -> None:
+        """Warm restart: checkpointed controller, re-anchored meters."""
+        if self.shard.controller.resume():
+            self.shard.resume_lease_state()
+        # Only this shard's meters re-anchor; without it the outage's
+        # accumulated energy lands on the first post-restart reading.
+        for meter in self._meters:
+            meter.rebaseline()
+
+    def run_cycle(self, step: int, demand: np.ndarray) -> dict:
+        """One lock-step shard cycle; returns its ``cycle_ack`` document.
+
+        Physics under the caps in effect, the leased control cycle, the
+        wait for its caps to land, the summary on the arbiter period —
+        then the acknowledgement: true powers and hardware caps as
+        arrays (the transport picks their encoding), the cycle's
+        structured events, and the lease the shard now holds.
+        """
+        if self._plane is None:
+            raise RuntimeError("hosted shard not started")
+        if len(demand) != len(self._domains):
+            raise ValueError(
+                f"demand slice of {len(demand)} units for a shard of "
+                f"{len(self._domains)}"
+            )
+        for domain, demand_w in zip(self._domains, demand):
+            domain.step(float(demand_w), self.dt_s)
+        self._plane.cycle(lambda: self.shard.run_cycle(now=float(step)))
+        if (step + 1) % self.shard.config.period_cycles == 0:
+            self.shard.summarize(cycle=step)
+        return {
+            "type": "cycle_ack",
+            "step": step,
+            "status": "ok",
+            "events": self.drain_events(),
+            "lease_w": self.shard.lease_w,
+            "power": np.asarray(
+                [d.power_w for d in self._domains], dtype=np.float64
+            ),
+            "caps": np.asarray(
+                [d.cap_w for d in self._domains], dtype=np.float64
+            ),
+        }
+
+    def drain_events(self) -> list[dict]:
+        """Fresh events for the next ack, bounded by ``max_ack_events``.
+
+        A chaos storm (mass quarantine, flapping clients) can emit far
+        more structured events in one cycle than a frame should carry;
+        past the cap the overflow collapses into one ``events_truncated``
+        summary so the ack can never bloat past ``MAX_FRAME_BYTES`` and
+        kill the clock link.
+        """
+        fresh = list(islice(self.shard.events, self._events_sent, None))
+        self._events_sent += len(fresh)
+        docs = [event_to_doc(e) for e in fresh[: self.max_ack_events]]
+        if len(fresh) > self.max_ack_events:
+            dropped = len(fresh) - self.max_ack_events
+            docs.append(
+                {
+                    "time_s": fresh[-1].time_s,
+                    "kind": "events_truncated",
+                    "unit": None,
+                    "node_id": self.shard.shard_id,
+                    "detail": (
+                        f"{dropped} events over the per-ack cap of "
+                        f"{self.max_ack_events} dropped"
+                    ),
+                }
+            )
+        return docs

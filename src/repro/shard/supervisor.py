@@ -1,28 +1,37 @@
-"""Subprocess fleet management for process-mode sharded sessions.
+"""Fleet management for sharded sessions: one driver, two shard handles.
 
-:class:`ShardSupervisor` is the OS-process analog of the thread-per-
-shard :class:`~repro.recovery.supervisor.Supervisor` loop in
-:mod:`repro.shard.harness`: it spawns each shard as a real
-``dps-repro shard-server`` subprocess (``python -m repro shard-server``),
-drives the fleet in lock step over per-shard TCP clock connections, and
-applies the chaos plan with the operating system's own weapons —
-``SIGKILL`` for a crash, an injected silent hang detected by the ack
-deadline, ``SIGTERM`` for a graceful drain, and a checkpoint ``--resume``
-respawn for the warm restart.
+:class:`ShardSupervisor` drives a fleet of shards in lock step and keeps
+the only restart bookkeeping of :mod:`repro.shard.harness`: crash →
+restart budget → outage window → warm respawn, with the ack deadline as
+the watchdog.  It talks to each shard through a *handle* with the
+surface ``launch / complete / spawn(resume) / alive / kill /
+command_cycle / send_hang / await_ack / shutdown / bytes_clock``:
 
-Respawns pin the port the shard first learned from the kernel so the
-arbiter's :class:`~repro.comm.shardlink.TcpShardLink` can keep dialing
-one stable address across restarts; the listener's ``SO_REUSEADDR``
-bind-retry loop absorbs the TIME_WAIT window.
+* :class:`ShardProcess` — a real ``dps-repro shard-server`` subprocess
+  (``python -m repro shard-server``) behind a TCP clock connection.
+  Chaos uses the operating system's own weapons: ``SIGKILL`` for a
+  crash, ``SIGTERM`` for a graceful drain, a checkpoint ``--resume``
+  respawn for the warm restart.  Respawns pin the port the shard first
+  learned from the kernel so the arbiter's
+  :class:`~repro.comm.shardlink.TcpShardLink` can keep dialing one
+  stable address across restarts; the listener's ``SO_REUSEADDR``
+  bind-retry loop absorbs the TIME_WAIT window.
+* :class:`ShardThread` — the same
+  :class:`~repro.shard.server.HostedShard` on a worker thread, the
+  clock connection replaced by a pair of queues.  A kill ends the
+  worker and tears its sockets down; the respawn warm-restores the
+  controller from its checkpoint exactly as ``--resume`` does.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,6 +46,8 @@ from repro.comm.wire import (
     encode_frame,
 )
 from repro.deploy.loopback import RecoveryOptions
+from repro.shard.lease import ShardLink
+from repro.shard.server import HostedShard
 from repro.telemetry.log import ResilienceEventLog
 
 __all__ = [
@@ -44,6 +55,7 @@ __all__ = [
     "ProcessShardSpec",
     "ShardProcess",
     "ShardSupervisor",
+    "ShardThread",
 ]
 
 #: Seconds a fresh subprocess gets to publish its port file.
@@ -357,6 +369,132 @@ class ShardProcess:
         self.close_clock()
 
 
+class ShardThread:
+    """In-process shard handle: a worker thread behind two queues.
+
+    Presents :class:`ShardProcess`'s surface to the supervisor.  The
+    hosted shard (controller, lease state, event log, hardware slice) is
+    durable across restarts, like a process's checkpoint directory; each
+    :meth:`launch` starts a fresh worker with fresh queues, like a fresh
+    process with a fresh clock connection.
+
+    Args:
+        hosted: the shard this handle runs.
+        link: the in-memory lease channel whose shard edge ``hosted``
+            holds; the harness gives its arbiter edge to the arbiter.
+    """
+
+    #: There is no clock wire to meter.
+    bytes_clock = 0
+
+    def __init__(self, hosted: HostedShard, link: ShardLink) -> None:
+        self.hosted = hosted
+        self.link = link
+        self._thread: threading.Thread | None = None
+
+    def launch(self, resume: bool = False) -> None:
+        """Start a worker; pair with :meth:`complete`."""
+        self._commands: queue.Queue = queue.Queue()
+        self._acks: queue.Queue = queue.Queue()
+        self._killed = threading.Event()
+        self._ready = threading.Event()
+        self._startup_error: Exception | None = None
+        # The previous worker, if any, is dead (killed and reaped, or
+        # found not alive), so the fresh queues are this worker's alone.
+        self._thread = threading.Thread(
+            target=self._serve,
+            args=(resume,),
+            name=f"shard-{self.hosted.shard.shard_id}",
+            daemon=True,
+        )
+        self._thread.start()
+
+    def complete(self) -> None:
+        """Wait until the worker's deploy server has every daemon."""
+        self._ready.wait()
+        if self._startup_error is not None:
+            raise RuntimeError(
+                f"shard {self.hosted.shard.shard_id} failed to start"
+            ) from self._startup_error
+
+    def spawn(self, resume: bool = False) -> None:
+        self.launch(resume)
+        self.complete()
+
+    def _serve(self, resume: bool) -> None:
+        hosted = self.hosted
+        try:
+            try:
+                if resume:
+                    hosted.resume()
+                hosted.start()
+            except Exception as exc:  # noqa: BLE001 - re-raised by complete()
+                self._startup_error = exc
+                return
+            finally:
+                self._ready.set()
+            while True:
+                command = self._commands.get()
+                if command is None:
+                    return
+                if command == "hang":
+                    # Silent until the supervisor's deadline kills us.
+                    self._killed.wait()
+                    return
+                self._acks.put(hosted.run_cycle(*command))
+        finally:
+            # An unexpected exception propagates to threading.excepthook
+            # (the traceback a subprocess would leave in its log); the
+            # closed-connection marker tells the supervisor at once.
+            hosted.stop()
+            self._acks.put(None)
+
+    def command_cycle(self, step: int, demand: np.ndarray) -> bool:
+        if not self.alive:
+            return False
+        self._commands.put((step, demand))
+        return True
+
+    def send_hang(self) -> bool:
+        self._commands.put("hang")
+        return True
+
+    def await_ack(self, step: int, timeout_s: float) -> dict | None:
+        """The next ack, or None when the worker is silent or gone."""
+        try:
+            doc = self._acks.get(timeout=timeout_s)
+        except queue.Empty:
+            return None
+        if doc is not None and doc["step"] != step:
+            raise RuntimeError(
+                f"shard {self.hosted.shard.shard_id} acked cycle "
+                f"{doc['step']} during cycle {step}"
+            )
+        return doc
+
+    @property
+    def alive(self) -> bool:
+        return self._thread is not None and self._thread.is_alive()
+
+    def kill(self) -> None:
+        """End the worker without a goodbye and reap it."""
+        self._killed.set()
+        self.shutdown()
+
+    def shutdown(self) -> None:
+        thread = self._thread
+        if thread is None:
+            return
+        self._commands.put(None)
+        thread.join(timeout=30.0)
+        if thread.is_alive():
+            raise RuntimeError(
+                f"shard {self.hosted.shard.shard_id} worker is wedged "
+                "mid-cycle and cannot be reaped"
+            )
+        self._thread = None
+
+
 @dataclass
 class PendingCycle:
     """One dispatched-but-uncollected fleet cycle.
@@ -379,28 +517,25 @@ class ShardSupervisor:
     """Lock-step fleet driver with restart bookkeeping and chaos hooks.
 
     Args:
-        specs: launch descriptions, one per initial shard.
+        fleet: shard id → handle (:class:`ShardProcess` or
+            :class:`ShardThread`), one per initial shard, not yet
+            launched.
         recovery: restart budget, outage length, and the hang deadline
             (``hang_timeout_s`` doubles as the per-cycle ack deadline
-            after which a silent shard is declared hung and SIGKILLed).
+            after which a silent shard is declared hung and killed).
         events: structured sink for ``shard_restarted`` /
             ``controller_*`` transitions (merged by the harness).
-        timeout_s: shard-server deploy-socket deadline, passed through.
     """
 
     def __init__(
         self,
-        specs: list[ProcessShardSpec],
+        fleet: dict[int, ShardProcess | ShardThread],
         recovery: RecoveryOptions,
         events: ResilienceEventLog | None = None,
-        timeout_s: float = 5.0,
     ) -> None:
         self.recovery = recovery
         self.events = events if events is not None else ResilienceEventLog()
-        self.timeout_s = timeout_s
-        self.fleet: dict[int, ShardProcess] = {
-            spec.shard_id: ShardProcess(spec, timeout_s) for spec in specs
-        }
+        self.fleet = dict(fleet)
         self.restarts: dict[int, int] = {sid: 0 for sid in self.fleet}
         self.failed: set[int] = set()
         self.draining: set[int] = set()
@@ -426,15 +561,14 @@ class ShardSupervisor:
         for proc in self.fleet.values():
             proc.complete()
 
-    def admit(self, spec: ProcessShardSpec) -> ShardProcess:
+    def admit(self, proc: ShardProcess) -> None:
         """Spawn an additional shard joining the fleet mid-session."""
-        if spec.shard_id in self.fleet:
-            raise ValueError(f"shard {spec.shard_id} already in the fleet")
-        proc = ShardProcess(spec, self.timeout_s)
+        shard_id = proc.spec.shard_id
+        if shard_id in self.fleet:
+            raise ValueError(f"shard {shard_id} already in the fleet")
         proc.spawn()
-        self.fleet[spec.shard_id] = proc
-        self.restarts[spec.shard_id] = 0
-        return proc
+        self.fleet[shard_id] = proc
+        self.restarts[shard_id] = 0
 
     def begin_drain(self, shard_id: int) -> None:
         """SIGTERM the shard; it freezes, reports, and exits on its own."""
@@ -466,23 +600,6 @@ class ShardSupervisor:
             proc.shutdown()
 
     # -- the lock-step cycle --------------------------------------------
-
-    def command(
-        self,
-        step: int,
-        demands: dict[int, np.ndarray],
-        kill_ids: set[int] | None = None,
-        hang_ids: set[int] | None = None,
-    ) -> dict[int, tuple[str, dict | None]]:
-        """Drive every fleet shard through one cycle, start to finish.
-
-        The sequential convenience around :meth:`dispatch` +
-        :meth:`collect`.  Mirrors the thread harness's ack statuses:
-        ``ok`` (with the ack document), ``crashed`` (SIGKILL landed this
-        cycle), ``hung`` (injected or detected silence), ``outage``
-        (restart in progress), ``failed`` (restart budget exhausted).
-        """
-        return self.collect(self.dispatch(step, demands, kill_ids, hang_ids))
 
     def dispatch(
         self,
@@ -525,7 +642,7 @@ class ShardSupervisor:
                     node_id=shard_id,
                     detail=(
                         f"no ack within {self.recovery.hang_timeout_s}s; "
-                        "SIGKILL"
+                        "killed"
                     ),
                 )
                 proc.kill()
@@ -607,7 +724,7 @@ class ShardSupervisor:
                     node_id=shard_id,
                     detail=(
                         f"no ack within {self.recovery.hang_timeout_s}s; "
-                        "SIGKILL"
+                        "killed"
                     ),
                 )
                 if proc is not None:
@@ -627,7 +744,7 @@ class ShardSupervisor:
             float(self.restarts[shard_id]),
             "controller_killed",
             node_id=shard_id,
-            detail=f"shard-server process down (restart {self.restarts[shard_id]})",
+            detail=f"shard down (restart {self.restarts[shard_id]})",
         )
         if self.restarts[shard_id] > self.recovery.max_restarts:
             self.failed.add(shard_id)
@@ -660,7 +777,7 @@ class ShardSupervisor:
             "shard_restarted",
             node_id=shard_id,
             detail=(
-                f"shard-server respawned with --resume "
+                f"shard respawned from its checkpoint "
                 f"(attempt {self.restarts[shard_id]} of "
                 f"{self.recovery.max_restarts + 1})"
             ),

@@ -15,8 +15,7 @@ SPEC = ClusterSpec(n_nodes=4, sockets_per_node=2)
 SIM = SimulationConfig(time_scale=0.05, max_steps=60_000, inter_run_gap_s=2.0)
 
 
-def build(manager="dps", failures=(), fault_config=None, record=True,
-          use_comm=False, spec=SPEC):
+def build(manager="dps", failures=(), fault_config=None, record=True, spec=SPEC):
     cluster = Cluster(spec)
     return Simulation(
         cluster_spec=spec,
@@ -37,7 +36,6 @@ def build(manager="dps", failures=(), fault_config=None, record=True,
         record_telemetry=record,
         failures=failures,
         fault_config=fault_config,
-        use_comm=use_comm,
     )
 
 
@@ -55,14 +53,6 @@ class TestValidation:
     def test_unknown_node_rejected(self):
         with pytest.raises(ValueError, match="node 9"):
             build(failures=[NodeFailureEvent(node_id=9, fail_at_s=1.0)])
-
-    def test_comm_path_rejects_failures(self):
-        with pytest.raises(ValueError, match="comm"):
-            build(
-                manager="slurm",
-                failures=[NodeFailureEvent(node_id=0, fail_at_s=1.0)],
-                use_comm=True,
-            )
 
 
 class TestFailureInjection:

@@ -233,10 +233,6 @@ class TestCheckpointing:
         with pytest.raises(ValueError, match="resume"):
             make_sim(resume=True)
 
-    def test_rejects_checkpointing_on_the_comm_path(self, tmp_path):
-        with pytest.raises(ValueError, match="comm"):
-            make_sim(use_comm=True, checkpoint_dir=tmp_path)
-
     def test_rejects_checkpoint_every_below_one(self, tmp_path):
         with pytest.raises(ValueError, match="checkpoint_every"):
             make_sim(checkpoint_dir=tmp_path, checkpoint_every=0)

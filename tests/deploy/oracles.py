@@ -1,0 +1,52 @@
+"""Reference implementation the concurrent control cycle is held exact against.
+
+``poll_sequential`` is the artifact's original collection strategy: a
+strict blocking request/response chain, one client at a time.  The
+product (:meth:`repro.deploy.server.DeployServer._broadcast_poll` +
+``_collect_readings``) fans POLL out to every client and collects under
+one deadline; this stays as the obviously-ordered definition the
+determinism test compares a whole session trace against.  It is a test
+fixture, not product: nothing in ``src/`` can select it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+
+import pytest
+
+from repro.deploy import framing
+from repro.deploy.server import DeployServer
+
+
+def poll_sequential(polled) -> tuple[dict[int, list[bytes]], dict[int, str]]:
+    """POLL one client, block for its READINGS batch, then the next."""
+    raw: dict[int, list[bytes]] = {}
+    errors: dict[int, str] = {}
+    for record in polled:
+        assert record.conn is not None
+        try:
+            framing.send_tag(record.conn, framing.FRAME_POLL)
+            raw[record.node_id] = framing.recv_batch(
+                record.conn, framing.FRAME_READINGS
+            )
+        except (OSError, ValueError) as exc:
+            errors[record.node_id] = f"poll: {exc}"
+    return raw, errors
+
+
+@contextlib.contextmanager
+def sequential_polling():
+    """Every ``DeployServer`` cycle inside the block uses the chain."""
+    with pytest.MonkeyPatch.context() as patch:
+        # The whole chain runs in the fan-out slot; the fan-in slot then
+        # has nothing left to collect.
+        patch.setattr(
+            DeployServer,
+            "_broadcast_poll",
+            lambda self, polled: poll_sequential(polled),
+        )
+        patch.setattr(
+            DeployServer, "_collect_readings", lambda self, raw: (raw, {})
+        )
+        yield

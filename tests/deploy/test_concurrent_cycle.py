@@ -21,6 +21,7 @@ from repro.core.managers import PowerManager
 from repro.deploy import framing
 from repro.deploy.loopback import run_loopback
 from repro.deploy.server import DeployServer
+from tests.deploy.oracles import sequential_polling
 from tests.deploy.test_server_robustness import RawClient, bound_manager
 
 
@@ -312,7 +313,7 @@ class TestCapDispatch:
 class TestDeterminism:
     SPEC = ClusterSpec(n_nodes=2, sockets_per_node=2)
 
-    def _session(self, poll_mode):
+    def _session(self):
         cluster = Cluster(
             self.SPEC, RaplConfig(), np.random.default_rng(3)
         )
@@ -327,12 +328,11 @@ class TestDeterminism:
             demand_fn=lambda step: demands[step],
             cycles=8,
             rng=np.random.default_rng(0),
-            poll_mode=poll_mode,
         )
 
     def test_concurrent_session_is_reproducible(self):
-        a = self._session("concurrent")
-        b = self._session("concurrent")
+        a = self._session()
+        b = self._session()
         assert np.array_equal(a.caps_history, b.caps_history)
         assert np.array_equal(a.readings_history, b.readings_history)
         assert np.array_equal(a.power_history, b.power_history)
@@ -340,16 +340,13 @@ class TestDeterminism:
     def test_concurrent_trace_equals_sequential_baseline(self):
         """Collection order is an I/O detail: the fan-out/fan-in cycle
         must produce the sequential baseline's session trace exactly."""
-        con = self._session("concurrent")
-        seq = self._session("sequential")
+        con = self._session()
+        with sequential_polling():
+            seq = self._session()
         assert np.array_equal(con.caps_history, seq.caps_history)
         assert np.array_equal(con.readings_history, seq.readings_history)
         assert np.array_equal(con.power_history, seq.power_history)
         assert con.bytes_total == seq.bytes_total
-
-    def test_rejects_unknown_poll_mode(self):
-        with pytest.raises(ValueError, match="poll_mode"):
-            DeployServer(bound_manager(), poll_mode="osmotic")
 
 
 class TestPhaseTimings:

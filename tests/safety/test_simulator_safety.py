@@ -1,7 +1,6 @@
 """Simulation + SafetyConfig: the envelope on the direct actuation path."""
 
 import numpy as np
-import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.simulator import Assignment, Simulation
@@ -83,12 +82,6 @@ class TestSimulatorEnvelope:
         np.testing.assert_allclose(
             plain.telemetry.caps_w, guarded.telemetry.caps_w
         )
-
-    def test_comm_path_rejected(self):
-        with pytest.raises(ValueError, match="comm path"):
-            make_sim(
-                safety=SafetyConfig(guard=True), use_comm=True
-            )
 
     def test_disabled_safety_leaves_result_fields_empty(self):
         result = make_sim().run()
