@@ -3,9 +3,11 @@
 The paper's experiments run "two clusters in parallel to reflect a
 real-world cloud service utility" (§5.2) — two workloads, each on half of
 the client nodes, under one shared cluster-wide power budget.
-:class:`Cluster` owns the simulated hardware (all RAPL domains) and exposes
-the vectorized physics/metering interface the simulator drives, plus the
-half-split used by every pairing experiment.
+:class:`Cluster` owns the simulated hardware — one
+:class:`~repro.powercap.rapl.RaplBank` holding every unit's state — and
+exposes the vectorized physics/metering interface the simulator drives,
+plus the half-split used by every pairing experiment.  Its nodes, sockets
+and domains are views of that bank.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from repro.core.config import ClusterSpec, RaplConfig
 from repro.cluster.node import Node, Socket
-from repro.powercap.rapl import RaplDomain
+from repro.powercap.rapl import RaplBank, RaplDomain
 from repro.powercap.sysfs import SysfsPowercap
 
 __all__ = ["Cluster"]
@@ -40,6 +42,14 @@ class Cluster:
         self.rapl_config = rapl_config or RaplConfig()
         rng = rng if rng is not None else np.random.default_rng(0)
         socket_rngs = rng.spawn(self.spec.n_units)
+        #: The state of every unit; everything below is a view of it.
+        self.bank = RaplBank(
+            self.spec.n_units,
+            max_power_w=self.spec.tdp_w,
+            min_power_w=self.spec.min_cap_w,
+            config=self.rapl_config,
+            initial_power_w=self.spec.idle_power_w,
+        )
 
         self.nodes: list[Node] = []
         self.sockets: list[Socket] = []
@@ -47,23 +57,15 @@ class Cluster:
         for node_id in range(self.spec.n_nodes):
             node_sockets = []
             for _ in range(self.spec.sockets_per_node):
-                sock = Socket(
-                    unit_id=unit_id,
-                    node_id=node_id,
-                    tdp_w=self.spec.tdp_w,
-                    min_cap_w=self.spec.min_cap_w,
-                    rapl_config=self.rapl_config,
-                    rng=socket_rngs[unit_id],
-                    idle_power_w=self.spec.idle_power_w,
+                sock = Socket.of_bank(
+                    self.bank, unit_id, node_id, socket_rngs[unit_id]
                 )
                 node_sockets.append(sock)
                 self.sockets.append(sock)
                 unit_id += 1
             self.nodes.append(Node(node_id, node_sockets))
-        #: Topology is fixed after construction; building the domain
-        #: list per access shows up at fleet scale (it sits on the
-        #: per-cycle caps/power read path).
         self._domains = [s.domain for s in self.sockets]
+        self._meters = [s.meter for s in self.sockets]
 
     @property
     def n_units(self) -> int:
@@ -107,11 +109,11 @@ class Cluster:
 
     def caps_w(self) -> np.ndarray:
         """Currently programmed per-unit caps (W)."""
-        return np.asarray([d.cap_w for d in self.domains], dtype=np.float64)
+        return self.bank.cap_w.copy()
 
     def true_power_w(self) -> np.ndarray:
         """True (hidden) per-unit power (W) — for accounting, not managers."""
-        return np.asarray([d.power_w for d in self.domains], dtype=np.float64)
+        return self.bank.power_w.copy()
 
     def step_physics(self, demand_w: np.ndarray, dt_s: float) -> np.ndarray:
         """Advance every domain one interval under the given demands.
@@ -123,21 +125,22 @@ class Cluster:
         Returns:
             True per-unit power at the end of the interval (W).
         """
-        demand = np.asarray(demand_w, dtype=np.float64)
-        if demand.shape != (self.n_units,):
-            raise ValueError(
-                f"demand shape {demand.shape} != ({self.n_units},)"
-            )
-        out = np.empty(self.n_units, dtype=np.float64)
-        for i, dom in enumerate(self.domains):
-            out[i] = dom.step(float(demand[i]), dt_s)
-        return out
+        return self.bank.step(demand_w, dt_s)
+
+    def _wrapped_meters(self) -> list | None:
+        """The sockets' current meters if any was replaced by a wrapper
+        (e.g. a ``FaultyMeter``), whose reads must go through it one by
+        one; ``None`` while all are the bank's own."""
+        meters = [s.meter for s in self.sockets]
+        return None if meters == self._meters else meters
 
     def read_powers_w(self, dt_s: float) -> np.ndarray:
         """Noisy per-unit power readings from every meter (W)."""
+        wrapped = self._wrapped_meters()
+        if wrapped is None:
+            return self.bank.read_powers_w(dt_s)
         return np.asarray(
-            [s.meter.read_power_w(dt_s) for s in self.sockets],
-            dtype=np.float64,
+            [meter.read_power_w(dt_s) for meter in wrapped], dtype=np.float64
         )
 
     def rebaseline_meters(self) -> None:
@@ -147,30 +150,21 @@ class Cluster:
         this, the first post-restart reading is charged all the energy
         accumulated during the outage and comes back wildly inflated.
         """
-        for sock in self.sockets:
-            sock.meter.rebaseline()
+        wrapped = self._wrapped_meters()
+        if wrapped is None:
+            self.bank.rebaseline()
+        else:
+            for meter in wrapped:
+                meter.rebaseline()
 
     def snapshot(self) -> dict:
         """JSON-able document of every domain and meter (for deterministic
         replay of simulations; a real cluster's state lives in hardware)."""
-        return {
-            "domains": [d.snapshot() for d in self.domains],
-            "meters": [s.meter.snapshot() for s in self.sockets],
-        }
+        return self.bank.snapshot()
 
     def restore(self, state: dict) -> None:
         """Overwrite every domain and meter with a snapshot's content."""
-        domains = state["domains"]
-        meters = state["meters"]
-        if len(domains) != self.n_units or len(meters) != self.n_units:
-            raise ValueError(
-                f"snapshot holds {len(domains)}/{len(meters)} units, "
-                f"cluster has {self.n_units}"
-            )
-        for dom, doc in zip(self.domains, domains):
-            dom.restore(doc)
-        for sock, doc in zip(self.sockets, meters):
-            sock.meter.restore(doc)
+        self.bank.restore(state)
 
     def __repr__(self) -> str:
         return (

@@ -13,13 +13,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import RaplConfig
-from repro.powercap.rapl import PowerMeter, RaplDomain
+from repro.powercap.rapl import PowerMeter, RaplBank, RaplDomain
 
 __all__ = ["Socket", "Node"]
 
 
 class Socket:
     """One power-capping unit: a RAPL package domain plus its meter.
+
+    Both are views of a :class:`~repro.powercap.rapl.RaplBank`: a socket
+    built this way owns a one-unit bank, a cluster's sockets
+    (:meth:`of_bank`) share the cluster's.
 
     Args:
         unit_id: global unit index within the cluster.
@@ -51,6 +55,24 @@ class Socket:
             initial_power_w=idle_power_w,
         )
         self.meter = PowerMeter(self.domain, rng)
+
+    @classmethod
+    def of_bank(
+        cls,
+        bank: RaplBank,
+        unit_id: int,
+        node_id: int,
+        rng: np.random.Generator,
+    ) -> Socket:
+        """The socket whose state is unit ``unit_id`` of a shared bank."""
+        sock = cls.__new__(cls)
+        sock.unit_id = unit_id
+        sock.node_id = node_id
+        sock.domain = RaplDomain.of_bank(
+            bank, unit_id, f"package-{node_id}-{unit_id}"
+        )
+        sock.meter = PowerMeter(sock.domain, rng)
+        return sock
 
     def __repr__(self) -> str:
         return (

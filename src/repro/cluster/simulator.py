@@ -487,9 +487,10 @@ class Simulation:
                 clock[0] = now
                 # Refresh the applied view from the hardware before
                 # judging the candidate: the domains' current caps
-                # are what the coming interval is committed to until
-                # the new dispatch lands.
-                envelope.record_applied(slice(None), cluster.caps_w())
+                # (nothing has written one since step 2 read them) are
+                # what the coming interval is committed to until the
+                # new dispatch lands.
+                envelope.record_applied(slice(None), caps_in_effect)
                 envelope.record_commanded(new_caps)
                 decision = guard.enforce(
                     new_caps,
@@ -532,11 +533,10 @@ class Simulation:
                 telemetry.record(
                     now, true_power, readings, caps_in_effect, priority
                 )
-            if float(new_caps.sum()) > cluster.budget_w * (1 + 1e-6):
+            caps_sum = float(new_caps.sum())
+            if caps_sum > cluster.budget_w * (1 + 1e-6):
                 events.emit(
-                    now,
-                    "budget_violation",
-                    detail=f"sum={float(new_caps.sum()):.1f}",
+                    now, "budget_violation", detail=f"sum={caps_sum:.1f}"
                 )
 
         durations = {}

@@ -2,7 +2,7 @@
 
 from repro.powercap.actuator import CapActuator
 from repro.powercap.faults import FaultConfig, FaultyMeter
-from repro.powercap.rapl import PowerMeter, RaplDomain
+from repro.powercap.rapl import PowerMeter, RaplBank, RaplDomain
 from repro.powercap.sysfs import SysfsPowercap
 
 __all__ = [
@@ -10,6 +10,7 @@ __all__ = [
     "FaultConfig",
     "FaultyMeter",
     "PowerMeter",
+    "RaplBank",
     "RaplDomain",
     "SysfsPowercap",
 ]

@@ -19,14 +19,18 @@ into its telemetry channel.
 
 from __future__ import annotations
 
+import sys
 import time
 
 import numpy as np
 
-from repro.powercap.rapl import RaplDomain
+from repro.powercap.rapl import RaplDomain, bank_span
 from repro.recovery.state import decode_array, encode_array
 
 __all__ = ["CapActuator"]
+
+#: Largest cap that is still a finite number of microwatts.
+_MAX_CAP_W = sys.float_info.max / 1e6
 
 
 class CapActuator:
@@ -61,6 +65,7 @@ class CapActuator:
         if backoff_s < 0:
             raise ValueError(f"backoff_s must be >= 0, got {backoff_s}")
         self._domains = list(domains)
+        self._span = bank_span(self._domains)
         self.delay_steps = delay_steps
         self.verify = verify
         self.max_retries = max_retries
@@ -107,32 +112,61 @@ class CapActuator:
 
         Returns:
             Number of domains whose effective limit changed this interval.
+
+        Raises:
+            ValueError: wrong shape, or a cap that is not a finite number
+                of microwatts.  Nothing is queued and no domain is touched:
+                a vector applied up to its first bad entry is partly
+                raised and partly un-lowered, the budget over-commit the
+                actuator exists to prevent.
         """
         caps = np.asarray(caps_w, dtype=np.float64)
         if caps.shape != (self.n_units,):
             raise ValueError(f"caps shape {caps.shape} != ({self.n_units},)")
+        if not np.abs(caps).max() <= _MAX_CAP_W:
+            bad = np.flatnonzero(~(np.abs(caps) <= _MAX_CAP_W))
+            raise ValueError(
+                f"non-finite caps {caps[bad].tolist()} for units "
+                f"{bad.tolist()}; nothing was queued or programmed"
+            )
         self._pipeline.append(caps.copy())
         if len(self._pipeline) <= self.delay_steps:
             return 0
         return self._apply(self._pipeline.pop(0))
 
     def _apply(self, due: np.ndarray) -> int:
-        changed = 0
-        for unit, (dom, cap) in enumerate(zip(self._domains, due)):
-            # Quantize to whole microwatts, as a sysfs write would.
-            quantized = round(float(cap) * 1e6) / 1e6
-            before = dom.cap_w
-            self._write(dom, unit, quantized)
-            if dom.cap_w != before:
-                changed += 1
-            self.commands_applied += 1
-        return changed
+        self.commands_applied += self.n_units
+        if self._span is None:
+            changed = 0
+            for unit, (dom, cap) in enumerate(zip(self._domains, due)):
+                # Quantize to whole microwatts, as a sysfs write would.
+                quantized = round(float(cap) * 1e6) / 1e6
+                before = dom.cap_w
+                dom.set_cap_w(quantized)
+                if self.verify:
+                    self._verify(dom, unit, quantized)
+                if dom.cap_w != before:
+                    changed += 1
+            return changed
+        # The same write for a range of one bank, as arrays.  rint is
+        # round()'s half-to-even; adding 0.0 turns its -0.0 into the 0.0
+        # that dividing Python's integer 0 gives.
+        bank, span = self._span
+        quantized = (np.rint(due * 1e6) + 0.0) / 1e6
+        before = bank.cap_w[span].copy()
+        bank.set_caps_w(quantized, span)
+        if self.verify:
+            expected = np.minimum(
+                np.maximum(quantized, bank.min_power_w), bank.max_power_w
+            )
+            for unit in np.flatnonzero(bank.cap_w[span] != expected):
+                self._verify(
+                    self._domains[unit], int(unit), quantized.item(unit)
+                )
+        return int(np.count_nonzero(bank.cap_w[span] != before))
 
-    def _write(self, dom: RaplDomain, unit: int, cap_w: float) -> None:
-        """Program one limit, with read-back verification when enabled."""
-        dom.set_cap_w(cap_w)
-        if not self.verify:
-            return
+    def _verify(self, dom: RaplDomain, unit: int, cap_w: float) -> None:
+        """Read one programmed limit back; retry the write on mismatch."""
         # What a correct write must read back: the sysfs clamp of the
         # requested limit to the domain's accepted range.
         expected = min(max(cap_w, dom.min_power_w), dom.max_power_w)

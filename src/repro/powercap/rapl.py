@@ -1,36 +1,335 @@
-"""Simulated RAPL domain (paper §4.2; DESIGN.md substitution table row 1).
+"""Simulated RAPL hardware (paper §4.2; DESIGN.md substitution table row 1).
 
 DPS interacts with the hardware in exactly two ways: reading power and
 setting power caps, both via Intel RAPL.  This module provides a faithful
-software stand-in for one RAPL domain (one socket / package):
+software stand-in:
 
 * a monotonically increasing **energy counter** in microjoules that wraps at
   ``max_energy_range_uj``, exactly like the MSR/sysfs counter — consumers
   must derive power from counter differences, wraps included;
-* **cap enforcement**: the domain's true power never exceeds its limit
+* **cap enforcement**: a domain's true power never exceeds its limit
   (RAPL's running-average window is far shorter than the 1 s control loop,
   so within one step the limit is simply met);
 * a **first-order lag** with which true power approaches its target
   (``min(demand, cap)``) — power changes with inertia (§3.3);
-* a :class:`PowerMeter` that converts counter reads into power samples and
+* a **power meter** that converts counter reads into power samples and
   adds Gaussian measurement noise, the noise DPS's Kalman filter exists to
   absorb (§4.3.2).
+
+All of that state lives in one place, a :class:`RaplBank` of contiguous
+per-unit arrays, which the simulator advances, meters and programs in
+bulk.  :class:`RaplDomain` and :class:`PowerMeter` are index views over a
+bank: the per-socket API the client daemons, the sysfs emulation and the
+fault wrappers use, and the scalar reference every bulk call is pinned to
+bit for bit (``tests/powercap/test_bank.py``).
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.config import RaplConfig
 from repro.recovery.state import make_rng, rng_state
 
-__all__ = ["RaplDomain", "PowerMeter"]
+__all__ = ["RaplBank", "RaplDomain", "PowerMeter", "bank_span"]
+
+#: Noise samples a meter draws from its generator at a time.
+#: ``g.normal(0, s, K)`` is bit-identical to ``K`` scalar draws, and one
+#: call per ``K`` readings takes the generator off the per-cycle path.
+NOISE_BLOCK = 64
+
+_ALL = slice(None)
+
+
+class RaplBank:
+    """Struct-of-arrays state of ``n_units`` identical RAPL domains.
+
+    Every bulk call takes a ``span`` — a contiguous unit range, the whole
+    bank by default — and writes its slice of the arrays in place, so
+    shard threads may drive disjoint ranges of one bank concurrently.
+
+    Args:
+        n_units: number of domains.
+        max_power_w: hardware maximum power / highest accepted cap (TDP).
+        min_power_w: lowest accepted cap.
+        config: noise, lag, and counter-wrap behaviour.
+        initial_power_w: true power at construction (idle floor).
+
+    Attributes:
+        cap_w: programmed power limits (W).
+        power_w: true instantaneous powers (W) — hidden from managers,
+            who must estimate them through the (noisy) meters.
+        energy_uj: unwrapped energy integrals (µJ); the counter a reader
+            sees is this modulo ``config.counter_wrap_uj``.
+        meter_uj: each meter's cursor — the counter value at its last read.
+    """
+
+    def __init__(
+        self,
+        n_units: int,
+        max_power_w: float,
+        min_power_w: float = 0.0,
+        config: RaplConfig | None = None,
+        initial_power_w: float = 0.0,
+    ) -> None:
+        if n_units < 1:
+            raise ValueError(f"n_units must be >= 1, got {n_units}")
+        if max_power_w <= 0:
+            raise ValueError(f"max_power_w must be > 0, got {max_power_w}")
+        if not 0 <= min_power_w <= max_power_w:
+            raise ValueError(
+                f"min_power_w must be in [0, max_power_w], got {min_power_w}"
+            )
+        if not 0 <= initial_power_w <= max_power_w:
+            raise ValueError(
+                f"initial_power_w must be in [0, max_power_w], "
+                f"got {initial_power_w}"
+            )
+        self.n_units = n_units
+        self.max_power_w = float(max_power_w)
+        self.min_power_w = float(min_power_w)
+        self.config = config or RaplConfig()
+        if self.config.counter_wrap_uj >= 2**63:
+            raise ValueError(
+                "counter_wrap_uj must fit a signed 64-bit cursor, got "
+                f"{self.config.counter_wrap_uj}"
+            )
+        self.cap_w = np.full(n_units, self.max_power_w)
+        self.power_w = np.full(n_units, float(initial_power_w))
+        self.energy_uj = np.zeros(n_units)
+        self.meter_uj = np.zeros(n_units, dtype=np.int64)
+        # The same storage for the one-unit views: indexing a memoryview
+        # yields a Python float or int at half the cost of ndarray.item().
+        self._cap_w = memoryview(self.cap_w)
+        self._power_w = memoryview(self.power_w)
+        self._energy_uj = memoryview(self.energy_uj)
+        self._meter_uj = memoryview(self.meter_uj)
+        # One noise stream per meter, prefetched a block at a time.
+        # ``_noise_at[i]`` is the next unread sample of unit i's block
+        # (NOISE_BLOCK: none left) and ``_noise_from[i]`` the generator
+        # state the block was drawn from, which is what a snapshot taken
+        # mid-block needs to resume the stream.  Allocated here, not on
+        # first use: daemons of different nodes read concurrently.
+        # ``_units`` is arange(n), kept for the per-unit block lookup.
+        self._rngs: list[np.random.Generator | None] = [None] * n_units
+        self._noise = (
+            np.empty((n_units, NOISE_BLOCK))
+            if self.config.noise_std_w > 0
+            else None
+        )
+        self._noise_at = np.full(n_units, NOISE_BLOCK, dtype=np.intp)
+        self._units = np.arange(n_units)
+        self._noise_from: list[dict | None] = [None] * n_units
+
+    # -- physics -------------------------------------------------------
+
+    def step(
+        self, demand_w: np.ndarray, dt_s: float, span: slice = _ALL
+    ) -> np.ndarray:
+        """Advance the physical state of a range by one interval.
+
+        Bulk form of :meth:`RaplDomain.step`: true power relaxes toward
+        ``min(demand, cap)`` through a first-order lag and is hard-clipped
+        at the cap; the energy counters integrate the trajectory.  No
+        unit is touched when any demand is rejected.
+
+        Args:
+            demand_w: uncapped power each unit's workload would draw (W).
+            dt_s: interval length (s).
+
+        Returns:
+            True power of the range at the end of the interval (W).
+        """
+        demand = np.asarray(demand_w, dtype=np.float64)
+        cap = self.cap_w[span]
+        if demand.shape != cap.shape:
+            raise ValueError(f"demand shape {demand.shape} != {cap.shape}")
+        if demand.min() < 0:
+            raise ValueError(
+                f"demand_w must be >= 0, got {demand[demand < 0][0]}"
+            )
+        if dt_s <= 0:
+            raise ValueError(f"dt_s must be > 0, got {dt_s}")
+        old = self.power_w[span]
+        alpha = 1.0 - math.exp(-dt_s / self.config.lag_tau_s)
+        new = np.minimum(demand, cap)
+        new -= old
+        new *= alpha
+        new += old
+        np.minimum(new, cap, out=new)
+        np.maximum(new, 0.0, out=new)
+        # Same operation order as the scalar form, one rounding each.
+        energy = old + new
+        energy *= 0.5
+        energy *= dt_s
+        energy *= 1e6
+        total = self.energy_uj[span]
+        total += energy
+        old[:] = new
+        return new
+
+    # -- metering ------------------------------------------------------
+
+    def attach_meter(self, index: int, rng: np.random.Generator) -> None:
+        """Give unit ``index`` its noise stream and take its first read.
+
+        The generator belongs to the meter from here on: it is drawn
+        ``NOISE_BLOCK`` samples ahead of the readings.
+        """
+        self._rngs[index] = rng
+        self._noise_at[index] = NOISE_BLOCK
+        self.rebaseline(slice(index, index + 1))
+
+    def read_energy_uj(self, span: slice = _ALL) -> np.ndarray:
+        """Current values of the wrapping energy counters of a range (µJ)."""
+        wrapped = self.energy_uj[span] % self.config.counter_wrap_uj
+        return wrapped.astype(np.int64)
+
+    def rebaseline(self, span: slice = _ALL) -> None:
+        """Re-anchor the meter cursors of a range at the current counters
+        (see :meth:`PowerMeter.rebaseline`)."""
+        self.meter_uj[span] = self.read_energy_uj(span)
+
+    def read_powers_w(self, dt_s: float, span: slice = _ALL) -> np.ndarray:
+        """Sample every meter of a range: average power since its previous
+        read, from the wrap-corrected counter difference, plus noise.
+
+        Bulk form of :meth:`PowerMeter.read_power_w`.
+        """
+        if dt_s <= 0:
+            raise ValueError(f"dt_s must be > 0, got {dt_s}")
+        now = self.read_energy_uj(span)
+        delta = now - self.meter_uj[span]
+        # Counter wrapped between reads.
+        delta[delta < 0] += self.config.counter_wrap_uj
+        self.meter_uj[span] = now
+        power = delta / dt_s
+        power *= 1e-6
+        if self._noise is not None:
+            power += self._draw_noise(span)
+        return np.maximum(power, 0.0, out=power)
+
+    def _draw_noise(self, span: slice) -> np.ndarray:
+        """The next prefetched noise sample of every unit of a range."""
+        at = self._noise_at[span]
+        units = self._units[span]
+        if at.max() == NOISE_BLOCK:
+            self._refill(units[at == NOISE_BLOCK].tolist())
+        noise = self._noise[units, at]
+        at += 1
+        return noise
+
+    def _draw_noise_one(self, index: int) -> float:
+        at = self._noise_at.item(index)
+        if at == NOISE_BLOCK:
+            self._refill((index,))
+            at = 0
+        self._noise_at[index] = at + 1
+        return self._noise.item(index, at)
+
+    def _refill(self, units: Sequence[int]) -> None:
+        """Draw the next noise block of each given unit."""
+        sigma = self.config.noise_std_w
+        for index in units:
+            rng = self._rngs[index]
+            self._noise_from[index] = rng_state(rng)
+            self._noise[index] = rng.normal(0.0, sigma, NOISE_BLOCK)
+            self._noise_at[index] = 0
+
+    # -- capping -------------------------------------------------------
+
+    def set_caps_w(self, caps_w: np.ndarray, span: slice = _ALL) -> None:
+        """Program new power limits for a range, each clamped to the
+        accepted range (bulk form of :meth:`RaplDomain.set_cap_w`)."""
+        caps = np.asarray(caps_w, dtype=np.float64)
+        cap = self.cap_w[span]
+        if caps.shape != cap.shape:
+            raise ValueError(f"caps shape {caps.shape} != {cap.shape}")
+        if not np.all(np.isfinite(caps)):
+            bad = caps[~np.isfinite(caps)][0]
+            raise ValueError(f"cap must be finite, got {bad!r}")
+        np.maximum(caps, self.min_power_w, out=cap)
+        np.minimum(cap, self.max_power_w, out=cap)
+
+    # -- deterministic replay -----------------------------------------
+
+    def _meter_doc(self, index: int, last_uj: int) -> dict:
+        """One meter's cursor and noise stream.
+
+        A noise-free meter (``noise_std_w == 0``) never draws from its
+        generator, so its state is omitted — at fleet scale the dead
+        RNG states dominate an otherwise small snapshot.
+        """
+        doc: dict = {"last_uj": last_uj}
+        rng = self._rngs[index]
+        if self._noise is not None and rng is not None:
+            at = self._noise_at.item(index)
+            if at == NOISE_BLOCK:
+                doc["rng"] = rng_state(rng)
+            else:
+                # Mid-block: the state the block came from (a document
+                # of its own, replaced at the next refill, never edited)
+                # and how far into it the readings are.
+                doc["rng"] = self._noise_from[index]
+                doc["noise_at"] = at
+        return doc
+
+    def _restore_meter(self, index: int, state: dict) -> None:
+        self.meter_uj[index] = int(state["last_uj"])
+        if "rng" in state:
+            self._rngs[index] = make_rng(state["rng"])
+            self._noise_at[index] = NOISE_BLOCK
+            at = int(state.get("noise_at", 0))
+            if at and self._noise is not None:
+                self._refill((index,))
+                self._noise_at[index] = at
+
+    def snapshot(self) -> dict:
+        """JSON-able document of every domain and meter, the same
+        per-unit documents :meth:`RaplDomain.snapshot` and
+        :meth:`PowerMeter.snapshot` produce."""
+        return {
+            "domains": [
+                {"cap_w": cap, "power_w": power, "energy_uj": energy}
+                for cap, power, energy in zip(
+                    self.cap_w.tolist(),
+                    self.power_w.tolist(),
+                    self.energy_uj.tolist(),
+                )
+            ],
+            "meters": [
+                self._meter_doc(i, last_uj)
+                for i, last_uj in enumerate(self.meter_uj.tolist())
+            ],
+        }
+
+    def restore(self, state: dict) -> None:
+        """Overwrite every domain and meter with a snapshot's content."""
+        domains = state["domains"]
+        meters = state["meters"]
+        if len(domains) != self.n_units or len(meters) != self.n_units:
+            raise ValueError(
+                f"snapshot holds {len(domains)}/{len(meters)} units, "
+                f"bank has {self.n_units}"
+            )
+        for key, column in (
+            ("cap_w", self.cap_w),
+            ("power_w", self.power_w),
+            ("energy_uj", self.energy_uj),
+        ):
+            column[:] = [float(doc[key]) for doc in domains]
+        for index, doc in enumerate(meters):
+            self._restore_meter(index, doc)
 
 
 class RaplDomain:
     """One power-capping unit with RAPL read/cap semantics.
+
+    A view of one unit of a :class:`RaplBank`; built this way it owns a
+    one-unit bank of its own.
 
     Args:
         name: identifier (e.g. ``"package-0"``), surfaced in the sysfs tree.
@@ -48,35 +347,48 @@ class RaplDomain:
         config: RaplConfig | None = None,
         initial_power_w: float = 0.0,
     ) -> None:
-        if max_power_w <= 0:
-            raise ValueError(f"max_power_w must be > 0, got {max_power_w}")
-        if not 0 <= min_power_w <= max_power_w:
-            raise ValueError(
-                f"min_power_w must be in [0, max_power_w], got {min_power_w}"
-            )
-        if not 0 <= initial_power_w <= max_power_w:
-            raise ValueError(
-                f"initial_power_w must be in [0, max_power_w], "
-                f"got {initial_power_w}"
-            )
         self.name = name
-        self.max_power_w = float(max_power_w)
-        self.min_power_w = float(min_power_w)
-        self.config = config or RaplConfig()
-        self._cap_w = self.max_power_w
-        self._power_w = float(initial_power_w)
-        self._energy_uj = 0.0
+        self.bank = RaplBank(
+            1, max_power_w, min_power_w, config, initial_power_w
+        )
+        self.index = 0
+
+    @classmethod
+    def of_bank(cls, bank: RaplBank, index: int, name: str) -> RaplDomain:
+        """The view of unit ``index`` of an existing bank."""
+        if not 0 <= index < bank.n_units:
+            raise IndexError(f"unit {index} outside a {bank.n_units}-unit bank")
+        view = cls.__new__(cls)
+        view.name = name
+        view.bank = bank
+        view.index = index
+        return view
+
+    @property
+    def max_power_w(self) -> float:
+        """Hardware maximum power / highest accepted cap (W)."""
+        return self.bank.max_power_w
+
+    @property
+    def min_power_w(self) -> float:
+        """Lowest accepted cap (W)."""
+        return self.bank.min_power_w
+
+    @property
+    def config(self) -> RaplConfig:
+        """Noise, lag, and counter-wrap behaviour."""
+        return self.bank.config
 
     @property
     def cap_w(self) -> float:
         """Current power limit (W)."""
-        return self._cap_w
+        return self.bank._cap_w[self.index]
 
     @property
     def power_w(self) -> float:
         """True instantaneous power (W) — hidden from managers, who must
         estimate it through the (noisy) meter."""
-        return self._power_w
+        return self.bank._power_w[self.index]
 
     def set_cap_w(self, cap_w: float) -> float:
         """Program a new power limit, clamped to the accepted range.
@@ -89,17 +401,19 @@ class RaplDomain:
             raise ValueError(f"cap must be finite, got {cap_w!r}")
         # Native comparisons: this runs per unit per control step, and
         # np.clip on a scalar costs more than the whole clamp.
+        bank = self.bank
         cap = float(cap_w)
-        if cap < self.min_power_w:
-            cap = self.min_power_w
-        elif cap > self.max_power_w:
-            cap = self.max_power_w
-        self._cap_w = cap
+        if cap < bank.min_power_w:
+            cap = bank.min_power_w
+        elif cap > bank.max_power_w:
+            cap = bank.max_power_w
+        bank._cap_w[self.index] = cap
         return cap
 
     def read_energy_uj(self) -> int:
         """Current value of the wrapping energy counter (µJ)."""
-        return int(self._energy_uj % self.config.counter_wrap_uj)
+        bank = self.bank
+        return int(bank._energy_uj[self.index] % bank.config.counter_wrap_uj)
 
     def power_off(self) -> None:
         """Hard power loss: true power drops to zero instantly.
@@ -110,21 +424,23 @@ class RaplDomain:
         preserved, exactly as RAPL state survives in the simulator's
         bookkeeping of a host that will later reboot.
         """
-        self._power_w = 0.0
+        self.bank._power_w[self.index] = 0.0
 
     def snapshot(self) -> dict:
         """JSON-able document of the domain's physical state."""
+        bank, i = self.bank, self.index
         return {
-            "cap_w": self._cap_w,
-            "power_w": self._power_w,
-            "energy_uj": self._energy_uj,
+            "cap_w": bank._cap_w[i],
+            "power_w": bank._power_w[i],
+            "energy_uj": bank._energy_uj[i],
         }
 
     def restore(self, state: dict) -> None:
         """Overwrite the physical state with a snapshot's content."""
-        self._cap_w = float(state["cap_w"])
-        self._power_w = float(state["power_w"])
-        self._energy_uj = float(state["energy_uj"])
+        bank, i = self.bank, self.index
+        bank._cap_w[i] = float(state["cap_w"])
+        bank._power_w[i] = float(state["power_w"])
+        bank._energy_uj[i] = float(state["energy_uj"])
 
     def step(self, demand_w: float, dt_s: float) -> float:
         """Advance the physical state by one interval.
@@ -144,15 +460,40 @@ class RaplDomain:
             raise ValueError(f"demand_w must be >= 0, got {demand_w}")
         if dt_s <= 0:
             raise ValueError(f"dt_s must be > 0, got {dt_s}")
-        target = min(demand_w, self._cap_w)
-        alpha = 1.0 - math.exp(-dt_s / self.config.lag_tau_s)
+        bank, i = self.bank, self.index
+        cap = bank._cap_w[i]
+        target = min(demand_w, cap)
+        alpha = 1.0 - math.exp(-dt_s / bank.config.lag_tau_s)
         # Trapezoidal energy over the exponential approach is within a few
         # percent of exact for dt ~ tau; use the midpoint of old/new power.
-        old = self._power_w
-        new = min(old + (target - old) * alpha, self._cap_w)
-        self._power_w = max(new, 0.0)
-        self._energy_uj += (old + self._power_w) * 0.5 * dt_s * 1e6
-        return self._power_w
+        old = bank._power_w[i]
+        new = max(min(old + (target - old) * alpha, cap), 0.0)
+        bank._power_w[i] = new
+        bank._energy_uj[i] += (old + new) * 0.5 * dt_s * 1e6
+        return new
+
+
+def bank_span(domains: Sequence[object]) -> tuple[RaplBank, slice] | None:
+    """The bank and unit range a sequence of domains views, in order.
+
+    Returns:
+        ``None`` when the bulk calls cannot stand in for the sequence:
+        a domain is wrapped (e.g. a ``FlakyDomain``, whose writes must go
+        through the wrapper one by one), or they are not consecutive
+        units of one bank.
+    """
+    first = domains[0]
+    if type(first) is not RaplDomain:
+        return None
+    bank, start = first.bank, first.index
+    for offset, dom in enumerate(domains):
+        if (
+            type(dom) is not RaplDomain
+            or dom.bank is not bank
+            or dom.index != start + offset
+        ):
+            return None
+    return bank, slice(start, start + len(domains))
 
 
 class PowerMeter:
@@ -162,15 +503,21 @@ class PowerMeter:
     one interval apart, wrap-corrected, divided by the interval — plus the
     measurement noise the paper pessimistically assumes (§4.3).
 
+    A view like its domain: the cursor and the noise stream live in the
+    domain's bank, one meter per unit — attaching a new meter to a domain
+    takes over from the previous one.
+
     Args:
         domain: the RAPL domain being metered.
         rng: noise source; pass a seeded generator for reproducibility.
+            The meter owns it from here on (it is drawn a block ahead).
     """
 
     def __init__(self, domain: RaplDomain, rng: np.random.Generator) -> None:
         self.domain = domain
-        self._rng = rng
-        self._last_uj = domain.read_energy_uj()
+        self.bank = domain.bank
+        self.index = domain.index
+        self.bank.attach_meter(self.index, rng)
 
     def rebaseline(self) -> None:
         """Re-anchor the counter cursor at the domain's current energy.
@@ -180,25 +527,17 @@ class PowerMeter:
         energy accumulated while the controller was down is charged to the
         first post-restart interval and the reading comes back inflated.
         """
-        self._last_uj = self.domain.read_energy_uj()
+        self.bank._meter_uj[self.index] = self.domain.read_energy_uj()
 
     def snapshot(self) -> dict:
-        """JSON-able document of the meter cursor and noise stream.
-
-        A noise-free meter (``noise_std_w == 0``) never draws from its
-        generator, so its state is omitted — at fleet scale the dead
-        RNG states dominate an otherwise small snapshot.
-        """
-        doc: dict = {"last_uj": self._last_uj}
-        if self.domain.config.noise_std_w > 0:
-            doc["rng"] = rng_state(self._rng)
-        return doc
+        """JSON-able document of the meter cursor and noise stream."""
+        return self.bank._meter_doc(
+            self.index, self.bank._meter_uj[self.index]
+        )
 
     def restore(self, state: dict) -> None:
         """Overwrite the cursor and noise stream with a snapshot's content."""
-        self._last_uj = int(state["last_uj"])
-        if "rng" in state:
-            self._rng = make_rng(state["rng"])
+        self.bank._restore_meter(self.index, state)
 
     def read_power_w(self, dt_s: float) -> float:
         """Sample average power over the interval since the previous read.
@@ -211,13 +550,14 @@ class PowerMeter:
         """
         if dt_s <= 0:
             raise ValueError(f"dt_s must be > 0, got {dt_s}")
-        now = self.domain.read_energy_uj()
-        delta = now - self._last_uj
+        bank, i = self.bank, self.index
+        wrap = bank.config.counter_wrap_uj
+        now = int(bank._energy_uj[i] % wrap)
+        delta = now - bank._meter_uj[i]
         if delta < 0:  # Counter wrapped between reads.
-            delta += self.domain.config.counter_wrap_uj
-        self._last_uj = now
+            delta += wrap
+        bank._meter_uj[i] = now
         power = delta / dt_s * 1e-6
-        noise_std = self.domain.config.noise_std_w
-        if noise_std > 0:
-            power += self._rng.normal(0.0, noise_std)
+        if bank._noise is not None:
+            power += bank._draw_noise_one(i)
         return max(power, 0.0)

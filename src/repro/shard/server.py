@@ -38,6 +38,7 @@ import numpy as np
 from repro.cluster.node import Node
 from repro.deploy.plane import ClientPlane
 from repro.deploy.server import DeployCycleStats, DeployServer
+from repro.powercap.rapl import bank_span
 from repro.recovery.controller import RecoverableController
 from repro.resilience.health import ResilienceConfig
 from repro.safety import SafetyConfig
@@ -395,9 +396,18 @@ class HostedShard:
         self.dt_s = dt_s
         self.timeout_s = timeout_s
         self.max_ack_events = max_ack_events
-        sockets = [s for node in self.nodes for s in node.sockets]
-        self._domains = [s.domain for s in sockets]
-        self._meters = [s.meter for s in sockets]
+        span = bank_span(
+            [s.domain for node in self.nodes for s in node.sockets]
+        )
+        if span is None:
+            raise ValueError(
+                "a hosted shard's nodes must be consecutive nodes of one "
+                "cluster"
+            )
+        #: The hardware slice as a range of the cluster's bank.  Every
+        #: call on it writes that range in place: thread-mode shards
+        #: step disjoint ranges of one shared bank from their own threads.
+        self._bank, self._span = span
         self._plane: ClientPlane | None = None
         self._events_sent = 0
 
@@ -419,8 +429,7 @@ class HostedShard:
             self.shard.resume_lease_state()
         # Only this shard's meters re-anchor; without it the outage's
         # accumulated energy lands on the first post-restart reading.
-        for meter in self._meters:
-            meter.rebaseline()
+        self._bank.rebaseline(self._span)
 
     def run_cycle(self, step: int, demand: np.ndarray) -> dict:
         """One lock-step shard cycle; returns its ``cycle_ack`` document.
@@ -433,13 +442,7 @@ class HostedShard:
         """
         if self._plane is None:
             raise RuntimeError("hosted shard not started")
-        if len(demand) != len(self._domains):
-            raise ValueError(
-                f"demand slice of {len(demand)} units for a shard of "
-                f"{len(self._domains)}"
-            )
-        for domain, demand_w in zip(self._domains, demand):
-            domain.step(float(demand_w), self.dt_s)
+        self._bank.step(demand, self.dt_s, self._span)
         self._plane.cycle(lambda: self.shard.run_cycle(now=float(step)))
         if (step + 1) % self.shard.config.period_cycles == 0:
             self.shard.summarize(cycle=step)
@@ -449,12 +452,8 @@ class HostedShard:
             "status": "ok",
             "events": self.drain_events(),
             "lease_w": self.shard.lease_w,
-            "power": np.asarray(
-                [d.power_w for d in self._domains], dtype=np.float64
-            ),
-            "caps": np.asarray(
-                [d.cap_w for d in self._domains], dtype=np.float64
-            ),
+            "power": self._bank.power_w[self._span].copy(),
+            "caps": self._bank.cap_w[self._span].copy(),
         }
 
     def drain_events(self) -> list[dict]:

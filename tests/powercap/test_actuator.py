@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.config import RaplConfig
+from repro.cluster.cluster import Cluster
+from repro.core.config import ClusterSpec, RaplConfig
 from repro.powercap.actuator import CapActuator
 from repro.powercap.rapl import RaplDomain
 
@@ -76,3 +77,45 @@ class TestValidation:
         act = CapActuator(doms)
         act.issue(np.array([100.123456789]))
         assert doms[0].cap_w == pytest.approx(100.123457, abs=1e-6)
+
+
+class TestNonFiniteVector:
+    """A vector applied up to its first bad entry is partly raised and
+    partly un-lowered — the over-commit the actuator exists to prevent.
+    A non-finite entry must be refused whole, before it is queued."""
+
+    @staticmethod
+    def standalone():
+        doms = domains(3)
+        return doms, lambda: [d.cap_w for d in doms]
+
+    @staticmethod
+    def cluster_bank():
+        cluster = Cluster(ClusterSpec(n_nodes=3, sockets_per_node=1))
+        return cluster.domains, lambda: cluster.caps_w().tolist()
+
+    @pytest.mark.parametrize("hardware", [standalone, cluster_bank])
+    @pytest.mark.parametrize("delay_steps", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.8e302])
+    def test_refused_whole_nothing_queued_nothing_programmed(
+        self, hardware, delay_steps, bad
+    ):
+        doms, read_caps = hardware()
+        act = CapActuator(doms, delay_steps=delay_steps, verify=True)
+        act.issue(np.array([120.0, 120.0, 120.0]))
+        act.flush()
+        applied = act.commands_applied
+        with pytest.raises(ValueError, match=r"units \[1\]"):
+            act.issue(np.array([150.0, bad, 40.0]))
+        assert read_caps() == [120.0, 120.0, 120.0]
+        assert act.pending == []
+        assert act.commands_applied == applied
+        # The actuator is still usable, and on schedule.
+        act.issue(np.array([150.0, 100.0, 40.0]))
+        act.flush()
+        assert read_caps() == [150.0, 100.0, 40.0]
+
+    def test_every_bad_unit_is_named(self):
+        act = CapActuator(domains(4))
+        with pytest.raises(ValueError, match=r"units \[0, 3\]"):
+            act.issue(np.array([np.nan, 100.0, 100.0, np.inf]))
