@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.config import RaplConfig
-from repro.recovery.state import make_rng, rng_state
+from repro.recovery.state import make_rng, rng_state, rng_state_doc
 
 __all__ = ["RaplBank", "RaplDomain", "PowerMeter", "bank_span"]
 
@@ -109,10 +109,11 @@ class RaplBank:
         self._meter_uj = memoryview(self.meter_uj)
         # One noise stream per meter, prefetched a block at a time.
         # ``_noise_at[i]`` is the next unread sample of unit i's block
-        # (NOISE_BLOCK: none left) and ``_noise_from[i]`` the generator
-        # state the block was drawn from, which is what a snapshot taken
-        # mid-block needs to resume the stream.  Allocated here, not on
-        # first use: daemons of different nodes read concurrently.
+        # (NOISE_BLOCK: none left) and ``_noise_from[i]`` the raw
+        # generator state the block was drawn from, which is what a
+        # snapshot taken mid-block needs to resume the stream.  Allocated
+        # here, not on first use: daemons of different nodes read
+        # concurrently.
         # ``_units`` is arange(n), kept for the per-unit block lookup.
         self._rngs: list[np.random.Generator | None] = [None] * n_units
         self._noise = (
@@ -235,7 +236,7 @@ class RaplBank:
         sigma = self.config.noise_std_w
         for index in units:
             rng = self._rngs[index]
-            self._noise_from[index] = rng_state(rng)
+            self._noise_from[index] = rng.bit_generator.state
             self._noise[index] = rng.normal(0.0, sigma, NOISE_BLOCK)
             self._noise_at[index] = 0
 
@@ -270,10 +271,10 @@ class RaplBank:
             if at == NOISE_BLOCK:
                 doc["rng"] = rng_state(rng)
             else:
-                # Mid-block: the state the block came from (a document
-                # of its own, replaced at the next refill, never edited)
-                # and how far into it the readings are.
-                doc["rng"] = self._noise_from[index]
+                # Mid-block: the state the block came from (kept raw at
+                # the refill, a snapshot is rare and a refill is not) and
+                # how far into it the readings are.
+                doc["rng"] = rng_state_doc(self._noise_from[index])
                 doc["noise_at"] = at
         return doc
 

@@ -32,6 +32,7 @@ from repro.recovery.state import (
     make_rng,
     restore_rng,
     rng_state,
+    to_json,
 )
 
 __all__ = [
@@ -52,6 +53,7 @@ __all__ = [
     "make_rng",
     "restore_rng",
     "rng_state",
+    "to_json",
 ]
 
 _LAZY = {

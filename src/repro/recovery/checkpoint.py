@@ -18,7 +18,12 @@ Durability discipline (the part that actually matters in a crash):
   falls back to the next-older generation;
 * the journal appends one self-checksummed line per cycle with
   flush+fsync; replay stops at the first corrupt/torn line (the expected
-  signature of a crash mid-append) and keeps the valid prefix.
+  signature of a crash mid-append) and keeps the valid prefix, and a
+  restarted writer cuts the file back to that prefix before it appends,
+  so a new record never lands behind an unreadable line.
+
+Both files are where a snapshot document becomes text: everything
+written here goes through :func:`repro.recovery.state.to_json`.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
+
+from repro.recovery.state import to_json
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
@@ -103,16 +110,14 @@ class CheckpointStore:
 
         Args:
             cycle: control cycle the payload describes the end of.
-            payload: JSON-serializable controller state.
+            payload: controller state, a snapshot document.
 
         Returns:
             The path of the new generation.
         """
         if cycle < 0:
             raise ValueError(f"cycle must be >= 0, got {cycle}")
-        body = json.dumps(
-            {"cycle": int(cycle), "payload": payload}, sort_keys=True
-        )
+        body = to_json({"cycle": int(cycle), "payload": payload})
         doc = {
             "format": "repro-checkpoint",
             "version": CHECKPOINT_SCHEMA_VERSION,
@@ -188,7 +193,11 @@ class CycleJournal:
     One line per cycle: ``<sha256-prefix> <json>``.  Appends flush+fsync
     so a record survives the very next crash; reads stop at the first
     line that fails its checksum (a torn tail write) and return the valid
-    prefix.  The journal is bounded by truncation at every checkpoint —
+    prefix.  Reading never modifies the file; the first append of a
+    journal opened on a torn tail first rewrites the file as that valid
+    prefix, or the new record would be glued onto the fragment and be
+    unreadable along with everything after it.  The journal is bounded by
+    truncation at every checkpoint —
     only the tail since the last checkpoint is ever needed — plus a hard
     ``capacity`` backstop against a controller that never checkpoints.
 
@@ -209,10 +218,16 @@ class CycleJournal:
         self.path = Path(path)
         self.capacity = capacity
         self.overflowed = False
-        self._count = len(self.read())
+        records, self._clean = self._scan()
+        self._count = len(records)
 
     def __len__(self) -> int:
         return self._count
+
+    @classmethod
+    def _line(cls, cycle: int, data: dict) -> str:
+        body = to_json({"cycle": int(cycle), "data": data})
+        return f"{_sha256(body)[: cls._CHECK_LEN]} {body}\n"
 
     def append(self, cycle: int, data: dict) -> None:
         """Durably append one record."""
@@ -220,12 +235,10 @@ class CycleJournal:
             records = self.read()[1:]
             self.overflowed = True
             self._rewrite(records)
-        body = json.dumps(
-            {"cycle": int(cycle), "data": data}, sort_keys=True
-        )
-        line = f"{_sha256(body)[: self._CHECK_LEN]} {body}\n"
+        elif not self._clean:
+            self._rewrite(self.read())
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line)
+            fh.write(self._line(cycle, data))
             fh.flush()
             os.fsync(fh.fileno())
         self._count += 1
@@ -234,27 +247,25 @@ class CycleJournal:
         tmp = self.path.with_suffix(".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
             for rec in records:
-                body = json.dumps(
-                    {"cycle": rec.cycle, "data": rec.data}, sort_keys=True
-                )
-                fh.write(f"{_sha256(body)[: self._CHECK_LEN]} {body}\n")
+                fh.write(self._line(rec.cycle, rec.data))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.path)
         self._count = len(records)
+        self._clean = True
 
-    def read(self) -> list[JournalRecord]:
-        """All valid records, oldest first.
-
-        Stops at the first corrupt line: everything after a torn write is
-        untrustworthy, and a mid-append crash only ever tears the tail.
-        """
-        if not self.path.exists():
-            return []
+    def _scan(self) -> tuple[list[JournalRecord], bool]:
+        """The valid records, and whether they are the whole file (no
+        torn or corrupt line after them, the last one newline-ended)."""
         records: list[JournalRecord] = []
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
+        if not self.path.exists():
+            return records, True
+        ended = True
+        with open(self.path, "rb") as fh:
+            for raw in fh:
+                ended = raw.endswith(b"\n")
+                # Bytes, then text: a torn tail need not be valid UTF-8.
+                line = raw.decode("utf-8", "replace").rstrip("\r\n")
                 if not line:
                     continue
                 check, _, body = line.partition(" ")
@@ -262,7 +273,7 @@ class CycleJournal:
                     not body
                     or _sha256(body)[: self._CHECK_LEN] != check
                 ):
-                    break
+                    return records, False
                 try:
                     doc = json.loads(body)
                     records.append(
@@ -271,8 +282,16 @@ class CycleJournal:
                         )
                     )
                 except (ValueError, KeyError):
-                    break
-        return records
+                    return records, False
+        return records, ended
+
+    def read(self) -> list[JournalRecord]:
+        """All valid records, oldest first.
+
+        Stops at the first corrupt line: everything after a torn write is
+        untrustworthy, and a mid-append crash only ever tears the tail.
+        """
+        return self._scan()[0]
 
     def tail_after(self, cycle: int) -> list[JournalRecord]:
         """Records strictly after ``cycle``, contiguous from ``cycle + 1``.

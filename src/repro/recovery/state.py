@@ -5,24 +5,35 @@ crash destroys — Kalman estimates, power histories, priority flags, and
 the RNG streams that make reruns reproducible.  Restoring that state must
 be *bit-exact*: a restored controller has to produce the same cap vectors
 an uninterrupted one would, or the recovery guarantee degrades into "we
-restarted something".  JSON's float round-trip is exact for finite doubles
-but silently widens dtypes and loses array shapes, so arrays travel as
-base64 of their raw little-endian bytes plus explicit dtype/shape, and
-NumPy ``Generator`` streams travel as their bit-generator state dicts.
+restarted something".
 
 Every stateful component implements the two-method protocol below:
 
-* ``snapshot() -> dict`` — a JSON-serializable document of the complete
-  mutable state;
+* ``snapshot() -> dict`` — a document of the complete mutable state: a
+  tree of dicts, lists and JSON scalars whose array leaves are
+  :func:`encode_array` images (read-only copies, never views of live
+  storage), and whose NumPy ``Generator`` streams are their
+  bit-generator state dicts;
 * ``restore(state) -> None`` — overwrite the component's state with a
   snapshot's content (shapes validated, everything else trusted — the
   checkpoint store authenticates documents by checksum before they get
-  here).
+  here).  ``state`` may be a document as ``snapshot()`` returned it or
+  as it came back from disk; :func:`decode_array` reads both.
+
+A document stays binary until it is written.  :func:`to_json` is the one
+place a tree becomes text — the checkpoint store, the journal and every
+other writer call it — and there an array leaf turns into base64 of its
+raw little-endian bytes plus explicit dtype/shape (JSON's float
+round-trip is exact for finite doubles but silently widens dtypes and
+loses array shapes).  Nothing that only compares or restores documents
+in memory, such as the per-cycle snapshot-idempotence check, pays for
+the text.
 """
 
 from __future__ import annotations
 
 import base64
+import json
 from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
@@ -31,7 +42,9 @@ __all__ = [
     "Snapshottable",
     "encode_array",
     "decode_array",
+    "to_json",
     "rng_state",
+    "rng_state_doc",
     "restore_rng",
     "make_rng",
 ]
@@ -46,28 +59,50 @@ class Snapshottable(Protocol):
     def restore(self, state: dict) -> None: ...
 
 
-def encode_array(arr: np.ndarray) -> dict:
-    """Encode an array as base64 raw bytes with dtype and shape.
+def encode_array(arr: np.ndarray) -> np.ndarray:
+    """An array leaf of a snapshot document: a read-only, little-endian,
+    C-contiguous copy of ``arr`` (at least 1-d).
 
-    The little-endian byte image round-trips every value bit-exactly
-    (floats, bools, ints alike), unlike ``tolist()`` which widens and
-    re-parses.
+    The copy is what makes a document a snapshot: the state it was taken
+    from may move on, the leaf may not.  :func:`to_json` writes a leaf's
+    byte image, which round-trips every value bit-exactly (floats, bools,
+    ints alike), unlike ``tolist()`` which widens and re-parses.
     """
-    a = np.ascontiguousarray(arr)
-    le = a.astype(a.dtype.newbyteorder("<"), copy=False)
+    a = np.asarray(arr)
+    leaf = np.array(a, dtype=a.dtype.newbyteorder("<"), order="C", ndmin=1)
+    leaf.flags.writeable = False
+    return leaf
+
+
+def _leaf_doc(leaf: object) -> dict:
+    """The JSON form of an array leaf (``json.dumps``'s ``default``)."""
+    if not isinstance(leaf, np.ndarray):
+        raise TypeError(
+            f"{type(leaf).__name__} is not part of a snapshot document"
+        )
+    le = np.asarray(leaf, dtype=leaf.dtype.newbyteorder("<"), order="C")
     return {
         "dtype": le.dtype.str,
-        "shape": list(a.shape),
+        "shape": list(le.shape),
         "data": base64.b64encode(le.tobytes()).decode("ascii"),
     }
 
 
-def decode_array(doc: dict) -> np.ndarray:
-    """Reconstruct an array written by :func:`encode_array`.
+def to_json(doc: object, sort_keys: bool = True) -> str:
+    """The JSON text of a snapshot document — the one place state
+    becomes text; array leaves are written as base64 byte images."""
+    return json.dumps(doc, sort_keys=sort_keys, default=_leaf_doc)
+
+
+def decode_array(doc: np.ndarray | dict) -> np.ndarray:
+    """A fresh writable native-order array from an array leaf, given as
+    :func:`encode_array` made it or as :func:`to_json` wrote it.
 
     Raises:
         ValueError: byte payload inconsistent with dtype/shape.
     """
+    if isinstance(doc, np.ndarray):
+        return doc.astype(doc.dtype.newbyteorder("="))
     dtype = np.dtype(doc["dtype"])
     shape = tuple(int(s) for s in doc["shape"])
     raw = base64.b64decode(doc["data"].encode("ascii"))
@@ -82,17 +117,17 @@ def decode_array(doc: dict) -> np.ndarray:
     return arr.astype(dtype.newbyteorder("="), copy=True)
 
 
-def _jsonify(obj: Any) -> Any:
-    """Recursively convert NumPy scalars/arrays in a bit-generator state
-    dict to plain Python types (PCG64 states are ints; Philox/SFC64 carry
-    uint64 arrays)."""
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        return {"__ndarray__": encode_array(obj)}
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
+def rng_state_doc(state: Any) -> Any:
+    """The snapshot document of a raw ``bit_generator.state``: NumPy
+    scalars become Python ones and arrays tagged leaves (PCG64 states are
+    ints; Philox/SFC64 carry uint64 arrays)."""
+    if isinstance(state, dict):
+        return {k: rng_state_doc(v) for k, v in state.items()}
+    if isinstance(state, np.ndarray):
+        return {"__ndarray__": encode_array(state)}
+    if isinstance(state, np.generic):
+        return state.item()
+    return state
 
 
 def _unjsonify(obj: Any) -> Any:
@@ -104,8 +139,8 @@ def _unjsonify(obj: Any) -> Any:
 
 
 def rng_state(rng: np.random.Generator) -> dict:
-    """Capture a ``Generator``'s stream position as a JSON-able document."""
-    return _jsonify(rng.bit_generator.state)
+    """Capture a ``Generator``'s stream position as a snapshot document."""
+    return rng_state_doc(rng.bit_generator.state)
 
 
 def make_rng(state: dict) -> np.random.Generator:

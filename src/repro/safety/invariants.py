@@ -8,8 +8,10 @@ time.  This module turns them into explicit, observable runtime checks:
   the cluster budget;
 * **cap-bounds** — every cap is finite and inside ``[min_cap, max_cap]``
   (modulo the protocol's quantization grid);
-* **readjust-conservation** — the water-fill never hands out more watts
-  than the leftover budget and never shrinks a high-priority unit's cap;
+* **readjust-conservation** — readjust never hands out more watts than
+  the leftover budget; above the manager's ``budget_epsilon`` of
+  leftover (the water-fill) it never shrinks a high-priority unit's cap,
+  at or below it (the equalisation) it leaves them one common cap;
 * **finite-kalman** — every Kalman filter in the manager stack holds
   finite estimates and positive, finite variances;
 * **snapshot-idempotence** — ``restore(snapshot())`` into a fresh
@@ -30,12 +32,12 @@ any subset of names.
 
 from __future__ import annotations
 
-import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.recovery.state import to_json
 from repro.telemetry.log import ResilienceEventLog
 
 __all__ = [
@@ -171,8 +173,12 @@ class CapBounds(Invariant):
 
 
 class ReadjustConservation(Invariant):
-    """The water-fill hands out at most the leftover and never shrinks a
-    high-priority unit (checked from the DPS step introspection)."""
+    """Readjust hands out at most the leftover and keeps the promise of
+    the branch it took — the manager's own ``budget_epsilon`` decides
+    which, as in :func:`repro.core.readjust.readjust`: the water-fill
+    never shrinks a high-priority unit, the equalisation leaves them one
+    common cap and adds no watt (checked from the DPS step
+    introspection)."""
 
     name = "readjust-conservation"
 
@@ -194,14 +200,28 @@ class ReadjustConservation(Invariant):
                     f"readjust handed out {handed:.6f} W with only "
                     f"{leftover:.6f} W leftover"
                 )
-            if leftover > tol:  # Water-fill branch: grants only add.
-                shrunk = np.flatnonzero(
-                    info.priority & (post < pre - 1e-6)
-                )
+            high = np.asarray(info.priority, dtype=bool)
+            if leftover > node.config.readjust.budget_epsilon:
+                # Water-fill branch: grants only add.
+                shrunk = np.flatnonzero(high & (post < pre - 1e-6))
                 if shrunk.size:
                     return (
                         "water-fill shrank high-priority units "
                         f"{shrunk.tolist()}"
+                    )
+            elif high.any():
+                # Equalise branch: above-mean units legitimately shrink.
+                equal = post[high]
+                if np.ptp(equal) > 1e-6:
+                    return (
+                        "equalisation left high-priority caps "
+                        f"{np.ptp(equal):.6f} W apart"
+                    )
+                grown = float(equal.sum()) - float(pre[high].sum())
+                if grown > tol:
+                    return (
+                        "equalisation grew the high-priority caps by "
+                        f"{grown:.6f} W"
                     )
             return None
         return None
@@ -235,24 +255,27 @@ class FiniteKalman(Invariant):
 
 
 def _same_json(a: object, b: object) -> bool:
-    """``json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)``
-    without serialising the bulk of two documents to compare them.
+    """``to_json(a) == to_json(b)`` without writing the text of two
+    documents to compare them.
 
-    A snapshot is a shallow tree whose weight sits in a few base64
-    strings.  JSON text parses back to one tree only, so two containers
-    dump alike exactly when their children do pairwise, and the encoding
-    of an ASCII string is injective, so two of them dump alike exactly
-    when they are equal.  Everything else — numbers (``1`` / ``1.0`` /
-    ``true``, ``-0.0``, NaN all differ or agree as *text*), mixed types,
-    non-string keys, non-ASCII strings (a lone-surrogate pair escapes
-    like the astral character it spells) — is handed to ``json.dumps``
+    A snapshot is a shallow tree whose weight sits in a few array
+    leaves.  JSON text parses back to one tree only, so two containers
+    dump alike exactly when their children do pairwise, and a leaf is
+    written as its dtype, its shape and base64 of its bytes, which is
+    injective, so two leaves that agree on all three dump alike.
+    Everything else — numbers (``1`` / ``1.0`` / ``true``, ``-0.0``, NaN
+    all differ or agree as *text*), strings (a lone-surrogate pair
+    escapes like the astral character it spells), mixed types,
+    non-string keys, leaves that differ — is handed to the text boundary
     itself, a few bytes at a time.
     """
-    if type(a) is str and type(b) is str:
-        if a == b:
+    if type(a) is np.ndarray and type(b) is np.ndarray:
+        if (
+            a.dtype.str == b.dtype.str
+            and a.shape == b.shape
+            and a.tobytes() == b.tobytes()
+        ):
             return True
-        if a.isascii() and b.isascii():
-            return False
     elif type(a) is dict and type(b) is dict:
         if all(type(k) is str and k.isascii() for k in (*a, *b)):
             return a.keys() == b.keys() and all(
@@ -260,13 +283,14 @@ def _same_json(a: object, b: object) -> bool:
             )
     elif isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
         return len(a) == len(b) and all(map(_same_json, a, b))
-    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    return to_json(a) == to_json(b)
 
 
 class SnapshotIdempotence(Invariant):
     """``restore(snapshot())`` into a fresh instance reproduces the
     snapshot (the crash-recovery contract), checked live: the two
-    documents must serialise to the same JSON text."""
+    documents must serialise to the same JSON text, which for array
+    leaves is decided on their bytes."""
 
     name = "snapshot-idempotence"
     expensive = True

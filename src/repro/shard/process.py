@@ -61,6 +61,7 @@ from repro.core.config import ClusterSpec, RaplConfig
 from repro.core.managers import available_managers, create_manager
 from repro.recovery.checkpoint import CheckpointStore, CycleJournal
 from repro.recovery.controller import RecoverableController
+from repro.recovery.state import to_json
 from repro.shard.lease import ArbiterConfig
 from repro.shard.server import HostedShard, ShardServer
 from repro.telemetry.log import ResilienceEventLog
@@ -342,7 +343,9 @@ class ShardHost:
             try:
                 if state is None:
                     return
-                _atomic_write(self.state_path, json.dumps(state))
+                _atomic_write(
+                    self.state_path, to_json(state, sort_keys=False)
+                )
             finally:
                 self._persist_queue.task_done()
 

@@ -107,3 +107,20 @@ def test_faulty_meters_and_node_failure_digest(monkeypatch, tmp_path):
         failures=(NodeFailureEvent(node_id=3, fail_at_s=10.0, recover_at_s=40.0),),
     )
     assert digest == FAULTS_AND_NODE_FAILURE
+
+
+def test_faulty_run_at_half_second_steps_completes_clean(monkeypatch, tmp_path):
+    """At ``dt_s=0.5`` this run passes through leftovers between the
+    invariant's old 1e-6 W water-fill threshold and ``budget_epsilon``
+    (0.961 W with 32 high-priority units), where ``readjust`` equalises
+    and legitimately lowers above-mean units: the strict sweep used to
+    abort it with "water-fill shrank high-priority units"."""
+    run_digest(
+        monkeypatch,
+        tmp_path,
+        dt_s=0.5,
+        fault_config=FaultConfig(
+            stuck_prob=0.03, dropout_prob=0.03, spike_prob=0.02
+        ),
+        failures=(NodeFailureEvent(node_id=3, fail_at_s=10.0, recover_at_s=40.0),),
+    )

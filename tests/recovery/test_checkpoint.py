@@ -107,6 +107,55 @@ class TestCycleJournal:
             fh.write("deadbeef {torn")  # A crash mid-append.
         assert [r.cycle for r in CycleJournal(path).read()] == [1, 2]
 
+    def test_writer_cuts_a_torn_tail_before_its_first_append(self, tmp_path):
+        # Regression: nothing removed the fragment of a crash mid-append,
+        # so the restarted controller glued its next record onto it and
+        # every record from there on — fsynced or not — was unreadable.
+        path = tmp_path / "j.log"
+        journal = CycleJournal(path)
+        for c in (1, 2, 3):
+            journal.append(c, {"x": c})
+        intact = path.read_bytes()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('deadbeefdeadbeef {"cycle": 4, "da')
+        torn = path.read_bytes()
+
+        reopened = CycleJournal(path)
+        # Reading is not writing: the evidence stays until a writer needs
+        # the space behind it.
+        assert len(reopened) == 3
+        assert [r.cycle for r in reopened.read()] == [1, 2, 3]
+        assert [r.cycle for r in reopened.tail_after(0)] == [1, 2, 3]
+        assert path.read_bytes() == torn
+
+        reopened.append(4, {"x": 4})
+        reopened.append(5, {"x": 5})
+        assert path.read_bytes().startswith(intact)
+        assert [r.cycle for r in reopened.read()] == [1, 2, 3, 4, 5]
+        assert [r.cycle for r in reopened.tail_after(0)] == [1, 2, 3, 4, 5]
+        assert [r.data for r in CycleJournal(path).read()] == [
+            {"x": c} for c in (1, 2, 3, 4, 5)
+        ]
+
+    def test_record_torn_at_its_newline_is_kept_and_closed(self, tmp_path):
+        path = tmp_path / "j.log"
+        journal = CycleJournal(path)
+        for c in (1, 2):
+            journal.append(c, {"x": c})
+        path.write_bytes(path.read_bytes()[:-1])  # All of it but the "\n".
+
+        reopened = CycleJournal(path)
+        assert [r.cycle for r in reopened.read()] == [1, 2]
+        reopened.append(3, {"x": 3})
+        assert [r.cycle for r in CycleJournal(path).read()] == [1, 2, 3]
+
+    def test_garbage_bytes_in_the_tail_stop_the_read(self, tmp_path):
+        path = tmp_path / "j.log"
+        CycleJournal(path).append(1, {})
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe\x00 not utf-8")
+        assert [r.cycle for r in CycleJournal(path).read()] == [1]
+
     def test_corrupt_middle_line_stops_replay(self, tmp_path):
         path = tmp_path / "j.log"
         journal = CycleJournal(path)

@@ -132,6 +132,42 @@ class TestResume:
                 == np.asarray(reference.step(p)).tobytes()
             )
 
+    def test_second_crash_after_a_torn_append_loses_nothing(self, tmp_path):
+        # Crash mid-append, resume, step twice (both records fsynced),
+        # crash again before the next checkpoint.  The fragment of the
+        # first crash used to swallow both records, silently rewinding
+        # the second resume two cycles behind the caps it had actuated.
+        stream = inputs(20)
+        reference = bound_manager(seed=5)
+        want = [np.asarray(reference.step(p)).copy() for p in stream]
+
+        def revive():
+            ctl = RecoverableController(
+                create_manager("dps"),
+                CheckpointStore(tmp_path),
+                CycleJournal(tmp_path / "journal.log"),
+                checkpoint_every=5,
+            )
+            assert ctl.resume() is True
+            return ctl
+
+        ctl = make_controller(tmp_path, seed=5, every=5)
+        for power in stream[:12]:
+            ctl.step(power)  # Checkpoint at 10; cycles 11-12 journaled.
+        with open(ctl.journal.path, "a", encoding="utf-8") as fh:
+            fh.write('deadbeefdeadbeef {"cycle": 13, "da')
+
+        second = revive()
+        assert (second.cycle, second.replayed) == (12, 2)
+        got = [np.asarray(second.step(p)).copy() for p in stream[12:14]]
+
+        third = revive()
+        assert (third.cycle, third.replayed) == (14, 4)
+        got += [np.asarray(third.step(p)).copy() for p in stream[14:]]
+        for g, w in zip(got, want[12:]):
+            assert g.tobytes() == w.tobytes()
+        assert third.manager.snapshot()["rng"] == reference.snapshot()["rng"]
+
     def test_corrupt_newest_generation_reported_and_skipped(self, tmp_path):
         ctl = make_controller(tmp_path, every=5)
         for power in inputs(10):

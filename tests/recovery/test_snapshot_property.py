@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.managers import available_managers, create_manager
+from repro.recovery.state import to_json
 
 N_UNITS = 4
 BUDGET_W = 440.0
@@ -70,7 +71,7 @@ def test_restore_midstream_is_bit_identical(name, seed, k, n):
     first = bind(create_manager(name), seed)
     head = drive(first, inputs[:k])
     # The snapshot travels as JSON, exactly as a checkpoint would store it.
-    state = json.loads(json.dumps(first.snapshot()))
+    state = json.loads(to_json(first.snapshot()))
 
     second = create_manager(name)
     second.restore(state)
@@ -78,6 +79,57 @@ def test_restore_midstream_is_bit_identical(name, seed, k, n):
 
     for got, want in zip(head + tail, uninterrupted):
         assert got.tobytes() == want.tobytes()
+
+
+def array_leaves(doc):
+    if isinstance(doc, np.ndarray):
+        yield doc
+    elif isinstance(doc, dict):
+        for value in doc.values():
+            yield from array_leaves(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from array_leaves(value)
+
+
+@pytest.mark.parametrize("name", available_managers())
+def test_document_is_a_copy_of_the_state_not_a_view(name):
+    inputs = make_inputs(12, seed=5)
+    manager = bind(create_manager(name), 3)
+    drive(manager, inputs[:6])
+    doc = manager.snapshot()
+    text = to_json(doc)
+    leaves = list(array_leaves(doc))
+    assert leaves  # Every manager snapshots at least its caps.
+
+    # The live manager moves on; the document does not.
+    drive(manager, inputs[6:])
+    manager._caps[:] = -1.0
+    assert to_json(doc) == text
+    # Nobody can move it by hand either.
+    for leaf in leaves:
+        with pytest.raises(ValueError, match="read-only"):
+            leaf[...] = 0
+
+
+@pytest.mark.parametrize("name", available_managers())
+def test_one_document_restores_into_independent_managers(name):
+    inputs = make_inputs(12, seed=6)
+    source = bind(create_manager(name), 4)
+    drive(source, inputs[:6])
+    doc = source.snapshot()
+    text = to_json(doc)
+    want = drive(source, inputs[6:])
+
+    first, second = create_manager(name), create_manager(name)
+    first.restore(doc)
+    second.restore(doc)
+    got = drive(first, inputs[6:])
+    # Stepping one neither moved the document nor the other manager.
+    assert to_json(doc) == text
+    assert to_json(second.snapshot()) == text
+    for a, b, w in zip(got, drive(second, inputs[6:]), want):
+        assert a.tobytes() == b.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("name", available_managers())

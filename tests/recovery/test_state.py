@@ -11,6 +11,7 @@ from repro.recovery.state import (
     make_rng,
     restore_rng,
     rng_state,
+    to_json,
 )
 
 
@@ -30,6 +31,11 @@ class TestArrayCodec:
         assert out.dtype == arr.dtype
         assert out.shape == arr.shape
         assert out.tobytes() == arr.tobytes()
+        # And the same through the text a checkpoint stores.
+        out = decode_array(json.loads(to_json(encode_array(arr))))
+        assert out.dtype == arr.dtype
+        assert out.shape == arr.shape
+        assert out.tobytes() == arr.tobytes()
 
     def test_nan_payload_survives(self):
         arr = np.array([np.nan, 1.0])
@@ -38,7 +44,7 @@ class TestArrayCodec:
 
     def test_document_is_json_serializable(self):
         doc = encode_array(np.array([1.5, 2.5]))
-        out = decode_array(json.loads(json.dumps(doc)))
+        out = decode_array(json.loads(to_json(doc)))
         assert out.tolist() == [1.5, 2.5]
 
     def test_non_contiguous_input(self):
@@ -50,8 +56,38 @@ class TestArrayCodec:
         out[0] = 9.0  # Must not raise: restores assign in place.
         assert out[0] == 9.0
 
+    def test_leaf_is_a_read_only_copy(self):
+        arr = np.array([1.0, 2.0])
+        leaf = encode_array(arr)
+        arr[0] = 9.0
+        assert leaf.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError, match="read-only"):
+            leaf[0] = 9.0
+
+    @pytest.mark.parametrize(
+        "words, shape",
+        [
+            # NaN payloads, both zeros, a subnormal: nothing a float
+            # comparison or a decimal round trip would tell apart.
+            ([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001], (3,)),
+            ([0x0000000000000000, 0x8000000000000000, 1, 0x3FF0000000000000], (2, 2)),
+            ([], (0,)),
+        ],
+    )
+    def test_leaf_and_its_json_round_trip_decode_alike(self, words, shape):
+        state = np.array(words, dtype=np.uint64).view(np.float64).reshape(shape)
+        leaf = encode_array(state)
+        direct = decode_array(leaf)
+        via_disk = decode_array(json.loads(to_json(leaf)))
+        for out in (direct, via_disk):
+            assert out.dtype == np.float64 and out.shape == shape
+            assert out.flags.writeable and not np.shares_memory(out, leaf)
+            assert out.view(np.uint64).tolist() == np.reshape(
+                np.array(words, dtype=np.uint64), shape
+            ).tolist()
+
     def test_corrupt_byte_count_rejected(self):
-        doc = encode_array(np.array([1.0, 2.0, 3.0]))
+        doc = json.loads(to_json(encode_array(np.array([1.0, 2.0, 3.0]))))
         doc["shape"] = [2]
         with pytest.raises(ValueError, match="byte"):
             decode_array(doc)
@@ -63,7 +99,7 @@ class TestRngCodec:
         rng.standard_normal(13)
         state = rng_state(rng)
         a = rng.standard_normal(50)
-        b = make_rng(json.loads(json.dumps(state))).standard_normal(50)
+        b = make_rng(json.loads(to_json(state))).standard_normal(50)
         assert a.tobytes() == b.tobytes()
 
     def test_restore_rng_in_place(self):
@@ -88,6 +124,17 @@ class TestRngCodec:
         src.integers(0, 10, size=4)
         clone = make_rng(rng_state(src))
         assert type(clone.bit_generator) is np.random.Philox
+        assert (
+            clone.integers(0, 10, size=8).tobytes()
+            == src.integers(0, 10, size=8).tobytes()
+        )
+
+    def test_array_carrying_state_survives_the_disk(self):
+        # Philox keeps its counter and key in uint64 arrays: leaves in
+        # the document, dicts once it has been written and read back.
+        src = np.random.Generator(np.random.Philox(5))
+        src.integers(0, 10, size=4)
+        clone = make_rng(json.loads(to_json(rng_state(src))))
         assert (
             clone.integers(0, 10, size=8).tobytes()
             == src.integers(0, 10, size=8).tobytes()

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import managers
+from repro.core.config import DPSConfig, ReadjustConfig
+from repro.core.dps import DPSStepInfo
 from repro.core.managers import create_manager
-from repro.recovery.state import decode_array, encode_array
+from repro.core.readjust import readjust
+from repro.recovery.state import decode_array, encode_array, to_json
 from repro.safety import (
     Invariant,
     InvariantContext,
@@ -127,6 +131,92 @@ class TestManagerChecks:
         assert check("snapshot-idempotence", ctx(caps, mgr)) is None
 
 
+class TestReadjustBranchRule:
+    """The invariant takes the branch ``readjust`` took — the manager's
+    own ``budget_epsilon`` — and holds it to that branch's promise."""
+
+    BUDGET_W = 440.0
+    HIGH = np.array([True, True, False, False])
+
+    def node(self, pre, post, epsilon=1.0):
+        pre, post = np.asarray(pre, float), np.asarray(post, float)
+        info = DPSStepInfo(
+            estimate_w=pre,
+            stateless_caps_w=pre,
+            priority=self.HIGH,
+            high_freq=self.HIGH,
+            restored=False,
+            caps_w=post,
+            grants_w=np.maximum(post - pre, 0.0),
+        )
+        config = DPSConfig(readjust=ReadjustConfig(budget_epsilon=epsilon))
+        return SimpleNamespace(
+            last_info=info, budget_w=self.BUDGET_W, config=config
+        )
+
+    def verdict(self, pre, post, epsilon=1.0):
+        return check(
+            "readjust-conservation", ctx(manager=self.node(pre, post, epsilon))
+        )
+
+    def decided(self, pre, epsilon=1.0):
+        return readjust(
+            np.asarray(pre, float),
+            self.HIGH,
+            self.BUDGET_W,
+            165.0,
+            False,
+            ReadjustConfig(budget_epsilon=epsilon),
+        )
+
+    @pytest.mark.parametrize("leftover", [0.0, 1e-3, 0.5, 0.961, 1.0])
+    def test_equalising_below_epsilon_is_legitimate(self, leftover):
+        # Between the old 1e-6 W threshold and budget_epsilon the
+        # above-mean unit is lowered on purpose; that is not a shrink.
+        pre = [100.0, 120.0, 110.0, 110.0 - leftover]
+        post = self.decided(pre)
+        assert post[0] == post[1] == 110.0
+        assert self.verdict(pre, post) is None
+
+    @pytest.mark.parametrize("leftover", [1.0 + 1e-9, 1.5, 20.0])
+    def test_water_fill_above_epsilon_holds(self, leftover):
+        pre = [100.0, 120.0, 110.0, 110.0 - leftover]
+        post = self.decided(pre)
+        assert np.all(post >= pre) and post[0] > 100.0
+        assert self.verdict(pre, post) is None
+
+    def test_the_branch_is_the_managers_own_epsilon(self):
+        pre = [100.0, 120.0, 110.0, 108.5]  # 1.5 W left over.
+        equalised = self.decided(pre, epsilon=2.0)
+        assert equalised[1] == 110.0
+        assert self.verdict(pre, equalised, epsilon=2.0) is None
+        detail = self.verdict(pre, equalised, epsilon=1.0)
+        assert detail is not None and "water-fill shrank" in detail
+
+    def test_shrinking_water_fill_still_flagged(self):
+        pre = [100.0, 120.0, 110.0, 90.0]  # 20 W left over.
+        detail = self.verdict(pre, [125.0, 115.0, 110.0, 90.0])
+        assert detail is not None
+        assert "water-fill shrank high-priority units [1]" in detail
+
+    def test_unequal_equalisation_flagged(self):
+        pre = [100.0, 120.0, 110.0, 109.5]
+        detail = self.verdict(pre, [109.0, 111.0, 110.0, 109.5])
+        assert detail is not None and "apart" in detail
+
+    def test_equalisation_that_adds_watts_flagged(self):
+        pre = [100.0, 120.0, 110.0, 109.1]  # 0.9 W left over.
+        detail = self.verdict(pre, [110.25, 110.25, 110.0, 109.1])
+        assert detail is not None and "grew" in detail
+
+    def test_overspending_flagged_in_either_branch(self):
+        for last in (109.5, 90.0):
+            pre = [100.0, 120.0, 110.0, last]
+            post = [130.0, 130.0, 110.0, last]
+            detail = self.verdict(pre, post)
+            assert detail is not None and "handed out" in detail
+
+
 def _history_cursor_off_by_one(doc):
     history = doc["state"]["history"]
     history["head"] = (history["head"] + 1) % 20
@@ -197,7 +287,45 @@ class TestSnapshotIdempotenceFires:
         assert detail is not None and "not reproduced" in detail
 
 
+#: Words whose readings differ by dtype: ±0.0, 1.0, three NaN payloads
+#: and the smallest subnormal as f8 are 0, INT64_MIN, ... as i8.
+_WORDS = [
+    0x0000000000000000, 0x8000000000000000, 0x3FF0000000000000,
+    0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+    0x0000000000000001,
+]
+_SHAPES = {
+    0: [(0,), (0, 0), (1, 0), (0, 2)],
+    1: [(), (1,), (1, 1)],
+    2: [(2,), (1, 2), (2, 1)],
+    4: [(4,), (2, 2), (1, 4)],
+}
+
+
+@st.composite
+def _leaf_bytes(draw):
+    """The byte image of a small array and its item size."""
+    n = draw(st.sampled_from(sorted(_SHAPES)))
+    if draw(st.booleans()):
+        words = draw(st.lists(st.sampled_from(_WORDS), min_size=n, max_size=n))
+        return np.array(words, dtype="<u8").tobytes(), 8
+    return bytes(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))), 1
+
+
+def _readings(raw, itemsize):
+    """The read-only array leaves, 0-d to 2-d, that hold ``raw``: the
+    same bytes under every dtype of the item size and every shape of the
+    item count — the cases a bitwise compare must not confuse."""
+    return st.builds(
+        lambda dtype, shape: np.frombuffer(raw, dtype=dtype).reshape(shape),
+        st.sampled_from(["<f8", "<i8", ">f8"] if itemsize == 8 else ["|b1", "|i1"]),
+        st.sampled_from(_SHAPES[len(raw) // itemsize]),
+    )
+
+
+_ARRAY_LEAVES = _leaf_bytes().flatmap(lambda image: _readings(*image))
 _LEAVES = st.one_of(
+    _ARRAY_LEAVES,
     st.none(),
     st.booleans(),
     st.sampled_from([0, 1, -1, 2**63, 0.0, -0.0, 1.0, -1.0, math.nan, math.inf]),
@@ -219,12 +347,16 @@ _DOCS = st.recursive(
 
 
 def _dumps_equal(a, b) -> bool:
-    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    return to_json(a, sort_keys=True) == to_json(b, sort_keys=True)
+
+
+def _leaf(*values, dtype="<f8"):
+    return encode_array(np.array(values, dtype=dtype))
 
 
 class TestSameJson:
-    """The document comparison behind snapshot-idempotence is
-    ``json.dumps`` equality, decided without building the strings."""
+    """The document comparison behind snapshot-idempotence is equality
+    of the text the boundary would write, decided without writing it."""
 
     @given(_DOCS, _DOCS)
     def test_agrees_with_dumps_on_independent_documents(self, a, b):
@@ -248,6 +380,14 @@ class TestSameJson:
         assert _same_json(doc, other) is _dumps_equal(doc, other)
         assert _same_json(doc, copy.deepcopy(doc))
 
+    @given(_DOCS, _leaf_bytes(), st.data())
+    def test_agrees_with_dumps_on_two_readings_of_the_same_bytes(
+        self, rest, image, data
+    ):
+        a = {"rest": rest, "leaf": data.draw(_readings(*image))}
+        b = {"rest": rest, "leaf": data.draw(_readings(*image))}
+        assert _same_json(a, b) is _dumps_equal(a, b)
+
     @pytest.mark.parametrize(
         "a, b",
         [
@@ -263,6 +403,30 @@ class TestSameJson:
     def test_type_strictness_matches_json_text(self, a, b):
         assert _same_json(a, b) is _dumps_equal(a, b)
         assert _same_json(b, a) is _dumps_equal(b, a)
+
+    @pytest.mark.parametrize(
+        "a, b, same",
+        [
+            (_leaf(1.0, 2.0), _leaf(1.0, 2.0), True),
+            (_leaf(0.0), _leaf(-0.0), False),
+            (_leaf(math.nan), _leaf(math.nan), True),
+            (_leaf(math.nan), -_leaf(math.nan), False),
+            (_leaf(1.0), _leaf(np.nextafter(1.0, 2.0)), False),
+            (_leaf(1.0, 2.0), _leaf(1.0, 2.0).reshape(1, 2), False),
+            (_leaf(1.0), _leaf(1.0).view("<i8"), False),
+            (_leaf(1.0), _leaf(1.0, dtype="<f4"), False),
+            (_leaf(1.0), [1.0], False),
+            (encode_array(np.array([True])), encode_array(np.int8([1])), False),
+            # The same leaf before and after the disk, and under a byte
+            # order the boundary normalises away.
+            (_leaf(1.0, -0.0), json.loads(to_json(_leaf(1.0, -0.0))), True),
+            (_leaf(1.0), np.array([1.0], dtype=">f8"), True),
+            ({"p": _leaf(1.0), "n": 1}, {"n": 1, "p": _leaf(1.0)}, True),
+        ],
+    )
+    def test_array_leaves_compare_as_their_text(self, a, b, same):
+        assert _dumps_equal(a, b) is same
+        assert _same_json(a, b) is same and _same_json(b, a) is same
 
 
 class TestMonitor:
