@@ -1069,10 +1069,17 @@ def _cmd_report(args: argparse.Namespace) -> str:
 
 def _cmd_list(args: argparse.Namespace) -> str:
     del args
+    from repro.core import _native
     from repro.core.managers import available_managers
     from repro.workloads.registry import all_workloads
 
-    lines = ["managers: " + ", ".join(available_managers()), "workloads:"]
+    compiled, detail = _native.status()
+    lines = [
+        "managers: " + ", ".join(available_managers()),
+        f"decision kernels: {'compiled' if compiled else 'python fallback'} "
+        f"({detail})",
+        "workloads:",
+    ]
     for spec in all_workloads().values():
         lines.append(
             f"  {spec.name:12s} {spec.suite:5s} {spec.power_class:4s} "

@@ -1,22 +1,29 @@
-"""On-demand compiled kernel behind the decision core's peak features.
+"""On-demand compiled kernels behind the decision core's per-unit stages.
 
-The batched prominent-peak counter is the one part of the DPS decision
-whose work per unit is a data-dependent scalar walk — the shape NumPy is
-worst at.  This module compiles ``_peaks_kernel.c`` (a literal C
-transcription of the Python walk, bit-exact by construction) with the
-system C compiler the first time the kernel is requested, caches the
-shared object under a hash of the source and the host CPU, and exposes it
+Four stages of the DPS decision do a few flops per unit behind a
+data-dependent walk or a chain of whole-array temporaries: the batched
+prominent-peak counter, Algorithm 1's decrease pass and random-order
+increase walk, the scalar Kalman update and Algorithm 2's flag
+transitions.  This module compiles ``_peaks_kernel.c`` (C transcriptions
+of the per-unit definitions, bit-exact by construction) with the system C
+compiler the first time a kernel is requested, caches the shared object
+under a hash of the source and the host CPU, and exposes the entry points
 through ctypes.
 
-Everything degrades gracefully: no compiler or a failed build makes
-:func:`peak_features` return ``None``, and its one caller,
-:func:`repro.core.peaks.fill_features`, runs the same walk in Python.
+Everything degrades gracefully, and all at once: no compiler, a failed
+build or a missing symbol makes :func:`kernels` return ``None``, and each
+call site (:func:`repro.core.peaks.fill_features`,
+:func:`repro.core.stateless.mimd_step`,
+:meth:`repro.core.kalman.KalmanBank.update`,
+:meth:`repro.core.priority.PriorityModule.update`) runs its Python/NumPy
+fallback, which returns the same bits.  :func:`status` says which of the
+two this process runs, and why.
 
 Environment:
     ``REPRO_NATIVE_CACHE``: directory the compiled ``.so`` is cached in
         (default: ``<tempdir>/repro-native``).
-    ``CC``: C compiler to use (default: first of ``cc``/``gcc``/``clang``
-        on PATH).
+    ``CC``: C compiler to use, with arguments if any (``"ccache gcc"``;
+        default: first of ``cc``/``gcc``/``clang`` on PATH).
 """
 
 from __future__ import annotations
@@ -25,16 +32,25 @@ import ctypes
 import hashlib
 import os
 import platform
+import shlex
 import shutil
 import subprocess
 import tempfile
 import threading
+import warnings
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-__all__ = ["MAX_HISTORY", "peak_features"]
+__all__ = [
+    "MAX_HISTORY",
+    "Kernels",
+    "Pinned",
+    "kernels",
+    "peak_features",
+    "status",
+]
 
 #: Longest history the kernel's stack buffer accepts; longer histories
 #: take the Python walk (must match REPRO_MAX_H in the C source).
@@ -43,18 +59,72 @@ MAX_HISTORY = 64
 _SOURCE = Path(__file__).with_name("_peaks_kernel.c")
 
 _lock = threading.Lock()
+#: ``fn`` is the resolved :class:`Kernels` (or None); ``detail`` joins it
+#: at resolution.
 _cache: dict = {"resolved": False, "fn": None}
 
 
-def _find_compiler() -> str | None:
+class Kernels(NamedTuple):
+    """The compiled entry points, resolved together or not at all.
+
+    ``peak_features`` is the checked wrapper of :func:`_load`; the other
+    four are the raw C functions of ``_peaks_kernel.c`` and read and write
+    through the addresses they are given.  Each has one Python call site,
+    which hands it only C-contiguous arrays of the element type and
+    length the C signature names.
+    """
+
+    peak_features: Callable
+    mimd_decrease: Callable
+    mimd_increase: Callable
+    kalman_update: Callable
+    classify: Callable
+
+
+class Pinned:
+    """Addresses of arrays that live as long as their owner, taken once.
+
+    ``arr.ctypes.data`` costs about as much as a whole 20-unit kernel
+    call, so an owner that allocated its arrays itself (C-contiguous, of
+    the kernel's element type) and only ever writes them in place takes
+    their addresses at construction.  The arrays are held here (an
+    address stays valid while this object does), and a pickle or deepcopy
+    of the owner takes the addresses again from the *copied* arrays
+    instead of carrying over pointers into the original's.
+    """
+
+    __slots__ = ("arrays", "at")
+
+    def __init__(self, *arrays: np.ndarray) -> None:
+        self.arrays = arrays
+        self.at = tuple(arr.ctypes.data for arr in arrays)
+
+    def __reduce__(self) -> tuple:
+        return (Pinned, self.arrays)
+
+
+class _Unavailable(Exception):
+    """Why this host runs the fallback; the message is the reason."""
+
+
+def _find_compiler() -> list[str]:
+    """The compiler's argv prefix: ``$CC`` split as a shell would, its
+    first word resolved on PATH, else the first stock name found."""
     cc = os.environ.get("CC")
     if cc:
-        return shutil.which(cc)
+        try:
+            words = shlex.split(cc)
+        except ValueError:
+            words = []
+        path = shutil.which(words[0]) if words else None
+        if path is None:
+            raise _Unavailable(f"CC={cc!r} names no executable on PATH")
+        return [path, *words[1:]]
     for name in ("cc", "gcc", "clang"):
         path = shutil.which(name)
         if path:
-            return path
-    return None
+            return [path]
+    raise _Unavailable("no C compiler (cc, gcc, clang) on PATH")
 
 
 def _host_fingerprint() -> str:
@@ -89,15 +159,27 @@ def _lib_path(source: bytes, fingerprint: str) -> Path:
     return cache_root / f"peaks-{digest.hexdigest()[:16]}.so"
 
 
-def _build_library() -> Path | None:
-    """Compile the kernel into the cache directory, or return None."""
-    cc = _find_compiler()
-    if cc is None:
-        return None
+def _compile(argv: list[str]) -> None:
+    """Run one compiler command; a failure carries the end of its stderr."""
     try:
-        source = _SOURCE.read_bytes()
-    except OSError:
-        return None
+        done = subprocess.run(argv, capture_output=True, timeout=120)
+    except subprocess.TimeoutExpired:
+        raise _Unavailable(f"{argv[0]} timed out") from None
+    if done.returncode != 0:
+        said = done.stderr.decode(errors="replace").strip().splitlines()[-3:]
+        raise _Unavailable(
+            " | ".join([f"{argv[0]} exited {done.returncode}", *said])
+        )
+
+
+def _build_library(cc: list[str]) -> Path:
+    """Compile the kernels into the cache directory with ``cc``.
+
+    Raises:
+        _Unavailable: the compiler refused the source.
+        OSError: the source or the cache directory is out of reach.
+    """
+    source = _SOURCE.read_bytes()
     lib_path = _lib_path(source, _host_fingerprint())
     cache_root = lib_path.parent
     if lib_path.exists():
@@ -113,27 +195,15 @@ def _build_library() -> Path | None:
         # CPU, so host-specific codegen is safe, and cmov emission for the
         # walks is worth ~4x here; some compilers reject the flag, hence
         # the plain retry.
-        base = [cc, "-O3", "-fPIC", "-shared", "-ffp-contract=off"]
+        base = cc + ["-O3", "-fPIC", "-shared", "-ffp-contract=off"]
         tail = [str(_SOURCE), "-o", tmp_name, "-lm"]
         try:
-            subprocess.run(
-                base + ["-march=native"] + tail,
-                check=True,
-                capture_output=True,
-                timeout=120,
-            )
-        except subprocess.SubprocessError:
-            subprocess.run(
-                base + tail,
-                check=True,
-                capture_output=True,
-                timeout=120,
-            )
+            _compile(base + ["-march=native"] + tail)
+        except _Unavailable:
+            _compile(base + tail)
         os.replace(tmp_name, lib_path)  # atomic publish for parallel runs
         tmp_name = None
         return lib_path
-    except (OSError, subprocess.SubprocessError):
-        return None
     finally:
         if tmp_name is not None:
             try:
@@ -142,34 +212,50 @@ def _build_library() -> Path | None:
                 pass
 
 
-def _load() -> Callable | None:
-    # The kernel writes peak counts through C long; bail out on platforms
+_P, _L, _D = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+# Pointers travel as plain addresses: ``arr.ctypes.data`` costs about half
+# of ``data_as(POINTER(...))``, which at the paper's 20 units was most of
+# the call.
+_SIGNATURES = {
+    "repro_peak_features": (None, [_P, _L, _L, _D, _P, _P, _P, _L, _D]),
+    "repro_mimd_decrease": (None, [_P, _P, _P, _L, _D, _D, _D, _D]),
+    "repro_mimd_increase": (_D, [_P, _P, _P, _P, _L, _D, _D, _D, _D]),
+    "repro_kalman_update": (None, [_P, _P, _P, _L, _D, _D]),
+    "repro_classify": (
+        None,
+        [_P, _P, _P, _P, _P, _L, ctypes.c_int, _D, _D, _D, _D],
+    ),
+}
+
+
+def _load() -> tuple[Kernels | None, str]:
+    """``(kernels, detail)``: every entry point and the library's path, or
+    None and the reason.  Warns when a compiler was found and still no
+    library came of it -- the one case a host's owner can fix."""
+    # The kernels index and count through C long; bail out on platforms
     # where that is not np.intp (e.g. LLP64) rather than corrupt memory.
     if ctypes.sizeof(ctypes.c_long) != np.dtype(np.intp).itemsize:
-        return None
-    lib_path = _build_library()
-    if lib_path is None:
-        return None
+        return None, "C long is not numpy.intp on this platform"
     try:
+        cc = _find_compiler()
+    except _Unavailable as why:
+        return None, str(why)
+    try:
+        lib_path = _build_library(cc)
         lib = ctypes.CDLL(str(lib_path))
-        raw = lib.repro_peak_features
-    except (OSError, AttributeError):
-        return None
-    raw.restype = None
-    # Pointers travel as plain addresses: ``arr.ctypes.data`` costs about
-    # half of ``data_as(POINTER(...))``, which at the paper's 20 units was
-    # most of the call.
-    raw.argtypes = [
-        ctypes.c_void_p,
-        ctypes.c_long,
-        ctypes.c_long,
-        ctypes.c_double,
-        ctypes.c_void_p,
-        ctypes.c_void_p,
-        ctypes.c_void_p,
-        ctypes.c_long,
-        ctypes.c_double,
-    ]
+        raws = [getattr(lib, name) for name in _SIGNATURES]
+    except (_Unavailable, OSError, AttributeError) as why:
+        warnings.warn(
+            "decision kernels unavailable, running the Python fallback "
+            f"(same results, slower at scale): {why}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return None, str(why)
+    for fn, (restype, argtypes) in zip(raws, _SIGNATURES.values()):
+        fn.restype = restype
+        fn.argtypes = argtypes
+    raw = raws[0]
 
     def call(
         history: np.ndarray,
@@ -203,16 +289,32 @@ def _load() -> Callable | None:
             std_threshold,
         )
 
-    return call
+    return Kernels(call, *raws[1:]), str(lib_path)
+
+
+def kernels() -> Kernels | None:
+    """The compiled entry points, or None when this host runs the fallback.
+
+    Thread-safe and memoized: the build runs at most once per process,
+    and once it has, a call (several per control step) takes no lock.
+    """
+    cache = _cache
+    if not cache["resolved"]:
+        with _lock:
+            if not cache["resolved"]:
+                cache["fn"], cache["detail"] = _load()
+                cache["resolved"] = True  # Last: readers do not lock.
+    return cache["fn"]
 
 
 def peak_features() -> Callable | None:
-    """The compiled feature kernel, or None when unavailable.
+    """The compiled feature kernel, or None when unavailable."""
+    found = kernels()
+    return None if found is None else found.peak_features
 
-    Thread-safe and memoized: the build runs at most once per process.
-    """
-    with _lock:
-        if not _cache["resolved"]:
-            _cache["fn"] = _load()
-            _cache["resolved"] = True
-        return _cache["fn"]
+
+def status() -> tuple[bool, str]:
+    """``(compiled, detail)``: whether the kernels run here, and the
+    shared object's path or the reason they do not."""
+    cache = _cache
+    return kernels() is not None, cache.get("detail", "switched off")

@@ -1,9 +1,10 @@
-/* Per-column peak/std features for the DPS decision core.
+/* The per-unit stages of the DPS decision core: peak/std features here,
+ * Algorithm 1, the Kalman bank and Algorithm 2's flags at the end.
  *
  * Compiled on demand by repro.core._native (cc -O3 -shared); when no C
  * compiler is available, repro.core.peaks.fill_features runs the same
  * algorithm in Python (the per-column walk plus a row-sequential std) and
- * returns the same bits.
+ * returns the same bits, and the other stages run as NumPy passes.
  *
  * Semantics are the `_count_walk` oracle in peaks.py: a candidate maximum
  * is strictly above its left neighbour and not below its right one; each
@@ -167,5 +168,111 @@ void repro_peak_features(const double *x, long h, long n,
             }
             pp_out[b0 + c] = count;
         }
+    }
+}
+
+/* The other three per-unit stages of the decision, each one pass that
+ * transcribes the per-unit definition in tests/core/oracles.py operation
+ * for operation (plain IEEE double under -ffp-contract=off, so the bits
+ * are the oracle's and the NumPy fallback's).  No function below sums an
+ * array, draws a number or keeps state between calls: caps.sum() and
+ * rng.permutation(n) stay in Python, between the two MIMD calls. */
+
+/* Algorithm 1 lines 5-8, the decrease pass (oracles._decrease_loop): a
+ * unit drawing less than dec_threshold of its cap has the cap lowered to
+ * max(power, cap * dec_factor) clipped to [min_cap, max_cap]; changed[u]
+ * says whether that moved it.  Ties go as in Python's
+ * min(max(max(p, low), lo), hi): the first argument keeps one, which only
+ * shows in the sign of a zero.  Computed for every unit and selected, so
+ * the loop vectorizes. */
+void repro_mimd_decrease(const double *power, double *caps,
+                         unsigned char *changed, long n,
+                         double dec_threshold, double dec_factor,
+                         double min_cap, double max_cap) {
+    for (long u = 0; u < n; u++) {
+        double cap = caps[u], p = power[u];
+        double low = cap * dec_factor;
+        low = low > p ? low : p;
+        low = low < min_cap ? min_cap : low;
+        low = low > max_cap ? max_cap : low;
+        int dec = p < cap * dec_threshold;
+        changed[u] = (unsigned char)(dec & (low != cap));
+        caps[u] = dec ? low : cap;
+    }
+}
+
+/* Algorithm 1 lines 10-14, the increase walk (oracles._increase_loop) in
+ * the order of the permutation the caller drew: a unit drawing more than
+ * inc_threshold of its cap grows to min(cap * inc_factor, max_cap), by no
+ * more than the budget still unassigned.  Returns that budget.  It only
+ * ever falls, so the oracle's "skip while avail <= 0" ends the walk. */
+double repro_mimd_increase(const double *power, double *caps,
+                           unsigned char *changed, const long *order,
+                           long n, double avail, double inc_threshold,
+                           double inc_factor, double max_cap) {
+    for (long k = 0; k < n && avail > 0.0; k++) {
+        long u = order[k];
+        double cap = caps[u];
+        if (!(power[u] > cap * inc_threshold))
+            continue;
+        double target = cap * inc_factor;
+        target = target < max_cap ? target : max_cap;
+        double grow = target - cap;
+        grow = grow < avail ? grow : avail;
+        if (grow <= 0.0)
+            continue;
+        caps[u] = cap + grow;
+        avail -= grow;
+        changed[u] = 1;
+    }
+    return avail;
+}
+
+/* Scalar Kalman predict/update per unit (oracles._kalman_loop): random
+ * walk with process variance q, direct observation z with noise
+ * variance r. */
+void repro_kalman_update(double *x, double *p, const double *z, long n,
+                         double q, double r) {
+    for (long u = 0; u < n; u++) {
+        double pu = p[u] + q;
+        double g = pu / (pu + r);
+        double xu = x[u];
+        x[u] = xu + g * (z[u] - xu);
+        p[u] = pu * (1.0 - g);
+    }
+}
+
+/* Algorithm 2's flag transitions (oracles._classify_loop), one unit at a
+ * time from the flags as the unit entered.  The walk's ladder is computed
+ * as selects, not branches: at cluster scale every test is a coin flip
+ * per unit (measured at 100k units on mixed flags: 1.0 ms branching,
+ * against 0.23 ms for the NumPy masks).  set: an unflagged unit over the
+ * peak threshold is flagged and pinned high; clear: a flagged unit under
+ * both thresholds drops flag and priority; only a unit that entered
+ * unflagged and stayed so takes the derivative test (lines 10-15), whose
+ * two outcomes exclude each other (deriv_inc_threshold > 0 >
+ * deriv_dec_threshold).  A flag byte is 0 or 1 (NumPy writes nothing
+ * else, and PriorityModule.restore normalises a document's); pp and std
+ * are read only when use_frequency is set; pp_threshold travels as a
+ * double so a fractional setting compares as it does in NumPy. */
+void repro_classify(const long *pp, const double *std, const double *derivs,
+                    unsigned char *high_freq, unsigned char *priority,
+                    long n, int use_frequency, double pp_threshold,
+                    double std_threshold, double deriv_inc_threshold,
+                    double deriv_dec_threshold) {
+    for (long u = 0; u < n; u++) {
+        int flagged = high_freq[u], high = priority[u];
+        int set = 0, clear = 0;
+        if (use_frequency) {
+            double count = (double)pp[u];
+            set = !flagged & (count > pp_threshold);
+            clear = flagged & (count < pp_threshold) &
+                    (std[u] < std_threshold);
+        }
+        int low_freq = !flagged & !set;
+        int rise = low_freq & (derivs[u] > deriv_inc_threshold);
+        int fall = low_freq & (derivs[u] < deriv_dec_threshold);
+        high_freq[u] = (unsigned char)((flagged | set) & !clear);
+        priority[u] = (unsigned char)((high | set | rise) & !clear & !fall);
     }
 }

@@ -77,7 +77,6 @@ class DPSManager(PowerManager):
         self._priority_mod: PriorityModule | None = None
         self._history: HistoryBuffer | None = None
         self._last_info: DPSStepInfo | None = None
-        self._mimd_scratch: dict = {}
 
     def _on_bind(self) -> None:
         cfg = self.config
@@ -159,7 +158,6 @@ class DPSManager(PowerManager):
             self.min_cap_w,
             cfg.stateless,
             self._rng,
-            scratch=self._mimd_scratch,
         )
 
         # 3. Priorities from the power dynamics.

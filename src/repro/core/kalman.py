@@ -5,14 +5,17 @@ noisy RAPL readings.  The paper uses the standard scalar Kalman filter
 formulation (Welch & Bishop) with a random-walk process model — the minimum
 compute-load filter that still smooths measurement noise.  One filter runs
 per power-capping unit; this implementation keeps all of them in flat NumPy
-arrays so one control step is a handful of vector operations regardless of
-cluster size (the §6.5 scaling claim).
+arrays so one control step is one compiled pass over them
+(:mod:`repro.core._native`) or, on a host without a C compiler, a handful
+of vector operations (:meth:`KalmanBank._filter`) with the same bits --
+either way regardless of cluster size (the §6.5 scaling claim).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core import _native
 from repro.core.config import KalmanConfig
 from repro.recovery.state import decode_array, encode_array
 
@@ -39,6 +42,8 @@ class KalmanBank:
         self.n_units = n_units
         self._x = np.zeros(n_units, dtype=np.float64)
         self._p = np.full(n_units, self.config.initial_var, dtype=np.float64)
+        # Both arrays are only ever written in place (reset, restore).
+        self._pinned = _native.Pinned(self._x, self._p)
         self._initialized = False
 
     @property
@@ -93,25 +98,26 @@ class KalmanBank:
 
         Args:
             measurement: observed powers (W), shape ``(n_units,)``.
-            validate: check shape and finiteness of the measurement.  On
-                by default for standalone use; callers that already
-                validated at their own boundary (``PowerManager.step``
-                scans every reading before ``_decide`` runs) pass False so
-                the hot path does not re-scan the same vector twice per
-                decision.
+            validate: scan the measurement for non-finite values.  On by
+                default for standalone use; callers that already validated
+                at their own boundary (``PowerManager.step`` scans every
+                reading before ``_decide`` runs) pass False so the hot path
+                does not re-scan the same vector twice per decision.  The
+                shape is checked either way: it costs nothing, and the
+                compiled pass reads ``n_units`` values through a raw
+                address.
 
         Returns:
             Updated estimates (W), shape ``(n_units,)`` — a copy, safe to
             store in a history buffer.
         """
         z = np.asarray(measurement, dtype=np.float64)
-        if validate:
-            if z.shape != (self.n_units,):
-                raise ValueError(
-                    f"measurement shape {z.shape} != ({self.n_units},)"
-                )
-            if not np.all(np.isfinite(z)):
-                raise ValueError("measurement contains non-finite values")
+        if z.shape != (self.n_units,):
+            raise ValueError(
+                f"measurement shape {z.shape} != ({self.n_units},)"
+            )
+        if validate and not np.all(np.isfinite(z)):
+            raise ValueError("measurement contains non-finite values")
 
         if not self._initialized:
             self._x[:] = z
@@ -119,10 +125,27 @@ class KalmanBank:
             self._initialized = True
             return self._x.copy()
 
+        kernels = _native.kernels()
+        if kernels is None:
+            self._filter(z)
+        else:
+            # z is n_units float64 by the check above; the kernel also
+            # needs them adjacent.
+            z = np.ascontiguousarray(z)
+            kernels.kalman_update(
+                *self._pinned.at,
+                z.ctypes.data,
+                self.n_units,
+                self.config.process_var,
+                self.config.measurement_var,
+            )
+        return self._x.copy()
+
+    def _filter(self, z: np.ndarray) -> None:
+        """One predict/update step of every filter as NumPy passes."""
         # Predict: random walk inflates uncertainty by the process variance.
         self._p += self.config.process_var
         # Update: standard scalar Kalman gain and correction, in place.
         gain = self._p / (self._p + self.config.measurement_var)
         self._x += gain * (z - self._x)
         self._p *= 1.0 - gain
-        return self._x.copy()

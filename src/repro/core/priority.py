@@ -17,7 +17,9 @@ Classifies every power-capping unit as high or low priority from the two
   priority).  In between, the previous priority is *kept*: a unit that rose
   stays high priority until its power actually falls again.
 
-The flag logic is a boolean-mask pass (:meth:`PriorityModule._classify`):
+The flag logic is one compiled pass over the units
+(:mod:`repro.core._native`) or, on a host without a C compiler, a
+boolean-mask pass (:meth:`PriorityModule._classify`) with the same bits:
 a handful of whole-array operations regardless of cluster size (§6.5).
 """
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import _native
 from repro.core.config import PriorityConfig
 from repro.core.peaks import fill_features
 from repro.recovery.state import decode_array, encode_array
@@ -61,7 +64,12 @@ class PriorityModule:
         self._pp = np.empty(n_units, dtype=np.intp)
         self._std = np.empty(n_units, dtype=np.float64)
         self._deriv = np.empty(n_units, dtype=np.float64)
-        # Boolean-mask scratch for the classifier.
+        # What the classify kernel reads and writes, in its argument
+        # order; all five are only ever written in place.
+        self._pinned = _native.Pinned(
+            self._pp, self._std, self._deriv, self._high_freq, self._priority
+        )
+        # Boolean-mask scratch for the fallback classifier.
         self._mask_a = np.empty(n_units, dtype=bool)
         self._mask_b = np.empty(n_units, dtype=bool)
         self._mask_c = np.empty(n_units, dtype=bool)
@@ -110,8 +118,10 @@ class PriorityModule:
                 f"snapshot shapes {high_freq.shape}/{priority.shape} != "
                 f"({self.n_units},)"
             )
-        self._high_freq[:] = high_freq
-        self._priority[:] = priority
+        # Nonzero is set and is stored as 1: the classify kernel computes
+        # on the flag bytes, and a hand-made document may hold others.
+        self._high_freq[:] = high_freq != 0
+        self._priority[:] = priority != 0
 
     def update(self, history: np.ndarray, dt_s: float) -> np.ndarray:
         """Reclassify all units from the latest power history.
@@ -170,7 +180,19 @@ class PriorityModule:
             np.subtract(history[-1], history[-cfg.deriv_window], out=derivs)
             derivs /= span_s
 
-        self._classify(derivs)
+        kernels = _native.kernels()
+        if kernels is None:
+            self._classify(derivs)
+        else:
+            kernels.classify(
+                *self._pinned.at,
+                self.n_units,
+                bool(self.use_frequency),
+                cfg.pp_threshold,
+                cfg.std_threshold,
+                cfg.deriv_inc_threshold,
+                cfg.deriv_dec_threshold,
+            )
         return self._priority.copy()
 
     def _classify(self, derivs: np.ndarray) -> None:

@@ -34,7 +34,6 @@ class SlurmManager(PowerManager):
     def __init__(self, config: StatelessConfig | None = None) -> None:
         super().__init__()
         self.config = config or StatelessConfig()
-        self._mimd_scratch: dict = {}
 
     def _decide(
         self, power_w: np.ndarray, demand_w: np.ndarray | None
@@ -48,6 +47,5 @@ class SlurmManager(PowerManager):
             self.min_cap_w,
             self.config,
             self._rng,
-            scratch=self._mimd_scratch,
         )
         return result.caps

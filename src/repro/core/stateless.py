@@ -18,8 +18,11 @@ Faithfulness notes (documented deviations from the paper's pseudocode):
 * Caps are additionally clamped to ``[min_cap_w, max_cap_w]`` — the RAPL
   constraint range — which the pseudocode leaves implicit.
 
-The random-order increase loop runs as one array pass (:func:`_increase`),
-bit-exact against the per-unit walk kept in ``tests/core/oracles.py``.
+Both loops run behind one dispatch inside :func:`mimd_step`: the compiled
+per-unit walks of :mod:`repro.core._native` when the host has a C compiler,
+otherwise the whole-array passes below (:func:`_decrease`,
+:func:`_increase`).  The two return the same bits, and both are held
+against the per-unit walks kept in ``tests/core/oracles.py``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.core import _native
 from repro.core.config import StatelessConfig
 
 __all__ = ["MimdResult", "mimd_step"]
@@ -48,21 +52,31 @@ class MimdResult(NamedTuple):
     avail_budget_w: float
 
 
-def _mimd_scratch(scratch: dict, n: int) -> dict:
-    """(Re)size the preallocated work arrays of the pass.
+def _decrease(
+    power: np.ndarray,
+    caps: np.ndarray,
+    changed: np.ndarray,
+    min_cap_w: float,
+    max_cap_w: float,
+    config: StatelessConfig,
+) -> None:
+    """Decrease pass (Alg. 1 first loop); mutates caps/changed.
 
-    ``mimd_step`` runs every control step; at cluster scale its float64
-    temporaries are megabytes of fresh mmap traffic per call, so managers
-    pass a persistent dict the work arrays are cached in across steps.
+    Whole-array compute plus a masked copyto: elementwise identical to
+    fancy-indexed updates, without the gather/scatter cost of boolean
+    indexing on the unit axis.  The max and the clip are spelled as
+    selects because ``np.maximum``/``np.clip`` do not promise which zero a
+    ``-0.0``/``0.0`` tie returns; here, as in Python's
+    ``min(max(x, lo), hi)``, the first argument keeps a tie.
     """
-    if scratch.get("n") != n:
-        scratch["n"] = n
-        for key in ("f1", "f2", "g1", "g2"):
-            scratch[key] = np.empty(n, dtype=np.float64)
-        for key in ("b1", "b2", "b3"):
-            scratch[key] = np.empty(n, dtype=bool)
-        scratch["chain"] = np.empty(n + 1, dtype=np.float64)
-    return scratch
+    dec_mask = power < caps * config.dec_threshold
+    if np.any(dec_mask):
+        lowered = caps * config.dec_factor
+        lowered = np.where(lowered > power, lowered, power)
+        lowered = np.where(lowered < min_cap_w, min_cap_w, lowered)
+        lowered = np.where(lowered > max_cap_w, max_cap_w, lowered)
+        np.logical_and(dec_mask, lowered != caps, out=changed)
+        np.copyto(caps, lowered, where=dec_mask)
 
 
 def _increase(
@@ -73,7 +87,6 @@ def _increase(
     max_cap_w: float,
     inc_factor: float,
     changed: np.ndarray,
-    scratch: dict,
 ) -> float:
     """Random-order increase pass (Alg. 1 second loop); mutates caps/changed.
 
@@ -84,36 +97,28 @@ def _increase(
     the walk skips subtract exactly 0.0), so the admission set, the one
     partial grant, and the leftover are all bit-exact against it.
     """
-    desired = np.multiply(caps, inc_factor, out=scratch["f1"])
-    np.minimum(desired, max_cap_w, out=desired)
+    desired = np.minimum(caps * inc_factor, max_cap_w)
     desired -= caps
     np.maximum(desired, 0.0, out=desired)
     desired *= want  # d * 0.0 == 0.0, d * 1.0 == d: exact mask-out.
 
-    d = np.take(desired, order, out=scratch["g1"])
-    chain = scratch["chain"]
+    d = desired[order]
+    chain = np.empty(d.shape[0] + 1)
     chain[0] = avail
     chain[1:] = d
     np.subtract.accumulate(chain, out=chain)
     # chain[k] is now the budget remaining before the k-th unit in `order`
     # (under full grants); once it crosses zero it only decreases, so there
     # is exactly one boundary unit.  A unit with budget left gets
-    # min(demand, remaining) — its full demand or the boundary partial
-    # grant — and a closed unit gets exactly 0.0 via the bool multiply
-    # (min(d, before) can be negative past the boundary; x * 0.0 is at
-    # worst -0.0, which is > 0-false and addition-neutral).
-    before = chain[:-1]
-    open_ = np.greater(before, 0.0, out=scratch["b1"])
-    grant = np.minimum(d, before, out=scratch["g2"])
-    grant *= open_
-
-    granted = np.greater(grant, 0.0, out=scratch["b2"])
-    caps[order] += grant
-    # Scatter-store through the permutation, then one whole-array OR —
-    # same result as `changed[order] |= granted` without its extra gather.
-    scattered = scratch["b3"]
-    scattered[order] = granted
-    np.logical_or(changed, scattered, out=changed)
+    # min(demand, remaining) -- its full demand or the boundary partial
+    # grant -- and past the boundary the minimum is no longer positive.
+    grant = np.minimum(d, chain[:-1])
+    granted = grant > 0.0
+    # Only granted units are written, as in the walk: a skipped unit keeps
+    # its bits (cap + 0.0 would turn a -0.0 cap into +0.0).
+    hit = order[granted]
+    caps[hit] += grant[granted]
+    changed[hit] = True
     # After a partial grant the walk's remainder is exactly 0.0 while the
     # chain keeps subtracting skipped demands; both clamp to 0 at return.
     return float(chain[-1])
@@ -127,7 +132,6 @@ def mimd_step(
     min_cap_w: float,
     config: StatelessConfig,
     rng: np.random.Generator,
-    scratch: dict | None = None,
 ) -> MimdResult:
     """Run one multiplicative-increase / multiplicative-decrease pass.
 
@@ -148,9 +152,6 @@ def mimd_step(
         rng: randomness source for the increase-loop ordering; one
             permutation is drawn from it, only when there is leftover
             budget.
-        scratch: optional dict the pass caches its work arrays
-            in across calls (per-step scratch reuse on the control path);
-            pass the same dict every call.
 
     Returns:
         :class:`MimdResult` with the new caps (a fresh array).
@@ -163,38 +164,47 @@ def mimd_step(
             "equal 1-D shapes"
         )
     n = caps.shape[0]
-    scratch = _mimd_scratch(scratch if scratch is not None else {}, n)
     changed = np.zeros(n, dtype=bool)
+    kernels = _native.kernels()
 
-    # --- First loop: decrease caps of under-consuming units (vectorized).
-    # Whole-array compute plus a masked copyto: elementwise identical to
-    # fancy-indexed updates, without the gather/scatter cost of boolean
-    # indexing on the unit axis.
-    dec_mask = np.multiply(caps, config.dec_threshold, out=scratch["f1"])
-    dec_mask = np.less(power, dec_mask, out=scratch["b1"])
-    if np.any(dec_mask):
-        lowered = np.multiply(caps, config.dec_factor, out=scratch["f2"])
-        np.maximum(power, lowered, out=lowered)
-        np.clip(lowered, min_cap_w, max_cap_w, out=lowered)
-        np.not_equal(lowered, caps, out=scratch["b2"])
-        np.logical_and(dec_mask, scratch["b2"], out=changed)
-        np.copyto(caps, lowered, where=dec_mask)
+    # --- First loop: decrease caps of under-consuming units.
+    if kernels is None:
+        _decrease(power, caps, changed, min_cap_w, max_cap_w, config)
+    else:
+        # The kernels read and write through raw addresses: caps, changed
+        # and (below) order are this call's own C-contiguous arrays of n
+        # elements; power is the caller's, n float64 by the check above.
+        power = np.ascontiguousarray(power)
+        at = (power.ctypes.data, caps.ctypes.data, changed.ctypes.data)
+        kernels.mimd_decrease(
+            *at,
+            n,
+            config.dec_threshold,
+            config.dec_factor,
+            float(min_cap_w),
+            float(max_cap_w),
+        )
 
     # --- Second loop: increase caps of capped-out units in random order.
     avail = budget_w - float(caps.sum())
     if avail > 0.0:
-        want = np.multiply(caps, config.inc_threshold, out=scratch["f2"])
-        want = np.greater(power, want, out=scratch["b1"])
         order = rng.permutation(n)
-        avail = _increase(
-            caps,
-            want,
-            order,
-            avail,
-            max_cap_w,
-            config.inc_factor,
-            changed,
-            scratch,
-        )
+        if kernels is None:
+            want = power > caps * config.inc_threshold
+            avail = _increase(
+                caps, want, order, avail, max_cap_w, config.inc_factor, changed
+            )
+        else:
+            # C long is np.intp wherever the kernels load.
+            order = np.ascontiguousarray(order, dtype=np.intp)
+            avail = kernels.mimd_increase(
+                *at,
+                order.ctypes.data,
+                n,
+                avail,
+                config.inc_threshold,
+                config.inc_factor,
+                float(max_cap_w),
+            )
 
     return MimdResult(caps=caps, changed=changed, avail_budget_w=max(avail, 0.0))

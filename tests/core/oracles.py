@@ -1,17 +1,21 @@
 """Reference implementations the decision core is held bit-exact against.
 
-``_increase_loop`` and ``_classify_loop`` are the original per-unit Python
-walks of Algorithm 1's increase pass and Algorithm 2's flag transitions.
-The product (``repro.core.stateless._increase``,
-``repro.core.priority.PriorityModule._classify``) replays them as whole-
-array passes; these stay as the readable, obviously-sequential definition
-the equivalence suite in ``test_decision_core.py`` compares against.  They
-are test fixtures, not product: nothing in ``src/`` can select them.
+``_decrease_loop``, ``_increase_loop``, ``_kalman_loop`` and
+``_classify_loop`` are the per-unit Python walks that *define* Algorithm
+1's two passes, the scalar Kalman step and Algorithm 2's flag transitions.
+The product runs each of them twice over: as a compiled transcription in
+``repro/core/_peaks_kernel.c`` and, where no C compiler is to be had, as
+whole-array NumPy passes (``repro.core.stateless._decrease`` /
+``_increase``, ``KalmanBank._filter``, ``PriorityModule._classify``).
+These walks stay as the readable, obviously-sequential definition the
+equivalence suite in ``test_decision_core.py`` compares both against.
+They are test fixtures, not product: nothing in ``src/`` can select them.
 
-:func:`loop_core` swaps both in (and forces the Python peak walk) for the
-duration of a reference run; :func:`no_native` only disables the compiled
-peak kernel.  Both are context managers rather than fixtures so they can
-wrap a single Hypothesis example.
+:func:`no_native` runs the body as a host without a compiler would (every
+kernel off, the NumPy fallbacks and the Python peak walk on);
+:func:`loop_core` additionally swaps the walks in for the fallbacks.  Both
+are context managers rather than fixtures so they can wrap a single
+Hypothesis example.
 """
 
 from __future__ import annotations
@@ -22,7 +26,25 @@ import numpy as np
 import pytest
 
 from repro.core import _native, stateless
+from repro.core.kalman import KalmanBank
 from repro.core.priority import PriorityModule
+
+
+def _decrease_loop(
+    power: np.ndarray,
+    caps: np.ndarray,
+    changed: np.ndarray,
+    min_cap_w: float,
+    max_cap_w: float,
+    config,
+) -> None:
+    """Per-unit decrease walk (Alg. 1 lines 5-8); mutates caps/changed."""
+    for u in range(caps.shape[0]):
+        if power[u] < caps[u] * config.dec_threshold:
+            lowered = max(power[u], caps[u] * config.dec_factor)
+            lowered = min(max(lowered, min_cap_w), max_cap_w)
+            changed[u] = lowered != caps[u]
+            caps[u] = lowered
 
 
 def _increase_loop(
@@ -33,10 +55,8 @@ def _increase_loop(
     max_cap_w: float,
     inc_factor: float,
     changed: np.ndarray,
-    scratch: dict,
 ) -> float:
     """Per-unit increase walk (the test oracle); mutates caps/changed."""
-    del scratch
     for u in order:
         if not want[u] or avail <= 0.0:
             continue
@@ -48,6 +68,18 @@ def _increase_loop(
         avail -= grow
         changed[u] = True
     return avail
+
+
+def _kalman_loop(self, z: np.ndarray) -> None:
+    """Per-unit scalar Kalman predict/update (Welch & Bishop)."""
+    q = self.config.process_var
+    r = self.config.measurement_var
+    x, p = self._x, self._p
+    for u in range(self.n_units):
+        p[u] += q
+        gain = p[u] / (p[u] + r)
+        x[u] += gain * (z[u] - x[u])
+        p[u] *= 1.0 - gain
 
 
 def _classify_loop(self, derivs: np.ndarray) -> None:
@@ -86,7 +118,8 @@ def _classify_loop(self, derivs: np.ndarray) -> None:
 
 @contextlib.contextmanager
 def no_native():
-    """Run the body as a host without a C compiler would."""
+    """Run the body as a host without a C compiler would: one patch turns
+    every kernel off, since ``_native`` resolves them all or none."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_native, "_cache", {"resolved": True, "fn": None})
         yield
@@ -96,6 +129,8 @@ def no_native():
 def loop_core():
     """Run the body on the per-unit oracles and the Python peak walk."""
     with no_native(), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stateless, "_decrease", _decrease_loop)
         mp.setattr(stateless, "_increase", _increase_loop)
+        mp.setattr(KalmanBank, "_filter", _kalman_loop)
         mp.setattr(PriorityModule, "_classify", _classify_loop)
         yield

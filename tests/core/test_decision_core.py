@@ -13,10 +13,23 @@ kernels (peak counts, std, MIMD), the stateful priority classifier, and
 full DPS/SLURM manager runs including snapshot/restore across the two.
 The reference side of every comparison runs under
 :func:`oracles.loop_core` — per-unit walks, no compiled kernel.
+
+Algorithm 1, the Kalman bank and Algorithm 2's flags each exist three
+times — compiled walk, NumPy fallback (:func:`oracles.no_native`),
+per-unit oracle — and ``TestThreeWayLockstep`` holds the three equal in
+every bit of every output, the generator's state included.
 """
 
 import contextlib
+import copy
+import itertools
+import os
+import pickle
 import platform
+import struct
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -26,11 +39,13 @@ from hypothesis import strategies as st
 from repro.core import _native, priority
 from repro.core.config import (
     DPSConfig,
+    KalmanConfig,
     PriorityConfig,
     StatelessConfig,
 )
 from repro.core.dps import DPSManager
 from repro.core.history import HistoryBuffer
+from repro.core.kalman import KalmanBank
 from repro.core.peaks import (
     _count_walk,
     count_prominent_peaks_multi,
@@ -536,6 +551,448 @@ class TestManagerParity:
         _assert_runs_equal(head + tail, reference)
 
 
+#: The three implementations of every per-unit stage, by the context
+#: that selects them: compiled walks (where the host has a compiler; else
+#: this leg repeats the second), NumPy fallbacks, per-unit oracles.
+_IMPLEMENTATIONS = {
+    "kernel": contextlib.nullcontext,
+    "numpy": no_native,
+    "oracle": loop_core,
+}
+
+
+def _bits(value):
+    """``value`` as something ``==`` compares bit for bit: arrays by
+    dtype, shape and bytes (``-0.0 != 0.0``, NaN payloads count), floats
+    by their eight bytes, containers element-wise."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(item) for item in value)
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    return value
+
+
+def _assert_three_ways_equal(run):
+    """``run()`` under each implementation; all outputs bit-identical."""
+    outputs = {}
+    for name, implementation in _IMPLEMENTATIONS.items():
+        with implementation():
+            outputs[name] = _bits(run())
+    assert outputs["kernel"] == outputs["oracle"]
+    assert outputs["numpy"] == outputs["oracle"]
+
+
+def _grid(rng, low, high, n):
+    """``n`` values on the quarter-watt grid in ``[low, high]``."""
+    return rng.integers(int(low * 4), int(high * 4) + 1, n) / 4.0
+
+
+@st.composite
+def mimd_cases(draw):
+    """``(power, caps, budget, min_cap, config, seed, drawn)`` for one MIMD
+    pass; ``drawn`` says whether the budget leaves anything to hand out.
+
+    Everything sits on the quarter-watt grid with a tenth of the units
+    pinned to each edge case, so ``power == cap * threshold`` ties, caps
+    at ``min``/``max``, and both zeros (with ``min_cap_w = 0``) occur in
+    most examples rather than never.
+    """
+    n = draw(st.integers(min_value=1, max_value=300))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    min_cap = draw(st.sampled_from([0.0, 30.0]))
+    config = StatelessConfig(
+        inc_threshold=draw(st.sampled_from([0.95, 0.875])),
+        dec_threshold=draw(st.sampled_from([0.85, 0.75, 0.5])),
+        inc_factor=draw(st.sampled_from([1.1, 1.25, 1.5])),
+        dec_factor=draw(st.sampled_from([0.9, 0.5])),
+    )
+    wanting = draw(st.sampled_from(["mixed", "all", "none"]))
+    budget_kind = draw(st.sampled_from(["ample", "partial", "spent", "over"]))
+    rng = np.random.default_rng(seed)
+
+    caps = _grid(rng, min_cap, 165.0, n)
+    pin = rng.random(n)
+    caps[pin < 0.1] = min_cap
+    caps[pin > 0.9] = 165.0
+    if min_cap == 0.0:
+        caps[(pin > 0.1) & (pin < 0.2)] = -0.0
+    if wanting == "all":
+        power = caps.copy()  # At the cap: over any inc_threshold < 1.
+    elif wanting == "none":
+        power = caps * config.dec_threshold  # The tie: neither loop acts.
+    else:
+        power = _grid(rng, 0.0, 170.0, n)
+        tie = rng.random(n)
+        power = np.where(tie < 0.1, caps * config.inc_threshold, power)
+        power = np.where(tie > 0.9, caps * config.dec_threshold, power)
+        power[(tie > 0.4) & (tie < 0.45)] = 0.0
+        power[(tie > 0.45) & (tie < 0.5)] = -0.0
+
+    # The caps after the decrease loop fix what each budget kind means.
+    with loop_core():
+        lowered = mimd_step(
+            power, caps, 0.0, 165.0, min_cap, config, np.random.default_rng(0)
+        ).caps
+    assigned = float(lowered.sum())
+    budget = {
+        # Never reached: every wanting unit gets its full growth.
+        "ample": assigned + 2 * 165.0 * n,
+        # Runs out mid-walk: one unit takes the remainder, exactly 0 left.
+        "partial": assigned + float(rng.integers(1, 40 * n + 1)) / 4.0,
+        # avail == 0.0 and avail < 0: no permutation may be drawn.
+        "spent": assigned,
+        "over": 0.5 * assigned,
+    }[budget_kind]
+    drawn = budget_kind in ("ample", "partial")
+    return power, caps, budget, min_cap, config, seed, drawn
+
+
+class TestThreeWayLockstep:
+    """Compiled walk == NumPy fallback == per-unit oracle, stage by stage."""
+
+    @given(case=mimd_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_mimd_step(self, case):
+        power, caps, budget, min_cap, config, seed, drawn = case
+        inputs = _bits((power, caps))
+        # One permutation of n iff there is budget left, else no draw.
+        stream = np.random.default_rng(seed)
+        if drawn:
+            stream.permutation(power.shape[0])
+
+        def run():
+            rng = np.random.default_rng(seed)
+            result = mimd_step(power, caps, budget, 165.0, min_cap, config, rng)
+            assert rng.bit_generator.state == stream.bit_generator.state
+            return tuple(result)
+
+        _assert_three_ways_equal(run)
+        assert _bits((power, caps)) == inputs  # Neither input is touched.
+
+    def test_skipped_unit_keeps_its_negative_zero_cap(self):
+        """Pinned: a unit the increase walk does not grant is not written,
+        so a ``-0.0`` cap stays ``-0.0`` (the accumulate chain used to add
+        ``+0.0`` to every unit, which flipped the sign)."""
+        caps = np.array([-0.0, 100.0, -0.0])
+        power = np.array([0.0, 100.0, -0.0])
+        grown = 100.0 * 1.1
+        for implementation in _IMPLEMENTATIONS.values():
+            with implementation():
+                result = mimd_step(
+                    power, caps, 150.0, 165.0, 0.0, StatelessConfig(),
+                    np.random.default_rng(1),
+                )
+            assert _bits(result.caps) == _bits(np.array([-0.0, grown, -0.0]))
+            assert result.changed.tolist() == [False, True, False]
+            assert result.avail_budget_w == 50.0 - (grown - 100.0)
+
+    def test_a_tie_at_the_floor_keeps_the_lowered_zero(self):
+        """Pinned: max and clip go as Python's ``min(max(x, lo), hi)`` --
+        the first argument keeps a tie -- so a (nonsensical but finite)
+        negative reading under a ``-0.0`` cap lowers to ``-0.0`` over a
+        ``0.0`` floor (``np.clip`` and ``np.maximum`` promise no sign)."""
+        for implementation in _IMPLEMENTATIONS.values():
+            with implementation():
+                result = mimd_step(
+                    np.array([-1.0, -1.0]), np.array([-0.0, 0.0]), -1.0,
+                    165.0, 0.0, StatelessConfig(), np.random.default_rng(1),
+                )
+            assert _bits(result.caps) == _bits(np.array([-0.0, 0.0]))
+            assert result.changed.tolist() == [False, False]
+
+    @given(
+        n=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        steps=st.integers(min_value=1, max_value=6),
+        config=st.builds(
+            KalmanConfig,
+            process_var=st.sampled_from([25.0, 0.25, 1e-9]),
+            measurement_var=st.sampled_from([4.0, 0.5, 1e6]),
+            initial_var=st.sampled_from([100.0, 1e-3]),
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_kalman_update(self, n, seed, steps, config):
+        rng = np.random.default_rng(seed)
+        readings = []
+        for _ in range(steps):
+            z = _grid(rng, 0.0, 170.0, n)
+            z[rng.random(n) < 0.1] = -0.0
+            readings.append(z)
+
+        def run():
+            bank = KalmanBank(n, config)
+            return [
+                (bank.update(z), bank.estimate.copy(), bank.variance.copy())
+                for z in readings
+            ]
+
+        _assert_three_ways_equal(run)
+
+    @given(
+        n=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        steps=st.integers(min_value=2, max_value=8),
+        use_frequency=st.booleans(),
+        config=st.builds(
+            PriorityConfig,
+            deriv_method=st.sampled_from(["endpoints", "lsq"]),
+            pp_threshold=st.integers(min_value=1, max_value=3),
+            peak_prominence=st.sampled_from([2.0, 20.0]),
+            std_threshold=st.sampled_from([1.5, 12.0]),
+            deriv_inc_threshold=st.sampled_from([1.8, 0.75]),
+            deriv_dec_threshold=st.sampled_from([-1.8, -0.75]),
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_priority_flags(self, n, seed, steps, use_frequency, config):
+        rng = np.random.default_rng(seed)
+        windows = []
+        for _ in range(steps):
+            h = int(rng.choice([rng.integers(1, 25), 20]))
+            window = _phase_history(rng, h, n, config)
+            # Slopes exactly on a derivative threshold answer neither test.
+            window = np.round(window * 4.0) / 4.0
+            windows.append(window)
+
+        def run():
+            module = PriorityModule(n, config, use_frequency=use_frequency)
+            return [
+                (module.update(window, 1.0), module.high_freq.copy())
+                for window in windows
+            ]
+
+        _assert_three_ways_equal(run)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: DPSManager(DPSConfig()), SlurmManager],
+        ids=["dps", "slurm"],
+    )
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        snapshot_at=st.integers(min_value=1, max_value=24),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_runs_with_a_snapshot_across_implementations(
+        self, make, n, seed, snapshot_at
+    ):
+        """A run started under one implementation, snapshotted, and
+        finished under another: caps, generator state after every step,
+        and the final snapshot document equal the never-switched run."""
+        rng = np.random.default_rng(seed)
+        powers = [_grid(rng, 20.0, 165.0, n) for _ in range(25)]
+
+        def steps(manager, readings):
+            return [
+                (manager.step(p, p), manager._rng.bit_generator.state)
+                for p in readings
+            ]
+
+        def run(first, second):
+            with first():
+                manager = _bound(make(), n, seed)
+                trail = steps(manager, powers[:snapshot_at])
+                state = manager.snapshot()
+            with second():
+                manager = _bound(make(), n, seed + 1)  # All of it restored.
+                manager.restore(state)
+                trail += steps(manager, powers[snapshot_at:])
+                return _bits((trail, manager.snapshot()))
+
+        reference = run(loop_core, loop_core)
+        for first, second in itertools.permutations(
+            _IMPLEMENTATIONS.values(), 2
+        ):
+            assert run(first, second) == reference
+
+
+def _views(clean):
+    """``clean`` again as arrays a kernel must not be handed as they are:
+    ``(label, array)`` with the same values (callers pass quarter-watt
+    values, which float32 holds exactly)."""
+    strided = np.repeat(clean, 2, axis=-1)[..., ::2]
+    readonly = clean.copy()
+    readonly.flags.writeable = False
+    return [
+        ("strided", strided),
+        ("negative stride", np.ascontiguousarray(clean[..., ::-1])[..., ::-1]),
+        ("read-only", readonly),
+        ("float32", clean.astype(np.float32)),
+        ("list", clean.tolist()),
+    ]
+
+
+class TestCallSiteInputs:
+    """Each of the four Python call sites hands C only what it checked:
+    anything else is copied first or raises ``ValueError`` -- on a host
+    with the kernels and on one without, alike."""
+
+    N = 37
+
+    @pytest.fixture
+    def arrays(self):
+        rng = np.random.default_rng(8)
+        # Multiples of 1/4 W: exact in float32 too.
+        return _grid(rng, 40.0, 160.0, self.N), _grid(rng, 60.0, 165.0, self.N)
+
+    @_hosts
+    def test_mimd_step(self, host, arrays):
+        power, caps = arrays
+        budget = float(caps.sum()) + 50.0
+
+        def run(power, caps):
+            rng = np.random.default_rng(2)
+            out = mimd_step(
+                power, caps, budget, 165.0, 30.0, StatelessConfig(), rng
+            )
+            return _bits((tuple(out), rng.bit_generator.state))
+
+        with host():
+            want = run(power, caps)
+            for (label, p), (_, c) in zip(_views(power), _views(caps)):
+                assert run(p, caps) == want, f"power {label}"
+                assert run(power, c) == want, f"caps {label}"
+            for bad in (power[:-1], power[None, :], np.float64(100.0)):
+                with pytest.raises(ValueError, match="shape"):
+                    run(bad, caps)
+                with pytest.raises(ValueError, match="shape"):
+                    run(power, bad)
+
+    @_hosts
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_kalman_update(self, host, validate, arrays):
+        first, second = arrays
+
+        def run(z):
+            bank = KalmanBank(self.N)
+            bank.update(first)
+            return _bits(
+                (bank.update(z, validate=validate), bank.variance.copy())
+            )
+
+        with host():
+            want = run(second)
+            for label, z in _views(second):
+                assert run(z) == want, label
+            for bad in (second[:-1], second[:1], second[None, :], 100.0):
+                with pytest.raises(ValueError, match="shape"):
+                    run(bad)
+
+    @_hosts
+    def test_priority_update(self, host):
+        rng = np.random.default_rng(4)
+        window = _grid(rng, 40.0, 160.0, 20 * self.N).reshape(20, self.N)
+
+        def run(history):
+            module = PriorityModule(self.N)
+            return _bits((module.update(history, 1.0), module.high_freq.copy()))
+
+        with host():
+            want = run(window)
+            views = _views(window) + [("fortran", np.asfortranarray(window))]
+            for label, history in views:
+                assert run(history) == want, label
+            for bad in (window[:, :-1], window[0], window[None]):
+                with pytest.raises(ValueError, match="history shape"):
+                    run(bad)
+
+    @_hosts
+    def test_manager_step(self, host, arrays):
+        power, _ = arrays
+
+        def run(reading):
+            manager = _bound(DPSManager(DPSConfig()), self.N, 5)
+            for _ in range(6):
+                manager.step(power)
+            return _bits(manager.step(reading))
+
+        with host():
+            want = run(power)
+            for label, reading in _views(power):
+                assert run(reading) == want, label
+            for bad in (power[:-1], power[None, :]):
+                with pytest.raises(ValueError, match="shape"):
+                    run(bad)
+            with pytest.raises(ValueError, match="non-finite"):
+                run(np.where(np.arange(self.N) == 3, np.nan, power))
+
+    @_hosts
+    def test_restored_flags_are_one_byte_truths(self, host):
+        """A document's flag arrays may hold any nonzero byte for True
+        (``np.frombuffer(..., dtype=bool)`` keeps what it is given); the
+        classify kernel computes on the bytes, so restore stores 1."""
+        raw = np.frombuffer(bytes([0, 1, 2, 255]), dtype=bool)
+        rising = np.linspace(90.0, 130.0, 6)[:, None] * np.ones((1, 4))
+        with host():
+            module = PriorityModule(4)
+            module.restore({"high_freq": raw, "priority": raw})
+            assert module.high_freq.view(np.uint8).tolist() == [0, 1, 1, 1]
+            assert module.priority.view(np.uint8).tolist() == [0, 1, 1, 1]
+            # Flagged units keep flag and priority whatever the slope;
+            # the unflagged one rises to high priority.
+            assert module.update(rising, 1.0).tolist() == [True] * 4
+            assert module.high_freq.tolist() == [False, True, True, True]
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda manager: pickle.loads(pickle.dumps(manager))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_a_copied_manager_owns_its_arrays(self, clone):
+        """The bank and the classifier keep raw addresses of their state
+        arrays; a copy must take its own, not write into the original."""
+        readings = _powers(9, self.N, 30)
+        reference = _steps(_bound(DPSManager(DPSConfig()), self.N, 5), readings)
+
+        original = _bound(DPSManager(DPSConfig()), self.N, 5)
+        head = _steps(original, readings[:10])
+        twin = clone(original)
+        frozen = _bits(original.snapshot())
+        tail = _steps(twin, readings[10:])
+        assert _bits(original.snapshot()) == frozen
+        _assert_runs_equal(head + tail, reference)
+        _assert_runs_equal(head + _steps(original, readings[10:]), reference)
+
+
+class TestConcurrentManagers:
+    def test_four_managers_in_threads_equal_their_serial_runs(self):
+        """ctypes drops the GIL for the length of a kernel call and shard
+        thread mode steps one manager per thread: nothing in the kernels
+        or their loader may be shared between managers."""
+        n, steps, workers = 2_000, 40, 4
+
+        def run(seed):
+            manager = _bound(DPSManager(DPSConfig()), n, seed)
+            return _bits(_steps(manager, _powers(seed, n, steps)))
+
+        serial = [run(seed) for seed in range(workers)]
+        threaded = [None] * workers
+
+        def work(seed):
+            threaded[seed] = run(seed)
+
+        threads = [
+            threading.Thread(target=work, args=(seed,), daemon=True)
+            for seed in range(workers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert threaded == serial
+
+
 class TestNoNative:
     """The decision core on a host without a C compiler."""
 
@@ -571,6 +1028,108 @@ class TestNoNative:
         )
         assert _native.peak_features() is None
         _assert_runs_equal(_run_manager(factory, powers), with_kernel)
+
+
+def _script(path, body):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("#!/bin/sh\n" + body)
+    path.chmod(0o755)
+    return path
+
+
+class TestCompilerResolution:
+    """``CC`` is split like a command line, and a fallback says why."""
+
+    @staticmethod
+    def _run():
+        return _run_manager(
+            lambda: _bound(DPSManager(DPSConfig()), 7, 3), _powers(11, 7, 30)
+        )
+
+    @pytest.fixture
+    def reference(self):
+        """A short DPS run as this host decides it before any patching."""
+        return self._run()
+
+    @pytest.fixture
+    def fresh(self, monkeypatch, tmp_path, reference):
+        """An unresolved loader with an empty cache directory."""
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
+        monkeypatch.setattr(
+            _native, "_cache", {"resolved": False, "fn": None}
+        )
+        return tmp_path
+
+    def _decides_as(self, reference):
+        _assert_runs_equal(self._run(), reference)
+
+    def test_cc_with_a_wrapper_and_flags_builds(
+        self, monkeypatch, fresh, reference
+    ):
+        """``CC="ccache gcc"`` / ``CC="gcc -m64"``: first word resolved on
+        PATH, the rest passed on -- not the whole string looked up."""
+        try:
+            real = _native._find_compiler()[0]
+        except _native._Unavailable as why:
+            pytest.skip(str(why))
+        log = fresh / "calls"
+        _script(fresh / "bin" / "ccwrap", f'echo "$@" >> "{log}"\nexec "$@"\n')
+        monkeypatch.setenv(
+            "PATH", f"{fresh / 'bin'}{os.pathsep}{os.environ['PATH']}"
+        )
+        monkeypatch.setenv("CC", f"ccwrap {real} -DREPRO_TEST_FLAG=1")
+        assert _native._find_compiler() == [
+            str(fresh / "bin" / "ccwrap"), real, "-DREPRO_TEST_FLAG=1",
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compiled, detail = _native.status()
+        assert compiled, detail
+        assert detail.startswith(str(fresh / "cache"))
+        assert f"{real} -DREPRO_TEST_FLAG=1 -O3" in log.read_text()
+        self._decides_as(reference)
+
+    @pytest.mark.parametrize("cc", ["no-such-cc", "no-such-cc -O2", "'", " "])
+    def test_cc_naming_nothing_falls_back_silently(
+        self, monkeypatch, fresh, reference, cc
+    ):
+        monkeypatch.setenv("CC", cc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # Nothing to fix: no warning.
+            compiled, detail = _native.status()
+        if cc.strip():
+            assert (compiled, detail) == (
+                False, f"CC={cc!r} names no executable on PATH",
+            )
+            assert _native.kernels() is None
+        self._decides_as(reference)
+
+    def test_failed_build_warns_once_with_the_compilers_words(
+        self, monkeypatch, fresh, reference
+    ):
+        cc = _script(
+            fresh / "failcc",
+            'echo "failcc: line one" >&2\n'
+            'echo "failcc: cannot compile this" >&2\nexit 1\n',
+        )
+        monkeypatch.setenv("CC", str(cc))
+        with pytest.warns(RuntimeWarning, match="cannot compile this") as seen:
+            compiled, detail = _native.status()
+            assert _native.kernels() is None
+            self._decides_as(reference)
+        assert len(seen) == 1
+        assert not compiled
+        assert f"{cc} exited 1" in detail
+        assert "cannot compile this" in detail
+        assert not list((fresh / "cache").glob("*"))  # No debris either.
+
+    def test_switched_off_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with no_native():
+                assert _native.status() == (False, "switched off")
+                assert _native.kernels() is None
+                assert _native.peak_features() is None
 
 
 class TestKernelCache:

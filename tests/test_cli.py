@@ -33,6 +33,22 @@ class TestFastCommands:
         out = capsys.readouterr().out
         assert "kmeans" in out and "dps" in out
 
+    def test_list_says_which_decision_core_runs(self, capsys):
+        """One line names the compiled library, or why the fallback runs."""
+        from repro.core import _native
+        from tests.core.oracles import no_native
+
+        compiled, detail = _native.status()
+        assert main(["list"]) == 0
+        mode = "compiled" if compiled else "python fallback"
+        assert f"decision kernels: {mode} ({detail})" in capsys.readouterr().out
+        with no_native():
+            assert main(["list"]) == 0
+        assert (
+            "decision kernels: python fallback (switched off)"
+            in capsys.readouterr().out
+        )
+
     def test_figure1(self, capsys):
         assert main(["figure", "fig1"]) == 0
         out = capsys.readouterr().out
