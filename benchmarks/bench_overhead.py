@@ -88,15 +88,23 @@ def test_history_priority_steady_state_allocations():
         buf.push(sample)
         mod.update(buf.chronological(), 1.0)
 
-    # Warm past the wrap point so chronological() takes the scratch path.
+    # Warm past the wrap point so the window sits inside the doubled ring.
     for _ in range(history_len + 3):
         step()
 
-    # The wrapped chronological() view must be backed by the same buffer
-    # every step — pointer stability is the no-realloc guarantee.
-    ptr = buf.chronological().__array_interface__["data"][0]
-    step()
-    assert buf.chronological().__array_interface__["data"][0] == ptr
+    # The no-realloc guarantee: the window is a view of the ring's one
+    # buffer, whole and inside its extent, on every step of a full lap.
+    # (Its start slides one row per push by design -- the double-write
+    # ring keeps the window contiguous instead of unrolling it.)
+    ring = buf._data
+    low = ring.__array_interface__["data"][0]
+    for _ in range(history_len + 1):
+        step()
+        window = buf.chronological()
+        assert window.base is ring
+        assert window.shape == (history_len, n_units)
+        start = window.__array_interface__["data"][0]
+        assert low <= start and start + window.nbytes <= low + ring.nbytes
 
     tracemalloc.start()
     t0 = time.perf_counter()

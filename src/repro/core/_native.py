@@ -1,23 +1,24 @@
 """On-demand compiled kernels behind the decision core's per-unit stages.
 
-Four stages of the DPS decision do a few flops per unit behind a
+Five stages of the DPS decision do a few flops per unit behind a
 data-dependent walk or a chain of whole-array temporaries: the batched
 prominent-peak counter, Algorithm 1's decrease pass and random-order
-increase walk, the scalar Kalman update and Algorithm 2's flag
-transitions.  This module compiles ``_peaks_kernel.c`` (C transcriptions
-of the per-unit definitions, bit-exact by construction) with the system C
-compiler the first time a kernel is requested, caches the shared object
-under a hash of the source and the host CPU, and exposes the entry points
-through ctypes.
+increase walk, the scalar Kalman update, Algorithm 2's flag transitions
+and the elementwise passes of Algorithm 4's water-fill.  This module
+compiles ``_peaks_kernel.c`` (C versions of the per-unit definitions, held
+bit-exact by the equivalence suite) with the system C compiler the first
+time a kernel is requested, caches the shared object under a hash of the
+source and the host CPU, and exposes the entry points through ctypes.
 
 Everything degrades gracefully, and all at once: no compiler, a failed
 build or a missing symbol makes :func:`kernels` return ``None``, and each
 call site (:func:`repro.core.peaks.fill_features`,
 :func:`repro.core.stateless.mimd_step`,
 :meth:`repro.core.kalman.KalmanBank.update`,
-:meth:`repro.core.priority.PriorityModule.update`) runs its Python/NumPy
-fallback, which returns the same bits.  :func:`status` says which of the
-two this process runs, and why.
+:meth:`repro.core.priority.PriorityModule.update`,
+:func:`repro.core.readjust.readjust`) runs its Python/NumPy fallback,
+which returns the same bits.  :func:`status` says which of the two this
+process runs, and why.
 
 Environment:
     ``REPRO_NATIVE_CACHE``: directory the compiled ``.so`` is cached in
@@ -67,9 +68,10 @@ _cache: dict = {"resolved": False, "fn": None}
 class Kernels(NamedTuple):
     """The compiled entry points, resolved together or not at all.
 
-    ``peak_features`` is the checked wrapper of :func:`_load`; the other
-    four are the raw C functions of ``_peaks_kernel.c`` and read and write
-    through the addresses they are given.  Each has one Python call site,
+    ``peak_features`` is the checked wrapper of :func:`_load`; the others
+    are the raw C functions of ``_peaks_kernel.c`` and read and write
+    through the addresses they are given.  Each has one Python call site
+    (the four ``fill_*`` passes share :func:`repro.core.readjust.readjust`),
     which hands it only C-contiguous arrays of the element type and
     length the C signature names.
     """
@@ -79,6 +81,10 @@ class Kernels(NamedTuple):
     mimd_increase: Callable
     kalman_update: Callable
     classify: Callable
+    fill_select: Callable
+    fill_weights: Callable
+    fill_grant: Callable
+    fill_retire: Callable
 
 
 class Pinned:
@@ -192,9 +198,10 @@ def _build_library(cc: list[str]) -> Path:
         # -ffp-contract=off: no FMA contraction, so the kernel's arithmetic
         # is the same plain IEEE double sequence as the Python oracle.
         # -march=native is attempted first: the cache tag names the host
-        # CPU, so host-specific codegen is safe, and cmov emission for the
-        # walks is worth ~4x here; some compilers reject the flag, hence
-        # the plain retry.
+        # CPU, so host-specific codegen is safe, and the peak counter packs
+        # as many columns per step as a vector register of the target holds
+        # (eight with AVX-512, two in a plain build); some compilers reject
+        # the flag, hence the plain retry.
         base = cc + ["-O3", "-fPIC", "-shared", "-ffp-contract=off"]
         tail = [str(_SOURCE), "-o", tmp_name, "-lm"]
         try:
@@ -225,6 +232,10 @@ _SIGNATURES = {
         None,
         [_P, _P, _P, _P, _P, _L, ctypes.c_int, _D, _D, _D, _D],
     ),
+    "repro_fill_select": (_L, [_P, _P, _L, _D, _P, _P]),
+    "repro_fill_weights": (None, [_P, _P, _L]),
+    "repro_fill_grant": (None, [_P, _P, _L, _D, _D, _D]),
+    "repro_fill_retire": (_L, [_P, _P, _P, _L, _D]),
 }
 
 

@@ -1,32 +1,58 @@
 /* The per-unit stages of the DPS decision core: peak/std features here,
- * Algorithm 1, the Kalman bank and Algorithm 2's flags at the end.
+ * Algorithm 1, the Kalman bank, Algorithm 2's flags and Algorithm 4's
+ * water-fill passes at the end.
  *
  * Compiled on demand by repro.core._native (cc -O3 -shared); when no C
- * compiler is available, repro.core.peaks.fill_features runs the same
- * algorithm in Python (the per-column walk plus a row-sequential std) and
- * returns the same bits, and the other stages run as NumPy passes.
+ * compiler is available, repro.core.peaks.fill_features runs the Python
+ * walk per column plus a row-sequential std and returns the same bits,
+ * and the other stages run as NumPy passes.
  *
- * Semantics are the `_count_walk` oracle in peaks.py: a candidate maximum
- * is strictly above its left neighbour and not below its right one; each
- * side's valley floor is the minimum up to (excluding) the nearest
- * strictly-higher sample; the candidate counts when
- * height - max(left_base, right_base) >= min_prominence.  All arithmetic
- * is plain IEEE double (no -ffast-math, contraction disabled by the build
- * flags), so counts are bit-exact against the Python oracle.
+ * The count is defined by the `_count_walk` oracle in peaks.py: a
+ * candidate maximum is strictly above its left neighbour and not below
+ * its right one; each side's valley floor is the minimum up to
+ * (excluding) the nearest strictly-higher sample; the candidate counts
+ * when height - max(left_base, right_base) >= min_prominence.  The kernel
+ * does not transcribe that walk.  It runs a one-pass hysteresis rule that
+ * returns the same number, held equal by test (exhaustively on short
+ * sequences, tests/core/test_peaks.py).  Per column keep mode (rise or
+ * fall), lo, hi, m, prev, count; start in rise with lo = prev = x[0]; for
+ * each later sample v, with P = min_prominence:
  *
- * Four departures from a naive transcription, all exactness-preserving,
- * keep the per-column cost down on a branch-predictor-hostile workload:
+ *   rise:  if fl(v - lo) >= P:  mode = fall, hi = v, m = 1
+ *          else:                lo = min(lo, v)
+ *   fall:  if fl(hi - v) >= P:  count += m, mode = rise, lo = v
+ *          else if v > hi:      hi = v, m = 1
+ *          else if v == hi and v > prev:  m += 1
+ *   then prev = v.
  *
- * - The candidate test runs branchlessly over the whole column first
- *   (plain `&` of both comparisons, accumulated into a 64-bit position
- *   mask -- REPRO_MAX_H <= 64 by design), so the per-position 50/50
- *   branch of the scalar walk never reaches the predictor.  Only real
- *   candidates enter the walk loop, via ctz over the mask.
- * - A valley walk stops early once the side's prominence condition
- *   fl(height - base) >= min_prominence becomes true: walking further can
- *   only sink the base, and IEEE subtraction is monotone in the
- *   subtrahend, so the verdict cannot flip back.  The exact base value is
- *   then irrelevant -- only the verdict feeds the count.
+ * Why it equals the walk (IEEE subtraction of finite doubles is monotone
+ * in both operands, P > 0):
+ * - The sample that confirms a rise is strictly above its left neighbour,
+ *   and the left base of the maximum the rise ends in is <= lo, so its
+ *   left verdict holds whenever fl(v - lo) >= P did.
+ * - A maximum the rise passes without confirming stands less than P above
+ *   lo, and its left base is no lower than lo: left of the sample that set
+ *   lo lies the fall that ended there, all of it above lo up to a higher
+ *   hi.
+ * - A peak's right verdict -- some sample before the next strictly higher
+ *   one lies >= P below it -- is the fall test against the running hi.
+ * - A lower maximum met in fall mode is separated from the running hi
+ *   only by samples less than P below hi, hence less than P below itself:
+ *   its verdict on the side facing hi fails.
+ * - Samples that re-attain hi from below share both verdicts with the
+ *   first, hence the multiplicity m.  (A textbook zigzag counter has no
+ *   m: 0, 10, 5, 10, 0 at P = 6 holds two peaks of prominence 10.)
+ *
+ * Why lanes: the rule is one serial chain of a few dependent operations
+ * per sample, so a scalar walk costs the same however it is written
+ * (branching or not, ~8 cycles a sample).  But every update is a select,
+ * so columns advance in lock-step: the columns a block still has to count
+ * are packed side by side, one vector lane each, and all of them take one
+ * history row per vector step.  All arithmetic is plain IEEE double (no
+ * -ffast-math, contraction disabled by the build flags).
+ *
+ * Two skips keep most columns out of the count altogether:
+ *
  * - Quiet columns are skipped outright: a peak's prominence is bounded by
  *   the column's total range (height <= max, base >= min), and fl() is
  *   monotone, so fl(max - min) < min_prominence proves the count is zero
@@ -36,11 +62,11 @@
  *   `pp < T && std < S` of a flagged one, T = pp_threshold, S =
  *   std_threshold) the conjunction is evaluated cheap-first.  A flagged
  *   column whose std, already computed, is >= S can neither set (needs an
- *   unflagged unit) nor clear (needs std < S): it is not walked and reads
- *   the neutral value T.  Every other walk stops once the count reaches
- *   T + 1, since min(count, T + 1) answers both comparisons exactly as
- *   count does.  With `flagged` NULL the same loop runs uncapped and the
- *   counts are exact; std_out is exact for every column either way.
+ *   unflagged unit) nor clear (needs std < S): it is not counted and reads
+ *   the neutral value T.  Every other column reads min(count, T + 1),
+ *   which answers both comparisons exactly as count does.  With `flagged`
+ *   NULL the counts are exact; std_out is exact for every column either
+ *   way.
  *
  * The standard deviation is the population std over each column,
  * sequential summation along the history axis (independent accumulator
@@ -50,29 +76,74 @@
  * Layout: x is the C-contiguous (h, n) history, row-major, column u =
  * unit u.  Units are processed in blocks of REPRO_BLOCK columns: the
  * sum/min/max and std passes stream the rows directly (accumulators
- * indexed by column vectorize).  A column is gathered into a contiguous
- * stack buffer only when it is actually walked -- the block's rows are
- * cache-resident from the std pass -- so skipped columns cost no copy.
+ * indexed by column vectorize).  A column is gathered into a pack only
+ * when it is actually counted -- the block's rows are cache-resident from
+ * the std pass -- so skipped columns cost no copy.
  */
 
 #include <math.h>
 #include <stdint.h>
 #define REPRO_MAX_H 64
 #define REPRO_BLOCK 128
+/* Columns counted side by side: what one vector register of the build
+ * target holds.  A pack wider than the registers spills its state: eight
+ * lanes on AVX2 measured twice the time of a scalar walk. */
+#if defined(__AVX512F__)
+#define REPRO_LANES 8
+#elif defined(__AVX2__)
+#define REPRO_LANES 4
+#else
+#define REPRO_LANES 2
+#endif
+
+/* GCC/Clang vector types, not intrinsics: the same source builds on x86-64
+ * and aarch64.  A comparison yields -1 or 0 per lane, so masks combine
+ * with & | ~ ^ and PICK() is the select. */
+typedef double lanes_f __attribute__((vector_size(8 * REPRO_LANES)));
+typedef int64_t lanes_i __attribute__((vector_size(8 * REPRO_LANES)));
+
+#define PICK(mask, a, b) \
+    ((lanes_f)(((lanes_i)(a) & (mask)) | ((lanes_i)(b) & ~(mask))))
+
+/* The hysteresis rule of the header over REPRO_LANES packed columns: x[i]
+ * holds sample i of every lane; *out takes the exact count per lane.  The
+ * mode is the mask `rise`; lo is kept (and ignored) in fall mode, hi in
+ * rise mode.  A set mask lane is -1, so subtracting a mask adds one. */
+static void count_lanes(const lanes_f *x, long h, double min_prominence,
+                        lanes_i *out) {
+    lanes_f p, lo = x[0], hi = x[0], prev = x[0];
+    lanes_i rise = ~(lanes_i){0}, m = {0}, count = {0};
+    for (int l = 0; l < REPRO_LANES; l++)
+        p[l] = min_prominence;
+    for (long i = 1; i < h; i++) {
+        lanes_f v = x[i];
+        lanes_i up = rise & (lanes_i)(v - lo >= p);
+        lanes_i down = ~rise & (lanes_i)(hi - v >= p);
+        lanes_i top = up | (~rise & (lanes_i)(v > hi));
+        lanes_i again = ~rise & (lanes_i)(v == hi) & (lanes_i)(v > prev);
+        count += m & down;
+        m = (~top & (m - again)) - top;
+        hi = PICK(top, v, hi);
+        lo = PICK(down | (lanes_i)(v < lo), v, lo);
+        rise ^= up | down;
+        prev = v;
+    }
+    *out = count;
+}
 
 void repro_peak_features(const double *x, long h, long n,
                          double min_prominence, long *pp_out,
                          double *std_out, const unsigned char *flagged,
                          long pp_threshold, double std_threshold) {
-    double col[REPRO_MAX_H];
     double s[REPRO_BLOCK], mn[REPRO_BLOCK], mx[REPRO_BLOCK];
+    lanes_f packed[REPRO_MAX_H];
+    long walked[REPRO_BLOCK];
 
     if (h < 1 || h > REPRO_MAX_H || n < 1 || (flagged && !std_out))
         return;
-    /* A walk runs while count <= pp_threshold; a column has fewer than h
-     * peaks, so without a verdict context h means "never stop". */
-    if (!flagged)
-        pp_threshold = h;
+    /* Under a verdict context counts saturate at pp_threshold + 1; a
+     * column has fewer than h peaks, so h means "exact". */
+    long most = flagged ? pp_threshold + 1 : h;
 
     for (long b0 = 0; b0 < n; b0 += REPRO_BLOCK) {
         long bw = n - b0 < REPRO_BLOCK ? n - b0 : REPRO_BLOCK;
@@ -117,61 +188,46 @@ void repro_peak_features(const double *x, long h, long n,
         if (!pp_out)
             continue;
 
+        /* Both skips, as selects: which of the three outcomes a column
+         * takes is a coin flip to the branch predictor.  A skipped column
+         * has its value now; the others are listed and overwritten. */
+        long nw = 0;
         for (long c = 0; c < bw; c++) {
+            long u = b0 + c;
             /* Verdict skip: flagged and still noisy, so neither flag
              * transition can fire whatever the count is. */
-            if (flagged && flagged[b0 + c] &&
-                std_out[b0 + c] >= std_threshold) {
-                pp_out[b0 + c] = pp_threshold;
-                continue;
-            }
+            int noisy = flagged ? (flagged[u] != 0) &
+                                      (std_out[u] >= std_threshold)
+                                : 0;
             /* Quiet-column skip: every peak's prominence is bounded by the
              * column's total range, and fl() is monotone, so
              * fl(mx - mn) < min_prominence implies no peak can reach it. */
-            if (mx[c] - mn[c] < min_prominence) {
-                pp_out[b0 + c] = 0;
-                continue;
-            }
-            const double *src = x + b0 + c;
+            int quiet = mx[c] - mn[c] < min_prominence;
+            pp_out[u] = noisy ? pp_threshold : 0;
+            walked[nw] = u;
+            nw += !(noisy | quiet);
+        }
+
+        /* The listed columns are packed REPRO_LANES at a time and counted
+         * in lock-step; a short last pack repeats its first column in the
+         * spare lanes, which are not stored. */
+        for (long g = 0; g < nw; g += REPRO_LANES) {
+            long live = nw - g < REPRO_LANES ? nw - g : REPRO_LANES;
+            const double *src[REPRO_LANES];
+            for (long l = 0; l < REPRO_LANES; l++)
+                src[l] = x + walked[g + (l < live ? l : 0)];
             for (long i = 0; i < h; i++)
-                col[i] = src[i * n];
-            uint64_t cand = 0;
-            for (long i = 1; i + 1 < h; i++) {
-                uint64_t o = (uint64_t)((col[i] > col[i - 1]) &
-                                        (col[i] >= col[i + 1]));
-                cand |= o << i;
-            }
-            long count = 0;
-            while (cand && count <= pp_threshold) {
-                long i = (long)__builtin_ctzll(cand);
-                cand &= cand - 1;
-                double hi = col[i];
-                double lb = hi;
-                long j = i - 1;
-                for (; j >= 0; j--) {
-                    double v = col[j];
-                    if ((v > hi) | (hi - lb >= min_prominence))
-                        break;
-                    lb = v < lb ? v : lb;
-                }
-                if (hi - lb < min_prominence)
-                    continue;
-                double rb = hi;
-                j = i + 1;
-                for (; j < h; j++) {
-                    double v = col[j];
-                    if ((v > hi) | (hi - rb >= min_prominence))
-                        break;
-                    rb = v < rb ? v : rb;
-                }
-                count += hi - rb >= min_prominence;
-            }
-            pp_out[b0 + c] = count;
+                for (long l = 0; l < REPRO_LANES; l++)
+                    packed[i][l] = src[l][i * n];
+            lanes_i count;
+            count_lanes(packed, h, min_prominence, &count);
+            for (long l = 0; l < live; l++)
+                pp_out[walked[g + l]] = count[l] < most ? count[l] : most;
         }
     }
 }
 
-/* The other three per-unit stages of the decision, each one pass that
+/* Three more per-unit stages of the decision, each one pass that
  * transcribes the per-unit definition in tests/core/oracles.py operation
  * for operation (plain IEEE double under -ffp-contract=off, so the bits
  * are the oracle's and the NumPy fallback's).  No function below sums an
@@ -275,4 +331,62 @@ void repro_classify(const long *pp, const double *std, const double *derivs,
         high_freq[u] = (unsigned char)((flagged | set) & !clear);
         priority[u] = (unsigned char)((high | set | rise) & !clear & !fall);
     }
+}
+
+/* Algorithm 4's water-fill (readjust._water_fill), as the elementwise
+ * passes around the two sums NumPy keeps: the caller sums the weights
+ * between weights and grant and the grants between grant and retire, with
+ * the same pairwise reduction the fallback uses, so every cap comes out
+ * with the fallback's bits.  unit/c/w are the caller's scratch, n long. */
+
+/* Gathers index and cap of every high-priority unit still under the
+ * saturation ceiling, in unit order; returns how many.  Stores
+ * unconditionally and advances on the verdict: at cluster scale the
+ * priority bit is a coin flip per unit. */
+long repro_fill_select(const unsigned char *priority, const double *caps,
+                       long n, double ceiling, long *unit, double *c) {
+    long k = 0;
+    for (long u = 0; u < n; u++) {
+        unit[k] = u;
+        c[k] = caps[u];
+        k += (priority[u] != 0) & (caps[u] < ceiling);
+    }
+    return k;
+}
+
+/* Inverse-cap weights, 1 / max(c, 1e-9), not yet normalised. */
+void repro_fill_weights(const double *c, double *w, long k) {
+    for (long i = 0; i < k; i++)
+        w[i] = 1.0 / (c[i] > 1e-9 ? c[i] : 1e-9);
+}
+
+/* One pass of grants: each active unit takes its share of `remaining`,
+ * clipped at the room it has left; w holds the weights on entry and the
+ * grants on return.  Operation order is the fallback's
+ * `weights /= weights.sum(); remaining * weights`. */
+void repro_fill_grant(double *c, double *w, long k, double remaining,
+                      double wsum, double max_cap) {
+    for (long i = 0; i < k; i++) {
+        double share = remaining * (w[i] / wsum);
+        double room = max_cap - c[i];
+        double g = share < room ? share : room;
+        c[i] += g;
+        w[i] = g;
+    }
+}
+
+/* Every active unit's cap is written back; the units still under the
+ * ceiling stay active and close ranks in place.  Returns how many stay. */
+long repro_fill_retire(double *caps, long *unit, double *c, long k,
+                       double ceiling) {
+    long kept = 0;
+    for (long i = 0; i < k; i++) {
+        long u = unit[i];
+        double v = c[i];
+        caps[u] = v;
+        unit[kept] = u;
+        c[kept] = v;
+        kept += v < ceiling;
+    }
+    return kept;
 }

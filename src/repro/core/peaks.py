@@ -10,15 +10,18 @@ it from the nearest higher samples on each side.
 This runs once per unit per control step, behind one dispatch
 (:func:`fill_features`): the compiled kernel of :mod:`repro.core._native`
 — one fused, cache-blocked pass over every unit — when the host has a C
-compiler, otherwise the per-column native-float walk (:func:`_count_walk`,
-which the kernel transcribes) plus a row-sequential std in the kernel's
-summation order.  Both return the same bits, and the test suite holds them
-against each other and against the full prominence computation
-(:func:`peak_prominences`), kept in NumPy as the readable reference.  There
-is deliberately no NumPy batch tier in between: at 100k x 20 it measured
-25x off the kernel, and at the paper's 20 units slower than the walk
-(docs/algorithms.md).  A *single* short history is walked in plain Python
-— ~12x faster than slice-based NumPy on 20 samples (DESIGN.md §8).
+compiler, otherwise the per-column native-float walk (:func:`_count_walk`)
+plus a row-sequential std in the kernel's summation order.  The walk is the
+definition.  The kernel is a *different algorithm* — a one-pass hysteresis
+counter run over packed vector lanes, stated and argued in the header of
+``_peaks_kernel.c`` — that returns the same bits; the test suite holds the
+two against each other (exhaustively on short sequences) and against the
+full prominence computation (:func:`peak_prominences`), kept in NumPy as
+the readable reference.  There is deliberately no NumPy batch tier in
+between: at 100k x 20 it measured 25x off the kernel, and at the paper's 20
+units slower than the walk (docs/algorithms.md).  A *single* short history
+is walked in plain Python — ~12x faster than slice-based NumPy on 20
+samples (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -171,14 +174,18 @@ def fill_features(
     ``pp < pp_threshold and std < std_threshold`` of a flagged one, so the
     conjunction is evaluated cheap-first.  A flagged unit whose std is at
     or over ``std_threshold`` can neither set nor clear: it is not walked
-    and ``pp_out`` reads the neutral ``pp_threshold``.  Every other walk
-    stops at ``pp_threshold + 1``, and ``min(count, pp_threshold + 1)``
+    and ``pp_out`` reads the neutral ``pp_threshold``.  Every other unit
+    reads ``min(count, pp_threshold + 1)`` (the walk stops there), which
     answers both comparisons exactly as the count does.  ``std_out`` is
     exact either way; without ``flagged`` so is ``pp_out``.
 
     Args:
-        history: float64 ``(history_len, n_units)``, oldest sample first.
-        min_prominence: prominence threshold in watts (> 0).
+        history: float64 ``(history_len, n_units)``, oldest sample first,
+            every sample finite (:meth:`PowerManager.step` enforces it;
+            on an infinity or NaN kernel and fallback may disagree).
+        min_prominence: prominence threshold in watts; zero, negative or
+            NaN raises ValueError (the kernel's counter and the walk agree
+            only for a positive threshold).
         pp_out / std_out: C-contiguous ``np.intp`` / ``float64`` arrays of
             shape ``(n_units,)`` to fill (anything else raises ValueError:
             the kernel writes through raw pointers), or None to skip.
@@ -188,6 +195,8 @@ def fill_features(
         pp_threshold / std_threshold: Algorithm 2's thresholds; read only
             with ``flagged``.
     """
+    if not min_prominence > 0:
+        raise ValueError(f"min_prominence must be > 0, got {min_prominence}")
     h, n_units = history.shape
     for name, arr, dtype in (
         ("pp_out", pp_out, np.intp),
@@ -256,15 +265,14 @@ def count_prominent_peaks_multi(
     Args:
         history: shape ``(history_len, n_units)``; column ``u`` is unit
             ``u``'s power history, oldest sample first.
-        min_prominence: prominence threshold in watts.
+        min_prominence: prominence threshold in watts, > 0
+            (:func:`fill_features` raises ValueError otherwise).
         out: optional preallocated C-contiguous ``np.intp`` array of shape
             ``(n_units,)`` the counts are written into.
 
     Returns:
         Integer array of shape ``(n_units,)`` (``out`` when provided).
     """
-    if min_prominence <= 0:
-        raise ValueError(f"min_prominence must be > 0, got {min_prominence}")
     history = np.asarray(history, dtype=np.float64)
     if history.ndim != 2:
         raise ValueError(f"expected 2-D history, got shape {history.shape}")

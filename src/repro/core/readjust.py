@@ -24,6 +24,12 @@ the paper's prose ("allocates this unassigned budget to all the
 high-priority units"), we *add* the inverse-cap-weighted share instead, with
 a short water-fill loop so budget clipped off at the per-unit maximum is
 recycled to the remaining high-priority units.
+
+The water-fill runs behind one dispatch inside :func:`readjust`: its
+elementwise passes compiled (:mod:`repro.core._native`) around two sums
+NumPy keeps when the host has a C compiler, otherwise the NumPy passes of
+:func:`_water_fill`.  The two return the same bits
+(``tests/core/test_decision_core.py``).
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.core import _native
 from repro.core.config import ReadjustConfig
 
 __all__ = ["RestoreResult", "restore", "readjust"]
@@ -90,6 +97,82 @@ def restore(
     return RestoreResult(caps=caps, restored=True)
 
 
+def _water_fill(
+    caps: np.ndarray,
+    high: np.ndarray,
+    avail: float,
+    max_cap_w: float,
+    budget_epsilon: float,
+) -> None:
+    """Grant ``avail`` to the units ``high``, inverse-cap weighted; mutates
+    caps.  Anything clipped at the per-unit maximum is recycled.
+
+    The water-fill iterates on a compact copy of the active caps — one
+    gather up front, one scatter per retired unit batch — instead of
+    re-gathering ``caps[active]`` several times per pass; the element
+    order and arithmetic are unchanged, so the grants are identical to
+    filling in place.
+    """
+    gathered = caps[high]
+    keep = gathered < max_cap_w - SATURATION_EPS_W
+    active = high[keep]
+    c = gathered[keep]
+    remaining = avail
+    # Each pass either exhausts the budget or saturates at least one
+    # unit, so this terminates in at most len(active) passes.
+    while remaining > budget_epsilon and active.size > 0:
+        weights = 1.0 / np.maximum(c, 1e-9)
+        weights /= weights.sum()
+        grant = np.minimum(remaining * weights, max_cap_w - c)
+        c += grant
+        remaining -= float(grant.sum())
+        keep = c < max_cap_w - SATURATION_EPS_W
+        if not keep.all():
+            done = ~keep
+            caps[active[done]] = c[done]
+            active = active[keep]
+            c = c[keep]
+    caps[active] = c
+
+
+def _water_fill_compiled(
+    kernels: _native.Kernels,
+    caps: np.ndarray,
+    prio: np.ndarray,
+    avail: float,
+    max_cap_w: float,
+    budget_epsilon: float,
+) -> None:
+    """:func:`_water_fill` with its elementwise passes compiled and both
+    sums left to NumPy (same reduction, same bits); mutates caps.
+
+    The kernels read and write through raw addresses: caps is the
+    caller's own C-contiguous float64 copy, prio is made contiguous here,
+    and the three scratch arrays are allocated here, all ``n`` long.
+    """
+    n = caps.shape[0]
+    prio = np.ascontiguousarray(prio)
+    unit = np.empty(n, dtype=np.intp)  # C long is np.intp wherever loaded.
+    c = np.empty(n)
+    w = np.empty(n)
+    caps_at, unit_at, c_at, w_at = (
+        arr.ctypes.data for arr in (caps, unit, c, w)
+    )
+    max_cap_w = float(max_cap_w)
+    ceiling = max_cap_w - SATURATION_EPS_W
+    k = kernels.fill_select(
+        prio.ctypes.data, caps_at, n, ceiling, unit_at, c_at
+    )
+    remaining = avail
+    while remaining > budget_epsilon and k > 0:
+        kernels.fill_weights(c_at, w_at, k)
+        wsum = float(w[:k].sum())
+        kernels.fill_grant(c_at, w_at, k, remaining, wsum, max_cap_w)
+        remaining -= float(w[:k].sum())  # w holds the grants now.
+        # Writes every active cap back, so there is no scatter at the end.
+        k = kernels.fill_retire(caps_at, unit_at, c_at, k, ceiling)
+
+
 def readjust(
     caps_w: np.ndarray,
     priority: np.ndarray,
@@ -122,42 +205,22 @@ def readjust(
     if restored:
         return caps
 
-    high = np.flatnonzero(prio)
-    if high.size == 0:
-        return caps
-
     avail = budget_w - float(caps.sum())
     if avail > config.budget_epsilon:
         # Distribute the leftover to high-priority units, inverse-cap
         # weighted; recycle anything clipped at the per-unit maximum.
-        # The water-fill iterates on a compact copy of the active caps —
-        # one gather up front, one scatter per retired unit batch — instead
-        # of re-gathering ``caps[active]`` several times per pass; the
-        # element order and arithmetic are unchanged, so the grants are
-        # identical to filling in place.
-        gathered = caps[high]
-        keep = gathered < max_cap_w - SATURATION_EPS_W
-        active = high[keep]
-        c = gathered[keep]
-        remaining = avail
-        # Each pass either exhausts the budget or saturates at least one
-        # unit, so this terminates in at most len(active) passes.
-        while remaining > config.budget_epsilon and active.size > 0:
-            weights = 1.0 / np.maximum(c, 1e-9)
-            weights /= weights.sum()
-            grant = np.minimum(remaining * weights, max_cap_w - c)
-            c += grant
-            remaining -= float(grant.sum())
-            keep = c < max_cap_w - SATURATION_EPS_W
-            if not keep.all():
-                done = ~keep
-                caps[active[done]] = c[done]
-                active = active[keep]
-                c = c[keep]
-        caps[active] = c
+        kernels = _native.kernels()
+        if kernels is None:
+            high = np.flatnonzero(prio)
+            _water_fill(caps, high, avail, max_cap_w, config.budget_epsilon)
+        else:
+            _water_fill_compiled(
+                kernels, caps, prio, avail, max_cap_w, config.budget_epsilon
+            )
     else:
         # Budget exhausted: equalize the caps of all high-priority units.
-        equal_cap = min(float(caps[high].mean()), max_cap_w)
-        caps[high] = equal_cap
+        high = np.flatnonzero(prio)
+        if high.size > 0:
+            caps[high] = min(float(caps[high].mean()), max_cap_w)
 
     return caps

@@ -17,7 +17,10 @@ The reference side of every comparison runs under
 Algorithm 1, the Kalman bank and Algorithm 2's flags each exist three
 times — compiled walk, NumPy fallback (:func:`oracles.no_native`),
 per-unit oracle — and ``TestThreeWayLockstep`` holds the three equal in
-every bit of every output, the generator's state included.
+every bit of every output, the generator's state included.  Algorithm 4's
+water-fill exists twice — compiled passes around NumPy's sums, NumPy
+throughout — and ``TestWaterFillLockstep`` holds those two equal the same
+way.
 """
 
 import contextlib
@@ -41,6 +44,7 @@ from repro.core.config import (
     DPSConfig,
     KalmanConfig,
     PriorityConfig,
+    ReadjustConfig,
     StatelessConfig,
 )
 from repro.core.dps import DPSManager
@@ -53,6 +57,7 @@ from repro.core.peaks import (
     peak_prominences,
 )
 from repro.core.priority import PriorityModule
+from repro.core.readjust import SATURATION_EPS_W, readjust
 from repro.core.slurm import SlurmManager
 from repro.core.stateless import mimd_step
 from tests.core.oracles import loop_core, no_native
@@ -378,10 +383,12 @@ class TestLazyFeaturesEqualExact:
         pp_threshold=st.integers(min_value=1, max_value=4),
         prominence=st.sampled_from([2.0, 5.0, 20.0, 33.3]),
         std_threshold=st.sampled_from([1.5, 6.0, 12.0, 25.0]),
+        quarter_watts=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
     def test_flags_bit_identical_over_random_runs(
-        self, host, n, seed, steps, pp_threshold, prominence, std_threshold
+        self, host, n, seed, steps, pp_threshold, prominence, std_threshold,
+        quarter_watts,
     ):
         rng = np.random.default_rng(seed)
         config = PriorityConfig(
@@ -393,7 +400,10 @@ class TestLazyFeaturesEqualExact:
         with host():
             for _ in range(steps):
                 h = int(rng.choice([rng.integers(1, 25), 20, 20]))
-                pair.update(_phase_history(rng, h, n, config))
+                window = _phase_history(rng, h, n, config)
+                if quarter_watts:  # Equal heights and exact threshold hits.
+                    window = np.round(window * 4.0) / 4.0
+                pair.update(window)
 
     @_hosts
     def test_std_on_the_threshold_skips(self, host):
@@ -811,6 +821,178 @@ class TestThreeWayLockstep:
             assert run(first, second) == reference
 
 
+#: The last cap the water-fill still tops up sits one ulp under this.
+_CEILING = 165.0 - SATURATION_EPS_W
+
+
+@st.composite
+def waterfill_cases(draw):
+    """``(caps, priority, budget, config)`` for one ``readjust`` call.
+
+    Quarter-watt caps with a share of the units pinned to each edge -- at
+    the maximum, on either side of ``SATURATION_EPS_W`` under it, at and
+    under the ``1e-9`` floor of the weights -- and a leftover sized
+    against the room the high-priority units have, so the fill ends every
+    way it can: never started, one pass, units retiring pass by pass, and
+    dry (every unit full) with budget to spare.
+    """
+    n = draw(st.integers(min_value=1, max_value=300))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    high = draw(st.sampled_from(["none", "some", "all"]))
+    shape = draw(st.sampled_from(["spread", "full", "near", "tiny"]))
+    leftover = draw(
+        st.sampled_from(
+            ["ulp under", "on", "ulp over", "sliver", "part", "most", "flood"]
+        )
+    )
+    # Not 0.0: what a pass without a clipped unit leaves over is rounding
+    # noise that shrinks 1e-16-fold per pass and stalls in the denormals,
+    # in both implementations alike (CHANGES.md, PR 20).
+    epsilon = draw(st.sampled_from([1.0, 0.25, 1e-6]))
+    rng = np.random.default_rng(seed)
+
+    caps = _grid(rng, 30.0, 165.0, n)
+    pin = rng.random(n)
+    if shape == "spread":
+        caps[pin < 0.1] = 165.0
+        caps[pin > 0.9] = 164.75
+    elif shape == "full":  # At the maximum or too close to count.
+        caps[:] = 165.0
+        caps[pin < 0.5] = 165.0 - 1e-13
+    elif shape == "near":
+        edges = [
+            165.0,
+            165.0 - 1e-13,
+            _CEILING,
+            np.nextafter(_CEILING, 0.0),
+            np.nextafter(_CEILING, 166.0),
+            164.75,
+        ]
+        caps = rng.choice(edges, n)
+    else:  # The weights are 1 / max(cap, 1e-9).
+        floor = [1e-9, np.nextafter(1e-9, 1.0), 5e-10, 1e-12, 0.0, -0.0, 0.25]
+        caps = np.where(pin < 0.7, rng.choice(floor, n), caps)
+    priority = {
+        "none": np.zeros(n, dtype=bool),
+        "some": rng.random(n) < 0.4,
+        "all": np.ones(n, dtype=bool),
+    }[high]
+
+    assigned = float(caps.sum())
+    filling = priority & (caps < _CEILING)
+    room = float((165.0 - caps[filling]).sum())
+    watts = {
+        "sliver": epsilon + 0.25,  # One pass hands all of it out.
+        "part": 0.3 * room,
+        "most": 0.9 * room,  # Units retire; the rest share what they shed.
+        "flood": room + 50.0,  # Everyone fills up and budget remains.
+    }.get(leftover, 2.0)
+    budget = assigned + np.ceil(watts * 4.0) / 4.0
+    if leftover in ("ulp under", "on", "ulp over"):
+        # The branch is `leftover > budget_epsilon`: put the epsilon on
+        # the leftover itself and one ulp to either side of it.
+        avail = budget - assigned
+        epsilon = {
+            "ulp under": np.nextafter(avail, np.inf),
+            "on": avail,
+            "ulp over": np.nextafter(avail, 0.0),
+        }[leftover]
+    config = ReadjustConfig(budget_epsilon=float(epsilon))
+    return caps, priority, float(budget), config
+
+
+class TestWaterFillLockstep:
+    """Algorithm 4 with its elementwise passes compiled == NumPy throughout,
+    in every bit of every cap."""
+
+    @staticmethod
+    def _both_hosts(caps, priority, budget, config):
+        """The caps each implementation decides, checked fresh and equal."""
+        inputs = _bits((caps, priority))
+        outputs = []
+        for host in (contextlib.nullcontext, no_native):
+            with host():
+                out = readjust(caps, priority, budget, 165.0, False, config)
+            assert not np.shares_memory(out, caps)
+            outputs.append(out)
+        assert _bits((caps, priority)) == inputs  # Neither input is touched.
+        assert _bits(outputs[0]) == _bits(outputs[1])
+        return outputs[0]
+
+    @given(case=waterfill_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_readjust(self, case):
+        caps, priority, budget, config = case
+        out = self._both_hosts(caps, priority, budget, config)
+        np.testing.assert_array_equal(out[~priority], caps[~priority])
+
+    def test_no_high_priority_unit(self):
+        caps = np.array([80.0, -0.0, 90.25])
+        for budget in (400.0, 100.0):  # Either branch: nobody to serve.
+            out = self._both_hosts(
+                caps, np.zeros(3, dtype=bool), budget, ReadjustConfig()
+            )
+            assert _bits(out) == _bits(caps)
+
+    def test_every_high_unit_saturated_never_starts(self):
+        """At the maximum, within the tolerance of it, and exactly on the
+        ceiling: none is under it, so no pass runs and no bit moves."""
+        caps = np.array([165.0, 165.0 - 1e-13, _CEILING, 40.0])
+        priority = np.array([True, True, True, False])
+        out = self._both_hosts(caps, priority, 900.0, ReadjustConfig())
+        assert _bits(out) == _bits(caps)
+
+    def test_one_ulp_under_the_ceiling_is_topped_up(self):
+        under = np.nextafter(_CEILING, 0.0)
+        caps = np.array([under, _CEILING, 100.0])
+        out = self._both_hosts(
+            caps, np.ones(3, dtype=bool), 500.0, ReadjustConfig()
+        )
+        assert out.tolist() == [165.0, _CEILING, 165.0]
+
+    def test_one_pass_exhausts_the_budget(self):
+        """Nobody is clipped, so the first pass hands out everything (to
+        rounding) and the loop ends on the budget, both units active."""
+        caps = np.array([50.0, 100.0, 120.0])
+        priority = np.array([True, True, False])
+        out = self._both_hosts(caps, priority, 300.0, ReadjustConfig())
+        assert out[0] - 50.0 == pytest.approx(20.0)  # 2 : 1, inverse cap.
+        assert out[1] - 100.0 == pytest.approx(10.0)
+        assert out.sum() == pytest.approx(300.0)
+
+    def test_units_retire_pass_by_pass(self):
+        """The first pass clips two units at the maximum and leaves 9 W;
+        later passes must recycle it, down to under the epsilon."""
+        caps = np.array([164.0, 160.0, 150.0, 100.0, 50.0])
+        budget = float(caps.sum()) + 60.0
+        out = self._both_hosts(
+            caps, np.ones(5, dtype=bool), budget, ReadjustConfig()
+        )
+        assert out[0] == out[1] == 165.0
+        assert (out[2:] < 165.0).all() and (out[2:] > caps[2:]).all()
+        assert 0.0 <= budget - out.sum() <= 1.0
+
+    def test_fill_runs_dry_with_budget_to_spare(self):
+        """Every active unit fills up in the first pass: the loop ends on
+        an empty active set, with most of the leftover unassigned."""
+        caps = np.array([160.0, 150.0, 40.0])
+        priority = np.array([True, True, False])
+        out = self._both_hosts(caps, priority, 1000.0, ReadjustConfig())
+        assert out.tolist() == [165.0, 165.0, 40.0]
+
+    def test_caps_at_and_under_the_weight_floor(self):
+        """``1 / max(cap, 1e-9)``: a cap of zero, of either sign, or under
+        the floor weighs as the floor does, and outweighs a real cap by
+        eleven orders of magnitude."""
+        caps = np.array([0.0, -0.0, 5e-10, 1e-9, 100.0])
+        out = self._both_hosts(
+            caps, np.ones(5, dtype=bool), 140.0, ReadjustConfig()
+        )
+        assert out[0] == out[1] == pytest.approx(10.0)
+        assert out[2] == pytest.approx(10.0) and out[3] == pytest.approx(10.0)
+        assert 0.0 < out[4] - 100.0 < 1e-6
+
+
 def _views(clean):
     """``clean`` again as arrays a kernel must not be handed as they are:
     ``(label, array)`` with the same values (callers pass quarter-watt
@@ -828,7 +1010,7 @@ def _views(clean):
 
 
 class TestCallSiteInputs:
-    """Each of the four Python call sites hands C only what it checked:
+    """Each of the five Python call sites hands C only what it checked:
     anything else is copied first or raises ``ValueError`` -- on a host
     with the kernels and on one without, alike."""
 
@@ -900,6 +1082,42 @@ class TestCallSiteInputs:
             for bad in (window[:, :-1], window[0], window[None]):
                 with pytest.raises(ValueError, match="history shape"):
                     run(bad)
+
+    @_hosts
+    def test_readjust(self, host, arrays):
+        _, caps = arrays
+        high = np.arange(self.N) % 3 != 0
+        budget = float(caps.sum()) + 200.0
+
+        def run(caps, priority):
+            out = readjust(
+                caps, priority, budget, 165.0, False, ReadjustConfig()
+            )
+            return _bits(out)
+
+        readonly = high.copy()
+        readonly.flags.writeable = False
+        truths = [
+            ("strided", np.repeat(high, 2)[::2]),
+            ("read-only", readonly),
+            ("int64", high.astype(np.int64)),
+            ("float64", high * 0.5),
+            ("bytes other than 1", (high * 254).astype(np.uint8).view(bool)),
+            ("list", high.tolist()),
+        ]
+        with host():
+            want = run(caps, high)
+            assert want != _bits(caps)  # The water-fill did run.
+            for label, c in _views(caps):
+                assert run(c, high) == want, f"caps {label}"
+            for label, p in truths:
+                assert run(caps, p) == want, f"priority {label}"
+            for bad in (caps[:-1], caps[None, :], np.float64(100.0)):
+                with pytest.raises(ValueError, match="shape"):
+                    run(bad, high)
+            for bad in (high[:-1], high[None, :], np.True_):
+                with pytest.raises(ValueError, match="shape"):
+                    run(caps, bad)
 
     @_hosts
     def test_manager_step(self, host, arrays):
