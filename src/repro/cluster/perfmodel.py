@@ -41,7 +41,12 @@ def progress_rate(
     cfg = config or PerfModelConfig()
     cap = np.asarray(cap_w, dtype=np.float64)
     demand = np.asarray(demand_w, dtype=np.float64)
-    if np.any(cap < 0) or np.any(demand < 0):
+    # "Any element < 0" as one reduction: fmin skips a NaN, as the
+    # elementwise comparison does, and ``initial`` covers an empty input.
+    if (
+        np.fmin.reduce(cap, axis=None, initial=0.0) < 0
+        or np.fmin.reduce(demand, axis=None, initial=0.0) < 0
+    ):
         raise ValueError("caps and demands must be >= 0")
 
     idle = cfg.idle_power_w
@@ -52,4 +57,4 @@ def progress_rate(
     ratio = np.minimum(headroom_cap / headroom_demand, 1.0)
     rate = ratio ** (1.0 / cfg.theta)
     rate = np.where(demand <= np.maximum(cap, idle), 1.0, rate)
-    return np.clip(rate, cfg.min_rate, 1.0)
+    return rate.clip(cfg.min_rate, 1.0)

@@ -227,8 +227,18 @@ class Simulation:
         self.safety = safety
 
         # Validate the assignment slices partition-or-less the unit range.
+        # ``durations`` and ``SimulationResult.execution`` are keyed by
+        # workload name, so two assignments of one name would merge.
         seen: set[int] = set()
+        names: set[str] = set()
         for a in assignments:
+            if a.spec.name in names:
+                raise ValueError(
+                    f"{a.spec.name}: workload assigned twice; results are "
+                    f"keyed by workload name, so give each placement its "
+                    f"own (dataclasses.replace(spec, name=...))"
+                )
+            names.add(a.spec.name)
             ids = {int(u) for u in a.unit_ids}
             if not ids:
                 raise ValueError(f"{a.spec.name}: empty unit assignment")
@@ -380,10 +390,12 @@ class Simulation:
         for e in executions:
             events.emit(0.0, "run_started", workload=e.spec.name)
 
-        demand = np.full(
-            cluster.n_units, self.cluster_spec.idle_power_w, dtype=np.float64
-        )
-        completed_before = {e.spec.name: 0 for e in executions}
+        idle_power_w = self.cluster_spec.idle_power_w
+        requires_demand = self.manager.requires_demand
+        budget_limit_w = cluster.budget_w * (1 + 1e-6)
+        target_runs = self.target_runs
+        demand = np.full(cluster.n_units, idle_power_w, dtype=np.float64)
+        completed = [0] * len(executions)
         max_caps_sum = float(np.sum(cluster.caps_w()))
         now = 0.0
         steps = 0
@@ -394,7 +406,7 @@ class Simulation:
         recover_fired = [False] * len(pending_failures)
         in_safe_mode = bool(getattr(self.manager, "safe_mode", False))
 
-        while any(e.runs_completed < self.target_runs for e in executions):
+        while min(completed) < target_runs:
             if steps >= sim_cfg.max_steps:
                 truncated = True
                 events.emit(now, "simulation_truncated")
@@ -443,7 +455,7 @@ class Simulation:
             )
 
             # 1. Demands from every workload; unassigned units idle.
-            demand.fill(self.cluster_spec.idle_power_w)
+            demand.fill(idle_power_w)
             for e in executions:
                 demand[e.unit_ids] = e.demand()
             if down_units is not None:
@@ -451,7 +463,9 @@ class Simulation:
 
             # 2. Physics under the caps currently in effect.
             caps_in_effect = cluster.caps_w()
-            max_caps_sum = max(max_caps_sum, float(caps_in_effect.sum()))
+            in_effect_sum = float(caps_in_effect.sum())
+            if in_effect_sum > max_caps_sum:
+                max_caps_sum = in_effect_sum
             true_power = cluster.step_physics(demand, dt)
             now += dt
             steps += 1
@@ -460,17 +474,18 @@ class Simulation:
             rates = progress_rate(caps_in_effect, demand, self.perf_config)
             if down_units is not None:
                 rates[down_units] = 0.0
-            for e in executions:
+            for k, e in enumerate(executions):
                 e.advance(
                     rates[e.unit_ids], true_power[e.unit_ids], dt, now
                 )
-                if e.runs_completed > completed_before[e.spec.name]:
-                    completed_before[e.spec.name] = e.runs_completed
+                done = len(e.records)
+                if done > completed[k]:
+                    completed[k] = done
                     events.emit(
                         now,
                         "run_completed",
                         workload=e.spec.name,
-                        detail=f"run {e.runs_completed}",
+                        detail=f"run {done}",
                     )
 
             # 4. Measure, decide, actuate.
@@ -479,8 +494,7 @@ class Simulation:
                 # A dead host's telemetry is a dropout, not a number.
                 readings[down_units] = 0.0
             new_caps = stepper.step(
-                readings,
-                demand if self.manager.requires_demand else None,
+                readings, demand if requires_demand else None
             )
             if envelope is not None:
                 assert guard is not None
@@ -502,7 +516,8 @@ class Simulation:
             actuator.issue(new_caps)
             if envelope is not None:
                 envelope.record_dispatched(slice(None), new_caps)
-            drain_actuator(now)
+            if actuator.events:
+                drain_actuator(now)
             if monitor is not None:
                 monitor.run(
                     InvariantContext(
@@ -534,7 +549,7 @@ class Simulation:
                     now, true_power, readings, caps_in_effect, priority
                 )
             caps_sum = float(new_caps.sum())
-            if caps_sum > cluster.budget_w * (1 + 1e-6):
+            if caps_sum > budget_limit_w:
                 events.emit(
                     now, "budget_violation", detail=f"sum={caps_sum:.1f}"
                 )

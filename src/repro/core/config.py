@@ -11,6 +11,7 @@ match the published qualitative behaviour and are exposed for ablation.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass, field
 
 
@@ -155,7 +156,10 @@ class ReadjustConfig:
             unit draws less than ``restore_threshold * initial_cap`` the caps
             of all units are restored to the constant cap (Algorithm 3).
         budget_epsilon: leftover budget (W) below which the budget is treated
-            as exhausted and the equalize branch of Algorithm 4 runs.
+            as exhausted and the equalize branch of Algorithm 4 runs.  At
+            least the smallest normal float: the water-fill's leftover
+            shrinks ~1e-16-fold per pass that clips nobody, and under a zero
+            or subnormal threshold it can stall on shares that round to 0.
     """
 
     restore_threshold: float = 0.80
@@ -163,8 +167,11 @@ class ReadjustConfig:
 
     def __post_init__(self) -> None:
         _fraction("restore_threshold", self.restore_threshold)
-        if self.budget_epsilon < 0:
-            raise ValueError(f"budget_epsilon must be >= 0, got {self.budget_epsilon}")
+        if not self.budget_epsilon >= sys.float_info.min:
+            raise ValueError(
+                f"budget_epsilon must be >= {sys.float_info.min}, "
+                f"got {self.budget_epsilon!r}"
+            )
 
 
 @dataclass(frozen=True)

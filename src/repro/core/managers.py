@@ -174,7 +174,7 @@ class PowerManager(ABC):
         power = np.asarray(power_w, dtype=np.float64)
         if power.shape != (self.n_units,):
             raise ValueError(f"power shape {power.shape} != ({self.n_units},)")
-        if not np.all(np.isfinite(power)):
+        if not np.isfinite(power).all():
             raise ValueError("power contains non-finite values")
         if self.requires_demand:
             if demand_w is None:
@@ -188,7 +188,7 @@ class PowerManager(ABC):
             demand = None
 
         caps = self._decide(power, demand)
-        caps = np.clip(caps, self.min_cap_w, self.max_cap_w)
+        caps = caps.clip(self.min_cap_w, self.max_cap_w)
         # Budget invariant: scale down uniformly above the per-unit floor if
         # a subclass ever over-allocates (never triggers for correct logic,
         # but keeps the §6 cap-respecting guarantee unconditional).

@@ -412,6 +412,10 @@ class ExperimentHarness:
                 return cached
         spec_a = get_workload(workload_a)
         spec_b = get_workload(workload_b)
+        if spec_b.name == spec_a.name:
+            # A self-pair (seven of the high-utility group's 49): the
+            # simulation keys its results by name, so half 1 gets its own.
+            spec_b = dataclasses.replace(spec_b, name=f"{spec_b.name}@1")
         manager = self.config.make_manager(manager_name)
         result = self._simulate(
             self._assign_pair(spec_a, spec_b),
@@ -419,8 +423,8 @@ class ExperimentHarness:
             seed=self.config.derive_seed(workload_a, workload_b, manager_name),
             record_telemetry=record_telemetry,
         )
-        exec_a = result.execution(workload_a)
-        exec_b = result.execution(workload_b)
+        exec_a = result.execution(spec_a.name)
+        exec_b = result.execution(spec_b.name)
         outcome = PairOutcome(
             manager=manager_name,
             workload_a=workload_a,

@@ -204,8 +204,9 @@ class RaplBank:
             raise ValueError(f"dt_s must be > 0, got {dt_s}")
         now = self.read_energy_uj(span)
         delta = now - self.meter_uj[span]
-        # Counter wrapped between reads.
-        delta[delta < 0] += self.config.counter_wrap_uj
+        # Counter wrapped between reads (rare: ask before masking).
+        if delta.min(initial=0) < 0:
+            delta[delta < 0] += self.config.counter_wrap_uj
         self.meter_uj[span] = now
         power = delta / dt_s
         power *= 1e-6
@@ -249,11 +250,11 @@ class RaplBank:
         cap = self.cap_w[span]
         if caps.shape != cap.shape:
             raise ValueError(f"caps shape {caps.shape} != {cap.shape}")
-        if not np.all(np.isfinite(caps)):
+        if not np.isfinite(caps).all():
             bad = caps[~np.isfinite(caps)][0]
             raise ValueError(f"cap must be finite, got {bad!r}")
-        np.maximum(caps, self.min_power_w, out=cap)
-        np.minimum(cap, self.max_power_w, out=cap)
+        # One pass; like the scalar form, a cap on a bound stays as written.
+        caps.clip(self.min_power_w, self.max_power_w, out=cap)
 
     # -- deterministic replay -----------------------------------------
 

@@ -21,6 +21,7 @@ Primitives:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Union
 
@@ -75,8 +76,8 @@ class Ramp:
 
     def demand_at(self, t_s: float) -> float:
         """Demand (W) at phase-local progress ``t_s`` in [0, duration)."""
-        frac = np.clip(t_s / self.duration_s, 0.0, 1.0)
-        return self.start_w + (self.end_w - self.start_w) * float(frac)
+        frac = min(max(t_s / self.duration_s, 0.0), 1.0)
+        return self.start_w + (self.end_w - self.start_w) * frac
 
     def scaled(self, factor: float) -> "Ramp":
         """Copy with the duration scaled by ``factor``."""
@@ -155,8 +156,10 @@ class PhaseProgram:
             raise ValueError("a program needs at least one phase")
         self._phases = tuple(phases)
         ends = np.cumsum([p.duration_s for p in self._phases])
-        self._ends = ends
-        self._starts = ends - np.asarray([p.duration_s for p in self._phases])
+        starts = ends - np.asarray([p.duration_s for p in self._phases])
+        # Python floats: demand_at is a scalar lookup, twice a control cycle.
+        self._ends: list[float] = ends.tolist()
+        self._starts: list[float] = starts.tolist()
 
     @property
     def phases(self) -> tuple[Phase, ...]:
@@ -166,7 +169,7 @@ class PhaseProgram:
     @property
     def duration_s(self) -> float:
         """Total nominal (uncapped) duration of the program."""
-        return float(self._ends[-1])
+        return self._ends[-1]
 
     def demand_at(self, progress_s: float) -> float:
         """Demand (W) at the given progress point.
@@ -175,10 +178,9 @@ class PhaseProgram:
         just-finished workload reports its final phase's demand until the
         simulator retires it.
         """
-        t = float(np.clip(progress_s, 0.0, self.duration_s - 1e-9))
-        idx = int(np.searchsorted(self._ends, t, side="right"))
-        idx = min(idx, len(self._phases) - 1)
-        return self._phases[idx].demand_at(t - float(self._starts[idx]))
+        t = min(max(progress_s, 0.0), self._ends[-1] - 1e-9)
+        idx = min(bisect_right(self._ends, t), len(self._phases) - 1)
+        return self._phases[idx].demand_at(t - self._starts[idx])
 
     def sample(self, dt_s: float) -> np.ndarray:
         """Demand trace sampled every ``dt_s`` of progress (for Figure 2).

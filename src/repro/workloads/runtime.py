@@ -145,16 +145,15 @@ class WorkloadExecution:
             per-run socket factors and per-step noise, clamped to
             ``[idle_power_w, max_demand_w]``.
         """
-        out = np.full(self.n_units, self.idle_power_w, dtype=np.float64)
-        if self.in_gap:
+        out = np.empty(self.unit_ids.size)
+        if self._gap_remaining_s > 0.0:
+            out.fill(self.idle_power_w)
             return out
-        base = self.program.demand_at(self.progress_s)
-        noisy = base * self._factors + self._rng.normal(
-            0.0, self.demand_noise_std_w, size=self.active_ids.size
-        )
-        out[: self.active_ids.size] = np.clip(
-            noisy, self.idle_power_w, self.max_demand_w
-        )
+        n_active = self.active_ids.size
+        noisy = self._rng.normal(0.0, self.demand_noise_std_w, size=n_active)
+        noisy += self.program.demand_at(self.progress_s) * self._factors
+        noisy.clip(self.idle_power_w, self.max_demand_w, out=out[:n_active])
+        out[n_active:] = self.idle_power_w
         return out
 
     def advance(
@@ -179,7 +178,7 @@ class WorkloadExecution:
         """
         if dt_s <= 0:
             raise ValueError(f"dt_s must be > 0, got {dt_s}")
-        if self.in_gap:
+        if self._gap_remaining_s > 0.0:
             self._gap_remaining_s -= dt_s
             if self._gap_remaining_s <= 0.0:
                 self._begin_run(now_s)
@@ -187,11 +186,12 @@ class WorkloadExecution:
 
         n_active = self.active_ids.size
         if self.spec.sync == "min":
-            rate = float(np.min(rates[:n_active]))
+            rate = float(rates[:n_active].min())
         else:
-            rate = float(np.mean(rates[:n_active]))
+            # np.mean's own arithmetic: one pairwise sum, one true divide.
+            rate = float(np.add.reduce(rates[:n_active]) / n_active)
         self.progress_s += rate * self._run_speed * dt_s
-        self._run_energy_j += float(np.sum(true_power_w[:n_active])) * dt_s
+        self._run_energy_j += float(true_power_w[:n_active].sum()) * dt_s
         self._run_time_s += dt_s
 
         if self.progress_s >= self.program.duration_s:

@@ -1,5 +1,7 @@
 """Discrete-time engine: termination, accounting, determinism, validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,35 @@ class TestValidation:
                     (tiny_workload("b"), ids),
                 ]
             )
+
+    def test_rejects_one_workload_name_twice(self):
+        # durations and execution() are keyed by name: the two halves
+        # used to merge into the first one's record.
+        cluster = Cluster(SPEC)
+        with pytest.raises(ValueError, match="^tiny: workload assigned twice"):
+            make_sim(
+                workloads=[
+                    (tiny_workload(), cluster.half_unit_ids(0)),
+                    (tiny_workload(), cluster.half_unit_ids(1)),
+                ]
+            )
+
+    def test_one_workload_twice_under_distinct_names(self):
+        cluster = Cluster(SPEC)
+        spec = tiny_workload()
+        result = make_sim(
+            target_runs=2,
+            workloads=[
+                (dataclasses.replace(spec, name="tiny-a"), cluster.half_unit_ids(0)),
+                (dataclasses.replace(spec, name="tiny-b"), cluster.half_unit_ids(1)),
+            ],
+        ).run()
+        assert set(result.durations) == {"tiny-a", "tiny-b"}
+        completed = result.events.of_kind("run_completed")
+        for name in ("tiny-a", "tiny-b"):
+            runs = result.execution(name).runs_completed
+            assert runs >= 2
+            assert sum(e.workload == name for e in completed) == runs
 
     def test_rejects_out_of_range_units(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -1,5 +1,7 @@
 """Validation behaviour of every configuration dataclass."""
 
+import sys
+
 import pytest
 
 from repro.core.config import (
@@ -90,6 +92,14 @@ class TestReadjustConfig:
     def test_rejects_negative_epsilon(self):
         with pytest.raises(ValueError, match="budget_epsilon"):
             ReadjustConfig(budget_epsilon=-1.0)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.0, 5e-324, float("nan")])
+    def test_rejects_an_epsilon_the_water_fill_can_stall_under(self, epsilon):
+        with pytest.raises(ValueError, match="budget_epsilon must be >= 2.2"):
+            ReadjustConfig(budget_epsilon=epsilon)
+
+    def test_accepts_the_smallest_normal_epsilon(self):
+        assert ReadjustConfig(budget_epsilon=sys.float_info.min)
 
     def test_rejects_zero_restore_threshold(self):
         with pytest.raises(ValueError, match="restore_threshold"):

@@ -1,12 +1,16 @@
 """Cap-readjusting module (paper Algorithms 3-4)."""
 
+import contextlib
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import ReadjustConfig
-from repro.core.readjust import readjust, restore
+from repro.core.readjust import SATURATION_EPS_W, readjust, restore
+from tests.core.oracles import no_native
 
 CFG = ReadjustConfig(restore_threshold=0.8, budget_epsilon=1.0)
 
@@ -249,3 +253,55 @@ class TestSaturationTolerance:
         out = readjust(caps, prio, budget_w=500.0, max_cap_w=165.0,
                        restored=False, config=CFG)
         np.testing.assert_array_equal(out, caps)
+
+
+class TestSmallestEpsilonTerminates:
+    """A water-fill pass that clips nobody leaves only the rounding noise
+    of its own sums, about 1e-16 of the leftover, so the leftover shrinks
+    geometrically — until it is a handful of subnormal steps, where every
+    share can round to zero and nothing is handed out any more.  A zero
+    or subnormal ``budget_epsilon`` never stops that walk
+    (``ReadjustConfig`` rejects both); the smallest normal float does."""
+
+    MAX_CAP_W = 165.0
+
+    @staticmethod
+    def inputs():
+        caps = np.random.default_rng(372).uniform(40.0, 120.0, 32)
+        return caps, float(caps.sum()) + 30.0
+
+    def bounded_passes(self, epsilon, limit=1000):
+        """`_water_fill` on the inputs, every unit high-priority, given
+        up on after ``limit`` passes."""
+        caps, budget = self.inputs()
+        c = caps.copy()
+        remaining = budget - float(caps.sum())
+        for done in range(limit):
+            if not (remaining > epsilon and c.size > 0):
+                return done
+            weights = 1.0 / np.maximum(c, 1e-9)
+            weights /= weights.sum()
+            grant = np.minimum(remaining * weights, self.MAX_CAP_W - c)
+            c += grant
+            remaining -= float(grant.sum())
+            c = c[c < self.MAX_CAP_W - SATURATION_EPS_W]
+        return None
+
+    def test_the_input_stalls_under_a_zero_or_subnormal_epsilon(self):
+        assert self.bounded_passes(0.0) is None
+        assert self.bounded_passes(5e-324) is None
+        assert self.bounded_passes(sys.float_info.min) <= 64
+
+    @pytest.mark.parametrize(
+        "host", [contextlib.nullcontext, no_native], ids=["kernel", "numpy"]
+    )
+    def test_smallest_accepted_epsilon_terminates(self, host):
+        caps, budget = self.inputs()
+        config = ReadjustConfig(budget_epsilon=sys.float_info.min)
+        with host():
+            out = readjust(
+                caps, np.ones(32, dtype=bool), budget, self.MAX_CAP_W,
+                False, config,
+            )
+        assert np.all(out >= caps) and np.all(out <= self.MAX_CAP_W)
+        assert float(out.sum()) == pytest.approx(budget, abs=1e-9)

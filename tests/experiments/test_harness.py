@@ -71,6 +71,28 @@ class TestRunPair:
             fast_config.cluster.budget_w * (1 + 1e-6)
         )
 
+    def test_self_pair_reports_each_half(self, fast_config):
+        # The high-utility group pairs every demanding workload with
+        # itself too; half 1 used to come back as a copy of half 0.
+        harness = ExperimentHarness(fast_config)
+        outcome, result = harness.run_pair(
+            "linear", "linear", "dps", record_telemetry=True
+        )
+        assert (outcome.workload_a, outcome.workload_b) == ("linear", "linear")
+        half_a, half_b = result.executions
+        assert half_a.spec.name != half_b.spec.name
+        assert outcome.times_a_s == tuple(
+            r.duration_s for r in half_a.records
+        )
+        assert outcome.times_b_s == tuple(
+            r.duration_s for r in half_b.records
+        )
+        assert outcome.power_b_w == half_b.mean_power_w()
+        assert outcome.power_a_w != outcome.power_b_w
+        assert len(result.events.of_kind("run_completed")) == (
+            half_a.runs_completed + half_b.runs_completed
+        )
+
     def test_telemetry_variant(self, fast_config):
         harness = ExperimentHarness(fast_config)
         outcome, result = harness.run_pair(

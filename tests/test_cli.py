@@ -63,6 +63,16 @@ class TestFastCommands:
         out = capsys.readouterr().out
         assert "fairness" in out
 
+    def test_checkpointed_self_pair_names_the_workload(self, tmp_path):
+        # Results are keyed by workload name, and this path places the
+        # registry's specs as they are (the harness renames half 1).
+        with pytest.raises(ValueError, match="linear: workload assigned twice"):
+            main(
+                ["--time-scale", "0.05", "--repeats", "1",
+                 "pair", "linear", "linear", "--manager", "constant",
+                 "--checkpoint-dir", str(tmp_path)]
+            )
+
     def test_campaign_runs_and_writes(self, capsys, tmp_path):
         out_file = tmp_path / "campaign.json"
         code = main(
