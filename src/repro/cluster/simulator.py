@@ -18,6 +18,7 @@ methodology, and records the artifact-style logs (telemetry + events).
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -262,6 +263,10 @@ class Simulation:
             ``simulation_truncated`` event is logged) if the step limit was
             reached first.
         """
+        with ExitStack() as teardown:
+            return self._run(teardown)
+
+    def _run(self, teardown: ExitStack) -> SimulationResult:
         rng = np.random.default_rng(self.seed)
         cluster_rng, manager_rng, *workload_rngs = rng.spawn(
             2 + len(self.assignments)
@@ -313,6 +318,7 @@ class Simulation:
                 CycleJournal(self.checkpoint_dir / "journal.log"),
                 checkpoint_every=self.checkpoint_every,
             )
+            teardown.callback(controller.close)
             if self.resume and controller.resume():
                 resumed_at = controller.cycle
             stepper = controller

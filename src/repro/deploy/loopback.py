@@ -366,6 +366,8 @@ def run_loopback(
                 final_health.clear()
                 final_health.update(server.health)
                 timings.extend(server.timings)
+                if recovery is not None:
+                    stepper.close()
 
     if supervisor is None:
         health = attempt(0, Heartbeat())

@@ -16,14 +16,17 @@ Durability discipline (the part that actually matters in a crash):
 * every checkpoint embeds a schema version and a SHA-256 checksum over
   its payload; load rejects version mismatches and corrupt documents and
   falls back to the next-older generation;
-* the journal appends one self-checksummed line per cycle with
-  flush+fsync; replay stops at the first corrupt/torn line (the expected
+* the journal appends one self-checksummed line per cycle and fsyncs
+  it; replay stops at the first corrupt/torn line (the expected
   signature of a crash mid-append) and keeps the valid prefix, and a
   restarted writer cuts the file back to that prefix before it appends,
   so a new record never lands behind an unreadable line.
 
-Both files are where a snapshot document becomes text: everything
-written here goes through :func:`repro.recovery.state.to_json`.
+A checkpoint is a binary container (``ckpt-%08d.bin``, array leaves as
+raw bytes: :func:`repro.recovery.state.pack`); the version-1 text files
+(``ckpt-%08d.json``) of an older directory are read, never written.
+Journal lines, and ``python -m repro.recovery.checkpoint FILE`` for either
+generation, are :func:`repro.recovery.state.to_json` text.
 """
 
 from __future__ import annotations
@@ -32,11 +35,12 @@ import hashlib
 import json
 import os
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from repro.recovery.state import to_json
+from repro.recovery.state import CONTAINER_MAGIC, pack, to_json, unpack
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
@@ -46,10 +50,11 @@ __all__ = [
     "JournalRecord",
 ]
 
-#: Bump on any incompatible change to the checkpoint document layout.
-CHECKPOINT_SCHEMA_VERSION = 1
+#: Version of the container :meth:`CheckpointStore.save` writes.
+CHECKPOINT_SCHEMA_VERSION = int(CONTAINER_MAGIC.split()[1])
 
-_CKPT_RE = re.compile(r"^ckpt-(\d{8})\.json$")
+#: A generation: ``.bin`` as written now, ``.json`` as version 1 wrote it.
+_CKPT_RE = re.compile(r"^ckpt-(\d{8})\.(bin|json)$")
 
 
 def _sha256(text: str) -> str:
@@ -95,9 +100,13 @@ class CheckpointStore:
         self.keep = keep
         #: Files rejected (bad checksum/version) by the most recent load.
         self.last_rejected: list[Path] = []
+        # What a save that crashed before its rename left: no later
+        # save overwrites it unless one reaches the same cycle.
+        for stale in self.directory.glob("ckpt-" + "[0-9]" * 8 + ".tmp"):
+            stale.unlink(missing_ok=True)
 
     def paths(self) -> list[Path]:
-        """Checkpoint files present, oldest first."""
+        """Checkpoint files of either format present, oldest first."""
         found = [
             p
             for p in self.directory.iterdir()
@@ -117,17 +126,10 @@ class CheckpointStore:
         """
         if cycle < 0:
             raise ValueError(f"cycle must be >= 0, got {cycle}")
-        body = to_json({"cycle": int(cycle), "payload": payload})
-        doc = {
-            "format": "repro-checkpoint",
-            "version": CHECKPOINT_SCHEMA_VERSION,
-            "sha256": _sha256(body),
-            "body": body,
-        }
-        final = self.directory / f"ckpt-{cycle:08d}.json"
+        final = self.directory / f"ckpt-{cycle:08d}.bin"
         tmp = final.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+        with open(tmp, "wb") as fh:
+            fh.write(pack({"cycle": int(cycle), "payload": payload}))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, final)
@@ -139,20 +141,21 @@ class CheckpointStore:
         for stale in self.paths()[: -self.keep]:
             stale.unlink(missing_ok=True)
 
-    def _load_one(self, path: Path) -> Checkpoint:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("format") != "repro-checkpoint":
-            raise ValueError(f"{path.name}: not a checkpoint document")
-        if doc.get("version") != CHECKPOINT_SCHEMA_VERSION:
-            raise ValueError(
-                f"{path.name}: schema version {doc.get('version')!r} != "
-                f"{CHECKPOINT_SCHEMA_VERSION}"
-            )
-        body = doc.get("body", "")
-        if _sha256(body) != doc.get("sha256"):
-            raise ValueError(f"{path.name}: checksum mismatch")
-        inner = json.loads(body)
+    @staticmethod
+    def _load_one(path: Path) -> Checkpoint:
+        data = path.read_bytes()
+        if data.startswith(CONTAINER_MAGIC):  # The bytes say, not the suffix.
+            inner = unpack(data)
+        else:  # Version 1, read only: JSON text around the to_json text.
+            doc = json.loads(data)
+            if not isinstance(doc, dict) or doc.get("format") != "repro-checkpoint":
+                raise ValueError(f"{path.name}: not a checkpoint document")
+            if doc.get("version") != 1:
+                raise ValueError(f"{path.name}: not schema version 1")
+            body = doc.get("body", "")
+            if _sha256(body) != doc.get("sha256"):
+                raise ValueError(f"{path.name}: checksum mismatch")
+            inner = json.loads(body)
         return Checkpoint(
             cycle=int(inner["cycle"]), payload=inner["payload"], path=path
         )
@@ -190,16 +193,18 @@ class JournalRecord:
 class CycleJournal:
     """Append-only, self-checksummed record of control-cycle inputs.
 
-    One line per cycle: ``<sha256-prefix> <json>``.  Appends flush+fsync
-    so a record survives the very next crash; reads stop at the first
-    line that fails its checksum (a torn tail write) and return the valid
-    prefix.  Reading never modifies the file; the first append of a
-    journal opened on a torn tail first rewrites the file as that valid
-    prefix, or the new record would be glued onto the fragment and be
-    unreadable along with everything after it.  The journal is bounded by
-    truncation at every checkpoint —
-    only the tail since the last checkpoint is ever needed — plus a hard
-    ``capacity`` backstop against a controller that never checkpoints.
+    One line per cycle: ``<sha256-prefix> <json>``, written to one
+    ``O_APPEND`` descriptor and fsynced so a record survives the very next
+    crash; reads stop at the first line that fails its checksum (a torn
+    tail write) and return the valid prefix.  Reading never modifies the
+    file; the first append of a journal opened on a torn tail first
+    rewrites the file as that valid prefix, or the new record would be
+    glued onto the fragment and be unreadable along with everything after
+    it.  The journal is bounded by truncation at every checkpoint — only
+    the tail since the last checkpoint is ever needed — plus a hard
+    ``capacity`` backstop against a controller that never checkpoints.  Both
+    rewrites go through a temp file, ``fsync``, rename and a directory
+    ``fsync``; :meth:`truncate` cuts in place.
 
     Args:
         path: journal file (created on first append).
@@ -218,6 +223,9 @@ class CycleJournal:
         self.path = Path(path)
         self.capacity = capacity
         self.overflowed = False
+        self._fd = -1
+        # What a rewrite that crashed before its rename left behind.
+        self.path.with_suffix(".tmp").unlink(missing_ok=True)
         records, self._clean = self._scan()
         self._count = len(records)
 
@@ -229,6 +237,22 @@ class CycleJournal:
         body = to_json({"cycle": int(cycle), "data": data})
         return f"{_sha256(body)[: cls._CHECK_LEN]} {body}\n"
 
+    def _descriptor(self) -> int:
+        if self._fd < 0:
+            created = not self.path.exists()
+            self._fd = os.open(
+                self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666
+            )
+            if created:
+                _fsync_dir(self.path.parent)
+        return self._fd
+
+    def close(self) -> None:
+        """Release the descriptor (idempotent; an append reopens it)."""
+        if self._fd >= 0:
+            os.close(self._fd)
+            self._fd = -1
+
     def append(self, cycle: int, data: dict) -> None:
         """Durably append one record."""
         if self._count >= self.capacity:
@@ -237,13 +261,15 @@ class CycleJournal:
             self._rewrite(records)
         elif not self._clean:
             self._rewrite(self.read())
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(self._line(cycle, data))
-            fh.flush()
-            os.fsync(fh.fileno())
+        fd = self._descriptor()
+        line = memoryview(self._line(cycle, data).encode("utf-8"))
+        while line:
+            line = line[os.write(fd, line) :]
+        os.fsync(fd)
         self._count += 1
 
     def _rewrite(self, records: list[JournalRecord]) -> None:
+        self.close()  # The rename leaves the old inode behind.
         tmp = self.path.with_suffix(".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
             for rec in records:
@@ -251,6 +277,7 @@ class CycleJournal:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.path)
+        _fsync_dir(self.path.parent)
         self._count = len(records)
         self._clean = True
 
@@ -312,6 +339,22 @@ class CycleJournal:
         return contiguous
 
     def truncate(self) -> None:
-        """Drop all records (called after each successful checkpoint)."""
-        self._rewrite([])
+        """Drop all records (called after each successful checkpoint).
+
+        Cut in place, with no ``fsync`` of its own.  Every record here
+        is at or before the checkpoint just saved and so dead to replay
+        (:meth:`tail_after` drops it): a cut lost in a crash costs
+        nothing.  It reaches the disk with the next append's ``fsync``,
+        on the inode the directory already names — a cut by rename needs
+        a directory ``fsync`` before that holds for the records after it.
+        """
+        os.ftruncate(self._descriptor(), 0)
+        self._count = 0
+        self._clean = True
         self.overflowed = False
+
+
+if __name__ == "__main__":  # Any generation, v1 or v2, as to_json text for jq.
+    _ckpt = CheckpointStore._load_one(Path(sys.argv[1]))
+    print(f"cycle {_ckpt.cycle}, checksum ok", file=sys.stderr)
+    print(to_json({"cycle": _ckpt.cycle, "payload": _ckpt.payload}))

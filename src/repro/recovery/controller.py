@@ -135,6 +135,10 @@ class RecoverableController:
             self.checkpoint()
         return caps
 
+    def close(self) -> None:
+        """Release the journal's descriptor (a later step reopens it)."""
+        self.journal.close()
+
     # ------------------------------------------------------------------
     # Checkpoint / resume.
     # ------------------------------------------------------------------

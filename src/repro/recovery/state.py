@@ -20,10 +20,11 @@ Every stateful component implements the two-method protocol below:
   here).  ``state`` may be a document as ``snapshot()`` returned it or
   as it came back from disk; :func:`decode_array` reads both.
 
-A document stays binary until it is written.  :func:`to_json` is the one
-place a tree becomes text — the checkpoint store, the journal and every
-other writer call it — and there an array leaf turns into base64 of its
-raw little-endian bytes plus explicit dtype/shape (JSON's float
+A document stays binary until it is written, and in a checkpoint after
+that: :func:`pack` lays the leaves' bytes behind a JSON skeleton.
+:func:`to_json` is the one place a tree becomes text — the journal and
+every other writer call it — and there an array leaf turns into base64
+of its raw little-endian bytes plus explicit dtype/shape (JSON's float
 round-trip is exact for finite doubles but silently widens dtypes and
 loses array shapes).  Nothing that only compares or restores documents
 in memory, such as the per-cycle snapshot-idempotence check, pays for
@@ -33,7 +34,10 @@ the text.
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
+import math
+import struct
 from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
@@ -43,6 +47,9 @@ __all__ = [
     "encode_array",
     "decode_array",
     "to_json",
+    "CONTAINER_MAGIC",
+    "pack",
+    "unpack",
     "rng_state",
     "rng_state_doc",
     "restore_rng",
@@ -74,13 +81,18 @@ def encode_array(arr: np.ndarray) -> np.ndarray:
     return leaf
 
 
-def _leaf_doc(leaf: object) -> dict:
-    """The JSON form of an array leaf (``json.dumps``'s ``default``)."""
+def _le(leaf: object) -> np.ndarray:
+    """An array leaf as both writers emit it: little-endian, C-ordered."""
     if not isinstance(leaf, np.ndarray):
         raise TypeError(
             f"{type(leaf).__name__} is not part of a snapshot document"
         )
-    le = np.asarray(leaf, dtype=leaf.dtype.newbyteorder("<"), order="C")
+    return np.asarray(leaf, dtype=leaf.dtype.newbyteorder("<"), order="C")
+
+
+def _leaf_doc(leaf: object) -> dict:
+    """The JSON form of an array leaf (``json.dumps``'s ``default``)."""
+    le = _le(leaf)
     return {
         "dtype": le.dtype.str,
         "shape": list(le.shape),
@@ -92,6 +104,63 @@ def to_json(doc: object, sort_keys: bool = True) -> str:
     """The JSON text of a snapshot document — the one place state
     becomes text; array leaves are written as base64 byte images."""
     return json.dumps(doc, sort_keys=sort_keys, default=_leaf_doc)
+
+
+#: First line of a binary checkpoint container; the digit is its version.
+CONTAINER_MAGIC = b"repro-checkpoint 2\n"
+#: SHA-256 of skeleton + blob, skeleton length, blob length.
+_HEADER = struct.Struct("<32sQQ")
+
+
+def pack(doc: object) -> bytes:
+    """The binary container of a snapshot document: magic line, header,
+    the JSON skeleton — each array leaf replaced by ``{"__blob__": [offset,
+    nbytes], "dtype", "shape"}`` — then the blob, the leaves' raw
+    little-endian bytes back to back.  No leaf becomes text."""
+    blobs: list[np.ndarray] = []
+    end = 0
+
+    def ref(leaf: object) -> dict:
+        nonlocal end
+        le = _le(leaf)
+        span = [end, le.nbytes]
+        blobs.append(le)
+        end += le.nbytes
+        return {"__blob__": span, "dtype": le.dtype.str, "shape": list(le.shape)}
+
+    skeleton = json.dumps(doc, sort_keys=True, default=ref).encode("ascii")
+    digest = hashlib.sha256(skeleton)
+    for le in blobs:
+        digest.update(le)
+    head = _HEADER.pack(digest.digest(), len(skeleton), end)
+    return b"".join([CONTAINER_MAGIC, head, skeleton, *blobs])
+
+
+def unpack(data: bytes) -> Any:
+    """The document :func:`pack` wrote, its leaves read-only arrays over
+    ``data`` (:func:`decode_array` copies them out).  Raises ``ValueError``
+    when the magic, the length, the checksum or a blob reference is wrong."""
+    start = len(CONTAINER_MAGIC) + _HEADER.size
+    if not data.startswith(CONTAINER_MAGIC) or len(data) < start:
+        raise ValueError("not a version-2 checkpoint container")
+    digest, n_skeleton, n_blob = _HEADER.unpack_from(data, len(CONTAINER_MAGIC))
+    body = memoryview(data)[start:]
+    if len(body) != n_skeleton + n_blob:
+        raise ValueError("container length disagrees with its header")
+    if hashlib.sha256(body).digest() != digest:
+        raise ValueError("container checksum mismatch")
+
+    def leaf(obj: dict) -> Any:
+        if obj.keys() != {"__blob__", "dtype", "shape"}:
+            return obj
+        (at, nbytes), dtype = obj["__blob__"], np.dtype(obj["dtype"])
+        count = math.prod(obj["shape"])
+        if not 0 <= at <= at + nbytes <= n_blob or count * dtype.itemsize != nbytes:
+            raise ValueError(f"blob reference {obj} does not fit the blob")
+        flat = np.frombuffer(body, dtype, count, n_skeleton + at)
+        return flat.reshape(obj["shape"])
+
+    return json.loads(bytes(body[:n_skeleton]), object_hook=leaf)
 
 
 def decode_array(doc: np.ndarray | dict) -> np.ndarray:

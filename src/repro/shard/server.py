@@ -422,6 +422,7 @@ class HostedShard:
             self._plane.close(quiet=True)
             self._plane = None
         self.shard.stop()
+        self.shard.controller.close()
 
     def resume(self) -> None:
         """Warm restart: checkpointed controller, re-anchored meters."""

@@ -1,7 +1,5 @@
 """Checkpoint store durability/corruption-fallback and the cycle journal."""
 
-import json
-
 import pytest
 
 from repro.recovery.checkpoint import (
@@ -9,6 +7,7 @@ from repro.recovery.checkpoint import (
     CheckpointStore,
     CycleJournal,
 )
+from repro.recovery.state import CONTAINER_MAGIC
 
 
 class TestCheckpointStore:
@@ -28,7 +27,7 @@ class TestCheckpointStore:
         for cycle in (5, 10, 15, 20):
             store.save(cycle, {})
         names = [p.name for p in store.paths()]
-        assert names == ["ckpt-00000015.json", "ckpt-00000020.json"]
+        assert names == ["ckpt-00000015.bin", "ckpt-00000020.bin"]
 
     def test_bit_flipped_checkpoint_falls_back_to_previous_generation(
         self, tmp_path
@@ -40,9 +39,9 @@ class TestCheckpointStore:
         store.save(10, {"caps": [100.0, 110.0]})
         newest = store.save(20, {"caps": [90.0, 120.0]})
         raw = bytearray(newest.read_bytes())
-        target = raw.find(b'"body"')
+        target = raw.find(b'"caps"')
         assert target != -1
-        raw[target + 12] ^= 0x01  # Flip one bit inside the body payload.
+        raw[target + 12] ^= 0x01  # Flip one bit inside the skeleton.
         newest.write_bytes(bytes(raw))
 
         ckpt = store.load_latest()
@@ -54,18 +53,21 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path)
         store.save(10, {"x": 1})
         newest = store.save(20, {"x": 2})
-        text = newest.read_text(encoding="utf-8")
-        newest.write_text(text[: len(text) // 2], encoding="utf-8")
+        raw = newest.read_bytes()
+        newest.write_bytes(raw[: len(raw) // 2])
         ckpt = store.load_latest()
         assert ckpt is not None and ckpt.cycle == 10
 
     def test_schema_version_mismatch_rejected(self, tmp_path):
         store = CheckpointStore(tmp_path)
         path = store.save(5, {"x": 1})
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc["version"] == CHECKPOINT_SCHEMA_VERSION
-        doc["version"] = CHECKPOINT_SCHEMA_VERSION + 1
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        raw = path.read_bytes()
+        assert raw.startswith(CONTAINER_MAGIC)
+        assert CONTAINER_MAGIC.split() == [
+            b"repro-checkpoint", b"%d" % CHECKPOINT_SCHEMA_VERSION
+        ]
+        bumped = b"repro-checkpoint %d\n" % (CHECKPOINT_SCHEMA_VERSION + 1)
+        path.write_bytes(bumped + raw[len(CONTAINER_MAGIC) :])
         assert store.load_latest() is None
         assert store.last_rejected == [path]
 
@@ -79,6 +81,45 @@ class TestCheckpointStore:
     def test_rejects_keep_below_one(self, tmp_path):
         with pytest.raises(ValueError, match="keep"):
             CheckpointStore(tmp_path, keep=0)
+
+
+    def test_save_is_temp_fsync_replace_directory_fsync_in_that_order(
+        self, tmp_path, syscalls
+    ):
+        store = CheckpointStore(tmp_path)
+        for cycle in (5, 10):
+            del syscalls[:]
+            store.save(cycle, {"x": cycle})
+            assert syscalls == [
+                ("fsync", f"ckpt-{cycle:08d}.tmp"),
+                ("replace", f"ckpt-{cycle:08d}.tmp", f"ckpt-{cycle:08d}.bin"),
+                ("fsync", tmp_path.name),
+            ]
+
+    def test_stale_temp_files_removed_generations_never_touched(self, tmp_path):
+        # Regression: a crash inside save() or a journal rewrite left its
+        # temp file behind for ever (a cold restart never reuses the name).
+        store = CheckpointStore(tmp_path)
+        new = store.save(12, {"x": 2})
+        old = tmp_path / "ckpt-00000008.json"
+        old.write_text("a version-1 generation, valid or not")
+        kept = {p: p.read_bytes() for p in (new, old)}
+        for name in ("ckpt-00000016.tmp", "journal.tmp"):
+            (tmp_path / name).write_bytes(b"half a file")
+        # Not names the store or the journal would write: not theirs.
+        for name in ("ckpt-16.tmp", "cluster.json.tmp", "notes.tmp"):
+            (tmp_path / name).write_bytes(b"someone else's")
+
+        CheckpointStore(tmp_path)
+        CycleJournal(tmp_path / "journal.log")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ckpt-00000008.json",
+            "ckpt-00000012.bin",
+            "ckpt-16.tmp",
+            "cluster.json.tmp",
+            "notes.tmp",
+        ]
+        assert {p: p.read_bytes() for p in kept} == kept
 
 
 class TestCycleJournal:
@@ -188,3 +229,83 @@ class TestCycleJournal:
         # The gapped head means checkpoint-only recovery, never a gapped
         # replay.
         assert journal.tail_after(0) == []
+
+    def test_appends_after_an_overflow_rewrite_land_in_the_live_file(
+        self, tmp_path
+    ):
+        # The rewrite renames a new inode over the path; a descriptor kept
+        # across it would append to the file nobody reads any more.
+        path = tmp_path / "j.log"
+        journal = CycleJournal(path, capacity=2)
+        for c in (1, 2, 3, 4, 5):
+            journal.append(c, {"x": c})
+        assert [r.cycle for r in CycleJournal(path).read()] == [4, 5]
+        assert len(journal) == 2
+
+    def test_second_journal_reads_what_the_first_wrote_and_holds(self, tmp_path):
+        path = tmp_path / "j.log"
+        writer = CycleJournal(path)
+        writer.append(1, {"x": 1})
+        assert [r.cycle for r in CycleJournal(path).read()] == [1]
+        writer.truncate()
+        assert CycleJournal(path).read() == []
+        writer.append(2, {"x": 2})
+        assert [r.cycle for r in CycleJournal(path).read()] == [2]
+
+    def test_close_is_idempotent_and_an_append_reopens(self, tmp_path):
+        path = tmp_path / "j.log"
+        journal = CycleJournal(path)
+        journal.close()  # Never opened.
+        journal.append(1, {})
+        journal.close()
+        journal.close()
+        journal.append(2, {})
+        journal.truncate()
+        journal.close()
+        journal.truncate()  # Reopens too: a drain checkpoints after a stop.
+        journal.append(3, {})
+        journal.close()
+        assert [r.cycle for r in CycleJournal(path).read()] == [3]
+
+    def test_truncate_cuts_a_torn_tail_too(self, tmp_path):
+        path = tmp_path / "j.log"
+        CycleJournal(path).append(1, {})
+        with open(path, "ab") as fh:
+            fh.write(b"deadbeef {torn")
+        reopened = CycleJournal(path)
+        reopened.truncate()
+        assert path.read_bytes() == b""
+        reopened.append(2, {})
+        assert [r.cycle for r in CycleJournal(path).read()] == [2]
+
+    def test_directory_synced_on_creation_and_each_rename_not_per_append(
+        self, tmp_path, syscalls
+    ):
+        # Regression: the rewrite renamed and returned, and the journal's
+        # own directory entry was never made durable at all.
+        path = tmp_path / "j.log"
+        record, directory = ("fsync", "j.log"), ("fsync", tmp_path.name)
+        rewrite = [("fsync", "j.tmp"), ("replace", "j.tmp", "j.log"), directory]
+        journal = CycleJournal(path, capacity=3)
+        for c in (1, 2, 3):
+            journal.append(c, {})
+        assert syscalls == [directory, record, record, record]
+
+        del syscalls[:]
+        journal.append(4, {})  # Overflow: drop the oldest by rewrite.
+        assert syscalls == rewrite + [record]
+
+        del syscalls[:]
+        journal.truncate()  # In place, and not durable on its own.
+        journal.append(5, {})
+        assert syscalls == [("ftruncate", "j.log", 0), record]
+
+        journal.close()
+        with open(path, "ab") as fh:
+            fh.write(b"deadbeef {torn")
+        del syscalls[:]
+        reopened = CycleJournal(path, capacity=3)
+        reopened.append(6, {})  # Torn tail: cut by rewrite, then append.
+        reopened.append(7, {})
+        assert syscalls == rewrite + [record, record]
+        assert [r.cycle for r in reopened.read()] == [5, 6, 7]

@@ -1,5 +1,8 @@
 """RecoverableController: journal-before-step, checkpointing, resume."""
 
+import os
+import shutil
+
 import numpy as np
 import pytest
 
@@ -64,6 +67,63 @@ class TestStepping:
         assert cycles == [5, 10]
         # Only the two post-checkpoint cycles remain journaled.
         assert [r.cycle for r in ctl.journal.read()] == [11, 12]
+
+    def test_one_journal_fsync_per_cycle_before_the_manager_steps(
+        self, tmp_path, syscalls
+    ):
+        ctl = make_controller(tmp_path, every=100)
+        inner_step = ctl.manager.step
+
+        def step(power_w, demand_w=None):
+            syscalls.append(("step",))
+            return inner_step(power_w, demand_w)
+
+        ctl.manager.step = step
+        for power in inputs(3):
+            ctl.step(power)
+        creation = ("fsync", tmp_path.name)
+        cycle = [("fsync", "journal.log"), ("step",)]
+        assert syscalls == [creation] + 3 * cycle
+
+    def test_write_cost_of_twenty_cycles(self, tmp_path, syscalls):
+        # Host-independent: what the recovery plane asks of the disk.
+        ctl = make_controller(tmp_path, every=5)
+        for power in inputs(20):
+            ctl.step(power)
+        ctl.close()
+        fsyncs = [c for c in syscalls if c[0] == "fsync"]
+        # One per journaled cycle, one for the journal's directory entry,
+        # temp file + directory per checkpoint; the cut costs none.
+        assert len(fsyncs) == 20 + 1 + 2 * 4
+        assert [c for c in syscalls if c[0] == "ftruncate"] == 4 * [
+            ("ftruncate", "journal.log", 0)
+        ]
+
+        def leaf_bytes(doc):
+            if isinstance(doc, np.ndarray):
+                return doc.nbytes
+            if isinstance(doc, dict):
+                return sum(map(leaf_bytes, doc.values()))
+            if isinstance(doc, list):
+                return sum(map(leaf_bytes, doc))
+            return 0
+
+        budget = leaf_bytes(ctl.manager.snapshot()) + 4096
+        sizes = [p.stat().st_size for p in ctl.store.paths()]
+        assert len(sizes) == 3 and max(sizes) <= budget
+
+    def test_close_releases_the_descriptor_and_a_step_reopens(self, tmp_path):
+        ctl = make_controller(tmp_path, every=100)
+        stream = inputs(3)
+        before = len(os.listdir("/proc/self/fd"))
+        ctl.step(stream[0])
+        assert len(os.listdir("/proc/self/fd")) == before + 1
+        ctl.close()
+        ctl.close()
+        assert len(os.listdir("/proc/self/fd")) == before
+        ctl.step(stream[1])
+        ctl.close()
+        assert [r.cycle for r in ctl.journal.read()] == [1, 2]
 
     def test_rejects_checkpoint_every_below_one(self, tmp_path):
         with pytest.raises(ValueError, match="checkpoint_every"):
@@ -184,3 +244,141 @@ class TestResume:
         assert revived.cycle >= 5
         rejected = revived.events.of_kind("checkpoint_rejected")
         assert [e.detail for e in rejected] == [newest.name]
+
+    def test_every_crash_point_of_the_in_place_cut_resumes_bit_identically(
+        self, tmp_path
+    ):
+        every, last = 5, 10  # Freeze the directory around the cut at 10.
+        stream = inputs(last + 8)
+        reference = bound_manager(seed=5)
+        want = [np.asarray(reference.step(p)).copy() for p in stream]
+
+        live = tmp_path / "live"
+        live.mkdir()
+
+        def freeze(name):
+            shutil.copytree(live, tmp_path / name)
+
+        class FrozenJournal(CycleJournal):
+            def truncate(self):
+                if ctl.cycle == last:
+                    freeze("saved")  # Checkpoint durable, cut not begun.
+                super().truncate()
+                if ctl.cycle == last:
+                    freeze("cut")
+
+            def append(self, cycle, data):
+                super().append(cycle, data)
+                if cycle == last + 1:
+                    freeze("whole")  # Record 11 durable, step not begun.
+
+        ctl = RecoverableController(
+            bound_manager(seed=5),
+            CheckpointStore(live),
+            FrozenJournal(live / "journal.log"),
+            checkpoint_every=every,
+        )
+        for power in stream[: last + 2]:
+            ctl.step(power)
+        ctl.close()
+        # The cut, then a crash halfway through record 11.
+        shutil.copytree(tmp_path / "cut", tmp_path / "half")
+        line = (tmp_path / "whole" / "journal.log").read_bytes()
+        (tmp_path / "half" / "journal.log").write_bytes(line[: len(line) // 2])
+
+        def journaled(name):
+            return [
+                r.cycle
+                for r in CycleJournal(tmp_path / name / "journal.log").read()
+            ]
+
+        assert journaled("saved") == [6, 7, 8, 9, 10]
+        assert journaled("cut") == journaled("half") == []
+        assert journaled("whole") == [11]
+
+        def revive(name):
+            revived = RecoverableController(
+                create_manager("dps"),
+                CheckpointStore(tmp_path / name),
+                CycleJournal(tmp_path / name / "journal.log"),
+                checkpoint_every=every,
+            )
+            assert revived.resume() is True
+            return revived
+
+        # Replayed: exactly the records after the checkpoint, so none of
+        # the five a lost cut leaves in front of them.
+        for name, replayed in [("saved", 0), ("cut", 0), ("half", 0), ("whole", 1)]:
+            revived = revive(name)
+            assert (revived.cycle, revived.replayed) == (last + replayed, replayed)
+            at = revived.cycle
+            for power, caps in zip(stream[at : at + 2], want[at : at + 2]):
+                assert np.asarray(revived.step(power)).tobytes() == caps.tobytes()
+            revived.close()
+            # And a second crash before the next checkpoint: the records
+            # appended behind whatever the first one left are all there.
+            again = revive(name)
+            assert (again.cycle, again.replayed) == (at + 2, at + 2 - last)
+            for power, caps in zip(stream[at + 2 :], want[at + 2 :]):
+                assert np.asarray(again.step(power)).tobytes() == caps.tobytes()
+            again.close()
+            assert again.manager.snapshot()["rng"] == reference.snapshot()["rng"]
+
+
+class TestDescriptorHygiene:
+    def test_two_hundred_checkpointed_simulations_leak_no_descriptor(
+        self, tmp_path
+    ):
+        from repro.cluster.simulator import Assignment, Simulation
+        from repro.core.config import ClusterSpec, SimulationConfig
+        from repro.workloads.registry import get_workload
+
+        spec = ClusterSpec(n_nodes=1, sockets_per_node=2)
+
+        def simulate(k):
+            result = Simulation(
+                spec,
+                create_manager("constant"),
+                [Assignment(get_workload("sort"), np.arange(spec.n_units))],
+                sim_config=SimulationConfig(max_steps=4),
+                checkpoint_dir=tmp_path / str(k % 3),
+                checkpoint_every=2,
+                resume=k % 2 == 1,
+            ).run()
+            assert result.checkpoints_written == 2
+
+        simulate(0)  # Imports and caches open what they keep before counting.
+        before = len(os.listdir("/proc/self/fd"))
+        for k in range(200):
+            simulate(k)
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_a_simulation_that_raises_closes_its_journal(self, tmp_path):
+        from repro.cluster.simulator import Assignment, Simulation
+        from repro.core.config import ClusterSpec
+        from repro.workloads.registry import get_workload
+
+        class Boom(RuntimeError):
+            pass
+
+        manager = create_manager("constant")
+        inner_step = manager.step
+
+        def step(power_w, demand_w=None):
+            if manager.cycles_seen == 3:
+                raise Boom
+            manager.cycles_seen += 1
+            return inner_step(power_w, demand_w)
+
+        manager.cycles_seen = 0
+        manager.step = step
+        spec = ClusterSpec(n_nodes=1, sockets_per_node=2)
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(Boom):
+            Simulation(
+                spec,
+                manager,
+                [Assignment(get_workload("sort"), np.arange(spec.n_units))],
+                checkpoint_dir=tmp_path,
+            ).run()
+        assert len(os.listdir("/proc/self/fd")) == before

@@ -1,13 +1,21 @@
-"""The on-disk format is pinned to the commit before array-leaf snapshots.
+"""The on-disk formats, pinned file by file.
 
 Snapshot documents carry arrays as arrays in memory; text exists only at
-the JSON boundary of the checkpoint store and the journal.  None of that
-may move a byte on disk: the SHA-256 of every checkpoint file and of the
-journal just before each truncation below were computed at commit
-``db5d995`` — where every ``snapshot()`` base64-encoded on the spot — and
-committed unchanged, and ``fixtures/`` holds a checkpoint and a journal
-tail *written by that commit* (cycles 1-8 and 9-10 of the same session),
-so a failure here means the format moved, not that a constant is stale.
+the JSON boundary of the journal.  The journal's bytes have not moved
+since commit ``db5d995`` — where every ``snapshot()`` base64-encoded on
+the spot: the SHA-256 of the journal just before each truncation and at
+the end were computed there and are committed unchanged, and
+``fixtures/`` holds a version-1 checkpoint (``ckpt-00000008.json``) and
+a journal tail *written by that commit* (cycles 1-8 and 9-10 of the same
+session), which must still resume bit-identically through the version-1
+reader.
+
+The checkpoint moved once, on purpose: the binary container of ISSUE 22
+(``ckpt-*.bin``).  Its three hashes below and ``fixtures/
+ckpt-00000008.bin`` were computed and written at the commit that
+introduced the container, from the same session; the journal's format
+did not move, so the one ``journal.log`` is the tail of both checkpoints.
+A failure here means a format moved, not that a constant is stale.
 """
 
 import hashlib
@@ -19,6 +27,7 @@ import numpy as np
 from repro.core.managers import create_manager
 from repro.recovery.checkpoint import CheckpointStore, CycleJournal
 from repro.recovery.controller import RecoverableController
+from repro.safety.invariants import _same_json
 
 N_UNITS = 8
 EVERY = 4
@@ -37,14 +46,14 @@ PARENT_HASHES = {
     "journal-before-00000012": (
         "c89eafc12ec64c310b1fd70c3a4cefd88239657539aee96a90ddaccebaada8dc"
     ),
-    "ckpt-00000004.json": (
-        "0922a5c439cc8d0fcf827bb61a201b85c25c7adcf76d7805ed806979b37fb9ea"
+    "ckpt-00000004.bin": (
+        "7363b17845fc8c059bf26072d61c7d2849c2208b620c4dd17011e6f2fbea1f35"
     ),
-    "ckpt-00000008.json": (
-        "6512aeb8eaa0edf36a35a55bbf4c23396b073bdd0f76e2294d96509dcaa9a33b"
+    "ckpt-00000008.bin": (
+        "a4fe2e444e529658440bcf711a528f4ad34bc282d976e382a4d51c5e38564268"
     ),
-    "ckpt-00000012.json": (
-        "ecd2c1b0a9f770323e7882b353382d48c57fc72b33dfc1fece7f2470256b8186"
+    "ckpt-00000012.bin": (
+        "723e69bf3a00343aac3229e32d0d0df89fe6135565fc2e78aa6a5089ee70e1e3"
     ),
     "journal-tail": (
         "836673d622d4114e41736f63379eef6fc663d10ac78d2f0ecf18f540599f08ba"
@@ -106,13 +115,50 @@ def test_every_file_hashes_as_the_parent_wrote_it(tmp_path):
 
 
 def test_the_session_rewrites_the_parent_fixtures_byte_for_byte(tmp_path):
+    # The journal as the parent wrote it, the checkpoint as this format's
+    # first commit did.
     run_session(tmp_path, FIXTURE_STEPS)
-    for name in ("ckpt-00000008.json", "journal.log"):
+    for name in ("ckpt-00000008.bin", "journal.log"):
         assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes()
+
+
+def test_the_container_moved_the_state_did_not(tmp_path):
+    payloads = []
+    for name in ("ckpt-00000008.json", "ckpt-00000008.bin"):
+        directory = tmp_path / name
+        directory.mkdir()
+        shutil.copy(FIXTURES / name, directory / name)
+        ckpt = CheckpointStore(directory).load_latest()
+        assert ckpt is not None and ckpt.cycle == 8
+        payloads.append(ckpt.payload)
+    assert _same_json(*payloads)
 
 
 def test_resume_from_parent_files_continues_bit_identically(tmp_path):
     for name in ("ckpt-00000008.json", "journal.log"):
+        shutil.copy(FIXTURES / name, tmp_path / name)
+    revived = RecoverableController(
+        create_manager("dps"),
+        CheckpointStore(tmp_path),
+        CycleJournal(tmp_path / "journal.log"),
+        checkpoint_every=EVERY,
+    )
+    assert revived.resume() is True
+    assert (revived.cycle, revived.replayed) == (FIXTURE_STEPS, 2)
+
+    uninterrupted = bound_manager()
+    stream = readings()
+    for power in stream[:FIXTURE_STEPS]:
+        uninterrupted.step(power)
+    for power in stream[FIXTURE_STEPS:]:
+        assert (
+            np.asarray(revived.step(power)).tobytes()
+            == np.asarray(uninterrupted.step(power)).tobytes()
+        )
+
+
+def test_resume_from_container_files_continues_bit_identically(tmp_path):
+    for name in ("ckpt-00000008.bin", "journal.log"):
         shutil.copy(FIXTURES / name, tmp_path / name)
     revived = RecoverableController(
         create_manager("dps"),

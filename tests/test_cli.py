@@ -121,7 +121,7 @@ class TestFastCommands:
         # The session is self-describing: meta + per-manager state on disk.
         assert (ckpt / "session.json").exists()
         assert (ckpt / "constant" / "journal.log").exists()
-        assert list((ckpt / "constant").glob("ckpt-*.json"))
+        assert list((ckpt / "constant").glob("ckpt-*.bin"))
 
         assert main(["resume", str(ckpt)]) == 0
         out = capsys.readouterr().out
