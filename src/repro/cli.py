@@ -133,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
             "campaign only simulates what changed"
         ),
     )
-    _add_worker_options(camp)
 
     sweep = sub.add_parser(
         "sweep", help="budget/noise sweeps the paper could not afford"
@@ -152,71 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="persistent result cache shared by every sweep point",
-    )
-    _add_worker_options(sweep)
-
-    worker = sub.add_parser(
-        "worker",
-        help="serve campaign jobs to a distributed coordinator",
-        description=(
-            "Run one remote execution node for `campaign --workers` / "
-            "`sweep --workers`.  The worker listens on ADDRESS, verifies "
-            "every leased job's digest against its own config and code "
-            "version, heartbeats while simulating, and keeps serving "
-            "across coordinator reconnects."
-        ),
-    )
-    worker.add_argument(
-        "address",
-        metavar="HOST:PORT",
-        help="bind address (port 0 picks a free port and prints it)",
-    )
-    worker.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="PATH",
-        help=(
-            "worker-side persistent result cache (point several workers "
-            "at a shared directory to deduplicate across campaigns)"
-        ),
-    )
-    worker.add_argument(
-        "--max-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="exit after completing N jobs (tests/demos)",
-    )
-    worker.add_argument(
-        "--concurrency",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "jobs to run at once (thread-per-job with shared heartbeats; "
-            "the coordinator fills up to N leases on this worker)"
-        ),
-    )
-    worker.add_argument(
-        "--chaos-kill-after",
-        type=int,
-        default=0,
-        metavar="N",
-        help="fault injection: crash (RST, no farewell) after N jobs",
-    )
-    worker.add_argument(
-        "--chaos-hang-before",
-        type=int,
-        default=0,
-        metavar="N",
-        help="fault injection: go silent before serving the Nth job",
-    )
-    worker.add_argument(
-        "--chaos-hang-for",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="duration of the injected hang (default 30)",
     )
 
     shards = sub.add_parser(
@@ -350,134 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="the --checkpoint-dir of the interrupted pair run",
     )
     return parser
-
-
-def _add_worker_options(cmd: argparse.ArgumentParser) -> None:
-    """Distributed-execution options shared by campaign and sweep."""
-    cmd.add_argument(
-        "--workers",
-        default=None,
-        metavar="HOST:PORT,...",
-        help=(
-            "lease jobs to these `dps-repro worker` processes instead of "
-            "the local pool; unreachable workers are warned about and "
-            "skipped, and if every worker is lost the remaining jobs run "
-            "locally (records are bit-identical either way)"
-        ),
-    )
-    cmd.add_argument(
-        "--worker-timeout",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help=(
-            "lease timeout: a worker silent this long forfeits its job, "
-            "which is re-dispatched elsewhere (default 30)"
-        ),
-    )
-    cmd.add_argument(
-        "--max-retries",
-        type=int,
-        default=3,
-        metavar="N",
-        help=(
-            "consecutive failures before a worker is given up on, and "
-            "re-dispatches before a job falls back to local execution "
-            "(default 3)"
-        ),
-    )
-
-
-def _make_backend(args: argparse.Namespace) -> "object | None":
-    """A DistributedBackend from --workers, or None for the local pool."""
-    if getattr(args, "workers", None) is None:
-        return None
-    from repro.experiments.distributed import (
-        CoordinatorConfig,
-        DistributedBackend,
-        parse_workers,
-    )
-
-    try:
-        addresses = parse_workers(args.workers)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    if args.worker_timeout <= 0:
-        raise SystemExit(
-            f"--worker-timeout must be > 0, got {args.worker_timeout}"
-        )
-    if args.max_retries < 1:
-        raise SystemExit(f"--max-retries must be >= 1, got {args.max_retries}")
-    coordinator = CoordinatorConfig(
-        lease_timeout_s=args.worker_timeout,
-        heartbeat_s=min(0.5, args.worker_timeout / 4),
-        max_retries=args.max_retries,
-        seed=args.seed,
-    )
-
-    def _on_event(event) -> None:
-        stream = sys.stderr if event.kind == "worker_skipped" else sys.stdout
-        prefix = "warning: " if event.kind == "worker_skipped" else ""
-        print(f"  {prefix}[{event.kind}] {event.detail}", file=stream)
-
-    return DistributedBackend(
-        addresses, coordinator=coordinator, on_event=_on_event
-    )
-
-
-def _cmd_worker(args: argparse.Namespace) -> str:
-    from repro.experiments.distributed import (
-        DistributedWorker,
-        WorkerChaos,
-        _split_address,
-    )
-
-    try:
-        host, port = _split_address(args.address)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    cache = None
-    if args.cache_dir is not None:
-        from repro.experiments.engine import ResultCache
-
-        cache = ResultCache(args.cache_dir)
-    chaos = WorkerChaos(
-        kill_after_jobs=args.chaos_kill_after,
-        hang_before_job=args.chaos_hang_before,
-        hang_s=args.chaos_hang_for,
-    )
-
-    def _log(line: str) -> None:
-        print(line, flush=True)
-
-    if args.concurrency < 1:
-        raise SystemExit(f"--concurrency must be >= 1, got {args.concurrency}")
-    worker = DistributedWorker(
-        host,
-        port,
-        cache=cache,
-        chaos=chaos,
-        max_jobs=args.max_jobs,
-        concurrency=args.concurrency,
-        log=_log,
-    )
-
-    # SIGTERM/SIGINT request a graceful drain: in-flight jobs finish and
-    # report, new leases are declined (the coordinator requeues them
-    # instantly), then the worker exits 0.  A second SIGINT still kills
-    # via KeyboardInterrupt if the drain wedges.
-    def _on_signal(signum: int, frame: object) -> None:
-        worker.drain()
-
-    import signal
-
-    signal.signal(signal.SIGTERM, _on_signal)
-    signal.signal(signal.SIGINT, _on_signal)
-    try:
-        worker.serve_forever()
-    except KeyboardInterrupt:
-        worker.stop()
-    return f"worker {worker.address} served {worker.jobs_done} job(s)"
 
 
 def _config(args: argparse.Namespace) -> ExperimentConfig:
@@ -769,8 +575,7 @@ def _cmd_campaign(args: argparse.Namespace) -> str:
         print(f"  [{done}/{total}] {job.key} ({how}, eta {eta_s:.0f}s)")
 
     result = campaign.run(jobs=args.jobs, cache=cache,
-                          engine_progress=_job_progress,
-                          backend=_make_backend(args))
+                          engine_progress=_job_progress)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(result.to_json())
@@ -806,16 +611,11 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         from repro.experiments.engine import ResultCache
 
         cache = ResultCache(args.cache_dir)
-    backend = _make_backend(args)
     if args.which == "budget":
-        points = budget_sweep(
-            cfg, pair=pair, cache=cache, jobs=args.jobs, backend=backend
-        )
+        points = budget_sweep(cfg, pair=pair, cache=cache, jobs=args.jobs)
         param_label = "budget fraction"
     else:
-        points = noise_sweep(
-            cfg, pair=pair, cache=cache, jobs=args.jobs, backend=backend
-        )
+        points = noise_sweep(cfg, pair=pair, cache=cache, jobs=args.jobs)
         param_label = "noise std (W)"
     lines = [f"{args.which} sweep on {pair[0]}/{pair[1]}:"]
     rows = [
@@ -1101,7 +901,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "sweep": _cmd_sweep,
         "report": _cmd_report,
         "resume": _cmd_resume,
-        "worker": _cmd_worker,
         "shards": _cmd_shards,
         "shard-server": _cmd_shard_server,
     }

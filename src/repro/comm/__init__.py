@@ -17,8 +17,6 @@ from repro.comm.wire import (
     FrameAssembler,
     FrameError,
     encode_frame,
-    recv_doc,
-    send_doc,
 )
 
 __all__ = [
@@ -39,6 +37,4 @@ __all__ = [
     "decode",
     "encode",
     "encode_frame",
-    "recv_doc",
-    "send_doc",
 ]

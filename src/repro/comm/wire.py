@@ -1,12 +1,11 @@
-"""Length-prefixed framing for the distributed experiment/shard planes.
+"""Length-prefixed framing for the shard plane.
 
 The control plane's 3-byte messages (:mod:`repro.comm.protocol`) are sized
-for §6.5's per-cycle reading/cap traffic; the *experiment* plane moves
-whole job descriptions and result payloads between a campaign coordinator
-and its remote workers (:mod:`repro.experiments.distributed`), and the
-*shard* plane moves per-cycle demand and power vectors between a fleet
-parent and its shard-server subprocesses (:mod:`repro.shard.process`).
-This module frames documents over a TCP stream:
+for §6.5's per-cycle reading/cap traffic; the *shard* plane moves control
+documents and per-cycle demand and power vectors between a fleet parent,
+the budget arbiter and the shard-server subprocesses
+(:mod:`repro.shard.process`, :mod:`repro.comm.shardlink`).  This module
+frames documents over a TCP stream:
 
 ``[4-byte big-endian length][body]``
 
@@ -15,7 +14,7 @@ byte (the *frame tag*):
 
 * **JSON** (tag ``{`` — any byte other than :data:`BINARY_TAG`): the
   UTF-8 JSON object encoding every control document uses (HELLO, leases,
-  summaries, job descriptions).  Byte-for-byte identical to the format
+  summaries).  Byte-for-byte identical to the format
   before binary frames existed, so mixed-version peers interoperate on
   control traffic.
 * **Binary** (tag :data:`BINARY_TAG`): a JSON *header* followed by raw
@@ -55,7 +54,6 @@ stream.
 from __future__ import annotations
 
 import json
-import socket
 
 import numpy as np
 
@@ -66,8 +64,6 @@ __all__ = [
     "FrameAssembler",
     "FrameError",
     "encode_frame",
-    "recv_doc",
-    "send_doc",
 ]
 
 #: Upper bound on one frame's body.  A result payload is a few KiB (two
@@ -315,7 +311,7 @@ def encode_frame(
     with a per-connection ``cache`` an array identical to the last one
     sent under its key collapses to a zero-payload repeat marker — the
     receiving end must then decode through the matching cache of a
-    :class:`FrameAssembler` (or :func:`recv_doc`'s ``cache``).
+    :class:`FrameAssembler`.
 
     Raises:
         FrameError: the encoded body exceeds :data:`MAX_FRAME_BYTES`, or
@@ -344,56 +340,6 @@ def _decode_body(body: bytes, cache: ArrayCache | None = None) -> dict:
             f"frame body must be a JSON object, got {type(doc).__name__}"
         )
     return doc
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly ``n`` bytes or raise ``ConnectionError`` on EOF."""
-    chunks = []
-    remaining = n
-    while remaining > 0:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise ConnectionError(
-                f"peer closed with {remaining} of {n} bytes outstanding"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def send_doc(
-    sock: socket.socket,
-    doc: dict,
-    quantized: tuple[str, ...] = (),
-    cache: ArrayCache | None = None,
-) -> None:
-    """Send one framed document (blocking); arrays ride as binary frames."""
-    sock.sendall(encode_frame(doc, quantized, cache))
-
-
-def recv_doc(
-    sock: socket.socket, cache: ArrayCache | None = None
-) -> dict | None:
-    """Receive one framed document (blocking), JSON or binary.
-
-    Returns:
-        The decoded document, or None on a clean EOF *at a frame
-        boundary* (the peer closed between messages).
-
-    Raises:
-        ConnectionError: EOF in the middle of a frame.
-        FrameError: oversized length prefix or malformed body.
-    """
-    try:
-        header = _recv_exact(sock, _LEN_BYTES)
-    except ConnectionError:
-        return None
-    length = int.from_bytes(header, "big")
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"declared frame length {length} exceeds {MAX_FRAME_BYTES}"
-        )
-    return _decode_body(_recv_exact(sock, length), cache)
 
 
 class FrameAssembler:

@@ -13,16 +13,8 @@ from repro.experiments.campaign import (
     ExperimentRecord,
 )
 from repro.experiments.charts import bar_chart, line_chart, sparkline
-from repro.experiments.distributed import (
-    CoordinatorConfig,
-    DistributedBackend,
-    DistributedWorker,
-    WorkerChaos,
-    parse_workers,
-)
 from repro.experiments.engine import (
     EngineTelemetry,
-    ExecutionBackend,
     ExperimentEngine,
     JobTiming,
     LocalPoolBackend,
@@ -69,16 +61,10 @@ from repro.experiments.tables import (
 __all__ = [
     "Campaign",
     "CampaignResult",
-    "CoordinatorConfig",
-    "DistributedBackend",
-    "DistributedWorker",
     "EngineTelemetry",
-    "ExecutionBackend",
     "ExperimentEngine",
     "ExperimentRecord",
     "LocalPoolBackend",
-    "WorkerChaos",
-    "parse_workers",
     "JobGraph",
     "JobTiming",
     "ResultCache",

@@ -10,7 +10,7 @@ without re-simulating.
 Execution goes through the parallel engine
 (:mod:`repro.experiments.engine`): the campaign is enumerated as a
 deduplicated :class:`~repro.experiments.jobs.SimJob` graph (shared
-references and baselines run once), fanned out over ``jobs`` worker
+references and baselines run once), fanned out over ``jobs`` local worker
 processes wave by wave, and optionally backed by a persistent result
 cache.  Records are assembled in deterministic nested-loop order from the
 result map, so parallel and sequential runs are bit-identical.
@@ -230,7 +230,6 @@ class Campaign:
         jobs: int = 1,
         cache: "object | None" = None,
         engine_progress: "Callable | None" = None,
-        backend: "object | None" = None,
     ) -> CampaignResult:
         """Execute the campaign through the parallel engine.
 
@@ -244,19 +243,11 @@ class Campaign:
                 hits skip simulation, fresh results are persisted.
             engine_progress: optional per-*job* callback
                 ``(done, total, job, wall_s, cached, eta_s)``.
-            backend: optional
-                :class:`~repro.experiments.engine.ExecutionBackend`
-                replacing the local pool (e.g. a
-                :class:`~repro.experiments.distributed.DistributedBackend`
-                leasing jobs to remote workers); records stay
-                bit-identical regardless of where jobs ran.
         """
         from repro.experiments.engine import ExperimentEngine
 
         plan = self.plan()
-        engine = ExperimentEngine(
-            self.config, jobs=jobs, cache=cache, backend=backend
-        )
+        engine = ExperimentEngine(self.config, jobs=jobs, cache=cache)
         results = engine.run(self.simulation_jobs(), progress=engine_progress)
 
         result = CampaignResult(

@@ -12,21 +12,19 @@ throughput layer every figure/table/campaign entry point sits on:
 * :class:`ResultCache` — an on-disk store of finished job payloads, one
   JSON record per digest, checksummed so corrupted or stale entries are
   detected and re-simulated rather than trusted.
-* :class:`ExecutionBackend` — the pluggable execution strategy one wave of
-  uncached jobs runs on.  :class:`LocalPoolBackend` is the in-machine
-  implementation (a ``ProcessPoolExecutor`` with chunked dispatch that
-  survives a worker segfault by rebuilding the pool once);
-  :class:`~repro.experiments.distributed.DistributedBackend` leases jobs
-  to remote workers over TCP.
+* :class:`LocalPoolBackend` — where one wave of uncached jobs runs: inline
+  for one job slot, otherwise a ``ProcessPoolExecutor`` with chunked
+  dispatch that survives a worker segfault by rebuilding the pool once.
 * :class:`ExperimentEngine` — runs a :class:`~repro.experiments.jobs.JobGraph`
-  wave by wave over a backend with per-job wall timing, cache
+  wave by wave over the pool with per-job wall timing, cache
   short-circuiting, and a progress/ETA callback.
 
 Results are bit-identical to the sequential in-process path: every job
 derives its own seed from the campaign seed (independent of scheduling),
-payloads survive the JSON round trip exactly (Python serializes floats
-shortest-round-trip), and consumers assemble records in deterministic
-order regardless of completion order.
+results cross the process boundary by pickle and the cache by JSON, both
+exact for floats (Python serializes floats shortest-round-trip), and
+consumers assemble records in deterministic order regardless of
+completion order.
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ from repro.telemetry.log import ResilienceEventLog
 __all__ = [
     "CACHE_FORMAT",
     "EngineTelemetry",
-    "ExecutionBackend",
     "ExperimentEngine",
     "JobResult",
     "JobTiming",
@@ -190,8 +187,8 @@ class ResultCache:
             return None
         return payload
 
-    def load(self, digest: str) -> dict | None:
-        """Verified payload for ``digest``, or None (miss / invalid)."""
+    def _read(self, digest: str) -> dict | None:
+        """Verified payload, counting a miss or an invalid record."""
         path = self.path(digest)
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
@@ -204,9 +201,32 @@ class ResultCache:
         payload = self._verified_payload(digest, doc)
         if payload is None:
             self.invalid += 1
+        return payload
+
+    def load(self, digest: str) -> dict | None:
+        """Verified payload for ``digest``, or None (miss / invalid)."""
+        payload = self._read(digest)
+        if payload is not None:
+            self.hits += 1
+        return payload
+
+    def load_result(self, digest: str) -> JobResult | None:
+        """Decoded result for ``digest``, or None (miss / invalid).
+
+        A record whose checksum verifies but whose payload does not decode
+        (a hand-edited payload of the wrong shape) counts as invalid, not
+        as a hit: the caller re-simulates it.
+        """
+        payload = self._read(digest)
+        if payload is None:
+            return None
+        try:
+            result = decode_result(payload)
+        except (KeyError, ValueError, TypeError):
+            self.invalid += 1
             return None
         self.hits += 1
-        return payload
+        return result
 
     def store(self, digest: str, key: str, payload: dict) -> None:
         """Atomically persist one record (write-temp + rename).
@@ -279,16 +299,15 @@ class EngineTelemetry:
     """What one engine run did: worker count, cache traffic, per-job walls.
 
     Attributes:
-        workers: execution parallelism — process-pool size for the local
-            backend (1 = inline, no pool), configured worker count for
-            the distributed backend.
+        workers: process-pool size (1 = inline, no pool).
         n_jobs: total jobs in the deduplicated graph.
         cache_hits / cache_misses / cache_invalid: persistent-cache traffic
             of this run (all zero when no cache was attached).
         total_wall_s: end-to-end wall time of the engine run.
         job_timings: per-job wall time and cache provenance, graph order.
-        backend: label of the execution backend that ran the jobs
-            (``"local"`` or ``"distributed"``).
+
+    :meth:`from_doc` reads only these keys, so documents written with
+    keys since dropped (an execution ``backend`` label) still load.
     """
 
     workers: int
@@ -298,7 +317,6 @@ class EngineTelemetry:
     cache_invalid: int
     total_wall_s: float
     job_timings: tuple[JobTiming, ...] = ()
-    backend: str = "local"
 
     def to_doc(self) -> dict:
         doc = asdict(self)
@@ -317,7 +335,6 @@ class EngineTelemetry:
             job_timings=tuple(
                 JobTiming.from_doc(t) for t in doc.get("job_timings", ())
             ),
-            backend=str(doc.get("backend", "local")),
         )
 
 
@@ -350,73 +367,32 @@ def _pool_init(config: ExperimentConfig) -> None:
     _WORKER_CONFIG = config
 
 
-def _pool_run(job: SimJob) -> tuple[SimJob, dict, float]:
-    """Worker entry: execute one job, return its encoded payload + wall."""
+def _pool_run(job: SimJob) -> tuple[SimJob, JobResult, float]:
+    """Worker entry: execute one job, return its result + wall."""
     assert _WORKER_CONFIG is not None, "pool initializer did not run"
     t0 = time.perf_counter()
     result = execute_job(_WORKER_CONFIG, job)
-    return job, encode_result(result), time.perf_counter() - t0
+    return job, result, time.perf_counter() - t0
 
 
 # ---------------------------------------------------------------------------
-# Execution backends
+# Process pool
 # ---------------------------------------------------------------------------
 
 
-class ExecutionBackend:
-    """Strategy interface: how one wave of uncached jobs gets executed.
-
-    The engine owns *what* runs (graph, cache, telemetry assembly); a
-    backend owns *where* it runs.  Contract:
-
-    * :meth:`start` is called once per engine run, before the first wave,
-      with the campaign configuration; backends must be restartable
-      (``start`` after ``shutdown`` revives the backend), so one backend
-      instance can serve several engine runs — e.g. every point of a
-      sweep.
-    * :meth:`execute` receives one wave's ``(job, digest)`` pairs and
-      yields ``(job, encoded payload, wall seconds)`` in any order;
-      results must be bit-identical to :func:`execute_job` run inline.
-    * :meth:`shutdown` releases execution resources (idempotent); the
-      engine calls it in a ``finally``, so an interrupted campaign never
-      leaks worker processes.
-    * ``events`` collects structured worker-lifecycle telemetry
-      (:data:`~repro.telemetry.log.WORKER_EVENT_KINDS`) — no retry,
-      re-dispatch, or degradation happens silently.
-    """
-
-    #: Telemetry label of this execution strategy.
-    label = "?"
-
-    events: ResilienceEventLog
-
-    @property
-    def workers(self) -> int:
-        """Degree of parallelism, for telemetry."""
-        raise NotImplementedError
-
-    def start(self, config: ExperimentConfig) -> None:
-        """Bind the backend to one campaign configuration."""
-        raise NotImplementedError
-
-    def execute(
-        self, items: Sequence[tuple[SimJob, str]]
-    ) -> Iterator[tuple[SimJob, dict, float]]:
-        """Run one wave's uncached jobs; yield results as they finish."""
-        raise NotImplementedError
-
-    def shutdown(self) -> None:
-        """Release execution resources (idempotent, revivable)."""
-        raise NotImplementedError
-
-
-class LocalPoolBackend(ExecutionBackend):
-    """In-machine execution over a reused ``ProcessPoolExecutor``.
+class LocalPoolBackend:
+    """Execution of one wave's uncached jobs over a reused process pool.
 
     Args:
         jobs: worker-process count; 1 executes inline (no pool, no pickle
             round trip) and is the bit-identity baseline every other
             execution path is tested against.
+
+    The engine calls :meth:`start` before the first wave of a run and
+    :meth:`shutdown` in a ``finally`` after the last, so an interrupted
+    campaign never leaks worker processes; a later :meth:`start` revives
+    the backend.  ``events`` collects ``pool_rebuilt`` events
+    (:data:`~repro.telemetry.log.WORKER_EVENT_KINDS`).
 
     A worker process dying mid-wave (segfault, OOM kill) breaks the whole
     executor — ``BrokenProcessPool`` — and used to abort the campaign.
@@ -427,8 +403,6 @@ class LocalPoolBackend(ExecutionBackend):
     crashing job, not a flaky worker.
     """
 
-    label = "local"
-
     def __init__(self, jobs: int = 1) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -438,11 +412,8 @@ class LocalPoolBackend(ExecutionBackend):
         self._pool: ProcessPoolExecutor | None = None
         self._t0 = time.monotonic()
 
-    @property
-    def workers(self) -> int:
-        return self.jobs
-
     def start(self, config: ExperimentConfig) -> None:
+        """Bind the backend to one campaign configuration."""
         if self._config is not None and config != self._config:
             # The pool's initializer shipped the old config; a live pool
             # would run new jobs under it.
@@ -450,6 +421,7 @@ class LocalPoolBackend(ExecutionBackend):
         self._config = config
 
     def shutdown(self) -> None:
+        """Reap the pool (idempotent)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
@@ -468,9 +440,10 @@ class LocalPoolBackend(ExecutionBackend):
         return self._pool
 
     def execute(
-        self, items: Sequence[tuple[SimJob, str]]
-    ) -> Iterator[tuple[SimJob, dict, float]]:
-        jobs = [job for job, _ in items]
+        self, jobs: Sequence[SimJob]
+    ) -> Iterator[tuple[SimJob, JobResult, float]]:
+        """Run one wave's jobs; yield ``(job, result, wall_s)`` as they
+        finish, in any order."""
         if not jobs:
             return
         assert self._config is not None, "start() was not called"
@@ -478,7 +451,7 @@ class LocalPoolBackend(ExecutionBackend):
             for job in jobs:
                 t0 = time.perf_counter()
                 result = execute_job(self._config, job)
-                yield job, encode_result(result), time.perf_counter() - t0
+                yield job, result, time.perf_counter() - t0
             return
         remaining = jobs
         for attempt in (1, 2):
@@ -517,22 +490,15 @@ class LocalPoolBackend(ExecutionBackend):
 
 
 class ExperimentEngine:
-    """Fan a job graph out over an execution backend, through the cache.
+    """Fan a job graph out over a process pool, through the cache.
 
     Args:
         config: campaign configuration every job runs under.
-        jobs: worker-process count for the default local backend; 1
-            executes inline (no pool, no pickle round trip) and is the
-            bit-identity baseline the parallel paths are tested against.
-            Ignored when ``backend`` is given.
+        jobs: worker-process count; 1 executes inline (no pool, no pickle
+            round trip) and is the bit-identity baseline the parallel
+            path is tested against.
         cache: optional :class:`ResultCache`; hits skip execution
             entirely, fresh results are persisted as soon as they arrive.
-        backend: optional :class:`ExecutionBackend` replacing the local
-            pool (e.g. a
-            :class:`~repro.experiments.distributed.DistributedBackend`).
-            The engine starts it per run and shuts it down afterwards;
-            backends are restartable, so the same instance may serve
-            several runs.
     """
 
     def __init__(
@@ -540,21 +506,15 @@ class ExperimentEngine:
         config: ExperimentConfig,
         jobs: int = 1,
         cache: ResultCache | None = None,
-        backend: ExecutionBackend | None = None,
     ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.config = config
-        self.jobs = jobs
         self.cache = cache
-        self.backend = backend if backend is not None else LocalPoolBackend(
-            jobs
-        )
+        self.backend = LocalPoolBackend(jobs)
         self.last_telemetry: EngineTelemetry | None = None
 
     @property
     def events(self) -> ResilienceEventLog:
-        """The backend's structured worker-lifecycle event log."""
+        """The pool's structured ``pool_rebuilt`` event log."""
         return self.backend.events
 
     def run(
@@ -566,8 +526,7 @@ class ExperimentEngine:
 
         Jobs are deduplicated, closed over prerequisites, topologically
         layered into waves, and each wave's uncached jobs are handed to
-        the execution backend.  Per-job wall times are measured where the
-        job ran.
+        the pool.  Per-job wall times are measured where the job ran.
         """
         graph = JobGraph(jobs)
         total = len(graph)
@@ -589,46 +548,40 @@ class ExperimentEngine:
         self.backend.start(self.config)
         try:
             for wave in graph.waves():
-                pending: list[tuple[SimJob, str]] = []
+                digests: dict[SimJob, str] = {}
                 for job in wave:
                     digest = job_digest(self.config, job)
-                    payload = (
-                        self.cache.load(digest)
+                    cached = (
+                        self.cache.load_result(digest)
                         if self.cache is not None
                         else None
                     )
-                    if payload is not None:
-                        try:
-                            results[job] = decode_result(payload)
-                        except (KeyError, ValueError, TypeError):
-                            # Structurally valid record of the wrong shape
-                            # (e.g. a hand-edited payload): re-simulate.
-                            self.cache.invalid += 1
-                            self.cache.hits -= 1
-                            pending.append((job, digest))
-                            continue
+                    if cached is not None:
+                        results[job] = cached
                         _finish(job, 0.0, cached=True)
                     else:
-                        pending.append((job, digest))
-                digests = dict(pending)
-                for job, payload, wall_s in self.backend.execute(pending):
-                    results[job] = decode_result(payload)
+                        digests[job] = digest
+                for job, result, wall_s in self.backend.execute(
+                    list(digests)
+                ):
+                    results[job] = result
                     if self.cache is not None:
-                        self.cache.store(digests[job], job.key, payload)
+                        self.cache.store(
+                            digests[job], job.key, encode_result(result)
+                        )
                     _finish(job, wall_s, cached=False)
         finally:
             self.backend.shutdown()
 
         hits1, misses1, invalid1 = self._cache_counters()
         self.last_telemetry = EngineTelemetry(
-            workers=self.backend.workers,
+            workers=self.backend.jobs,
             n_jobs=total,
             cache_hits=hits1 - hits0,
             cache_misses=misses1 - misses0,
             cache_invalid=invalid1 - invalid0,
             total_wall_s=time.perf_counter() - t_start,
             job_timings=tuple(timings[j] for j in graph),
-            backend=self.backend.label,
         )
         return results
 

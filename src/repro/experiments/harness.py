@@ -89,12 +89,12 @@ class ExperimentConfig:
         return (self.seed * 1_000_003 + h) % (2**31 - 1)
 
     def to_doc(self) -> dict:
-        """JSON-able document of every knob (the wire/cache form).
+        """JSON-able document of every knob.
 
         Floats survive the JSON round trip exactly (shortest-repr
-        serialization), so a config shipped to a remote worker produces
-        the same seeds, the same simulations, and the same job digests
-        as the coordinator's original.
+        serialization), so a config reloaded with :meth:`from_doc`
+        produces the same seeds, the same simulations, and the same job
+        digests as the original.
         """
         return dataclasses.asdict(self)
 
@@ -250,18 +250,9 @@ class ExperimentHarness:
         """Decoded persistent-cache result for a job, or None."""
         if self.cache is None:
             return None
-        from repro.experiments.engine import (  # Local to avoid a cycle.
-            decode_result,
-            job_digest,
-        )
+        from repro.experiments.engine import job_digest  # Avoid a cycle.
 
-        payload = self.cache.load(job_digest(self.config, job))
-        if payload is None:
-            return None
-        try:
-            return decode_result(payload)
-        except (KeyError, ValueError, TypeError):
-            return None
+        return self.cache.load_result(job_digest(self.config, job))
 
     def _cache_store(self, job, result) -> None:
         if self.cache is None:

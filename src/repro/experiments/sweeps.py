@@ -18,7 +18,18 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.core.config import ClusterSpec, RaplConfig
-from repro.experiments.harness import ExperimentConfig, ExperimentHarness
+from repro.experiments.engine import ExperimentEngine, ResultCache
+from repro.experiments.harness import (
+    ExperimentConfig,
+    PairEvaluation,
+    evaluate_outcome,
+)
+from repro.experiments.jobs import (
+    baseline_job,
+    evaluation_jobs,
+    pair_job,
+    reference_job,
+)
 
 __all__ = ["SweepPoint", "budget_sweep", "noise_sweep"]
 
@@ -27,37 +38,15 @@ def _point_evaluations(
     point_config: ExperimentConfig,
     pair: tuple[str, str],
     managers: tuple[str, ...],
-    cache: object | None,
+    cache: ResultCache | None,
     jobs: int,
-    backend: object | None,
-) -> dict:
-    """Evaluate one sweep point's managers, sequentially or engine-fanned.
+) -> dict[str, PairEvaluation]:
+    """Evaluate one sweep point's managers in one engine run.
 
-    The engine path (``jobs != 1`` or an explicit backend) runs every
-    manager's simulations through one
-    :class:`~repro.experiments.engine.ExperimentEngine` run — references
-    and the baseline are shared across managers — and is bit-identical
-    to the sequential harness path.
+    References and the baseline are shared across managers; ``jobs=1``
+    runs every simulation inline, and any ``jobs`` gives the same bits.
     """
-    from repro.experiments.harness import evaluate_outcome
-
-    if jobs == 1 and backend is None:
-        harness = ExperimentHarness(point_config, cache=cache)
-        return {
-            manager: harness.evaluate_pair(pair[0], pair[1], manager)
-            for manager in managers
-        }
-    from repro.experiments.engine import ExperimentEngine
-    from repro.experiments.jobs import (
-        baseline_job,
-        evaluation_jobs,
-        pair_job,
-        reference_job,
-    )
-
-    engine = ExperimentEngine(
-        point_config, jobs=jobs, cache=cache, backend=backend
-    )
+    engine = ExperimentEngine(point_config, jobs=jobs, cache=cache)
     sim_jobs = []
     for manager in managers:
         sim_jobs.extend(evaluation_jobs(pair[0], pair[1], manager))
@@ -102,9 +91,8 @@ def budget_sweep(
     pair: tuple[str, str] = ("kmeans", "gmm"),
     budget_fractions: tuple[float, ...] = (0.5, 0.6, 2 / 3, 0.8, 0.9),
     managers: tuple[str, ...] = ("slurm", "dps"),
-    cache: object | None = None,
+    cache: ResultCache | None = None,
     jobs: int = 1,
-    backend: object | None = None,
 ) -> list[SweepPoint]:
     """Compare managers across cluster budget fractions.
 
@@ -119,11 +107,8 @@ def budget_sweep(
         managers: managers evaluated at each point.
         cache: optional persistent result cache shared by every point
             (each point's config replaces knobs, so digests stay distinct).
-        jobs: engine worker-process count per point; 1 runs the
-            sequential harness path (bit-identical either way).
-        backend: optional
-            :class:`~repro.experiments.engine.ExecutionBackend` shared
-            by every point (the engine restarts it per point).
+        jobs: engine worker-process count per point; 1 runs inline
+            (bit-identical either way).
 
     Returns:
         One :class:`SweepPoint` per (fraction, manager), sweep order.
@@ -150,7 +135,6 @@ def budget_sweep(
             managers,
             cache,
             jobs,
-            backend,
         )
         for manager in managers:
             ev = evals[manager]
@@ -170,9 +154,8 @@ def noise_sweep(
     pair: tuple[str, str] = ("kmeans", "gmm"),
     noise_stds_w: tuple[float, ...] = (0.0, 1.5, 4.0, 8.0, 16.0),
     managers: tuple[str, ...] = ("slurm", "dps"),
-    cache: object | None = None,
+    cache: ResultCache | None = None,
     jobs: int = 1,
-    backend: object | None = None,
 ) -> list[SweepPoint]:
     """Compare managers across RAPL measurement-noise levels.
 
@@ -182,11 +165,8 @@ def noise_sweep(
         noise_stds_w: Gaussian measurement-noise standard deviations.
         managers: managers evaluated at each point.
         cache: optional persistent result cache shared by every point.
-        jobs: engine worker-process count per point; 1 runs the
-            sequential harness path (bit-identical either way).
-        backend: optional
-            :class:`~repro.experiments.engine.ExecutionBackend` shared
-            by every point (the engine restarts it per point).
+        jobs: engine worker-process count per point; 1 runs inline
+            (bit-identical either way).
 
     Returns:
         One :class:`SweepPoint` per (noise, manager), sweep order.
@@ -208,7 +188,6 @@ def noise_sweep(
             managers,
             cache,
             jobs,
-            backend,
         )
         for manager in managers:
             ev = evals[manager]

@@ -82,39 +82,18 @@ SAFETY_EVENT_KINDS = (
     "invariant_violation",
 )
 
-#: Experiment-plane worker-lifecycle event kinds (see
-#: :mod:`repro.experiments.distributed` and the campaign engine's
-#: execution backends).  They share the structured event channel so one
-#: stream covers everything that went wrong during a campaign and what
-#: the coordinator did about it: worker membership transitions mirror
-#: the control plane's quarantine/rejoin machinery (``node_id`` carries
-#: the worker index), the ``lease_*`` kinds trace the job-lease
-#: lifecycle, and ``backend_degraded`` marks a fall back to local
-#: execution.  ``pool_rebuilt`` is the local backend's recovery from a
-#: dead worker process.  No retry, re-dispatch, speculation, or
-#: degradation happens without one of these events — there are no
-#: silent retries.
-WORKER_EVENT_KINDS = (
-    "worker_joined",
-    "worker_rejoined",
-    "worker_quarantined",
-    "worker_lost",
-    "worker_skipped",
-    "lease_granted",
-    "lease_expired",
-    "lease_redispatched",
-    "job_speculated",
-    "duplicate_discarded",
-    "worker_result_invalid",
-    "backend_degraded",
-    "pool_rebuilt",
-)
+#: Experiment-plane worker-lifecycle event kinds (see the campaign
+#: engine's :class:`~repro.experiments.engine.LocalPoolBackend`).  They
+#: share the structured event channel so one stream covers everything
+#: that went wrong during a campaign: ``pool_rebuilt`` is the pool's
+#: recovery from a dead worker process, which re-runs the wave's
+#: undelivered jobs — never silently.
+WORKER_EVENT_KINDS = ("pool_rebuilt",)
 
 #: Sharded-control-plane event kinds (see :mod:`repro.shard`).  They
 #: share the structured event channel: ``node_id`` carries the *shard*
-#: index, mirroring how the worker-lifecycle kinds carry the worker
 #: index.  Shard membership transitions ride the same quarantine/rejoin
-#: semantics as clients and workers; the ``shard_lease_*`` kinds trace
+#: semantics as clients; the ``shard_lease_*`` kinds trace
 #: the budget-lease lifecycle (granted by the arbiter, applied by the
 #: shard, expired without renewal); ``shard_frozen`` / ``shard_unfrozen``
 #: mark a shard degrading to lease-expiry safe mode and recovering from

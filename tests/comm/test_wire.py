@@ -1,8 +1,7 @@
-"""Length-prefixed JSON/binary framing for the distributed planes."""
+"""Length-prefixed JSON/binary framing for the shard plane."""
 
 import json
 import math
-import socket
 
 import numpy as np
 import pytest
@@ -17,62 +16,13 @@ from repro.comm.wire import (
     FrameAssembler,
     FrameError,
     encode_frame,
-    recv_doc,
-    send_doc,
 )
 
 
 class TestFrameCodec:
-    def test_socket_round_trip(self):
-        a, b = socket.socketpair()
-        with a, b:
-            send_doc(a, {"type": "job", "tokens": ["reference", "kmeans"]})
-            assert recv_doc(b) == {
-                "type": "job",
-                "tokens": ["reference", "kmeans"],
-            }
-
-    def test_clean_eof_at_boundary_is_none(self):
-        a, b = socket.socketpair()
-        with b:
-            a.close()
-            assert recv_doc(b) is None
-
-    def test_eof_mid_frame_raises(self):
-        a, b = socket.socketpair()
-        with b:
-            frame = encode_frame({"k": "v" * 100})
-            a.sendall(frame[: len(frame) // 2])
-            a.close()
-            with pytest.raises(ConnectionError, match="outstanding"):
-                recv_doc(b)
-
-    def test_oversized_declared_length_rejected(self):
-        a, b = socket.socketpair()
-        with a, b:
-            a.sendall((MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
-            with pytest.raises(FrameError, match="exceeds"):
-                recv_doc(b)
-
     def test_oversized_body_rejected_at_encode(self):
         with pytest.raises(FrameError, match="exceeds"):
             encode_frame({"blob": "x" * (MAX_FRAME_BYTES + 1)})
-
-    def test_non_object_body_rejected(self):
-        a, b = socket.socketpair()
-        with a, b:
-            body = b"[1, 2, 3]"
-            a.sendall(len(body).to_bytes(4, "big") + body)
-            with pytest.raises(FrameError, match="JSON object"):
-                recv_doc(b)
-
-    def test_non_json_body_rejected(self):
-        a, b = socket.socketpair()
-        with a, b:
-            body = b"\xff\xfe not json"
-            a.sendall(len(body).to_bytes(4, "big") + body)
-            with pytest.raises(FrameError, match="not valid JSON"):
-                recv_doc(b)
 
 
 class TestFrameAssembler:
@@ -110,6 +60,16 @@ class TestFrameAssembler:
         assembler = FrameAssembler()
         with pytest.raises(FrameError, match="exceeds"):
             assembler.feed((MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
+
+    def test_non_object_body_rejected(self):
+        body = b"[1, 2, 3]"
+        with pytest.raises(FrameError, match="JSON object"):
+            FrameAssembler().feed(len(body).to_bytes(4, "big") + body)
+
+    def test_non_json_body_rejected(self):
+        body = b"\xff\xfe not json"
+        with pytest.raises(FrameError, match="not valid JSON"):
+            FrameAssembler().feed(len(body).to_bytes(4, "big") + body)
 
     def test_reset_discards_torn_binary_frame_across_reconnect(self):
         """The reconnect reset applies to binary frames identically."""
@@ -209,15 +169,6 @@ class TestBinaryFrames:
     def test_2d_array_rejected(self):
         with pytest.raises(FrameError, match="1-D"):
             encode_frame({"m": np.zeros((2, 2))})
-
-    def test_socket_round_trip_binary(self):
-        a, b = socket.socketpair()
-        with a, b:
-            demand = np.linspace(0.0, 300.0, 101)
-            send_doc(a, {"type": "cycle", "step": 3, "demand": demand})
-            out = recv_doc(b)
-            assert out["step"] == 3
-            np.testing.assert_array_equal(out["demand"], demand)
 
     def test_truncated_binary_body_rejected(self):
         frame = encode_frame({"demand": np.arange(8.0)})

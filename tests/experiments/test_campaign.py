@@ -116,6 +116,35 @@ class TestSerialization:
         assert restored.records == result.records
         assert restored.engine is None
 
+    def test_loads_v2_documents_naming_an_execution_backend(self):
+        """Campaign files written while telemetry carried a ``backend``
+        label still load, records and counters intact."""
+        record = dict(
+            group="low_utility", workload_a="a", workload_b="b",
+            manager="dps", speedup_a=1.25, speedup_b=0.1 + 0.2,
+            hmean_speedup=0.5, satisfaction_a=0.9, satisfaction_b=1.0,
+            fairness=0.75,
+        )
+        engine = {
+            "workers": 3, "n_jobs": 5, "cache_hits": 1, "cache_misses": 4,
+            "cache_invalid": 0, "total_wall_s": 2.5,
+            "job_timings": [
+                {"key": "reference:a", "wall_s": 0.5, "cached": False}
+            ],
+            "backend": "distributed",
+        }
+        doc = {
+            "format": "repro-campaign-v2", "seed": 7, "time_scale": 0.25,
+            "records": [record], "engine": engine,
+        }
+        restored = CampaignResult.from_json(json.dumps(doc))
+        assert restored.records == [ExperimentRecord(**record)]
+        eng = restored.engine
+        assert (eng.workers, eng.n_jobs, eng.cache_hits, eng.cache_misses,
+                eng.cache_invalid, eng.total_wall_s) == (3, 5, 1, 4, 0, 2.5)
+        assert [t.key for t in eng.job_timings] == ["reference:a"]
+        assert "backend" not in eng.to_doc()
+
     def test_rejects_wrong_format(self):
         with pytest.raises(ValueError, match="unsupported"):
             CampaignResult.from_json('{"format": "x"}')

@@ -216,6 +216,30 @@ class TestResultCache:
         assert CACHE_FORMAT == "repro-simcache-v1"
 
 
+class TestCacheReaders:
+    def test_undecodable_record_counts_the_same_through_both_readers(
+        self, fast_config, tmp_path
+    ):
+        """A checksum-valid record whose payload does not decode is
+        invalid to the harness and the engine alike, never a hit."""
+        from repro.experiments.harness import ExperimentHarness
+
+        job = reference_job("kmeans")
+        digest = job_digest(fast_config, job)
+        counters = []
+        for reader in ("harness", "engine"):
+            cache = ResultCache(tmp_path / reader)
+            cache.store(digest, job.key, {"type": "reference"})
+            if reader == "harness":
+                ExperimentHarness(fast_config, cache=cache).uncapped_reference(
+                    "kmeans"
+                )
+            else:
+                ExperimentEngine(fast_config, cache=cache).run([job])
+            counters.append((cache.hits, cache.misses, cache.invalid))
+        assert counters == [(0, 0, 1), (0, 0, 1)]
+
+
 def _count_sim_runs(monkeypatch):
     """Patch Simulation.run to count invocations (in this process)."""
     calls = []

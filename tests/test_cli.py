@@ -26,6 +26,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_worker_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["worker", "h:1"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'worker'" in capsys.readouterr().err
+
 
 class TestFastCommands:
     def test_list(self, capsys):
@@ -151,88 +157,6 @@ class TestFastCommands:
         )
         assert proc.returncode == 0
         assert "dps" in proc.stdout
-
-
-class TestDistributedCli:
-    def test_worker_parser(self):
-        args = build_parser().parse_args(
-            ["worker", "127.0.0.1:7801", "--max-jobs", "3",
-             "--chaos-kill-after", "1"]
-        )
-        assert args.command == "worker"
-        assert args.address == "127.0.0.1:7801"
-        assert args.max_jobs == 3
-        assert args.chaos_kill_after == 1
-
-    def test_worker_rejects_bad_address(self):
-        with pytest.raises(SystemExit, match="host:port"):
-            main(["worker", "noport"])
-
-    def test_campaign_and_sweep_take_worker_options(self):
-        for head in (["campaign"], ["sweep", "budget"]):
-            args = build_parser().parse_args(
-                head + ["--workers", "h:1,h:2", "--worker-timeout", "9",
-                        "--max-retries", "5"]
-            )
-            assert args.workers == "h:1,h:2"
-            assert args.worker_timeout == 9.0
-            assert args.max_retries == 5
-
-    def test_campaign_rejects_malformed_workers(self):
-        with pytest.raises(SystemExit, match="host:port"):
-            main(["campaign", "--group", "low_utility", "--limit-pairs",
-                  "1", "--workers", "nonsense"])
-
-    def test_campaign_rejects_bad_worker_timeout(self):
-        with pytest.raises(SystemExit, match="worker-timeout"):
-            main(["campaign", "--workers", "h:1", "--worker-timeout", "0"])
-
-    def test_campaign_over_loopback_worker(self, capsys):
-        from repro.experiments.distributed import DistributedWorker
-
-        worker = DistributedWorker()
-        worker.serve_in_background()
-        try:
-            code = main(
-                ["--time-scale", "0.05", "--repeats", "1",
-                 "campaign", "--group", "low_utility", "--limit-pairs",
-                 "1", "--workers", worker.address,
-                 "--worker-timeout", "10"]
-            )
-        finally:
-            worker.stop()
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "[worker_joined]" in captured.out
-        assert "campaign summary" in captured.out
-        assert worker.jobs_done > 0
-
-    def test_unreachable_worker_warns_and_falls_back(self, capsys):
-        import socket
-
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        dead = f"127.0.0.1:{probe.getsockname()[1]}"
-        probe.close()
-        code = main(
-            ["--time-scale", "0.05", "--repeats", "1",
-             "campaign", "--group", "low_utility", "--limit-pairs", "1",
-             "--workers", dead, "--worker-timeout", "2"]
-        )
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "worker_skipped" in captured.err
-        assert "campaign summary" in captured.out
-
-    def test_worker_concurrency_parsed(self):
-        args = build_parser().parse_args(
-            ["worker", "127.0.0.1:7801", "--concurrency", "4"]
-        )
-        assert args.concurrency == 4
-
-    def test_worker_rejects_bad_concurrency(self):
-        with pytest.raises(SystemExit, match="concurrency"):
-            main(["worker", "127.0.0.1:7801", "--concurrency", "0"])
 
 
 class TestShardsCli:
