@@ -1,18 +1,17 @@
-"""Length-prefixed framing for the shard plane.
+"""Length-prefixed framing: the one wire of every stream in the repo.
 
-The control plane's 3-byte messages (:mod:`repro.comm.protocol`) are sized
-for §6.5's per-cycle reading/cap traffic; the *shard* plane moves control
-documents and per-cycle demand and power vectors between a fleet parent,
-the budget arbiter and the shard-server subprocesses
-(:mod:`repro.shard.process`, :mod:`repro.comm.shardlink`).  This module
-frames documents over a TCP stream:
+The *shard* plane moves control documents and per-cycle demand and power
+vectors between a fleet parent, the budget arbiter and the shard-server
+subprocesses (:mod:`repro.shard.process`, :mod:`repro.comm.shardlink`);
+the deploy plane moves §6.5's 3-byte messages (:mod:`repro.comm.protocol`).
+This module frames both over a TCP stream:
 
 ``[4-byte big-endian length][body]``
 
-Two body encodings share the stream, distinguished by the body's first
+Three body encodings share the stream, distinguished by the body's first
 byte (the *frame tag*):
 
-* **JSON** (tag ``{`` — any byte other than :data:`BINARY_TAG`): the
+* **JSON** (tag ``{`` — any byte but the two tags below): the
   UTF-8 JSON object encoding every control document uses (HELLO, leases,
   summaries).  Byte-for-byte identical to the format
   before binary frames existed, so mixed-version peers interoperate on
@@ -27,6 +26,8 @@ byte (the *frame tag*):
   :func:`repro.comm.protocol.quantize_w` round-trips them unchanged
   (the deploy plane's cap vectors always do), and fall back to raw
   float64 otherwise so the codec never silently moves a value.
+* **Words** (tag :data:`WORDS_TAG`): one deploy node's batch of 3-byte
+  messages and nothing else, decoded as ``{"words": <bytes>}``.
 
 Two further array codes shrink the common shapes of bulk traffic, both
 still bit-exact:
@@ -42,28 +43,32 @@ still bit-exact:
   :meth:`FrameAssembler.reset` drops the receive side, so a marker can
   never resolve against another stream's state.
 
-Framing guarantees mirror :mod:`repro.deploy.framing`: a reader either
-gets a whole verified document or a hard error — no partial trust of a
-stream after a malformed frame.  :class:`FrameAssembler` provides the
-non-blocking incremental variant for selector-driven event loops, exactly
-as ``BatchAssembler`` does for the control plane; it dispatches on the
-frame tag per frame, so binary and JSON frames interleave freely on one
-stream.
+A reader either gets a whole verified document or a hard error — no
+partial trust of a stream after a malformed frame.  Every stream is read
+by a :class:`FrameAssembler` — fed by selector-driven event loops, or by
+the blocking :func:`recv_frame` — which dispatches on the frame tag per
+frame, so the three body encodings interleave freely on one stream.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 
 import numpy as np
+
+from repro.comm.protocol import MESSAGE_SIZE_BYTES
 
 __all__ = [
     "BINARY_TAG",
     "MAX_FRAME_BYTES",
+    "WORDS_TAG",
     "ArrayCache",
     "FrameAssembler",
     "FrameError",
     "encode_frame",
+    "encode_words",
+    "recv_frame",
 ]
 
 #: Upper bound on one frame's body.  A result payload is a few KiB (two
@@ -76,6 +81,9 @@ _LEN_BYTES = 4
 #: First body byte of a binary frame.  JSON objects start with ``{``
 #: (0x7B), so 0x01 can never open a valid JSON body.
 BINARY_TAG = 0x01
+
+#: First body byte of a words frame.
+WORDS_TAG = 0x02
 
 _BINARY_HEADER_LEN_BYTES = 4
 
@@ -328,9 +336,18 @@ def encode_frame(
     return len(body).to_bytes(_LEN_BYTES, "big") + body
 
 
+def encode_words(words: bytes) -> bytes:
+    """Frame one batch of concatenated 3-byte protocol messages."""
+    return (1 + len(words)).to_bytes(_LEN_BYTES, "big") + bytes([WORDS_TAG]) + words
+
+
 def _decode_body(body: bytes, cache: ArrayCache | None = None) -> dict:
     if body[:1] == bytes([BINARY_TAG]):
         return _decode_binary_body(body, cache)
+    if body[:1] == bytes([WORDS_TAG]):
+        if len(body) == 1 or (len(body) - 1) % MESSAGE_SIZE_BYTES:
+            raise FrameError(f"words frame of {len(body) - 1} bytes")
+        return {"words": body[1:]}
     try:
         doc = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
@@ -347,10 +364,9 @@ class FrameAssembler:
 
     A selector-driven loop reads whatever bytes a socket has ready and
     feeds them in; the assembler yields every document completed so far
-    without ever blocking.  Unlike the control plane's one-shot
-    ``BatchAssembler``, a frame stream is long-lived: the assembler keeps
-    consuming frames back to back, dispatching each on its frame tag —
-    binary array frames and JSON control frames interleave freely.
+    without ever blocking.  A frame stream is long-lived: the assembler
+    keeps consuming frames back to back for the life of its connection,
+    dispatching each on its frame tag.
     """
 
     def __init__(self, cache: ArrayCache | None = None) -> None:
@@ -361,6 +377,14 @@ class FrameAssembler:
     def pending_bytes(self) -> int:
         """Bytes buffered towards the next (incomplete) frame."""
         return len(self._buffer)
+
+    @property
+    def missing_bytes(self) -> int:
+        """Bytes the next frame still lacks (its length prefix first)."""
+        if len(self._buffer) < _LEN_BYTES:
+            return _LEN_BYTES - len(self._buffer)
+        length = int.from_bytes(self._buffer[:_LEN_BYTES], "big")
+        return _LEN_BYTES + length - len(self._buffer)
 
     def reset(self) -> None:
         """Discard any partially assembled frame and the repeat memo.
@@ -399,3 +423,22 @@ class FrameAssembler:
             body = bytes(self._buffer[_LEN_BYTES:end])
             del self._buffer[:end]
             docs.append(_decode_body(body, self.cache))
+
+
+def recv_frame(sock: socket.socket, assembler: FrameAssembler) -> dict:
+    """Block for the next frame on ``sock`` (each read under the socket's
+    timeout), reading only its bytes: a frame behind it stays queued.
+
+    Raises:
+        ConnectionError: the peer closed the stream.
+        FrameError: a malformed frame.
+    """
+    while True:
+        chunk = sock.recv(assembler.missing_bytes)
+        if not chunk:
+            raise ConnectionError(
+                f"peer closed with {assembler.missing_bytes} bytes outstanding"
+            )
+        docs = assembler.feed(chunk)
+        if docs:
+            return docs[0]

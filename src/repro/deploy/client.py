@@ -6,7 +6,8 @@ registers its node's sockets, and services POLL → READINGS → CAPS cycles
 until QUIT.  Power comes from its node's meters and caps land on its
 node's RAPL domains — on real hardware those would be sysfs powercap
 reads/writes; here they are the simulated domains, through the identical
-code path.
+code path.  A node's readings and caps each cross as one batch, packed or
+unpacked in one call.  Between cycles a daemon waits without a deadline.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ from __future__ import annotations
 import socket
 import threading
 
+import numpy as np
+
 from repro.cluster.node import Node
-from repro.comm.protocol import MSG_CAP, MSG_READING, decode, encode
-from repro.deploy import framing
+from repro.comm import protocol
+from repro.comm.wire import FrameAssembler, encode_frame, encode_words, recv_frame
 
 __all__ = ["DeployClient"]
 
@@ -28,7 +31,7 @@ class DeployClient:
         node: the node whose sockets this client meters and caps.
         address: server ``(host, port)``.
         dt_s: metering window passed to each power read.
-        timeout_s: socket-operation timeout.
+        timeout_s: socket-operation timeout once a frame has begun.
     """
 
     def __init__(
@@ -38,17 +41,18 @@ class DeployClient:
         dt_s: float = 1.0,
         timeout_s: float = 5.0,
     ) -> None:
-        if len(node.sockets) > 0xFF:
-            raise ValueError("a client frame addresses at most 255 units")
         self.node = node
         self.address = address
         self.dt_s = dt_s
         self.timeout_s = timeout_s
         self._sock: socket.socket | None = None
         self._thread: threading.Thread | None = None
+        #: Notified whenever ``cycles_served``, ``killed`` or ``_exited`` move.
+        self._progress = threading.Condition()
         self.cycles_served = 0
         self.error: BaseException | None = None
         self.killed = False
+        self._exited = False
 
     def connect(self) -> None:
         """Connect and register with the server."""
@@ -61,40 +65,58 @@ class DeployClient:
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             pass
-        framing.send_hello(
-            self._sock, self.node.node_id, len(self.node.sockets)
+        self._sock.sendall(
+            encode_frame(protocol.hello(self.node.node_id, len(self.node.sockets)))
         )
 
     def serve_forever(self) -> None:
         """Service cycles until QUIT or connection loss (blocking)."""
         assert self._sock is not None, "connect() first"
         sock = self._sock
+        frames = FrameAssembler()
         try:
             while True:
-                tag = framing.recv_tag(sock)
-                if tag == framing.FRAME_QUIT:
+                try:
+                    doc = recv_frame(sock, frames)
+                except TimeoutError:
+                    if frames.pending_bytes:
+                        raise
+                    continue  # Idle between cycles: not a fault.
+                if doc == protocol.QUIT:
                     break
-                if tag != framing.FRAME_POLL:
-                    raise ValueError(f"unexpected frame tag {tag!r}")
-                batch = []
-                for local, unit in enumerate(self.node.sockets):
-                    power = unit.meter.read_power_w(self.dt_s)
-                    batch.append(
-                        encode(MSG_READING, local, min(power, 409.5))
-                    )
-                framing.send_batch(sock, framing.FRAME_READINGS, batch)
-                caps = framing.recv_batch(sock, framing.FRAME_CAPS)
-                for payload in caps:
-                    msg = decode(payload)
-                    if msg.kind != MSG_CAP:
-                        raise ValueError(f"expected cap, got {msg}")
-                    self.node.sockets[msg.unit].domain.set_cap_w(msg.value_w)
-                self.cycles_served += 1
+                if doc != protocol.POLL:
+                    raise ValueError(f"expected POLL, got {doc!r}")
+                power = np.array(
+                    [u.meter.read_power_w(self.dt_s) for u in self.node.sockets]
+                )
+                words = protocol.encode_batch(
+                    protocol.MSG_READING, np.minimum(power, 409.5)
+                )
+                sock.sendall(encode_words(words))
+                kinds, units, values = protocol.decode_batch(
+                    recv_frame(sock, frames)["words"]
+                )
+                if kinds.min() != protocol.MSG_CAP:  # The highest valid kind.
+                    raise ValueError("expected cap messages only")
+                for unit, cap_w in zip(units.tolist(), values.tolist()):
+                    self.node.sockets[unit].domain.set_cap_w(cap_w)
+                with self._progress:
+                    self.cycles_served += 1
+                    self._progress.notify_all()
         except ConnectionError:
             pass  # Server went away; a daemon exits quietly.
         finally:
             sock.close()
             self._sock = None
+
+    def wait_served(self, past: int, timeout_s: float) -> None:
+        """Block until more than ``past`` cycles are served, the daemon
+        has died or exited, or ``timeout_s`` elapses."""
+        with self._progress:
+            self._progress.wait_for(
+                lambda: self.cycles_served > past or self.killed or self._exited,
+                timeout_s,
+            )
 
     # ------------------------------------------------------------------
     # Threaded convenience API (used by the loopback harness and tests).
@@ -108,6 +130,10 @@ class DeployClient:
                 self.serve_forever()
             except BaseException as exc:  # Surfaced via `error`.
                 self.error = exc
+            finally:
+                with self._progress:
+                    self._exited = True
+                    self._progress.notify_all()
 
         self.connect()
         self._thread = threading.Thread(
@@ -123,7 +149,9 @@ class DeployClient:
         untouched — its last programmed caps stay in effect, exactly like
         a killed daemon on a live machine.
         """
-        self.killed = True
+        with self._progress:
+            self.killed = True
+            self._progress.notify_all()
         sock = self._sock
         if sock is not None:
             try:

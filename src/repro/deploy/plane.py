@@ -13,7 +13,7 @@ controller.  :class:`ClientPlane` is that, once.
 from __future__ import annotations
 
 import time
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from repro.cluster.node import Node
 from repro.deploy.client import DeployClient
@@ -23,39 +23,6 @@ from repro.resilience.health import HealthState
 __all__ = ["ClientPlane"]
 
 T = TypeVar("T")
-
-
-def _await_cap_application(
-    server: DeployServer,
-    clients_by_id: Mapping[int, DeployClient],
-    served_before: Mapping[int, int],
-    timeout_s: float = 1.0,
-) -> None:
-    """Block until every healthy client has applied this cycle's caps.
-
-    ``control_cycle`` returns once the cap frames are *written*; the
-    client threads decode and program them asynchronously.  Real
-    deployments have the same property, but leaving the race in the
-    harness makes session power — and therefore every quality
-    measurement built on it — depend on thread scheduling.  The harness
-    serializes instead: physics advance only after the caps this cycle
-    decided are actually on the domains.  (A client increments
-    ``cycles_served`` immediately after programming its caps.)
-    """
-    deadline = time.monotonic() + timeout_s
-    for node_id, health in server.health.items():
-        if health is not HealthState.HEALTHY:
-            continue
-        client = clients_by_id.get(node_id)
-        if client is None:
-            continue
-        while (
-            client.cycles_served <= served_before.get(node_id, 0)
-            and client.error is None
-            and not client.killed
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.0005)
 
 
 class ClientPlane:
@@ -108,16 +75,28 @@ class ClientPlane:
     def cycle(self, run: Callable[[], T]) -> T:
         """Run one control cycle; return once its caps are applied.
 
+        ``control_cycle`` returns once the cap frames are *written*; the
+        daemons program them asynchronously.  Leaving that race in the
+        harness would make session power — and every quality measurement
+        built on it — depend on thread scheduling, so physics advance only
+        after this cycle's caps are on the domains: each healthy daemon is
+        awaited (:meth:`DeployClient.wait_served`) under one 1 s deadline.
+        A daemon also signals its kill and its exit, so a dead one never
+        costs the deadline.
+
         Args:
             run: performs exactly one ``server.control_cycle()`` (directly
                 or wrapped, e.g. a shard's lease bookkeeping around it).
         """
-        served_before = {
-            node_id: client.cycles_served
-            for node_id, client in self._current.items()
-        }
+        served = {node_id: c.cycles_served for node_id, c in self._current.items()}
         result = run()
-        _await_cap_application(self.server, self._current, served_before)
+        deadline = time.monotonic() + 1.0
+        for node_id, health in self.server.health.items():
+            client = self._current.get(node_id)
+            if health is HealthState.HEALTHY and client is not None:
+                client.wait_served(
+                    served[node_id], max(deadline - time.monotonic(), 0.0)
+                )
         return result
 
     def close(self, quiet: bool = False) -> None:

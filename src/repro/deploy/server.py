@@ -8,14 +8,13 @@ manager, push per-unit CAPS frames back.
 
 The cycle is a concurrent fan-out/fan-in, not a sequential
 request/response chain: POLL is broadcast to every healthy client up
-front, READINGS batches are collected by a ``selectors``-driven event
-loop with per-client incremental frame reassembly
-(:class:`~repro.deploy.framing.BatchAssembler`) under a single per-cycle
-deadline, and CAPS batches are dispatched to every client without
-waiting on any acknowledgement.  Cycle wall time is therefore
-max-of-clients instead of sum-of-clients — a slow (not yet dead) client
-no longer stalls its peers, it simply misses the deadline and takes the
-quarantine/fallback path.  (The artifact's strict blocking chain lives on
+front, READINGS batches (one :mod:`repro.comm.wire` frame per node) are
+collected by a ``selectors``-driven event loop feeding each connection's
+one assembler under a single per-cycle deadline, and CAPS batches are
+dispatched to every client without waiting on any acknowledgement.
+Cycle wall time is therefore max-of-clients instead of sum-of-clients —
+a slow (not yet dead) client no longer stalls its peers, it simply misses
+the deadline and takes the quarantine/fallback path.  (The artifact's strict blocking chain lives on
 as the test oracle in ``tests/deploy/oracles.py``.)
 
 A control cycle survives partial failures: a client that misses the
@@ -27,9 +26,10 @@ Quarantined clients walk the
 (DEGRADED → DEAD under exponential-backoff rejoin windows), their units
 fall back to a configurable reading policy, and a dead client's daemon
 may reconnect and re-register through the HELLO-rejoin path drained at
-the top of every cycle.  The cluster budget stays enforced throughout:
-the manager's budget invariant holds for whatever reading vector the
-cycle assembles.
+the top of every cycle — without blocking, so a connection that never
+says HELLO costs the cycle nothing and is closed after ``timeout_s``.
+The cluster budget stays enforced throughout: the manager's budget
+invariant holds for whatever reading vector the cycle assembles.
 
 Collection order is an I/O detail, never a semantic one: batches are
 buffered as they arrive, and all decoding, validation, health
@@ -40,7 +40,6 @@ reproducible cycle-for-cycle regardless of which client answered first.
 
 from __future__ import annotations
 
-import math
 import select
 import selectors
 import socket
@@ -50,9 +49,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.comm.net import bind_listener
-from repro.comm.protocol import MSG_CAP, MSG_READING, decode, encode, quantize_w
+from repro.comm import protocol
+from repro.comm.wire import FrameAssembler, encode_frame, encode_words, recv_frame
 from repro.core.managers import PowerManager
-from repro.deploy import framing
 from repro.resilience.health import ClientHealth, HealthState, ResilienceConfig
 from repro.safety import (
     BudgetEnvelope,
@@ -72,6 +71,9 @@ __all__ = ["DeployServer", "DeployCycleStats", "PROTOCOL_MAX_W"]
 
 #: Largest value a 3-byte protocol message can carry (§6.5 wire format).
 PROTOCOL_MAX_W = 409.5
+
+_POLL_FRAME = encode_frame(protocol.POLL)
+_QUIT_FRAME = encode_frame(protocol.QUIT)
 
 _ZERO_TIMINGS = CyclePhaseTimings(
     cycle=0, rejoin_s=0.0, poll_s=0.0, collect_s=0.0, decide_s=0.0,
@@ -100,7 +102,7 @@ class DeployCycleStats:
 
     Attributes:
         bytes_up / bytes_down: reading / cap payload bytes (3 B messages,
-            excluding the 2-byte frame headers).
+            excluding the 5 bytes of framing per node batch).
         readings_w: the reading vector the manager consumed this cycle —
             decoded wire values for healthy clients, fallback values for
             quarantined ones.
@@ -143,6 +145,8 @@ class _ClientRecord:
     health: ClientHealth = field(
         default_factory=lambda: ClientHealth(ResilienceConfig())
     )
+    #: Reads ``conn``; replaced together with it on a rejoin.
+    frames: FrameAssembler = field(default_factory=FrameAssembler)
     #: True once the current quarantine episode's fallback was logged.
     fallback_announced: bool = False
 
@@ -196,6 +200,8 @@ class DeployServer:
             host, port, backlog=128, timeout_s=timeout_s
         )
         self._clients: list[_ClientRecord] = []
+        #: Reconnects awaiting their HELLO: (conn, frames, give-up time).
+        self._joining: list[tuple[socket.socket, FrameAssembler, float]] = []
         self._closed = False
         self._cycle = 0
         self._last_good: np.ndarray | None = None
@@ -281,19 +287,20 @@ class DeployServer:
             for _ in range(n_clients):
                 conn, _ = self._listener.accept()
                 _configure_conn(conn, self.timeout_s)
+                frames = FrameAssembler()
                 try:
-                    hello = framing.recv_hello(conn)
+                    node_id, n_units = protocol.parse_hello(
+                        recv_frame(conn, frames)
+                    )
                     base = self.n_registered_units
-                    if any(
-                        c.node_id == hello.node_id for c in self._clients
-                    ):
+                    if any(c.node_id == node_id for c in self._clients):
                         raise ValueError(
-                            f"node {hello.node_id} is already registered"
+                            f"node {node_id} is already registered"
                         )
-                    if base + hello.n_units > self.manager.n_units:
+                    if base + n_units > self.manager.n_units:
                         raise ValueError(
-                            f"client node {hello.node_id} would register "
-                            f"unit {base + hello.n_units} but the manager "
+                            f"client node {node_id} would register "
+                            f"unit {base + n_units} but the manager "
                             f"is bound to {self.manager.n_units}"
                         )
                 except BaseException:
@@ -301,10 +308,11 @@ class DeployServer:
                     raise
                 record = _ClientRecord(
                     conn=conn,
-                    node_id=hello.node_id,
+                    node_id=node_id,
                     base=base,
-                    n_units=hello.n_units,
+                    n_units=n_units,
                     health=ClientHealth(self.resilience),
+                    frames=frames,
                 )
                 self._clients.append(record)
                 accepted.append(record)
@@ -312,7 +320,7 @@ class DeployServer:
             for record in accepted:
                 if record.conn is not None:
                     try:
-                        framing.send_tag(record.conn, framing.FRAME_QUIT)
+                        record.conn.sendall(_QUIT_FRAME)
                     except OSError:
                         pass
                     record.conn.close()
@@ -346,11 +354,12 @@ class DeployServer:
     def _drain_rejoins(self) -> list[int]:
         """Accept pending reconnects and re-attach known quarantined nodes.
 
-        A pending connection must HELLO as a quarantined node id with the
-        same unit count it registered originally; anything else is closed.
-        Returns the node ids that rejoined.
+        Joining connections are read without blocking, across cycles, and
+        closed if no HELLO is in ``timeout_s`` after their accept.  A HELLO
+        must name a quarantined node id with the same unit count it
+        registered originally; anything else is closed.  Returns the node
+        ids that rejoined.
         """
-        rejoined = []
         while True:
             ready, _, _ = select.select([self._listener], [], [], 0.0)
             if not ready:
@@ -359,26 +368,49 @@ class DeployServer:
                 conn, _ = self._listener.accept()
             except OSError:
                 break
-            _configure_conn(conn, self.timeout_s)
+            conn.setblocking(False)
+            self._joining.append(
+                (conn, FrameAssembler(), time.monotonic() + self.timeout_s)
+            )
+        rejoined = []
+        joining, self._joining = self._joining, []
+        for conn, frames, give_up_at in joining:
             try:
-                hello = framing.recv_hello(conn)
-            except (OSError, ValueError, ConnectionError):
+                data = conn.recv(65536)
+                if not data:
+                    raise ConnectionError("closed before its HELLO")
+                docs = frames.feed(data)
+                if len(docs) > 1 or (docs and frames.pending_bytes):
+                    raise ValueError("bytes beyond the HELLO")
+                hello = protocol.parse_hello(docs[0]) if docs else None
+            except BlockingIOError:
+                hello = None
+            except (OSError, ValueError):
                 conn.close()
                 continue
+            if hello is None:
+                if time.monotonic() < give_up_at:
+                    self._joining.append((conn, frames, give_up_at))
+                else:
+                    conn.close()
+                continue
+            node_id, n_units = hello
             record = next(
                 (
                     c
                     for c in self._clients
-                    if c.node_id == hello.node_id
+                    if c.node_id == node_id
                     and c.health.quarantined
-                    and c.n_units == hello.n_units
+                    and c.n_units == n_units
                 ),
                 None,
             )
             if record is None:
                 conn.close()
                 continue
+            _configure_conn(conn, self.timeout_s)
             record.conn = conn
+            record.frames = frames
             record.health.rejoin()
             record.fallback_announced = False
             rejoined.append(record.node_id)
@@ -579,46 +611,42 @@ class DeployServer:
 
     def _broadcast_poll(
         self, polled: list[_ClientRecord]
-    ) -> tuple[dict[_ClientRecord, framing.BatchAssembler], dict[int, str]]:
+    ) -> tuple[list[_ClientRecord], dict[int, str]]:
         """Fan-out: send POLL to every healthy client before reading any.
 
-        Returns the clients awaiting collection (with their frame
-        assemblers) and the send failures keyed by node id.
+        Returns the clients awaiting collection and the send failures
+        keyed by node id.
         """
-        pending: dict[_ClientRecord, framing.BatchAssembler] = {}
+        pending: list[_ClientRecord] = []
         errors: dict[int, str] = {}
         for record in polled:
             assert record.conn is not None
             try:
-                framing.send_tag(record.conn, framing.FRAME_POLL)
+                record.conn.sendall(_POLL_FRAME)
             except OSError as exc:
                 errors[record.node_id] = f"poll: {exc}"
             else:
-                pending[record] = framing.BatchAssembler(
-                    framing.FRAME_READINGS
-                )
+                pending.append(record)
         return pending, errors
 
     def _collect_readings(
-        self, pending: dict[_ClientRecord, framing.BatchAssembler]
-    ) -> tuple[dict[int, list[bytes]], dict[int, str]]:
-        """Fan-in: collect READINGS batches under one per-cycle deadline.
+        self, pending: list[_ClientRecord]
+    ) -> tuple[dict[int, dict], dict[int, str]]:
+        """Fan-in: collect READINGS frames under one per-cycle deadline.
 
         Every pending socket is watched by one selector; whatever bytes a
         client has ready are fed to its frame assembler.  A client that
-        has not completed a valid batch when the deadline expires is
+        has not completed exactly one frame when the deadline expires is
         reported as errored — it delays nobody else.
         """
-        raw: dict[int, list[bytes]] = {}
+        raw: dict[int, dict] = {}
         errors: dict[int, str] = {}
         if not pending:
             return raw, errors
         sel = selectors.DefaultSelector()
         outstanding: set[int] = set()
-        for record, assembler in pending.items():
-            sel.register(
-                record.conn, selectors.EVENT_READ, (record, assembler)
-            )
+        for record in pending:
+            sel.register(record.conn, selectors.EVENT_READ, record)
             outstanding.add(record.node_id)
         deadline = time.monotonic() + self.timeout_s
         try:
@@ -627,28 +655,24 @@ class DeployServer:
                 if remaining_s <= 0:
                     break
                 for key, _ in sel.select(remaining_s):
-                    record, assembler = key.data
-                    failure: str | None = None
-                    complete = False
+                    record = key.data
                     try:
                         data = key.fileobj.recv(65536)
-                    except OSError as exc:
-                        failure = f"readings: {exc}"
-                    else:
                         if not data:
-                            failure = "readings: peer closed mid-collection"
-                        else:
-                            try:
-                                complete = assembler.feed(data)
-                            except ValueError as exc:
-                                failure = f"readings: {exc}"
-                    if failure is not None or complete:
-                        sel.unregister(key.fileobj)
-                        outstanding.discard(record.node_id)
-                        if failure is not None:
-                            errors[record.node_id] = failure
-                        else:
-                            raw[record.node_id] = assembler.batch
+                            raise ConnectionError("peer closed mid-collection")
+                        docs = record.frames.feed(data)
+                        # More than one answer: the client spoke out of
+                        # turn, and its stream can't be trusted past it.
+                        if len(docs) > 1 or (docs and record.frames.pending_bytes):
+                            raise ValueError("bytes beyond the end of the frame")
+                    except (OSError, ValueError) as exc:
+                        errors[record.node_id] = f"readings: {exc}"
+                    else:
+                        if not docs:
+                            continue
+                        raw[record.node_id] = docs[0]
+                    sel.unregister(key.fileobj)
+                    outstanding.discard(record.node_id)
             for node_id in outstanding:
                 errors[node_id] = (
                     "readings: no complete batch within the "
@@ -661,7 +685,7 @@ class DeployServer:
     def _ingest_readings(
         self,
         record: _ClientRecord,
-        batch: list[bytes],
+        frame: dict,
         readings: np.ndarray,
     ) -> int:
         """Validate one READINGS batch and write it into ``readings``.
@@ -676,32 +700,31 @@ class DeployServer:
             RuntimeError / ValueError: protocol violation (handled by the
                 caller's quarantine path).
         """
-        if len(batch) != record.n_units:
+        words = frame.get("words")
+        if words is None:
             raise RuntimeError(
-                f"client sent {len(batch)} readings for "
-                f"{record.n_units} units"
+                f"expected a READINGS batch, got a {frame.get('type')!r} document"
             )
-        values = np.empty(record.n_units, dtype=np.float64)
-        seen = np.zeros(record.n_units, dtype=bool)
-        bytes_up = 0
-        for payload in batch:
-            msg = decode(payload)
-            if msg.kind != MSG_READING:
-                raise RuntimeError(f"expected reading, got {msg}")
-            if msg.unit >= record.n_units:
-                raise RuntimeError(
-                    f"reading for unit {msg.unit} out of range "
-                    f"[0, {record.n_units})"
-                )
-            if seen[msg.unit]:
-                raise RuntimeError(
-                    f"duplicate reading for unit {msg.unit}"
-                )
-            seen[msg.unit] = True
-            values[msg.unit] = msg.value_w
-            bytes_up += len(payload)
-        readings[record.base : record.base + record.n_units] = values
-        return bytes_up
+        kinds, units, values = protocol.decode_batch(words)
+        n = record.n_units
+        if units.size != n:
+            raise RuntimeError(f"client sent {units.size} readings for {n} units")
+        if kinds.max() != protocol.MSG_READING:  # The lowest valid kind.
+            i = kinds.argmax()
+            msg = protocol.Message(int(kinds[i]), int(units[i]), float(values[i]))
+            raise RuntimeError(f"expected reading, got {msg}")
+        if units.max() >= n:
+            raise RuntimeError(
+                f"reading for unit {units[units >= n][0]} out of range [0, {n})"
+            )
+        seen = np.zeros(n, dtype=bool)
+        seen[units] = True
+        if not seen.all():  # n readings, a unit missing: another repeats.
+            raise RuntimeError(
+                f"duplicate reading for unit {np.bincount(units).argmax()}"
+            )
+        readings[record.base : record.base + n][units] = values
+        return len(words)
 
     def _dispatch_caps(
         self, caps: np.ndarray, quarantined_now: list[int]
@@ -718,53 +741,50 @@ class DeployServer:
         Raises:
             RuntimeError: the manager emitted a NaN/inf cap.
         """
-        batches: list[tuple[_ClientRecord, list[bytes], np.ndarray]] = []
-        caps_clamped = 0
-        for record in self._clients:
-            if record.health.quarantined:
-                continue
-            batch = []
-            wire = np.empty(record.n_units, dtype=np.float64)
-            for local in range(record.n_units):
-                unit = record.base + local
-                cap = float(caps[unit])
-                if not math.isfinite(cap):
-                    raise RuntimeError(
-                        f"manager emitted non-finite cap {cap!r} for "
-                        f"unit {unit}"
-                    )
-                clamped = min(max(cap, 0.0), PROTOCOL_MAX_W)
-                if clamped != cap:
-                    caps_clamped += 1
-                    self.events.emit(
-                        float(self._cycle),
-                        "cap_clamped",
-                        unit=unit,
-                        node_id=record.node_id,
-                        detail=f"{cap:.1f}->{clamped:.1f}",
-                    )
-                wire[local] = quantize_w(clamped)
-                batch.append(encode(MSG_CAP, local, clamped))
-            batches.append((record, batch, wire))
+        live = [r for r in self._clients if not r.health.quarantined]
+        sent = np.zeros(caps.size, dtype=bool)
+        for record in live:
+            sent[record.base : record.base + record.n_units] = True
+        bad = np.flatnonzero(sent & ~np.isfinite(caps))
+        if bad.size:
+            raise RuntimeError(
+                f"manager emitted non-finite cap {float(caps[bad[0]])!r} for "
+                f"unit {bad[0]}"
+            )
+        clamped = np.clip(caps, 0.0, PROTOCOL_MAX_W)
+        moved = np.flatnonzero(sent & (clamped != caps)).tolist()
+        for unit in moved:
+            record = next(r for r in live if r.base <= unit < r.base + r.n_units)
+            self.events.emit(
+                float(self._cycle),
+                "cap_clamped",
+                unit=unit,
+                node_id=record.node_id,
+                detail=f"{caps[unit]:.1f}->{clamped[unit]:.1f}",
+            )
+        frames = [
+            protocol.encode_batch(
+                protocol.MSG_CAP, clamped[r.base : r.base + r.n_units]
+            )
+            for r in live
+        ]
+        # The dispatched view holds the exact wire value the client will
+        # program: post-clamp, post-quantization.
+        wire = protocol.quantize_w(clamped)
         bytes_down = 0
-        for record, batch, wire in batches:
+        for record, words in zip(live, frames):
             try:
-                bytes_down += framing.send_batch(
-                    record.conn, framing.FRAME_CAPS, batch
-                )
+                record.conn.sendall(encode_words(words))
             except OSError as exc:
                 self._quarantine(record, f"caps: {exc}")
                 quarantined_now.append(record.node_id)
             else:
+                bytes_down += len(words)
                 if self.envelope is not None:
-                    # The dispatched view holds the exact wire value the
-                    # client will program: post-clamp, post-quantization.
-                    self.envelope.record_dispatched(
-                        slice(record.base, record.base + record.n_units),
-                        wire,
-                    )
-        self.total_caps_clamped += caps_clamped
-        return bytes_down, caps_clamped
+                    units = slice(record.base, record.base + record.n_units)
+                    self.envelope.record_dispatched(units, wire[units])
+        self.total_caps_clamped += len(moved)
+        return bytes_down, len(moved)
 
     def shutdown(self) -> None:
         """Send QUIT to every client and close all sockets (idempotent)."""
@@ -774,11 +794,14 @@ class DeployServer:
             if record.conn is None:
                 continue
             try:
-                framing.send_tag(record.conn, framing.FRAME_QUIT)
+                record.conn.sendall(_QUIT_FRAME)
             except OSError:
                 pass
             record.conn.close()
+        for conn, _, _ in self._joining:
+            conn.close()
         self._clients.clear()
+        self._joining.clear()
         self._listener.close()
         self._closed = True
 

@@ -1,21 +1,25 @@
-"""Length-prefixed JSON/binary framing for the shard plane."""
+"""Length-prefixed JSON/binary/words framing: the one wire."""
 
 import json
 import math
+import socket
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm.protocol import quantize_w
+from repro.comm.protocol import MSG_CAP, MSG_READING, encode, quantize_w
 from repro.comm.wire import (
     BINARY_TAG,
     MAX_FRAME_BYTES,
+    WORDS_TAG,
     ArrayCache,
     FrameAssembler,
     FrameError,
     encode_frame,
+    encode_words,
+    recv_frame,
 )
 
 
@@ -98,6 +102,66 @@ class TestFrameAssembler:
         assert assembler.feed(fresh) == [
             {"type": "hello", "role": "arbiter"}
         ]
+
+
+class TestWordsFrames:
+    """A node's 3-byte protocol messages as one frame."""
+
+    def test_round_trip(self):
+        words = encode(MSG_READING, 0, 1.5) + encode(MSG_READING, 1, 2.5)
+        frame = encode_words(words)
+        # 4-byte length + 1-byte tag: the whole framing of a batch.
+        assert len(frame) == len(words) + 5
+        assert frame[4] == WORDS_TAG
+        assert FrameAssembler().feed(frame) == [{"words": words}]
+
+    def test_interleaves_with_json_frames(self):
+        words = encode(MSG_CAP, 0, 100.0)
+        blob = encode_frame({"type": "poll"}) + encode_words(words)
+        assert FrameAssembler().feed(blob) == [{"type": "poll"}, {"words": words}]
+
+    def test_rejects_partial_message(self):
+        with pytest.raises(FrameError, match="words frame of 7 bytes"):
+            FrameAssembler().feed(encode_words(b"toolong"))
+
+    def test_rejects_empty_batch(self):
+        with pytest.raises(FrameError, match="words frame of 0 bytes"):
+            FrameAssembler().feed(encode_words(b""))
+
+
+@pytest.fixture
+def pair():
+    a, b = socket.socketpair()
+    a.settimeout(2.0)
+    b.settimeout(2.0)
+    yield a, b
+    a.close()
+    b.close()
+
+
+class TestRecvFrame:
+    """The blocking read of one frame over a real socket."""
+
+    def test_reads_one_frame_and_leaves_the_next_queued(self, pair):
+        a, b = pair
+        a.sendall(encode_frame({"n": 1}) + encode_words(b"abc"))
+        frames = FrameAssembler()
+        assert recv_frame(b, frames) == {"n": 1}
+        assert frames.pending_bytes == 0
+        assert recv_frame(b, frames) == {"words": b"abc"}
+
+    def test_eof_mid_frame_raises(self, pair):
+        a, b = pair
+        a.sendall(encode_frame({"n": 1})[:6])
+        a.close()
+        with pytest.raises(ConnectionError, match="outstanding"):
+            recv_frame(b, FrameAssembler())
+
+    def test_eof_between_frames_raises(self, pair):
+        a, b = pair
+        a.close()
+        with pytest.raises(ConnectionError, match="4 bytes outstanding"):
+            recv_frame(b, FrameAssembler())
 
 
 def _round_trip(doc, quantized=()):

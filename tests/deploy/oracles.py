@@ -15,21 +15,20 @@ import contextlib
 
 import pytest
 
-from repro.deploy import framing
+from repro.comm.protocol import POLL
+from repro.comm.wire import encode_frame, recv_frame
 from repro.deploy.server import DeployServer
 
 
-def poll_sequential(polled) -> tuple[dict[int, list[bytes]], dict[int, str]]:
-    """POLL one client, block for its READINGS batch, then the next."""
-    raw: dict[int, list[bytes]] = {}
+def poll_sequential(polled) -> tuple[dict[int, dict], dict[int, str]]:
+    """POLL one client, block for its READINGS frame, then the next."""
+    raw: dict[int, dict] = {}
     errors: dict[int, str] = {}
     for record in polled:
         assert record.conn is not None
         try:
-            framing.send_tag(record.conn, framing.FRAME_POLL)
-            raw[record.node_id] = framing.recv_batch(
-                record.conn, framing.FRAME_READINGS
-            )
+            record.conn.sendall(encode_frame(POLL))
+            raw[record.node_id] = recv_frame(record.conn, record.frames)
         except (OSError, ValueError) as exc:
             errors[record.node_id] = f"poll: {exc}"
     return raw, errors

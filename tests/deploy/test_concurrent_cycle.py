@@ -15,10 +15,9 @@ import numpy as np
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.comm.protocol import MSG_CAP, MSG_READING, decode, encode
+from repro.comm.protocol import MSG_CAP, MSG_READING, POLL, decode, encode
 from repro.core.config import ClusterSpec, RaplConfig
 from repro.core.managers import PowerManager
-from repro.deploy import framing
 from repro.deploy.loopback import run_loopback
 from repro.deploy.server import DeployServer
 from tests.deploy.oracles import sequential_polling
@@ -40,15 +39,13 @@ def registered_clients(server, n_clients, units_each=1):
 
 def answer_poll(client, n_units=1, delay_s=0.0, value_w=100.0):
     """One raw client's side of a cycle: POLL -> READINGS -> CAPS."""
-    assert framing.recv_tag(client.sock) == framing.FRAME_POLL
+    assert client.recv() == POLL
     if delay_s:
         time.sleep(delay_s)
-    framing.send_batch(
-        client.sock,
-        framing.FRAME_READINGS,
+    client.send_words(
         [encode(MSG_READING, u, value_w) for u in range(n_units)],
     )
-    return framing.recv_batch(client.sock, framing.FRAME_CAPS)
+    return client.recv_words()
 
 
 class TestFanOut:
@@ -62,16 +59,14 @@ class TestFanOut:
 
             def serve(node_id, delay_s):
                 client = clients[node_id]
-                assert framing.recv_tag(client.sock) == framing.FRAME_POLL
+                assert client.recv() == POLL
                 poll_at[node_id] = time.monotonic() - t0
                 if delay_s:
                     time.sleep(delay_s)
-                framing.send_batch(
-                    client.sock,
-                    framing.FRAME_READINGS,
+                client.send_words(
                     [encode(MSG_READING, 0, 100.0)],
                 )
-                framing.recv_batch(client.sock, framing.FRAME_CAPS)
+                client.recv_words()
 
             threads = [
                 threading.Thread(target=serve, args=(nid, delay))
@@ -108,7 +103,7 @@ class TestFanOut:
                 done.append(answer_poll(client))
 
             def slow(client):
-                assert framing.recv_tag(client.sock) == framing.FRAME_POLL
+                assert client.recv() == POLL
                 time.sleep(0.8)  # Well past the deadline.
 
             threads = [
@@ -135,7 +130,7 @@ class TestFanOut:
             clients = registered_clients(server, 2)
 
             def vanish(client):
-                framing.recv_tag(client.sock)  # POLL arrives...
+                client.recv()  # POLL arrives...
                 client.close()  # ...and the daemon dies mid-collection.
 
             threads = [
@@ -163,10 +158,8 @@ class TestReadingsIntegrity:
             client = clients[0]
 
             def duplicate():
-                assert framing.recv_tag(client.sock) == framing.FRAME_POLL
-                framing.send_batch(
-                    client.sock,
-                    framing.FRAME_READINGS,
+                assert client.recv() == POLL
+                client.send_words(
                     [
                         encode(MSG_READING, 0, 100.0),
                         encode(MSG_READING, 0, 90.0),  # Unit 1 missing.
@@ -196,16 +189,14 @@ class TestReadingsIntegrity:
             client = clients[0]
 
             def reversed_units():
-                assert framing.recv_tag(client.sock) == framing.FRAME_POLL
-                framing.send_batch(
-                    client.sock,
-                    framing.FRAME_READINGS,
+                assert client.recv() == POLL
+                client.send_words(
                     [
                         encode(MSG_READING, 1, 90.0),
                         encode(MSG_READING, 0, 100.0),
                     ],
                 )
-                framing.recv_batch(client.sock, framing.FRAME_CAPS)
+                client.recv_words()
 
             t = threading.Thread(target=reversed_units)
             t.start()
@@ -293,10 +284,8 @@ class TestCapDispatch:
             clients = registered_clients(server, 1, units_each=2)
 
             def serve():
-                assert framing.recv_tag(clients[0].sock) == framing.FRAME_POLL
-                framing.send_batch(
-                    clients[0].sock,
-                    framing.FRAME_READINGS,
+                assert clients[0].recv() == POLL
+                clients[0].send_words(
                     [encode(MSG_READING, u, 90.0) for u in range(2)],
                 )
 

@@ -6,6 +6,7 @@ the budget must hold throughout, and a reconnecting daemon must be
 re-integrated through the HELLO-rejoin path.
 """
 
+import socket
 import threading
 import time
 
@@ -14,10 +15,10 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.core.config import ClusterSpec
 from repro.core.managers import create_manager
-from repro.deploy import framing
 from repro.deploy.loopback import ChaosSchedule, run_loopback
 from repro.deploy.server import DeployServer
 from repro.resilience.health import HealthState, ResilienceConfig
+from tests.deploy.test_concurrent_cycle import answer_poll, registered_clients
 from tests.deploy.test_server_robustness import RawClient, bound_manager
 
 SPEC = ClusterSpec(n_nodes=3, sockets_per_node=2)
@@ -136,7 +137,7 @@ class TestHangAndGarbage:
                 target=lambda: results.append(server.control_cycle())
             )
             t.start()
-            framing.recv_tag(client.sock)  # POLL arrives...
+            client.recv()  # POLL arrives...
             client.sock.sendall(b"\xff\xff\xff\xff\xff\xff")  # ...garbage.
             t.join(3.0)
             client.close()
@@ -162,18 +163,80 @@ class TestHangAndGarbage:
                 target=lambda: results.append(server.control_cycle())
             )
             t.start()
-            assert framing.recv_tag(client.sock) == framing.FRAME_POLL
-            from repro.comm.protocol import MSG_READING, encode
+            from repro.comm.protocol import MSG_READING, POLL, encode
 
-            framing.send_batch(
-                client.sock,
-                framing.FRAME_READINGS,
+            assert client.recv() == POLL
+            client.send_words(
                 [encode(MSG_READING, 0, 100.0),
                  encode(MSG_READING, 1, 90.0)],
             )
-            framing.recv_batch(client.sock, framing.FRAME_CAPS)
+            client.recv_words()
             t.join(3.0)
             assert results and results[0].rejoined == ()
             assert results[0].n_healthy == 1
             intruder.close()
             client.close()
+
+
+def _cycle_with(server, *peers):
+    """One control cycle while each ``(client, serve)`` peer plays its part."""
+    threads = [
+        threading.Thread(target=serve, args=(client,)) for client, serve in peers
+    ]
+    for t in threads:
+        t.start()
+    stats = server.control_cycle()
+    for t in threads:
+        t.join(2.0)
+    return stats
+
+
+class TestJoiningConnections:
+    """Reconnects are read without blocking, across cycles."""
+
+    def test_silent_connector_does_not_hold_the_cycle(self):
+        with DeployServer(bound_manager(n_units=2), timeout_s=0.3) as server:
+            clients = registered_clients(server, 2)
+            silent = socket.create_connection(server.address, timeout=2.0)
+            try:
+                for _ in range(2):
+                    stats = _cycle_with(
+                        server, *((c, answer_poll) for c in clients)
+                    )
+                    assert stats.timings.rejoin_s < 0.1
+                    assert stats.n_healthy == 2 and stats.quarantined == ()
+                time.sleep(0.35)  # Past timeout_s without a HELLO...
+                _cycle_with(server, *((c, answer_poll) for c in clients))
+                assert silent.recv(1) == b""  # ...so the server hung up.
+            finally:
+                silent.close()
+                for client in clients:
+                    client.close()
+
+    def test_hello_arriving_a_cycle_late_still_rejoins(self):
+        with DeployServer(bound_manager(n_units=2), timeout_s=1.0) as server:
+            clients = registered_clients(server, 2)
+
+            def vanish(client):
+                client.recv()  # POLL arrives and the daemon dies.
+                client.close()
+
+            stats = _cycle_with(
+                server, (clients[0], answer_poll), (clients[1], vanish)
+            )
+            assert stats.quarantined == (1,)
+
+            late = RawClient(server.address)  # Connected, HELLO not sent.
+            stats = _cycle_with(server, (clients[0], answer_poll))
+            assert stats.rejoined == ()
+            assert stats.timings.rejoin_s < 0.1
+
+            late.hello(node_id=1, n_units=1)
+            time.sleep(0.05)
+            stats = _cycle_with(
+                server, (clients[0], answer_poll), (late, answer_poll)
+            )
+            assert stats.rejoined == (1,)
+            assert stats.n_healthy == 2
+            late.close()
+            clients[0].close()
