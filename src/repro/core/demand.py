@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.recovery.state import decode_array, encode_array
+from repro.recovery.state import encode_array, read_leaf
 
 __all__ = ["DemandEstimatorConfig", "DemandEstimator"]
 
@@ -104,7 +104,7 @@ class DemandEstimator:
 
     def restore(self, state: dict) -> None:
         """Overwrite the estimates with a snapshot's content."""
-        estimate = decode_array(state["estimate"])
+        estimate = read_leaf(state["estimate"])
         if estimate.shape != (self.n_units,):
             raise ValueError(
                 f"snapshot shape {estimate.shape} != ({self.n_units},)"

@@ -78,6 +78,9 @@ class DPSManager(PowerManager):
         self._history: HistoryBuffer | None = None
         self._last_info: DPSStepInfo | None = None
 
+    def blank(self) -> DPSManager:
+        return type(self)(self.config)
+
     def _on_bind(self) -> None:
         cfg = self.config
         self._kalman = KalmanBank(self.n_units, cfg.kalman)

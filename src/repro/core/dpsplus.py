@@ -65,6 +65,14 @@ class DPSPlusManager(PowerManager):
         self._kalman: KalmanBank | None = None
         self._estimator: DemandEstimator | None = None
 
+    def blank(self) -> DPSPlusManager:
+        return type(self)(
+            self.config,
+            self.estimator_config,
+            self.headroom,
+            self.guarantee_floor,
+        )
+
     def _on_bind(self) -> None:
         self._kalman = KalmanBank(self.n_units, self.config.kalman)
         self._estimator = DemandEstimator(

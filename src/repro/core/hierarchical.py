@@ -62,6 +62,9 @@ class HierarchicalManager(PowerManager):
         self.min_group_share = min_group_share
         self._groups: list[np.ndarray] = []
 
+    def blank(self) -> HierarchicalManager:
+        return type(self)(self.group_size, self.config, self.min_group_share)
+
     def _on_bind(self) -> None:
         ids = np.arange(self.n_units)
         n_groups = max(self.n_units // self.group_size, 1)

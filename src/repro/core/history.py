@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.recovery.state import decode_array, encode_array
+from repro.recovery.state import encode_array, read_leaf
 
 __all__ = ["HistoryBuffer"]
 
@@ -70,7 +70,7 @@ class HistoryBuffer:
 
     def restore(self, state: dict) -> None:
         """Overwrite the ring with a snapshot's content."""
-        data = decode_array(state["data"])
+        data = read_leaf(state["data"])
         if data.shape != (self.history_len, self.n_units):
             raise ValueError(
                 f"snapshot shape {data.shape} != "

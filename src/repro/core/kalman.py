@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core import _native
 from repro.core.config import KalmanConfig
-from repro.recovery.state import decode_array, encode_array
+from repro.recovery.state import encode_array, read_leaf
 
 __all__ = ["KalmanBank"]
 
@@ -76,8 +76,8 @@ class KalmanBank:
 
     def restore(self, state: dict) -> None:
         """Overwrite the bank's state with a snapshot's content."""
-        x = decode_array(state["x"])
-        p = decode_array(state["p"])
+        x = read_leaf(state["x"])
+        p = read_leaf(state["p"])
         if x.shape != (self.n_units,) or p.shape != (self.n_units,):
             raise ValueError(
                 f"snapshot shapes {x.shape}/{p.shape} != ({self.n_units},)"

@@ -50,7 +50,8 @@ class PowerManager(ABC):
         self.min_cap_w = 0.0
         self.dt_s = 1.0
         self._caps = np.empty(0, dtype=np.float64)
-        self._rng: np.random.Generator = np.random.default_rng(0)
+        #: Set by :meth:`bind`; nothing reads it before.
+        self._rng: np.random.Generator | None = None
         #: Times the over-allocation rescale fired (0 for correct logic).
         self.budget_rescales = 0
         #: Observer of the over-allocation rescale, called as
@@ -114,6 +115,16 @@ class PowerManager(ABC):
 
     def _on_bind(self) -> None:
         """Hook for subclasses to (re)allocate per-unit state after binding."""
+
+    def blank(self) -> PowerManager:
+        """A new, unbound manager of this one's class and configuration
+        that shares no mutable state with it — what a restarted
+        controller would build before restoring this one's snapshot.
+
+        Subclasses whose constructor takes arguments override this to
+        pass their own (frozen configs may be shared, nothing else).
+        """
+        return type(self)()
 
     def set_budget_w(self, budget_w: float) -> None:
         """Re-lease the cluster budget without resetting controller state.
@@ -243,10 +254,13 @@ class PowerManager(ABC):
         """Overwrite this manager's state with a snapshot's content.
 
         Works on a fresh (never-bound) instance as well as a live one:
-        the binding is re-established from the snapshot, then the RNG
-        stream, caps, and subclass state are overwritten in that order —
-        ``bind`` resets subclass state via ``_on_bind``, so everything
-        snapshot-borne must land after it.
+        the binding is re-established from the snapshot, bound to a
+        generator built at the snapshot's RNG stream (the only generator
+        restoring a manager without nested ones builds), then caps and
+        subclass state are overwritten in that order.  ``bind`` resets
+        subclass state via ``_on_bind``, so everything else snapshot-borne
+        must land after it; a generator an ``_on_bind`` spawns from the
+        stream is a nested manager's, which its own restore replaces.
 
         Raises:
             ValueError: snapshot from a different manager type or an
@@ -269,9 +283,8 @@ class PowerManager(ABC):
             max_cap_w=float(b["max_cap_w"]),
             min_cap_w=float(b["min_cap_w"]),
             dt_s=float(b["dt_s"]),
-            rng=np.random.default_rng(0),
+            rng=make_rng(state["rng"]),
         )
-        self._rng = make_rng(state["rng"])
         caps = decode_array(state["caps"])
         if caps.shape != (self.n_units,):
             raise ValueError(

@@ -45,6 +45,9 @@ class OracleManager(PowerManager):
             raise ValueError(f"headroom must be >= 1, got {headroom}")
         self.headroom = headroom
 
+    def blank(self) -> OracleManager:
+        return type(self)(self.headroom)
+
     def _decide(
         self, power_w: np.ndarray, demand_w: np.ndarray | None
     ) -> np.ndarray:

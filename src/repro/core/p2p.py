@@ -75,6 +75,14 @@ class P2PManager(PowerManager):
     def _on_bind(self) -> None:
         self.trades = 0
 
+    def blank(self) -> P2PManager:
+        return type(self)(
+            self.needy_threshold,
+            self.rich_threshold,
+            self.trade_fraction,
+            self.donor_margin_w,
+        )
+
     def _snapshot_state(self) -> dict:
         return {"trades": self.trades}
 

@@ -30,7 +30,7 @@ import numpy as np
 from repro.core import _native
 from repro.core.config import PriorityConfig
 from repro.core.peaks import fill_features
-from repro.recovery.state import decode_array, encode_array
+from repro.recovery.state import encode_array, read_leaf
 
 __all__ = ["PriorityModule"]
 
@@ -108,8 +108,8 @@ class PriorityModule:
 
     def restore(self, state: dict) -> None:
         """Overwrite the classifier flags with a snapshot's content."""
-        high_freq = decode_array(state["high_freq"])
-        priority = decode_array(state["priority"])
+        high_freq = read_leaf(state["high_freq"])
+        priority = read_leaf(state["priority"])
         if (
             high_freq.shape != (self.n_units,)
             or priority.shape != (self.n_units,)
@@ -120,8 +120,8 @@ class PriorityModule:
             )
         # Nonzero is set and is stored as 1: the classify kernel computes
         # on the flag bytes, and a hand-made document may hold others.
-        self._high_freq[:] = high_freq != 0
-        self._priority[:] = priority != 0
+        np.not_equal(high_freq, 0, out=self._high_freq)
+        np.not_equal(priority, 0, out=self._priority)
 
     def update(self, history: np.ndarray, dt_s: float) -> np.ndarray:
         """Reclassify all units from the latest power history.

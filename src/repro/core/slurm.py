@@ -35,6 +35,9 @@ class SlurmManager(PowerManager):
         super().__init__()
         self.config = config or StatelessConfig()
 
+    def blank(self) -> SlurmManager:
+        return type(self)(self.config)
+
     def _decide(
         self, power_w: np.ndarray, demand_w: np.ndarray | None
     ) -> np.ndarray:

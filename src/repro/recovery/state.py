@@ -17,8 +17,13 @@ Every stateful component implements the two-method protocol below:
 * ``restore(state) -> None`` — overwrite the component's state with a
   snapshot's content (shapes validated, everything else trusted — the
   checkpoint store authenticates documents by checksum before they get
-  here).  ``state`` may be a document as ``snapshot()`` returned it or
-  as it came back from disk; :func:`decode_array` reads both.
+  here).  ``state`` may be a document as ``snapshot()`` returned it, as
+  :func:`unpack` read it from a checkpoint, or as it came back from
+  text.  A component whose storage outlives the restore copies each
+  leaf into it once, from :func:`read_leaf`; one that takes a new array
+  gets it from :func:`decode_array`.  Either way no restore keeps a
+  leaf: a snapshot's leaves are read-only, an unpacked checkpoint's are
+  views over its buffer.
 
 A document stays binary until it is written, and in a checkpoint after
 that: :func:`pack` lays the leaves' bytes behind a JSON skeleton.
@@ -28,7 +33,7 @@ of its raw little-endian bytes plus explicit dtype/shape (JSON's float
 round-trip is exact for finite doubles but silently widens dtypes and
 loses array shapes).  Nothing that only compares or restores documents
 in memory, such as the per-cycle snapshot-idempotence check, pays for
-the text.
+the text or for a byte image of a leaf.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ __all__ = [
     "Snapshottable",
     "encode_array",
     "decode_array",
+    "read_leaf",
     "to_json",
     "CONTAINER_MAGIC",
     "pack",
@@ -186,6 +192,18 @@ def decode_array(doc: np.ndarray | dict) -> np.ndarray:
     return arr.astype(dtype.newbyteorder("="), copy=True)
 
 
+def read_leaf(doc: np.ndarray | dict) -> np.ndarray:
+    """An array leaf's values, to be copied into a component's own
+    storage and never kept: the leaf itself when it is in memory, its
+    :func:`decode_array` when it came back as text.
+
+    Raises:
+        ValueError: a text leaf's payload is inconsistent with its
+            dtype/shape.
+    """
+    return doc if isinstance(doc, np.ndarray) else decode_array(doc)
+
+
 def rng_state_doc(state: Any) -> Any:
     """The snapshot document of a raw ``bit_generator.state``: NumPy
     scalars become Python ones and arrays tagged leaves (PCG64 states are
@@ -215,6 +233,11 @@ def rng_state(rng: np.random.Generator) -> dict:
 def make_rng(state: dict) -> np.random.Generator:
     """Build a fresh ``Generator`` positioned at a captured state.
 
+    The state carries the stream, not the seed sequence behind it, so the
+    generator is seeded from its own ``SeedSequence(0)``: it spawns the
+    children ``default_rng(0)`` would, and building it reads no OS
+    entropy.
+
     Raises:
         ValueError: unknown bit-generator name in the state document.
     """
@@ -223,7 +246,7 @@ def make_rng(state: dict) -> np.random.Generator:
         bitgen_cls = getattr(np.random, str(name))
     except AttributeError:
         raise ValueError(f"unknown bit generator {name!r}") from None
-    bitgen = bitgen_cls()
+    bitgen = bitgen_cls(np.random.SeedSequence(0))
     bitgen.state = _unjsonify(state)
     return np.random.Generator(bitgen)
 

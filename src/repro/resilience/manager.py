@@ -33,7 +33,7 @@ import numpy as np
 from repro.core.dps import DPSManager
 from repro.core.kalman import KalmanBank
 from repro.core.managers import PowerManager, register_manager
-from repro.recovery.state import decode_array, encode_array
+from repro.recovery.state import encode_array, read_leaf
 from repro.resilience.validate import ReadingValidator, ValidatorConfig
 from repro.telemetry.log import ResilienceEventLog
 
@@ -129,6 +129,9 @@ class ResilientManager(PowerManager):
         self._prev_suspect = np.zeros(0, dtype=bool)
         self._last_info: ResilienceStepInfo | None = None
 
+    def blank(self) -> ResilientManager:
+        return type(self)(self.inner.blank(), self.config)
+
     def _on_bind(self) -> None:
         cfg = self.config
         self._validator = ReadingValidator(self.n_units, cfg.validator)
@@ -170,7 +173,7 @@ class ResilientManager(PowerManager):
         self._safe_mode = bool(state["safe_mode"])
         self._clean_streak = int(state["clean_streak"])
         self._cycle = int(state["cycle"])
-        prev_suspect = decode_array(state["prev_suspect"])
+        prev_suspect = read_leaf(state["prev_suspect"])
         if prev_suspect.shape != (self.n_units,):
             raise ValueError(
                 f"snapshot prev_suspect shape {prev_suspect.shape} != "

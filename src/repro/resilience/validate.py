@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.recovery.state import decode_array, encode_array
+from repro.recovery.state import encode_array, read_leaf
 
 __all__ = ["ValidatorConfig", "ValidationResult", "ReadingValidator"]
 
@@ -170,12 +170,12 @@ class ReadingValidator:
 
     def restore(self, state: dict) -> None:
         """Overwrite the detector state with a snapshot's content."""
-        prev = decode_array(state["prev"])
-        run = decode_array(state["run"])
+        prev = read_leaf(state["prev"])
+        run = read_leaf(state["run"])
         if prev.shape != (self.n_units,) or run.shape != (self.n_units,):
             raise ValueError(
                 f"snapshot shapes {prev.shape}/{run.shape} != "
                 f"({self.n_units},)"
             )
         self._prev[:] = prev
-        self._run[:] = run.astype(np.intp)
+        self._run[:] = run

@@ -15,8 +15,8 @@ time.  This module turns them into explicit, observable runtime checks:
 * **finite-kalman** — every Kalman filter in the manager stack holds
   finite estimates and positive, finite variances;
 * **snapshot-idempotence** — ``restore(snapshot())`` into a fresh
-  instance reproduces the snapshot bit-for-bit (the crash-recovery
-  contract).
+  instance of the same class and configuration reproduces the snapshot
+  bit-for-bit (the crash-recovery contract).
 
 Monitors run in one of three modes (:class:`~repro.safety.config.
 SafetyConfig`): ``strict`` checks every cycle and raises — the test /
@@ -32,6 +32,7 @@ any subset of names.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -155,10 +156,21 @@ class CapBounds(Invariant):
         if ctx.caps_w is None:
             return None
         caps = np.asarray(ctx.caps_w, dtype=np.float64)
+        if not caps.size:
+            return None
+        slack = _QUANTUM_W if ctx.quantized else ctx.max_cap_w * _REL_TOL
+        # One reduction per bound decides a healthy vector: a NaN fails
+        # both comparisons, an infinity one of them or the finite span.
+        low, high = float(caps.min()), float(caps.max())
+        if (
+            ctx.min_cap_w - slack <= low
+            and high <= ctx.max_cap_w + slack
+            and math.isfinite(high - low)
+        ):
+            return None
         if not np.all(np.isfinite(caps)):
             bad = np.flatnonzero(~np.isfinite(caps))
             return f"non-finite caps at units {bad.tolist()}"
-        slack = _QUANTUM_W if ctx.quantized else ctx.max_cap_w * _REL_TOL
         lo = np.flatnonzero(caps < ctx.min_cap_w - slack)
         hi = np.flatnonzero(caps > ctx.max_cap_w + slack)
         if lo.size:
@@ -193,8 +205,9 @@ class ReadjustConservation(Invariant):
             post = np.asarray(info.caps_w, dtype=np.float64)
             budget = getattr(node, "budget_w", ctx.budget_w)
             tol = budget * _REL_TOL + 1e-6
-            leftover = max(budget - float(pre.sum()), 0.0)
-            handed = float(post.sum()) - float(pre.sum())
+            pre_w = float(pre.sum())
+            leftover = max(budget - pre_w, 0.0)
+            handed = float(post.sum()) - pre_w
             if handed > leftover + tol:
                 return (
                     f"readjust handed out {handed:.6f} W with only "
@@ -203,19 +216,21 @@ class ReadjustConservation(Invariant):
             high = np.asarray(info.priority, dtype=bool)
             if leftover > node.config.readjust.budget_epsilon:
                 # Water-fill branch: grants only add.
-                shrunk = np.flatnonzero(high & (post < pre - 1e-6))
-                if shrunk.size:
+                shrunk = post < pre - 1e-6
+                shrunk &= high
+                if shrunk.any():
                     return (
                         "water-fill shrank high-priority units "
-                        f"{shrunk.tolist()}"
+                        f"{np.flatnonzero(shrunk).tolist()}"
                     )
             elif high.any():
                 # Equalise branch: above-mean units legitimately shrink.
                 equal = post[high]
-                if np.ptp(equal) > 1e-6:
+                spread = equal.max() - equal.min()
+                if spread > 1e-6:
                     return (
                         "equalisation left high-priority caps "
-                        f"{np.ptp(equal):.6f} W apart"
+                        f"{spread:.6f} W apart"
                     )
                 grown = float(equal.sum()) - float(pre[high].sum())
                 if grown > tol:
@@ -239,11 +254,17 @@ class FiniteKalman(Invariant):
                 continue
             estimate = getattr(bank, "estimate", None)
             variance = getattr(bank, "variance", None)
-            if estimate is not None and not np.all(np.isfinite(estimate)):
+            # A finite sum clears the estimates, a positive minimum and a
+            # finite maximum the variances; only a vector that fails one
+            # (or overflows the sum) is searched for the units to name.
+            if estimate is not None and not math.isfinite(estimate.sum()):
                 bad = np.flatnonzero(~np.isfinite(estimate))
-                return f"non-finite Kalman estimate at units {bad.tolist()}"
-            if variance is not None and (
-                not np.all(np.isfinite(variance)) or np.any(variance <= 0)
+                if bad.size:
+                    return (
+                        f"non-finite Kalman estimate at units {bad.tolist()}"
+                    )
+            if variance is not None and not (
+                variance.min() > 0 and math.isfinite(variance.max())
             ):
                 bad = np.flatnonzero(
                     ~np.isfinite(variance) | (variance <= 0)
@@ -254,43 +275,68 @@ class FiniteKalman(Invariant):
         return None
 
 
+#: The unsigned integer each item size of a leaf is compared as.
+_WORDS = {size: np.dtype(f"u{size}") for size in (1, 2, 4, 8)}
+
+
 def _same_json(a: object, b: object) -> bool:
     """``to_json(a) == to_json(b)`` without writing the text of two
     documents to compare them.
 
     A snapshot is a shallow tree whose weight sits in a few array
-    leaves.  JSON text parses back to one tree only, so two containers
-    dump alike exactly when their children do pairwise, and a leaf is
-    written as its dtype, its shape and base64 of its bytes, which is
-    injective, so two leaves that agree on all three dump alike.
-    Everything else — numbers (``1`` / ``1.0`` / ``true``, ``-0.0``, NaN
-    all differ or agree as *text*), strings (a lone-surrogate pair
-    escapes like the astral character it spells), mixed types,
-    non-string keys, leaves that differ — is handed to the text boundary
-    itself, a few bytes at a time.
+    leaves.  JSON text parses back to one tree only, so two lists, or
+    two dicts on one set of ``str`` keys, dump alike exactly when their
+    children do pairwise, and a leaf is written as its dtype, its shape
+    and base64 of its little-endian bytes, which is injective, so two
+    leaves of one dtype and shape dump alike exactly when their bytes
+    agree — read in place, item by item as unsigned integers, when an
+    item is 1, 2, 4 or 8 bytes.  A pair of equal scalars of one
+    exact type (``str``, ``int``, ``bool``, or ``float`` with one sign of
+    zero) dumps alike too.  Everything else — unequal or mixed-type
+    numbers (``1`` / ``1.0`` / ``true``, NaN agree or differ as *text*),
+    subclasses such as ``np.float64``, strings (a lone-surrogate pair
+    escapes like the astral character it spells, in a key too), other
+    keys, leaves of other dtypes, shapes or item sizes — is handed to the
+    text boundary itself, a few bytes at a time.
     """
-    if type(a) is np.ndarray and type(b) is np.ndarray:
+    kind = type(a)
+    if kind is np.ndarray and type(b) is np.ndarray:
+        word = _WORDS.get(a.dtype.itemsize)
         if (
-            a.dtype.str == b.dtype.str
+            word is not None
+            and a.dtype == b.dtype
             and a.shape == b.shape
-            and a.tobytes() == b.tobytes()
+            and not a.dtype.hasobject
         ):
-            return True
-    elif type(a) is dict and type(b) is dict:
-        if all(type(k) is str and k.isascii() for k in (*a, *b)):
-            return a.keys() == b.keys() and all(
-                _same_json(v, b[k]) for k, v in a.items()
-            )
+            # Item by item as unsigned words of the item's size: equal
+            # words in every position are equal C-order byte images,
+            # whatever the two layouts, and no image of either is made.
+            return bool((a.view(word) == b.view(word)).all())
+    elif kind is dict and type(b) is dict:
+        # One set of str keys is written alike on both sides, in one
+        # order; an int key equal to a bool one is not (1 / true).
+        if a.keys() == b.keys() and all(type(k) is str for k in a):
+            return all(map(_same_json, a.values(), map(b.__getitem__, a)))
     elif isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
         return len(a) == len(b) and all(map(_same_json, a, b))
+    elif kind is not type(b):
+        pass
+    elif kind is str or kind is int or kind is bool:
+        if a == b:
+            return True
+    elif kind is float:
+        if a == b and math.copysign(1.0, a) == math.copysign(1.0, b):
+            return True
     return to_json(a) == to_json(b)
 
 
 class SnapshotIdempotence(Invariant):
-    """``restore(snapshot())`` into a fresh instance reproduces the
-    snapshot (the crash-recovery contract), checked live: the two
-    documents must serialise to the same JSON text, which for array
-    leaves is decided on their bytes."""
+    """``restore(snapshot())`` into a fresh instance of the same class
+    and configuration reproduces the snapshot (the crash-recovery
+    contract), checked live: the two documents must serialise to the
+    same JSON text, which for array leaves is decided on their bytes in
+    place.  A restore that raises on its own manager's snapshot fails
+    the check too."""
 
     name = "snapshot-idempotence"
     expensive = True
@@ -303,18 +349,16 @@ class SnapshotIdempotence(Invariant):
                 break
         if manager is None:
             return None
-        from repro.core.managers import create_manager
-
         doc = manager.snapshot()
         try:
-            fresh = create_manager(manager.name)
+            fresh = manager.blank()
             fresh.restore(doc)
             redoc = fresh.snapshot()
-        except (KeyError, TypeError, ValueError):
-            # Non-default composition (e.g. a resilient wrapper around a
-            # non-DPS inner) cannot be rebuilt from the registry without
-            # its constructor arguments — not checkable here.
-            return None
+        except Exception as exc:  # noqa: BLE001 - any failure is the verdict
+            return (
+                f"manager {manager.name!r} snapshot does not restore into "
+                f"a fresh instance: {type(exc).__name__}: {exc}"
+            )
         if not _same_json(doc, redoc):
             return (
                 f"manager {manager.name!r} snapshot is not reproduced by "

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.managers import available_managers, create_manager
-from repro.recovery.state import to_json
+from repro.recovery.state import pack, to_json, unpack
 
 N_UNITS = 4
 BUDGET_W = 440.0
@@ -130,6 +130,30 @@ def test_one_document_restores_into_independent_managers(name):
     assert to_json(second.snapshot()) == text
     for a, b, w in zip(got, drive(second, inputs[6:]), want):
         assert a.tobytes() == b.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("buffer", [bytes, bytearray])
+@pytest.mark.parametrize("name", available_managers())
+def test_restore_keeps_no_leaf_of_an_unpacked_checkpoint(name, buffer):
+    """Restores copy each leaf into storage of their own.  An unpacked
+    checkpoint's leaves are views over its buffer — read-only over
+    ``bytes``, writable over a ``bytearray`` — so a restore that kept
+    one would either fail the next step or let it write the document."""
+    inputs = make_inputs(12, seed=7)
+    source = bind(create_manager(name), 5)
+    drive(source, inputs[:6])
+    doc = unpack(buffer(pack(source.snapshot())))
+    text = to_json(doc)
+    leaves = list(array_leaves(doc))
+    assert leaves and all(leaf.base is not None for leaf in leaves)
+
+    restored = create_manager(name)
+    restored.restore(doc)
+    want = drive(source, inputs[6:])
+    got = drive(restored, inputs[6:])
+    assert to_json(doc) == text
+    for a, w in zip(got, want):
+        assert a.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("name", available_managers())

@@ -129,6 +129,17 @@ class TestRngCodec:
             == src.integers(0, 10, size=8).tobytes()
         )
 
+    def test_made_generator_spawns_what_default_rng_0_spawns(self):
+        # A restore binds with the generator make_rng built, and a
+        # wrapper's _on_bind spawns from it: those children must be the
+        # ones the bind's former default_rng(0) handed out.
+        src = np.random.default_rng(11)
+        src.standard_normal(5)
+        made = make_rng(rng_state(src))
+        for a, b in zip(made.spawn(2), np.random.default_rng(0).spawn(2)):
+            assert a.bytes(32) == b.bytes(32)
+        assert made.bytes(32) == src.bytes(32)
+
     def test_array_carrying_state_survives_the_disk(self):
         # Philox keeps its counter and key in uint64 arrays: leaves in
         # the document, dicts once it has been written and read back.

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,11 +12,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import managers
-from repro.core.config import DPSConfig, ReadjustConfig
-from repro.core.dps import DPSStepInfo
+from repro.core.config import DPSConfig, PriorityConfig, ReadjustConfig
+from repro.core.dps import DPSManager, DPSStepInfo
+from repro.core.hierarchical import HierarchicalManager
 from repro.core.managers import create_manager
 from repro.core.readjust import readjust
+from repro.core.slurm import SlurmManager
 from repro.recovery.state import decode_array, encode_array, to_json
+from repro.resilience.manager import ResilientConfig, ResilientManager
 from repro.safety import (
     Invariant,
     InvariantContext,
@@ -219,7 +223,7 @@ class TestReadjustBranchRule:
 
 def _history_cursor_off_by_one(doc):
     history = doc["state"]["history"]
-    history["head"] = (history["head"] + 1) % 20
+    history["head"] = (history["head"] + 1) % len(history["data"])
 
 
 def _kalman_variance_off_by_one_ulp(doc):
@@ -236,33 +240,35 @@ class TestSnapshotIdempotenceFires:
     """The live crash-recovery check must see a restore that is wrong by
     the smallest step each kind of state can be wrong by."""
 
-    def broken_restore(self, monkeypatch, corrupt=None, resnapshot=None):
-        """Make the fresh instance the invariant builds a manager whose
-        ``restore`` (or re-``snapshot``) is subtly wrong."""
-        healthy = type(create_manager("dps"))
+    def broken_restore(self, corrupt=None, resnapshot=None, config=None):
+        """Check a live manager whose restored instances — the fresh one
+        the invariant builds from it — ``restore`` (or re-``snapshot``)
+        subtly wrong."""
 
-        class Broken(healthy):
+        class Broken(DPSManager):
+            restored = False
+
             def restore(self, state):
                 state = copy.deepcopy(state)
                 if corrupt is not None:
                     corrupt(state)
                 super().restore(state)
+                self.restored = True
 
             def snapshot(self):
                 doc = super().snapshot()
-                if resnapshot is not None:
+                if resnapshot is not None and self.restored:
                     resnapshot(doc)
                 return doc
 
-        monkeypatch.setitem(managers._REGISTRY, "dps", Broken)
-        mgr = healthy()
+        mgr = Broken(config)
         mgr.bind(4, 440.0, 165.0, 30.0, rng=np.random.default_rng(0))
         for _ in range(3):
             caps = mgr.step(np.full(4, 150.0))
         return check("snapshot-idempotence", ctx(caps, mgr))
 
-    def test_the_harness_itself_is_clean(self, monkeypatch):
-        assert self.broken_restore(monkeypatch) is None
+    def test_the_harness_itself_is_clean(self):
+        assert self.broken_restore() is None
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -272,19 +278,147 @@ class TestSnapshotIdempotenceFires:
             _rng_off_by_one_word,
         ],
     )
-    def test_restore_off_by_the_smallest_step_is_flagged(
-        self, monkeypatch, corrupt
-    ):
-        detail = self.broken_restore(monkeypatch, corrupt=corrupt)
+    def test_restore_off_by_the_smallest_step_is_flagged(self, corrupt):
+        detail = self.broken_restore(corrupt=corrupt)
         assert detail is not None and "not reproduced" in detail
 
-    def test_integer_that_comes_back_as_float_is_flagged(self, monkeypatch):
+    def test_integer_that_comes_back_as_float_is_flagged(self):
         def widen(doc):
             assert type(doc["version"]) is int and doc["version"] == 1
             doc["version"] = 1.0
 
-        detail = self.broken_restore(monkeypatch, resnapshot=widen)
+        detail = self.broken_restore(resnapshot=widen)
         assert detail is not None and "not reproduced" in detail
+
+    @pytest.mark.parametrize(
+        "corrupt", [None, _history_cursor_off_by_one, _rng_off_by_one_word]
+    )
+    def test_a_non_default_configuration_is_checked(self, corrupt):
+        """The fresh instance carries the live one's configuration: a
+        10-step history restores into a 10-step history, so a wrong
+        restore is seen instead of a shape error passing for "not
+        checkable"."""
+        config = DPSConfig(priority=PriorityConfig(history_len=10))
+        detail = self.broken_restore(corrupt=corrupt, config=config)
+        if corrupt is None:
+            assert detail is None
+        else:
+            assert detail is not None and "not reproduced" in detail
+
+    def test_a_restore_that_raises_is_flagged(self):
+        def drop_history(doc):
+            del doc["state"]["history"]
+
+        detail = self.broken_restore(corrupt=drop_history)
+        assert detail is not None
+        assert "does not restore into a fresh instance: KeyError" in detail
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ResilientManager(SlurmManager()),
+            lambda: ResilientManager(
+                DPSManager(DPSConfig(priority=PriorityConfig(history_len=10)))
+            ),
+            lambda: HierarchicalManager(group_size=3),
+        ],
+        ids=["resilient-slurm", "resilient-dps-history10", "hierarchical-3"],
+    )
+    def test_compositions_the_registry_cannot_build_are_checked(
+        self, build, monkeypatch
+    ):
+        mgr = build()
+        mgr.bind(6, 660.0, 165.0, 30.0, rng=np.random.default_rng(0))
+        for _ in range(5):
+            caps = mgr.step(np.full(6, 150.0))
+        assert check("snapshot-idempotence", ctx(caps, mgr)) is None
+
+        made = managers.make_rng
+
+        def one_draw_late(state):
+            rng = made(state)
+            rng.integers(2)
+            return rng
+
+        monkeypatch.setattr(managers, "make_rng", one_draw_late)
+        detail = check("snapshot-idempotence", ctx(caps, mgr))
+        assert detail is not None and "not reproduced" in detail
+
+    def test_blank_keeps_the_configuration_and_shares_no_state(self):
+        inner = DPSManager(DPSConfig(priority=PriorityConfig(history_len=10)))
+        mgr = ResilientManager(inner, ResilientConfig(safe_fraction=0.4))
+        fresh = mgr.blank()
+        assert type(fresh) is ResilientManager and fresh.config is mgr.config
+        assert type(fresh.inner) is DPSManager and fresh.inner is not inner
+        assert fresh.inner.config is inner.config
+
+
+def _leaf_bytes_of(doc) -> int:
+    if isinstance(doc, np.ndarray):
+        return doc.nbytes
+    if isinstance(doc, dict):
+        return sum(map(_leaf_bytes_of, doc.values()))
+    if isinstance(doc, (list, tuple)):
+        return sum(map(_leaf_bytes_of, doc))
+    return 0
+
+
+class TestSnapshotIdempotenceCost:
+    """What one check may pay at 1,000 units: one snapshot, one fresh
+    instance restored from it, one re-snapshot and a compare."""
+
+    N_UNITS = 1_000
+
+    @pytest.fixture
+    def stepped(self):
+        mgr = DPSManager()
+        n = self.N_UNITS
+        mgr.bind(n, 110.0 * n, 165.0, 30.0, rng=np.random.default_rng(0))
+        power = np.random.default_rng(1)
+        for _ in range(25):
+            caps = mgr.step(power.uniform(40.0, 160.0, n))
+        return mgr, caps
+
+    def test_one_check_builds_one_bit_generator(self, stepped, monkeypatch):
+        mgr, caps = stepped
+        built = []
+
+        def counted(make):
+            def build(*args, **kwargs):
+                built.append(make)
+                return make(*args, **kwargs)
+
+            return build
+
+        for name in (
+            "default_rng", "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937"
+        ):
+            monkeypatch.setattr(
+                np.random, name, counted(getattr(np.random, name))
+            )
+        assert check("snapshot-idempotence", ctx(caps, mgr)) is None
+        assert len(built) <= 1, built
+
+    def test_no_byte_image_of_a_leaf_is_made(self, stepped):
+        mgr, caps = stepped
+        doc = mgr.snapshot()
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            fresh = mgr.blank()
+            fresh.restore(doc)
+            held = tracemalloc.get_traced_memory()[0] - held
+            del fresh
+            check("snapshot-idempotence", ctx(caps, mgr))
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert check("snapshot-idempotence", ctx(caps, mgr)) is None
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # The live snapshot, the fresh instance, its re-snapshot, slack.
+        bound = 2 * _leaf_bytes_of(doc) + held + 64 * 1024
+        assert peak <= bound, (peak, bound)
 
 
 #: Words whose readings differ by dtype: ±0.0, 1.0, three NaN payloads
@@ -298,8 +432,25 @@ _SHAPES = {
     0: [(0,), (0, 0), (1, 0), (0, 2)],
     1: [(), (1,), (1, 1)],
     2: [(2,), (1, 2), (2, 1)],
+    3: [(3,), (1, 3), (3, 1)],
     4: [(4,), (2, 2), (1, 4)],
 }
+def _strided(a):
+    """``a``'s values as every other item of a buffer twice as long."""
+    twice = np.empty(a.shape + (2,), a.dtype)
+    twice[..., 0] = a
+    return twice[..., 0]
+
+
+def _backwards(a):
+    """``a``'s values walked with negative strides (a 0-d array has
+    none to walk)."""
+    return np.flip(np.flip(a).copy()) if a.ndim else a
+
+
+#: Layouts of one array's values: as read, strided, Fortran order,
+#: backwards.
+_LAYOUTS = [lambda a: a, _strided, lambda a: np.array(a, order="F"), _backwards]
 
 
 @st.composite
@@ -313,26 +464,49 @@ def _leaf_bytes(draw):
 
 
 def _readings(raw, itemsize):
-    """The read-only array leaves, 0-d to 2-d, that hold ``raw``: the
-    same bytes under every dtype of the item size and every shape of the
-    item count — the cases a bitwise compare must not confuse."""
+    """The array leaves, 0-d to 2-d, that hold ``raw``: the same bytes
+    under every dtype of the item size (and, for an odd byte count, as
+    one item that long) and every shape of the item count, in every
+    layout — the cases a bitwise compare must not confuse."""
+    readings = [
+        (dtype, shape)
+        for dtype in (["<f8", "<i8", ">f8"] if itemsize == 8 else ["|b1", "|i1"])
+        for shape in _SHAPES[len(raw) // itemsize]
+    ]
+    if len(raw) % 2:
+        readings += [
+            (f"|{kind}{len(raw)}", shape) for kind in "SV" for shape in _SHAPES[1]
+        ]
     return st.builds(
-        lambda dtype, shape: np.frombuffer(raw, dtype=dtype).reshape(shape),
-        st.sampled_from(["<f8", "<i8", ">f8"] if itemsize == 8 else ["|b1", "|i1"]),
-        st.sampled_from(_SHAPES[len(raw) // itemsize]),
+        lambda reading, layout: layout(
+            np.frombuffer(raw, dtype=reading[0]).reshape(reading[1])
+        ),
+        st.sampled_from(readings),
+        st.sampled_from(_LAYOUTS),
     )
 
 
+class _Text(str):
+    """A ``str`` subclass: written as its value, never settled without
+    the text."""
+
+
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan, math.inf]),
+    st.floats(allow_nan=True, width=16),
+)
 _ARRAY_LEAVES = _leaf_bytes().flatmap(lambda image: _readings(*image))
 _LEAVES = st.one_of(
     _ARRAY_LEAVES,
     st.none(),
     st.booleans(),
-    st.sampled_from([0, 1, -1, 2**63, 0.0, -0.0, 1.0, -1.0, math.nan, math.inf]),
+    st.sampled_from([0, 1, -1, 2**63]),
     st.integers(-3, 3),
-    st.floats(allow_nan=True, width=16),
+    _FLOATS,
+    _FLOATS.map(np.float64),
     st.sampled_from(["", "a", "1", "1.0", "true", "null", "é", "\ud83d", "\U0001f600"]),
     st.text(max_size=3),
+    st.text(max_size=3).map(_Text),
 )
 _KEYS = st.sampled_from(["a", "b", "c", "1", "é"])
 _DOCS = st.recursive(
@@ -398,6 +572,13 @@ class TestSameJson:
             ({"a": 1}, {"a": 1, "b": None}), ({1: "x"}, {"1": "x"}),
             ({True: 0}, {"true": 0}), ("\U0001f600", "\ud83d\ude00"),
             ({"\U0001f600": 0}, {"\ud83d\ude00": 0}),
+            pytest.param(np.float64(1.0), 1.0, id="f8-1.0"),
+            pytest.param(np.float64(0.0), np.float64(-0.0), id="f8-0.0-f8--0.0"),
+            pytest.param(np.float64(math.nan), math.nan, id="f8-nan-nan"),
+            pytest.param(_Text("a"), "a", id="str-subclass-a"),
+            pytest.param(_Text("\U0001f600"), "\ud83d\ude00", id="str-subclass-astral"),
+            pytest.param(-0.0, -0.0, id="neg-zero-twice"),
+            pytest.param(2**63, 2**63, id="big-int-twice"),
         ],
     )
     def test_type_strictness_matches_json_text(self, a, b):
