@@ -44,8 +44,7 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.core.config import ClusterSpec, RaplConfig
 from repro.core.managers import create_manager
-from repro.deploy.loopback import RecoveryOptions
-from repro.shard import ArbiterConfig, run_sharded
+from repro.shard import ArbiterConfig, RecoveryOptions, run_sharded
 
 SHARD_COUNTS = tuple(
     int(x)

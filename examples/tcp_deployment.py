@@ -4,24 +4,27 @@
 This is the artifact's deployment architecture end to end — a central
 DPS server and one client daemon per node, talking the 3-byte protocol
 over actual localhost TCP sockets — with the simulated cluster standing in
-for the hardware under the clients.  A demand step at cycle 10 shows the
-caps re-converging live across the wire.
+for the hardware under the clients.  The server is the one shard of a
+:func:`~repro.shard.run_sharded` fleet, holding the whole budget as its
+lease.  A demand step at cycle 10 shows the caps re-converging live
+across the wire.
 
 Run time: < 5 s.  Usage::
 
     python examples/tcp_deployment.py
 """
 
+import tempfile
+
 import numpy as np
 
 from repro import Cluster, ClusterSpec, RaplConfig, create_manager
-from repro.deploy import run_loopback
+from repro.shard import run_sharded
 
 
 def main() -> None:
     spec = ClusterSpec(n_nodes=4, sockets_per_node=2)
     cluster = Cluster(spec, RaplConfig(), np.random.default_rng(8))
-    manager = create_manager("dps")
 
     # Nodes 0-1 run hot from the start; nodes 2-3 surge at cycle 10.
     def demand(step: int) -> np.ndarray:
@@ -31,12 +34,20 @@ def main() -> None:
             d[4:] = 160.0
         return d
 
-    result = run_loopback(cluster, manager, demand, cycles=25)
+    with tempfile.TemporaryDirectory(prefix="dps-tcp-") as checkpoints:
+        result = run_sharded(
+            cluster,
+            n_shards=1,
+            manager_factory=lambda shard_id: create_manager("dps"),
+            demand_fn=demand,
+            cycles=25,
+            checkpoint_dir=checkpoints,
+        )
 
     print(
-        f"ran {result.cycles} TCP control cycles over "
-        f"{len(result.client_cycles)} client daemons "
-        f"({result.bytes_total} protocol bytes total)\n"
+        f"ran {result.cycles} TCP control cycles over {spec.n_nodes} client "
+        f"daemons under one server leasing the whole "
+        f"{result.leases_w[0]:.0f} W budget\n"
     )
     print("cycle  caps nodes 0-1   caps nodes 2-3   (mean W per socket)")
     for step in range(0, result.cycles, 3):

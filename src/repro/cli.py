@@ -667,9 +667,8 @@ def _cmd_shards(args: argparse.Namespace) -> str:
     from repro.cluster.cluster import Cluster
     from repro.core.config import ClusterSpec
     from repro.core.managers import available_managers, create_manager
-    from repro.deploy.loopback import RecoveryOptions
     from repro.experiments import reporting
-    from repro.shard import ShardChaosSchedule, run_sharded
+    from repro.shard import RecoveryOptions, ShardChaosSchedule, run_sharded
     from repro.telemetry.export import leases_to_csv, leases_to_json
 
     if args.manager not in available_managers():

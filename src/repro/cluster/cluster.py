@@ -143,20 +143,6 @@ class Cluster:
             [meter.read_power_w(dt_s) for meter in wrapped], dtype=np.float64
         )
 
-    def rebaseline_meters(self) -> None:
-        """Re-anchor every meter's energy cursor (controller restart).
-
-        See :meth:`~repro.powercap.rapl.PowerMeter.rebaseline`: without
-        this, the first post-restart reading is charged all the energy
-        accumulated during the outage and comes back wildly inflated.
-        """
-        wrapped = self._wrapped_meters()
-        if wrapped is None:
-            self.bank.rebaseline()
-        else:
-            for meter in wrapped:
-                meter.rebaseline()
-
     def snapshot(self) -> dict:
         """JSON-able document of every domain and meter (for deterministic
         replay of simulations; a real cluster's state lives in hardware)."""

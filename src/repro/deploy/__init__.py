@@ -1,7 +1,10 @@
-"""Deployable TCP control plane (the artifact's BSD-socket architecture)."""
+"""Deployable TCP control plane (the artifact's BSD-socket architecture).
+
+:func:`repro.shard.run_sharded` drives it end to end; a one-shard run is
+the single-server deployment.
+"""
 
 from repro.deploy.client import DeployClient
-from repro.deploy.loopback import ChaosSchedule, LoopbackResult, run_loopback
 from repro.deploy.server import (
     PROTOCOL_MAX_W,
     DeployCycleStats,
@@ -9,11 +12,8 @@ from repro.deploy.server import (
 )
 
 __all__ = [
-    "ChaosSchedule",
     "DeployClient",
     "DeployCycleStats",
     "DeployServer",
-    "LoopbackResult",
     "PROTOCOL_MAX_W",
-    "run_loopback",
 ]

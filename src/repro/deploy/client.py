@@ -119,7 +119,7 @@ class DeployClient:
             )
 
     # ------------------------------------------------------------------
-    # Threaded convenience API (used by the loopback harness and tests).
+    # Threaded convenience API (used by the client plane and tests).
     # ------------------------------------------------------------------
 
     def start(self) -> None:

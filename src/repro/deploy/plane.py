@@ -1,8 +1,8 @@
 """The client plane: every node daemon of one deploy-server attempt.
 
 Every harness that drives a :class:`~repro.deploy.server.DeployServer`
-over real sockets — :func:`~repro.deploy.loopback.run_loopback`, a
-thread-mode shard, a ``shard-server`` process — needs the same five
+over real sockets — a thread-mode shard, a ``shard-server`` process, a
+test session — needs the same five
 things around it: one :class:`~repro.deploy.client.DeployClient` thread
 per node, registration of all of them before the first cycle, a barrier
 that holds each cycle open until its caps are on the domains, daemon

@@ -1,4 +1,4 @@
-"""Controller crash-recovery: state protocol, checkpoints, supervision.
+"""Controller crash-recovery: state protocol, checkpoints, journaling.
 
 Layout:
 
@@ -7,13 +7,12 @@ Layout:
 * :mod:`~repro.recovery.checkpoint` — durable checkpoint store and the
   bounded cycle journal;
 * :mod:`~repro.recovery.controller` — the journaling/checkpointing
-  manager proxy;
-* :mod:`~repro.recovery.supervisor` — heartbeat, watchdog, and the
-  restartable-attempt supervisor.
+  manager proxy.
 
-``controller`` and ``supervisor`` are re-exported lazily: ``state`` is
-imported by :mod:`repro.core.managers` itself, so importing them eagerly
-here would close an import cycle.
+Restarts are driven by :class:`~repro.shard.supervisor.ShardSupervisor`,
+the one restart driver.  ``controller`` is re-exported lazily:
+``state`` is imported by :mod:`repro.core.managers` itself, so importing
+it eagerly here would close an import cycle.
 """
 
 from __future__ import annotations
@@ -39,15 +38,10 @@ __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
     "Checkpoint",
     "CheckpointStore",
-    "ControllerCrash",
-    "ControllerHang",
     "CycleJournal",
-    "Heartbeat",
     "JournalRecord",
     "RecoverableController",
     "Snapshottable",
-    "Supervisor",
-    "Watchdog",
     "decode_array",
     "encode_array",
     "make_rng",
@@ -58,11 +52,6 @@ __all__ = [
 
 _LAZY = {
     "RecoverableController": "repro.recovery.controller",
-    "ControllerCrash": "repro.recovery.supervisor",
-    "ControllerHang": "repro.recovery.supervisor",
-    "Heartbeat": "repro.recovery.supervisor",
-    "Supervisor": "repro.recovery.supervisor",
-    "Watchdog": "repro.recovery.supervisor",
 }
 
 

@@ -31,6 +31,7 @@ from repro.shard.policy import Redistribution, redistribute
 from repro.shard.server import HostedShard, ShardServer
 from repro.shard.supervisor import (
     ProcessShardSpec,
+    RecoveryOptions,
     ShardProcess,
     ShardSupervisor,
     ShardThread,
@@ -43,6 +44,7 @@ __all__ = [
     "BudgetLease",
     "HostedShard",
     "ProcessShardSpec",
+    "RecoveryOptions",
     "Redistribution",
     "ShardChaosSchedule",
     "ShardLink",

@@ -1,11 +1,12 @@
 """Lock-step multi-shard harness with shard-level chaos.
 
-:func:`run_sharded` is the sharded analog of
-:func:`repro.deploy.loopback.run_loopback`: N real
+:func:`run_sharded` is the repo's one deployment loop: N real
 :class:`~repro.deploy.server.DeployServer` instances (one per shard,
 each on its own kernel-chosen ephemeral port, each with its own
 :class:`~repro.deploy.client.DeployClient` threads over localhost TCP)
-under one :class:`~repro.shard.arbiter.BudgetArbiter`.
+under one :class:`~repro.shard.arbiter.BudgetArbiter`.  One shard is
+the paper's single-server deployment: it holds the whole budget as its
+lease, and every chaos field below applies to it unchanged.
 
 There is **one loop and two transports**.  The calling thread hosts the
 arbiter and the lock-step clock; a
@@ -50,15 +51,17 @@ down contributes NaN rows — a dead shard reports nothing, whichever
 transport it died on — and its slice of the physics stands still until
 it is back.
 
-Shard-level chaos covers the full failure matrix: shard *kill* (the
-shard goes down and is warm-restarted from its checkpoint), shard *hang*
+Chaos covers the full failure matrix: node-daemon *kill/reconnect*
+(the shard's deploy server quarantines the node, serves fallback
+readings and HELLO-rejoins the fresh daemon), shard *kill* (the shard
+goes down and is warm-restarted from its checkpoint), shard *hang*
 (silent past the ack deadline, then killed and restarted), link
 *partition* (frames dropped both directions; the arbiter quarantines the
 shard, the shard freezes on its lease term), and arbiter *kill/restart*
 (shards run autonomously on their last leases and freeze when the terms
 expire; the restarted arbiter resumes from its checkpoint).  Every
-transition lands in the merged event log as a structured
-``SHARD_EVENT_KINDS`` event — there is no silent failover.
+transition lands in the merged event log as a structured event — there
+is no silent failover.
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.comm.shardlink import TcpShardLink
 from repro.core.managers import PowerManager
-from repro.deploy.loopback import RecoveryOptions
 from repro.recovery.checkpoint import CheckpointStore, CycleJournal
 from repro.recovery.controller import RecoverableController
 from repro.resilience.health import ResilienceConfig
@@ -84,6 +86,7 @@ from repro.shard.server import HostedShard, ShardServer, event_from_doc
 from repro.shard.supervisor import (
     PendingCycle,
     ProcessShardSpec,
+    RecoveryOptions,
     ShardProcess,
     ShardSupervisor,
     ShardThread,
@@ -115,6 +118,14 @@ class ShardChaosSchedule:
         drain_at: shard id → cycle at which that shard is drained
             gracefully (process mode only — SIGTERM; the arbiter
             reclaims the lease only after the final frozen summary).
+        node_kill_at: node id → cycle at which that node's daemon is
+            killed (socket severed without QUIT; the node's hardware
+            keeps running under its last caps).
+        node_reconnect_at: node id → cycle at which a fresh daemon for
+            that node connects and HELLO-rejoins.  Node chaos rides the
+            shard's cycle command, so a strike on a cycle its shard is
+            down for is not delivered (a restarted shard starts every
+            daemon afresh).
     """
 
     shard_kill_at: Mapping[int, int] = field(default_factory=dict)
@@ -125,8 +136,36 @@ class ShardChaosSchedule:
     arbiter_restart_at: int | None = None
     admit_at: int | None = None
     drain_at: Mapping[int, int] = field(default_factory=dict)
+    node_kill_at: Mapping[int, int] = field(default_factory=dict)
+    node_reconnect_at: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for label, cycles in (
+            ("shard_kill_at", self.shard_kill_at.values()),
+            ("shard_hang_at", self.shard_hang_at.values()),
+            ("partition_at", self.partition_at.values()),
+            ("heal_at", self.heal_at.values()),
+            ("drain_at", self.drain_at.values()),
+            ("node_kill_at", self.node_kill_at.values()),
+            ("node_reconnect_at", self.node_reconnect_at.values()),
+            ("arbiter_kill_at", (self.arbiter_kill_at,)),
+            ("arbiter_restart_at", (self.arbiter_restart_at,)),
+            ("admit_at", (self.admit_at,)),
+        ):
+            for cycle in cycles:
+                if cycle is not None and cycle < 0:
+                    raise ValueError(f"{label} holds negative cycle {cycle}")
+        if self.arbiter_restart_at is not None and self.arbiter_kill_at is None:
+            raise ValueError("arbiter_restart_at needs an arbiter_kill_at")
+        for node_id, cycle in self.node_reconnect_at.items():
+            if (
+                node_id in self.node_kill_at
+                and cycle <= self.node_kill_at[node_id]
+            ):
+                raise ValueError(
+                    f"node {node_id} reconnects at cycle {cycle}, before "
+                    f"its kill at cycle {self.node_kill_at[node_id]}"
+                )
         for shard_id in self.drain_at:
             if shard_id in self.shard_kill_at or shard_id in self.shard_hang_at:
                 raise ValueError(
@@ -338,7 +377,7 @@ def run_sharded(
     recovery = recovery or RecoveryOptions(checkpoint_dir=checkpoint_dir)
     rng = rng if rng is not None else np.random.default_rng(0)
     root = Path(checkpoint_dir)
-    _validate_chaos(chaos, n_shards)
+    _validate_chaos(chaos, n_shards, spec.n_nodes)
     if mode == "process":
         if manager_name is None:
             raise ValueError("mode='process' requires manager_name")
@@ -417,6 +456,7 @@ def run_sharded(
         )
         shard_dir = root / f"shard-{shard_id}"
         link = ShardLink()
+        events = ResilienceEventLog()  # Ships to the harness in acks.
         shard = ShardServer(
             shard_id=shard_id,
             controller=RecoverableController(
@@ -424,10 +464,11 @@ def run_sharded(
                 store=CheckpointStore(shard_dir, keep=recovery.keep_generations),
                 journal=CycleJournal(shard_dir / "journal.log"),
                 checkpoint_every=recovery.checkpoint_every,
+                events=events,
             ),
             link=link,
             config=cfg,
-            events=ResilienceEventLog(),  # Ships to the harness in acks.
+            events=events,
             resilience=resilience,
             safety=safety,
         )
@@ -591,7 +632,28 @@ def run_sharded(
         hangs = {
             sid for sid, at in chaos.shard_hang_at.items() if at == step
         }
-        return supervisor.dispatch(step, demands, kills, hangs, prior)
+
+        def local(schedule: Mapping[int, int], sid: int) -> tuple[int, ...]:
+            """Shard ``sid``'s daemons struck this cycle, as slice indices."""
+            lo, hi = bounds[sid], bounds[sid + 1]
+            return tuple(
+                sorted(
+                    n - lo
+                    for n, at in schedule.items()
+                    if at == step and lo <= n < hi
+                )
+            )
+
+        node_chaos = {
+            sid: (
+                local(chaos.node_kill_at, sid),
+                local(chaos.node_reconnect_at, sid),
+            )
+            for sid in range(n_shards)
+        }
+        return supervisor.dispatch(
+            step, demands, kills, hangs, prior, node_chaos
+        )
 
     def finalize_phase(step: int, pend: PendingCycle) -> None:
         """Collect cycle ``step``; arbiter-relative chaos fires here.
@@ -772,16 +834,18 @@ def run_sharded(
     )
 
 
-def _validate_chaos(chaos: ShardChaosSchedule, n_shards: int) -> None:
-    for label, schedule in (
-        ("shard_kill_at", chaos.shard_kill_at),
-        ("shard_hang_at", chaos.shard_hang_at),
-        ("partition_at", chaos.partition_at),
-        ("heal_at", chaos.heal_at),
-        ("drain_at", chaos.drain_at),
+def _validate_chaos(
+    chaos: ShardChaosSchedule, n_shards: int, n_nodes: int
+) -> None:
+    for label, schedule, kind, count in (
+        ("shard_kill_at", chaos.shard_kill_at, "shard", n_shards),
+        ("shard_hang_at", chaos.shard_hang_at, "shard", n_shards),
+        ("partition_at", chaos.partition_at, "shard", n_shards),
+        ("heal_at", chaos.heal_at, "shard", n_shards),
+        ("drain_at", chaos.drain_at, "shard", n_shards),
+        ("node_kill_at", chaos.node_kill_at, "node", n_nodes),
+        ("node_reconnect_at", chaos.node_reconnect_at, "node", n_nodes),
     ):
-        for shard_id in schedule:
-            if not 0 <= shard_id < n_shards:
-                raise ValueError(
-                    f"chaos {label} names unknown shard {shard_id}"
-                )
+        for key in schedule:
+            if not 0 <= key < count:
+                raise ValueError(f"chaos {label} names unknown {kind} {key}")

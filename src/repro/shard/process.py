@@ -15,8 +15,10 @@ classifies each inbound connection by its first document:
 
 * ``{"type": "hello", "role": "clock"}`` — the supervisor's lock-step
   clock.  It ships ``cycle`` documents carrying the per-unit demand
-  slice and receives ``cycle_ack`` documents carrying the shard's true
-  powers, hardware caps, and the structured events of the cycle.
+  slice (plus, on a node-chaos cycle, the shard-local indices of the
+  daemons to ``kill`` and ``reconnect``) and receives ``cycle_ack``
+  documents carrying the shard's true powers, hardware caps, and the
+  structured events of the cycle.
 * ``{"type": "hello", "role": "arbiter"}`` — a
   :class:`~repro.comm.shardlink.TcpShardLink` dialed by the
   :class:`~repro.shard.arbiter.BudgetArbiter`.  The host answers with
@@ -138,11 +140,15 @@ class ShardHost:
             dt_s=self.dt_s,
             rng=np.random.default_rng(args.seed + 1),
         )
+        # One log for the deploy, lease and recovery stacks: it ships
+        # home in acks, so a restore is as visible as the crash.
+        events = ResilienceEventLog()
         self.controller = RecoverableController(
             manager,
             store=CheckpointStore(self.dir, keep=args.keep_generations),
             journal=CycleJournal(self.dir / "journal.log"),
             checkpoint_every=args.checkpoint_every,
+            events=events,
         )
         self.link = _HostLink(self)
         self.shard = ShardServer(
@@ -150,7 +156,7 @@ class ShardHost:
             controller=self.controller,
             link=self.link,
             config=self.config,
-            events=ResilienceEventLog(),
+            events=events,
         )
         self.hosted = HostedShard(
             self.shard,
@@ -359,7 +365,10 @@ class ShardHost:
     def _run_cycle(self, doc: dict) -> None:
         step = int(doc["step"])
         ack = self.hosted.run_cycle(
-            step, np.asarray(doc["demand"], dtype=np.float64)
+            step,
+            np.asarray(doc["demand"], dtype=np.float64),
+            doc.get("kill", ()),
+            doc.get("reconnect", ()),
         )
         self._step = step
         # Full-cluster snapshots are the dominant per-cycle cost at

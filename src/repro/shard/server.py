@@ -432,17 +432,29 @@ class HostedShard:
         # accumulated energy lands on the first post-restart reading.
         self._bank.rebaseline(self._span)
 
-    def run_cycle(self, step: int, demand: np.ndarray) -> dict:
+    def run_cycle(
+        self,
+        step: int,
+        demand: np.ndarray,
+        kill: Sequence[int] = (),
+        reconnect: Sequence[int] = (),
+    ) -> dict:
         """One lock-step shard cycle; returns its ``cycle_ack`` document.
 
-        Physics under the caps in effect, the leased control cycle, the
-        wait for its caps to land, the summary on the arbiter period —
-        then the acknowledgement: true powers and hardware caps as
-        arrays (the transport picks their encoding), the cycle's
-        structured events, and the lease the shard now holds.
+        Node chaos first — the daemons of ``kill`` (indices into
+        :attr:`nodes`) crash, fresh ones for ``reconnect`` start and
+        HELLO-rejoin — then physics under the caps in effect, the leased
+        control cycle, the wait for its caps to land, the summary on the
+        arbiter period, and the acknowledgement: true powers and
+        hardware caps as arrays (the transport picks their encoding),
+        the cycle's structured events, and the lease the shard now holds.
         """
         if self._plane is None:
             raise RuntimeError("hosted shard not started")
+        for index in kill:
+            self._plane.kill(self.nodes[index].node_id)
+        for index in reconnect:
+            self._plane.reconnect(self.nodes[index].node_id)
         self._bank.step(demand, self.dt_s, self._span)
         self._plane.cycle(lambda: self.shard.run_cycle(now=float(step)))
         if (step + 1) % self.shard.config.period_cycles == 0:

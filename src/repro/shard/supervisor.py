@@ -25,6 +25,7 @@ command_cycle / send_hang / await_ack / shutdown / bytes_clock``:
 
 from __future__ import annotations
 
+import math
 import os
 import queue
 import signal
@@ -45,7 +46,6 @@ from repro.comm.wire import (
     FrameError,
     encode_frame,
 )
-from repro.deploy.loopback import RecoveryOptions
 from repro.shard.lease import ShardLink
 from repro.shard.server import HostedShard
 from repro.telemetry.log import ResilienceEventLog
@@ -53,6 +53,7 @@ from repro.telemetry.log import ResilienceEventLog
 __all__ = [
     "PendingCycle",
     "ProcessShardSpec",
+    "RecoveryOptions",
     "ShardProcess",
     "ShardSupervisor",
     "ShardThread",
@@ -60,6 +61,49 @@ __all__ = [
 
 #: Seconds a fresh subprocess gets to publish its port file.
 _SPAWN_TIMEOUT_S = 30.0
+
+
+@dataclass(frozen=True)
+class RecoveryOptions:
+    """Crash-recovery knobs shared by every shard of a session.
+
+    Attributes:
+        checkpoint_dir: directory for checkpoint generations and the
+            cycle journal (:func:`~repro.shard.harness.run_sharded`
+            ignores it and uses subdirectories of its own
+            ``checkpoint_dir``).
+        checkpoint_every: cycles between checkpoints.
+        keep_generations: checkpoint generations retained.
+        max_restarts: restarts allowed per shard before it is failed.
+        hang_timeout_s: wall-clock ack deadline after which a silent
+            shard is declared hung and killed.
+        restart_delay_cycles: control cycles the restart takes — the
+            shard's hardware holds its last caps, no control happens.
+    """
+
+    checkpoint_dir: str | Path
+    checkpoint_every: int = 5
+    keep_generations: int = 3
+    max_restarts: int = 3
+    hang_timeout_s: float = 2.0
+    restart_delay_cycles: int = 2
+
+    def __post_init__(self) -> None:
+        for label, floor in (
+            ("checkpoint_every", 1),
+            ("keep_generations", 1),
+            ("max_restarts", 0),
+            ("restart_delay_cycles", 0),
+        ):
+            if getattr(self, label) < floor:
+                raise ValueError(
+                    f"{label} must be >= {floor}, got {getattr(self, label)}"
+                )
+        if not (math.isfinite(self.hang_timeout_s) and self.hang_timeout_s > 0):
+            raise ValueError(
+                "hang_timeout_s must be finite and > 0, got "
+                f"{self.hang_timeout_s}"
+            )
 
 
 @dataclass(frozen=True)
@@ -252,14 +296,25 @@ class ShardProcess:
             self.close_clock()
             return False
 
-    def command_cycle(self, step: int, demand: np.ndarray) -> bool:
+    def command_cycle(
+        self,
+        step: int,
+        demand: np.ndarray,
+        kill: tuple[int, ...] = (),
+        reconnect: tuple[int, ...] = (),
+    ) -> bool:
         if self.spec.codec == "binary":
             payload = np.ascontiguousarray(demand, dtype=np.float64)
         else:
             payload = demand.tolist()
-        return self._send(
-            {"type": "cycle", "step": int(step), "demand": payload}
-        )
+        doc: dict = {"type": "cycle", "step": int(step), "demand": payload}
+        # Node chaos rides the cycle only when there is some, so the
+        # clock's bytes do not move without it.
+        if kill:
+            doc["kill"] = list(kill)
+        if reconnect:
+            doc["reconnect"] = list(reconnect)
+        return self._send(doc)
 
     def send_hang(self) -> bool:
         return self._send({"type": "hang"})
@@ -449,10 +504,16 @@ class ShardThread:
             hosted.stop()
             self._acks.put(None)
 
-    def command_cycle(self, step: int, demand: np.ndarray) -> bool:
+    def command_cycle(
+        self,
+        step: int,
+        demand: np.ndarray,
+        kill: tuple[int, ...] = (),
+        reconnect: tuple[int, ...] = (),
+    ) -> bool:
         if not self.alive:
             return False
-        self._commands.put((step, demand))
+        self._commands.put((step, demand, kill, reconnect))
         return True
 
     def send_hang(self) -> bool:
@@ -536,6 +597,8 @@ class ShardSupervisor:
         self.recovery = recovery
         self.events = events if events is not None else ResilienceEventLog()
         self.fleet = dict(fleet)
+        #: Restarts actually performed per shard (a crash that exhausts
+        #: the budget, or whose outage outlasts the session, adds none).
         self.restarts: dict[int, int] = {sid: 0 for sid in self.fleet}
         self.failed: set[int] = set()
         self.draining: set[int] = set()
@@ -608,6 +671,8 @@ class ShardSupervisor:
         kill_ids: set[int] | None = None,
         hang_ids: set[int] | None = None,
         pending: PendingCycle | None = None,
+        node_chaos: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
+        | None = None,
     ) -> PendingCycle:
         """Push one cycle's demands to the fleet without awaiting acks.
 
@@ -621,9 +686,14 @@ class ShardSupervisor:
         injected hang needs no settling: the ``hang`` document is
         ordered after the previous cycle document on the clock socket,
         so the previous ack is already on its way.
+
+        ``node_chaos`` maps a shard id to the shard-local indices of the
+        node daemons to kill and to reconnect this cycle; it rides the
+        shard's cycle command.
         """
         kill_ids = kill_ids or set()
         hang_ids = hang_ids or set()
+        node_chaos = node_chaos or {}
         out = PendingCycle(step=step)
         statuses = out.statuses
         for shard_id, proc in sorted(self.fleet.items()):
@@ -647,7 +717,7 @@ class ShardSupervisor:
                 )
                 proc.kill()
                 self._hung.discard(shard_id)
-                self._crash(shard_id)
+                self._crash(shard_id, step)
                 statuses[shard_id] = (
                     ("failed", None)
                     if shard_id in self.failed
@@ -656,12 +726,12 @@ class ShardSupervisor:
                 continue
             if shard_id in self._outage:
                 statuses[shard_id] = ("outage", None)
-                self._tick_outage(shard_id)
+                self._tick_outage(shard_id, step)
                 continue
             if shard_id in kill_ids:
                 self.settle(pending, shard_id)
                 proc.kill()
-                self._crash(shard_id)
+                self._crash(shard_id, step)
                 statuses[shard_id] = ("crashed", None)
                 continue
             if shard_id in hang_ids:
@@ -670,12 +740,12 @@ class ShardSupervisor:
                 statuses[shard_id] = ("hung", None)
                 continue
             if not proc.alive or not proc.command_cycle(
-                step, demands[shard_id]
+                step, demands[shard_id], *node_chaos.get(shard_id, ((), ()))
             ):
                 # Unexpected death (not scheduled chaos) — treat as a
                 # crash and consume the restart budget.
                 self.settle(pending, shard_id)
-                self._crash(shard_id)
+                self._crash(shard_id, step)
                 statuses[shard_id] = ("crashed", None)
                 continue
             out.awaiting.append(shard_id)
@@ -729,7 +799,7 @@ class ShardSupervisor:
                 )
                 if proc is not None:
                     proc.kill()
-                self._crash(shard_id)
+                self._crash(shard_id, pending.step)
                 pending.statuses[shard_id] = ("hung", None)
             else:
                 pending.statuses[shard_id] = ("ok", ack)
@@ -738,47 +808,44 @@ class ShardSupervisor:
 
     # -- restart bookkeeping --------------------------------------------
 
-    def _crash(self, shard_id: int) -> None:
-        self.restarts[shard_id] += 1
+    def _crash(self, shard_id: int, step: int) -> None:
+        restarts = self.restarts[shard_id]
         self.events.emit(
-            float(self.restarts[shard_id]),
+            float(step),
             "controller_killed",
             node_id=shard_id,
-            detail=f"shard down (restart {self.restarts[shard_id]})",
+            detail=f"shard down after {restarts} restarts",
         )
-        if self.restarts[shard_id] > self.recovery.max_restarts:
+        if restarts >= self.recovery.max_restarts:
             self.failed.add(shard_id)
             return
         if self.recovery.restart_delay_cycles > 0:
             self._outage[shard_id] = self.recovery.restart_delay_cycles
         else:
-            self._respawn(shard_id)
+            self._respawn(shard_id, step)
 
-    def _tick_outage(self, shard_id: int) -> None:
+    def _tick_outage(self, shard_id: int, step: int) -> None:
         self._outage[shard_id] -= 1
         if self._outage[shard_id] <= 0:
             del self._outage[shard_id]
-            self._respawn(shard_id)
+            self._respawn(shard_id, step)
 
-    def _respawn(self, shard_id: int) -> None:
-        proc = self.fleet[shard_id]
-        proc.spawn(resume=True)
-        self.events.emit(
-            float(self.restarts[shard_id]),
-            "controller_restarted",
-            node_id=shard_id,
-            detail=(
-                f"attempt {self.restarts[shard_id]} of "
-                f"{self.recovery.max_restarts + 1}, resumed from checkpoint"
-            ),
+    def _respawn(self, shard_id: int, step: int) -> None:
+        self.fleet[shard_id].spawn(resume=True)
+        self.restarts[shard_id] += 1
+        attempt = (
+            f"restart {self.restarts[shard_id]} of at most "
+            f"{self.recovery.max_restarts}"
         )
         self.events.emit(
-            float(self.restarts[shard_id]),
+            float(step),
+            "controller_restarted",
+            node_id=shard_id,
+            detail=f"{attempt}, resumed from checkpoint",
+        )
+        self.events.emit(
+            float(step),
             "shard_restarted",
             node_id=shard_id,
-            detail=(
-                f"shard respawned from its checkpoint "
-                f"(attempt {self.restarts[shard_id]} of "
-                f"{self.recovery.max_restarts + 1})"
-            ),
+            detail=f"shard respawned from its checkpoint ({attempt})",
         )

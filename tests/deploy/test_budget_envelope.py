@@ -1,4 +1,4 @@
-"""Budget-safety envelope acceptance over the loopback TCP harness.
+"""Budget-safety envelope acceptance over the one-shard fleet.
 
 The bar (docs/resilience.md "Layer 4"): under the existing chaos
 schedules — client kill/rejoin, faulty meters, controller crash — with
@@ -8,8 +8,8 @@ reported by a ``budget_*`` event, every enforcement names its ladder
 rung, and the strict invariant monitors stay clean end to end.
 
 Each session dumps its structured event log as JSON into the test's
-tmp dir; the chaos-soak CI job runs with ``--basetemp`` under the
-artifacts directory and uploads those logs when the job fails.
+tmp dir; the shard-chaos-soak CI job runs with ``--basetemp`` under
+the artifacts directory and uploads those logs when the job fails.
 """
 
 import json
@@ -20,11 +20,12 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.core.config import ClusterSpec, RaplConfig
 from repro.core.managers import create_manager
-from repro.deploy.loopback import ChaosSchedule, RecoveryOptions, run_loopback
 from repro.powercap.faults import FaultConfig, FaultyMeter
 from repro.resilience.health import ResilienceConfig
 from repro.safety import SafetyConfig
+from repro.shard import RecoveryOptions, ShardChaosSchedule
 from repro.telemetry.log import SAFETY_EVENT_KINDS
+from tests.deploy.sessions import one_shard, plane_session
 
 SPEC = ClusterSpec(n_nodes=3, sockets_per_node=2)
 STRICT = SafetyConfig(guard=True, invariant_mode="strict")
@@ -36,6 +37,7 @@ RUNG_KINDS = (
 
 
 def run_session(
+    tmp_path,
     chaos=None,
     fallback="hold-last",
     cycles=16,
@@ -53,7 +55,8 @@ def run_session(
         for sock, frng in zip(cluster.sockets, fault_rngs):
             sock.meter = FaultyMeter(sock.meter, faults, frng)
     demand = np.full(cluster.n_units, 150.0)
-    return run_loopback(
+    return one_shard(
+        tmp_path,
         cluster,
         create_manager("dps"),
         lambda step: demand,
@@ -65,6 +68,12 @@ def run_session(
         ),
         recovery=recovery,
         safety=STRICT,
+    )
+
+
+def node_chaos(kill_at, reconnect_at):
+    return ShardChaosSchedule(
+        node_kill_at=kill_at, node_reconnect_at=reconnect_at
     )
 
 
@@ -117,7 +126,8 @@ def assert_envelope_held(result, max_attempts=1):
 class TestClientChaos:
     def test_kill_rejoin_hold_last(self, tmp_path):
         result = run_session(
-            chaos=ChaosSchedule(kill_at={1: 3}, reconnect_at={1: 9}),
+            tmp_path,
+            chaos=node_chaos({1: 3}, {1: 9}),
         )
         dump_events(result, tmp_path, "kill_rejoin_hold_last")
         assert_envelope_held(result)
@@ -129,7 +139,8 @@ class TestClientChaos:
         the guard must scale the live units down every quarantined
         cycle — and the budget still holds throughout."""
         result = run_session(
-            chaos=ChaosSchedule(kill_at={1: 3}, reconnect_at={1: 9}),
+            tmp_path,
+            chaos=node_chaos({1: 3}, {1: 9}),
             fallback="assume-tdp",
         )
         dump_events(result, tmp_path, "kill_rejoin_assume_tdp")
@@ -146,6 +157,7 @@ class TestClientChaos:
 
     def test_faulty_meters(self, tmp_path):
         result = run_session(
+            tmp_path,
             cycles=20,
             faults=FaultConfig(
                 dropout_prob=0.05, spike_prob=0.05, stuck_prob=0.02
@@ -156,8 +168,9 @@ class TestClientChaos:
 
     def test_faulty_meters_with_kill(self, tmp_path):
         result = run_session(
+            tmp_path,
             cycles=20,
-            chaos=ChaosSchedule(kill_at={2: 5}, reconnect_at={2: 12}),
+            chaos=node_chaos({2: 5}, {2: 12}),
             faults=FaultConfig(dropout_prob=0.05, spike_prob=0.05),
         )
         dump_events(result, tmp_path, "faulty_meters_with_kill")
@@ -167,8 +180,9 @@ class TestClientChaos:
 class TestControllerChaos:
     def test_controller_crash(self, tmp_path):
         result = run_session(
+            tmp_path,
             cycles=24,
-            chaos=ChaosSchedule(controller_kill_at=(8,)),
+            chaos=ShardChaosSchedule(shard_kill_at={0: 8}),
             recovery=RecoveryOptions(
                 checkpoint_dir=tmp_path / "ckpt",
                 checkpoint_every=4,
@@ -177,13 +191,13 @@ class TestControllerChaos:
             ),
         )
         dump_events(result, tmp_path, "controller_crash")
-        assert result.controller_restarts == 1
+        assert result.shard_restarts == [1]
         assert_envelope_held(result, max_attempts=2)
         # The restarted server's envelope restarts from the pessimistic
         # uncapped prior, so each attempt may report one cold-start
         # excursion and nothing more.
         overshoots = result.events.of_kind("budget_overshoot")
-        assert len(overshoots) <= 2 * (1 + result.controller_restarts)
+        assert len(overshoots) <= 2 * (1 + result.shard_restarts[0])
 
 
 class TestObservability:
@@ -191,7 +205,8 @@ class TestObservability:
         """Every excursion the session reports is a structured event of a
         registered safety kind — nothing silent, nothing ad hoc."""
         result = run_session(
-            chaos=ChaosSchedule(kill_at={1: 3}, reconnect_at={1: 9}),
+            tmp_path,
+            chaos=node_chaos({1: 3}, {1: 9}),
             fallback="assume-tdp",
         )
         dump_events(result, tmp_path, "observability")
@@ -202,16 +217,20 @@ class TestObservability:
         assert safety_kinds <= set(SAFETY_EVENT_KINDS)
 
     def test_disabled_envelope_emits_nothing(self):
+        # A shard always runs the envelope (it is the source of the
+        # shard's committed-power summaries), so the disabled envelope is
+        # a bare deploy server given safety=None explicitly.
         cluster = Cluster(
             SPEC, RaplConfig(noise_std_w=0.0), np.random.default_rng(11)
         )
         demand = np.full(cluster.n_units, 150.0)
-        result = run_loopback(
+        result = plane_session(
             cluster,
             create_manager("dps"),
             lambda step: demand,
             cycles=6,
             rng=np.random.default_rng(1),
+            safety=None,
         )
         for kind in SAFETY_EVENT_KINDS:
             assert not result.events.of_kind(kind)

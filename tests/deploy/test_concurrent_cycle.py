@@ -18,9 +18,9 @@ from repro.cluster.cluster import Cluster
 from repro.comm.protocol import MSG_CAP, MSG_READING, POLL, decode, encode
 from repro.core.config import ClusterSpec, RaplConfig
 from repro.core.managers import PowerManager
-from repro.deploy.loopback import run_loopback
 from repro.deploy.server import DeployServer
 from tests.deploy.oracles import sequential_polling
+from tests.deploy.sessions import plane_session
 from tests.deploy.test_server_robustness import RawClient, bound_manager
 
 
@@ -311,7 +311,7 @@ class TestDeterminism:
         )
         from repro.core.managers import create_manager
 
-        return run_loopback(
+        return plane_session(
             cluster,
             create_manager("dps"),
             demand_fn=lambda step: demands[step],
@@ -347,7 +347,7 @@ class TestPhaseTimings:
         )
         from repro.core.managers import create_manager
 
-        result = run_loopback(
+        result = plane_session(
             cluster,
             create_manager("slurm"),
             demand_fn=lambda step: np.full(4, 100.0),

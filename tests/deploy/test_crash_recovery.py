@@ -1,10 +1,13 @@
 """Controller crash-recovery acceptance: kill → restart → warm resume.
 
 The bar (mirrors docs/resilience.md "Layer 3"): a controller killed
-mid-run over real loopback TCP is restarted by the supervisor, restores
-from checkpoint + journal, every post-restart *decision* cycle satisfies
-the budget, and harmonic-mean progress stays within 2% of an
-uninterrupted run.
+mid-run over real loopback TCP is restarted by the shard supervisor,
+restores from checkpoint + journal, every post-restart *decision* cycle
+satisfies the budget, and harmonic-mean progress stays within 2% of an
+uninterrupted run.  The controller is the one shard of a fleet session.
+
+A down shard reports nothing and its physics stands still: its rows are
+NaN, so progress and the budget are judged on the acknowledged rows.
 """
 
 import json
@@ -15,7 +18,8 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.core.config import ClusterSpec, RaplConfig
 from repro.core.managers import create_manager
-from repro.deploy.loopback import ChaosSchedule, RecoveryOptions, run_loopback
+from repro.shard import RecoveryOptions, ShardChaosSchedule, run_sharded
+from tests.deploy.sessions import one_shard, plane_session
 
 SPEC = ClusterSpec(n_nodes=2, sockets_per_node=2)
 #: Long enough that the bounded re-convergence transient after the
@@ -41,42 +45,57 @@ def demand_fn(step):
 
 
 def hmean_progress(power_history):
-    unit_mean = power_history.mean(axis=0)
+    """Harmonic mean over units of each unit's mean acknowledged power."""
+    unit_mean = np.nanmean(power_history, axis=0)
     return len(unit_mean) / np.sum(1.0 / unit_mean)
 
 
+def acked(result):
+    """Rows the shard acknowledged (a down shard's rows are NaN)."""
+    return ~np.isnan(result.caps_history).any(axis=1)
+
+
 def assert_budget_respected(result):
-    """Decision cycles meet the budget exactly; outage cycles hold the
-    hardware's last programmed (wire-quantized) caps."""
-    sums = result.caps_history.sum(axis=1)
-    decided = ~np.isnan(result.readings_history).any(axis=1)
-    assert np.all(sums[decided] <= SPEC.budget_w * (1 + 1e-9))
-    assert np.all(sums[~decided] <= SPEC.budget_w + WIRE_SLACK_W)
+    """Every acknowledged cycle's hardware caps (wire-quantized) hold."""
+    sums = result.caps_history[acked(result)].sum(axis=1)
+    assert np.all(sums <= SPEC.budget_w + WIRE_SLACK_W)
+
+
+def assert_restored(result):
+    """The restart warm-restored: checkpoint, restore, journal replay."""
+    kinds = [e.kind for e in result.events]
+    for kind in (
+        "controller_killed",
+        "controller_restarted",
+        "restore_performed",
+        "journal_replayed",
+    ):
+        assert kind in kinds
+    assert result.events.of_kind("checkpoint_written")
+
+
+def session(tmp_path, cycles=CYCLES, chaos=None, seed=4, **recovery):
+    return one_shard(
+        tmp_path,
+        quiet_cluster(seed=seed),
+        create_manager("dps"),
+        demand_fn=demand_fn,
+        cycles=cycles,
+        rng=np.random.default_rng(1),
+        chaos=chaos,
+        recovery=RecoveryOptions(checkpoint_dir=tmp_path, **recovery),
+    )
 
 
 class TestControllerKill:
     def test_kill_restart_warm_resume_within_two_percent(self, tmp_path):
-        baseline = run_loopback(
-            quiet_cluster(seed=4),
-            create_manager("dps"),
-            demand_fn=demand_fn,
-            cycles=CYCLES,
-            rng=np.random.default_rng(1),
-        )
-
-        result = run_loopback(
-            quiet_cluster(seed=4),
-            create_manager("dps"),
-            demand_fn=demand_fn,
-            cycles=CYCLES,
-            rng=np.random.default_rng(1),
-            chaos=ChaosSchedule(controller_kill_at=(47,)),
-            recovery=RecoveryOptions(
-                checkpoint_dir=tmp_path,
-                checkpoint_every=5,
-                restart_delay_cycles=2,
-                hang_timeout_s=10.0,
-            ),
+        baseline = session(tmp_path / "baseline")
+        result = session(
+            tmp_path / "kill",
+            chaos=ShardChaosSchedule(shard_kill_at={0: 47}),
+            checkpoint_every=5,
+            restart_delay_cycles=2,
+            hang_timeout_s=10.0,
         )
         # Artifacts for CI upload on failure: the structured event stream
         # next to the checkpoint generations already in tmp_path.
@@ -90,71 +109,75 @@ class TestControllerKill:
             encoding="utf-8",
         )
 
-        assert result.controller_restarts == 1
-        assert result.checkpoints_written > 0
-        assert result.journal_replayed > 0
-        kinds = [e.kind for e in result.events]
-        for kind in (
-            "controller_killed",
-            "controller_restarted",
-            "restore_performed",
-            "journal_replayed",
-        ):
-            assert kind in kinds
+        assert result.shard_restarts == [1]
+        assert result.failed_shards == ()
+        assert_restored(result)
+        [killed] = result.events.of_kind("controller_killed")
+        assert killed.time_s == 47.0
 
         assert_budget_respected(result)
-        # Outage cycles exist and are exactly the NaN-readings rows.
-        outage = np.isnan(result.readings_history).any(axis=1)
+        # Outage cycles exist and are exactly the unacknowledged rows.
+        outage = ~acked(result)
         assert 0 < outage.sum() <= 5
+        assert outage[47]
 
         ratio = hmean_progress(result.power_history) / hmean_progress(
             baseline.power_history
         )
         assert ratio > 0.98, f"progress ratio {ratio:.4f} below 2% bound"
 
-    def test_kill_without_recovery_options_rejected(self):
-        with pytest.raises(ValueError, match="recovery"):
-            run_loopback(
-                quiet_cluster(),
-                create_manager("dps"),
-                demand_fn=demand_fn,
-                cycles=10,
-                chaos=ChaosSchedule(controller_kill_at=(5,)),
-            )
-
-    def test_exhausted_restart_budget_propagates(self, tmp_path):
-        from repro.recovery.supervisor import ControllerCrash
-
-        with pytest.raises(ControllerCrash):
-            run_loopback(
-                quiet_cluster(),
-                create_manager("dps"),
-                demand_fn=demand_fn,
-                cycles=30,
-                chaos=ChaosSchedule(controller_kill_at=(3, 6, 9)),
-                recovery=RecoveryOptions(
-                    checkpoint_dir=tmp_path, max_restarts=1
-                ),
-            )
-
-
-class TestControllerHang:
-    def test_hang_detected_and_restarted(self, tmp_path):
-        result = run_loopback(
-            quiet_cluster(seed=2),
-            create_manager("dps"),
+    def test_process_shard_kill_restores_and_replays(self, tmp_path):
+        """A SIGKILLed shard-server ships its restore home in its acks."""
+        result = run_sharded(
+            quiet_cluster(),
+            n_shards=1,
+            manager_factory=lambda shard_id: None,
             demand_fn=demand_fn,
-            cycles=60,
-            rng=np.random.default_rng(1),
-            chaos=ChaosSchedule(controller_hang_at=(20,)),
+            cycles=24,
+            checkpoint_dir=tmp_path / "ckpt",
+            chaos=ShardChaosSchedule(shard_kill_at={0: 13}),
             recovery=RecoveryOptions(
                 checkpoint_dir=tmp_path,
                 checkpoint_every=5,
-                restart_delay_cycles=2,
-                hang_timeout_s=0.5,
+                restart_delay_cycles=1,
+                hang_timeout_s=10.0,
             ),
+            mode="process",
+            manager_name="dps",
         )
-        assert result.controller_restarts == 1
+        assert result.shard_restarts == [1]
+        assert_restored(result)
+        assert_budget_respected(result)
+
+    def test_exhausted_restart_budget_propagates(self, tmp_path):
+        # The fleet does not raise: an exhausted restart budget shows as
+        # a failed shard, down for the rest of the session.
+        result = session(
+            tmp_path,
+            cycles=30,
+            chaos=ShardChaosSchedule(
+                shard_kill_at={0: 3}, shard_hang_at={0: 9}
+            ),
+            max_restarts=1,
+            hang_timeout_s=0.5,
+        )
+        assert result.shard_restarts == [1]
+        assert result.failed_shards == (0,)
+        assert np.isnan(result.power_history[9:]).all()
+
+
+class TestHungController:
+    def test_hang_detected_and_restarted(self, tmp_path):
+        result = session(
+            tmp_path,
+            cycles=60,
+            seed=2,
+            chaos=ShardChaosSchedule(shard_hang_at={0: 20}),
+            checkpoint_every=5,
+            restart_delay_cycles=2,
+            hang_timeout_s=0.5,
+        )
+        assert result.shard_restarts == [1]
         kinds = [e.kind for e in result.events]
         assert "controller_hung" in kinds
         assert "restore_performed" in kinds
@@ -169,15 +192,17 @@ class TestCheckpointedWithoutChaos:
         # sessions are not bit-identical (the manager-level guarantee is;
         # see tests/recovery/test_snapshot_property.py).  Checkpointing
         # must leave the session's *behavior* unchanged: no restarts, no
-        # outage cycles, budget met, and progress equal to a plain run.
-        plain = run_loopback(
+        # outage cycles, budget met, and progress equal to a plain
+        # (uncheckpointed) deploy server's.
+        plain = plane_session(
             quiet_cluster(seed=9),
             create_manager("dps"),
             demand_fn=demand_fn,
             cycles=30,
             rng=np.random.default_rng(3),
         )
-        checkpointed = run_loopback(
+        checkpointed = one_shard(
+            tmp_path,
             quiet_cluster(seed=9),
             create_manager("dps"),
             demand_fn=demand_fn,
@@ -187,10 +212,10 @@ class TestCheckpointedWithoutChaos:
                 checkpoint_dir=tmp_path, checkpoint_every=5
             ),
         )
-        assert checkpointed.controller_restarts == 0
-        assert checkpointed.checkpoints_written == 6
-        assert checkpointed.journal_replayed == 0
-        assert not np.isnan(checkpointed.readings_history).any()
+        assert checkpointed.shard_restarts == [0]
+        assert len(checkpointed.events.of_kind("checkpoint_written")) == 6
+        assert not checkpointed.events.of_kind("journal_replayed")
+        assert acked(checkpointed).all()
         assert_budget_respected(checkpointed)
         ratio = hmean_progress(checkpointed.power_history) / hmean_progress(
             plain.power_history

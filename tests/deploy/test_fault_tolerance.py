@@ -3,7 +3,9 @@
 These tests exercise the acceptance scenario of the resilience layer: a
 client daemon killed mid-run must not cost the controller a single cycle,
 the budget must hold throughout, and a reconnecting daemon must be
-re-integrated through the HELLO-rejoin path.
+re-integrated through the HELLO-rejoin path.  Node chaos runs on the
+one-shard fleet; what only the deploy server sees (fallback census,
+reading vectors, final health) is read from a bare server session.
 """
 
 import socket
@@ -15,49 +17,66 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.core.config import ClusterSpec
 from repro.core.managers import create_manager
-from repro.deploy.loopback import ChaosSchedule, run_loopback
 from repro.deploy.server import DeployServer
 from repro.resilience.health import HealthState, ResilienceConfig
+from repro.shard import ShardChaosSchedule
+from tests.deploy.sessions import one_shard, plane_session
 from tests.deploy.test_concurrent_cycle import answer_poll, registered_clients
 from tests.deploy.test_server_robustness import RawClient, bound_manager
 
 SPEC = ClusterSpec(n_nodes=3, sockets_per_node=2)
 
 
-def run_chaos_session(chaos, cycles=12, fallback="hold-last",
-                      backoff_cycles=6, demand=None):
+def session_args(cycles=12, fallback="hold-last", backoff_cycles=6,
+                 demand=None):
     cluster = Cluster(SPEC, rng=np.random.default_rng(11))
-    manager = create_manager("dps")
     if demand is None:
         demand = np.full(cluster.n_units, 150.0)
-    return cluster, run_loopback(
-        cluster,
-        manager,
-        lambda step: demand,
+    return dict(
+        cluster=cluster,
+        manager=create_manager("dps"),
+        demand_fn=lambda step: demand,
         cycles=cycles,
         rng=np.random.default_rng(0),
-        chaos=chaos,
         resilience=ResilienceConfig(
             backoff_cycles=backoff_cycles, fallback=fallback
         ),
     )
 
 
+def run_fleet(tmp_path, kill_at, reconnect_at=None, **kwargs):
+    args = session_args(**kwargs)
+    chaos = ShardChaosSchedule(
+        node_kill_at=kill_at, node_reconnect_at=reconnect_at or {}
+    )
+    return args["cluster"], one_shard(tmp_path, chaos=chaos, **args)
+
+
+def run_plane(kill_at, reconnect_at=None, **kwargs):
+    return plane_session(
+        kill_at=kill_at, reconnect_at=reconnect_at, **session_args(**kwargs)
+    )
+
+
 class TestKilledClient:
     """The acceptance scenario: kill one daemon, finish the session."""
 
-    CHAOS = ChaosSchedule(kill_at={1: 3}, reconnect_at={1: 6})
+    KILL = {1: 3}
+    RECONNECT = {1: 6}
 
-    def test_all_cycles_complete_with_budget_held(self):
-        cluster, res = run_chaos_session(self.CHAOS)
+    def test_all_cycles_complete_with_budget_held(self, tmp_path):
+        cluster, res = run_fleet(tmp_path, self.KILL, self.RECONNECT)
         assert res.cycles == 12
+        # The shard itself never went down: every cycle was acknowledged.
+        assert res.shard_restarts == [0]
+        assert np.isfinite(res.caps_history).all()
         # The budget invariant must hold on every single cycle, including
         # the ones decided on fallback readings.
         per_cycle = res.caps_history.sum(axis=1)
         assert (per_cycle <= cluster.budget_w * (1 + 1e-6)).all()
 
     def test_quarantine_fallback_and_rejoin_are_logged(self):
-        _, res = run_chaos_session(self.CHAOS)
+        res = run_plane(self.KILL, self.RECONNECT)
         assert res.events.of_kind("client_quarantined")
         assert res.events.of_kind("fallback_applied")
         rejoined = res.events.of_kind("client_rejoined")
@@ -65,7 +84,7 @@ class TestKilledClient:
         assert res.fallback_cycles >= 2
 
     def test_client_reintegrates_after_reconnect(self):
-        _, res = run_chaos_session(self.CHAOS)
+        res = run_plane(self.KILL, self.RECONNECT)
         assert res.final_health == {
             0: HealthState.HEALTHY,
             1: HealthState.HEALTHY,
@@ -77,17 +96,21 @@ class TestKilledClient:
         post = res.readings_history[rejoin_cycle:, 2:4]
         assert (post > 0.0).all()
 
-    def test_assume_tdp_fallback_throttles_survivors(self):
+    def test_assume_tdp_fallback_throttles_survivors(self, tmp_path):
         """Pessimistic fallback budgets the lost node at TDP, so the
         healthy units must get *less* than under hold-last."""
-        chaos = ChaosSchedule(kill_at={1: 2})
+        kill = {1: 2}
         # Node 1 idles at 40 W while the survivors are hungry: hold-last
         # keeps reporting the idle draw (surplus shifts to survivors),
         # assume-tdp reports 165 W (the dead node hoards its share).
         demand = np.array([150.0, 150.0, 40.0, 40.0, 150.0, 150.0])
-        _, hold = run_chaos_session(chaos, cycles=8, demand=demand)
-        _, tdp = run_chaos_session(
-            chaos, cycles=8, fallback="assume-tdp", demand=demand
+        _, hold = run_fleet(tmp_path / "hold", kill, cycles=8, demand=demand)
+        _, tdp = run_fleet(
+            tmp_path / "tdp",
+            kill,
+            cycles=8,
+            fallback="assume-tdp",
+            demand=demand,
         )
         survivors = [0, 1, 4, 5]
         assert (
@@ -96,8 +119,7 @@ class TestKilledClient:
         )
 
     def test_unreconnected_client_goes_dead(self):
-        chaos = ChaosSchedule(kill_at={2: 1})
-        _, res = run_chaos_session(chaos, cycles=12, backoff_cycles=2)
+        res = run_plane({2: 1}, cycles=12, backoff_cycles=2)
         assert res.final_health[2] is HealthState.DEAD
         dead = res.events.of_kind("client_dead")
         assert dead and dead[0].node_id == 2

@@ -109,7 +109,7 @@ class Rig:
             meter.rebaseline()
         for sock in self.scalar.sockets:
             sock.meter.rebaseline()
-        self.bulk.rebaseline_meters()
+        self.bulk.bank.rebaseline()
 
     def swap_bulk(self, doc):
         """Continue the bulk side on a fresh cluster restored from a

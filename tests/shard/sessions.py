@@ -14,8 +14,12 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.core.config import ClusterSpec, RaplConfig
 from repro.core.constant import ConstantManager
-from repro.deploy.loopback import RecoveryOptions
-from repro.shard import ArbiterConfig, ShardChaosSchedule, run_sharded
+from repro.shard import (
+    ArbiterConfig,
+    RecoveryOptions,
+    ShardChaosSchedule,
+    run_sharded,
+)
 from repro.telemetry.export import leases_to_csv
 from repro.telemetry.log import SHARD_EVENT_KINDS
 

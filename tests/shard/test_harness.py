@@ -10,10 +10,11 @@ assertions both transports share live in :mod:`tests.shard.sessions`;
 ``test_process.py`` runs them over real processes.
 """
 
+from functools import partial
+
 import pytest
 
-from repro.deploy.loopback import RecoveryOptions
-from repro.shard import ArbiterConfig, ShardChaosSchedule
+from repro.shard import ArbiterConfig, RecoveryOptions, ShardChaosSchedule
 from tests.shard.sessions import (
     assert_clean_run,
     assert_failure_matrix,
@@ -51,6 +52,77 @@ class TestScheduleValidation:
                 cycles=4,
                 chaos=ShardChaosSchedule(shard_kill_at={7: 1}),
             )
+
+    def test_unknown_node_rejected(self, tmp_path):
+        cluster = make_cluster(n_nodes=4, sockets_per_node=1)
+        with pytest.raises(ValueError, match="unknown node"):
+            run(
+                cluster,
+                tmp_path,
+                n_shards=2,
+                cycles=4,
+                chaos=ShardChaosSchedule(node_reconnect_at={4: 1}),
+            )
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            pytest.param(
+                partial(ShardChaosSchedule, **{field: {0: -1}}),
+                "negative",
+                id=field,
+            )
+            for field in (
+                "shard_kill_at",
+                "shard_hang_at",
+                "partition_at",
+                "heal_at",
+                "drain_at",
+                "node_kill_at",
+                "node_reconnect_at",
+            )
+        ]
+        + [
+            pytest.param(
+                partial(ShardChaosSchedule, **{field: -2}), "negative", id=field
+            )
+            for field in ("arbiter_kill_at", "admit_at")
+        ]
+        + [
+            pytest.param(
+                lambda: ShardChaosSchedule(arbiter_restart_at=4),
+                "needs an arbiter_kill_at",
+                id="restart-without-kill",
+            ),
+            pytest.param(
+                lambda: ShardChaosSchedule(
+                    node_kill_at={1: 5}, node_reconnect_at={1: 5}
+                ),
+                "reconnects",
+                id="reconnect-at-kill",
+            ),
+            pytest.param(
+                lambda: RecoveryOptions(checkpoint_dir=".", hang_timeout_s=0.0),
+                "hang_timeout_s",
+                id="zero-hang-timeout",
+            ),
+            pytest.param(
+                lambda: RecoveryOptions(
+                    checkpoint_dir=".", hang_timeout_s=float("nan")
+                ),
+                "hang_timeout_s",
+                id="nan-hang-timeout",
+            ),
+            pytest.param(
+                lambda: RecoveryOptions(checkpoint_dir=".", max_restarts=-1),
+                "max_restarts",
+                id="negative-max-restarts",
+            ),
+        ],
+    )
+    def test_malformed_input_rejected(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
 
     def test_shard_count_bounds(self, tmp_path):
         cluster = make_cluster(n_nodes=2, sockets_per_node=1)
@@ -97,3 +169,41 @@ class TestChaosAcceptance:
         )
         dump_artifacts(result, tmp_path, "shard_chaos")
         assert_failure_matrix(result, killed=2, hung=5, partitioned=1)
+
+
+class TestRestartBookkeeping:
+    def test_exhausted_budget_counts_no_restart_and_stamps_the_step(
+        self, tmp_path
+    ):
+        result = run(
+            make_cluster(n_nodes=2),
+            tmp_path,
+            n_shards=1,
+            cycles=6,
+            chaos=ShardChaosSchedule(shard_kill_at={0: 3}),
+            recovery=RecoveryOptions(
+                checkpoint_dir=tmp_path / "ckpt", max_restarts=0
+            ),
+        )
+        assert result.shard_restarts == [0]
+        assert result.failed_shards == (0,)
+        [killed] = result.events.of_kind("controller_killed")
+        assert killed.time_s == 3.0
+        assert not result.events.of_kind("controller_restarted")
+
+    def test_restart_events_carry_the_step(self, tmp_path):
+        result = run(
+            make_cluster(n_nodes=2),
+            tmp_path,
+            n_shards=1,
+            cycles=10,
+            chaos=ShardChaosSchedule(shard_kill_at={0: 3}),
+            recovery=RecoveryOptions(
+                checkpoint_dir=tmp_path / "ckpt", restart_delay_cycles=2
+            ),
+        )
+        assert result.shard_restarts == [1]
+        [killed] = result.events.of_kind("controller_killed")
+        [restarted] = result.events.of_kind("controller_restarted")
+        # Down at 3, outage at 4 and 5, respawned at the end of 5.
+        assert (killed.time_s, restarted.time_s) == (3.0, 5.0)

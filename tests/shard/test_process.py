@@ -17,10 +17,14 @@ import numpy as np
 import pytest
 
 from repro.core.constant import ConstantManager
-from repro.deploy.loopback import RecoveryOptions
 from repro.resilience.health import ResilienceConfig
 from repro.safety import SafetyConfig
-from repro.shard import ArbiterConfig, ShardChaosSchedule, run_sharded
+from repro.shard import (
+    ArbiterConfig,
+    RecoveryOptions,
+    ShardChaosSchedule,
+    run_sharded,
+)
 from tests.shard import sessions
 from tests.shard.sessions import (
     assert_clean_run,

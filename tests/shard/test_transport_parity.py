@@ -13,8 +13,7 @@ values *after* a restart are allowed to differ).
 import numpy as np
 import pytest
 
-from repro.deploy.loopback import RecoveryOptions
-from repro.shard import ArbiterConfig, ShardChaosSchedule
+from repro.shard import ArbiterConfig, RecoveryOptions, ShardChaosSchedule
 from tests.shard.sessions import make_cluster, run_session
 
 CYCLES = 12
@@ -112,3 +111,22 @@ def test_kill_and_hang_cost_the_same_cycles(tmp_path):
     )
     restarted = [len(r.events.of_kind("shard_restarted")) for r in (thread, process)]
     assert restarted == [2, 2]
+
+
+def test_node_chaos_walks_the_same_cycles(tmp_path):
+    """A node daemon killed and reconnected inside shard 1: one code
+    path (``HostedShard.run_cycle``) on both transports, so the same
+    histories and the same quarantine and rejoin cycles."""
+    thread, process = both_modes(
+        tmp_path,
+        ShardChaosSchedule(node_kill_at={3: 3}, node_reconnect_at={3: 7}),
+    )
+    assert thread.shard_restarts == process.shard_restarts == [0, 0]
+    assert np.isfinite(thread.power_history).all()
+    assert np.array_equal(thread.power_history, process.power_history)
+    assert np.array_equal(thread.caps_history, process.caps_history)
+    for kind in ("client_quarantined", "client_rejoined"):
+        cycles = [
+            [e.time_s for e in r.events.of_kind(kind)] for r in (thread, process)
+        ]
+        assert cycles[0] == cycles[1] and cycles[0], kind
