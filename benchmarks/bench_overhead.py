@@ -1,10 +1,11 @@
 """§6.5 — operating and deployment overhead.
 
-Reproduces the overhead analysis: 3 bytes exchanged per unit per request,
-sub-millisecond turnaround at the paper's 10-node scale, linear projection
-to 10^6 nodes, and the claim that DPS's decision cost is the same order as
-the stateless SLURM plugin's (all modules beyond the stateless one scale
-by a constant).
+Reproduces the overhead analysis on the deploy plane (one server, one TCP
+daemon per node): 3 bytes exchanged per unit per request, a
+millisecond-scale turnaround at the paper's 10-node scale, linear
+projection to 10^6 nodes, and the claim that DPS's decision cost is the
+same order as the stateless SLURM plugin's (all modules beyond the
+stateless one scale by a constant).
 """
 
 import time

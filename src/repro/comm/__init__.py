@@ -1,5 +1,5 @@
 """The control plane's messaging: the 3-byte wire protocol
 (:mod:`~repro.comm.protocol`), the one frame stack every stream reads
-through (:mod:`~repro.comm.wire`), the simulated server/client pair and
-its network model, and the localhost TCP helpers.  Import the submodules.
+through (:mod:`~repro.comm.wire`), the shard link and the localhost TCP
+helpers.  Import the submodules.
 """

@@ -1,13 +1,13 @@
 """The per-node DPS client daemon over real TCP sockets (paper §4.3).
 
-``DeployClient`` is the deployable counterpart of
-:class:`repro.comm.service.PowerClient`: it connects to the server,
-registers its node's sockets, and services POLL → READINGS → CAPS cycles
-until QUIT.  Power comes from its node's meters and caps land on its
-node's RAPL domains — on real hardware those would be sysfs powercap
-reads/writes; here they are the simulated domains, through the identical
-code path.  A node's readings and caps each cross as one batch, packed or
-unpacked in one call.  Between cycles a daemon waits without a deadline.
+``DeployClient`` is the node side of the control plane: it connects to
+the server, registers its node's sockets, and services POLL → READINGS →
+CAPS cycles until QUIT.  Power comes from its node's meters and caps land
+on its node's RAPL domains — on real hardware those would be sysfs
+powercap reads/writes; here they are the simulated domains, through the
+identical code path.  A node's readings and caps each cross as one
+batch, packed or unpacked in one call.  Between cycles a daemon waits
+without a deadline.
 """
 
 from __future__ import annotations
@@ -93,13 +93,7 @@ class DeployClient:
                     protocol.MSG_READING, np.minimum(power, 409.5)
                 )
                 sock.sendall(encode_words(words))
-                kinds, units, values = protocol.decode_batch(
-                    recv_frame(sock, frames)["words"]
-                )
-                if kinds.min() != protocol.MSG_CAP:  # The highest valid kind.
-                    raise ValueError("expected cap messages only")
-                for unit, cap_w in zip(units.tolist(), values.tolist()):
-                    self.node.sockets[unit].domain.set_cap_w(cap_w)
+                self.apply_caps(recv_frame(sock, frames)["words"])
                 with self._progress:
                     self.cycles_served += 1
                     self._progress.notify_all()
@@ -108,6 +102,30 @@ class DeployClient:
         finally:
             sock.close()
             self._sock = None
+
+    def apply_caps(self, words: bytes) -> None:
+        """Program one CAPS batch onto the node's domains, all or none.
+
+        The whole batch is checked before any domain is touched, so a
+        rejected batch leaves every cap as it was.
+
+        Raises:
+            ValueError: an empty batch, a non-cap message, or a cap for a
+                local unit this node does not have.
+        """
+        kinds, units, values = protocol.decode_batch(words)
+        if not kinds.size:
+            raise ValueError("empty cap batch")
+        if kinds.min() != protocol.MSG_CAP:  # The highest valid kind.
+            raise ValueError("expected cap messages only")
+        n_local = len(self.node.sockets)
+        if units.max() >= n_local:
+            raise ValueError(
+                f"cap for unknown local unit {units[units >= n_local][0]} "
+                f"on node {self.node.node_id}"
+            )
+        for unit, cap_w in zip(units.tolist(), values.tolist()):
+            self.node.sockets[unit].domain.set_cap_w(cap_w)
 
     def wait_served(self, past: int, timeout_s: float) -> None:
         """Block until more than ``past`` cycles are served, the daemon

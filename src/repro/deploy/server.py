@@ -1,10 +1,10 @@
 """The DPS central server over real TCP sockets (paper §4.3).
 
-``DeployServer`` is the deployable counterpart of the in-memory
-:class:`repro.comm.service.PowerServer`: it listens on a TCP port, waits
-for every client daemon to register, and then runs one-second control
-cycles — poll every client, collect readings, run the bound power
-manager, push per-unit CAPS frames back.
+``DeployServer`` is the control plane's one server: it listens on a TCP
+port, waits for every client daemon to register, and then runs one-second
+control cycles — poll every client, collect readings, run the bound power
+manager, push per-unit CAPS frames back.  Its per-phase timings and byte
+counts are what the §6.5 overhead analysis reports.
 
 The cycle is a concurrent fan-out/fan-in, not a sequential
 request/response chain: POLL is broadcast to every healthy client up

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 
@@ -9,10 +10,7 @@ import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.simulator import Assignment, Simulation
-from repro.comm.network import NetworkModel
 from repro.comm.protocol import MESSAGE_SIZE_BYTES
-from repro.comm.service import PowerClient, PowerServer
-from repro.core.config import ClusterSpec
 from repro.experiments.harness import ExperimentConfig
 from repro.workloads.registry import get_workload, workload_names
 
@@ -128,11 +126,12 @@ class OverheadRow:
         n_nodes: nodes in the deployment.
         n_units: power-capping units.
         bytes_per_cycle: protocol traffic per decision loop (up + down).
-        network_s: per-cycle network turnaround (slowest client).
+        network_s: per-cycle wire time — the server's rejoin, poll,
+            collect and dispatch phases.
         compute_s: per-cycle controller decision time.
         turnaround_s: total cycle latency.
         projected: True when extrapolated from the measured per-unit costs
-            instead of simulated directly.
+            instead of timed on the deploy plane.
     """
 
     n_nodes: int
@@ -153,24 +152,33 @@ def overhead_analysis(
 ) -> list[OverheadRow]:
     """Reproduce the §6.5 overhead analysis.
 
-    Runs a real server/client message loop (3-byte protocol over the
-    latency-modelled network) at ``measured_nodes`` nodes, then projects the
-    measured per-unit costs to larger deployments exactly the way the paper
-    argues its scaling (serial per-message latency on the server NIC,
-    linear controller compute).
+    Times ``cycles`` control cycles of the deploy plane at
+    ``measured_nodes`` nodes — a
+    :class:`~repro.deploy.server.DeployServer` and one
+    :class:`~repro.deploy.client.DeployClient` daemon per node exchanging
+    3-byte messages over localhost TCP — and takes each phase's median
+    from the server's :class:`~repro.deploy.server.DeployCycleStats`.
+    Larger deployments are projected linearly in units from the measured
+    per-unit network and decision costs; nothing is modelled.
+
+    Raises:
+        ValueError: ``cycles`` < 1 or a projected node count < 1.
 
     Returns:
         One row per cluster size, measured first.
     """
+    # Loaded here so `import repro` does not pull in sockets and selectors.
+    from repro.deploy.plane import ClientPlane
+    from repro.deploy.server import DeployServer
+
+    if cycles < 1:
+        raise ValueError(f"cycles must be >= 1, got {cycles}")
+    if any(n < 1 for n in projected_nodes):
+        raise ValueError(
+            f"projected node counts must be >= 1, got {projected_nodes}"
+        )
     cfg = config or ExperimentConfig()
-    spec = ClusterSpec(
-        n_nodes=measured_nodes,
-        sockets_per_node=cfg.cluster.sockets_per_node,
-        tdp_w=cfg.cluster.tdp_w,
-        min_cap_w=cfg.cluster.min_cap_w,
-        budget_fraction=cfg.cluster.budget_fraction,
-        idle_power_w=cfg.cluster.idle_power_w,
-    )
+    spec = dataclasses.replace(cfg.cluster, n_nodes=measured_nodes)
     cluster = Cluster(spec, cfg.rapl, np.random.default_rng(cfg.seed))
     manager = cfg.make_manager(manager_name)
     manager.bind(
@@ -181,28 +189,28 @@ def overhead_analysis(
         dt_s=cfg.sim.dt_s,
         rng=np.random.default_rng(cfg.derive_seed("overhead")),
     )
-    network = NetworkModel()
-    server = PowerServer(
-        manager, [PowerClient(node) for node in cluster.nodes], network
-    )
+    server = DeployServer(manager)
 
     rng = np.random.default_rng(cfg.derive_seed("overhead", "demand"))
-    reports = []
-    for _ in range(cycles):
-        demand = rng.uniform(40.0, 160.0, size=spec.n_units)
-        cluster.step_physics(demand, cfg.sim.dt_s)
-        reports.append(server.control_cycle(cfg.sim.dt_s))
+    stats = []
+    with ClientPlane(server, cluster.nodes, cfg.sim.dt_s) as plane:
+        for _ in range(cycles):
+            demand = rng.uniform(40.0, 160.0, size=spec.n_units)
+            cluster.step_physics(demand, cfg.sim.dt_s)
+            stats.append(plane.cycle(server.control_cycle))
 
-    bytes_per_cycle = int(
-        np.mean([r.bytes_up + r.bytes_down for r in reports])
+    timings = [s.timings for s in stats]
+    network_s = float(
+        np.median(
+            [t.rejoin_s + t.poll_s + t.collect_s + t.dispatch_s for t in timings]
+        )
     )
-    network_s = float(np.mean([r.network_s for r in reports]))
-    compute_s = float(np.median([r.compute_s for r in reports]))
+    compute_s = float(np.median([t.decide_s for t in timings]))
     rows = [
         OverheadRow(
             n_nodes=measured_nodes,
             n_units=spec.n_units,
-            bytes_per_cycle=bytes_per_cycle,
+            bytes_per_cycle=stats[-1].bytes_up + stats[-1].bytes_down,
             network_s=network_s,
             compute_s=compute_s,
             turnaround_s=network_s + compute_s,
@@ -210,26 +218,18 @@ def overhead_analysis(
         )
     ]
 
-    # Projection (the paper's §6.5 argument): propagation overlaps and is
-    # paid once per direction; controller-side message handling and wire
-    # bytes serialize, so they and the decision compute scale linearly.
-    per_unit_net = 2 * (
-        network.server_per_message_s
-        + MESSAGE_SIZE_BYTES / network.bandwidth_bytes_per_s
-    )
+    per_unit_net = network_s / spec.n_units
     per_unit_compute = compute_s / spec.n_units
     for n_nodes in projected_nodes:
         n_units = n_nodes * spec.sockets_per_node
-        proj_net = 2 * network.propagation_s() + per_unit_net * n_units
-        proj_compute = per_unit_compute * n_units
         rows.append(
             OverheadRow(
                 n_nodes=n_nodes,
                 n_units=n_units,
                 bytes_per_cycle=n_units * MESSAGE_SIZE_BYTES * 2,
-                network_s=proj_net,
-                compute_s=proj_compute,
-                turnaround_s=proj_net + proj_compute,
+                network_s=per_unit_net * n_units,
+                compute_s=per_unit_compute * n_units,
+                turnaround_s=(per_unit_net + per_unit_compute) * n_units,
                 projected=True,
             )
         )

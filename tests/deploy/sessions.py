@@ -9,7 +9,8 @@ arbiter chaos from one :class:`~repro.shard.ShardChaosSchedule`.
 and its :class:`~repro.deploy.plane.ClientPlane`, for what only the
 server sees — the reading vectors it decided on, its fallback census,
 per-phase timings, protocol bytes, final client health, and the cycles
-each original daemon served — and for a server without the envelope.
+each original daemon served, the caps on the domains once each cycle
+returns — and for a server without the envelope.
 """
 
 from types import SimpleNamespace
@@ -61,6 +62,7 @@ def plane_session(
     shape = (cycles, cluster.n_units)
     out = SimpleNamespace(
         caps_history=np.full(shape, np.nan),
+        applied_caps_history=np.full(shape, np.nan),
         readings_history=np.full(shape, np.nan),
         power_history=np.full(shape, np.nan),
         bytes_total=0,
@@ -83,6 +85,7 @@ def plane_session(
             out.fallback_cycles += stats.fallback_units > 0
             out.readings_history[step] = stats.readings_w
             out.caps_history[step] = np.asarray(manager.caps)
+            out.applied_caps_history[step] = cluster.caps_w()
             out.power_history[step] = cluster.true_power_w()
         out.final_health = server.health
         out.client_cycles = [c.cycles_served for c in plane.originals]

@@ -42,6 +42,10 @@ class TestOverheadAnalysis:
         assert measured.n_nodes == 2
         # 3 bytes per unit per direction (paper §6.5).
         assert measured.bytes_per_cycle == measured.n_units * 6
+        assert measured.compute_s > 0
+        assert measured.turnaround_s == pytest.approx(
+            measured.network_s + measured.compute_s
+        )
         for projected in rows[1:]:
             assert projected.projected
             assert projected.bytes_per_cycle == projected.n_units * 6
@@ -54,15 +58,20 @@ class TestOverheadAnalysis:
             config=fast_config,
         )
         r10, r100 = rows[1], rows[2]
-        # Compute scales linearly; network scales linearly above the
-        # constant propagation term (paid once per direction per cycle).
+        # Both terms are the measured per-unit costs times the unit count.
         assert r100.compute_s == pytest.approx(10 * r10.compute_s)
-        from repro.comm.network import NetworkModel
+        assert r100.network_s == pytest.approx(10 * r10.network_s)
 
-        prop = 2 * NetworkModel().propagation_s()
-        assert (r100.network_s - prop) == pytest.approx(
-            10 * (r10.network_s - prop)
-        )
+    @pytest.mark.parametrize(
+        "kwargs, reason",
+        [
+            ({"cycles": 0}, "cycles"),
+            ({"projected_nodes": (10, 0)}, "projected node counts"),
+        ],
+    )
+    def test_bad_input_rejected(self, fast_config, kwargs, reason):
+        with pytest.raises(ValueError, match=reason):
+            overhead_analysis(measured_nodes=2, config=fast_config, **kwargs)
 
     def test_decision_loop_subsecond_at_paper_scale(self, fast_config):
         """§6.5: the 1 s decision loop dominates the controller cost."""
