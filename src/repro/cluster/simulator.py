@@ -38,14 +38,7 @@ from repro.core.dps import DPSManager
 from repro.core.managers import PowerManager
 from repro.powercap.actuator import CapActuator
 from repro.powercap.faults import FaultConfig, FaultyMeter
-from repro.safety import (
-    BudgetEnvelope,
-    BudgetGuard,
-    InvariantContext,
-    InvariantMonitor,
-    SafetyConfig,
-    last_readjust_grants,
-)
+from repro.safety import ControlStack, SafetyConfig
 from repro.telemetry.log import ResilienceEventLog, TelemetryLog
 from repro.workloads.runtime import WorkloadExecution
 from repro.workloads.spec import WorkloadSpec
@@ -331,54 +324,14 @@ class Simulation:
         actuator.issue(np.asarray(self.manager.caps))
         actuator.flush()
 
-        envelope: BudgetEnvelope | None = None
-        guard: BudgetGuard | None = None
-        monitor: InvariantMonitor | None = None
-        safety_events: ResilienceEventLog | None = None
-        clock = [0.0]  # Mutable cycle clock the rescale hook reads.
-        if self.safety is not None:
-            safety_events = ResilienceEventLog()
-            envelope = BudgetEnvelope(
-                cluster.n_units, cluster.budget_w, self.cluster_spec.tdp_w
-            )
-            guard = BudgetGuard(
-                envelope,
-                min_cap_w=self.cluster_spec.min_cap_w,
-                events=safety_events,
-                dry_run=not self.safety.guard,
-            )
-            if self.safety.invariant_mode != "off":
-                monitor = InvariantMonitor(
-                    mode=self.safety.invariant_mode,
-                    sample_every=self.safety.sample_every,
-                    events=safety_events,
-                    raise_on_violation=self.safety.raise_on_violation,
-                )
+        safety_events = ResilienceEventLog() if self.safety is not None else None
+        stack = ControlStack(stepper, self.safety, safety_events)
+        if stack.envelope is not None:
             # The simulator can read the hardware back directly, so the
             # applied view starts from the domains' real caps instead of
             # the pessimistic uncapped prior.
-            envelope.record_applied(slice(None), cluster.caps_w())
-            envelope.record_dispatched(
-                slice(None), np.asarray(self.manager.caps)
-            )
-
-            def emit_rescaled(name: str, over_w: float) -> None:
-                safety_events.emit(
-                    clock[0],
-                    "budget_rescaled",
-                    detail=f"manager={name} overshoot={over_w:.3f}W",
-                )
-
-            hook_seen: set[int] = set()
-            node: object | None = stepper
-            while node is not None and id(node) not in hook_seen:
-                hook_seen.add(id(node))
-                if getattr(node, "on_budget_rescaled", False) is None:
-                    node.on_budget_rescaled = emit_rescaled
-                node = (
-                    getattr(node, "manager", None)
-                    or getattr(node, "inner", None)
-                )
+            stack.envelope.record_applied(slice(None), cluster.caps_w())
+        stack.dispatched(slice(None), np.asarray(self.manager.caps))
 
         telemetry = (
             TelemetryLog(cluster.n_units) if self.record_telemetry else None
@@ -499,43 +452,18 @@ class Simulation:
             if down_units is not None:
                 # A dead host's telemetry is a dropout, not a number.
                 readings[down_units] = 0.0
-            new_caps = stepper.step(
-                readings, demand if requires_demand else None
+            # The domains' current caps (nothing has written one since
+            # step 2 read them) are what the coming interval is committed
+            # to until the new dispatch lands.
+            new_caps, _ = stack.decide(
+                readings, demand if requires_demand else None, now,
+                applied_w=caps_in_effect, pending=actuator.pending,
             )
-            if envelope is not None:
-                assert guard is not None
-                clock[0] = now
-                # Refresh the applied view from the hardware before
-                # judging the candidate: the domains' current caps
-                # (nothing has written one since step 2 read them) are
-                # what the coming interval is committed to until the
-                # new dispatch lands.
-                envelope.record_applied(slice(None), caps_in_effect)
-                envelope.record_commanded(new_caps)
-                decision = guard.enforce(
-                    new_caps,
-                    now=now,
-                    pending=actuator.pending,
-                    grants_w=last_readjust_grants(stepper),
-                )
-                new_caps = decision.caps_w
             actuator.issue(new_caps)
-            if envelope is not None:
-                envelope.record_dispatched(slice(None), new_caps)
+            stack.dispatched(slice(None), new_caps)
             if actuator.events:
                 drain_actuator(now)
-            if monitor is not None:
-                monitor.run(
-                    InvariantContext(
-                        budget_w=cluster.budget_w,
-                        min_cap_w=self.cluster_spec.min_cap_w,
-                        max_cap_w=self.cluster_spec.tdp_w,
-                        caps_w=new_caps,
-                        readings_w=readings,
-                        manager=stepper,
-                    ),
-                    now=now,
-                )
+            stack.check(new_caps, readings, now)
 
             safe = bool(getattr(self.manager, "safe_mode", False))
             if safe != in_safe_mode:
@@ -597,6 +525,6 @@ class Simulation:
             actuation_retries=actuator.retries,
             actuation_verify_failures=actuator.verify_failures,
             safety_events=safety_events,
-            budget_excursions=guard.excursions if guard is not None else 0,
-            guard_rungs=dict(guard.rungs_taken) if guard is not None else {},
+            budget_excursions=stack.guard.excursions if stack.guard else 0,
+            guard_rungs=dict(stack.guard.rungs_taken) if stack.guard else {},
         )

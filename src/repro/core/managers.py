@@ -16,13 +16,16 @@ perfect model; see §5.2).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, ClassVar, Optional
+from typing import Callable, ClassVar, Iterator, Optional
 
 import numpy as np
 
 from repro.recovery.state import decode_array, encode_array, make_rng, rng_state
 
-__all__ = ["PowerManager", "register_manager", "create_manager", "available_managers"]
+__all__ = [
+    "PowerManager", "manager_stack", "register_manager", "create_manager",
+    "available_managers",
+]
 
 #: Schema version of the manager snapshot document.
 MANAGER_SNAPSHOT_VERSION = 1
@@ -310,6 +313,21 @@ class PowerManager(ABC):
             raise RuntimeError(
                 f"{type(self).__name__} must be bound to a cluster before use"
             )
+
+
+def manager_stack(stepper: object) -> Iterator[object]:
+    """Yield each member of a wrapped manager stack once, outermost first.
+
+    A wrapper names what it wraps ``manager``
+    (:class:`~repro.recovery.controller.RecoverableController`) or
+    ``inner`` (:class:`~repro.resilience.manager.ResilientManager`).
+    """
+    seen: set[int] = set()
+    node: object | None = stepper
+    while node is not None and id(node) not in seen:
+        seen.add(id(node))
+        yield node
+        node = getattr(node, "manager", None) or getattr(node, "inner", None)
 
 
 _REGISTRY: dict[str, Callable[..., PowerManager]] = {}

@@ -46,13 +46,16 @@ class ClientPlane:
         self._nodes = {node.node_id: node for node in nodes}
         self._spawned: list[DeployClient] = []
         self._current: dict[int, DeployClient] = {}
+        #: The daemons started here, in node order (a reconnect
+        #: replaces a node's *current* daemon, never this record).
+        self.originals: list[DeployClient] = []
         try:
-            #: The daemons started here, in node order (a reconnect
-            #: replaces a node's *current* daemon, never this record).
-            self.originals = [self._spawn(node) for node in nodes]
-            # Blocks until every daemon has said HELLO, so no control
+            # Each daemon is registered before the next connects, so the
+            # listen backlog never bounds the plane's size, and no control
             # decision happens before the plane is fully registered.
-            server.accept_clients(len(self.originals))
+            for node in nodes:
+                self.originals.append(self._spawn(node))
+                server.accept_clients(1)
         except BaseException:
             self.close(quiet=True)
             raise

@@ -53,14 +53,7 @@ from repro.comm import protocol
 from repro.comm.wire import FrameAssembler, encode_frame, encode_words, recv_frame
 from repro.core.managers import PowerManager
 from repro.resilience.health import ClientHealth, HealthState, ResilienceConfig
-from repro.safety import (
-    BudgetEnvelope,
-    BudgetGuard,
-    InvariantContext,
-    InvariantMonitor,
-    SafetyConfig,
-    last_readjust_grants,
-)
+from repro.safety import ControlStack, SafetyConfig
 from repro.telemetry.log import (
     CyclePhaseTimings,
     CycleTimingLog,
@@ -168,12 +161,11 @@ class DeployServer:
             :attr:`events`).  Event times are control-cycle indices — the
             deploy layer has no simulated clock.
         safety: budget-safety envelope configuration.  When given, the
-            server tracks commanded/dispatched/applied cap views per
-            unit (:attr:`envelope`), enforces the budget on worst-case
-            committed power at the actuation boundary (:attr:`guard`),
-            and runs the runtime invariant monitors (:attr:`monitor`).
-            All ``budget_*`` / ``invariant_violation`` emissions land in
-            :attr:`events`.
+            server's :attr:`stack` tracks commanded/dispatched/applied
+            cap views per unit, enforces the budget on worst-case
+            committed power at the actuation boundary, and runs the
+            runtime invariant monitors.  All ``budget_*`` /
+            ``invariant_violation`` emissions land in :attr:`events`.
     """
 
     def __init__(
@@ -192,8 +184,8 @@ class DeployServer:
         self.events = events if events is not None else ResilienceEventLog()
         #: Per-cycle phase timings (the §6.5 overhead instrumentation).
         self.timings = CycleTimingLog()
-        # A whole cluster's daemons may connect before accept_clients
-        # drains them; a short backlog would time their connects out.
+        # Daemons that connect between two accept_clients calls wait in
+        # the backlog (ClientPlane accepts after every spawn).
         # bind_listener also retries a pinned port through a transient
         # EADDRINUSE, so multi-server harnesses can't flake on binds.
         self._listener = bind_listener(
@@ -208,53 +200,9 @@ class DeployServer:
         #: Total cap messages clamped into the protocol range (all cycles).
         self.total_caps_clamped = 0
 
-        self.safety = safety
-        #: Cap-view ledger / budget guard / invariant monitor — None when
-        #: the safety envelope is disabled.
-        self.envelope: BudgetEnvelope | None = None
-        self.guard: BudgetGuard | None = None
-        self.monitor: InvariantMonitor | None = None
-        if safety is not None:
-            self.envelope = BudgetEnvelope(
-                manager.n_units, manager.budget_w, manager.max_cap_w
-            )
-            self.guard = BudgetGuard(
-                self.envelope,
-                min_cap_w=manager.min_cap_w,
-                events=self.events,
-                dry_run=not safety.guard,
-            )
-            if safety.invariant_mode != "off":
-                self.monitor = InvariantMonitor(
-                    mode=safety.invariant_mode,
-                    sample_every=safety.sample_every,
-                    events=self.events,
-                    raise_on_violation=safety.raise_on_violation,
-                )
-            self._hook_rescale_events()
-
-    def _hook_rescale_events(self) -> None:
-        """Surface manager-level budget rescales as structured events.
-
-        Walks the manager stack (recovery / resilience wrappers) and
-        attaches the ``on_budget_rescaled`` callback to every member that
-        exposes it and has no callback yet — only whoever actually
-        rescales ever fires.
-        """
-        seen: set[int] = set()
-        node: object | None = self.manager
-        while node is not None and id(node) not in seen:
-            seen.add(id(node))
-            if getattr(node, "on_budget_rescaled", False) is None:
-                node.on_budget_rescaled = self._emit_budget_rescaled
-            node = getattr(node, "manager", None) or getattr(node, "inner", None)
-
-    def _emit_budget_rescaled(self, name: str, over_w: float) -> None:
-        self.events.emit(
-            float(self._cycle),
-            "budget_rescaled",
-            detail=f"manager={name} overshoot={over_w:.3f}W",
-        )
+        #: The hardened decision step (envelope, guard and monitors
+        #: live on it; None of them while ``safety`` is None).
+        self.stack = ControlStack(manager, safety, self.events)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -421,6 +369,14 @@ class DeployServer:
             )
         return rejoined
 
+    def unreachable(self) -> np.ndarray:
+        """Mask of the units whose client is quarantined this cycle."""
+        mask = np.zeros(self.manager.n_units, dtype=bool)
+        for record in self._clients:
+            if record.health.quarantined:
+                mask[record.base : record.base + record.n_units] = True
+        return mask
+
     def _fallback_readings(
         self, record: _ClientRecord, readings: np.ndarray
     ) -> None:
@@ -523,11 +479,11 @@ class DeployServer:
                     record, raw[record.node_id], readings
                 )
                 record.health.record_success()
-                if self.envelope is not None:
+                if self.stack.envelope is not None:
                     # The client programs a CAPS batch before answering
                     # its next POLL, so a valid READINGS batch is the
                     # acknowledgement that the previous dispatch landed.
-                    self.envelope.confirm_applied(
+                    self.stack.envelope.confirm_applied(
                         slice(record.base, record.base + record.n_units)
                     )
             except (RuntimeError, ValueError) as exc:
@@ -542,43 +498,17 @@ class DeployServer:
                 self._last_good[lo:hi] = readings[lo:hi]
         t3 = time.perf_counter()
 
-        caps = self.manager.step(readings)
-        guard_rung: str | None = None
-        if self.envelope is not None:
-            assert self.guard is not None
-            self.envelope.record_commanded(caps)
-            unreachable = np.zeros(self.manager.n_units, dtype=bool)
-            for record in self._clients:
-                if record.health.quarantined:
-                    lo, hi = record.base, record.base + record.n_units
-                    unreachable[lo:hi] = True
-            decision = self.guard.enforce(
-                caps,
-                now=float(self._cycle),
-                unreachable=unreachable,
-                assume_tdp=self.resilience.fallback == "assume-tdp",
-                grants_w=last_readjust_grants(self.manager),
-            )
-            caps = decision.caps_w
-            guard_rung = decision.rung
+        caps, guard_rung = self.stack.decide(
+            readings, None, float(self._cycle), unreachable=self.unreachable(),
+            assume_tdp=self.resilience.fallback == "assume-tdp",
+        )
         t4 = time.perf_counter()
 
         bytes_down, caps_clamped = self._dispatch_caps(caps, quarantined_now)
-        if self.monitor is not None:
-            # After dispatch on purpose: a strict-mode raise still fails
-            # the run this very cycle, but the clients are not left
-            # half-polled awaiting a CAPS batch that never comes.
-            self.monitor.run(
-                InvariantContext(
-                    budget_w=self.manager.budget_w,
-                    min_cap_w=self.manager.min_cap_w,
-                    max_cap_w=self.manager.max_cap_w,
-                    caps_w=caps,
-                    readings_w=readings,
-                    manager=self.manager,
-                ),
-                now=float(self._cycle),
-            )
+        # After dispatch on purpose: a strict-mode raise still fails the
+        # run this very cycle, but the clients are not left half-polled
+        # awaiting a CAPS batch that never comes.
+        self.stack.check(caps, readings, float(self._cycle))
         t5 = time.perf_counter()
 
         timings = CyclePhaseTimings(
@@ -780,9 +710,8 @@ class DeployServer:
                 quarantined_now.append(record.node_id)
             else:
                 bytes_down += len(words)
-                if self.envelope is not None:
-                    units = slice(record.base, record.base + record.n_units)
-                    self.envelope.record_dispatched(units, wire[units])
+                units = slice(record.base, record.base + record.n_units)
+                self.stack.dispatched(units, wire[units])
         self.total_caps_clamped += len(moved)
         return bytes_down, len(moved)
 

@@ -26,6 +26,9 @@ This package closes the loop:
   readjust water-fill conservation, finite Kalman state, snapshot/restore
   idempotence) every cycle in strict mode or on a sampling cadence in
   deployment.
+* :class:`~repro.safety.stack.ControlStack` builds those three around a
+  manager stack once — the one hardened decision step the simulator and
+  the deploy server both run.
 
 Every enforcement action and violation is a structured ``budget_*`` /
 ``invariant_violation`` telemetry event, so an excursion is detected,
@@ -45,11 +48,13 @@ from repro.safety.invariants import (
     default_invariants,
     register_invariant,
 )
+from repro.safety.stack import ControlStack
 
 __all__ = [
     "SafetyConfig",
     "BudgetEnvelope",
     "CommittedPower",
+    "ControlStack",
     "BudgetGuard",
     "GuardDecision",
     "last_readjust_grants",

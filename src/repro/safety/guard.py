@@ -40,6 +40,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from repro.core.managers import manager_stack
 from repro.safety.envelope import BudgetEnvelope, CommittedPower
 from repro.telemetry.log import ResilienceEventLog
 
@@ -49,14 +50,10 @@ __all__ = ["BudgetGuard", "GuardDecision", "last_readjust_grants"]
 def last_readjust_grants(manager: object) -> np.ndarray | None:
     """The most recent readjust grant vector of a manager stack, if any.
 
-    Walks wrapper chains (``RecoverableController.manager``,
-    ``ResilientManager.inner``) until something exposes
-    ``last_grants_w``; returns None when nothing in the stack does.
+    The first member of :func:`~repro.core.managers.manager_stack` that
+    exposes ``last_grants_w`` answers; None when no member does.
     """
-    seen: set[int] = set()
-    node: object | None = manager
-    while node is not None and id(node) not in seen:
-        seen.add(id(node))
+    for node in manager_stack(manager):
         if hasattr(node, "last_grants_w"):
             # The first stack member that *defines* the attribute owns
             # the answer — a resilient wrapper in safe mode reports None
@@ -67,7 +64,6 @@ def last_readjust_grants(manager: object) -> np.ndarray | None:
             if grants is None:
                 return None
             return np.asarray(grants, dtype=np.float64)
-        node = getattr(node, "manager", None) or getattr(node, "inner", None)
     return None
 
 

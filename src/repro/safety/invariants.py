@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.managers import manager_stack
 from repro.recovery.state import to_json
 from repro.telemetry.log import ResilienceEventLog
 
@@ -117,16 +118,6 @@ class Invariant(ABC):
         """Return a violation detail string, or None when satisfied."""
 
 
-def _walk_manager_stack(manager: object | None):
-    """Yield each member of a (possibly wrapped) manager stack once."""
-    seen: set[int] = set()
-    node = manager
-    while node is not None and id(node) not in seen:
-        seen.add(id(node))
-        yield node
-        node = getattr(node, "manager", None) or getattr(node, "inner", None)
-
-
 class BudgetConservation(Invariant):
     """Actuated caps sum to at most the cluster budget."""
 
@@ -195,7 +186,7 @@ class ReadjustConservation(Invariant):
     name = "readjust-conservation"
 
     def check(self, ctx: InvariantContext) -> str | None:
-        for node in _walk_manager_stack(ctx.manager):
+        for node in manager_stack(ctx.manager):
             info = getattr(node, "last_info", None)
             if info is None or not hasattr(info, "grants_w"):
                 continue
@@ -248,7 +239,7 @@ class FiniteKalman(Invariant):
     name = "finite-kalman"
 
     def check(self, ctx: InvariantContext) -> str | None:
-        for node in _walk_manager_stack(ctx.manager):
+        for node in manager_stack(ctx.manager):
             bank = getattr(node, "_kalman", None)
             if bank is None:
                 continue
@@ -343,7 +334,7 @@ class SnapshotIdempotence(Invariant):
 
     def check(self, ctx: InvariantContext) -> str | None:
         manager = None
-        for node in _walk_manager_stack(ctx.manager):
+        for node in manager_stack(ctx.manager):
             if hasattr(node, "snapshot") and hasattr(node, "_decide"):
                 manager = node
                 break
@@ -376,7 +367,7 @@ class ShardLeaseConservation(Invariant):
     name = "shard-lease-conservation"
 
     def check(self, ctx: InvariantContext) -> str | None:
-        for node in _walk_manager_stack(ctx.manager):
+        for node in manager_stack(ctx.manager):
             worst = getattr(node, "shard_worst_case_w", None)
             if worst is None:
                 continue

@@ -36,6 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.cluster.node import Node
+from repro.core.managers import manager_stack
 from repro.deploy.plane import ClientPlane
 from repro.deploy.server import DeployCycleStats, DeployServer
 from repro.powercap.rapl import bank_span
@@ -167,7 +168,7 @@ class ShardServer:
         at or below the last applied one only resets the lease age (the
         arbiter re-sends the current value as the renewal); a newer one
         also re-leases the budget through the whole stack — controller,
-        manager, and the deploy server's envelope/guard.
+        manager, and the deploy server's control stack.
 
         Returns:
             True when any grant (renewal or new) was consumed.
@@ -222,9 +223,10 @@ class ShardServer:
 
     def _apply_budget(self, budget_w: float) -> None:
         """Push a budget through controller, manager, and safety stack."""
-        self.controller.set_budget_w(budget_w)
-        if self.server is not None and self.server.envelope is not None:
-            self.server.envelope.budget_w = float(budget_w)
+        if self.server is not None:
+            self.server.stack.set_budget_w(budget_w)
+        else:
+            self.controller.set_budget_w(budget_w)
 
     def _expire_lease(self, now: float) -> None:
         """Freeze at the last confirmed committed power (floor-clipped)."""
@@ -299,24 +301,21 @@ class ShardServer:
 
     def _committed(self) -> tuple[float, float]:
         """(steady, worst-case) committed power of the shard (W)."""
-        assert self.server is not None and self.server.envelope is not None
-        env = self.server.envelope
-        unreachable = np.zeros(self.n_units, dtype=bool)
-        for record in self.server._clients:
-            if record.health.quarantined:
-                unreachable[record.base : record.base + record.n_units] = True
+        assert self.server is not None
+        env = self.server.stack.envelope
+        assert env is not None
         candidate = np.where(
             np.isfinite(env.dispatched_w), env.dispatched_w, env.applied_w
         )
         cp = env.assess(
             candidate_w=candidate,
-            unreachable=unreachable,
+            unreachable=self.server.unreachable(),
             assume_tdp=self.resilience.fallback == "assume-tdp",
         )
         return cp.steady_total_w, cp.worst_case_total_w
 
     def _steady_committed_w(self) -> float:
-        if self.server is None or self.server.envelope is None:
+        if self.server is None or self.server.stack.envelope is None:
             return float("nan")
         return self._committed()[0]
 
@@ -327,14 +326,10 @@ class ShardServer:
         step info); falls back to a utilization heuristic — committed
         power near the lease means the shard would use more.
         """
-        seen: set[int] = set()
-        node: object | None = self.controller.manager
-        while node is not None and id(node) not in seen:
-            seen.add(id(node))
+        for node in manager_stack(self.controller.manager):
             info = getattr(node, "last_info", None)
             if info is not None and hasattr(info, "priority"):
                 return bool(np.any(np.asarray(info.priority, dtype=bool)))
-            node = getattr(node, "manager", None) or getattr(node, "inner", None)
         steady = self._steady_committed_w()
         budget = float(self.controller.budget_w)
         return bool(np.isfinite(steady) and steady >= 0.85 * budget)

@@ -26,6 +26,7 @@ from repro.safety import SafetyConfig
 from repro.shard import RecoveryOptions, ShardChaosSchedule
 from repro.telemetry.log import SAFETY_EVENT_KINDS
 from tests.deploy.sessions import one_shard, plane_session
+from tests.safety.test_simulator_safety import GreedyManager
 
 SPEC = ClusterSpec(n_nodes=3, sockets_per_node=2)
 STRICT = SafetyConfig(guard=True, invariant_mode="strict")
@@ -234,3 +235,18 @@ class TestObservability:
         )
         for kind in SAFETY_EVENT_KINDS:
             assert not result.events.of_kind(kind)
+
+    def test_budget_rescaled_stamped_at_its_cycle(self):
+        cluster = Cluster(
+            SPEC, RaplConfig(noise_std_w=0.0), np.random.default_rng(11)
+        )
+        demand = np.full(cluster.n_units, 150.0)
+        result = plane_session(
+            cluster,
+            GreedyManager(),
+            lambda step: demand,
+            cycles=4,
+            safety=SafetyConfig(guard=True),
+        )
+        rescaled = result.events.of_kind("budget_rescaled")
+        assert [e.time_s for e in rescaled] == [1.0, 2.0, 3.0, 4.0]

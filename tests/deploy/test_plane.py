@@ -38,6 +38,20 @@ class TestTraffic:
                 assert stats.bytes_up == stats.bytes_down == 3 * cluster.n_units
 
 
+class TestRegistration:
+    def test_plane_registers_past_the_listen_backlog(self):
+        """200 paper-shaped nodes, more than the 128-deep backlog: every
+        daemon registers and serves, 3 payload bytes per unit each way."""
+        spec = ClusterSpec(n_nodes=200, sockets_per_node=2)
+        cluster, server = cluster_and_server(spec)
+        with ClientPlane(server, cluster.nodes, dt_s=1.0) as plane:
+            for _ in range(3):
+                stats = plane.cycle(server.control_cycle)
+                assert stats.n_healthy == spec.n_nodes
+                assert stats.bytes_up + stats.bytes_down == 6 * cluster.n_units
+            assert [c.cycles_served for c in plane.originals] == [3] * 200
+
+
 class TestBarrier:
     def test_killed_daemon_does_not_cost_the_deadline(self):
         """A daemon killed after its caps went out, and the cycle after,

@@ -1,11 +1,12 @@
 """Simulation + SafetyConfig: the envelope on the direct actuation path."""
 
 import numpy as np
+import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.simulator import Assignment, Simulation
 from repro.core.config import ClusterSpec, SimulationConfig
-from repro.core.managers import create_manager
+from repro.core.managers import PowerManager, create_manager
 from repro.safety import SafetyConfig
 from repro.workloads.phases import Hold, PhaseProgram, Ramp
 from repro.workloads.spec import WorkloadSpec
@@ -26,6 +27,15 @@ def tiny_workload(name="tiny", duration=20.0, level=140.0):
         paper_above_110_pct=50.0,
         data_size="test",
     )
+
+
+class GreedyManager(PowerManager):
+    """Asks for TDP everywhere, so the budget rescale fires every step."""
+
+    name = "greedy"
+
+    def _decide(self, power_w, demand_w):
+        return np.full(self.n_units, self.max_cap_w)
 
 
 def make_sim(manager="dps", safety=None, **kwargs):
@@ -88,3 +98,25 @@ class TestSimulatorEnvelope:
         assert result.safety_events is None
         assert result.budget_excursions == 0
         assert result.guard_rungs == {}
+
+
+class TestRescaleEvents:
+    @pytest.mark.parametrize("journaled", [False, True])
+    def test_budget_rescaled_stamped_at_its_decision(self, tmp_path, journaled):
+        """The rescale hook stamps the decision's own time, also when it
+        is reached through ``RecoverableController.manager``."""
+        spec = ClusterSpec()  # The 20-unit testbed.
+        cluster = Cluster(spec)
+        result = Simulation(
+            cluster_spec=spec,
+            manager=GreedyManager(),
+            assignments=[
+                Assignment(spec=tiny_workload(), unit_ids=cluster.half_unit_ids(0))
+            ],
+            sim_config=SimulationConfig(max_steps=4),
+            safety=SafetyConfig(guard=True),
+            checkpoint_dir=tmp_path if journaled else None,
+        ).run()
+        assert result.steps == 4
+        rescaled = result.safety_events.of_kind("budget_rescaled")
+        assert [e.time_s for e in rescaled] == [1.0, 2.0, 3.0, 4.0]

@@ -144,6 +144,8 @@ class TestExpiryOverLiveServer:
         # The frozen budget never exceeds the lease, never dips below
         # the floor.
         assert shard.floor_w <= shard.controller.budget_w <= shard.lease_w
+        # The freeze reaches the guard, not only the controller.
+        assert shard.server.stack.envelope.budget_w == shard.controller.budget_w
         # The summary reports the freeze (and the lease it returns to).
         assert shard.summarize(cycle=1)
         [doc] = link.take_summaries()
@@ -160,6 +162,7 @@ class TestExpiryOverLiveServer:
         assert not shard.frozen
         assert shard.events.of_kind("shard_unfrozen")
         assert shard.controller.budget_w == 220.0
+        assert shard.server.stack.envelope.budget_w == shard.controller.budget_w
         assert shard.lease_seq == 1
 
     def test_summary_blocked_by_partition(self, live_shard):
