@@ -1,19 +1,23 @@
 """The per-node DPS client daemon over real TCP sockets (paper §4.3).
 
 ``DeployClient`` is the node side of the control plane: it connects to
-the server, registers its node's sockets, and services POLL → READINGS →
+the server, registers its node's sockets, and answers POLL → READINGS →
 CAPS cycles until QUIT.  Power comes from its node's meters and caps land
 on its node's RAPL domains — on real hardware those would be sysfs
 powercap reads/writes; here they are the simulated domains, through the
 identical code path.  A node's readings and caps each cross as one
-batch, packed or unpacked in one call.  Between cycles a daemon waits
-without a deadline.
+batch, packed or unpacked in one call.
+
+The daemon is a step function, not a thread: :meth:`DeployClient.pump`
+handles the one frame the server has just written to its connection.
+A :class:`~repro.deploy.plane.ClientPlane` attaches every daemon to its
+server, which pumps it right after each POLL, CAPS and QUIT it writes —
+so a cycle's caps are on the domains when ``control_cycle`` returns.
 """
 
 from __future__ import annotations
 
 import socket
-import threading
 
 import numpy as np
 
@@ -46,13 +50,12 @@ class DeployClient:
         self.dt_s = dt_s
         self.timeout_s = timeout_s
         self._sock: socket.socket | None = None
-        self._thread: threading.Thread | None = None
-        #: Notified whenever ``cycles_served``, ``killed`` or ``_exited`` move.
-        self._progress = threading.Condition()
+        self._frames = FrameAssembler()
+        #: This end's address once connected: the peer the server sees.
+        self.local_address: tuple | None = None
         self.cycles_served = 0
         self.error: BaseException | None = None
         self.killed = False
-        self._exited = False
 
     def connect(self) -> None:
         """Connect and register with the server."""
@@ -65,27 +68,28 @@ class DeployClient:
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             pass
+        self.local_address = self._sock.getsockname()
         self._sock.sendall(
             encode_frame(protocol.hello(self.node.node_id, len(self.node.sockets)))
         )
 
-    def serve_forever(self) -> None:
-        """Service cycles until QUIT or connection loss (blocking)."""
-        assert self._sock is not None, "connect() first"
+    def pump(self) -> None:
+        """Handle the one frame the server just wrote to this connection.
+
+        POLL is answered with the node's READINGS batch, CAPS programmed
+        onto its domains (one more cycle served), QUIT closes the
+        connection.  Nothing raises: a fault is kept in :attr:`error` and
+        closes this end, so the server quarantines the node on its next
+        read; a vanished server closes it quietly.
+        """
         sock = self._sock
-        frames = FrameAssembler()
+        if sock is None:
+            return
         try:
-            while True:
-                try:
-                    doc = recv_frame(sock, frames)
-                except TimeoutError:
-                    if frames.pending_bytes:
-                        raise
-                    continue  # Idle between cycles: not a fault.
-                if doc == protocol.QUIT:
-                    break
-                if doc != protocol.POLL:
-                    raise ValueError(f"expected POLL, got {doc!r}")
+            doc = recv_frame(sock, self._frames)
+            if doc == protocol.QUIT:
+                self.close()
+            elif doc == protocol.POLL:
                 power = np.array(
                     [u.meter.read_power_w(self.dt_s) for u in self.node.sockets]
                 )
@@ -93,15 +97,16 @@ class DeployClient:
                     protocol.MSG_READING, np.minimum(power, 409.5)
                 )
                 sock.sendall(encode_words(words))
-                self.apply_caps(recv_frame(sock, frames)["words"])
-                with self._progress:
-                    self.cycles_served += 1
-                    self._progress.notify_all()
+            elif "words" in doc:
+                self.apply_caps(doc["words"])
+                self.cycles_served += 1
+            else:
+                raise ValueError(f"expected POLL, CAPS or QUIT, got {doc!r}")
         except ConnectionError:
-            pass  # Server went away; a daemon exits quietly.
-        finally:
-            sock.close()
-            self._sock = None
+            self.close()  # Server went away; a daemon exits quietly.
+        except Exception as exc:
+            self.error = exc
+            self.close()
 
     def apply_caps(self, words: bytes) -> None:
         """Program one CAPS batch onto the node's domains, all or none.
@@ -127,72 +132,23 @@ class DeployClient:
         for unit, cap_w in zip(units.tolist(), values.tolist()):
             self.node.sockets[unit].domain.set_cap_w(cap_w)
 
-    def wait_served(self, past: int, timeout_s: float) -> None:
-        """Block until more than ``past`` cycles are served, the daemon
-        has died or exited, or ``timeout_s`` elapses."""
-        with self._progress:
-            self._progress.wait_for(
-                lambda: self.cycles_served > past or self.killed or self._exited,
-                timeout_s,
-            )
-
-    # ------------------------------------------------------------------
-    # Threaded convenience API (used by the client plane and tests).
-    # ------------------------------------------------------------------
-
-    def start(self) -> None:
-        """Connect and serve on a background thread."""
-
-        def run() -> None:
-            try:
-                self.serve_forever()
-            except BaseException as exc:  # Surfaced via `error`.
-                self.error = exc
-            finally:
-                with self._progress:
-                    self._exited = True
-                    self._progress.notify_all()
-
-        self.connect()
-        self._thread = threading.Thread(
-            target=run, name=f"dps-client-{self.node.node_id}", daemon=True
-        )
-        self._thread.start()
+    def close(self) -> None:
+        """Close this end of the connection (idempotent)."""
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            sock.close()
 
     def kill(self) -> None:
         """Simulate a daemon crash: sever the connection without QUIT.
 
-        The serving thread dies on the broken socket; :meth:`join` treats
-        the resulting error as expected.  The node's hardware is
-        untouched — its last programmed caps stay in effect, exactly like
-        a killed daemon on a live machine.
+        The node's hardware is untouched — its last programmed caps stay
+        in effect, exactly like a killed daemon on a live machine.
         """
-        with self._progress:
-            self.killed = True
-            self._progress.notify_all()
+        self.killed = True
         sock = self._sock
         if sock is not None:
             try:
                 sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-            sock.close()
-
-    def join(self, timeout_s: float = 5.0) -> None:
-        """Wait for the serving thread to exit.
-
-        Raises:
-            RuntimeError: the thread is still alive after the timeout, or
-                the daemon died with an exception (killed daemons exit
-                without raising).
-        """
-        if self._thread is not None:
-            self._thread.join(timeout_s)
-            if self._thread.is_alive():
-                raise RuntimeError(
-                    f"client {self.node.node_id} did not shut down"
-                )
-        if self.error is not None and not self.killed:
-            raise RuntimeError(
-                f"client {self.node.node_id} failed"
-            ) from self.error
+        self.close()

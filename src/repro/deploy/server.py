@@ -31,6 +31,14 @@ says HELLO costs the cycle nothing and is closed after ``timeout_s``.
 The cluster budget stays enforced throughout: the manager's budget
 invariant holds for whatever reading vector the cycle assembles.
 
+A daemon may be *attached* (:meth:`DeployServer.attach`, what a
+:class:`~repro.deploy.plane.ClientPlane` does for each one it runs): the
+server then pumps it on its own thread right after every POLL, CAPS and
+QUIT it writes to that daemon's connection, so its READINGS are queued
+before collection starts and its caps are programmed before
+``control_cycle`` returns.  A peer that is not attached (a daemon on
+another host, a test's raw socket) is served by the same selector loop.
+
 Collection order is an I/O detail, never a semantic one: batches are
 buffered as they arrive, and all decoding, validation, health
 transitions, and event emission happen in a post-collection pass over
@@ -45,6 +53,7 @@ import selectors
 import socket
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -107,7 +116,8 @@ class DeployCycleStats:
         quarantined: node ids quarantined *during* this cycle.
         rejoined: node ids re-integrated during this cycle.
         timings: wall-clock phase breakdown (rejoin / poll / collect /
-            decide / dispatch) of this cycle.
+            decide / dispatch) of this cycle; in-process daemons answer
+            inside poll and program their caps inside dispatch.
         guard_rung: degradation-ladder rung the budget guard took this
             cycle (None when no enforcement was needed or the safety
             envelope is disabled).
@@ -135,6 +145,8 @@ class _ClientRecord:
     node_id: int
     base: int
     n_units: int
+    #: The far end of ``conn`` (the key of an attached daemon).
+    peer: tuple
     health: ClientHealth = field(
         default_factory=lambda: ClientHealth(ResilienceConfig())
     )
@@ -192,8 +204,12 @@ class DeployServer:
             host, port, backlog=128, timeout_s=timeout_s
         )
         self._clients: list[_ClientRecord] = []
-        #: Reconnects awaiting their HELLO: (conn, frames, give-up time).
-        self._joining: list[tuple[socket.socket, FrameAssembler, float]] = []
+        #: Reconnects awaiting their HELLO: (conn, peer, frames, give-up).
+        self._joining: list[
+            tuple[socket.socket, tuple, FrameAssembler, float]
+        ] = []
+        #: In-process daemons by the peer address of their connection.
+        self._daemons: dict[tuple, Callable[[], None]] = {}
         self._closed = False
         self._cycle = 0
         self._last_good: np.ndarray | None = None
@@ -219,6 +235,22 @@ class DeployServer:
         """Current health state per registered node id."""
         return {c.node_id: c.health.state for c in self._clients}
 
+    def attach(self, peer: tuple, pump: Callable[[], None]) -> None:
+        """Run ``pump`` right after every frame written to the connection
+        whose far end is ``peer``: an in-process daemon answers at once."""
+        self._daemons[peer] = pump
+
+    def detach(self, peer: tuple) -> None:
+        """Stop pumping the daemon at ``peer`` (no-op if not attached)."""
+        self._daemons.pop(peer, None)
+
+    def _send(self, record: _ClientRecord, frame: bytes) -> None:
+        """Write one frame to a client, then pump its attached daemon."""
+        record.conn.sendall(frame)
+        pump = self._daemons.get(record.peer)
+        if pump is not None:
+            pump()
+
     def accept_clients(self, n_clients: int) -> None:
         """Block until ``n_clients`` have connected and sent HELLO.
 
@@ -233,7 +265,7 @@ class DeployServer:
         accepted: list[_ClientRecord] = []
         try:
             for _ in range(n_clients):
-                conn, _ = self._listener.accept()
+                conn, peer = self._listener.accept()
                 _configure_conn(conn, self.timeout_s)
                 frames = FrameAssembler()
                 try:
@@ -259,6 +291,7 @@ class DeployServer:
                     node_id=node_id,
                     base=base,
                     n_units=n_units,
+                    peer=peer,
                     health=ClientHealth(self.resilience),
                     frames=frames,
                 )
@@ -268,7 +301,7 @@ class DeployServer:
             for record in accepted:
                 if record.conn is not None:
                     try:
-                        record.conn.sendall(_QUIT_FRAME)
+                        self._send(record, _QUIT_FRAME)
                     except OSError:
                         pass
                     record.conn.close()
@@ -284,6 +317,7 @@ class DeployServer:
         if record.conn is not None:
             record.conn.close()
             record.conn = None
+            self.detach(record.peer)
         state = record.health.record_failure()
         self.events.emit(
             float(self._cycle),
@@ -313,16 +347,16 @@ class DeployServer:
             if not ready:
                 break
             try:
-                conn, _ = self._listener.accept()
+                conn, peer = self._listener.accept()
             except OSError:
                 break
             conn.setblocking(False)
             self._joining.append(
-                (conn, FrameAssembler(), time.monotonic() + self.timeout_s)
+                (conn, peer, FrameAssembler(), time.monotonic() + self.timeout_s)
             )
         rejoined = []
         joining, self._joining = self._joining, []
-        for conn, frames, give_up_at in joining:
+        for conn, peer, frames, give_up_at in joining:
             try:
                 data = conn.recv(65536)
                 if not data:
@@ -338,7 +372,7 @@ class DeployServer:
                 continue
             if hello is None:
                 if time.monotonic() < give_up_at:
-                    self._joining.append((conn, frames, give_up_at))
+                    self._joining.append((conn, peer, frames, give_up_at))
                 else:
                     conn.close()
                 continue
@@ -358,6 +392,7 @@ class DeployServer:
                 continue
             _configure_conn(conn, self.timeout_s)
             record.conn = conn
+            record.peer = peer
             record.frames = frames
             record.health.rejoin()
             record.fallback_announced = False
@@ -552,7 +587,7 @@ class DeployServer:
         for record in polled:
             assert record.conn is not None
             try:
-                record.conn.sendall(_POLL_FRAME)
+                self._send(record, _POLL_FRAME)
             except OSError as exc:
                 errors[record.node_id] = f"poll: {exc}"
             else:
@@ -704,7 +739,7 @@ class DeployServer:
         bytes_down = 0
         for record, words in zip(live, frames):
             try:
-                record.conn.sendall(encode_words(words))
+                self._send(record, encode_words(words))
             except OSError as exc:
                 self._quarantine(record, f"caps: {exc}")
                 quarantined_now.append(record.node_id)
@@ -723,11 +758,11 @@ class DeployServer:
             if record.conn is None:
                 continue
             try:
-                record.conn.sendall(_QUIT_FRAME)
+                self._send(record, _QUIT_FRAME)
             except OSError:
                 pass
             record.conn.close()
-        for conn, _, _ in self._joining:
+        for conn, *_ in self._joining:
             conn.close()
         self._clients.clear()
         self._joining.clear()

@@ -158,6 +158,9 @@ def overhead_analysis(
     :class:`~repro.deploy.client.DeployClient` daemon per node exchanging
     3-byte messages over localhost TCP — and takes each phase's median
     from the server's :class:`~repro.deploy.server.DeployCycleStats`.
+    The daemons run on the controller's thread, each pumped right after
+    the server writes to it, so the network phases include their meter
+    reads and cap programming as well as the socket calls.
     Larger deployments are projected linearly in units from the measured
     per-unit network and decision costs; nothing is modelled.
 
@@ -193,11 +196,11 @@ def overhead_analysis(
 
     rng = np.random.default_rng(cfg.derive_seed("overhead", "demand"))
     stats = []
-    with ClientPlane(server, cluster.nodes, cfg.sim.dt_s) as plane:
+    with ClientPlane(server, cluster.nodes, cfg.sim.dt_s):
         for _ in range(cycles):
             demand = rng.uniform(40.0, 160.0, size=spec.n_units)
             cluster.step_physics(demand, cfg.sim.dt_s)
-            stats.append(plane.cycle(server.control_cycle))
+            stats.append(server.control_cycle())
 
     timings = [s.timings for s in stats]
     network_s = float(

@@ -33,7 +33,7 @@ class ControlStack:
         safety: budget-safety configuration; None only steps.
         events: sink of every ``budget_*`` / ``invariant_violation`` event,
             and of ``budget_rescaled`` from every member of the manager
-            stack that had no rescale observer yet.
+            stack whose rescale observer is unset or an earlier stack's.
 
     Attributes:
         envelope / guard / monitor: None while disabled (``monitor`` also
@@ -66,8 +66,13 @@ class ControlStack:
                 mode=safety.invariant_mode, sample_every=safety.sample_every,
                 events=events, raise_on_violation=safety.raise_on_violation,
             )
+        # The newest stack takes over from an earlier one (a restarted
+        # attempt around a durable manager); any other observer stays.
         for node in manager_stack(stepper):
-            if getattr(node, "on_budget_rescaled", False) is None:
+            hook = getattr(node, "on_budget_rescaled", False)
+            if hook is None or isinstance(
+                getattr(hook, "__self__", None), ControlStack
+            ):
                 node.on_budget_rescaled = self._rescaled
 
     def _rescaled(self, name: str, over_w: float) -> None:

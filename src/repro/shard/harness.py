@@ -3,7 +3,7 @@
 :func:`run_sharded` is the repo's one deployment loop: N real
 :class:`~repro.deploy.server.DeployServer` instances (one per shard,
 each on its own kernel-chosen ephemeral port, each with its own
-:class:`~repro.deploy.client.DeployClient` threads over localhost TCP)
+:class:`~repro.deploy.client.DeployClient` daemons over localhost TCP)
 under one :class:`~repro.shard.arbiter.BudgetArbiter`.  One shard is
 the paper's single-server deployment: it holds the whole budget as its
 lease, and every chaos field below applies to it unchanged.

@@ -371,7 +371,8 @@ class HostedShard:
         shard: the leased control stack (durable across restarts).
         nodes: the shard's slice of the hardware; physics are stepped
             here, one demand slice per cycle, and one
-            :class:`~repro.deploy.client.DeployClient` runs per node.
+            :class:`~repro.deploy.client.DeployClient` per node is pumped
+            by the shard's deploy server on the shard's own thread.
         dt_s: control period.
         timeout_s: deploy-server socket deadline.
         max_ack_events: per-ack structured-event cap (overflow collapses
@@ -439,8 +440,9 @@ class HostedShard:
         Node chaos first — the daemons of ``kill`` (indices into
         :attr:`nodes`) crash, fresh ones for ``reconnect`` start and
         HELLO-rejoin — then physics under the caps in effect, the leased
-        control cycle, the wait for its caps to land, the summary on the
-        arbiter period, and the acknowledgement: true powers and
+        control cycle (its caps are on the domains when it returns: the
+        daemons run on this thread), the summary on the arbiter period,
+        and the acknowledgement: true powers and
         hardware caps as arrays (the transport picks their encoding),
         the cycle's structured events, and the lease the shard now holds.
         """
@@ -451,7 +453,7 @@ class HostedShard:
         for index in reconnect:
             self._plane.reconnect(self.nodes[index].node_id)
         self._bank.step(demand, self.dt_s, self._span)
-        self._plane.cycle(lambda: self.shard.run_cycle(now=float(step)))
+        self.shard.run_cycle(now=float(step))
         if (step + 1) % self.shard.config.period_cycles == 0:
             self.shard.summarize(cycle=step)
         return {

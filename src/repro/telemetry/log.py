@@ -241,11 +241,13 @@ class CyclePhaseTimings:
         rejoin_s: draining pending HELLO-rejoins.
         poll_s: POLL fan-out (concurrent mode) or the whole blocking
             request/response exchange (sequential mode, where
-            ``collect_s`` is zero).
+            ``collect_s`` is zero); includes the answers of daemons
+            attached in-process, which read and send inside it.
         collect_s: fan-in — the event loop collecting READINGS batches
             up to the per-cycle deadline.
         decide_s: the manager's decision step.
-        dispatch_s: building and writing the CAPS batches.
+        dispatch_s: building and writing the CAPS batches; includes the
+            cap programming of daemons attached in-process.
     """
 
     cycle: int

@@ -20,14 +20,20 @@ from repro.comm.wire import encode_frame, recv_frame
 from repro.deploy.server import DeployServer
 
 
-def poll_sequential(polled) -> tuple[dict[int, dict], dict[int, str]]:
-    """POLL one client, block for its READINGS frame, then the next."""
+def poll_sequential(
+    server: DeployServer, polled
+) -> tuple[dict[int, dict], dict[int, str]]:
+    """POLL one client, block for its READINGS frame, then the next.
+
+    POLL goes through the server's write path, so an attached daemon
+    answers it there and then.
+    """
     raw: dict[int, dict] = {}
     errors: dict[int, str] = {}
     for record in polled:
         assert record.conn is not None
         try:
-            record.conn.sendall(encode_frame(POLL))
+            server._send(record, encode_frame(POLL))
             raw[record.node_id] = recv_frame(record.conn, record.frames)
         except (OSError, ValueError) as exc:
             errors[record.node_id] = f"poll: {exc}"
@@ -43,7 +49,7 @@ def sequential_polling():
         patch.setattr(
             DeployServer,
             "_broadcast_poll",
-            lambda self, polled: poll_sequential(polled),
+            poll_sequential,
         )
         patch.setattr(
             DeployServer, "_collect_readings", lambda self, raw: (raw, {})

@@ -80,7 +80,7 @@ def plane_session(
                     if at == step:
                         strike(node_id)
             cluster.step_physics(demand_fn(step), 1.0)
-            stats = plane.cycle(server.control_cycle)
+            stats = server.control_cycle()
             out.bytes_total += stats.bytes_up + stats.bytes_down
             out.fallback_cycles += stats.fallback_units > 0
             out.readings_history[step] = stats.readings_w

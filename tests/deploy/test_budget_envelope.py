@@ -250,3 +250,24 @@ class TestObservability:
         )
         rescaled = result.events.of_kind("budget_rescaled")
         assert [e.time_s for e in rescaled] == [1.0, 2.0, 3.0, 4.0]
+
+    def test_budget_rescaled_restamped_after_a_restart(self, tmp_path):
+        """The restarted attempt's stack takes over the durable manager's
+        rescale hook: its events carry its own cycle index, not the dead
+        attempt's last one."""
+        cluster = Cluster(
+            ClusterSpec(n_nodes=2, sockets_per_node=2),
+            RaplConfig(noise_std_w=0.0),
+            np.random.default_rng(11),
+        )
+        demand = np.full(cluster.n_units, 150.0)
+        result = one_shard(
+            tmp_path,
+            cluster,
+            GreedyManager(),
+            lambda step: demand,
+            cycles=8,
+            chaos=ShardChaosSchedule(shard_kill_at={0: 3}),
+        )
+        rescaled = result.events.of_kind("budget_rescaled")
+        assert [e.time_s for e in rescaled] == [1.0, 1.0, 2.0, 2.0, 3.0]

@@ -188,10 +188,9 @@ class TestCheckpointedWithoutChaos:
     def test_recovery_options_alone_do_not_perturb_the_session(
         self, tmp_path
     ):
-        # Caps cross real TCP and are applied by client threads, so two
-        # sessions are not bit-identical (the manager-level guarantee is;
-        # see tests/recovery/test_snapshot_property.py).  Checkpointing
-        # must leave the session's *behavior* unchanged: no restarts, no
+        # Bit-identity is the manager-level guarantee (see
+        # tests/recovery/test_snapshot_property.py); over real TCP,
+        # checkpointing must leave the session's *behavior* unchanged: no restarts, no
         # outage cycles, budget met, and progress equal to a plain
         # (uncheckpointed) deploy server's.
         plain = plane_session(

@@ -1,14 +1,16 @@
-"""The client plane around a deploy server: traffic, barrier, idle daemons."""
+"""The client plane around a deploy server: traffic, caps on return,
+daemon faults, idle daemons."""
 
 import sys
+import threading
 import time
 
 import numpy as np
+import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.core.config import ClusterSpec, RaplConfig
 from repro.core.managers import create_manager
-from repro.deploy.client import DeployClient
 from repro.deploy.plane import ClientPlane
 from repro.deploy.server import DeployServer
 from repro.resilience.health import HealthState
@@ -16,7 +18,7 @@ from repro.resilience.health import HealthState
 SPEC = ClusterSpec(n_nodes=3, sockets_per_node=2)
 
 
-def cluster_and_server(spec=SPEC, manager="constant"):
+def cluster_and_server(spec=SPEC, manager="constant", timeout_s=5.0):
     cluster = Cluster(spec, RaplConfig(noise_std_w=0.0), np.random.default_rng(0))
     bound = create_manager(manager)
     bound.bind(
@@ -26,7 +28,7 @@ def cluster_and_server(spec=SPEC, manager="constant"):
         min_cap_w=spec.min_cap_w,
         rng=np.random.default_rng(0),
     )
-    return cluster, DeployServer(bound)
+    return cluster, DeployServer(bound, timeout_s=timeout_s)
 
 
 class TestTraffic:
@@ -34,31 +36,35 @@ class TestTraffic:
         cluster, server = cluster_and_server()
         with ClientPlane(server, cluster.nodes, dt_s=1.0) as plane:
             for _ in range(3):
-                stats = plane.cycle(server.control_cycle)
+                stats = server.control_cycle()
                 assert stats.bytes_up == stats.bytes_down == 3 * cluster.n_units
 
 
 class TestRegistration:
     def test_plane_registers_past_the_listen_backlog(self):
         """200 paper-shaped nodes, more than the 128-deep backlog: every
-        daemon registers and serves, 3 payload bytes per unit each way."""
+        daemon registers and serves, 3 payload bytes per unit each way —
+        on the controller's thread, with no thread of their own."""
         spec = ClusterSpec(n_nodes=200, sockets_per_node=2)
         cluster, server = cluster_and_server(spec)
+        threads = threading.active_count()
         with ClientPlane(server, cluster.nodes, dt_s=1.0) as plane:
+            assert threading.active_count() == threads
             for _ in range(3):
-                stats = plane.cycle(server.control_cycle)
+                stats = server.control_cycle()
                 assert stats.n_healthy == spec.n_nodes
                 assert stats.bytes_up + stats.bytes_down == 6 * cluster.n_units
             assert [c.cycles_served for c in plane.originals] == [3] * 200
+            assert threading.active_count() == threads
 
 
 class TestBarrier:
     def test_killed_daemon_does_not_cost_the_deadline(self):
         """A daemon killed after its caps went out, and the cycle after,
-        both release the barrier well inside its 1 s deadline."""
+        both return well inside what the old 1 s cap barrier allowed."""
         cluster, server = cluster_and_server()
         with ClientPlane(server, cluster.nodes, dt_s=1.0) as plane:
-            plane.cycle(server.control_cycle)
+            server.control_cycle()
 
             def cycle_then_kill():
                 stats = server.control_cycle()
@@ -67,14 +73,14 @@ class TestBarrier:
 
             for run in (cycle_then_kill, server.control_cycle):
                 start = time.monotonic()
-                plane.cycle(run)
+                run()
                 assert time.monotonic() - start < 0.5
             assert server.health[1] is not HealthState.HEALTHY
 
     def test_barrier_holds_under_thread_churn(self):
         """More daemons than cores and a tiny switch interval: every cycle
-        returns inside the deadline with every daemon's count advanced —
-        a lost update or a missed notify would break one or the other."""
+        returns inside 1 s with every daemon's count advanced — a daemon
+        left unanswered would break one or the other."""
         spec = ClusterSpec(n_nodes=8, sockets_per_node=1)
         cluster, server = cluster_and_server(spec, manager="dps")
         previous = sys.getswitchinterval()
@@ -83,7 +89,7 @@ class TestBarrier:
             with ClientPlane(server, cluster.nodes, dt_s=1.0) as plane:
                 for cycle in range(1, 21):
                     start = time.monotonic()
-                    plane.cycle(server.control_cycle)
+                    server.control_cycle()
                     assert time.monotonic() - start < 1.0
                     served = [c.cycles_served for c in plane.originals]
                     assert served == [cycle] * spec.n_nodes
@@ -92,33 +98,49 @@ class TestBarrier:
 
     def test_caps_are_applied_when_the_cycle_returns(self):
         cluster, server = cluster_and_server()
-        with ClientPlane(server, cluster.nodes, dt_s=1.0) as plane:
+        with ClientPlane(server, cluster.nodes, dt_s=1.0):
             for _ in range(3):
-                plane.cycle(server.control_cycle)
+                server.control_cycle()
                 np.testing.assert_allclose(
                     cluster.caps_w(), np.asarray(server.manager.caps), atol=0.05
                 )
 
 
+class TestDaemonFault:
+    def test_fault_quarantines_its_node_and_surfaces_on_close(self):
+        """A meter that raises inside node 1's daemon: the next cycle
+        still returns, with only node 1 quarantined, and closing the
+        plane re-raises the daemon's fault."""
+        cluster, server = cluster_and_server()
+        meter = cluster.nodes[1].sockets[0].meter
+        read = meter.read_power_w
+        reads = iter([True])
+
+        def read_once(dt_s):
+            if next(reads, False):
+                return read(dt_s)
+            raise RuntimeError("meter unreadable")
+
+        meter.read_power_w = read_once
+        plane = ClientPlane(server, cluster.nodes, dt_s=1.0)
+        try:
+            assert server.control_cycle().quarantined == ()
+            assert server.control_cycle().quarantined == (1,)
+        finally:
+            with pytest.raises(RuntimeError, match="client 1 failed"):
+                plane.close()
+
+
 class TestIdleDaemon:
     def test_idle_gap_longer_than_the_socket_timeout_is_not_a_fault(self):
-        """Waiting for the next cycle has no deadline: a daemon whose
-        socket timeout is 0.2 s outlives a 0.5 s pause between cycles."""
-        cluster, server = cluster_and_server()
-        clients = [
-            DeployClient(node, server.address, timeout_s=0.2)
-            for node in cluster.nodes
-        ]
-        try:
-            for client in clients:
-                client.start()
-            server.accept_clients(len(clients))
+        """Waiting for the next cycle has no deadline: a plane whose
+        server's socket timeout is 0.2 s outlives a 0.5 s pause between
+        cycles."""
+        cluster, server = cluster_and_server(timeout_s=0.2)
+        with ClientPlane(server, cluster.nodes, dt_s=1.0) as plane:
             first = server.control_cycle()
             time.sleep(0.5)
             second = server.control_cycle()
-        finally:
-            server.shutdown()
-            for client in clients:
-                client.join()  # Raises if a daemon died.
-        assert first.n_healthy == second.n_healthy == len(clients)
+        # Leaving the block would have raised had a daemon died.
+        assert first.n_healthy == second.n_healthy == len(plane.originals)
         assert second.quarantined == ()

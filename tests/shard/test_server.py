@@ -6,7 +6,7 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.core.config import ClusterSpec, RaplConfig
 from repro.core.constant import ConstantManager
-from repro.deploy.client import DeployClient
+from repro.deploy.plane import ClientPlane
 from repro.recovery.checkpoint import CheckpointStore, CycleJournal
 from repro.recovery.controller import RecoverableController
 from repro.shard.lease import ArbiterConfig, BudgetLease, ShardLink
@@ -107,7 +107,7 @@ class TestLeaseStateMachine:
 
 @pytest.fixture
 def live_shard(tmp_path):
-    """A one-node shard with a real deploy server and TCP client."""
+    """A one-node shard with a real deploy server and its client plane."""
     cluster = Cluster(
         ClusterSpec(n_nodes=1, sockets_per_node=2),
         RaplConfig(noise_std_w=0.0),
@@ -116,16 +116,10 @@ def live_shard(tmp_path):
     shard, link = make_shard(
         tmp_path, config=ArbiterConfig(period_cycles=1, lease_term_cycles=1)
     )
-    server = shard.start()
-    client = DeployClient(cluster.nodes[0], server.address, dt_s=1.0)
-    client.start()
-    server.accept_clients(1)
+    plane = ClientPlane(shard.start(), cluster.nodes, dt_s=1.0)
     yield cluster, shard, link
+    plane.close(quiet=True)
     shard.stop()
-    try:
-        client.join()
-    except RuntimeError:
-        pass
 
 
 class TestExpiryOverLiveServer:
