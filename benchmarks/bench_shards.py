@@ -186,8 +186,8 @@ def test_shard_cycle_scaling(benchmark):
         # The acceptance bar: 8 shards carrying 50k+ units end to end.
         assert biggest["n_units"] >= 50_000, biggest["n_units"]
     # Near-linear scaling: normalized per-unit cycle time must not blow
-    # up as shards are added — the arbiter and the thread fan-out may
-    # cost something, but nothing superlinear.
+    # up as shards are added — the arbiter and running every shard in
+    # turn on one thread may cost something, but nothing superlinear.
     if len(per_unit) >= 2:
         ratio = max(per_unit.values()) / min(per_unit.values())
         print(f"per-unit cycle-time spread: {ratio:.2f}x")
@@ -212,8 +212,8 @@ def _merge_artifact(key: str, section: dict) -> None:
 def test_process_mode_overhead(benchmark):
     """Thread vs process mode at the same topology: the isolation tax.
 
-    Process mode swaps in-memory links for real TCP and worker threads
-    for shard-server subprocesses under the same pipelined loop; the
+    Process mode swaps in-memory links for real TCP and in-process
+    shards for shard-server subprocesses under the same pipelined loop; the
     steady-state per-cycle cost it adds is wire framing plus a select
     round trip per shard, what it buys is a core per shard.  Both clock
     codecs are measured so the history tracks the JSON and the binary
@@ -273,9 +273,9 @@ def test_process_fleet_full_scale(benchmark):
     JSON clock plane, process over the binary plane — so the artifact
     answers two questions at fleet scale: what does real process
     isolation cost per cycle, and what does the binary bulk codec buy.
-    Thread mode runs the same pipelined loop with every shard's Python
-    under one interpreter lock, so on a multicore runner the process
-    fleet usually wins wall-clock (``overhead_x < 1.0``); that ratio is
+    Thread mode runs the same loop with every shard's cycle in turn on
+    the harness's thread, so on a multicore runner the process fleet
+    usually wins wall-clock (``overhead_x < 1.0``); that ratio is
     recorded, the several-fold cut in wire bytes per cycle is asserted.
     """
     n_shards = max(SHARD_COUNTS)

@@ -749,10 +749,7 @@ def _cmd_shards(args: argparse.Namespace) -> str:
             cycles=args.cycles,
             checkpoint_dir=root,
             chaos=chaos,
-            recovery=RecoveryOptions(
-                checkpoint_dir=root,
-                hang_timeout_s=1.0 if args.mode == "thread" else 5.0,
-            ),
+            recovery=RecoveryOptions(checkpoint_dir=root, hang_timeout_s=5.0),
             rng=rng,
             mode=args.mode,
             manager_name=args.manager,

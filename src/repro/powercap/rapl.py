@@ -49,7 +49,8 @@ class RaplBank:
 
     Every bulk call takes a ``span`` — a contiguous unit range, the whole
     bank by default — and writes its slice of the arrays in place, so
-    shard threads may drive disjoint ranges of one bank concurrently.
+    callers on threads of their own may drive disjoint ranges of one bank
+    concurrently.
 
     Args:
         n_units: number of domains.

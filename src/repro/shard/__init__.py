@@ -30,11 +30,11 @@ from repro.shard.lease import (
 from repro.shard.policy import Redistribution, redistribute
 from repro.shard.server import HostedShard, ShardServer
 from repro.shard.supervisor import (
+    InlineShard,
     ProcessShardSpec,
     RecoveryOptions,
     ShardProcess,
     ShardSupervisor,
-    ShardThread,
 )
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "BudgetArbiter",
     "BudgetLease",
     "HostedShard",
+    "InlineShard",
     "ProcessShardSpec",
     "RecoveryOptions",
     "Redistribution",
@@ -52,7 +53,6 @@ __all__ = [
     "ShardServer",
     "ShardSummary",
     "ShardSupervisor",
-    "ShardThread",
     "ShardedResult",
     "redistribute",
     "run_sharded",

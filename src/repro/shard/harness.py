@@ -18,10 +18,11 @@ cycle, wait for the caps to land, summarize on the arbiter period,
 acknowledge with powers/caps/events/lease — and ``mode`` picks only how
 the clock reaches it and how the arbiter's link does:
 
-* ``"thread"`` — the shard runs on a worker thread over its slice of the
-  caller's ``cluster``, commanded through a queue
-  (:class:`~repro.shard.supervisor.ShardThread`) and leased over the
-  wire-faithful in-memory :class:`~repro.shard.lease.ShardLink`.
+* ``"thread"`` — the shard runs in process, on the calling thread, over
+  its slice of the caller's ``cluster``: its cycle is recorded at
+  dispatch and run when its ack is collected
+  (:class:`~repro.shard.supervisor.InlineShard`), and it is leased over
+  the wire-faithful in-memory :class:`~repro.shard.lease.ShardLink`.
 * ``"process"`` — the shard is a ``dps-repro shard-server`` subprocess
   over a private sub-cluster, commanded over a TCP clock connection
   (:class:`~repro.shard.supervisor.ShardProcess`) and leased over a
@@ -33,10 +34,12 @@ phase (cycle N+1's demand slices pushed to every shard, plus the
 clock-side chaos — kill/hang, admit spawn, drain SIGTERM) and a
 *finalize* phase (cycle N's acks collected in cycle order, histories
 scattered, link and arbiter chaos fired, the arbiter cycle run).
-Dispatching N+1 before collecting N lets every shard compute while the
-harness thread is busy finalizing, without giving up lock-step
-determinism: acks are still applied strictly in cycle order, a chaos
-victim's outstanding ack is settled before it is struck, and every
+Dispatching N+1 before collecting N lets every process shard compute
+while the harness thread is busy finalizing — in-process shards overlap
+nothing, since each runs its cycle when that cycle is collected —
+without giving up lock-step determinism: acks are still applied
+strictly in cycle order, a chaos victim's outstanding ack is settled
+before it is struck, and every
 arbiter-relative ordering (chaos after arbiter cycle N-1, before
 arbiter cycle N) is exactly the sequential schedule's.  The pipeline
 deliberately breaks at arbiter period boundaries: the arbiter re-cuts
@@ -84,12 +87,12 @@ from repro.shard.arbiter import ArbiterShard, BudgetArbiter
 from repro.shard.lease import ArbiterConfig, ShardLink
 from repro.shard.server import HostedShard, ShardServer, event_from_doc
 from repro.shard.supervisor import (
+    InlineShard,
     PendingCycle,
     ProcessShardSpec,
     RecoveryOptions,
     ShardProcess,
     ShardSupervisor,
-    ShardThread,
 )
 from repro.telemetry.log import LeaseTimeline, ResilienceEventLog
 
@@ -252,8 +255,8 @@ class ShardedResult:
             clean SIGTERM drain).
         link_reconnects: TCP shard-link re-establishments (process mode).
         bytes_clock: frame bytes over every clock connection, both
-            directions (process mode; 0 in thread mode where the clock
-            is a queue).
+            directions (process mode; 0 in thread mode, which has no
+            clock wire).
         codec: clock-plane bulk encoding used (process mode).
     """
 
@@ -341,10 +344,10 @@ def run_sharded(
         timeout_s: per-shard deploy-server socket deadline.
         rng: manager randomness; child streams are spawned per shard
             (thread mode; a subprocess seeds itself from its shard id).
-        mode: ``"thread"`` runs shards on worker threads with in-memory
-            links (the default); ``"process"`` runs each shard as a
-            ``dps-repro shard-server`` subprocess behind a real TCP
-            link, supervised with OS signals.
+        mode: ``"thread"`` runs in-process shards on the caller's
+            thread with in-memory links (the default); ``"process"``
+            runs each shard as a ``dps-repro shard-server`` subprocess
+            behind a real TCP link, supervised with OS signals.
         manager_name: power-manager registry name, required in process
             mode (the subprocess rebuilds the manager from its name;
             ``manager_factory`` is not picklable across an exec).
@@ -356,8 +359,8 @@ def run_sharded(
             enforces (overflow collapses into ``events_truncated``).
 
     Returns:
-        A :class:`ShardedResult`; every thread, process and socket is
-        shut down before returning, succeed or fail.
+        A :class:`ShardedResult`; every process and socket is shut down
+        before returning, succeed or fail.
     """
     if cycles < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles}")
@@ -444,7 +447,7 @@ def run_sharded(
             timeout_s,
         )
 
-    def thread_shard(shard_id: int, lease_w: float) -> ShardThread:
+    def thread_shard(shard_id: int, lease_w: float) -> InlineShard:
         manager = manager_factory(shard_id)
         manager.bind(
             n_units=int(units[shard_id]),
@@ -473,7 +476,7 @@ def run_sharded(
             safety=safety,
         )
         nodes = cluster.nodes[bounds[shard_id] : bounds[shard_id + 1]]
-        return ShardThread(
+        return InlineShard(
             HostedShard(shard, nodes, dt_s, timeout_s, max_ack_events), link
         )
 
@@ -495,7 +498,7 @@ def run_sharded(
     def register(shard_id: int, n_units: int, consume_hello: bool = True) -> None:
         """Give the arbiter its edge of the shard's lease channel."""
         proc = supervisor.fleet[shard_id]
-        if isinstance(proc, ShardThread):
+        if isinstance(proc, InlineShard):
             link: ShardLink | TcpShardLink = proc.link
         else:
             assert proc.address is not None
@@ -760,14 +763,15 @@ def run_sharded(
         arbiter = make_arbiter([arb_specs[i] for i in range(n_shards)], initial)
 
         # One-cycle pipeline: dispatch N+1, then finalize N while the
-        # shards compute.  cycle_wall measures finalize-to-finalize (the
-        # per-cycle throughput a deployment would see).  The pipeline
-        # breaks at arbiter period boundaries: finalize N re-cuts leases
-        # there, and its grants must be on the wire before demand N+1 or
-        # grant application degrades into a scheduling race (applied at
-        # N+1 on a fast shard, N+2 on a slow one).  It breaks on link
-        # chaos for the same reason: a partition or heal fired while
-        # cycle N+1 runs would race that cycle's summary.
+        # process shards compute.  cycle_wall measures finalize-to-
+        # finalize (the per-cycle throughput a deployment would see).
+        # The pipeline breaks at arbiter period boundaries: finalize N
+        # re-cuts leases there, and its grants must be on the wire
+        # before demand N+1 or grant application degrades into a
+        # scheduling race (applied at N+1 on a fast shard, N+2 on a
+        # slow one).  It breaks on link chaos for the same reason: a
+        # partition or heal fired while cycle N+1 runs would race that
+        # cycle's summary.
         unpipelined = set(chaos.partition_at.values()) | set(
             chaos.heal_at.values()
         )

@@ -12,7 +12,6 @@ directions, exactly what a severed TCP path looks like to each end.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from repro.comm.wire import FrameAssembler, encode_frame
@@ -198,11 +197,11 @@ class ShardSummary:
 class ShardLink:
     """Duplex arbiter↔shard channel with wire-faithful framing.
 
-    Thread-safe: the arbiter runs on the harness thread while each shard
-    runs on its own worker thread.  Documents are serialized to real
-    frames at the sending edge and reassembled at the receiving edge, so
-    a protocol bug (oversized frame, malformed body) fails here exactly
-    as it would over TCP.
+    Both edges live on one thread: the arbiter on the harness's, the
+    shard on the same thread when its cycle runs.  Documents are
+    serialized to real frames at the sending edge and reassembled at the
+    receiving edge, so a protocol bug (oversized frame, malformed body)
+    fails here exactly as it would over TCP.
 
     A partitioned link drops frames at send time in both directions —
     the sender learns nothing (``send_*`` still returns False so the
@@ -212,33 +211,25 @@ class ShardLink:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._to_shard: list[bytes] = []
         self._to_arbiter: list[bytes] = []
         self._shard_assembler = FrameAssembler()
         self._arbiter_assembler = FrameAssembler()
-        self._partitioned = False
+        #: True while the link drops every frame.
+        self.partitioned = False
         #: Frame bytes accepted in both directions.
         self.bytes_total = 0
         #: Re-dials performed; an in-memory link has no session to lose.
         self.reconnects = 0
 
-    @property
-    def partitioned(self) -> bool:
-        """True while the link drops every frame."""
-        with self._lock:
-            return self._partitioned
-
     def partition(self) -> None:
         """Sever the link (idempotent)."""
-        with self._lock:
-            self._partitioned = True
+        self.partitioned = True
 
     def heal(self) -> None:
         """Restore the link (idempotent).  Frames dropped while
         partitioned are gone — the protocol must re-send, not replay."""
-        with self._lock:
-            self._partitioned = False
+        self.partitioned = False
 
     def close(self) -> None:
         """Release the link (nothing to release in memory)."""
@@ -253,37 +244,19 @@ class ShardLink:
         so there is never anything to wait for.
         """
         del timeout_s
-        with self._lock:
-            return bool(self._to_arbiter)
+        return bool(self._to_arbiter)
 
     def send_grant(self, doc: dict) -> bool:
         """Frame and enqueue one grant toward the shard.
 
         Returns False when the link is partitioned (frame dropped).
         """
-        frame = encode_frame(doc)
-        with self._lock:
-            if self._partitioned:
-                return False
-            self._to_shard.append(frame)
-            self.bytes_total += len(frame)
-        return True
+        return self._send(self._to_shard, doc)
 
     def take_summaries(self) -> list[dict]:
-        """Drain and decode every summary frame queued toward the arbiter.
-
-        Frames are drained under the lock but decoded outside it: a
-        malformed frame raising from the assembler must never leave the
-        lock held in a way that wedges senders, and decode work (JSON
-        parsing) must not serialize against ``send_*`` on other threads.
-        """
-        with self._lock:
-            frames = self._to_arbiter
-            self._to_arbiter = []
-        docs: list[dict] = []
-        for frame in frames:
-            docs.extend(self._arbiter_assembler.feed(frame))
-        return docs
+        """Drain and decode every summary frame queued toward the arbiter."""
+        frames, self._to_arbiter = self._to_arbiter, []
+        return _decode(self._arbiter_assembler, frames)
 
     # -- shard edge -----------------------------------------------------
 
@@ -292,24 +265,24 @@ class ShardLink:
 
         Returns False when the link is partitioned (frame dropped).
         """
-        frame = encode_frame(doc)
-        with self._lock:
-            if self._partitioned:
-                return False
-            self._to_arbiter.append(frame)
-            self.bytes_total += len(frame)
-        return True
+        return self._send(self._to_arbiter, doc)
 
     def take_grants(self) -> list[dict]:
-        """Drain and decode every grant frame queued toward the shard.
+        """Drain and decode every grant frame queued toward the shard."""
+        frames, self._to_shard = self._to_shard, []
+        return _decode(self._shard_assembler, frames)
 
-        Same locking discipline as :meth:`take_summaries`: drain under
-        the lock, decode outside it.
-        """
-        with self._lock:
-            frames = self._to_shard
-            self._to_shard = []
-        docs: list[dict] = []
-        for frame in frames:
-            docs.extend(self._shard_assembler.feed(frame))
-        return docs
+    def _send(self, outbox: list[bytes], doc: dict) -> bool:
+        frame = encode_frame(doc)
+        if self.partitioned:
+            return False
+        outbox.append(frame)
+        self.bytes_total += len(frame)
+        return True
+
+
+def _decode(assembler: FrameAssembler, frames: list[bytes]) -> list[dict]:
+    docs: list[dict] = []
+    for frame in frames:
+        docs.extend(assembler.feed(frame))
+    return docs

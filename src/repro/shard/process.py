@@ -6,8 +6,8 @@ simulated hardware), a full crash-recoverable stack —
 :class:`~repro.recovery.controller.RecoverableController` + journal +
 checkpoints under ``--dir`` — and a :class:`~repro.shard.server.
 ShardServer` with its deploy server and node-agent clients: the same
-:class:`~repro.shard.server.HostedShard` a thread-mode shard runs, here
-behind a TCP listener instead of a queue.
+:class:`~repro.shard.server.HostedShard` a thread-mode shard runs on the
+harness's thread, here behind a TCP listener.
 
 The host listens on one TCP port (kernel-chosen with ``--port 0``; the
 bound address is published atomically through ``--port-file``) and

@@ -23,9 +23,9 @@ supervised restart.
 it controls and the node daemons in between — the unit a transport
 hosts.  Its :meth:`~HostedShard.run_cycle` is the one shard cycle body:
 the ``shard-server`` process (:mod:`repro.shard.process`) and the
-in-process worker thread (:class:`~repro.shard.supervisor.ShardThread`)
-both call it and differ only in how the demand slice arrives and the
-acknowledgement leaves.
+in-process handle (:class:`~repro.shard.supervisor.InlineShard`, on the
+harness's thread) both call it and differ only in how the demand slice
+arrives and the acknowledgement leaves.
 """
 
 from __future__ import annotations
@@ -402,7 +402,7 @@ class HostedShard:
             )
         #: The hardware slice as a range of the cluster's bank.  Every
         #: call on it writes that range in place: thread-mode shards
-        #: step disjoint ranges of one shared bank from their own threads.
+        #: step disjoint ranges of one shared bank in turn.
         self._bank, self._span = span
         self._plane: ClientPlane | None = None
         self._events_sent = 0

@@ -16,24 +16,25 @@ command_cycle / send_hang / await_ack / shutdown / bytes_clock``:
   :class:`~repro.comm.shardlink.TcpShardLink` can keep dialing one
   stable address across restarts; the listener's ``SO_REUSEADDR``
   bind-retry loop absorbs the TIME_WAIT window.
-* :class:`ShardThread` — the same
-  :class:`~repro.shard.server.HostedShard` on a worker thread, the
-  clock connection replaced by a pair of queues.  A kill ends the
-  worker and tears its sockets down; the respawn warm-restores the
-  controller from its checkpoint exactly as ``--resume`` does.
+* :class:`InlineShard` — the same
+  :class:`~repro.shard.server.HostedShard` on the caller's thread, the
+  clock connection replaced by a list of recorded commands: a cycle
+  runs when its ack is collected.  A kill tears the attempt's sockets
+  down; the respawn warm-restores the controller from its checkpoint
+  exactly as ``--resume`` does.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import queue
 import signal
 import socket
 import subprocess
 import sys
-import threading
 import time
+import traceback
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,12 +52,12 @@ from repro.shard.server import HostedShard
 from repro.telemetry.log import ResilienceEventLog
 
 __all__ = [
+    "InlineShard",
     "PendingCycle",
     "ProcessShardSpec",
     "RecoveryOptions",
     "ShardProcess",
     "ShardSupervisor",
-    "ShardThread",
 ]
 
 #: Seconds a fresh subprocess gets to publish its port file.
@@ -76,7 +77,8 @@ class RecoveryOptions:
         keep_generations: checkpoint generations retained.
         max_restarts: restarts allowed per shard before it is failed.
         hang_timeout_s: wall-clock ack deadline after which a silent
-            shard is declared hung and killed.
+            shard is declared hung and killed.  Only process shards read
+            it: an in-process shard's silence is known at once.
         restart_delay_cycles: control cycles the restart takes — the
             shard's hardware holds its last caps, no control happens.
     """
@@ -424,14 +426,23 @@ class ShardProcess:
         self.close_clock()
 
 
-class ShardThread:
-    """In-process shard handle: a worker thread behind two queues.
+class InlineShard:
+    """In-process shard handle: the hosted shard runs on the caller's thread.
 
     Presents :class:`ShardProcess`'s surface to the supervisor.  The
     hosted shard (controller, lease state, event log, hardware slice) is
     durable across restarts, like a process's checkpoint directory; each
-    :meth:`launch` starts a fresh worker with fresh queues, like a fresh
-    process with a fresh clock connection.
+    :meth:`launch` brings up a fresh attempt, like a fresh process with a
+    fresh clock connection.
+
+    The clock is a list of recorded commands.  :meth:`command_cycle`
+    only records a cycle; :meth:`await_ack` runs the oldest one, so each
+    cycle's work lands in the cycle that collects it.  :meth:`send_hang`
+    records a silence marker behind the cycles already commanded — those
+    still ack, as a process reads its earlier cycle documents before the
+    ``hang`` — and from the marker on the shard answers nothing.  A cycle
+    that raises reads as a process that died mid-cycle: the traceback
+    goes to stderr and the shard falls silent.
 
     Args:
         hosted: the shard this handle runs.
@@ -445,64 +456,29 @@ class ShardThread:
     def __init__(self, hosted: HostedShard, link: ShardLink) -> None:
         self.hosted = hosted
         self.link = link
-        self._thread: threading.Thread | None = None
+        #: Recorded cycle commands, oldest first; None is the hang marker.
+        self._commands: deque[tuple | None] = deque()
+        self._alive = False
 
     def launch(self, resume: bool = False) -> None:
-        """Start a worker; pair with :meth:`complete`."""
-        self._commands: queue.Queue = queue.Queue()
-        self._acks: queue.Queue = queue.Queue()
-        self._killed = threading.Event()
-        self._ready = threading.Event()
-        self._startup_error: Exception | None = None
-        # The previous worker, if any, is dead (killed and reaped, or
-        # found not alive), so the fresh queues are this worker's alone.
-        self._thread = threading.Thread(
-            target=self._serve,
-            args=(resume,),
-            name=f"shard-{self.hosted.shard.shard_id}",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def complete(self) -> None:
-        """Wait until the worker's deploy server has every daemon."""
-        self._ready.wait()
-        if self._startup_error is not None:
+        """Bring the attempt up: warm restore if asked, then start."""
+        self._commands.clear()
+        try:
+            if resume:
+                self.hosted.resume()
+            self.hosted.start()
+        except Exception as exc:
+            self.hosted.stop()
             raise RuntimeError(
                 f"shard {self.hosted.shard.shard_id} failed to start"
-            ) from self._startup_error
+            ) from exc
+        self._alive = True
+
+    def complete(self) -> None:
+        """Nothing left to wait for: :meth:`launch` brought the shard up."""
 
     def spawn(self, resume: bool = False) -> None:
         self.launch(resume)
-        self.complete()
-
-    def _serve(self, resume: bool) -> None:
-        hosted = self.hosted
-        try:
-            try:
-                if resume:
-                    hosted.resume()
-                hosted.start()
-            except Exception as exc:  # noqa: BLE001 - re-raised by complete()
-                self._startup_error = exc
-                return
-            finally:
-                self._ready.set()
-            while True:
-                command = self._commands.get()
-                if command is None:
-                    return
-                if command == "hang":
-                    # Silent until the supervisor's deadline kills us.
-                    self._killed.wait()
-                    return
-                self._acks.put(hosted.run_cycle(*command))
-        finally:
-            # An unexpected exception propagates to threading.excepthook
-            # (the traceback a subprocess would leave in its log); the
-            # closed-connection marker tells the supervisor at once.
-            hosted.stop()
-            self._acks.put(None)
 
     def command_cycle(
         self,
@@ -511,49 +487,48 @@ class ShardThread:
         kill: tuple[int, ...] = (),
         reconnect: tuple[int, ...] = (),
     ) -> bool:
-        if not self.alive:
+        if not self._alive:
             return False
-        self._commands.put((step, demand, kill, reconnect))
+        self._commands.append((step, demand, kill, reconnect))
         return True
 
     def send_hang(self) -> bool:
-        self._commands.put("hang")
+        self._commands.append(None)
         return True
 
     def await_ack(self, step: int, timeout_s: float) -> dict | None:
-        """The next ack, or None when the worker is silent or gone."""
-        try:
-            doc = self._acks.get(timeout=timeout_s)
-        except queue.Empty:
+        """Run the oldest commanded cycle and return its ack, or None at
+        once when the shard is silent or gone."""
+        del timeout_s  # An in-memory silence is known without waiting.
+        if not self._alive or not self._commands or self._commands[0] is None:
             return None
-        if doc is not None and doc["step"] != step:
+        command = self._commands.popleft()
+        if command[0] != step:
             raise RuntimeError(
                 f"shard {self.hosted.shard.shard_id} acked cycle "
-                f"{doc['step']} during cycle {step}"
+                f"{command[0]} during cycle {step}"
             )
-        return doc
+        try:
+            return self.hosted.run_cycle(*command)
+        except Exception:
+            # The traceback a dying subprocess would leave in its log.
+            traceback.print_exc()
+            self.kill()
+            return None
 
     @property
     def alive(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
+        return self._alive
 
     def kill(self) -> None:
-        """End the worker without a goodbye and reap it."""
-        self._killed.set()
-        self.shutdown()
+        """Tear the attempt down without a goodbye (idempotent)."""
+        self._commands.clear()
+        if self._alive:
+            self._alive = False
+            self.hosted.stop()
 
     def shutdown(self) -> None:
-        thread = self._thread
-        if thread is None:
-            return
-        self._commands.put(None)
-        thread.join(timeout=30.0)
-        if thread.is_alive():
-            raise RuntimeError(
-                f"shard {self.hosted.shard.shard_id} worker is wedged "
-                "mid-cycle and cannot be reaped"
-            )
-        self._thread = None
+        self.kill()
 
 
 @dataclass
@@ -561,9 +536,10 @@ class PendingCycle:
     """One dispatched-but-uncollected fleet cycle.
 
     :meth:`ShardSupervisor.dispatch` returns one of these after pushing
-    a cycle's demand slices to every healthy shard; the shards compute
-    concurrently while the parent does other work (in the pipelined
-    harness: finalizing the *previous* cycle).  :meth:`ShardSupervisor.
+    a cycle's demand slices to every healthy shard; process shards
+    compute concurrently while the parent does other work (in the
+    pipelined harness: finalizing the *previous* cycle), and in-process
+    shards run theirs when it is collected.  :meth:`ShardSupervisor.
     collect` turns it into the familiar status map.  Chaos-struck shards
     (killed, hung, in outage, failed) get their status at dispatch time;
     ``awaiting`` holds the shards whose acks are still on the wire.
@@ -579,7 +555,7 @@ class ShardSupervisor:
 
     Args:
         fleet: shard id → handle (:class:`ShardProcess` or
-            :class:`ShardThread`), one per initial shard, not yet
+            :class:`InlineShard`), one per initial shard, not yet
             launched.
         recovery: restart budget, outage length, and the hang deadline
             (``hang_timeout_s`` doubles as the per-cycle ack deadline
@@ -590,7 +566,7 @@ class ShardSupervisor:
 
     def __init__(
         self,
-        fleet: dict[int, ShardProcess | ShardThread],
+        fleet: dict[int, ShardProcess | InlineShard],
         recovery: RecoveryOptions,
         events: ResilienceEventLog | None = None,
     ) -> None:
@@ -677,8 +653,8 @@ class ShardSupervisor:
         """Push one cycle's demands to the fleet without awaiting acks.
 
         The pipelined harness calls ``dispatch(N+1, ..., pending=prev)``
-        before ``collect(prev)``: every shard computes cycle N+1 while
-        the parent finalizes cycle N.  Shards struck by chaos *this*
+        before ``collect(prev)``: every process shard computes cycle N+1
+        while the parent finalizes cycle N.  Shards struck by chaos *this*
         cycle are handled here — a SIGKILL or SIGTERM destroys the
         process (and, through the kernel's RST, any acked-but-unread
         bytes), so a victim's outstanding ack from ``pending`` is
@@ -704,8 +680,10 @@ class ShardSupervisor:
                 continue
             if shard_id in self._hung:
                 # The watchdog half of the injected hang: the shard went
-                # silent last cycle; SIGKILL it after the hang deadline.
-                time.sleep(self.recovery.hang_timeout_s)
+                # silent last cycle; its ack deadline passes without a
+                # word (a process is waited out, an in-process shard's
+                # silence is known at once), then SIGKILL.
+                proc.await_ack(step, self.recovery.hang_timeout_s)
                 self.events.emit(
                     float(step),
                     "controller_hung",

@@ -1179,9 +1179,9 @@ class TestCallSiteInputs:
 
 class TestConcurrentManagers:
     def test_four_managers_in_threads_equal_their_serial_runs(self):
-        """ctypes drops the GIL for the length of a kernel call and shard
-        thread mode steps one manager per thread: nothing in the kernels
-        or their loader may be shared between managers."""
+        """ctypes drops the GIL for the length of a kernel call, and a
+        caller may step managers from threads of its own: nothing in the
+        kernels or their loader may be shared between managers."""
         n, steps, workers = 2_000, 40, 4
 
         def run(seed):

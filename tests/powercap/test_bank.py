@@ -297,9 +297,9 @@ class TestBulkValidation:
 
 
 def test_threads_on_disjoint_ranges_of_one_bank_lose_no_update():
-    """Thread-mode shards step, meter and cap disjoint ranges of one
-    shared bank from their own threads while node daemons use the scalar
-    views; every write must stay inside its range."""
+    """Callers on threads of their own may step, meter and cap disjoint
+    ranges of one shared bank while others use the scalar views; every
+    write must stay inside its range."""
     workers, per, cycles = 6, 37, 150
     rapl = RaplConfig(noise_std_w=1.5, counter_wrap_uj=150_000_000)
     spec = ClusterSpec(n_nodes=workers * per, sockets_per_node=1)

@@ -10,8 +10,11 @@ assertions both transports share live in :mod:`tests.shard.sessions`;
 ``test_process.py`` runs them over real processes.
 """
 
+import threading
+import time
 from functools import partial
 
+import numpy as np
 import pytest
 
 from repro.shard import ArbiterConfig, RecoveryOptions, ShardChaosSchedule
@@ -143,6 +146,31 @@ class TestCleanRun:
         check_arbiter_kill_without_restart("thread", tmp_path)
 
 
+    def test_thread_mode_starts_no_thread(self, tmp_path):
+        """In-process shards run on the caller's thread, chaos included:
+        no step of a session with a kill and a hang sees an extra thread."""
+        cluster = make_cluster(n_nodes=4)
+        demand = np.full(cluster.n_units, 0.6)
+        counts = []
+
+        def demand_fn(step):
+            counts.append(threading.active_count())
+            return demand
+
+        before = threading.active_count()
+        result = run(
+            cluster,
+            tmp_path,
+            n_shards=2,
+            cycles=10,
+            demand_fn=demand_fn,
+            chaos=ShardChaosSchedule(shard_kill_at={0: 2}, shard_hang_at={1: 4}),
+        )
+        assert result.shard_restarts == [1, 1]
+        assert len(counts) == 10
+        assert set(counts) == {before}
+
+
 class TestChaosAcceptance:
     def test_eight_shards_full_failure_matrix(self, tmp_path):
         cluster = make_cluster(n_nodes=16, sockets_per_node=2)
@@ -207,3 +235,30 @@ class TestRestartBookkeeping:
         [restarted] = result.events.of_kind("controller_restarted")
         # Down at 3, outage at 4 and 5, respawned at the end of 5.
         assert (killed.time_s, restarted.time_s) == (3.0, 5.0)
+
+    def test_inline_hang_costs_cycles_not_seconds(self, tmp_path):
+        """An in-process shard's silence is known at once: the ack
+        deadline is never slept out, and the hang walks the same cycles."""
+        started = time.monotonic()
+        result = run(
+            make_cluster(n_nodes=2),
+            tmp_path,
+            n_shards=1,
+            cycles=10,
+            chaos=ShardChaosSchedule(shard_hang_at={0: 3}),
+            recovery=RecoveryOptions(
+                checkpoint_dir=tmp_path / "ckpt", hang_timeout_s=5.0
+            ),
+        )
+        assert time.monotonic() - started < 5.0
+        assert result.shard_restarts == [1]
+        [hung] = result.events.of_kind("shard_hung")
+        [watchdog] = result.events.of_kind("controller_hung")
+        [restarted] = result.events.of_kind("controller_restarted")
+        # Silent at 3, killed by the watchdog at 4, outage at 5 and 6,
+        # respawned at the end of 6.
+        assert (hung.time_s, watchdog.time_s, restarted.time_s) == (
+            3.0,
+            4.0,
+            6.0,
+        )

@@ -1,4 +1,4 @@
-"""ShardThread: the process handle's surface over a worker thread."""
+"""InlineShard: the process handle's surface on the caller's thread."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.core.config import ClusterSpec, RaplConfig
 from repro.shard.server import HostedShard
-from repro.shard.supervisor import ShardThread
+from repro.shard.supervisor import InlineShard
 from tests.shard.test_server import make_shard
 
 
@@ -18,10 +18,10 @@ def handle(tmp_path):
         np.random.default_rng(0),
     )
     shard, link = make_shard(tmp_path)
-    thread = ShardThread(HostedShard(shard, cluster.nodes, dt_s=1.0), link)
-    yield thread
-    thread.shutdown()
-    assert not thread.alive
+    inline = InlineShard(HostedShard(shard, cluster.nodes, dt_s=1.0), link)
+    yield inline
+    inline.shutdown()
+    assert not inline.alive
 
 
 def test_cycle_ack_carries_the_slice_and_the_lease(handle):
@@ -53,11 +53,8 @@ def test_hang_is_silent_until_killed(handle):
     assert not handle.command_cycle(1, np.full(2, 120.0))
 
 
-@pytest.mark.filterwarnings(
-    "ignore::pytest.PytestUnhandledThreadExceptionWarning"
-)
 def test_worker_death_reads_as_a_closed_connection(handle):
-    """A worker that dies mid-cycle answers None at once, not after the
+    """A shard whose cycle raises answers None at once, not after the
     deadline, and the respawn warm-restores from the checkpoint."""
     handle.spawn()
     handle.command_cycle(0, np.full(3, 120.0))  # Wrong width: it raises.

@@ -1,19 +1,24 @@
 """The transport is an encoding, not a different computation.
 
 ``run_sharded`` has one loop; ``mode`` only picks how the clock and the
-lease channel reach a shard.  So the same seeded session run once over
-worker threads and once over ``shard-server`` subprocesses must produce
-the same physics and the same arbitration — bit for bit while nothing
-restarts, and with the same outages and restart counts when something
-does (a respawned process restores its sub-cluster from its last
-persisted snapshot, a restarted thread keeps its live hardware, so
-values *after* a restart are allowed to differ).
+lease channel reach a shard.  So the same seeded session run once with
+in-process shards and once over ``shard-server`` subprocesses must
+produce the same physics and the same arbitration — bit for bit while
+nothing restarts, and with the same outages and restart counts when
+something does (a respawned process restores its sub-cluster from its
+last persisted snapshot, a restarted in-process shard keeps its live
+hardware, so values *after* a restart are allowed to differ).
 """
 
 import numpy as np
 import pytest
 
-from repro.shard import ArbiterConfig, RecoveryOptions, ShardChaosSchedule
+from repro.shard import (
+    ArbiterConfig,
+    RecoveryOptions,
+    ShardChaosSchedule,
+    ShardedResult,
+)
 from tests.shard.sessions import make_cluster, run_session
 
 CYCLES = 12
@@ -130,3 +135,23 @@ def test_node_chaos_walks_the_same_cycles(tmp_path):
             [e.time_s for e in r.events.of_kind(kind)] for r in (thread, process)
         ]
         assert cycles[0] == cycles[1] and cycles[0], kind
+
+
+def test_final_cycle_hang_tears_down_cleanly(tmp_path):
+    """A hang on the last cycle leaves nothing to wedge teardown: either
+    transport returns its result with the hang recorded and no restart."""
+    for mode in ("thread", "process"):
+        result = run_session(
+            mode,
+            make_cluster(n_nodes=2),
+            tmp_path / mode,
+            n_shards=1,
+            cycles=4,
+            chaos=ShardChaosSchedule(shard_hang_at={0: 3}),
+            recovery=RecoveryOptions(
+                checkpoint_dir=tmp_path / mode / "ckpt", hang_timeout_s=0.5
+            ),
+        )
+        assert isinstance(result, ShardedResult)
+        assert len(result.events.of_kind("shard_hung")) == 1, mode
+        assert result.shard_restarts == [0], mode
