@@ -21,7 +21,7 @@ import tempfile
 import numpy as np
 
 from repro import Cluster, ClusterSpec, RaplConfig, create_manager
-from repro.resilience.health import HealthState, ResilienceConfig
+from repro.deploy.health import HealthState, ResilienceConfig
 from repro.shard import ShardChaosSchedule, run_sharded
 from repro.telemetry.log import ResilienceEventLog
 

@@ -331,9 +331,9 @@ def _cmd_pair(args: argparse.Namespace) -> str:
 def _cmd_pair_chaos(
     args: argparse.Namespace, managers: tuple[str, ...]
 ) -> str:
-    # Chaos pulls in the resilience + simulator stack; import lazily so
-    # the plain CLI paths stay light.
-    from repro.resilience.chaos import parse_chaos, run_chaos_pair
+    # Chaos pulls in the simulator stack; import lazily so the plain CLI
+    # paths stay light.
+    from repro.experiments.chaos import parse_chaos, run_chaos_pair
 
     chaos = parse_chaos(args.chaos)
     cfg = _config(args)
@@ -352,7 +352,6 @@ def _cmd_pair_chaos(
                 "yes" if outcome.budget_respected else "NO",
                 str(outcome.node_failures),
                 str(outcome.node_recoveries),
-                str(outcome.safe_mode_entries),
             ]
         )
     header = (
@@ -367,7 +366,6 @@ def _cmd_pair_chaos(
             "budget ok",
             "node fails",
             "recoveries",
-            "safe-mode",
         ],
         rows,
     )

@@ -8,6 +8,7 @@ structured half of that log (the per-cycle half lives in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -52,9 +53,17 @@ class NodeFailureEvent:
     def __post_init__(self) -> None:
         if self.node_id < 0:
             raise ValueError(f"node_id must be >= 0, got {self.node_id}")
-        if self.fail_at_s < 0:
+        if not (math.isfinite(self.fail_at_s) and self.fail_at_s >= 0):
             raise ValueError(
-                f"fail_at_s must be >= 0, got {self.fail_at_s}"
+                f"fail_at_s must be finite and >= 0, got {self.fail_at_s}"
+            )
+        if self.recover_at_s is not None and not math.isfinite(
+            self.recover_at_s
+        ):
+            # A permanent failure omits recover_at_s; inf/nan would
+            # only spell that by accident.
+            raise ValueError(
+                f"recover_at_s must be finite, got {self.recover_at_s}"
             )
         if self.recover_at_s is not None and (
             self.recover_at_s <= self.fail_at_s

@@ -146,9 +146,9 @@ class Simulation:
             event channel, never exceptions.
         checkpoint_dir: when given, the manager runs wrapped in a
             :class:`~repro.recovery.controller.RecoverableController`
-            that journals every cycle's inputs to
-            ``checkpoint_dir/journal.log`` and writes durable snapshot
-            generations there every ``checkpoint_every`` cycles.
+            opened on this directory: it journals every cycle's inputs
+            there and writes durable snapshot generations every
+            ``checkpoint_every`` cycles.
         checkpoint_every: cycles between checkpoint generations (>= 1).
         resume: warm-restore the manager from the newest valid
             checkpoint in ``checkpoint_dir`` (replaying the journal
@@ -302,13 +302,11 @@ class Simulation:
         if self.checkpoint_dir is not None:
             # Imported here: repro.recovery.controller imports the manager
             # registry, and the plain simulator path must stay light.
-            from repro.recovery.checkpoint import CheckpointStore, CycleJournal
             from repro.recovery.controller import RecoverableController
 
-            controller = RecoverableController(
+            controller = RecoverableController.open(
                 self.manager,
-                CheckpointStore(self.checkpoint_dir),
-                CycleJournal(self.checkpoint_dir / "journal.log"),
+                self.checkpoint_dir,
                 checkpoint_every=self.checkpoint_every,
             )
             teardown.callback(controller.close)
@@ -363,7 +361,6 @@ class Simulation:
         pending_failures = sorted(self.failures, key=lambda f: f.fail_at_s)
         fail_fired = [False] * len(pending_failures)
         recover_fired = [False] * len(pending_failures)
-        in_safe_mode = bool(getattr(self.manager, "safe_mode", False))
 
         while min(completed) < target_runs:
             if steps >= sim_cfg.max_steps:
@@ -465,14 +462,6 @@ class Simulation:
                 drain_actuator(now)
             stack.check(new_caps, readings, now)
 
-            safe = bool(getattr(self.manager, "safe_mode", False))
-            if safe != in_safe_mode:
-                kind = "safe_mode_entered" if safe else "safe_mode_exited"
-                events.emit(now, kind)
-                if telemetry is not None:
-                    telemetry.events.emit(now, kind)
-                in_safe_mode = safe
-
             if telemetry is not None:
                 priority = (
                     self.manager.priority
@@ -492,13 +481,6 @@ class Simulation:
         for e in executions:
             if e.records:
                 durations[e.spec.name] = e.mean_duration_s()
-        # Per-unit suspect-reading events from a resilient manager ride
-        # along with the telemetry traces.
-        mgr_events = getattr(self.manager, "events", None)
-        if telemetry is not None and isinstance(
-            mgr_events, ResilienceEventLog
-        ):
-            telemetry.events.extend(mgr_events)
         if telemetry is not None and controller is not None:
             telemetry.events.extend(controller.events)
         if telemetry is not None and safety_events is not None:

@@ -1,8 +1,8 @@
 """The paper's contribution: DPS and the baseline power managers.
 
 Importing this package registers the paper's four managers (``constant``,
-``slurm``, ``oracle``, ``dps``), their extensions, and the fault-tolerant
-``resilient`` wrapper with :func:`repro.core.managers.create_manager`.
+``slurm``, ``oracle``, ``dps``) and their extensions with
+:func:`repro.core.managers.create_manager`.
 """
 
 from repro.core.config import (
@@ -41,12 +41,6 @@ from repro.core.readjust import RestoreResult, readjust, restore
 from repro.core.slurm import SlurmManager
 from repro.core.stateless import MimdResult, mimd_step
 
-# Imported last: the resilience package depends on the core modules above.
-from repro.resilience.manager import (  # noqa: E402
-    ResilientConfig,
-    ResilientManager,
-)
-
 __all__ = [
     "ClusterSpec",
     "ConstantManager",
@@ -69,8 +63,6 @@ __all__ = [
     "PriorityModule",
     "RaplConfig",
     "ReadjustConfig",
-    "ResilientConfig",
-    "ResilientManager",
     "RestoreResult",
     "SimulationConfig",
     "SlurmManager",

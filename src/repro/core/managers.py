@@ -319,15 +319,14 @@ def manager_stack(stepper: object) -> Iterator[object]:
     """Yield each member of a wrapped manager stack once, outermost first.
 
     A wrapper names what it wraps ``manager``
-    (:class:`~repro.recovery.controller.RecoverableController`) or
-    ``inner`` (:class:`~repro.resilience.manager.ResilientManager`).
+    (:class:`~repro.recovery.controller.RecoverableController`).
     """
     seen: set[int] = set()
     node: object | None = stepper
     while node is not None and id(node) not in seen:
         seen.add(id(node))
         yield node
-        node = getattr(node, "manager", None) or getattr(node, "inner", None)
+        node = getattr(node, "manager", None)
 
 
 _REGISTRY: dict[str, Callable[..., PowerManager]] = {}

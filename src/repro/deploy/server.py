@@ -22,7 +22,7 @@ deadline, disconnects, or violates the protocol is *quarantined* (its
 connection is closed — a framed request/response stream cannot be
 trusted after a mid-frame fault) instead of killing the controller.
 Quarantined clients walk the
-:class:`~repro.resilience.health.ClientHealth` state machine
+:class:`~repro.deploy.health.ClientHealth` state machine
 (DEGRADED → DEAD under exponential-backoff rejoin windows), their units
 fall back to a configurable reading policy, and a dead client's daemon
 may reconnect and re-register through the HELLO-rejoin path drained at
@@ -61,7 +61,7 @@ from repro.comm.net import bind_listener
 from repro.comm import protocol
 from repro.comm.wire import FrameAssembler, encode_frame, encode_words, recv_frame
 from repro.core.managers import PowerManager
-from repro.resilience.health import ClientHealth, HealthState, ResilienceConfig
+from repro.deploy.health import ClientHealth, HealthState, ResilienceConfig
 from repro.safety import ControlStack, SafetyConfig
 from repro.telemetry.log import (
     CyclePhaseTimings,

@@ -17,6 +17,7 @@ actuator's read-back verification exists to catch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,10 @@ class FaultConfig:
             raise ValueError(
                 f"fault probabilities sum to {total}, must be <= 1"
             )
-        if self.spike_gain <= 0:
-            raise ValueError(f"spike_gain must be > 0, got {self.spike_gain}")
+        if not (math.isfinite(self.spike_gain) and self.spike_gain > 0):
+            raise ValueError(
+                f"spike_gain must be finite and > 0, got {self.spike_gain}"
+            )
 
 
 class FaultyMeter:

@@ -23,6 +23,8 @@ exactly.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from repro.core.managers import PowerManager
@@ -67,6 +69,28 @@ class RecoverableController:
         self.cycle = 0
         #: Journal records replayed by the last ``resume`` (0 if none).
         self.replayed = 0
+
+    @classmethod
+    def open(
+        cls,
+        manager: PowerManager,
+        directory: str | Path,
+        *,
+        checkpoint_every: int,
+        keep: int = 3,
+        events: ResilienceEventLog | None = None,
+    ) -> RecoverableController:
+        """A controller over ``directory``: ``keep`` checkpoint
+        generations plus ``journal.log``, the one on-disk layout every
+        caller shares (the directory is created if missing)."""
+        directory = Path(directory)
+        return cls(
+            manager,
+            CheckpointStore(directory, keep),
+            CycleJournal(directory / "journal.log"),
+            checkpoint_every=checkpoint_every,
+            events=events,
+        )
 
     # ------------------------------------------------------------------
     # The manager surface the server/simulator drives.

@@ -55,11 +55,6 @@ def last_readjust_grants(manager: object) -> np.ndarray | None:
     """
     for node in manager_stack(manager):
         if hasattr(node, "last_grants_w"):
-            # The first stack member that *defines* the attribute owns
-            # the answer — a resilient wrapper in safe mode reports None
-            # on purpose (its constant caps carry no grants to shave),
-            # and descending past it would misattribute the shadow-run
-            # inner manager's grants.
             grants = node.last_grants_w
             if grants is None:
                 return None

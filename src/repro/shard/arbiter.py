@@ -12,7 +12,7 @@ safety stack is reused one level up:
   on worst-case committed power, so a lease raise is deferred until the
   matching reclaim has been *acknowledged* — during a partition the
   reclaimed watts are provably not handed out twice;
-* a :class:`~repro.resilience.health.ClientHealth` per shard drives
+* a :class:`~repro.deploy.health.ClientHealth` per shard drives
   quarantine (a shard missing one collection is DEGRADED and counted
   dark) and HELLO-style rejoin (any summary from a quarantined shard);
 * an :class:`~repro.safety.invariants.InvariantMonitor` sweeps every
@@ -34,8 +34,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from repro.deploy.health import ClientHealth, HealthState, ResilienceConfig
 from repro.recovery.checkpoint import CheckpointStore
-from repro.resilience.health import ClientHealth, HealthState, ResilienceConfig
 from repro.safety import (
     BudgetEnvelope,
     BudgetGuard,

@@ -79,9 +79,9 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.comm.shardlink import TcpShardLink
 from repro.core.managers import PowerManager
-from repro.recovery.checkpoint import CheckpointStore, CycleJournal
+from repro.deploy.health import ResilienceConfig
+from repro.recovery.checkpoint import CheckpointStore
 from repro.recovery.controller import RecoverableController
-from repro.resilience.health import ResilienceConfig
 from repro.safety import SafetyConfig
 from repro.shard.arbiter import ArbiterShard, BudgetArbiter
 from repro.shard.lease import ArbiterConfig, ShardLink
@@ -457,16 +457,15 @@ def run_sharded(
             dt_s=dt_s,
             rng=shard_rngs[shard_id],
         )
-        shard_dir = root / f"shard-{shard_id}"
         link = ShardLink()
         events = ResilienceEventLog()  # Ships to the harness in acks.
         shard = ShardServer(
             shard_id=shard_id,
-            controller=RecoverableController(
+            controller=RecoverableController.open(
                 manager,
-                store=CheckpointStore(shard_dir, keep=recovery.keep_generations),
-                journal=CycleJournal(shard_dir / "journal.log"),
+                root / f"shard-{shard_id}",
                 checkpoint_every=recovery.checkpoint_every,
+                keep=recovery.keep_generations,
                 events=events,
             ),
             link=link,

@@ -61,7 +61,6 @@ from repro.comm.wire import (
 )
 from repro.core.config import ClusterSpec, RaplConfig
 from repro.core.managers import available_managers, create_manager
-from repro.recovery.checkpoint import CheckpointStore, CycleJournal
 from repro.recovery.controller import RecoverableController
 from repro.recovery.state import to_json
 from repro.shard.lease import ArbiterConfig
@@ -143,11 +142,11 @@ class ShardHost:
         # One log for the deploy, lease and recovery stacks: it ships
         # home in acks, so a restore is as visible as the crash.
         events = ResilienceEventLog()
-        self.controller = RecoverableController(
+        self.controller = RecoverableController.open(
             manager,
-            store=CheckpointStore(self.dir, keep=args.keep_generations),
-            journal=CycleJournal(self.dir / "journal.log"),
+            self.dir,
             checkpoint_every=args.checkpoint_every,
+            keep=args.keep_generations,
             events=events,
         )
         self.link = _HostLink(self)

@@ -37,11 +37,11 @@ import numpy as np
 
 from repro.cluster.node import Node
 from repro.core.managers import manager_stack
+from repro.deploy.health import ResilienceConfig
 from repro.deploy.plane import ClientPlane
 from repro.deploy.server import DeployCycleStats, DeployServer
 from repro.powercap.rapl import bank_span
 from repro.recovery.controller import RecoverableController
-from repro.resilience.health import ResilienceConfig
 from repro.safety import SafetyConfig
 from repro.shard.lease import ArbiterConfig, BudgetLease, ShardLink, ShardSummary
 from repro.telemetry.log import ResilienceEvent, ResilienceEventLog

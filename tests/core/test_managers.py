@@ -22,7 +22,7 @@ class TestRegistry:
     def test_all_managers_registered(self):
         assert available_managers() == (
             "constant", "dps", "dps+", "hierarchical", "oracle", "p2p",
-            "resilient", "slurm",
+            "slurm",
         )
 
     def test_create_by_name(self):

@@ -20,8 +20,8 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.core.config import ClusterSpec, RaplConfig
 from repro.core.managers import create_manager
+from repro.deploy.health import ResilienceConfig
 from repro.powercap.faults import FaultConfig, FaultyMeter
-from repro.resilience.health import ResilienceConfig
 from repro.safety import SafetyConfig
 from repro.shard import RecoveryOptions, ShardChaosSchedule
 from repro.telemetry.log import SAFETY_EVENT_KINDS

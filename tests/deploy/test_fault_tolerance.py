@@ -17,8 +17,8 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.core.config import ClusterSpec
 from repro.core.managers import create_manager
+from repro.deploy.health import HealthState, ResilienceConfig
 from repro.deploy.server import DeployServer
-from repro.resilience.health import HealthState, ResilienceConfig
 from repro.shard import ShardChaosSchedule
 from tests.deploy.sessions import one_shard, plane_session
 from tests.deploy.test_concurrent_cycle import answer_poll, registered_clients

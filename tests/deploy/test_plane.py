@@ -11,9 +11,9 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.core.config import ClusterSpec, RaplConfig
 from repro.core.managers import create_manager
+from repro.deploy.health import HealthState
 from repro.deploy.plane import ClientPlane
 from repro.deploy.server import DeployServer
-from repro.resilience.health import HealthState
 
 SPEC = ClusterSpec(n_nodes=3, sockets_per_node=2)
 

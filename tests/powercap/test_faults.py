@@ -30,6 +30,13 @@ class TestFaultConfig:
         with pytest.raises(ValueError, match="spike_gain"):
             FaultConfig(spike_gain=0.0)
 
+    @pytest.mark.parametrize("gain", [float("nan"), float("inf")])
+    def test_rejects_non_finite_gain(self, gain):
+        # A non-finite gain would pass here and poison the first spiked
+        # reading the manager sees.
+        with pytest.raises(ValueError, match="spike_gain must be finite"):
+            FaultConfig(spike_prob=0.05, spike_gain=gain)
+
 
 class TestFaultyMeter:
     def test_no_faults_passthrough(self):

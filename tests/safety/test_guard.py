@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.managers import create_manager
-from repro.resilience.manager import ResilientManager
+from repro.recovery.controller import RecoverableController
 from repro.safety import BudgetEnvelope, BudgetGuard, last_readjust_grants
 from repro.telemetry.log import ResilienceEventLog
 
@@ -216,24 +216,15 @@ class TestGrantIntrospection:
         mgr.step(np.full(4, 100.0))
         assert last_readjust_grants(mgr) is None
 
-    def warmed_resilient(self):
-        """A resilient DPS wrapper stepped past validator warm-up."""
-        mgr = ResilientManager(create_manager("dps"))
-        mgr.bind(4, 440.0, 165.0, 30.0, rng=np.random.default_rng(0))
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            mgr.step(np.full(4, 100.0) + rng.normal(0, 1.0, 4))
-        return mgr
-
-    def test_walks_resilient_wrapper(self):
-        mgr = self.warmed_resilient()
-        assert not mgr.safe_mode
-        assert last_readjust_grants(mgr) is not None
-
-    def test_safe_mode_reports_no_grants(self):
-        """A safe-mode wrapper's constant caps carry no grants to shave,
-        even though the shadow-run inner manager has some."""
-        mgr = self.warmed_resilient()
-        mgr._safe_mode = True
-        assert mgr.inner.last_grants_w is not None
-        assert last_readjust_grants(mgr) is None
+    def test_walks_recoverable_controller(self, tmp_path):
+        mgr = self.bound()
+        controller = RecoverableController.open(
+            mgr, tmp_path, checkpoint_every=10
+        )
+        try:
+            controller.step(np.full(4, 150.0))
+        finally:
+            controller.close()
+        grants = last_readjust_grants(controller)
+        assert grants is not None
+        assert np.array_equal(grants, mgr.last_grants_w)

@@ -17,9 +17,7 @@ from repro.core.dps import DPSManager, DPSStepInfo
 from repro.core.hierarchical import HierarchicalManager
 from repro.core.managers import create_manager
 from repro.core.readjust import readjust
-from repro.core.slurm import SlurmManager
 from repro.recovery.state import decode_array, encode_array, to_json
-from repro.resilience.manager import ResilientConfig, ResilientManager
 from repro.safety import (
     Invariant,
     InvariantContext,
@@ -316,13 +314,10 @@ class TestSnapshotIdempotenceFires:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: ResilientManager(SlurmManager()),
-            lambda: ResilientManager(
-                DPSManager(DPSConfig(priority=PriorityConfig(history_len=10)))
-            ),
+            lambda: DPSManager(DPSConfig(priority=PriorityConfig(history_len=10))),
             lambda: HierarchicalManager(group_size=3),
         ],
-        ids=["resilient-slurm", "resilient-dps-history10", "hierarchical-3"],
+        ids=["dps-history10", "hierarchical-3"],
     )
     def test_compositions_the_registry_cannot_build_are_checked(
         self, build, monkeypatch
@@ -345,12 +340,15 @@ class TestSnapshotIdempotenceFires:
         assert detail is not None and "not reproduced" in detail
 
     def test_blank_keeps_the_configuration_and_shares_no_state(self):
-        inner = DPSManager(DPSConfig(priority=PriorityConfig(history_len=10)))
-        mgr = ResilientManager(inner, ResilientConfig(safe_fraction=0.4))
+        mgr = DPSManager(DPSConfig(priority=PriorityConfig(history_len=10)))
+        mgr.bind(6, 660.0, 165.0, 30.0, rng=np.random.default_rng(0))
+        mgr.step(np.full(6, 150.0))
+        before = to_json(mgr.snapshot())
         fresh = mgr.blank()
-        assert type(fresh) is ResilientManager and fresh.config is mgr.config
-        assert type(fresh.inner) is DPSManager and fresh.inner is not inner
-        assert fresh.inner.config is inner.config
+        assert type(fresh) is DPSManager and fresh.config is mgr.config
+        fresh.bind(6, 660.0, 165.0, 30.0, rng=np.random.default_rng(1))
+        fresh.step(np.full(6, 40.0))
+        assert to_json(mgr.snapshot()) == before
 
 
 def _leaf_bytes_of(doc) -> int:

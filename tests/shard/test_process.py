@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.constant import ConstantManager
-from repro.resilience.health import ResilienceConfig
+from repro.deploy.health import ResilienceConfig
 from repro.safety import SafetyConfig
 from repro.shard import (
     ArbiterConfig,

@@ -69,6 +69,23 @@ class TestFastCommands:
         out = capsys.readouterr().out
         assert "fairness" in out
 
+    def test_chaos_pair_reports_the_budget_held(self, capsys):
+        code = main(
+            ["--time-scale", "0.05", "--repeats", "1",
+             "pair", "kmeans", "gmm", "--manager", "dps",
+             "--chaos", "stuck=0.05,dropout=0.05,spike=0.02,kill=1@5-15"]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(line for line in lines if line.startswith("manager"))
+        row = next(line for line in lines if line.startswith("dps")).split()
+        columns = [c.strip() for c in header.split("  ") if c.strip()]
+        assert columns == [
+            "manager", "runs done", "truncated", "budget ok", "node fails",
+            "recoveries",
+        ]
+        assert row == ["dps", "2", "no", "yes", "1", "1"]
+
     def test_checkpointed_self_pair_names_the_workload(self, tmp_path):
         # Results are keyed by workload name, and this path places the
         # registry's specs as they are (the harness renames half 1).

@@ -95,10 +95,10 @@ class TestRandomizedEndToEnd:
         assert run() == run()
 
 
-class TestResilientRecovery:
-    """The resilience acceptance scenario: heavy measurement faults must
-    never break the budget, and once they clear the resilient-wrapped DPS
-    must recover to within 2% of a fault-free run."""
+class TestFaultRecovery:
+    """The fault acceptance scenario: heavy measurement faults must never
+    break the budget, and once they clear DPS must recover to within 2% of
+    a fault-free run."""
 
     FAULTS = FaultConfig(stuck_prob=0.05, dropout_prob=0.05, spike_prob=0.02)
     FAULT_CYCLES = 150
@@ -110,7 +110,7 @@ class TestResilientRecovery:
         injected) corrupt every meter for the first FAULT_CYCLES cycles,
         then the healthy meters are restored."""
         cluster = Cluster(SPEC, rng=np.random.default_rng(21))
-        manager = create_manager("resilient")
+        manager = create_manager("dps")
         manager.bind(
             cluster.n_units,
             cluster.budget_w,
