@@ -18,7 +18,7 @@ controller without knowing it.  Around every ``step`` it:
 back across generations on corruption), restore the manager bit-exactly,
 then re-``step`` it through the journal tail — after which the manager's
 state, including its RNG stream position, equals the pre-crash state
-exactly.
+exactly, and the journal holds that tail and nothing else.
 """
 
 from __future__ import annotations
@@ -174,11 +174,17 @@ class RecoverableController:
         self.events.emit(
             float(self.cycle),
             "checkpoint_written",
-            detail=path.name,
+            detail=f"{path.name} @ cycle {self.cycle}",
         )
 
     def resume(self) -> bool:
         """Restore from the newest valid checkpoint and replay the journal.
+
+        Either way the journal is left holding exactly the replayed tail
+        (none on a cold start): a record before the checkpoint, or from
+        the timeline a fallback to an older generation abandons, would
+        otherwise sit in front of the next cycle's and hide it from the
+        next resume.
 
         Returns:
             True if a checkpoint was restored; False when the store holds
@@ -194,6 +200,7 @@ class RecoverableController:
                 detail=rejected.name,
             )
         if ckpt is None:
+            self.journal.retain([])
             return False
         self.manager.restore(ckpt.payload["manager"])
         self.cycle = ckpt.cycle
@@ -217,6 +224,7 @@ class RecoverableController:
                 self.manager.set_budget_w(float(budget))
             self.manager.step(power, demand)
             self.cycle = rec.cycle
+        self.journal.retain(tail)
         self.replayed = len(tail)
         if tail:
             self.events.emit(

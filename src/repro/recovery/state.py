@@ -25,15 +25,16 @@ Every stateful component implements the two-method protocol below:
   leaf: a snapshot's leaves are read-only, an unpacked checkpoint's are
   views over its buffer.
 
-A document stays binary until it is written, and in a checkpoint after
-that: :func:`pack` lays the leaves' bytes behind a JSON skeleton.
-:func:`to_json` is the one place a tree becomes text — the journal and
-every other writer call it — and there an array leaf turns into base64
-of its raw little-endian bytes plus explicit dtype/shape (JSON's float
-round-trip is exact for finite doubles but silently widens dtypes and
-loses array shapes).  Nothing that only compares or restores documents
-in memory, such as the per-cycle snapshot-idempotence check, pays for
-the text or for a byte image of a leaf.
+A document stays binary until it is written, and in a checkpoint or a
+journal record after that: :func:`pack` lays the leaves' bytes behind a
+JSON skeleton.  :func:`to_json` is the one place a tree becomes text —
+every text writer calls it, as does the printer of those files — and
+there an array leaf turns into base64 of its raw little-endian bytes
+plus explicit dtype/shape (JSON's float round-trip is exact for finite
+doubles but silently widens dtypes and loses array shapes).  Nothing
+that only compares or restores documents in memory, such as the
+per-cycle snapshot-idempotence check, pays for the text or for a byte
+image of a leaf.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ __all__ = [
     "CONTAINER_MAGIC",
     "pack",
     "unpack",
+    "unpack_from",
     "rng_state",
     "rng_state_doc",
     "restore_rng",
@@ -167,6 +169,21 @@ def unpack(data: bytes) -> Any:
         return flat.reshape(obj["shape"])
 
     return json.loads(bytes(body[:n_skeleton]), object_hook=leaf)
+
+
+def unpack_from(data: bytes, at: int = 0) -> tuple[Any, int]:
+    """The document of the container that starts at ``at`` in ``data``,
+    and the offset just past it.  Bytes after the container are not its
+    own: a checkpoint slot's padding, or a journal's next record.  Raises
+    ``ValueError`` as :func:`unpack` does."""
+    start = at + len(CONTAINER_MAGIC)
+    if data[at:start] != CONTAINER_MAGIC or len(data) < start + _HEADER.size:
+        raise ValueError("not a version-2 checkpoint container")
+    _, n_skeleton, n_blob = _HEADER.unpack_from(data, start)
+    end = start + _HEADER.size + n_skeleton + n_blob
+    if end > len(data):
+        raise ValueError("container length disagrees with its header")
+    return unpack(data[at:end]), end
 
 
 def decode_array(doc: np.ndarray | dict) -> np.ndarray:

@@ -9,16 +9,18 @@ import pytest
 @pytest.fixture
 def syscalls(monkeypatch):
     """Every ``os.fsync``, ``os.replace`` and ``os.ftruncate`` made while
-    the fixture is live, in order, as ``("fsync", <name>)``, ``("replace",
-    <from>, <to>)`` and ``("ftruncate", <name>, <length>)`` — names being
-    the last path component of the file or directory the descriptor is
-    open on."""
+    the fixture is live, every ``os.unlink`` that removed a file and every
+    ``os.open`` that created one, in order, as ``("fsync", <name>)``, ``("replace",
+    <from>, <to>)``, ``("ftruncate", <name>, <length>)``, ``("unlink",
+    <name>)`` and ``("create", <name>)`` — names being the last path
+    component of the file or directory concerned."""
     calls: list[tuple] = []
 
     def name_of(fd: int) -> str:
         return Path(os.readlink(f"/proc/self/fd/{fd}")).name
 
-    real_fsync, real_replace, real_ftruncate = os.fsync, os.replace, os.ftruncate
+    real = os.fsync, os.replace, os.ftruncate, os.unlink, os.open
+    real_fsync, real_replace, real_ftruncate, real_unlink, real_open = real
 
     def fsync(fd):
         calls.append(("fsync", name_of(fd)))
@@ -32,7 +34,20 @@ def syscalls(monkeypatch):
         calls.append(("ftruncate", name_of(fd), length))
         real_ftruncate(fd, length)
 
+    def unlink(path, *args, **kwargs):
+        real_unlink(path, *args, **kwargs)
+        calls.append(("unlink", Path(path).name))
+
+    def open_(path, flags, *args, **kwargs):
+        creates = flags & os.O_CREAT and not os.path.exists(path)
+        fd = real_open(path, flags, *args, **kwargs)
+        if creates:
+            calls.append(("create", Path(path).name))
+        return fd
+
     monkeypatch.setattr(os, "fsync", fsync)
     monkeypatch.setattr(os, "replace", replace)
     monkeypatch.setattr(os, "ftruncate", ftruncate)
+    monkeypatch.setattr(os, "unlink", unlink)
+    monkeypatch.setattr(os, "open", open_)
     return calls

@@ -7,7 +7,15 @@ from repro.recovery.checkpoint import (
     CheckpointStore,
     CycleJournal,
 )
-from repro.recovery.state import CONTAINER_MAGIC
+from repro.recovery.state import CONTAINER_MAGIC, unpack_from
+from tests.recovery.tears import changed, tear, text_journal
+
+
+def appended(journal, cycle, data):
+    """The journal file before and after one append."""
+    before = journal.path.read_bytes() if journal.path.exists() else b""
+    journal.append(cycle, data)
+    return before, journal.path.read_bytes()
 
 
 class TestCheckpointStore:
@@ -23,11 +31,14 @@ class TestCheckpointStore:
         assert CheckpointStore(tmp_path).load_latest() is None
 
     def test_generations_pruned_to_keep(self, tmp_path):
+        # keep + 1 slots; a save overwrites the oldest generation's.
         store = CheckpointStore(tmp_path, keep=2)
         for cycle in (5, 10, 15, 20):
             store.save(cycle, {})
         names = [p.name for p in store.paths()]
-        assert names == ["ckpt-00000015.bin", "ckpt-00000020.bin"]
+        assert names == ["ckpt-slot-0.bin", "ckpt-slot-1.bin", "ckpt-slot-2.bin"]
+        held = [CheckpointStore._load_one(p).cycle for p in store.paths()]
+        assert held == [20, 10, 15]
 
     def test_bit_flipped_checkpoint_falls_back_to_previous_generation(
         self, tmp_path
@@ -54,7 +65,7 @@ class TestCheckpointStore:
         store.save(10, {"x": 1})
         newest = store.save(20, {"x": 2})
         raw = newest.read_bytes()
-        newest.write_bytes(raw[: len(raw) // 2])
+        newest.write_bytes(raw[: unpack_from(raw)[1] // 2])
         ckpt = store.load_latest()
         assert ckpt is not None and ckpt.cycle == 10
 
@@ -86,15 +97,22 @@ class TestCheckpointStore:
     def test_save_is_temp_fsync_replace_directory_fsync_in_that_order(
         self, tmp_path, syscalls
     ):
-        store = CheckpointStore(tmp_path)
-        for cycle in (5, 10):
+        # No temp file and no rename any more: a slot is created, written
+        # and synced, then its directory entry; after the first keep + 1
+        # saves, a save is one overwrite and one fsync.
+        store = CheckpointStore(tmp_path, keep=2)
+        for k, cycle in enumerate((5, 10, 15)):
             del syscalls[:]
             store.save(cycle, {"x": cycle})
             assert syscalls == [
-                ("fsync", f"ckpt-{cycle:08d}.tmp"),
-                ("replace", f"ckpt-{cycle:08d}.tmp", f"ckpt-{cycle:08d}.bin"),
+                ("create", f"ckpt-slot-{k}.bin"),
+                ("fsync", f"ckpt-slot-{k}.bin"),
                 ("fsync", tmp_path.name),
             ]
+        for k, cycle in [(0, 20), (1, 25), (2, 30), (0, 35)]:
+            del syscalls[:]
+            store.save(cycle, {"x": cycle})
+            assert syscalls == [("fsync", f"ckpt-slot-{k}.bin")]
 
     def test_stale_temp_files_removed_generations_never_touched(self, tmp_path):
         # Regression: a crash inside save() or a journal rewrite left its
@@ -114,8 +132,8 @@ class TestCheckpointStore:
         CycleJournal(tmp_path / "journal.log")
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "ckpt-00000008.json",
-            "ckpt-00000012.bin",
             "ckpt-16.tmp",
+            "ckpt-slot-0.bin",
             "cluster.json.tmp",
             "notes.tmp",
         ]
@@ -144,22 +162,21 @@ class TestCycleJournal:
         journal = CycleJournal(path)
         journal.append(1, {"x": 1})
         journal.append(2, {"x": 2})
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write("deadbeef {torn")  # A crash mid-append.
+        before, after = appended(journal, 3, {"x": 3})
+        span = changed(before, after)
+        path.write_bytes(tear(before, after, span[len(span) // 2]))
         assert [r.cycle for r in CycleJournal(path).read()] == [1, 2]
 
     def test_writer_cuts_a_torn_tail_before_its_first_append(self, tmp_path):
         # Regression: nothing removed the fragment of a crash mid-append,
         # so the restarted controller glued its next record onto it and
         # every record from there on — fsynced or not — was unreadable.
+        # A text journal of an older directory is still rewritten whole
+        # first; the current layout overwrites a torn record in place.
         path = tmp_path / "j.log"
-        journal = CycleJournal(path)
-        for c in (1, 2, 3):
-            journal.append(c, {"x": c})
-        intact = path.read_bytes()
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('deadbeefdeadbeef {"cycle": 4, "da')
-        torn = path.read_bytes()
+        torn = text_journal([(c, {"x": c}) for c in (1, 2, 3)])
+        torn += b'deadbeefdeadbeef {"cycle": 4, "da'
+        path.write_bytes(torn)
 
         reopened = CycleJournal(path)
         # Reading is not writing: the evidence stays until a writer needs
@@ -170,20 +187,23 @@ class TestCycleJournal:
         assert path.read_bytes() == torn
 
         reopened.append(4, {"x": 4})
-        reopened.append(5, {"x": 5})
-        assert path.read_bytes().startswith(intact)
-        assert [r.cycle for r in reopened.read()] == [1, 2, 3, 4, 5]
-        assert [r.cycle for r in reopened.tail_after(0)] == [1, 2, 3, 4, 5]
+        assert path.read_bytes().startswith(CONTAINER_MAGIC)
+        before, after = appended(reopened, 5, {"x": 5})
+        path.write_bytes(tear(before, after, changed(before, after)[-1]))
+        assert [r.cycle for r in CycleJournal(path).read()] == [1, 2, 3, 4]
+
+        again = CycleJournal(path)
+        again.append(5, {"x": 5})
+        again.append(6, {"x": 6})
+        assert [r.cycle for r in again.tail_after(0)] == [1, 2, 3, 4, 5, 6]
         assert [r.data for r in CycleJournal(path).read()] == [
-            {"x": c} for c in (1, 2, 3, 4, 5)
+            {"x": c} for c in (1, 2, 3, 4, 5, 6)
         ]
 
     def test_record_torn_at_its_newline_is_kept_and_closed(self, tmp_path):
+        # A text journal whose last line lost only its "\n".
         path = tmp_path / "j.log"
-        journal = CycleJournal(path)
-        for c in (1, 2):
-            journal.append(c, {"x": c})
-        path.write_bytes(path.read_bytes()[:-1])  # All of it but the "\n".
+        path.write_bytes(text_journal([(1, {"x": 1}), (2, {"x": 2})])[:-1])
 
         reopened = CycleJournal(path)
         assert [r.cycle for r in reopened.read()] == [1, 2]
@@ -192,19 +212,27 @@ class TestCycleJournal:
 
     def test_garbage_bytes_in_the_tail_stop_the_read(self, tmp_path):
         path = tmp_path / "j.log"
-        CycleJournal(path).append(1, {})
-        with open(path, "ab") as fh:
-            fh.write(b"\xff\xfe\x00 not utf-8")
+        path.write_bytes(text_journal([(1, {})]) + b"\xff\xfe\x00 not utf-8")
         assert [r.cycle for r in CycleJournal(path).read()] == [1]
+
+        journal = CycleJournal(path)
+        before, after = appended(journal, 2, {})
+        assert [r.cycle for r in journal.read()] == [1, 2]
+        at = changed(before, after)[-1] + 1
+        garbage = b"\xff\xfe\x00 not utf-8" + CONTAINER_MAGIC
+        path.write_bytes(after[:at] + garbage + after[at + len(garbage) :])
+        assert [r.cycle for r in CycleJournal(path).read()] == [1, 2]
 
     def test_corrupt_middle_line_stops_replay(self, tmp_path):
         path = tmp_path / "j.log"
         journal = CycleJournal(path)
-        for c in (1, 2, 3):
-            journal.append(c, {})
-        lines = path.read_text(encoding="utf-8").splitlines()
-        lines[1] = "0" * 16 + lines[1][16:]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        journal.append(1, {})
+        before, after = appended(journal, 2, {})
+        journal.append(3, {})
+        span = changed(before, after)
+        raw = bytearray(path.read_bytes())
+        raw[span[len(span) // 2]] ^= 0x01
+        path.write_bytes(bytes(raw))
         assert [r.cycle for r in journal.read()] == [1]
 
     def test_tail_after_returns_contiguous_run_only(self, tmp_path):
@@ -269,12 +297,11 @@ class TestCycleJournal:
 
     def test_truncate_cuts_a_torn_tail_too(self, tmp_path):
         path = tmp_path / "j.log"
-        CycleJournal(path).append(1, {})
-        with open(path, "ab") as fh:
-            fh.write(b"deadbeef {torn")
+        path.write_bytes(text_journal([(1, {})]) + b"deadbeef {torn")
         reopened = CycleJournal(path)
         reopened.truncate()
-        assert path.read_bytes() == b""
+        assert path.read_bytes().startswith(CONTAINER_MAGIC)
+        assert CycleJournal(path).read() == []
         reopened.append(2, {})
         assert [r.cycle for r in CycleJournal(path).read()] == [2]
 
@@ -282,14 +309,21 @@ class TestCycleJournal:
         self, tmp_path, syscalls
     ):
         # Regression: the rewrite renamed and returned, and the journal's
-        # own directory entry was never made durable at all.
+        # own directory entry was never made durable at all.  Creation is
+        # a rewrite too; a record, the cut and a torn record of the
+        # current layout rename nothing.
         path = tmp_path / "j.log"
         record, directory = ("fsync", "j.log"), ("fsync", tmp_path.name)
-        rewrite = [("fsync", "j.tmp"), ("replace", "j.tmp", "j.log"), directory]
+        rewrite = [
+            ("create", "j.tmp"),
+            ("fsync", "j.tmp"),
+            ("replace", "j.tmp", "j.log"),
+            directory,
+        ]
         journal = CycleJournal(path, capacity=3)
         for c in (1, 2, 3):
             journal.append(c, {})
-        assert syscalls == [directory, record, record, record]
+        assert syscalls == rewrite + [record, record, record]
 
         del syscalls[:]
         journal.append(4, {})  # Overflow: drop the oldest by rewrite.
@@ -298,14 +332,32 @@ class TestCycleJournal:
         del syscalls[:]
         journal.truncate()  # In place, and not durable on its own.
         journal.append(5, {})
-        assert syscalls == [("ftruncate", "j.log", 0), record]
+        assert syscalls == [record]
 
         journal.close()
-        with open(path, "ab") as fh:
-            fh.write(b"deadbeef {torn")
+        before, after = appended(CycleJournal(path), 6, {})
+        path.write_bytes(tear(before, after, changed(before, after)[-1]))
         del syscalls[:]
         reopened = CycleJournal(path, capacity=3)
-        reopened.append(6, {})  # Torn tail: cut by rewrite, then append.
+        reopened.append(6, {})  # Over the torn record, in place.
         reopened.append(7, {})
-        assert syscalls == rewrite + [record, record]
+        assert syscalls == [record, record]
         assert [r.cycle for r in reopened.read()] == [5, 6, 7]
+
+        reopened.close()
+        path.write_bytes(text_journal([(8, {})]) + b"deadbeef {torn")
+        del syscalls[:]
+        text = CycleJournal(path, capacity=3)
+        text.append(9, {})  # An older directory's text: rewritten first.
+        assert syscalls == rewrite + [record]
+        assert [r.cycle for r in text.read()] == [8, 9]
+
+        del syscalls[:]
+        big = {"x": "y" * 5000}  # Past the preallocated space.
+        text.truncate()
+        text.append(10, big)
+        assert syscalls == [record, record]
+        text.append(11, big)
+        assert syscalls == [record, record, record, record]
+        assert [r.data for r in text.read()] == [big, big]
+        assert path.stat().st_size == 16384

@@ -23,6 +23,7 @@ from repro.recovery.state import (
     pack,
     rng_state,
     unpack,
+    unpack_from,
 )
 from repro.safety.invariants import _same_json
 
@@ -123,8 +124,9 @@ class TestRejection:
     def test_a_flip_of_any_single_byte_falls_back(self, tmp_path):
         store, newest = small_store(tmp_path)
         raw = newest.read_bytes()
-        assert len(raw) < 512
-        for at in range(len(raw)):
+        end = unpack_from(raw)[1]  # The slot's zero padding follows.
+        assert end < 512
+        for at in range(end):
             for bit in (0x01, 0x80):
                 flipped = bytearray(raw)
                 flipped[at] ^= bit
@@ -136,11 +138,13 @@ class TestRejection:
     def test_a_cut_at_every_length_falls_back(self, tmp_path):
         store, newest = small_store(tmp_path)
         raw = newest.read_bytes()
-        for length in range(len(raw)):
+        for length in range(unpack_from(raw)[1]):
             newest.write_bytes(raw[:length])
             assert_falls_back(store, newest)
-        newest.write_bytes(raw + b"\0")  # And one byte too many.
-        assert_falls_back(store, newest)
+        # Bytes after the container are not its own: what a slot keeps
+        # of a longer generation it held before.
+        newest.write_bytes(raw + b"\0" + raw)
+        assert store.load_latest().cycle == 20
 
     @pytest.mark.parametrize(
         "reference",
@@ -187,11 +191,12 @@ class TestMixedDirectory:
         newest = store.save(12, self.payload())
         assert [p.name for p in store.paths()] == [
             "ckpt-00000008.json",
-            "ckpt-00000012.bin",
+            "ckpt-slot-0.bin",
         ]
         assert store.load_latest().cycle == 12
 
-        newest.write_bytes(newest.read_bytes()[:-1])
+        raw = newest.read_bytes()
+        newest.write_bytes(raw[: unpack_from(raw)[1] - 1])
         ckpt = store.load_latest()
         assert (ckpt.cycle, ckpt.path.name) == (8, "ckpt-00000008.json")
         assert store.last_rejected == [newest]
@@ -204,10 +209,20 @@ class TestMixedDirectory:
         assert store.last_rejected == []
 
     def test_both_formats_are_pruned_as_one_series(self, tmp_path):
-        shutil.copy(FIXTURES / "ckpt-00000008.json", tmp_path)
+        # Read as one series; an older store's files are never written,
+        # so never removed either — the slots outnumber them at once.
+        legacy = FIXTURES / "ckpt-00000008.json"
+        shutil.copy(legacy, tmp_path)
         store = CheckpointStore(tmp_path, keep=1)
-        store.save(12, self.payload())
-        assert [p.name for p in store.paths()] == ["ckpt-00000012.bin"]
+        for cycle in (12, 16, 20):
+            store.save(cycle, self.payload())
+        assert [p.name for p in store.paths()] == [
+            "ckpt-00000008.json",
+            "ckpt-slot-0.bin",
+            "ckpt-slot-1.bin",
+        ]
+        assert (tmp_path / legacy.name).read_bytes() == legacy.read_bytes()
+        assert store.load_latest().cycle == 20
 
 
 class TestPrinter:
@@ -229,6 +244,34 @@ class TestPrinter:
         doc = json.loads(v2.stdout)
         assert doc["cycle"] == 8
         assert doc["payload"]["manager"]["caps"]["dtype"] == "<f8"
+
+    def test_prints_a_journal_record_per_line_and_reads_a_slot(self, tmp_path):
+        from repro.recovery.checkpoint import CycleJournal
+
+        journal = CycleJournal(tmp_path / "journal.log")
+        for cycle in (1, 2, 3):
+            journal.append(cycle, {"power": encode_array(np.full(2, cycle / 4))})
+        # A new segment: records 1-3 stay in the file, behind 4-5.
+        journal.truncate()
+        journal.append(4, {"power": encode_array(np.zeros(2))})
+        journal.append(5, {"power": encode_array(np.ones(2))})
+        journal.close()
+        proc = self.run(journal.path)
+        assert proc.returncode == 0
+        assert "journal segment 2, 2 valid records" in proc.stderr
+        docs = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [d["cycle"] for d in docs] == [4, 5]
+        assert docs[1]["data"]["power"]["dtype"] == "<f8"
+
+        # The text journal of an older directory prints its lines' bodies.
+        text = self.run(FIXTURES / "journal.log")
+        lines = (FIXTURES / "journal.log").read_text(encoding="utf-8").splitlines()
+        assert text.stdout.splitlines() == [ln.partition(" ")[2] for ln in lines]
+
+        slot = CheckpointStore(tmp_path).save(8, {"caps": encode_array(np.ones(2))})
+        proc = self.run(slot)
+        assert proc.returncode == 0 and "cycle 8, checksum ok" in proc.stderr
+        assert json.loads(proc.stdout)["payload"]["caps"]["shape"] == [2]
 
     def test_a_rejected_file_prints_no_document(self, tmp_path):
         torn = tmp_path / "ckpt-00000008.bin"

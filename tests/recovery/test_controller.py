@@ -9,6 +9,7 @@ import pytest
 from repro.core.managers import create_manager
 from repro.recovery.checkpoint import CheckpointStore, CycleJournal
 from repro.recovery.controller import RecoverableController
+from tests.recovery.tears import changed, tear
 
 N_UNITS = 4
 
@@ -61,7 +62,7 @@ class TestStepping:
         for power in inputs(12):
             ctl.step(power)
         cycles = [
-            int(e.detail.split("-")[1].split(".")[0])
+            int(e.detail.rsplit(" ", 1)[1])
             for e in ctl.events.of_kind("checkpoint_written")
         ]
         assert cycles == [5, 10]
@@ -81,23 +82,55 @@ class TestStepping:
         ctl.manager.step = step
         for power in inputs(3):
             ctl.step(power)
-        creation = ("fsync", tmp_path.name)
+        creation = [
+            ("create", "journal.tmp"),
+            ("fsync", "journal.tmp"),
+            ("replace", "journal.tmp", "journal.log"),
+            ("fsync", tmp_path.name),
+        ]
         cycle = [("fsync", "journal.log"), ("step",)]
-        assert syscalls == [creation] + 3 * cycle
+        assert syscalls == creation + 3 * cycle
 
     def test_write_cost_of_twenty_cycles(self, tmp_path, syscalls):
-        # Host-independent: what the recovery plane asks of the disk.
+        # Host-independent: what the recovery plane asks of the disk.  The
+        # first twenty cycles create the journal and the keep + 1 = 4
+        # slots; from then on a cycle is one fsync, a checkpoint one more,
+        # and no file is created, renamed, cut, removed or resized.
         ctl = make_controller(tmp_path, every=5)
-        for power in inputs(20):
+        stream = inputs(40)
+        for power in stream[:20]:
+            ctl.step(power)
+        assert syscalls[:4] == [
+            ("create", "journal.tmp"),
+            ("fsync", "journal.tmp"),
+            ("replace", "journal.tmp", "journal.log"),
+            ("fsync", tmp_path.name),
+        ]
+        assert [c for c in syscalls[4:] if c[0] != "fsync"] == [
+            ("create", f"ckpt-slot-{k}.bin") for k in range(4)
+        ]
+        # One per journaled cycle, temp file + directory for the journal,
+        # slot + directory per checkpoint.
+        assert len([c for c in syscalls if c[0] == "fsync"]) == 20 + 2 + 2 * 4
+
+        def layout():
+            return {
+                p.name: (p.stat().st_ino, p.stat().st_size)
+                for p in tmp_path.iterdir()
+            }
+
+        steady = layout()
+        del syscalls[:]
+        for power in stream[20:]:
             ctl.step(power)
         ctl.close()
-        fsyncs = [c for c in syscalls if c[0] == "fsync"]
-        # One per journaled cycle, one for the journal's directory entry,
-        # temp file + directory per checkpoint; the cut costs none.
-        assert len(fsyncs) == 20 + 1 + 2 * 4
-        assert [c for c in syscalls if c[0] == "ftruncate"] == 4 * [
-            ("ftruncate", "journal.log", 0)
-        ]
+        expected = []
+        for cycle in range(21, 41):
+            expected.append(("fsync", "journal.log"))
+            if cycle % 5 == 0:  # Over the oldest generation's slot.
+                expected.append(("fsync", f"ckpt-slot-{(cycle // 5 - 1) % 4}.bin"))
+        assert syscalls == expected
+        assert layout() == steady
 
         def leaf_bytes(doc):
             if isinstance(doc, np.ndarray):
@@ -110,7 +143,7 @@ class TestStepping:
 
         budget = leaf_bytes(ctl.manager.snapshot()) + 4096
         sizes = [p.stat().st_size for p in ctl.store.paths()]
-        assert len(sizes) == 3 and max(sizes) <= budget
+        assert len(sizes) == 4 and max(sizes) <= budget
 
     def test_close_releases_the_descriptor_and_a_step_reopens(self, tmp_path):
         ctl = make_controller(tmp_path, every=100)
@@ -214,8 +247,12 @@ class TestResume:
         ctl = make_controller(tmp_path, seed=5, every=5)
         for power in stream[:12]:
             ctl.step(power)  # Checkpoint at 10; cycles 11-12 journaled.
-        with open(ctl.journal.path, "a", encoding="utf-8") as fh:
-            fh.write('deadbeefdeadbeef {"cycle": 13, "da')
+        before = ctl.journal.path.read_bytes()
+        ctl.step(stream[12])
+        ctl.close()
+        after = ctl.journal.path.read_bytes()
+        span = changed(before, after)  # Record 13, torn halfway.
+        ctl.journal.path.write_bytes(tear(before, after, span[len(span) // 2]))
 
         second = revive()
         assert (second.cycle, second.replayed) == (12, 2)
@@ -227,6 +264,46 @@ class TestResume:
         for g, w in zip(got, want[12:]):
             assert g.tobytes() == w.tobytes()
         assert third.manager.snapshot()["rng"] == reference.snapshot()["rng"]
+
+    def test_a_fallback_restore_keeps_only_the_tail_it_replays(self, tmp_path):
+        # Regression: a resume that fell back past a torn generation left
+        # the records after it in the journal, and the cycles it stepped
+        # landed behind them: the journal read [11, 12, 6, 7, 8], and a
+        # second crash resumed at 5 with nothing replayed, not at 8.
+        stream = inputs(16)
+        reference = bound_manager(seed=5)
+        want = [np.asarray(reference.step(p)).copy() for p in stream]
+
+        ctl = make_controller(tmp_path, seed=5, every=5)
+        for power in stream[:12]:
+            ctl.step(power)  # Checkpoints at 5 and 10; cycles 11-12 journaled.
+        ctl.close()
+        newest = ctl.store.load_latest().path
+        newest.write_bytes(newest.read_bytes()[:100])
+
+        def revive():
+            return RecoverableController(
+                create_manager("dps"),
+                CheckpointStore(tmp_path),
+                CycleJournal(tmp_path / "journal.log"),
+                checkpoint_every=5,
+            )
+
+        fallback = revive()
+        assert fallback.resume() is True
+        assert (fallback.cycle, fallback.replayed) == (5, 0)
+        for power in stream[5:8]:
+            fallback.step(power)
+        fallback.close()
+        assert [r.cycle for r in fallback.journal.read()] == [6, 7, 8]
+
+        again = revive()
+        assert again.resume() is True
+        assert (again.cycle, again.replayed) == (8, 3)
+        for power, caps in zip(stream[8:], want[8:]):
+            assert np.asarray(again.step(power)).tobytes() == caps.tobytes()
+        again.close()
+        assert again.manager.snapshot()["rng"] == reference.snapshot()["rng"]
 
     def test_corrupt_newest_generation_reported_and_skipped(self, tmp_path):
         ctl = make_controller(tmp_path, every=5)
@@ -283,8 +360,12 @@ class TestResume:
         ctl.close()
         # The cut, then a crash halfway through record 11.
         shutil.copytree(tmp_path / "cut", tmp_path / "half")
-        line = (tmp_path / "whole" / "journal.log").read_bytes()
-        (tmp_path / "half" / "journal.log").write_bytes(line[: len(line) // 2])
+        cut = (tmp_path / "cut" / "journal.log").read_bytes()
+        whole = (tmp_path / "whole" / "journal.log").read_bytes()
+        span = changed(cut, whole)
+        (tmp_path / "half" / "journal.log").write_bytes(
+            tear(cut, whole, span[len(span) // 2])
+        )
 
         def journaled(name):
             return [

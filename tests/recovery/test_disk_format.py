@@ -1,21 +1,19 @@
 """The on-disk formats, pinned file by file.
 
-Snapshot documents carry arrays as arrays in memory; text exists only at
-the JSON boundary of the journal.  The journal's bytes have not moved
-since commit ``db5d995`` — where every ``snapshot()`` base64-encoded on
-the spot: the SHA-256 of the journal just before each truncation and at
-the end were computed there and are committed unchanged, and
-``fixtures/`` holds a version-1 checkpoint (``ckpt-00000008.json``) and
-a journal tail *written by that commit* (cycles 1-8 and 9-10 of the same
-session), which must still resume bit-identically through the version-1
-reader.
+``fixtures/`` holds what older commits wrote in one session: a version-1
+text checkpoint (``ckpt-00000008.json``, cycles 1-8), the same generation
+as a binary container (``ckpt-00000008.bin``), and the text journal of
+cycles 9-10 (``journal.log``).  All of them must still resume
+bit-identically.
 
-The checkpoint moved once, on purpose: the binary container of ISSUE 22
-(``ckpt-*.bin``).  Its three hashes below and ``fixtures/
-ckpt-00000008.bin`` were computed and written at the commit that
-introduced the container, from the same session; the journal's format
-did not move, so the one ``journal.log`` is the tail of both checkpoints.
-A failure here means a format moved, not that a constant is stale.
+The checkpoint container has not moved since it was introduced: a slot
+holds it byte for byte, then zero padding, so the three container hashes
+below are the ones that commit computed.  The journal moved once, from
+one text line per record to the same container per record, written in
+place behind a segment header: its hashes were computed at the commit
+that made that move, while each record's document did not move — its
+``to_json`` text is still the fixture's line body.  A failure here means
+a format moved, not that a constant is stale.
 """
 
 import hashlib
@@ -27,6 +25,7 @@ import numpy as np
 from repro.core.managers import create_manager
 from repro.recovery.checkpoint import CheckpointStore, CycleJournal
 from repro.recovery.controller import RecoverableController
+from repro.recovery.state import to_json, unpack_from
 from repro.safety.invariants import _same_json
 
 N_UNITS = 8
@@ -38,13 +37,13 @@ FIXTURE_STEPS = 10
 
 PARENT_HASHES = {
     "journal-before-00000004": (
-        "cd650147e0ea6660e6be21b2c7c13d908604f2e234b06c551444d51de9b87e4c"
+        "a5ff28346ba1595b6e6e343effcb8f69b95c2a88e6f5ba82c0b2c2e7ecdd4dea"
     ),
     "journal-before-00000008": (
-        "51c05153a003554b305faaf344a28755d2befd2031104517c4ba243fa272e06b"
+        "e82b37921ab4caa50c094b0b36492d639243c7e65763a6ac6428a6af21da0232"
     ),
     "journal-before-00000012": (
-        "c89eafc12ec64c310b1fd70c3a4cefd88239657539aee96a90ddaccebaada8dc"
+        "0e14fc90fade74cef89d57380c6afadf7ec96015b7604307eb23292b03de088f"
     ),
     "ckpt-00000004.bin": (
         "7363b17845fc8c059bf26072d61c7d2849c2208b620c4dd17011e6f2fbea1f35"
@@ -56,7 +55,7 @@ PARENT_HASHES = {
         "723e69bf3a00343aac3229e32d0d0df89fe6135565fc2e78aa6a5089ee70e1e3"
     ),
     "journal-tail": (
-        "836673d622d4114e41736f63379eef6fc663d10ac78d2f0ecf18f540599f08ba"
+        "b6b69d5333c4d0fa76d2510fd0b599f353a95f2cdda5763d62f7f4c8e5c2155b"
     ),
 }
 
@@ -105,7 +104,10 @@ def run_session(directory: Path, steps: int) -> dict[str, str]:
     for power in readings(steps):
         controller.step(power)
     for path in controller.store.paths():
-        hashes[path.name] = sha256(path)
+        raw = path.read_bytes()
+        doc, end = unpack_from(raw)
+        assert raw[end:] == bytes(len(raw) - end)
+        hashes[f"ckpt-{doc['cycle']:08d}.bin"] = hashlib.sha256(raw[:end]).hexdigest()
     hashes["journal-tail"] = sha256(controller.journal.path)
     return hashes
 
@@ -115,11 +117,17 @@ def test_every_file_hashes_as_the_parent_wrote_it(tmp_path):
 
 
 def test_the_session_rewrites_the_parent_fixtures_byte_for_byte(tmp_path):
-    # The journal as the parent wrote it, the checkpoint as this format's
-    # first commit did.
+    # The checkpoint container as its first commit wrote it; the journal's
+    # records as the text journal wrote their lines.
     run_session(tmp_path, FIXTURE_STEPS)
-    for name in ("ckpt-00000008.bin", "journal.log"):
-        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes()
+    container = (FIXTURES / "ckpt-00000008.bin").read_bytes()
+    slot = CheckpointStore(tmp_path).load_latest().path.read_bytes()
+    assert slot[: len(container)] == container
+    lines = (FIXTURES / "journal.log").read_text(encoding="utf-8").splitlines()
+    records = CycleJournal(tmp_path / "journal.log").read()
+    assert [to_json({"cycle": r.cycle, "data": r.data}) for r in records] == [
+        line.partition(" ")[2] for line in lines
+    ]
 
 
 def test_the_container_moved_the_state_did_not(tmp_path):
