@@ -257,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
         "shard-server",
         help="host one shard of the control plane behind a TCP listener",
         description=(
-            "Run a single shard server as its own OS process: a private "
+            "Run a single shard server as its own OS process, built from "
+            "the spec.json in --dir: a private "
             "sub-cluster, a crash-recoverable controller, and one TCP "
             "listener serving the supervisor's clock and the arbiter's "
             "shard link.  SIGTERM triggers a graceful drain (checkpoint, "
@@ -849,7 +850,7 @@ def _cmd_shard_server(args: argparse.Namespace) -> str:
     rc = run_shard_server(args)
     if rc != 0:
         raise SystemExit(rc)
-    return f"shard {args.shard_id} exited cleanly"
+    return f"shard-server in {args.dir} exited cleanly"
 
 
 def _cmd_report(args: argparse.Namespace) -> str:

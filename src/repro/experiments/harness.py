@@ -88,50 +88,6 @@ class ExperimentConfig:
         h = zlib.crc32("/".join(tokens).encode())
         return (self.seed * 1_000_003 + h) % (2**31 - 1)
 
-    def to_doc(self) -> dict:
-        """JSON-able document of every knob.
-
-        Floats survive the JSON round trip exactly (shortest-repr
-        serialization), so a config reloaded with :meth:`from_doc`
-        produces the same seeds, the same simulations, and the same job
-        digests as the original.
-        """
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "ExperimentConfig":
-        """Inverse of :meth:`to_doc` (bit-exact).
-
-        Raises:
-            KeyError / TypeError / ValueError: structurally wrong or
-                out-of-range documents (validation runs in each nested
-                config's ``__post_init__``).
-        """
-        from repro.core.config import (
-            KalmanConfig,
-            PriorityConfig,
-            ReadjustConfig,
-        )
-
-        dps = doc["dps"]
-        return cls(
-            cluster=ClusterSpec(**doc["cluster"]),
-            sim=SimulationConfig(**doc["sim"]),
-            perf=PerfModelConfig(**doc["perf"]),
-            rapl=RaplConfig(**doc["rapl"]),
-            dps=DPSConfig(
-                stateless=StatelessConfig(**dps["stateless"]),
-                kalman=KalmanConfig(**dps["kalman"]),
-                priority=PriorityConfig(**dps["priority"]),
-                readjust=ReadjustConfig(**dps["readjust"]),
-                use_kalman=bool(dps["use_kalman"]),
-                use_frequency=bool(dps["use_frequency"]),
-            ),
-            slurm=StatelessConfig(**doc["slurm"]),
-            repeats=int(doc["repeats"]),
-            seed=int(doc["seed"]),
-        )
-
 
 @dataclass(frozen=True)
 class ReferenceStats:

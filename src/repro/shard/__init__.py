@@ -31,9 +31,9 @@ from repro.shard.policy import Redistribution, redistribute
 from repro.shard.server import HostedShard, ShardServer
 from repro.shard.supervisor import (
     InlineShard,
-    ProcessShardSpec,
     RecoveryOptions,
     ShardProcess,
+    ShardSpec,
     ShardSupervisor,
 )
 
@@ -44,13 +44,13 @@ __all__ = [
     "BudgetLease",
     "HostedShard",
     "InlineShard",
-    "ProcessShardSpec",
     "RecoveryOptions",
     "Redistribution",
     "ShardChaosSchedule",
     "ShardLink",
     "ShardProcess",
     "ShardServer",
+    "ShardSpec",
     "ShardSummary",
     "ShardSupervisor",
     "ShardedResult",

@@ -12,7 +12,9 @@ There is **one loop and two transports**.  The calling thread hosts the
 arbiter and the lock-step clock; a
 :class:`~repro.shard.supervisor.ShardSupervisor` drives the fleet and
 keeps the only restart bookkeeping.  Every shard is a
-:class:`~repro.shard.server.HostedShard` running the same cycle body —
+:class:`~repro.shard.server.HostedShard` built by
+:func:`~repro.shard.supervisor.host_shard` from one
+:class:`~repro.shard.supervisor.ShardSpec`, running the same cycle body —
 step its slice's physics with its demand slice, run the leased control
 cycle, wait for the caps to land, summarize on the arbiter period,
 acknowledge with powers/caps/events/lease — and ``mode`` picks only how
@@ -24,7 +26,8 @@ the clock reaches it and how the arbiter's link does:
   (:class:`~repro.shard.supervisor.InlineShard`), and it is leased over
   the wire-faithful in-memory :class:`~repro.shard.lease.ShardLink`.
 * ``"process"`` — the shard is a ``dps-repro shard-server`` subprocess
-  over a private sub-cluster, commanded over a TCP clock connection
+  over a private sub-cluster, reading its spec from its directory,
+  commanded over a TCP clock connection
   (:class:`~repro.shard.supervisor.ShardProcess`) and leased over a
   :class:`~repro.comm.shardlink.TcpShardLink`.  Only this transport can
   admit and drain members live, and only it has a clock codec.
@@ -70,7 +73,7 @@ is no silent failover.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -81,18 +84,18 @@ from repro.comm.shardlink import TcpShardLink
 from repro.core.managers import PowerManager
 from repro.deploy.health import ResilienceConfig
 from repro.recovery.checkpoint import CheckpointStore
-from repro.recovery.controller import RecoverableController
 from repro.safety import SafetyConfig
 from repro.shard.arbiter import ArbiterShard, BudgetArbiter
 from repro.shard.lease import ArbiterConfig, ShardLink
-from repro.shard.server import HostedShard, ShardServer, event_from_doc
+from repro.shard.server import event_from_doc
 from repro.shard.supervisor import (
     InlineShard,
     PendingCycle,
-    ProcessShardSpec,
     RecoveryOptions,
     ShardProcess,
+    ShardSpec,
     ShardSupervisor,
+    host_shard,
 )
 from repro.telemetry.log import LeaseTimeline, ResilienceEventLog
 
@@ -318,7 +321,8 @@ def run_sharded(
             ``n_shards`` contiguous groups.  Thread-mode shards step
             their group's physics in place; process-mode shards own a
             private sub-cluster of the same shape, so there ``cluster``
-            contributes topology and the global budget only.
+            contributes topology, its RAPL configuration and the global
+            budget only.
         n_shards: shard servers to run (1 ≤ n_shards ≤ n_nodes).
         manager_factory: shard id → a fresh (unbound) power manager for
             that shard; bound here to the shard's slice topology with
@@ -335,10 +339,7 @@ def run_sharded(
             subdirectories of this function's ``checkpoint_dir``);
             ``hang_timeout_s`` is the per-cycle ack deadline.
         resilience: client quarantine knobs for every shard server.
-            Thread mode only: the ``shard-server`` command line cannot
-            carry it, so process mode rejects it.
         safety: deploy-layer safety config for every shard server.
-            Thread mode only, like ``resilience``.
         invariant_mode: the arbiter's invariant-monitor cadence
             (``"strict"`` raises — the chaos-test posture).
         timeout_s: per-shard deploy-server socket deadline.
@@ -384,12 +385,6 @@ def run_sharded(
     if mode == "process":
         if manager_name is None:
             raise ValueError("mode='process' requires manager_name")
-        for label, value in (("resilience", resilience), ("safety", safety)):
-            if value is not None:
-                raise ValueError(
-                    f"{label}= cannot reach a shard-server subprocess; "
-                    "run with mode='thread'"
-                )
     elif chaos.admit_at is not None or chaos.drain_at:
         raise ValueError(
             "admit/drain chaos needs real shard processes; run with "
@@ -421,63 +416,44 @@ def run_sharded(
     clock_now = {"now": 0.0}
     shard_rngs = rng.spawn(n_shards)
 
-    # -- the two transports: what a shard handle is built from -----------
+    # -- the two transports: one spec, one builder -----------------------
+
+    def shard_spec(shard_id: int, nodes: int, lease_w: float) -> ShardSpec:
+        return ShardSpec(
+            shard_id=shard_id,
+            cluster=replace(spec, n_nodes=nodes),
+            rapl=cluster.rapl_config,
+            manager=manager_name,
+            lease_w=lease_w,
+            dt_s=dt_s,
+            seed=shard_id,
+            arbiter=cfg,
+            checkpoint_every=recovery.checkpoint_every,
+            keep_generations=recovery.keep_generations,
+            safety=safety,
+            resilience=resilience,
+            codec=codec,
+            max_ack_events=max_ack_events,
+            timeout_s=timeout_s,
+        )
 
     def process_shard(shard_id: int, nodes: int, lease_w: float) -> ShardProcess:
         return ShardProcess(
-            ProcessShardSpec(
-                shard_id=shard_id,
-                n_nodes=nodes,
-                sockets_per_node=spec.sockets_per_node,
-                tdp_w=spec.tdp_w,
-                min_cap_w=spec.min_cap_w,
-                idle_power_w=spec.idle_power_w,
-                manager=manager_name,
-                lease_w=lease_w,
-                dt_s=dt_s,
-                seed=shard_id,
-                dir=root / f"shard-{shard_id}",
-                period_cycles=cfg.period_cycles,
-                lease_term_cycles=cfg.lease_term_cycles,
-                checkpoint_every=recovery.checkpoint_every,
-                keep_generations=recovery.keep_generations,
-                codec=codec,
-                max_ack_events=max_ack_events,
-            ),
-            timeout_s,
+            shard_spec(shard_id, nodes, lease_w), root / f"shard-{shard_id}"
         )
 
     def thread_shard(shard_id: int, lease_w: float) -> InlineShard:
-        manager = manager_factory(shard_id)
-        manager.bind(
-            n_units=int(units[shard_id]),
-            budget_w=lease_w,
-            max_cap_w=spec.tdp_w,
-            min_cap_w=spec.min_cap_w,
-            dt_s=dt_s,
-            rng=shard_rngs[shard_id],
-        )
         link = ShardLink()
-        events = ResilienceEventLog()  # Ships to the harness in acks.
-        shard = ShardServer(
-            shard_id=shard_id,
-            controller=RecoverableController.open(
-                manager,
-                root / f"shard-{shard_id}",
-                checkpoint_every=recovery.checkpoint_every,
-                keep=recovery.keep_generations,
-                events=events,
-            ),
-            link=link,
-            config=cfg,
-            events=events,
-            resilience=resilience,
-            safety=safety,
+        lo, hi = bounds[shard_id], bounds[shard_id + 1]
+        hosted = host_shard(
+            shard_spec(shard_id, hi - lo, lease_w),
+            root / f"shard-{shard_id}",
+            manager_factory(shard_id),
+            shard_rngs[shard_id],
+            cluster.nodes[lo:hi],
+            link,
         )
-        nodes = cluster.nodes[bounds[shard_id] : bounds[shard_id + 1]]
-        return InlineShard(
-            HostedShard(shard, nodes, dt_s, timeout_s, max_ack_events), link
-        )
+        return InlineShard(hosted, link)
 
     supervisor = ShardSupervisor(
         {

@@ -1,8 +1,11 @@
 """Standalone shard-server process: ``dps-repro shard-server``.
 
 :class:`ShardHost` is one shard of the control plane packaged as its own
-OS process.  It owns a private sub-cluster (the shard's slice of the
-simulated hardware), a full crash-recoverable stack —
+OS process, built by :func:`~repro.shard.supervisor.host_shard` from the
+:class:`~repro.shard.supervisor.ShardSpec` in ``--dir``/``spec.json``,
+as an in-process shard is: a private sub-cluster (the shard's slice of
+the simulated hardware, with the parent cluster's RAPL configuration),
+a full crash-recoverable stack —
 :class:`~repro.recovery.controller.RecoverableController` + journal +
 checkpoints under ``--dir`` — and a :class:`~repro.shard.server.
 ShardServer` with its deploy server and node-agent clients: the same
@@ -44,7 +47,6 @@ import queue
 import select
 import signal
 import socket
-import sys
 import threading
 import time
 from pathlib import Path
@@ -59,13 +61,9 @@ from repro.comm.wire import (
     FrameError,
     encode_frame,
 )
-from repro.core.config import ClusterSpec, RaplConfig
-from repro.core.managers import available_managers, create_manager
-from repro.recovery.controller import RecoverableController
+from repro.core.managers import create_manager
 from repro.recovery.state import to_json
-from repro.shard.lease import ArbiterConfig
-from repro.shard.server import HostedShard, ShardServer
-from repro.telemetry.log import ResilienceEventLog
+from repro.shard.supervisor import SPEC_FILE, ShardSpec, host_shard
 
 __all__ = ["ShardHost", "add_shard_server_args", "run_shard_server"]
 
@@ -103,73 +101,35 @@ class _HostLink:
 
 
 class ShardHost:
-    """One shard of the control plane, hosted behind a TCP listener."""
+    """One shard of the control plane, hosted behind a TCP listener.
 
-    def __init__(self, args: argparse.Namespace) -> None:
-        self.shard_id = int(args.shard_id)
-        self.dir = Path(args.dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
-        self.dt_s = float(args.dt)
-        self.config = ArbiterConfig(
-            period_cycles=args.period_cycles,
-            lease_term_cycles=args.lease_term_cycles,
-        )
-        spec = ClusterSpec(
-            n_nodes=args.nodes,
-            sockets_per_node=args.sockets_per_node,
-            tdp_w=args.tdp,
-            min_cap_w=args.min_cap,
-            idle_power_w=args.idle_power,
-        )
+    Args:
+        spec: what to build — the slice, its manager and every knob.
+        directory: checkpoints, journal and persisted cluster state.
+        resume: warm-restart from that directory.
+    """
+
+    def __init__(self, spec: ShardSpec, directory: Path, resume: bool) -> None:
+        self.shard_id = spec.shard_id
         self.cluster = Cluster(
-            spec,
-            RaplConfig(noise_std_w=args.noise_std),
-            rng=np.random.default_rng(args.seed),
-        )
-        floor = self.cluster.n_units * spec.min_cap_w
-        ceiling = self.cluster.n_units * spec.tdp_w
-        lease_w = float(np.clip(args.lease, floor, ceiling))
-
-        manager = create_manager(args.manager)
-        manager.bind(
-            n_units=self.cluster.n_units,
-            budget_w=lease_w,
-            max_cap_w=spec.tdp_w,
-            min_cap_w=spec.min_cap_w,
-            dt_s=self.dt_s,
-            rng=np.random.default_rng(args.seed + 1),
-        )
-        # One log for the deploy, lease and recovery stacks: it ships
-        # home in acks, so a restore is as visible as the crash.
-        events = ResilienceEventLog()
-        self.controller = RecoverableController.open(
-            manager,
-            self.dir,
-            checkpoint_every=args.checkpoint_every,
-            keep=args.keep_generations,
-            events=events,
+            spec.cluster, spec.rapl, rng=np.random.default_rng(spec.seed)
         )
         self.link = _HostLink(self)
-        self.shard = ShardServer(
-            shard_id=self.shard_id,
-            controller=self.controller,
-            link=self.link,
-            config=self.config,
-            events=events,
-        )
-        self.hosted = HostedShard(
-            self.shard,
+        self.hosted = host_shard(
+            spec,
+            directory,
+            create_manager(spec.manager),
+            np.random.default_rng(spec.seed + 1),
             self.cluster.nodes,
-            self.dt_s,
-            timeout_s=float(args.timeout),
-            max_ack_events=int(args.max_ack_events),
+            self.link,
         )
-        self.state_path = self.dir / "cluster.json"
-        if args.resume:
+        self.shard = self.hosted.shard
+        self.state_path = directory / "cluster.json"
+        if resume:
             self._resume()
 
-        self.codec = str(args.codec)
-        self._persist_every = max(1, int(args.checkpoint_every))
+        self.codec = spec.codec
+        self._persist_every = spec.checkpoint_every
         self._persist_queue: queue.Queue = queue.Queue()
         self._persist_worker: threading.Thread | None = None
         self._listener: socket.socket | None = None
@@ -477,41 +437,10 @@ class ShardHost:
 
 def add_shard_server_args(parser: argparse.ArgumentParser) -> None:
     """CLI surface of ``dps-repro shard-server``."""
-    parser.add_argument("--shard-id", type=int, required=True)
     parser.add_argument(
-        "--nodes", type=int, required=True, help="nodes in this shard's slice"
-    )
-    parser.add_argument("--sockets-per-node", type=int, default=2)
-    parser.add_argument("--tdp", type=float, default=165.0)
-    parser.add_argument("--min-cap", type=float, default=30.0)
-    parser.add_argument("--idle-power", type=float, default=12.0)
-    parser.add_argument("--noise-std", type=float, default=0.0)
-    parser.add_argument(
-        "--manager", default="dps", help="power manager for this shard"
-    )
-    parser.add_argument(
-        "--lease", type=float, required=True, help="initial lease (W)"
-    )
-    parser.add_argument("--dt", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--period-cycles", type=int, default=2)
-    parser.add_argument("--lease-term-cycles", type=int, default=2)
-    parser.add_argument("--checkpoint-every", type=int, default=2)
-    parser.add_argument("--keep-generations", type=int, default=3)
-    parser.add_argument(
-        "--dir", required=True, help="checkpoint/journal/state directory"
-    )
-    parser.add_argument(
-        "--codec",
-        choices=("json", "binary"),
-        default="json",
-        help="clock-plane bulk encoding for demand/power/cap vectors",
-    )
-    parser.add_argument(
-        "--max-ack-events",
-        type=int,
-        default=256,
-        help="per-ack structured-event cap (overflow -> events_truncated)",
+        "--dir",
+        required=True,
+        help=f"the shard's directory: {SPEC_FILE}, checkpoints, journal, state",
     )
     parser.add_argument(
         "--port", type=int, default=0, help="listener port (0 = kernel)"
@@ -519,7 +448,6 @@ def add_shard_server_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--port-file", default=None, help="publish host:port here atomically"
     )
-    parser.add_argument("--timeout", type=float, default=5.0)
     parser.add_argument(
         "--resume",
         action="store_true",
@@ -529,12 +457,9 @@ def add_shard_server_args(parser: argparse.ArgumentParser) -> None:
 
 def run_shard_server(args: argparse.Namespace) -> int:
     """Entry point behind ``dps-repro shard-server``."""
-    if args.manager not in available_managers():
-        print(
-            f"unknown manager {args.manager!r}; one of "
-            f"{', '.join(available_managers())}",
-            file=sys.stderr,
-        )
-        return 2
-    host = ShardHost(args)
+    directory = Path(args.dir)
+    spec = ShardSpec.from_doc(
+        json.loads((directory / SPEC_FILE).read_text(encoding="utf-8"))
+    )
+    host = ShardHost(spec, directory, args.resume)
     return host.serve(args.port, args.port_file)

@@ -8,7 +8,8 @@ surface ``launch / complete / spawn(resume) / alive / kill /
 command_cycle / send_hang / await_ack / shutdown / bytes_clock``:
 
 * :class:`ShardProcess` — a real ``dps-repro shard-server`` subprocess
-  (``python -m repro shard-server``) behind a TCP clock connection.
+  (``python -m repro shard-server``) behind a TCP clock connection,
+  built from the :class:`ShardSpec` it finds in its directory.
   Chaos uses the operating system's own weapons: ``SIGKILL`` for a
   crash, ``SIGTERM`` for a graceful drain, a checkpoint ``--resume``
   respawn for the warm restart.  Respawns pin the port the shard first
@@ -26,6 +27,7 @@ command_cycle / send_hang / await_ack / shutdown / bytes_clock``:
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import signal
@@ -35,8 +37,9 @@ import sys
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -47,21 +50,31 @@ from repro.comm.wire import (
     FrameError,
     encode_frame,
 )
-from repro.shard.lease import ShardLink
-from repro.shard.server import HostedShard
+from repro.cluster.node import Node
+from repro.core.config import ClusterSpec, RaplConfig
+from repro.core.managers import PowerManager, available_managers
+from repro.deploy.health import ResilienceConfig
+from repro.recovery.controller import RecoverableController
+from repro.safety import SafetyConfig
+from repro.shard.lease import ArbiterConfig, ShardLink
+from repro.shard.server import HostedShard, ShardServer
 from repro.telemetry.log import ResilienceEventLog
 
 __all__ = [
     "InlineShard",
     "PendingCycle",
-    "ProcessShardSpec",
     "RecoveryOptions",
     "ShardProcess",
+    "ShardSpec",
     "ShardSupervisor",
+    "host_shard",
 ]
 
 #: Seconds a fresh subprocess gets to publish its port file.
 _SPAWN_TIMEOUT_S = 30.0
+
+#: A process shard's :class:`ShardSpec` document, in its directory.
+SPEC_FILE = "spec.json"
 
 
 @dataclass(frozen=True)
@@ -109,58 +122,140 @@ class RecoveryOptions:
 
 
 @dataclass(frozen=True)
-class ProcessShardSpec:
-    """Launch description of one shard-server subprocess.
+class ShardSpec:
+    """Everything one shard is built from, on either transport.
+
+    A process shard reads it from ``spec.json`` in its directory
+    (:meth:`ShardProcess.launch` writes it); an in-process shard is
+    built from it directly.  :func:`host_shard` turns it into the
+    running shard in both cases.
 
     Attributes:
         shard_id: the shard's index (stable across restarts).
-        n_nodes / sockets_per_node: the shard's private sub-cluster.
-        tdp_w / min_cap_w / idle_power_w: per-unit hardware envelope.
-        manager: power-manager registry name for the shard.
+        cluster: the slice's topology and per-unit hardware envelope
+            (``n_nodes`` is the slice's node count).
+        rapl: the parent cluster's RAPL behaviour (noise, lag, wrap).
+        manager: power-manager registry name; None when the host is
+            handed a manager object instead (thread mode's factory).
         lease_w: the initial lease the shard is constructed holding.
         dt_s: control period.
-        seed: sub-cluster / manager randomness seed.
-        dir: the shard's checkpoint/journal/state directory.
-        noise_std_w: RAPL measurement-noise sigma (0 for drills).
-        period_cycles / lease_term_cycles: lease protocol knobs.
+        seed: a process shard's randomness seed — ``seed`` for its
+            sub-cluster, ``seed + 1`` for its manager.
+        arbiter: the lease protocol's knobs.
         checkpoint_every / keep_generations: recovery knobs.
+        safety: deploy-server safety envelope (None: guard on).
+        resilience: client quarantine knobs (None: defaults).
         codec: clock-plane bulk encoding — ``"json"`` ships demand/
             power/cap vectors as JSON float lists, ``"binary"`` as raw
             array frames (:mod:`repro.comm.wire`).
-        max_ack_events: per-ack structured-event cap forwarded to the
-            shard server (overflow collapses into ``events_truncated``).
+        max_ack_events: per-ack structured-event cap (overflow
+            collapses into ``events_truncated``).
+        timeout_s: deploy-server and clock socket deadline.
     """
 
     shard_id: int
-    n_nodes: int
-    sockets_per_node: int
-    tdp_w: float
-    min_cap_w: float
-    idle_power_w: float
-    manager: str
+    cluster: ClusterSpec
+    rapl: RaplConfig
+    manager: str | None
     lease_w: float
-    dt_s: float
-    seed: int
-    dir: Path
-    noise_std_w: float = 0.0
-    period_cycles: int = 2
-    lease_term_cycles: int = 2
+    dt_s: float = 1.0
+    seed: int = 0
+    arbiter: ArbiterConfig = field(default_factory=ArbiterConfig)
     checkpoint_every: int = 2
     keep_generations: int = 3
+    safety: SafetyConfig | None = None
+    resilience: ResilienceConfig | None = None
     codec: str = "json"
     max_ack_events: int = 256
+    timeout_s: float = 5.0
 
-    @property
-    def n_units(self) -> int:
-        return self.n_nodes * self.sockets_per_node
+    def __post_init__(self) -> None:
+        # A process shard reads its spec from disk: a bad name must fail
+        # here, in the parent, not as a shard that never comes up.
+        if self.manager is not None and self.manager not in available_managers():
+            raise ValueError(
+                f"unknown manager {self.manager!r}; one of "
+                f"{', '.join(available_managers())}"
+            )
+        if self.codec not in ("json", "binary"):
+            raise ValueError(
+                f"codec must be 'json' or 'binary', got {self.codec!r}"
+            )
+
+    def to_doc(self) -> dict:
+        """JSON-able document of every field (nested configs as dicts)."""
+        return asdict(self)
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "ShardSpec":
+        """Inverse of :meth:`to_doc`; validation runs on every level."""
+        fields = dict(doc)
+        for name, kind in _NESTED.items():
+            if fields.get(name) is not None:
+                fields[name] = kind(**fields[name])
+        return cls(**fields)
+
+
+#: The nested configurations of a :class:`ShardSpec` document.
+_NESTED = {
+    "cluster": ClusterSpec,
+    "rapl": RaplConfig,
+    "arbiter": ArbiterConfig,
+    "safety": SafetyConfig,
+    "resilience": ResilienceConfig,
+}
+
+
+def host_shard(
+    spec: ShardSpec,
+    directory: Path,
+    manager: PowerManager,
+    rng: np.random.Generator,
+    nodes: Sequence[Node],
+    link: ShardLink,
+) -> HostedShard:
+    """Build the shard ``spec`` describes over ``nodes``, leased on ``link``.
+
+    Binds ``manager`` (with ``rng``) to the slice with the initial lease
+    as its budget and opens its recoverable controller in ``directory``.
+    One event log serves the deploy, lease and recovery stacks: it ships
+    home in acks, so a restore is as visible as the crash.
+    """
+    manager.bind(
+        n_units=spec.cluster.n_units,
+        budget_w=spec.lease_w,
+        max_cap_w=spec.cluster.tdp_w,
+        min_cap_w=spec.cluster.min_cap_w,
+        dt_s=spec.dt_s,
+        rng=rng,
+    )
+    events = ResilienceEventLog()
+    shard = ShardServer(
+        shard_id=spec.shard_id,
+        controller=RecoverableController.open(
+            manager,
+            directory,
+            checkpoint_every=spec.checkpoint_every,
+            keep=spec.keep_generations,
+            events=events,
+        ),
+        link=link,
+        config=spec.arbiter,
+        events=events,
+        resilience=spec.resilience,
+        safety=spec.safety,
+    )
+    return HostedShard(
+        shard, nodes, spec.dt_s, spec.timeout_s, spec.max_ack_events
+    )
 
 
 class ShardProcess:
     """Handle on one shard-server subprocess and its clock connection."""
 
-    def __init__(self, spec: ProcessShardSpec, timeout_s: float = 5.0) -> None:
+    def __init__(self, spec: ShardSpec, directory: Path) -> None:
         self.spec = spec
-        self.timeout_s = timeout_s
+        self.dir = Path(directory)
         self.proc: subprocess.Popen | None = None
         self.address: tuple[str, int] | None = None
         self._clock: socket.socket | None = None
@@ -173,8 +268,8 @@ class ShardProcess:
         #: decodes beyond the document it wants must be kept, in arrival
         #: order, for the next pass.
         self._inbox: list[dict] = []
-        self._log_path = spec.dir / f"shard-{spec.shard_id}.log"
-        self._port_file = spec.dir / "port"
+        self._log_path = self.dir / f"shard-{spec.shard_id}.log"
+        self._port_file = self.dir / "port"
         #: Frame bytes over the clock connection, both directions,
         #: accumulated across respawns (the handle outlives the process).
         self.bytes_clock = 0
@@ -182,7 +277,6 @@ class ShardProcess:
     # -- spawning -------------------------------------------------------
 
     def _command(self, resume: bool) -> list[str]:
-        spec = self.spec
         # Respawns pin the originally learned port so the arbiter link's
         # dial address survives the restart.
         port = self.address[1] if self.address is not None else 0
@@ -191,27 +285,9 @@ class ShardProcess:
             "-m",
             "repro",
             "shard-server",
-            "--shard-id", str(spec.shard_id),
-            "--nodes", str(spec.n_nodes),
-            "--sockets-per-node", str(spec.sockets_per_node),
-            "--tdp", str(spec.tdp_w),
-            "--min-cap", str(spec.min_cap_w),
-            "--idle-power", str(spec.idle_power_w),
-            "--noise-std", str(spec.noise_std_w),
-            "--manager", spec.manager,
-            "--lease", str(spec.lease_w),
-            "--dt", str(spec.dt_s),
-            "--seed", str(spec.seed),
-            "--period-cycles", str(spec.period_cycles),
-            "--lease-term-cycles", str(spec.lease_term_cycles),
-            "--checkpoint-every", str(spec.checkpoint_every),
-            "--keep-generations", str(spec.keep_generations),
-            "--dir", str(spec.dir),
-            "--codec", spec.codec,
-            "--max-ack-events", str(spec.max_ack_events),
+            "--dir", str(self.dir),
             "--port", str(port),
             "--port-file", str(self._port_file),
-            "--timeout", str(self.timeout_s),
         ]
         if resume:
             cmd.append("--resume")
@@ -225,7 +301,10 @@ class ShardProcess:
         whole fleet instead of paying it serially per shard.
         """
         self.close_clock()
-        self.spec.dir.mkdir(parents=True, exist_ok=True)
+        self.dir.mkdir(parents=True, exist_ok=True)
+        (self.dir / SPEC_FILE).write_text(
+            json.dumps(self.spec.to_doc(), indent=1), encoding="utf-8"
+        )
         if self._port_file.exists():
             self._port_file.unlink()
         env = dict(os.environ)
@@ -274,7 +353,9 @@ class ShardProcess:
 
     def _connect_clock(self) -> None:
         assert self.address is not None
-        sock = socket.create_connection(self.address, timeout=self.timeout_s)
+        sock = socket.create_connection(
+            self.address, timeout=self.spec.timeout_s
+        )
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         hello = encode_frame({"type": "hello", "role": "clock"})
         sock.sendall(hello)

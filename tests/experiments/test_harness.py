@@ -31,18 +31,6 @@ class TestConfig:
         assert cfg.make_manager("constant").name == "constant"
         assert cfg.make_manager("oracle").name == "oracle"
 
-    @pytest.mark.parametrize("core", ["loop", "vectorized"])
-    def test_from_doc_loads_legacy_decision_core_documents(
-        self, fast_config, core
-    ):
-        """Campaign documents persisted while ``DPSConfig`` still had a
-        ``decision_core`` field keep loading (the cores were bit-exact,
-        so either value means the config of today)."""
-        doc = fast_config.to_doc()
-        assert "decision_core" not in doc["dps"]
-        doc["dps"]["decision_core"] = core
-        assert ExperimentConfig.from_doc(doc) == fast_config
-
 
 class TestReferences:
     def test_uncapped_reference_cached(self, fast_config):

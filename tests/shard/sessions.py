@@ -49,10 +49,10 @@ MATRIX_EVENT_KINDS = frozenset(
 )
 
 
-def make_cluster(n_nodes, sockets_per_node=2, seed=0):
+def make_cluster(n_nodes, sockets_per_node=2, seed=0, rapl=None):
     return Cluster(
         ClusterSpec(n_nodes=n_nodes, sockets_per_node=sockets_per_node),
-        RaplConfig(noise_std_w=0.0),
+        rapl or RaplConfig(noise_std_w=0.0),
         np.random.default_rng(seed),
     )
 

@@ -13,9 +13,13 @@ recovery or membership step is a structured event.  Mirrored by the CI
 ``shard-process-chaos`` job.
 """
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
+from repro.core.config import ClusterSpec, RaplConfig
 from repro.core.constant import ConstantManager
 from repro.deploy.health import ResilienceConfig
 from repro.safety import SafetyConfig
@@ -23,6 +27,7 @@ from repro.shard import (
     ArbiterConfig,
     RecoveryOptions,
     ShardChaosSchedule,
+    ShardSpec,
     run_sharded,
 )
 from tests.shard import sessions
@@ -32,6 +37,9 @@ from tests.shard.sessions import (
     check_arbiter_kill_without_restart,
     dump_artifacts,
 )
+from tests.shard.test_transport_parity import both_modes
+
+TDP_FALLBACK = ResilienceConfig(fallback="assume-tdp")
 
 
 def make_cluster(n_nodes, sockets_per_node=1, seed=0):
@@ -42,6 +50,12 @@ def run_process(cluster, tmp_path, n_shards, cycles, **kwargs):
     return sessions.run_session(
         "process", cluster, tmp_path, n_shards, cycles, **kwargs
     )
+
+
+def event_trail(result):
+    """When each kind of event fired (a process shard numbers its nodes
+    from 0, so node ids are not comparable across transports)."""
+    return sorted((e.time_s, e.kind) for e in result.events)
 
 
 class TestScheduleValidation:
@@ -93,20 +107,130 @@ class TestScheduleValidation:
                 mode="process",
             )
 
+    def test_unknown_manager_rejected_before_any_spawn(self, tmp_path):
+        """The spec names the manager a subprocess will build, so a bad
+        name fails in the parent, not as a shard that never comes up."""
+        with pytest.raises(ValueError, match="unknown manager 'nope'"):
+            run_sharded(
+                make_cluster(4),
+                n_shards=2,
+                manager_factory=lambda i: ConstantManager(),
+                demand_fn=lambda step: np.full(4, 0.5),
+                cycles=4,
+                checkpoint_dir=tmp_path / "ckpt",
+                mode="process",
+                manager_name="nope",
+            )
+        assert not list(tmp_path.rglob("shard-*"))
+
+
+class TestShardSpec:
+    def test_every_field_survives_a_json_round_trip(self):
+        spec = ShardSpec(
+            shard_id=3,
+            cluster=ClusterSpec(
+                n_nodes=5,
+                sockets_per_node=4,
+                tdp_w=150.5,
+                min_cap_w=25.25,
+                budget_fraction=0.6,
+                idle_power_w=9.5,
+            ),
+            rapl=RaplConfig(
+                noise_std_w=0.7, lag_tau_s=0.3, counter_wrap_uj=123_456_789
+            ),
+            manager="slurm",
+            lease_w=1234.0625,
+            dt_s=0.5,
+            seed=11,
+            arbiter=ArbiterConfig(
+                period_cycles=3,
+                lease_term_cycles=7,
+                restore_threshold=0.7,
+                headroom_fraction=0.2,
+                budget_epsilon=0.5,
+            ),
+            checkpoint_every=4,
+            keep_generations=2,
+            safety=SafetyConfig(
+                guard=False,
+                invariant_mode="sampling",
+                sample_every=3,
+                raise_on_violation=False,
+            ),
+            resilience=ResilienceConfig(
+                max_retries=2,
+                backoff_cycles=3,
+                backoff_factor=1.5,
+                fallback="assume-tdp",
+            ),
+            codec="binary",
+            max_ack_events=17,
+            timeout_s=2.5,
+        )
+        # No field is left at its default, so none can pass by accident;
+        # the defaults (hardening unset) must round-trip too.
+        bare = ShardSpec(
+            shard_id=0,
+            cluster=ClusterSpec(),
+            rapl=RaplConfig(),
+            manager=None,
+            lease_w=0.0,
+        )
+        assert all(
+            getattr(spec, f.name) != getattr(bare, f.name)
+            for f in dataclasses.fields(ShardSpec)
+        )
+        for each in (spec, bare):
+            doc = json.loads(json.dumps(each.to_doc()))
+            assert ShardSpec.from_doc(doc) == each
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("codec", "xml", "codec"),
+            ("resilience", {"fallback": "guess"}, "fallback"),
+            ("arbiter", {"period_cycles": 0}, "period_cycles"),
+        ],
+    )
+    def test_malformed_document_rejected(self, field, value, match):
+        doc = ShardSpec(
+            shard_id=0,
+            cluster=ClusterSpec(n_nodes=2),
+            rapl=RaplConfig(),
+            manager="constant",
+            lease_w=100.0,
+        ).to_doc()
+        doc[field] = value
+        with pytest.raises(ValueError, match=match):
+            ShardSpec.from_doc(doc)
+
+
+class TestForwarding:
     @pytest.mark.parametrize(
         "option",
         [
-            {"resilience": ResilienceConfig()},
-            {"safety": SafetyConfig(guard=True)},
+            # The fallback decides what a quarantined node reads as.
+            {"resilience": TDP_FALLBACK},
+            # With the guard off, the TDP fallback overshoots the lease
+            # instead of scaling the reachable units down.
+            {"safety": SafetyConfig(guard=False)},
         ],
         ids=["resilience", "safety"],
     )
-    def test_process_mode_rejects_unforwardable_config(self, tmp_path, option):
-        """The shard-server command line cannot carry either config, so
-        accepting one would silently run the fleet without it."""
-        [name] = option
-        with pytest.raises(ValueError, match=f"{name}="):
-            run_process(make_cluster(4), tmp_path, n_shards=2, cycles=4, **option)
+    def test_process_mode_forwards_config(self, tmp_path, option):
+        """Each config reaches a shard-server through its spec: the
+        process fleet equals the thread fleet under it, and differs
+        from the fleet without it."""
+        chaos = ShardChaosSchedule(node_kill_at={3: 3}, node_reconnect_at={3: 7})
+        kwargs = {"resilience": TDP_FALLBACK, **option}
+        thread, process = both_modes(tmp_path / "with", chaos, **kwargs)
+        assert np.array_equal(thread.power_history, process.power_history)
+        assert np.array_equal(thread.caps_history, process.caps_history)
+        assert event_trail(thread) == event_trail(process)
+        without = {k: v for k, v in kwargs.items() if k not in option}
+        baseline, _ = both_modes(tmp_path / "without", chaos, **without)
+        assert not np.array_equal(thread.caps_history, baseline.caps_history)
 
 
 class TestProcessCleanRun:

@@ -13,6 +13,7 @@ hardware, so values *after* a restart are allowed to differ).
 import numpy as np
 import pytest
 
+from repro.core.config import RaplConfig
 from repro.shard import (
     ArbiterConfig,
     RecoveryOptions,
@@ -24,8 +25,12 @@ from tests.shard.sessions import make_cluster, run_session
 CYCLES = 12
 
 
-def both_modes(tmp_path, chaos=None):
-    """The same seeded session over each transport."""
+def both_modes(tmp_path, chaos=None, rapl=None, **kwargs):
+    """The same seeded session over each transport.
+
+    ``rapl`` is the cluster's RAPL configuration (noise-free by default);
+    ``kwargs`` go to ``run_sharded`` unchanged.
+    """
     demands = np.random.default_rng(5).uniform(
         30.0, 160.0, size=(CYCLES, 8)
     )
@@ -33,7 +38,7 @@ def both_modes(tmp_path, chaos=None):
     for mode in ("thread", "process"):
         results[mode] = run_session(
             mode,
-            make_cluster(n_nodes=4, seed=7),
+            make_cluster(n_nodes=4, seed=7, rapl=rapl),
             tmp_path / mode,
             n_shards=2,
             cycles=CYCLES,
@@ -46,6 +51,7 @@ def both_modes(tmp_path, chaos=None):
                 restart_delay_cycles=1,
             ),
             demand_fn=lambda step: demands[step],
+            **kwargs,
         )
         assert results[mode].mode == mode
         assert results[mode].invariant_violations == 0
@@ -80,6 +86,18 @@ def test_histories_bit_identical_across_transports(tmp_path, chaos):
     assert thread.arbiter_restarts == process.arbiter_restarts
     assert np.array_equal(thread.leases_w, process.leases_w)
     assert lease_kinds(thread) == lease_kinds(process)
+
+
+def test_process_shards_meter_with_the_cluster_rapl_config(tmp_path):
+    """A process shard's private sub-cluster lags (and, with noise,
+    meters) as the parent cluster does: its ``ShardSpec`` carries the
+    cluster's ``RaplConfig``, so a fast lag moves both histories alike."""
+    thread, process = both_modes(
+        tmp_path, rapl=RaplConfig(noise_std_w=0.0, lag_tau_s=0.2)
+    )
+    assert np.isfinite(thread.power_history).all()
+    assert np.array_equal(thread.power_history, process.power_history)
+    assert np.array_equal(thread.caps_history, process.caps_history)
 
 
 def test_partition_and_heal_walk_the_same_transitions(tmp_path):
