@@ -65,7 +65,6 @@ class Cluster:
                 unit_id += 1
             self.nodes.append(Node(node_id, node_sockets))
         self._domains = [s.domain for s in self.sockets]
-        self._meters = [s.meter for s in self.sockets]
 
     @property
     def n_units(self) -> int:
@@ -127,21 +126,9 @@ class Cluster:
         """
         return self.bank.step(demand_w, dt_s)
 
-    def _wrapped_meters(self) -> list | None:
-        """The sockets' current meters if any was replaced by a wrapper
-        (e.g. a ``FaultyMeter``), whose reads must go through it one by
-        one; ``None`` while all are the bank's own."""
-        meters = [s.meter for s in self.sockets]
-        return None if meters == self._meters else meters
-
     def read_powers_w(self, dt_s: float) -> np.ndarray:
         """Noisy per-unit power readings from every meter (W)."""
-        wrapped = self._wrapped_meters()
-        if wrapped is None:
-            return self.bank.read_powers_w(dt_s)
-        return np.asarray(
-            [meter.read_power_w(dt_s) for meter in wrapped], dtype=np.float64
-        )
+        return self.bank.read_powers_w(dt_s)
 
     def snapshot(self) -> dict:
         """JSON-able document of every domain and meter (for deterministic

@@ -1,11 +1,11 @@
 """Node and socket objects of the overprovisioned system (paper §5.1).
 
 A *unit* in the paper is "each part of a machine that supports power capping
-individually" — on the evaluation platform, a socket.  :class:`Socket` pairs
-one simulated RAPL domain with its power meter; :class:`Node` groups the
-sockets of one dual-socket machine and is the granularity at which the
-client daemon runs (one client per node reads and caps all of its sockets,
-§4.3).
+individually" — on the evaluation platform, a socket.  :class:`Socket` is
+one simulated RAPL domain, a unit of a bank that also holds its meter;
+:class:`Node` groups the sockets of one dual-socket machine and is the
+granularity at which the client daemon runs (one client per node reads and
+caps all of its sockets in one call each, §4.3).
 """
 
 from __future__ import annotations
@@ -13,17 +13,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import RaplConfig
-from repro.powercap.rapl import PowerMeter, RaplBank, RaplDomain
+from repro.powercap.rapl import RaplBank, RaplDomain
 
 __all__ = ["Socket", "Node"]
 
 
 class Socket:
-    """One power-capping unit: a RAPL package domain plus its meter.
+    """One power-capping unit: a RAPL package domain.
 
-    Both are views of a :class:`~repro.powercap.rapl.RaplBank`: a socket
-    built this way owns a one-unit bank, a cluster's sockets
-    (:meth:`of_bank`) share the cluster's.
+    The domain is a view of a :class:`~repro.powercap.rapl.RaplBank`,
+    which also holds the unit's meter: a socket built this way owns a
+    one-unit bank, a cluster's sockets (:meth:`of_bank`) share the
+    cluster's.
 
     Args:
         unit_id: global unit index within the cluster.
@@ -31,7 +32,7 @@ class Socket:
         tdp_w: maximum power / highest cap (W).
         min_cap_w: lowest accepted cap (W).
         rapl_config: noise/lag/wrap behaviour of the domain.
-        rng: measurement-noise source (one stream per socket).
+        rng: the meter's noise stream (one per socket).
         idle_power_w: power at rest (initial condition).
     """
 
@@ -54,7 +55,7 @@ class Socket:
             config=rapl_config,
             initial_power_w=idle_power_w,
         )
-        self.meter = PowerMeter(self.domain, rng)
+        self.domain.bank.attach_meter(0, rng)
 
     @classmethod
     def of_bank(
@@ -71,7 +72,7 @@ class Socket:
         sock.domain = RaplDomain.of_bank(
             bank, unit_id, f"package-{node_id}-{unit_id}"
         )
-        sock.meter = PowerMeter(sock.domain, rng)
+        bank.attach_meter(unit_id, rng)
         return sock
 
     def __repr__(self) -> str:

@@ -37,7 +37,7 @@ from repro.core.config import (
 from repro.core.dps import DPSManager
 from repro.core.managers import PowerManager
 from repro.powercap.actuator import CapActuator
-from repro.powercap.faults import FaultConfig, FaultyMeter
+from repro.powercap.faults import FaultConfig
 from repro.safety import ControlStack, SafetyConfig
 from repro.telemetry.log import ResilienceEventLog, TelemetryLog
 from repro.workloads.runtime import WorkloadExecution
@@ -137,9 +137,9 @@ class Simulation:
         failures: scheduled node crash/recovery events.  While a node is
             down its units draw no power, its workload stalls, and its
             readings are dropouts (0.0 W).
-        fault_config: per-reading measurement-fault probabilities; every
-            socket's meter is wrapped in a
-            :class:`~repro.powercap.faults.FaultyMeter` when given.
+        fault_config: per-reading measurement-fault probabilities, set
+            on every unit of the cluster's bank
+            (:meth:`~repro.powercap.rapl.RaplBank.set_faults`) when given.
         verify_actuation: read every programmed cap back and retry on
             mismatch (:class:`~repro.powercap.actuator.CapActuator`
             verify mode); verification events flow into the telemetry
@@ -270,9 +270,9 @@ class Simulation:
         if self.fault_config is not None:
             # Spawned after the baseline streams so fault-free runs keep
             # their exact seed lineage.
-            fault_rngs = rng.spawn(cluster.n_units)
-            for sock, frng in zip(cluster.sockets, fault_rngs):
-                sock.meter = FaultyMeter(sock.meter, self.fault_config, frng)
+            cluster.bank.set_faults(
+                self.fault_config, rng.spawn(cluster.n_units)
+            )
 
         executions = [
             WorkloadExecution(

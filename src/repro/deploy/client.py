@@ -4,9 +4,10 @@
 the server, registers its node's sockets, and answers POLL → READINGS →
 CAPS cycles until QUIT.  Power comes from its node's meters and caps land
 on its node's RAPL domains — on real hardware those would be sysfs
-powercap reads/writes; here they are the simulated domains, through the
-identical code path.  A node's readings and caps each cross as one
-batch, packed or unpacked in one call.
+powercap reads/writes; here they are the node's unit range of the
+simulated bank, read and programmed in one bulk call each.  A node's
+readings and caps each cross as one batch, packed or unpacked in one
+call.
 
 The daemon is a step function, not a thread: :meth:`DeployClient.pump`
 handles the one frame the server has just written to its connection.
@@ -24,6 +25,7 @@ import numpy as np
 from repro.cluster.node import Node
 from repro.comm import protocol
 from repro.comm.wire import FrameAssembler, encode_frame, encode_words, recv_frame
+from repro.powercap.rapl import bank_span
 
 __all__ = ["DeployClient"]
 
@@ -32,7 +34,8 @@ class DeployClient:
     """Per-node daemon speaking the framed TCP protocol.
 
     Args:
-        node: the node whose sockets this client meters and caps.
+        node: the node whose sockets this client meters and caps:
+            consecutive units of one bank.
         address: server ``(host, port)``.
         dt_s: metering window passed to each power read.
         timeout_s: socket-operation timeout once a frame has begun.
@@ -45,7 +48,13 @@ class DeployClient:
         dt_s: float = 1.0,
         timeout_s: float = 5.0,
     ) -> None:
+        span = bank_span([s.domain for s in node.sockets])
+        if span is None:
+            raise ValueError(
+                f"node {node.node_id}'s sockets are not one range of a bank"
+            )
         self.node = node
+        self._bank, self._span = span
         self.address = address
         self.dt_s = dt_s
         self.timeout_s = timeout_s
@@ -90,9 +99,7 @@ class DeployClient:
             if doc == protocol.QUIT:
                 self.close()
             elif doc == protocol.POLL:
-                power = np.array(
-                    [u.meter.read_power_w(self.dt_s) for u in self.node.sockets]
-                )
+                power = self._bank.read_powers_w(self.dt_s, self._span)
                 words = protocol.encode_batch(
                     protocol.MSG_READING, np.minimum(power, 409.5)
                 )
@@ -129,8 +136,9 @@ class DeployClient:
                 f"cap for unknown local unit {units[units >= n_local][0]} "
                 f"on node {self.node.node_id}"
             )
-        for unit, cap_w in zip(units.tolist(), values.tolist()):
-            self.node.sockets[unit].domain.set_cap_w(cap_w)
+        caps = self._bank.cap_w[self._span].copy()
+        caps[units] = values
+        self._bank.set_caps_w(caps, self._span)
 
     def close(self) -> None:
         """Close this end of the connection (idempotent)."""

@@ -4,12 +4,12 @@ The CLI's ``pair --chaos`` option takes a compact spec string, e.g.::
 
     --chaos "stuck=0.05,dropout=0.05,spike=0.02,kill=1@30-60"
 
-which injects per-reading measurement faults (via
-:class:`~repro.powercap.faults.FaultyMeter`) and schedules node 1 to die
-at t=30 s and recover at t=60 s (via
-:class:`~repro.cluster.events.NodeFailureEvent`).  Multiple kills are
-``+``-separated (``kill=0@30-60+2@45``; omitting the recovery time kills
-the node for good).
+which injects per-reading measurement faults into every meter of the
+cluster's RAPL bank (a :class:`~repro.powercap.faults.FaultConfig`, set by
+``Simulation(fault_config=...)``) and schedules node 1 to die at t=30 s
+and recover at t=60 s (via :class:`~repro.cluster.events.NodeFailureEvent`).
+Multiple kills are ``+``-separated (``kill=0@30-60+2@45``; omitting the
+recovery time kills the node for good).
 """
 
 from __future__ import annotations

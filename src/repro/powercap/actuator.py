@@ -1,4 +1,4 @@
-"""Cap actuation across a bank of RAPL domains.
+"""Cap actuation across a range of RAPL domains.
 
 The paper's clients receive cap commands from the server and program them
 into RAPL; commands computed from the readings of interval *t* take effect
@@ -8,13 +8,16 @@ quantization to whole microwatts, and counts how many caps actually changed
 — the quantity the stateless module's ``set_flag`` tracks and the §6.5
 overhead analysis charges for.
 
-With ``verify=True`` every write is checked by reading the limit back (the
-powercap sysfs returns what actually got programmed); a mismatch is retried
-up to ``max_retries`` times with bounded backoff, and exhaustion is
-*reported, never raised* — an unverifiable unit must degrade the telemetry,
-not kill the control loop.  Verification outcomes accumulate in
-:attr:`events` as ``(kind, unit, detail)`` tuples for the caller to drain
-into its telemetry channel.
+The actuated domains are one unit range of a
+:class:`~repro.powercap.rapl.RaplBank`, and each command is one bulk write
+of that range.  With ``verify=True`` every write is checked by reading the
+limits back (the powercap sysfs returns what actually got programmed); the
+units that did not take are rewritten up to ``max_retries`` times with
+bounded backoff, and exhaustion is *reported, never raised* — an
+unverifiable unit must degrade the telemetry, not kill the control loop.
+Verification outcomes accumulate in :attr:`events` as
+``(kind, unit, detail)`` tuples for the caller to drain into its
+telemetry channel.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ class CapActuator:
     """Applies per-unit cap vectors to RAPL domains.
 
     Args:
-        domains: the domains actuated, one per unit, in unit order.
+        domains: the domains actuated, one per unit, in unit order:
+            consecutive units of one bank.
         delay_steps: number of control intervals between a command being
             issued and it taking effect (0 = immediate, 1 = next interval,
             matching a networked client).
@@ -64,8 +68,11 @@ class CapActuator:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if backoff_s < 0:
             raise ValueError(f"backoff_s must be >= 0, got {backoff_s}")
-        self._domains = list(domains)
-        self._span = bank_span(self._domains)
+        span = bank_span(domains)
+        if span is None:
+            raise ValueError("domains must be consecutive units of one bank")
+        self._bank, self._span = span
+        self.n_units = len(domains)
         self.delay_steps = delay_steps
         self.verify = verify
         self.max_retries = max_retries
@@ -79,11 +86,6 @@ class CapActuator:
         #: Pending ``(kind, unit, detail)`` verification events; the owner
         #: of the actuator drains these into its telemetry channel.
         self.events: list[tuple[str, int, str]] = []
-
-    @property
-    def n_units(self) -> int:
-        """Number of actuated units."""
-        return len(self._domains)
 
     @property
     def pending(self) -> list[np.ndarray]:
@@ -136,68 +138,55 @@ class CapActuator:
 
     def _apply(self, due: np.ndarray) -> int:
         self.commands_applied += self.n_units
-        if self._span is None:
-            changed = 0
-            for unit, (dom, cap) in enumerate(zip(self._domains, due)):
-                # Quantize to whole microwatts, as a sysfs write would.
-                quantized = round(float(cap) * 1e6) / 1e6
-                before = dom.cap_w
-                dom.set_cap_w(quantized)
-                if self.verify:
-                    self._verify(dom, unit, quantized)
-                if dom.cap_w != before:
-                    changed += 1
-            return changed
-        # The same write for a range of one bank, as arrays.  rint is
+        # Quantize to whole microwatts, as a sysfs write would.  rint is
         # round()'s half-to-even; adding 0.0 turns its -0.0 into the 0.0
         # that dividing Python's integer 0 gives.
-        bank, span = self._span
+        bank, span = self._bank, self._span
         quantized = (np.rint(due * 1e6) + 0.0) / 1e6
         before = bank.cap_w[span].copy()
         bank.set_caps_w(quantized, span)
         if self.verify:
-            expected = np.minimum(
-                np.maximum(quantized, bank.min_power_w), bank.max_power_w
-            )
-            for unit in np.flatnonzero(bank.cap_w[span] != expected):
-                self._verify(
-                    self._domains[unit], int(unit), quantized.item(unit)
-                )
+            self._verify(quantized)
         return int(np.count_nonzero(bank.cap_w[span] != before))
 
-    def _verify(self, dom: RaplDomain, unit: int, cap_w: float) -> None:
-        """Read one programmed limit back; retry the write on mismatch."""
+    def _verify(self, quantized: np.ndarray) -> None:
+        """Read the range's limits back; rewrite the ones that did not take."""
+        bank, span = self._bank, self._span
         # What a correct write must read back: the sysfs clamp of the
-        # requested limit to the domain's accepted range.
-        expected = min(max(cap_w, dom.min_power_w), dom.max_power_w)
-        if dom.cap_w == expected:
-            return
+        # requested limit to the accepted range.
+        expected = np.minimum(
+            np.maximum(quantized, bank.min_power_w), bank.max_power_w
+        )
+        missed = np.flatnonzero(bank.cap_w[span] != expected)
         delay = self.backoff_s
         for attempt in range(1, self.max_retries + 1):
+            if not missed.size:
+                return
             if delay > 0:
                 time.sleep(delay)
                 delay *= 2.0
-            self.retries += 1
-            dom.set_cap_w(cap_w)
-            if dom.cap_w == expected:
-                self.events.append(
-                    (
-                        "actuation_retried",
-                        unit,
-                        f"verified after {attempt} retr"
-                        f"{'y' if attempt == 1 else 'ies'}",
-                    )
-                )
-                return
-        self.verify_failures += 1
-        self.events.append(
-            (
-                "actuation_retry_exhausted",
-                unit,
-                f"cap {cap_w:.3f} W unverified after "
-                f"{self.max_retries} retries (read {dom.cap_w:.3f} W)",
+            self.retries += missed.size
+            caps = bank.cap_w[span].copy()
+            caps[missed] = quantized[missed]
+            bank.set_caps_w(caps, span)
+            took = bank.cap_w[span][missed] == expected[missed]
+            detail = f"verified after {attempt} retr{'y' if attempt == 1 else 'ies'}"
+            self.events.extend(
+                ("actuation_retried", unit, detail)
+                for unit in missed[took].tolist()
             )
-        )
+            missed = missed[~took]
+        read = bank.cap_w[span]
+        for unit in missed.tolist():
+            self.verify_failures += 1
+            self.events.append(
+                (
+                    "actuation_retry_exhausted",
+                    unit,
+                    f"cap {quantized[unit]:.3f} W unverified after "
+                    f"{self.max_retries} retries (read {read[unit]:.3f} W)",
+                )
+            )
 
     def flush(self) -> None:
         """Apply all queued commands immediately (end-of-run cleanup)."""

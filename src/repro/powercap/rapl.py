@@ -12,16 +12,17 @@ software stand-in:
   so within one step the limit is simply met);
 * a **first-order lag** with which true power approaches its target
   (``min(demand, cap)``) — power changes with inertia (§3.3);
-* a **power meter** that converts counter reads into power samples and
-  adds Gaussian measurement noise, the noise DPS's Kalman filter exists to
-  absorb (§4.3.2).
+* a **power meter** per unit that converts counter reads into power
+  samples and adds Gaussian measurement noise, the noise DPS's Kalman
+  filter exists to absorb (§4.3.2);
+* optional **measurement faults** on any unit range — stalled counters,
+  sampler dropouts and transient spikes (:mod:`repro.powercap.faults`).
 
 All of that state lives in one place, a :class:`RaplBank` of contiguous
-per-unit arrays, which the simulator advances, meters and programs in
-bulk.  :class:`RaplDomain` and :class:`PowerMeter` are index views over a
-bank: the per-socket API the client daemons, the sysfs emulation and the
-fault wrappers use, and the scalar reference every bulk call is pinned to
-bit for bit (``tests/powercap/test_bank.py``).
+per-unit arrays.  The simulator, the client daemons and the actuator
+advance, meter and program it in bulk, one unit range per call.
+:class:`RaplDomain` is an index view of one unit: the per-socket API the
+sysfs emulation and the node-crash model use.
 """
 
 from __future__ import annotations
@@ -32,16 +33,57 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.config import RaplConfig
+from repro.powercap.faults import FaultConfig
 from repro.recovery.state import make_rng, rng_state, rng_state_doc
 
-__all__ = ["RaplBank", "RaplDomain", "PowerMeter", "bank_span"]
+__all__ = ["RaplBank", "RaplDomain", "bank_span"]
 
-#: Noise samples a meter draws from its generator at a time.
-#: ``g.normal(0, s, K)`` is bit-identical to ``K`` scalar draws, and one
-#: call per ``K`` readings takes the generator off the per-cycle path.
+#: Samples a per-unit stream (meter noise, fault rolls) draws from its
+#: generator at a time.  ``g.normal(0, s, K)`` and ``g.random(K)`` are
+#: bit-identical to ``K`` scalar draws, and one call per ``K`` readings
+#: takes the generator off the per-cycle path.
 NOISE_BLOCK = 64
 
 _ALL = slice(None)
+
+
+class _Prefetch:
+    """One generator per unit, drawn ``NOISE_BLOCK`` samples ahead.
+
+    ``block[i, at[i]]`` is unit i's next sample (``at[i] == NOISE_BLOCK``:
+    none left) and ``source[i]`` the raw generator state its block was
+    drawn from, which is what a snapshot taken mid-block needs to resume
+    the stream.
+    """
+
+    def __init__(self, n_units: int, draw) -> None:
+        self.rngs: list[np.random.Generator | None] = [None] * n_units
+        self.block = np.empty((n_units, NOISE_BLOCK))
+        self.at = np.full(n_units, NOISE_BLOCK, dtype=np.intp)
+        self.source: list[dict | None] = [None] * n_units
+        self._draw = draw
+
+    def attach(self, index: int, rng: np.random.Generator) -> None:
+        """Make ``rng`` unit ``index``'s stream, starting at its next draw."""
+        self.rngs[index] = rng
+        self.at[index] = NOISE_BLOCK
+
+    def take(self, units: np.ndarray) -> np.ndarray:
+        """The next sample of each of ``units`` (distinct unit indices)."""
+        at = self.at[units]
+        if at.max(initial=0) == NOISE_BLOCK:
+            self.refill(units[at == NOISE_BLOCK].tolist())
+            at = self.at[units]
+        self.at[units] = at + 1
+        return self.block[units, at]
+
+    def refill(self, units: Sequence[int]) -> None:
+        """Draw the next block of each given unit."""
+        for index in units:
+            rng = self.rngs[index]
+            self.source[index] = rng.bit_generator.state
+            self.block[index] = self._draw(rng)
+            self.at[index] = 0
 
 
 class RaplBank:
@@ -66,6 +108,7 @@ class RaplBank:
         energy_uj: unwrapped energy integrals (µJ); the counter a reader
             sees is this modulo ``config.counter_wrap_uj``.
         meter_uj: each meter's cursor — the counter value at its last read.
+        faults_injected: readings each unit's faults have replaced so far.
     """
 
     def __init__(
@@ -107,24 +150,25 @@ class RaplBank:
         self._cap_w = memoryview(self.cap_w)
         self._power_w = memoryview(self.power_w)
         self._energy_uj = memoryview(self.energy_uj)
-        self._meter_uj = memoryview(self.meter_uj)
-        # One noise stream per meter, prefetched a block at a time.
-        # ``_noise_at[i]`` is the next unread sample of unit i's block
-        # (NOISE_BLOCK: none left) and ``_noise_from[i]`` the raw
-        # generator state the block was drawn from, which is what a
-        # snapshot taken mid-block needs to resume the stream.  Allocated
-        # here, not on first use: daemons of different nodes read
-        # concurrently.
-        # ``_units`` is arange(n), kept for the per-unit block lookup.
-        self._rngs: list[np.random.Generator | None] = [None] * n_units
+        # ``_units`` is arange(n), kept for the per-unit block lookups.
+        self._units = np.arange(n_units)
+        sigma = self.config.noise_std_w
         self._noise = (
-            np.empty((n_units, NOISE_BLOCK))
-            if self.config.noise_std_w > 0
+            _Prefetch(n_units, lambda rng: rng.normal(0.0, sigma, NOISE_BLOCK))
+            if sigma > 0
             else None
         )
-        self._noise_at = np.full(n_units, NOISE_BLOCK, dtype=np.intp)
-        self._units = np.arange(n_units)
-        self._noise_from: list[dict | None] = [None] * n_units
+        # Measurement faults (set_faults): which units roll, their
+        # stuck / dropout / spike probabilities, spike gain, and the
+        # reading a stuck counter repeats.
+        self._n_faulty = 0
+        self._fault_on = np.zeros(n_units, dtype=bool)
+        self._fault_p = np.zeros((3, n_units))
+        self._spike_gain = np.zeros(n_units)
+        self._last_w = np.zeros(n_units)
+        self._has_last = np.zeros(n_units, dtype=bool)
+        self._rolls: _Prefetch | None = None  # Built by the first set.
+        self.faults_injected = np.zeros(n_units, dtype=np.int64)
 
     # -- physics -------------------------------------------------------
 
@@ -176,13 +220,14 @@ class RaplBank:
     # -- metering ------------------------------------------------------
 
     def attach_meter(self, index: int, rng: np.random.Generator) -> None:
-        """Give unit ``index`` its noise stream and take its first read.
+        """Give unit ``index``'s meter its noise stream and take its
+        first read.
 
-        The generator belongs to the meter from here on: it is drawn
+        The generator belongs to the bank from here on: it is drawn
         ``NOISE_BLOCK`` samples ahead of the readings.
         """
-        self._rngs[index] = rng
-        self._noise_at[index] = NOISE_BLOCK
+        if self._noise is not None:
+            self._noise.attach(index, rng)
         self.rebaseline(slice(index, index + 1))
 
     def read_energy_uj(self, span: slice = _ALL) -> np.ndarray:
@@ -191,15 +236,19 @@ class RaplBank:
         return wrapped.astype(np.int64)
 
     def rebaseline(self, span: slice = _ALL) -> None:
-        """Re-anchor the meter cursors of a range at the current counters
-        (see :meth:`PowerMeter.rebaseline`)."""
+        """Re-anchor the meter cursors of a range at the current counters.
+
+        A restarted metering daemon takes a fresh first read; an
+        in-process restart must do the same, or the energy accumulated
+        while the controller was down is charged to the first
+        post-restart interval and that reading comes back inflated.
+        """
         self.meter_uj[span] = self.read_energy_uj(span)
 
     def read_powers_w(self, dt_s: float, span: slice = _ALL) -> np.ndarray:
         """Sample every meter of a range: average power since its previous
-        read, from the wrap-corrected counter difference, plus noise.
-
-        Bulk form of :meth:`PowerMeter.read_power_w`.
+        read, from the wrap-corrected counter difference, plus noise —
+        then corrupted where :meth:`set_faults` put faults.
         """
         if dt_s <= 0:
             raise ValueError(f"dt_s must be > 0, got {dt_s}")
@@ -212,35 +261,77 @@ class RaplBank:
         power = delta / dt_s
         power *= 1e-6
         if self._noise is not None:
-            power += self._draw_noise(span)
-        return np.maximum(power, 0.0, out=power)
+            power += self._noise.take(self._units[span])
+        np.maximum(power, 0.0, out=power)
+        if self._n_faulty:
+            self._apply_faults(power, span)
+        return power
 
-    def _draw_noise(self, span: slice) -> np.ndarray:
-        """The next prefetched noise sample of every unit of a range."""
-        at = self._noise_at[span]
+    # -- measurement faults --------------------------------------------
+
+    def set_faults(
+        self,
+        config: FaultConfig | None,
+        rngs: Sequence[np.random.Generator] = (),
+        span: slice = _ALL,
+    ) -> None:
+        """Inject measurement faults into the meters of a range, or clear
+        them (``config=None``).
+
+        From its next reading on, each unit of the range draws one roll
+        per reading from its own generator (``rngs``, one per unit, owned
+        by the bank from here on and drawn a block ahead).  The roll
+        picks, in this order: a stall (``stuck_prob``) repeats the unit's
+        previous reading, a dropout (``dropout_prob``) reads 0.0, a spike
+        (``spike_prob``) multiplies the reading by ``spike_gain``.  A unit
+        set here has no previous reading yet, so a stall on its first
+        read passes the healthy value through.  The healthy meter always
+        advances, so clearing the faults resumes its exact stream.
+        """
         units = self._units[span]
-        if at.max() == NOISE_BLOCK:
-            self._refill(units[at == NOISE_BLOCK].tolist())
-        noise = self._noise[units, at]
-        at += 1
-        return noise
+        if config is None:
+            self._fault_on[span] = False
+        else:
+            if len(rngs) != units.size:
+                raise ValueError(
+                    f"{len(rngs)} fault generators for {units.size} units"
+                )
+            self._fault_on[span] = True
+            self._fault_p[:, span] = [
+                [config.stuck_prob], [config.dropout_prob], [config.spike_prob]
+            ]
+            self._spike_gain[span] = config.spike_gain
+            self._has_last[span] = False
+            if self._rolls is None:
+                self._rolls = _Prefetch(
+                    self.n_units, lambda rng: rng.random(NOISE_BLOCK)
+                )
+            for index, rng in zip(units.tolist(), rngs):
+                self._rolls.attach(index, rng)
+        self._n_faulty = int(np.count_nonzero(self._fault_on))
 
-    def _draw_noise_one(self, index: int) -> float:
-        at = self._noise_at.item(index)
-        if at == NOISE_BLOCK:
-            self._refill((index,))
-            at = 0
-        self._noise_at[index] = at + 1
-        return self._noise.item(index, at)
-
-    def _refill(self, units: Sequence[int]) -> None:
-        """Draw the next noise block of each given unit."""
-        sigma = self.config.noise_std_w
-        for index in units:
-            rng = self._rngs[index]
-            self._noise_from[index] = rng.bit_generator.state
-            self._noise[index] = rng.normal(0.0, sigma, NOISE_BLOCK)
-            self._noise_at[index] = 0
+    def _apply_faults(self, power: np.ndarray, span: slice) -> None:
+        """Corrupt a range's fresh readings in place where faults are set."""
+        on = self._fault_on[span]
+        if not on.any():
+            return
+        units = self._units[span][on]
+        roll = self._rolls.take(units)
+        stuck_p, dropout_p, spike_p = self._fault_p[:, units]
+        stuck = roll < stuck_p
+        roll -= stuck_p
+        dropout = ~stuck & (roll < dropout_p)
+        roll -= dropout_p
+        spike = ~(stuck | dropout) & (roll < spike_p)
+        held = stuck & self._has_last[units]
+        out = power[on]
+        out[spike] *= self._spike_gain[units[spike]]
+        out[dropout] = 0.0
+        out[held] = self._last_w[units[held]]
+        self._last_w[units] = out
+        self._has_last[units] = True
+        self.faults_injected[units] += held | dropout | spike
+        power[on] = out
 
     # -- capping -------------------------------------------------------
 
@@ -267,33 +358,35 @@ class RaplBank:
         RNG states dominate an otherwise small snapshot.
         """
         doc: dict = {"last_uj": last_uj}
-        rng = self._rngs[index]
-        if self._noise is not None and rng is not None:
-            at = self._noise_at.item(index)
+        noise = self._noise
+        if noise is not None and noise.rngs[index] is not None:
+            at = noise.at.item(index)
             if at == NOISE_BLOCK:
-                doc["rng"] = rng_state(rng)
+                doc["rng"] = rng_state(noise.rngs[index])
             else:
                 # Mid-block: the state the block came from (kept raw at
                 # the refill, a snapshot is rare and a refill is not) and
                 # how far into it the readings are.
-                doc["rng"] = rng_state_doc(self._noise_from[index])
+                doc["rng"] = rng_state_doc(noise.source[index])
                 doc["noise_at"] = at
         return doc
 
     def _restore_meter(self, index: int, state: dict) -> None:
         self.meter_uj[index] = int(state["last_uj"])
-        if "rng" in state:
-            self._rngs[index] = make_rng(state["rng"])
-            self._noise_at[index] = NOISE_BLOCK
+        noise = self._noise
+        if "rng" in state and noise is not None:
+            noise.attach(index, make_rng(state["rng"]))
             at = int(state.get("noise_at", 0))
-            if at and self._noise is not None:
-                self._refill((index,))
-                self._noise_at[index] = at
+            if at:
+                noise.refill((index,))
+                noise.at[index] = at
 
     def snapshot(self) -> dict:
-        """JSON-able document of every domain and meter, the same
-        per-unit documents :meth:`RaplDomain.snapshot` and
-        :meth:`PowerMeter.snapshot` produce."""
+        """JSON-able document of every domain and meter; a domain's
+        document is the one :meth:`RaplDomain.snapshot` produces.
+
+        Measurement faults are test instruments, not hardware state, and
+        are not part of it."""
         return {
             "domains": [
                 {"cap_w": cap, "power_w": power, "energy_uj": energy}
@@ -476,91 +569,15 @@ class RaplDomain:
         return new
 
 
-def bank_span(domains: Sequence[object]) -> tuple[RaplBank, slice] | None:
+def bank_span(domains: Sequence[RaplDomain]) -> tuple[RaplBank, slice] | None:
     """The bank and unit range a sequence of domains views, in order.
 
     Returns:
-        ``None`` when the bulk calls cannot stand in for the sequence:
-        a domain is wrapped (e.g. a ``FlakyDomain``, whose writes must go
-        through the wrapper one by one), or they are not consecutive
-        units of one bank.
+        ``None`` when they are not consecutive units of one bank.
     """
     first = domains[0]
-    if type(first) is not RaplDomain:
-        return None
     bank, start = first.bank, first.index
     for offset, dom in enumerate(domains):
-        if (
-            type(dom) is not RaplDomain
-            or dom.bank is not bank
-            or dom.index != start + offset
-        ):
+        if dom.bank is not bank or dom.index != start + offset:
             return None
     return bank, slice(start, start + len(domains))
-
-
-class PowerMeter:
-    """Derives power samples from RAPL energy-counter differences.
-
-    This is how the paper's clients actually obtain power: two counter reads
-    one interval apart, wrap-corrected, divided by the interval — plus the
-    measurement noise the paper pessimistically assumes (§4.3).
-
-    A view like its domain: the cursor and the noise stream live in the
-    domain's bank, one meter per unit — attaching a new meter to a domain
-    takes over from the previous one.
-
-    Args:
-        domain: the RAPL domain being metered.
-        rng: noise source; pass a seeded generator for reproducibility.
-            The meter owns it from here on (it is drawn a block ahead).
-    """
-
-    def __init__(self, domain: RaplDomain, rng: np.random.Generator) -> None:
-        self.domain = domain
-        self.bank = domain.bank
-        self.index = domain.index
-        self.bank.attach_meter(self.index, rng)
-
-    def rebaseline(self) -> None:
-        """Re-anchor the counter cursor at the domain's current energy.
-
-        A restarted metering daemon constructs a fresh meter and takes a
-        new first read; an in-process restart must do the same, or the
-        energy accumulated while the controller was down is charged to the
-        first post-restart interval and the reading comes back inflated.
-        """
-        self.bank._meter_uj[self.index] = self.domain.read_energy_uj()
-
-    def snapshot(self) -> dict:
-        """JSON-able document of the meter cursor and noise stream."""
-        return self.bank._meter_doc(
-            self.index, self.bank._meter_uj[self.index]
-        )
-
-    def restore(self, state: dict) -> None:
-        """Overwrite the cursor and noise stream with a snapshot's content."""
-        self.bank._restore_meter(self.index, state)
-
-    def read_power_w(self, dt_s: float) -> float:
-        """Sample average power over the interval since the previous read.
-
-        Args:
-            dt_s: elapsed time since the last call (s).
-
-        Returns:
-            Noisy, non-negative power sample (W).
-        """
-        if dt_s <= 0:
-            raise ValueError(f"dt_s must be > 0, got {dt_s}")
-        bank, i = self.bank, self.index
-        wrap = bank.config.counter_wrap_uj
-        now = int(bank._energy_uj[i] % wrap)
-        delta = now - bank._meter_uj[i]
-        if delta < 0:  # Counter wrapped between reads.
-            delta += wrap
-        bank._meter_uj[i] = now
-        power = delta / dt_s * 1e-6
-        if bank._noise is not None:
-            power += bank._draw_noise_one(i)
-        return max(power, 0.0)

@@ -418,13 +418,16 @@ def run_sharded(
 
     # -- the two transports: one spec, one builder -----------------------
 
-    def shard_spec(shard_id: int, nodes: int, lease_w: float) -> ShardSpec:
+    def shard_spec(
+        shard_id: int, first_node: int, nodes: int, lease_w: float
+    ) -> ShardSpec:
         return ShardSpec(
             shard_id=shard_id,
             cluster=replace(spec, n_nodes=nodes),
             rapl=cluster.rapl_config,
             manager=manager_name,
             lease_w=lease_w,
+            first_node=first_node,
             dt_s=dt_s,
             seed=shard_id,
             arbiter=cfg,
@@ -437,16 +440,19 @@ def run_sharded(
             timeout_s=timeout_s,
         )
 
-    def process_shard(shard_id: int, nodes: int, lease_w: float) -> ShardProcess:
+    def process_shard(
+        shard_id: int, first_node: int, nodes: int, lease_w: float
+    ) -> ShardProcess:
         return ShardProcess(
-            shard_spec(shard_id, nodes, lease_w), root / f"shard-{shard_id}"
+            shard_spec(shard_id, first_node, nodes, lease_w),
+            root / f"shard-{shard_id}",
         )
 
     def thread_shard(shard_id: int, lease_w: float) -> InlineShard:
         link = ShardLink()
         lo, hi = bounds[shard_id], bounds[shard_id + 1]
         hosted = host_shard(
-            shard_spec(shard_id, hi - lo, lease_w),
+            shard_spec(shard_id, lo, hi - lo, lease_w),
             root / f"shard-{shard_id}",
             manager_factory(shard_id),
             shard_rngs[shard_id],
@@ -458,7 +464,9 @@ def run_sharded(
     supervisor = ShardSupervisor(
         {
             i: (
-                process_shard(i, node_counts[i], float(initial[i]))
+                process_shard(
+                    i, bounds[i], node_counts[i], float(initial[i])
+                )
                 if mode == "process"
                 else thread_shard(i, float(initial[i]))
             )
@@ -574,9 +582,13 @@ def run_sharded(
             shard_id = next_shard_id
             next_shard_id += 1
             new_units = node_counts[0] * spec.sockets_per_node
+            # The admitted shard's nodes are numbered past the cluster's.
             supervisor.admit(
                 process_shard(
-                    shard_id, node_counts[0], float(new_units * spec.min_cap_w)
+                    shard_id,
+                    spec.n_nodes,
+                    node_counts[0],
+                    float(new_units * spec.min_cap_w),
                 )
             )
             register(shard_id, new_units, consume_hello=False)

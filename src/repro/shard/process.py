@@ -114,6 +114,12 @@ class ShardHost:
         self.cluster = Cluster(
             spec.cluster, spec.rapl, rng=np.random.default_rng(spec.seed)
         )
+        # The slice's nodes carry their fleet-wide ids, so the deploy
+        # server's client events name the node an operator knows.
+        for node in self.cluster.nodes:
+            node.node_id += spec.first_node
+            for sock in node.sockets:
+                sock.node_id = node.node_id
         self.link = _HostLink(self)
         self.hosted = host_shard(
             spec,

@@ -134,6 +134,9 @@ class ShardSpec:
         shard_id: the shard's index (stable across restarts).
         cluster: the slice's topology and per-unit hardware envelope
             (``n_nodes`` is the slice's node count).
+        first_node: the global id of the slice's first node, which the
+            fleet derives from its partition; a process shard numbers
+            its private nodes from it, so its events name global ids.
         rapl: the parent cluster's RAPL behaviour (noise, lag, wrap).
         manager: power-manager registry name; None when the host is
             handed a manager object instead (thread mode's factory).
@@ -158,6 +161,7 @@ class ShardSpec:
     rapl: RaplConfig
     manager: str | None
     lease_w: float
+    first_node: int = 0
     dt_s: float = 1.0
     seed: int = 0
     arbiter: ArbiterConfig = field(default_factory=ArbiterConfig)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.cluster.cluster import Cluster
 from repro.cluster.perfmodel import progress_rate
 from repro.core.config import ClusterSpec, PerfModelConfig, RaplConfig
-from repro.powercap.faults import FaultConfig, FaultyMeter
+from repro.powercap.faults import FaultConfig
 from repro.workloads import get_workload, workload_names
 from repro.workloads.phases import Hold, Oscillate, PhaseProgram, Ramp
 from repro.workloads.runtime import WorkloadExecution
@@ -275,9 +275,10 @@ class TestExecution:
             assert str(caught.value) == "dt_s must be > 0, got 0.0"
 
 
-class TestWrappedMeters:
-    """``Cluster.read_powers_w`` goes through the bank unless a socket's
-    meter was replaced, and says so on every read (nothing is cached)."""
+class TestMeterFaults:
+    """``Cluster.read_powers_w`` is the bank's bulk read, with or without
+    faults set on some of its units, and a fault set or cleared between
+    two reads takes effect at the next one."""
 
     def cluster(self):
         spec = ClusterSpec(n_nodes=3, sockets_per_node=2)
@@ -287,44 +288,38 @@ class TestWrappedMeters:
         cluster.step_physics(np.full(cluster.n_units, 90.0), 1.0)
         return cluster.read_powers_w(1.0)
 
-    def test_no_wrapper(self):
+    def test_no_faults(self):
         cluster = self.cluster()
-        assert cluster._wrapped_meters() is None
         twin = self.cluster()
         twin.step_physics(np.full(6, 90.0), 1.0)
         assert bits(self.step(cluster)) == bits(twin.bank.read_powers_w(1.0))
 
-    def test_one_wrapper_on_the_last_socket(self):
+    def test_faults_that_never_fire_on_the_last_socket(self):
         cluster, twin = self.cluster(), self.cluster()
-        last = cluster.sockets[-1]
-        # A wrapper that never fires: readings must not change, but every
-        # read now goes meter by meter, through the wrapper.
-        wrapper = FaultyMeter(last.meter, FaultConfig(), np.random.default_rng(0))
-        last.meter = wrapper
-        wrapped = cluster._wrapped_meters()
-        assert wrapped is not None and wrapped[-1] is wrapper
-        assert wrapped[:-1] == [s.meter for s in cluster.sockets[:-1]]
+        # Faults that never fire: each read of the last unit rolls, but
+        # no reading may change.
+        cluster.bank.set_faults(
+            FaultConfig(), [np.random.default_rng(0)], slice(5, 6)
+        )
         for _ in range(70):  # Past one 64-sample noise block.
             assert bits(self.step(cluster)) == bits(self.step(twin))
+        assert cluster.bank._rolls.at[5] == 70 - 64
 
-    def test_wrapper_removed_mid_run(self):
+    def test_faults_cleared_mid_run(self):
         cluster, twin = self.cluster(), self.cluster()
-        sock = cluster.sockets[2]
-        healthy = sock.meter
         for cycle in range(12):
             if cycle == 3:
-                sock.meter = FaultyMeter(
-                    healthy,
+                cluster.bank.set_faults(
                     FaultConfig(dropout_prob=1.0),
-                    np.random.default_rng(1),
+                    [np.random.default_rng(1)],
+                    slice(2, 3),
                 )
             if cycle == 8:
-                sock.meter = healthy
+                cluster.bank.set_faults(None, span=slice(2, 3))
             faulty = 3 <= cycle < 8
-            assert (cluster._wrapped_meters() is not None) == faulty
             got, want = self.step(cluster), self.step(twin)
             if faulty:
                 assert got[2] == 0.0
                 want[2] = 0.0
             assert bits(got) == bits(want)
-
+        assert cluster.bank.faults_injected.tolist() == [0, 0, 5, 0, 0, 0]

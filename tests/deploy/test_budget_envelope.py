@@ -21,7 +21,7 @@ from repro.cluster.cluster import Cluster
 from repro.core.config import ClusterSpec, RaplConfig
 from repro.core.managers import create_manager
 from repro.deploy.health import ResilienceConfig
-from repro.powercap.faults import FaultConfig, FaultyMeter
+from repro.powercap.faults import FaultConfig
 from repro.safety import SafetyConfig
 from repro.shard import RecoveryOptions, ShardChaosSchedule
 from repro.telemetry.log import SAFETY_EVENT_KINDS
@@ -52,9 +52,9 @@ def run_session(
         SPEC, RaplConfig(noise_std_w=0.0), np.random.default_rng(seed)
     )
     if faults is not None:
-        fault_rngs = np.random.default_rng(seed + 1).spawn(cluster.n_units)
-        for sock, frng in zip(cluster.sockets, fault_rngs):
-            sock.meter = FaultyMeter(sock.meter, faults, frng)
+        cluster.bank.set_faults(
+            faults, np.random.default_rng(seed + 1).spawn(cluster.n_units)
+        )
     demand = np.full(cluster.n_units, 150.0)
     return one_shard(
         tmp_path,

@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 from repro.cluster.cluster import Cluster
+from repro.comm import protocol
 from repro.core.config import ClusterSpec, RaplConfig
 from repro.core.managers import create_manager
 from repro.deploy.health import HealthState
 from repro.deploy.plane import ClientPlane
 from repro.deploy.server import DeployServer
+from repro.powercap.faults import FaultConfig
+from repro.powercap.rapl import NOISE_BLOCK
 
 SPEC = ClusterSpec(n_nodes=3, sockets_per_node=2)
 
@@ -112,16 +115,16 @@ class TestDaemonFault:
         still returns, with only node 1 quarantined, and closing the
         plane re-raises the daemon's fault."""
         cluster, server = cluster_and_server()
-        meter = cluster.nodes[1].sockets[0].meter
-        read = meter.read_power_w
+        read = cluster.bank.read_powers_w
+        node_1 = slice(2, 4)
         reads = iter([True])
 
-        def read_once(dt_s):
-            if next(reads, False):
-                return read(dt_s)
+        def read_once(dt_s, span=slice(None)):
+            if span != node_1 or next(reads, False):
+                return read(dt_s, span)
             raise RuntimeError("meter unreadable")
 
-        meter.read_power_w = read_once
+        cluster.bank.read_powers_w = read_once
         plane = ClientPlane(server, cluster.nodes, dt_s=1.0)
         try:
             assert server.control_cycle().quarantined == ()
@@ -129,6 +132,51 @@ class TestDaemonFault:
         finally:
             with pytest.raises(RuntimeError, match="client 1 failed"):
                 plane.close()
+
+
+class TestReadings:
+    def test_a_daemon_sends_its_node_range_of_the_bank_read(self):
+        """With noise and meter faults on, every daemon's READINGS batch
+        is the wire image of one bank read of its node's range, the same
+        values a twin cluster's bulk read returns — past a noise block."""
+        faults = FaultConfig(stuck_prob=0.1, dropout_prob=0.1, spike_prob=0.1)
+        twins = [
+            Cluster(SPEC, RaplConfig(), np.random.default_rng(4))
+            for _ in range(2)
+        ]
+        for twin in twins:
+            twin.bank.set_faults(faults, np.random.default_rng(5).spawn(6))
+        cluster, twin = twins
+        bound = create_manager("dps")
+        bound.bind(
+            n_units=cluster.n_units,
+            budget_w=cluster.budget_w,
+            max_cap_w=SPEC.tdp_w,
+            min_cap_w=SPEC.min_cap_w,
+            rng=np.random.default_rng(0),
+        )
+        server = DeployServer(bound)
+        demand = np.random.default_rng(6).uniform(30.0, 160.0, (NOISE_BLOCK + 6, 6))
+        with ClientPlane(server, cluster.nodes, dt_s=1.0):
+            for cycle_demand in demand:
+                for c in twins:
+                    c.step_physics(cycle_demand, 1.0)
+                sent = server.control_cycle().readings_w
+                want = np.concatenate(
+                    [
+                        twin.bank.read_powers_w(1.0, slice(2 * n, 2 * n + 2))
+                        for n in range(SPEC.n_nodes)
+                    ]
+                )
+                wire = protocol.encode_batch(
+                    protocol.MSG_READING, np.minimum(want, 409.5)
+                )
+                assert np.array_equal(sent, protocol.decode_batch(wire)[2])
+                twin.bank.set_caps_w(cluster.caps_w())
+        assert cluster.bank.faults_injected.sum() > 0
+        assert np.array_equal(
+            cluster.bank.faults_injected, twin.bank.faults_injected
+        )
 
 
 class TestIdleDaemon:

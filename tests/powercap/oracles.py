@@ -1,16 +1,21 @@
 """The per-object RAPL model the struct-of-arrays bank replaced.
 
-Kept as the reference side of ``test_bank.py``: one Python object per
-domain and per meter, every quantity a Python float or int attribute, one
-scalar ``rng.normal`` per noisy reading — the arithmetic of
-``repro.powercap.rapl`` as it stood before the bank, statement for
-statement.  The bank's scalar views and bulk calls must reproduce it bit
-for bit, and a snapshot document these objects write must still load.
+Kept as the reference side of ``test_bank.py`` and ``test_faults.py``:
+one Python object per domain, per meter, per fault wrapper and one
+unit-by-unit actuator, every quantity a Python float or int attribute,
+one scalar ``rng.normal`` per noisy reading and one scalar
+``rng.random`` per fault roll — the arithmetic of ``repro.powercap`` as
+it stood before the bank, statement for statement.  The bank's scalar
+views and bulk calls must reproduce it bit for bit, and a snapshot
+document these objects write must still load.
 """
 
 from __future__ import annotations
 
 import math
+import time
+
+import numpy as np
 
 from repro.recovery.state import rng_state
 
@@ -108,3 +113,127 @@ class OracleCluster:
             "domains": [d.snapshot() for d in self.domains],
             "meters": [m.snapshot() for m in self.meters],
         }
+
+
+class OracleFaultyMeter:
+    """A meter wrapper injecting stuck/dropout/spike faults: the rule
+    ``RaplBank.set_faults`` applies, one Python call per reading."""
+
+    def __init__(self, meter, config, rng):
+        self.meter = meter
+        self.config = config
+        self._rng = rng
+        self._last_w = 0.0
+        self._has_last = False
+        self.faults_injected = 0
+
+    def read_power_w(self, dt_s: float) -> float:
+        """Read the underlying meter, possibly corrupted.
+
+        The healthy meter is *always* advanced (its energy-counter cursor
+        must track real time), then the returned value may be replaced.
+        A stuck fault needs a previous value to repeat; on the very first
+        reading it passes the healthy value through instead of returning
+        the meaningless 0.0 initial state (which would be a dropout, not
+        a stall).
+        """
+        healthy = self.meter.read_power_w(dt_s)
+        roll = self._rng.random()
+        cfg = self.config
+        if roll < cfg.stuck_prob:
+            if self._has_last:
+                self.faults_injected += 1
+                return self._last_w
+            self._last_w = healthy
+            self._has_last = True
+            return healthy
+        roll -= cfg.stuck_prob
+        if roll < cfg.dropout_prob:
+            self.faults_injected += 1
+            self._last_w = 0.0
+            self._has_last = True
+            return 0.0
+        roll -= cfg.dropout_prob
+        if roll < cfg.spike_prob:
+            self.faults_injected += 1
+            self._last_w = healthy * cfg.spike_gain
+            self._has_last = True
+            return self._last_w
+        self._last_w = healthy
+        self._has_last = True
+        return healthy
+
+
+class OracleActuator:
+    """``CapActuator`` writing and verifying domain by domain, through
+    any objects with ``cap_w``/``set_cap_w``/``min_power_w``/
+    ``max_power_w`` (the oracle's domains or a cluster's views)."""
+
+    def __init__(
+        self, domains, delay_steps=0, verify=False, max_retries=3,
+        backoff_s=0.0,
+    ):
+        self._domains = list(domains)
+        self.delay_steps = delay_steps
+        self.verify = verify
+        self.max_retries = max_retries
+        self.backoff_s = backoff_s
+        self._pipeline = []
+        self.commands_applied = 0
+        self.retries = 0
+        self.verify_failures = 0
+        self.events = []
+
+    def issue(self, caps_w):
+        self._pipeline.append(np.asarray(caps_w, dtype=np.float64).copy())
+        if len(self._pipeline) <= self.delay_steps:
+            return 0
+        return self._apply(self._pipeline.pop(0))
+
+    def _apply(self, due):
+        self.commands_applied += len(self._domains)
+        changed = 0
+        for unit, (dom, cap) in enumerate(zip(self._domains, due)):
+            # Quantize to whole microwatts, as a sysfs write would.
+            quantized = round(float(cap) * 1e6) / 1e6
+            before = dom.cap_w
+            dom.set_cap_w(quantized)
+            if self.verify:
+                self._verify(dom, unit, quantized)
+            if dom.cap_w != before:
+                changed += 1
+        return changed
+
+    def _verify(self, dom, unit, cap_w):
+        """Read one programmed limit back; retry the write on mismatch."""
+        # What a correct write must read back: the sysfs clamp of the
+        # requested limit to the domain's accepted range.
+        expected = min(max(cap_w, dom.min_power_w), dom.max_power_w)
+        if dom.cap_w == expected:
+            return
+        delay = self.backoff_s
+        for attempt in range(1, self.max_retries + 1):
+            if delay > 0:
+                time.sleep(delay)
+                delay *= 2.0
+            self.retries += 1
+            dom.set_cap_w(cap_w)
+            if dom.cap_w == expected:
+                self.events.append(
+                    (
+                        "actuation_retried",
+                        unit,
+                        f"verified after {attempt} retr"
+                        f"{'y' if attempt == 1 else 'ies'}",
+                    )
+                )
+                return
+        self.verify_failures += 1
+        self.events.append(
+            (
+                "actuation_retry_exhausted",
+                unit,
+                f"cap {cap_w:.3f} W unverified after "
+                f"{self.max_retries} retries (read {dom.cap_w:.3f} W)",
+            )
+        )

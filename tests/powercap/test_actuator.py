@@ -6,14 +6,13 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.core.config import ClusterSpec, RaplConfig
 from repro.powercap.actuator import CapActuator
-from repro.powercap.rapl import RaplDomain
+from repro.powercap.rapl import RaplBank, RaplDomain
 
 
 def domains(n=2):
-    return [
-        RaplDomain(f"d{i}", 165.0, 30.0, RaplConfig(noise_std_w=0.0))
-        for i in range(n)
-    ]
+    """The views of a bare noise-free bank of ``n`` units."""
+    bank = RaplBank(n, 165.0, 30.0, RaplConfig(noise_std_w=0.0))
+    return [RaplDomain.of_bank(bank, i, f"d{i}") for i in range(n)]
 
 
 class TestImmediate:
@@ -66,6 +65,12 @@ class TestValidation:
     def test_rejects_empty_domains(self):
         with pytest.raises(ValueError, match="at least one"):
             CapActuator([])
+
+    def test_rejects_domains_outside_one_range(self):
+        doms = domains(3)
+        for scattered in ([doms[0], doms[2]], doms[::-1], [*domains(1), doms[1]]):
+            with pytest.raises(ValueError, match="consecutive units of one bank"):
+                CapActuator(scattered)
 
     def test_rejects_wrong_shape(self):
         act = CapActuator(domains(2))

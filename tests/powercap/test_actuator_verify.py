@@ -5,24 +5,50 @@ import pytest
 
 from repro.core.config import RaplConfig
 from repro.powercap.actuator import CapActuator
-from repro.powercap.faults import FlakyDomain
-from repro.powercap.rapl import RaplDomain
+from repro.powercap.rapl import RaplBank, RaplDomain
+
+
+class FlakyBank(RaplBank):
+    """A bank whose cap writes sometimes do not take.
+
+    Each unit's write is dropped with probability ``drop_prob`` (its
+    limit silently keeps its previous value, as a failed sysfs write
+    leaves it), optionally only for the first ``max_drops`` writes of
+    that unit, so tests can model transient contention that a bounded
+    retry rides out.
+    """
+
+    def __init__(self, n_units, drop_prob, max_drops=None, seed=0):
+        super().__init__(n_units, 165.0, 30.0, RaplConfig(noise_std_w=0.0))
+        self.drop_prob = drop_prob
+        self.max_drops = max_drops
+        self._rngs = [np.random.default_rng(seed + i) for i in range(n_units)]
+        #: Writes silently dropped so far, per unit.
+        self.writes_dropped = [0] * n_units
+
+    def set_caps_w(self, caps_w, span=slice(None)):
+        before = self.cap_w[span].copy()
+        super().set_caps_w(caps_w, span)
+        for offset, unit in enumerate(range(self.n_units)[span]):
+            budget_left = (
+                self.max_drops is None
+                or self.writes_dropped[unit] < self.max_drops
+            )
+            if budget_left and self._rngs[unit].random() < self.drop_prob:
+                self.writes_dropped[unit] += 1
+                self.cap_w[unit] = before[offset]
+
+
+def views(bank):
+    return [RaplDomain.of_bank(bank, i, f"d{i}") for i in range(bank.n_units)]
 
 
 def healthy_domains(n=2):
-    return [
-        RaplDomain(f"d{i}", 165.0, 30.0, RaplConfig(noise_std_w=0.0))
-        for i in range(n)
-    ]
+    return views(RaplBank(n, 165.0, 30.0, RaplConfig(noise_std_w=0.0)))
 
 
 def flaky_domains(n=2, drop_prob=1.0, max_drops=None, seed=0):
-    return [
-        FlakyDomain(
-            dom, drop_prob, np.random.default_rng(seed + i), max_drops
-        )
-        for i, dom in enumerate(healthy_domains(n))
-    ]
+    return views(FlakyBank(n, drop_prob, max_drops, seed))
 
 
 class TestVerify:

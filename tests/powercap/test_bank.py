@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from repro.cluster.cluster import Cluster
 from repro.core.config import ClusterSpec, RaplConfig
 from repro.powercap.actuator import CapActuator
-from repro.powercap.faults import FlakyDomain
 from repro.powercap.rapl import NOISE_BLOCK, RaplBank, RaplDomain, bank_span
-from tests.powercap.oracles import OracleCluster
+from tests.powercap.oracles import OracleActuator, OracleCluster
 
 #: Caps whose microwatt quantisation or clamp is an edge: round-half-even
 #: ties, signed zeros, values that round to -0, the range ends, far out.
@@ -32,10 +31,11 @@ def bits(values) -> np.ndarray:
 class Rig:
     """One cluster three ways, driven in lockstep.
 
-    ``oracle`` is the per-object model; ``scalar`` a real cluster touched
-    only through ``Socket.domain`` / ``Socket.meter`` and an actuator that
-    must write unit by unit (its domains are wrapped); ``bulk`` a real
-    cluster touched through the array calls.
+    ``oracle`` is the per-object model under the unit-by-unit actuator;
+    ``scalar`` a real cluster touched one unit at a time — physics and
+    caps through ``Socket.domain`` (the caps by that same unit-by-unit
+    actuator), readings through one-unit bank ranges; ``bulk`` a real
+    cluster touched through the array calls and ``CapActuator``.
     """
 
     def __init__(self, n_units, rapl, seed, min_cap_w, delay_steps, verify):
@@ -49,18 +49,9 @@ class Rig:
         self.scalar = Cluster(self.spec, rapl, np.random.default_rng(seed))
         self.bulk = Cluster(self.spec, rapl, np.random.default_rng(seed))
         self.knobs = dict(delay_steps=delay_steps, verify=verify)
-        self.oracle_act = CapActuator(self.oracle.domains, **self.knobs)
-        self.scalar_act = CapActuator(
-            [
-                FlakyDomain(dom, 0.0, np.random.default_rng(0))
-                for dom in self.scalar.domains
-            ],
-            **self.knobs,
-        )
+        self.oracle_act = OracleActuator(self.oracle.domains, **self.knobs)
+        self.scalar_act = OracleActuator(self.scalar.domains, **self.knobs)
         self.bulk_act = CapActuator(self.bulk.domains, **self.knobs)
-        assert self.oracle_act._span is None
-        assert self.scalar_act._span is None
-        assert self.bulk_act._span == (self.bulk.bank, slice(0, n_units))
 
     def physics(self, demand, dt):
         want = [
@@ -77,17 +68,18 @@ class Rig:
 
     def read(self, dt, split):
         """One reading per unit per cluster; on the bulk cluster units
-        below ``split`` are read by one range call, the rest through
-        their scalar views."""
+        below ``split`` are read by one range call, the rest by a
+        second one."""
         want = [m.read_power_w(dt) for m in self.oracle.meters]
-        got_scalar = [s.meter.read_power_w(dt) for s in self.scalar.sockets]
         n = self.spec.n_units
+        got_scalar = [
+            self.scalar.bank.read_powers_w(dt, slice(i, i + 1)).item()
+            for i in range(n)
+        ]
         if split == n:
             got_bulk = self.bulk.read_powers_w(dt)
         else:
-            got_bulk = [
-                s.meter.read_power_w(dt) for s in self.bulk.sockets[split:]
-            ]
+            got_bulk = self.bulk.bank.read_powers_w(dt, slice(split, n))
             if split:
                 ranged = self.bulk.bank.read_powers_w(dt, slice(0, split))
                 got_bulk = [*ranged, *got_bulk]
@@ -107,8 +99,8 @@ class Rig:
     def rebaseline(self):
         for meter in self.oracle.meters:
             meter.rebaseline()
-        for sock in self.scalar.sockets:
-            sock.meter.rebaseline()
+        for i in range(self.spec.n_units):
+            self.scalar.bank.rebaseline(slice(i, i + 1))
         self.bulk.bank.rebaseline()
 
     def swap_bulk(self, doc):
@@ -226,13 +218,12 @@ def test_views_and_cluster_documents_are_the_same_documents():
         cluster.read_powers_w(1.0)
     doc = cluster.snapshot()
     assert doc["domains"] == [d.snapshot() for d in cluster.domains]
-    assert doc["meters"] == [s.meter.snapshot() for s in cluster.sockets]
     other = Cluster(ClusterSpec(n_nodes=2), RaplConfig(), np.random.default_rng(4))
-    for sock, dom_doc, meter_doc in zip(
-        other.sockets, doc["domains"], doc["meters"]
-    ):
+    for sock, dom_doc in zip(other.sockets, doc["domains"]):
         sock.domain.restore(dom_doc)
-        sock.meter.restore(meter_doc)
+    assert other.snapshot()["domains"] == doc["domains"]
+    assert other.snapshot()["meters"] != doc["meters"]
+    other.restore(doc)
     assert other.snapshot() == doc
     with pytest.raises(ValueError, match="snapshot holds 4/4 units"):
         Cluster(ClusterSpec(n_nodes=3)).restore(doc)
@@ -247,8 +238,8 @@ class TestBankSpan:
     def test_anything_else_is_not(self):
         cluster = Cluster(ClusterSpec(n_nodes=3))
         doms = cluster.domains
-        flaky = FlakyDomain(doms[1], 0.0, np.random.default_rng(0))
-        assert bank_span([doms[0], flaky, doms[2]]) is None
+        stranger = RaplDomain("x", 165.0)
+        assert bank_span([doms[0], stranger, doms[2]]) is None
         assert bank_span([doms[0], doms[2]]) is None
         assert bank_span(doms[::-1]) is None
         assert bank_span([RaplDomain("a", 165.0), RaplDomain("b", 165.0)]) is None
@@ -298,7 +289,7 @@ class TestBulkValidation:
 
 def test_threads_on_disjoint_ranges_of_one_bank_lose_no_update():
     """Callers on threads of their own may step, meter and cap disjoint
-    ranges of one shared bank while others use the scalar views; every
+    ranges of one shared bank, in range calls or unit by unit; every
     write must stay inside its range."""
     workers, per, cycles = 6, 37, 150
     rapl = RaplConfig(noise_std_w=1.5, counter_wrap_uj=150_000_000)
@@ -315,7 +306,10 @@ def test_threads_on_disjoint_ranges_of_one_bank_lose_no_update():
                 readings.append(cluster.bank.read_powers_w(0.5, span))
             else:
                 readings.append(
-                    [s.meter.read_power_w(0.5) for s in cluster.sockets[span]]
+                    [
+                        cluster.bank.read_powers_w(0.5, slice(i, i + 1)).item()
+                        for i in range(span.start, span.stop)
+                    ]
                 )
             caps = draw.uniform(20.0, 180.0, per)
             if cycle % 2:

@@ -4,18 +4,23 @@ import numpy as np
 import pytest
 
 from repro.core.config import RaplConfig
-from repro.powercap.rapl import PowerMeter, RaplDomain
+from repro.powercap.rapl import RaplBank, RaplDomain
 
 QUIET = RaplConfig(noise_std_w=0.0, lag_tau_s=0.8)
 
 
-def domain(**kwargs):
-    defaults = dict(
-        name="pkg", max_power_w=165.0, min_power_w=30.0, config=QUIET,
-        initial_power_w=12.0,
-    )
-    defaults.update(kwargs)
-    return RaplDomain(**defaults)
+def domain(config=QUIET, initial_power_w=12.0, rng=None):
+    """The view of a one-unit bank; with ``rng``, its meter attached."""
+    bank = RaplBank(1, 165.0, 30.0, config, initial_power_w)
+    if rng is not None:
+        bank.attach_meter(0, rng)
+    return RaplDomain.of_bank(bank, 0, "pkg")
+
+
+def metered(config=QUIET, initial_power_w=12.0, seed=0):
+    """A domain and its meter's reader (one reading per call)."""
+    d = domain(config, initial_power_w, np.random.default_rng(seed))
+    return d, lambda dt_s: d.bank.read_powers_w(dt_s).item()
 
 
 class TestConstruction:
@@ -111,7 +116,7 @@ class TestEnergyCounter:
     def test_counter_wraps(self):
         # Wrap chosen to not divide the per-step energy so the modulo moves.
         cfg = RaplConfig(noise_std_w=0.0, counter_wrap_uj=77_777_777)
-        d = RaplDomain("x", 165.0, config=cfg, initial_power_w=100.0)
+        d = domain(cfg, initial_power_w=100.0)
         seen_wrap = False
         last = d.read_energy_uj()
         for _ in range(20):
@@ -126,43 +131,39 @@ class TestEnergyCounter:
 
 class TestPowerMeter:
     def test_meter_reads_average_power(self):
-        d = domain()
-        meter = PowerMeter(d, np.random.default_rng(0))
+        d, read = metered()
         for _ in range(30):
             d.step(120.0, 1.0)
-            meter.read_power_w(1.0)
+            read(1.0)
         d.step(120.0, 1.0)
-        assert meter.read_power_w(1.0) == pytest.approx(120.0, abs=1.0)
+        assert read(1.0) == pytest.approx(120.0, abs=1.0)
 
     def test_meter_survives_counter_wrap(self):
         cfg = RaplConfig(noise_std_w=0.0, counter_wrap_uj=200_000_000)
-        d = RaplDomain("x", 165.0, config=cfg, initial_power_w=150.0)
-        meter = PowerMeter(d, np.random.default_rng(0))
+        d, read = metered(cfg, initial_power_w=150.0)
         readings = []
         for _ in range(10):  # 1.5e8 uJ/step wraps every other step.
             d.step(150.0, 1.0)
-            readings.append(meter.read_power_w(1.0))
+            readings.append(read(1.0))
         assert all(abs(r - 150.0) < 2.0 for r in readings)
 
     def test_noise_applied(self):
         cfg = RaplConfig(noise_std_w=3.0)
-        d = RaplDomain("x", 165.0, config=cfg, initial_power_w=100.0)
-        meter = PowerMeter(d, np.random.default_rng(1))
+        d, read = metered(cfg, initial_power_w=100.0, seed=1)
         readings = []
         for _ in range(200):
             d.step(100.0, 1.0)
-            readings.append(meter.read_power_w(1.0))
+            readings.append(read(1.0))
         assert 1.5 < np.std(readings[20:]) < 4.5
 
     def test_reading_never_negative(self):
         cfg = RaplConfig(noise_std_w=50.0)
-        d = RaplDomain("x", 165.0, config=cfg, initial_power_w=5.0)
-        meter = PowerMeter(d, np.random.default_rng(2))
+        d, read = metered(cfg, initial_power_w=5.0, seed=2)
         for _ in range(50):
             d.step(5.0, 1.0)
-            assert meter.read_power_w(1.0) >= 0.0
+            assert read(1.0) >= 0.0
 
     def test_rejects_nonpositive_dt(self):
-        meter = PowerMeter(domain(), np.random.default_rng(0))
+        _, read = metered()
         with pytest.raises(ValueError, match="dt_s"):
-            meter.read_power_w(0.0)
+            read(0.0)

@@ -141,6 +141,7 @@ class TestShardSpec:
             ),
             manager="slurm",
             lease_w=1234.0625,
+            first_node=6,
             dt_s=0.5,
             seed=11,
             arbiter=ArbiterConfig(

@@ -155,6 +155,20 @@ def test_node_chaos_walks_the_same_cycles(tmp_path):
         assert cycles[0] == cycles[1] and cycles[0], kind
 
 
+def test_node_chaos_names_global_node_ids(tmp_path):
+    """Node 3 is shard 1's second node.  A process shard numbers its
+    private nodes from the slice's first global id, so its daemon events
+    name node 3 as the thread shard's do, not the slice-local 1."""
+    results = both_modes(
+        tmp_path,
+        ShardChaosSchedule(node_kill_at={3: 3}, node_reconnect_at={3: 7}),
+    )
+    for result in results:
+        for kind in ("client_quarantined", "client_rejoined"):
+            named = {e.node_id for e in result.events.of_kind(kind)}
+            assert named == {3}, (result.mode, kind, named)
+
+
 def test_final_cycle_hang_tears_down_cleanly(tmp_path):
     """A hang on the last cycle leaves nothing to wedge teardown: either
     transport returns its result with the hang recorded and no restart."""

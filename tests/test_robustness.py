@@ -16,7 +16,7 @@ from repro.cluster.simulator import Assignment, Simulation
 from repro.core.config import ClusterSpec, SimulationConfig
 from repro.core.managers import create_manager
 from repro.experiments.harness import ExperimentConfig, ExperimentHarness
-from repro.powercap.faults import FaultConfig, FaultyMeter
+from repro.powercap.faults import FaultConfig
 from repro.workloads.synthetic import random_workload
 
 SPEC = ClusterSpec(n_nodes=4, sockets_per_node=2)
@@ -108,7 +108,7 @@ class TestFaultRecovery:
     def _drive(self, inject_faults):
         """A closed control loop over the cluster physics; faults (when
         injected) corrupt every meter for the first FAULT_CYCLES cycles,
-        then the healthy meters are restored."""
+        then they are cleared."""
         cluster = Cluster(SPEC, rng=np.random.default_rng(21))
         manager = create_manager("dps")
         manager.bind(
@@ -123,17 +123,15 @@ class TestFaultRecovery:
         demand = np.where(
             np.arange(cluster.n_units) < cluster.n_units // 2, 150.0, 60.0
         )
-        healthy_meters = [s.meter for s in cluster.sockets]
         if inject_faults:
-            fault_rngs = np.random.default_rng(99).spawn(cluster.n_units)
-            for sock, frng in zip(cluster.sockets, fault_rngs):
-                sock.meter = FaultyMeter(sock.meter, self.FAULTS, frng)
+            cluster.bank.set_faults(
+                self.FAULTS, np.random.default_rng(99).spawn(cluster.n_units)
+            )
 
         power_trace = np.empty((self.TOTAL_CYCLES, cluster.n_units))
         for cycle in range(self.TOTAL_CYCLES):
             if inject_faults and cycle == self.FAULT_CYCLES:
-                for sock, meter in zip(cluster.sockets, healthy_meters):
-                    sock.meter = meter  # The fault episode ends.
+                cluster.bank.set_faults(None)  # The fault episode ends.
             true_power = cluster.step_physics(demand, 1.0)
             readings = cluster.read_powers_w(1.0)
             caps = manager.step(readings)
