@@ -43,7 +43,6 @@ import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.core.config import ClusterSpec, RaplConfig
-from repro.core.managers import create_manager
 from repro.shard import ArbiterConfig, RecoveryOptions, run_sharded
 
 SHARD_COUNTS = tuple(
@@ -108,7 +107,7 @@ def _measure(
         result = run_sharded(
             cluster,
             n_shards=n_shards,
-            manager_factory=lambda i: create_manager("constant"),
+            manager_factory=None,
             demand_fn=lambda step: demand,
             cycles=CYCLES,
             checkpoint_dir=ckpt,
@@ -116,7 +115,7 @@ def _measure(
             recovery=RecoveryOptions(**recovery),
             rng=np.random.default_rng(7),
             mode=mode,
-            manager_name="constant" if mode == "process" else None,
+            manager_name="constant",
             codec=codec if mode == "process" else "json",
         )
     assert result.invariant_violations == 0

@@ -20,7 +20,7 @@ import tempfile
 
 import numpy as np
 
-from repro import Cluster, ClusterSpec, RaplConfig, create_manager
+from repro import Cluster, ClusterSpec, RaplConfig
 from repro.deploy.health import HealthState, ResilienceConfig
 from repro.shard import ShardChaosSchedule, run_sharded
 from repro.telemetry.log import ResilienceEventLog
@@ -71,7 +71,8 @@ def main() -> None:
         result = run_sharded(
             cluster,
             n_shards=1,
-            manager_factory=lambda shard_id: create_manager("dps"),
+            manager_factory=None,
+            manager_name="dps",
             demand_fn=demand,
             cycles=30,
             checkpoint_dir=checkpoints,

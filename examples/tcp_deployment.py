@@ -18,7 +18,7 @@ import tempfile
 
 import numpy as np
 
-from repro import Cluster, ClusterSpec, RaplConfig, create_manager
+from repro import Cluster, ClusterSpec, RaplConfig
 from repro.shard import run_sharded
 
 
@@ -38,7 +38,8 @@ def main() -> None:
         result = run_sharded(
             cluster,
             n_shards=1,
-            manager_factory=lambda shard_id: create_manager("dps"),
+            manager_factory=None,
+            manager_name="dps",
             demand_fn=demand,
             cycles=25,
             checkpoint_dir=checkpoints,

@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Run a single shard server as its own OS process, built from "
             "the spec.json in --dir: a private "
             "sub-cluster, a crash-recoverable controller, and one TCP "
-            "listener serving the supervisor's clock and the arbiter's "
+            "listener serving the fleet's clock and the arbiter's "
             "shard link.  SIGTERM triggers a graceful drain (checkpoint, "
             "freeze at the last confirmed committed power, final "
             "summary, exit 0).  Normally spawned by `shards "
@@ -685,7 +685,7 @@ def _cmd_shards(args: argparse.Namespace) -> str:
     if probe.requires_demand:
         raise SystemExit(
             f"manager {args.manager!r} needs demand estimates, which the "
-            "shard harness does not feed; pick a power-only manager"
+            "shard fleet does not feed; pick a power-only manager"
         )
     if args.cycles < 1:
         raise SystemExit(f"--cycles must be >= 1, got {args.cycles}")
@@ -743,7 +743,7 @@ def _cmd_shards(args: argparse.Namespace) -> str:
         result = run_sharded(
             cluster,
             n_shards=args.shards,
-            manager_factory=lambda i: create_manager(args.manager),
+            manager_factory=None,
             demand_fn=lambda step: np.full(cluster.n_units, 0.6),
             cycles=args.cycles,
             checkpoint_dir=root,

@@ -25,9 +25,8 @@ The link is symmetric on the wire — frames out, frames in — so both
 edge pairs of the contract (``send_grant``/``take_summaries`` for the
 arbiter, ``send_summary``/``take_grants`` for a dial-out shard) map onto
 one send and one drain primitive.  Like the loopback link's arbiter
-edge, it is meant to be driven from one thread (the arbiter's); the
-internal lock only guards against an observer calling
-:meth:`partition`/:meth:`heal` from a harness thread.
+edge, it is driven from one thread: the fleet's, which hosts the arbiter
+and fires partitions and heals.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from __future__ import annotations
 import random
 import select
 import socket
-import threading
 import time
 from typing import Callable
 
@@ -61,7 +59,7 @@ class TcpShardLink:
             ``min(max, base * 2**k) * uniform(0.5, 1.5)``.
         seed: jitter stream seed (deterministic chaos drills).
         events: optional structured event sink for ``link_reconnect``.
-        clock: event-timestamp source (the harness passes its cycle
+        clock: event-timestamp source (the fleet passes its cycle
             clock; wall time is meaningless inside a simulated drill).
     """
 
@@ -86,10 +84,10 @@ class TcpShardLink:
         self.events = events
         self.clock = clock if clock is not None else (lambda: 0.0)
         self._rng = random.Random(seed)
-        self._lock = threading.Lock()
         self._sock: socket.socket | None = None
         self._assembler = FrameAssembler()
-        self._suppressed = False
+        #: True while dialing is administratively suppressed.
+        self.partitioned = False
         self._attempts = 0
         self._next_attempt_at = 0.0
         self._ever_connected = False
@@ -101,55 +99,22 @@ class TcpShardLink:
     # -- lifecycle ------------------------------------------------------
 
     @property
-    def partitioned(self) -> bool:
-        """True while dialing is administratively suppressed."""
-        with self._lock:
-            return self._suppressed
-
-    @property
     def connected(self) -> bool:
-        with self._lock:
-            return self._sock is not None
+        return self._sock is not None
 
     def partition(self) -> None:
         """Sever the link and refuse to redial until :meth:`heal`."""
-        with self._lock:
-            self._suppressed = True
-            self._close_locked()
+        self.partitioned = True
+        self.close()
 
     def heal(self) -> None:
         """Allow dialing again (the next send/drain reconnects)."""
-        with self._lock:
-            self._suppressed = False
-            self._attempts = 0
-            self._next_attempt_at = 0.0
+        self.partitioned = False
+        self._attempts = 0
+        self._next_attempt_at = 0.0
 
     def close(self) -> None:
         """Drop the connection without suppressing future redials."""
-        with self._lock:
-            self._close_locked()
-
-    def wait_readable(self, timeout_s: float) -> bool:
-        """Block (bounded) until the peer's next frame starts arriving.
-
-        The lock-step harness uses this to close the cross-socket race
-        between a shard's summary (on this link) and its cycle ack (on
-        the clock connection): the ack's arrival does not imply the
-        summary already reached this socket's buffer.  Returns False
-        when the link is down, suppressed, or stays quiet through the
-        timeout — all cases the lease protocol already tolerates.
-        """
-        with self._lock:
-            sock = self._sock
-            if self._suppressed or sock is None:
-                return False
-        try:
-            readable, _, _ = select.select([sock], [], [], timeout_s)
-        except (OSError, ValueError):
-            return False
-        return bool(readable)
-
-    def _close_locked(self) -> None:
         if self._sock is not None:
             try:
                 self._sock.close()
@@ -157,9 +122,27 @@ class TcpShardLink:
                 pass
             self._sock = None
 
-    def _ensure_connected_locked(self) -> bool:
+    def wait_readable(self, timeout_s: float) -> bool:
+        """Block (bounded) until the peer's next frame starts arriving.
+
+        The lock-step fleet uses this to close the cross-socket race
+        between a shard's summary (on this link) and its cycle ack (on
+        the clock connection): the ack's arrival does not imply the
+        summary already reached this socket's buffer.  Returns False
+        when the link is down, suppressed, or stays quiet through the
+        timeout — all cases the lease protocol already tolerates.
+        """
+        if self.partitioned or self._sock is None:
+            return False
+        try:
+            readable, _, _ = select.select([self._sock], [], [], timeout_s)
+        except (OSError, ValueError):
+            return False
+        return bool(readable)
+
+    def _ensure_connected(self) -> bool:
         """Dial if down and due; returns True when a socket is live."""
-        if self._suppressed:
+        if self.partitioned:
             return False
         if self._sock is not None:
             return True
@@ -213,77 +196,55 @@ class TcpShardLink:
         self._ever_connected = True
         return True
 
-    # -- send / drain primitives ---------------------------------------
+    # -- the ShardLink contract: each edge pair is one send, one drain ----
 
-    def _send(self, doc: dict) -> bool:
+    def send_grant(self, doc: dict) -> bool:
         """Frame and send one document; False when it never hit the wire."""
         frame = encode_frame(doc)
-        with self._lock:
-            if not self._ensure_connected_locked():
-                return False
-            sock = self._sock
-            try:
-                sock.settimeout(self.send_timeout_s)
-                sock.sendall(frame)
-            except OSError:
-                self._close_locked()
-                return False
-            finally:
-                if self._sock is not None:
-                    self._sock.setblocking(False)
-            self.bytes_total += len(frame)
+        if not self._ensure_connected():
+            return False
+        sock = self._sock
+        try:
+            sock.settimeout(self.send_timeout_s)
+            sock.sendall(frame)
+        except OSError:
+            self.close()
+            return False
+        finally:
+            if self._sock is not None:
+                self._sock.setblocking(False)
+        self.bytes_total += len(frame)
         return True
 
-    def _take(self) -> list[dict]:
+    def take_summaries(self) -> list[dict]:
         """Drain everything the socket has ready and decode it.
 
-        Bytes are drained under the lock; frames decode outside it (the
-        same discipline as the loopback link).  EOF and resets close the
-        connection but still deliver the bytes that preceded them — a
-        drained shard's final summary survives its process exit.
+        EOF and resets close the connection but still deliver the bytes
+        that preceded them — a drained shard's final summary survives its
+        process exit.
         """
-        chunks: list[bytes] = []
-        with self._lock:
-            if not self._ensure_connected_locked():
-                return []
-            while True:
-                try:
-                    data = self._sock.recv(_RECV_BYTES)
-                except (BlockingIOError, InterruptedError):
-                    break
-                except OSError:
-                    self._close_locked()
-                    break
-                if not data:
-                    self._close_locked()
-                    break
-                chunks.append(data)
-            assembler = self._assembler
         docs: list[dict] = []
-        for data in chunks:
+        if not self._ensure_connected():
+            return docs
+        while self._sock is not None:
+            try:
+                data = self._sock.recv(_RECV_BYTES)
+            except (BlockingIOError, InterruptedError):
+                break
+            except OSError:
+                data = b""
+            if not data:
+                self.close()
+                break
             self.bytes_total += len(data)
             try:
-                docs.extend(assembler.feed(data))
+                docs.extend(self._assembler.feed(data))
             except FrameError:
                 # The stream cannot be trusted past this point; drop the
                 # connection and let the reconnect reset the assembler.
-                with self._lock:
-                    self._close_locked()
-                break
+                self.close()
         return docs
 
-    # -- ShardLink contract: arbiter edge ------------------------------
-
-    def send_grant(self, doc: dict) -> bool:
-        return self._send(doc)
-
-    def take_summaries(self) -> list[dict]:
-        return self._take()
-
-    # -- ShardLink contract: shard edge (a dial-out shard) -------------
-
-    def send_summary(self, doc: dict) -> bool:
-        return self._send(doc)
-
-    def take_grants(self) -> list[dict]:
-        return self._take()
+    #: A dial-out shard's edge of the same channel.
+    send_summary = send_grant
+    take_grants = take_summaries

@@ -9,8 +9,8 @@ Layout:
 * :mod:`~repro.recovery.controller` — the journaling/checkpointing
   manager proxy.
 
-Restarts are driven by :class:`~repro.shard.supervisor.ShardSupervisor`,
-the one restart driver.  ``controller`` is re-exported lazily:
+Restarts are driven by :class:`~repro.shard.fleet.Fleet`, which keeps
+the only restart bookkeeping.  ``controller`` is re-exported lazily:
 ``state`` is imported by :mod:`repro.core.managers` itself, so importing
 it eagerly here would close an import cycle.
 """

@@ -20,7 +20,13 @@ even with a dark shard.
 """
 
 from repro.shard.arbiter import ArbiterShard, BudgetArbiter
-from repro.shard.harness import ShardChaosSchedule, ShardedResult, run_sharded
+from repro.shard.fleet import (
+    Fleet,
+    FleetCycle,
+    ShardChaosSchedule,
+    ShardedResult,
+    run_sharded,
+)
 from repro.shard.lease import (
     ArbiterConfig,
     BudgetLease,
@@ -34,7 +40,6 @@ from repro.shard.supervisor import (
     RecoveryOptions,
     ShardProcess,
     ShardSpec,
-    ShardSupervisor,
 )
 
 __all__ = [
@@ -42,6 +47,8 @@ __all__ = [
     "ArbiterShard",
     "BudgetArbiter",
     "BudgetLease",
+    "Fleet",
+    "FleetCycle",
     "HostedShard",
     "InlineShard",
     "RecoveryOptions",
@@ -52,7 +59,6 @@ __all__ = [
     "ShardServer",
     "ShardSpec",
     "ShardSummary",
-    "ShardSupervisor",
     "ShardedResult",
     "redistribute",
     "run_sharded",

@@ -197,7 +197,7 @@ class ShardSummary:
 class ShardLink:
     """Duplex arbiter↔shard channel with wire-faithful framing.
 
-    Both edges live on one thread: the arbiter on the harness's, the
+    Both edges live on one thread: the arbiter on the fleet's, the
     shard on the same thread when its cycle runs.  Documents are
     serialized to real frames at the sending edge and reassembled at the
     receiving edge, so a protocol bug (oversized frame, malformed body)

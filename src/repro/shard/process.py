@@ -10,13 +10,13 @@ a full crash-recoverable stack —
 checkpoints under ``--dir`` — and a :class:`~repro.shard.server.
 ShardServer` with its deploy server and node-agent clients: the same
 :class:`~repro.shard.server.HostedShard` a thread-mode shard runs on the
-harness's thread, here behind a TCP listener.
+fleet's thread, here behind a TCP listener.
 
 The host listens on one TCP port (kernel-chosen with ``--port 0``; the
 bound address is published atomically through ``--port-file``) and
 classifies each inbound connection by its first document:
 
-* ``{"type": "hello", "role": "clock"}`` — the supervisor's lock-step
+* ``{"type": "hello", "role": "clock"}`` — the fleet's lock-step
   clock.  It ships ``cycle`` documents carrying the per-unit demand
   slice (plus, on a node-chaos cycle, the shard-local indices of the
   daemons to ``kill`` and ``reconnect``) and receives ``cycle_ack``
@@ -29,7 +29,7 @@ classifies each inbound connection by its first document:
   connection carries grants in and summaries out.
 
 Chaos enters through the same port: a ``hang`` document makes the host
-go silent (the supervisor's ack deadline detects it and SIGKILLs the
+go silent (the fleet's ack deadline detects it and SIGKILLs the
 process), SIGKILL needs no cooperation, and SIGTERM triggers the
 graceful drain — checkpoint, freeze at the last confirmed committed
 power, one final ``final=True`` summary to the arbiter, a ``drained``
@@ -254,31 +254,23 @@ class ShardHost:
         assembler = self._assemblers.get(conn)
         if assembler is None:
             return None
-        chunks: list[bytes] = []
-        closed = False
+        docs: list[dict] = []
         while True:
             try:
                 data = conn.recv(65536)
             except (BlockingIOError, InterruptedError):
-                break
+                return docs
             except OSError:
-                closed = True
-                break
-            if not data:
-                closed = True
-                break
-            chunks.append(data)
-        docs: list[dict] = []
-        for data in chunks:
+                data = b""
             try:
-                docs.extend(assembler.feed(data))
+                if data:
+                    docs.extend(assembler.feed(data))
+                    continue
             except FrameError:
-                closed = True
-                break
-        if closed:
+                pass
+            # EOF, a reset or a torn stream: keep what decoded before it.
             self._drop(conn)
-            return docs if docs else None
-        return docs
+            return docs or None
 
     # -- the control cycle ---------------------------------------------
 
@@ -394,7 +386,7 @@ class ShardHost:
                 readable, _, _ = select.select(
                     [self._listener] + conns, [], [], _POLL_S
                 )
-                # Grants outrank the clock: the supervisor sends arbiter
+                # Grants outrank the clock: the fleet sends arbiter
                 # traffic before it dispatches the next demand slice, so
                 # a grant that became readable in the same select round
                 # must be applied before the cycle it funds is run.

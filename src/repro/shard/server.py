@@ -24,7 +24,7 @@ it controls and the node daemons in between — the unit a transport
 hosts.  Its :meth:`~HostedShard.run_cycle` is the one shard cycle body:
 the ``shard-server`` process (:mod:`repro.shard.process`) and the
 in-process handle (:class:`~repro.shard.supervisor.InlineShard`, on the
-harness's thread) both call it and differ only in how the demand slice
+fleet's thread) both call it and differ only in how the demand slice
 arrives and the acknowledgement leaves.
 """
 
@@ -80,7 +80,7 @@ class ShardServer:
             the shard's slice topology with the initial lease as budget.
         link: the channel to the arbiter.
         config: the lease protocol's shared knobs.
-        events: structured event sink shared with the arbiter/harness.
+        events: structured event sink shared with the arbiter/fleet.
         resilience: client quarantine configuration for the deploy
             server (defaults applied when omitted).
         safety: deploy-server safety envelope configuration; the

@@ -1,10 +1,9 @@
-"""Fleet management for sharded sessions: one driver, two shard handles.
+"""What a shard is built from, and the two handles a fleet drives it by.
 
-:class:`ShardSupervisor` drives a fleet of shards in lock step and keeps
-the only restart bookkeeping of :mod:`repro.shard.harness`: crash →
-restart budget → outage window → warm respawn, with the ack deadline as
-the watchdog.  It talks to each shard through a *handle* with the
-surface ``launch / complete / spawn(resume) / alive / kill /
+:class:`ShardSpec` describes one shard for either transport and
+:func:`host_shard` builds the running shard from it.  The
+:class:`~repro.shard.fleet.Fleet` drives each shard through a *handle*
+with the surface ``launch / complete / spawn(resume) / alive / kill /
 command_cycle / send_hang / await_ack / shutdown / bytes_clock``:
 
 * :class:`ShardProcess` — a real ``dps-repro shard-server`` subprocess
@@ -62,11 +61,9 @@ from repro.telemetry.log import ResilienceEventLog
 
 __all__ = [
     "InlineShard",
-    "PendingCycle",
     "RecoveryOptions",
     "ShardProcess",
     "ShardSpec",
-    "ShardSupervisor",
     "host_shard",
 ]
 
@@ -83,9 +80,8 @@ class RecoveryOptions:
 
     Attributes:
         checkpoint_dir: directory for checkpoint generations and the
-            cycle journal (:func:`~repro.shard.harness.run_sharded`
-            ignores it and uses subdirectories of its own
-            ``checkpoint_dir``).
+            cycle journal (a :class:`~repro.shard.fleet.Fleet` ignores it
+            and uses subdirectories of its own ``checkpoint_dir``).
         checkpoint_every: cycles between checkpoints.
         keep_generations: checkpoint generations retained.
         max_restarts: restarts allowed per shard before it is failed.
@@ -301,7 +297,7 @@ class ShardProcess:
         """Start the subprocess without waiting for it to come up.
 
         Pair with :meth:`complete`; :meth:`spawn` does both.  Splitting
-        the two lets a supervisor overlap the interpreter start-up of a
+        the two lets a fleet overlap the interpreter start-up of a
         whole fleet instead of paying it serially per shard.
         """
         self.close_clock()
@@ -465,8 +461,21 @@ class ShardProcess:
             )
         return doc
 
-    def read_drained(self, timeout_s: float) -> dict | None:
-        return self._read_until("drained", timeout_s)
+    def finish_drain(self, timeout_s: float = 10.0) -> dict | None:
+        """Collect the ``drained`` notice and reap the exited process.
+
+        Returns the notice (the shard's trailing events, its exit code
+        attached as ``rc``), or None when the shard never reported.
+        """
+        doc = self._read_until("drained", timeout_s)
+        rc = self.wait(timeout_s)
+        if rc is None:
+            self.kill()
+            rc = self.proc.returncode if self.proc is not None else None
+        self.close_clock()
+        if doc is not None:
+            doc["rc"] = rc
+        return doc
 
     # -- process control ------------------------------------------------
 
@@ -514,7 +523,7 @@ class ShardProcess:
 class InlineShard:
     """In-process shard handle: the hosted shard runs on the caller's thread.
 
-    Presents :class:`ShardProcess`'s surface to the supervisor.  The
+    Presents :class:`ShardProcess`'s surface to the fleet.  The
     hosted shard (controller, lease state, event log, hardware slice) is
     durable across restarts, like a process's checkpoint directory; each
     :meth:`launch` brings up a fresh attempt, like a fresh process with a
@@ -532,7 +541,7 @@ class InlineShard:
     Args:
         hosted: the shard this handle runs.
         link: the in-memory lease channel whose shard edge ``hosted``
-            holds; the harness gives its arbiter edge to the arbiter.
+            holds; the fleet gives its arbiter edge to the arbiter.
     """
 
     #: There is no clock wire to meter.
@@ -543,7 +552,7 @@ class InlineShard:
         self.link = link
         #: Recorded cycle commands, oldest first; None is the hang marker.
         self._commands: deque[tuple | None] = deque()
-        self._alive = False
+        self.alive = False
 
     def launch(self, resume: bool = False) -> None:
         """Bring the attempt up: warm restore if asked, then start."""
@@ -557,13 +566,13 @@ class InlineShard:
             raise RuntimeError(
                 f"shard {self.hosted.shard.shard_id} failed to start"
             ) from exc
-        self._alive = True
+        self.alive = True
+
+    #: Nothing is left to wait for once :meth:`launch` returns.
+    spawn = launch
 
     def complete(self) -> None:
-        """Nothing left to wait for: :meth:`launch` brought the shard up."""
-
-    def spawn(self, resume: bool = False) -> None:
-        self.launch(resume)
+        pass
 
     def command_cycle(
         self,
@@ -572,7 +581,7 @@ class InlineShard:
         kill: tuple[int, ...] = (),
         reconnect: tuple[int, ...] = (),
     ) -> bool:
-        if not self._alive:
+        if not self.alive:
             return False
         self._commands.append((step, demand, kill, reconnect))
         return True
@@ -585,7 +594,7 @@ class InlineShard:
         """Run the oldest commanded cycle and return its ack, or None at
         once when the shard is silent or gone."""
         del timeout_s  # An in-memory silence is known without waiting.
-        if not self._alive or not self._commands or self._commands[0] is None:
+        if not self.alive or not self._commands or self._commands[0] is None:
             return None
         command = self._commands.popleft()
         if command[0] != step:
@@ -601,314 +610,11 @@ class InlineShard:
             self.kill()
             return None
 
-    @property
-    def alive(self) -> bool:
-        return self._alive
-
     def kill(self) -> None:
         """Tear the attempt down without a goodbye (idempotent)."""
         self._commands.clear()
-        if self._alive:
-            self._alive = False
+        if self.alive:
+            self.alive = False
             self.hosted.stop()
 
-    def shutdown(self) -> None:
-        self.kill()
-
-
-@dataclass
-class PendingCycle:
-    """One dispatched-but-uncollected fleet cycle.
-
-    :meth:`ShardSupervisor.dispatch` returns one of these after pushing
-    a cycle's demand slices to every healthy shard; process shards
-    compute concurrently while the parent does other work (in the
-    pipelined harness: finalizing the *previous* cycle), and in-process
-    shards run theirs when it is collected.  :meth:`ShardSupervisor.
-    collect` turns it into the familiar status map.  Chaos-struck shards
-    (killed, hung, in outage, failed) get their status at dispatch time;
-    ``awaiting`` holds the shards whose acks are still on the wire.
-    """
-
-    step: int
-    statuses: dict[int, tuple[str, dict | None]] = field(default_factory=dict)
-    awaiting: list[int] = field(default_factory=list)
-
-
-class ShardSupervisor:
-    """Lock-step fleet driver with restart bookkeeping and chaos hooks.
-
-    Args:
-        fleet: shard id → handle (:class:`ShardProcess` or
-            :class:`InlineShard`), one per initial shard, not yet
-            launched.
-        recovery: restart budget, outage length, and the hang deadline
-            (``hang_timeout_s`` doubles as the per-cycle ack deadline
-            after which a silent shard is declared hung and killed).
-        events: structured sink for ``shard_restarted`` /
-            ``controller_*`` transitions (merged by the harness).
-    """
-
-    def __init__(
-        self,
-        fleet: dict[int, ShardProcess | InlineShard],
-        recovery: RecoveryOptions,
-        events: ResilienceEventLog | None = None,
-    ) -> None:
-        self.recovery = recovery
-        self.events = events if events is not None else ResilienceEventLog()
-        self.fleet = dict(fleet)
-        #: Restarts actually performed per shard (a crash that exhausts
-        #: the budget, or whose outage outlasts the session, adds none).
-        self.restarts: dict[int, int] = {sid: 0 for sid in self.fleet}
-        self.failed: set[int] = set()
-        self.draining: set[int] = set()
-        self._outage: dict[int, int] = {}
-        self._hung: set[int] = set()
-        #: Clock bytes of shards already retired from the fleet (drained).
-        self._bytes_retired = 0
-
-    @property
-    def bytes_clock(self) -> int:
-        """Frame bytes over every clock connection, both directions."""
-        return self._bytes_retired + sum(
-            proc.bytes_clock for proc in self.fleet.values()
-        )
-
-    # -- lifecycle ------------------------------------------------------
-
-    def start(self) -> None:
-        # Launch the whole fleet first, then collect ports: interpreter
-        # start-up overlaps across shards instead of paying it serially.
-        for proc in self.fleet.values():
-            proc.launch()
-        for proc in self.fleet.values():
-            proc.complete()
-
-    def admit(self, proc: ShardProcess) -> None:
-        """Spawn an additional shard joining the fleet mid-session."""
-        shard_id = proc.spec.shard_id
-        if shard_id in self.fleet:
-            raise ValueError(f"shard {shard_id} already in the fleet")
-        proc.spawn()
-        self.fleet[shard_id] = proc
-        self.restarts[shard_id] = 0
-
-    def begin_drain(self, shard_id: int) -> None:
-        """SIGTERM the shard; it freezes, reports, and exits on its own."""
-        self.draining.add(shard_id)
-        self.fleet[shard_id].terminate()
-
-    def finish_drain(self, shard_id: int, timeout_s: float = 10.0) -> dict | None:
-        """Collect the drained notice and reap the exited process.
-
-        Returns:
-            The ``drained`` document (with the shard's trailing events),
-            or None when the shard never reported; ``rc`` is attached.
-        """
-        proc = self.fleet.pop(shard_id)
-        self.draining.discard(shard_id)
-        doc = proc.read_drained(timeout_s)
-        rc = proc.wait(timeout_s)
-        if rc is None:
-            proc.kill()
-            rc = proc.proc.returncode if proc.proc is not None else None
-        proc.close_clock()
-        self._bytes_retired += proc.bytes_clock
-        if doc is not None:
-            doc["rc"] = rc
-        return doc
-
-    def stop(self) -> None:
-        for proc in self.fleet.values():
-            proc.shutdown()
-
-    # -- the lock-step cycle --------------------------------------------
-
-    def dispatch(
-        self,
-        step: int,
-        demands: dict[int, np.ndarray],
-        kill_ids: set[int] | None = None,
-        hang_ids: set[int] | None = None,
-        pending: PendingCycle | None = None,
-        node_chaos: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
-        | None = None,
-    ) -> PendingCycle:
-        """Push one cycle's demands to the fleet without awaiting acks.
-
-        The pipelined harness calls ``dispatch(N+1, ..., pending=prev)``
-        before ``collect(prev)``: every process shard computes cycle N+1
-        while the parent finalizes cycle N.  Shards struck by chaos *this*
-        cycle are handled here — a SIGKILL or SIGTERM destroys the
-        process (and, through the kernel's RST, any acked-but-unread
-        bytes), so a victim's outstanding ack from ``pending`` is
-        settled (:meth:`settle`) before the signal goes out.  An
-        injected hang needs no settling: the ``hang`` document is
-        ordered after the previous cycle document on the clock socket,
-        so the previous ack is already on its way.
-
-        ``node_chaos`` maps a shard id to the shard-local indices of the
-        node daemons to kill and to reconnect this cycle; it rides the
-        shard's cycle command.
-        """
-        kill_ids = kill_ids or set()
-        hang_ids = hang_ids or set()
-        node_chaos = node_chaos or {}
-        out = PendingCycle(step=step)
-        statuses = out.statuses
-        for shard_id, proc in sorted(self.fleet.items()):
-            if shard_id in self.draining:
-                continue
-            if shard_id in self.failed:
-                statuses[shard_id] = ("failed", None)
-                continue
-            if shard_id in self._hung:
-                # The watchdog half of the injected hang: the shard went
-                # silent last cycle; its ack deadline passes without a
-                # word (a process is waited out, an in-process shard's
-                # silence is known at once), then SIGKILL.
-                proc.await_ack(step, self.recovery.hang_timeout_s)
-                self.events.emit(
-                    float(step),
-                    "controller_hung",
-                    node_id=shard_id,
-                    detail=(
-                        f"no ack within {self.recovery.hang_timeout_s}s; "
-                        "killed"
-                    ),
-                )
-                proc.kill()
-                self._hung.discard(shard_id)
-                self._crash(shard_id, step)
-                statuses[shard_id] = (
-                    ("failed", None)
-                    if shard_id in self.failed
-                    else ("outage", None)
-                )
-                continue
-            if shard_id in self._outage:
-                statuses[shard_id] = ("outage", None)
-                self._tick_outage(shard_id, step)
-                continue
-            if shard_id in kill_ids:
-                self.settle(pending, shard_id)
-                proc.kill()
-                self._crash(shard_id, step)
-                statuses[shard_id] = ("crashed", None)
-                continue
-            if shard_id in hang_ids:
-                proc.send_hang()
-                self._hung.add(shard_id)
-                statuses[shard_id] = ("hung", None)
-                continue
-            if not proc.alive or not proc.command_cycle(
-                step, demands[shard_id], *node_chaos.get(shard_id, ((), ()))
-            ):
-                # Unexpected death (not scheduled chaos) — treat as a
-                # crash and consume the restart budget.
-                self.settle(pending, shard_id)
-                self._crash(shard_id, step)
-                statuses[shard_id] = ("crashed", None)
-                continue
-            out.awaiting.append(shard_id)
-        return out
-
-    def settle(self, pending: PendingCycle | None, shard_id: int) -> None:
-        """Collect one shard's outstanding ack ahead of the others.
-
-        Called before anything that destroys the shard's buffered clock
-        traffic — SIGKILL (kill chaos, kernel RST drops received-but-
-        unread bytes) or SIGTERM (the host may drain before processing a
-        queued cycle document).  A shard that never acks is recorded
-        ``hung`` for the pending cycle *without* crash bookkeeping: the
-        caller is about to account the process's death itself.
-        """
-        if pending is None or shard_id not in pending.awaiting:
-            return
-        pending.awaiting.remove(shard_id)
-        proc = self.fleet.get(shard_id)
-        ack = (
-            proc.await_ack(pending.step, self.recovery.hang_timeout_s)
-            if proc is not None
-            else None
-        )
-        pending.statuses[shard_id] = (
-            ("ok", ack) if ack is not None else ("hung", None)
-        )
-
-    def collect(
-        self, pending: PendingCycle
-    ) -> dict[int, tuple[str, dict | None]]:
-        """Await every outstanding ack of a dispatched cycle."""
-        for shard_id in list(pending.awaiting):
-            proc = self.fleet.get(shard_id)
-            ack = (
-                proc.await_ack(pending.step, self.recovery.hang_timeout_s)
-                if proc is not None
-                else None
-            )
-            if ack is None:
-                # Silent past the deadline: the real watchdog. SIGKILL
-                # and restart from the checkpoint.
-                self.events.emit(
-                    float(pending.step),
-                    "controller_hung",
-                    node_id=shard_id,
-                    detail=(
-                        f"no ack within {self.recovery.hang_timeout_s}s; "
-                        "killed"
-                    ),
-                )
-                if proc is not None:
-                    proc.kill()
-                self._crash(shard_id, pending.step)
-                pending.statuses[shard_id] = ("hung", None)
-            else:
-                pending.statuses[shard_id] = ("ok", ack)
-        pending.awaiting = []
-        return pending.statuses
-
-    # -- restart bookkeeping --------------------------------------------
-
-    def _crash(self, shard_id: int, step: int) -> None:
-        restarts = self.restarts[shard_id]
-        self.events.emit(
-            float(step),
-            "controller_killed",
-            node_id=shard_id,
-            detail=f"shard down after {restarts} restarts",
-        )
-        if restarts >= self.recovery.max_restarts:
-            self.failed.add(shard_id)
-            return
-        if self.recovery.restart_delay_cycles > 0:
-            self._outage[shard_id] = self.recovery.restart_delay_cycles
-        else:
-            self._respawn(shard_id, step)
-
-    def _tick_outage(self, shard_id: int, step: int) -> None:
-        self._outage[shard_id] -= 1
-        if self._outage[shard_id] <= 0:
-            del self._outage[shard_id]
-            self._respawn(shard_id, step)
-
-    def _respawn(self, shard_id: int, step: int) -> None:
-        self.fleet[shard_id].spawn(resume=True)
-        self.restarts[shard_id] += 1
-        attempt = (
-            f"restart {self.restarts[shard_id]} of at most "
-            f"{self.recovery.max_restarts}"
-        )
-        self.events.emit(
-            float(step),
-            "controller_restarted",
-            node_id=shard_id,
-            detail=f"{attempt}, resumed from checkpoint",
-        )
-        self.events.emit(
-            float(step),
-            "shard_restarted",
-            node_id=shard_id,
-            detail=f"shard respawned from its checkpoint ({attempt})",
-        )
+    shutdown = kill

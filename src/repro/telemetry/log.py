@@ -211,6 +211,9 @@ class ResilienceEventLog:
     def __iter__(self) -> Iterator[ResilienceEvent]:
         return iter(self._events)
 
+    def __getitem__(self, index: slice) -> list[ResilienceEvent]:
+        return self._events[index]
+
     def of_kind(self, kind: str) -> list[ResilienceEvent]:
         """All events of one kind, in order."""
         if kind not in _ALL_EVENT_KINDS:

@@ -360,19 +360,22 @@ from repro.experiments import engine as engine_module  # noqa: E402
 _REAL_POOL_RUN = engine_module._pool_run
 
 #: Path of the crash flag file, set per-test; forked pool workers inherit
-#: it.  Flag contents "once" → the first worker to see it deletes it and
+#: it.  Flag contents "once" → the one worker whose unlink of it succeeds
 #: dies; "forever" → every worker dies.
 _KILL_FLAG: str | None = None
 
 
 def _killer_pool_run(job):
-    flag = _KILL_FLAG
-    if flag is not None and os.path.exists(flag):
-        with open(flag, encoding="utf-8") as fh:
-            mode = fh.read().strip()
-        if mode == "once":
-            os.unlink(flag)
-        os._exit(1)
+    try:
+        if _KILL_FLAG is not None:
+            with open(_KILL_FLAG, encoding="utf-8") as fh:
+                if fh.read().strip() == "once":
+                    # The unlink is the claim: two workers may both read
+                    # the flag, but only one can remove it.
+                    os.unlink(_KILL_FLAG)
+            os._exit(1)
+    except FileNotFoundError:
+        pass  # No flag, or another worker claimed the "once" one.
     return _REAL_POOL_RUN(job)
 
 
