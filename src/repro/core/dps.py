@@ -152,7 +152,10 @@ class DPSManager(PowerManager):
         )
         self._history.push(signal)
 
-        # 2. Temporary allocation from the stateless module.
+        # 2. Temporary allocation from the stateless module, and 3.
+        # priorities from the power dynamics, classified while the
+        # stateless module draws its random order (disjoint state).
+        classified = []
         mimd = mimd_step(
             signal,
             self._caps,
@@ -161,12 +164,13 @@ class DPSManager(PowerManager):
             self.min_cap_w,
             cfg.stateless,
             self._rng,
+            alongside=lambda: classified.append(
+                self._priority_mod.update(
+                    self._history.chronological(), self.dt_s
+                )
+            ),
         )
-
-        # 3. Priorities from the power dynamics.
-        priority = self._priority_mod.update(
-            self._history.chronological(), self.dt_s
-        )
+        (priority,) = classified
 
         # 4. Restore when quiet, else steer budget by priority.
         restored_result = restore(

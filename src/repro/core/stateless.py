@@ -27,14 +27,22 @@ against the per-unit walks kept in ``tests/core/oracles.py``.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import os
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.core import _native
 from repro.core.config import StatelessConfig
+from repro.core.helper import HelperThread
 
 __all__ = ["MimdResult", "mimd_step"]
+
+#: Fewest units whose order is drawn beside ``alongside``: the draw
+#: costs 13-18 ns a unit, a round trip to the helper 20-45 us (2-vCPU
+#: Xeon VM).  The helper is module-level, so managers pickle and copy.
+OVERLAP_MIN_UNITS = 16_384
+_DRAWER = HelperThread()
 
 
 class MimdResult(NamedTuple):
@@ -132,6 +140,7 @@ def mimd_step(
     min_cap_w: float,
     config: StatelessConfig,
     rng: np.random.Generator,
+    alongside: Callable[[], None] | None = None,
 ) -> MimdResult:
     """Run one multiplicative-increase / multiplicative-decrease pass.
 
@@ -152,6 +161,10 @@ def mimd_step(
         rng: randomness source for the increase-loop ordering; one
             permutation is drawn from it, only when there is leftover
             budget.
+        alongside: work that touches none of this call's state, called
+            once on this thread after the decrease pass: from
+            ``OVERLAP_MIN_UNITS`` units on, with a second CPU, while a
+            helper thread draws the permutation, else after the draw.
 
     Returns:
         :class:`MimdResult` with the new caps (a fresh array).
@@ -187,8 +200,22 @@ def mimd_step(
 
     # --- Second loop: increase caps of capped-out units in random order.
     avail = budget_w - float(caps.sum())
-    if avail > 0.0:
-        order = rng.permutation(n)
+    order = None
+    if avail > 0.0 and alongside is not None and _beside(n):
+        try:
+            _DRAWER.submit(rng.permutation, n)
+            alongside()
+        finally:
+            try:
+                order = _DRAWER.join()
+            finally:
+                _DRAWER.owner.release()
+    else:
+        if avail > 0.0:
+            order = rng.permutation(n)
+        if alongside is not None:
+            alongside()
+    if order is not None:
         if kernels is None:
             want = power > caps * config.inc_threshold
             avail = _increase(
@@ -208,3 +235,12 @@ def mimd_step(
             )
 
     return MimdResult(caps=caps, changed=changed, avail_budget_w=max(avail, 0.0))
+
+
+def _beside(n: int) -> bool:
+    """Whether to draw beside ``alongside``; True holds the helper (a
+    step in another thread holding it draws on its own thread)."""
+    if n < OVERLAP_MIN_UNITS:
+        return False
+    cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))
+    return len(cpus(0)) > 1 and _DRAWER.owner.acquire(blocking=False)

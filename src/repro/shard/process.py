@@ -43,11 +43,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import queue
 import select
 import signal
 import socket
-import threading
 import time
 from pathlib import Path
 
@@ -61,6 +59,7 @@ from repro.comm.wire import (
     FrameError,
     encode_frame,
 )
+from repro.core.helper import HelperThread
 from repro.core.managers import create_manager
 from repro.recovery.state import to_json
 from repro.shard.supervisor import SPEC_FILE, ShardSpec, host_shard
@@ -136,8 +135,7 @@ class ShardHost:
 
         self.codec = spec.codec
         self._persist_every = spec.checkpoint_every
-        self._persist_queue: queue.Queue = queue.Queue()
-        self._persist_worker: threading.Thread | None = None
+        self._writer = HelperThread()
         self._listener: socket.socket | None = None
         self._clock: socket.socket | None = None
         self._arbiter: socket.socket | None = None
@@ -275,9 +273,9 @@ class ShardHost:
     # -- the control cycle ---------------------------------------------
 
     def _persist(self) -> None:
-        """Synchronous persist: enqueue and wait for the write to land."""
+        """Synchronous persist: submit and wait for the write to land."""
         self._persist_async()
-        self._persist_queue.join()
+        self._writer.join()
 
     def _persist_async(self) -> None:
         """Snapshot in-cycle, serialize and write off the critical path.
@@ -288,36 +286,17 @@ class ShardHost:
         cycle blocked in ``select`` waiting for the next demand slice,
         which is exactly when the writer runs.  (A thread *per* persist
         costs more in ``Thread.start`` than the serialization it
-        offloads.)  The single writer drains its queue in order, so
-        ``state_path`` always advances monotonically.
+        offloads.)  A submit first waits for the write before it, so
+        ``state_path`` advances monotonically and a failed write raises
+        here, at the latest one persist later.
         """
-        if self._persist_worker is None:
-            self._persist_worker = threading.Thread(
-                target=self._persist_loop, daemon=True
-            )
-            self._persist_worker.start()
-        self._persist_queue.put(
-            {"step": self._step, "cluster": self.cluster.snapshot()}
+        self._writer.submit(
+            self._write_state,
+            {"step": self._step, "cluster": self.cluster.snapshot()},
         )
 
-    def _persist_loop(self) -> None:
-        while True:
-            state = self._persist_queue.get()
-            try:
-                if state is None:
-                    return
-                _atomic_write(
-                    self.state_path, to_json(state, sort_keys=False)
-                )
-            finally:
-                self._persist_queue.task_done()
-
-    def _join_persist(self) -> None:
-        """Flush pending writes and retire the writer thread."""
-        if self._persist_worker is not None:
-            self._persist_queue.put(None)
-            self._persist_worker.join()
-            self._persist_worker = None
+    def _write_state(self, state: dict) -> None:
+        _atomic_write(self.state_path, to_json(state, sort_keys=False))
 
     def _run_cycle(self, doc: dict) -> None:
         step = int(doc["step"])
@@ -405,13 +384,13 @@ class ShardHost:
                         if verdict == "hang":
                             self._hang_forever()
         finally:
-            self._join_persist()
             self.hosted.stop()
             if self._listener is not None:
                 try:
                     self._listener.close()
                 except OSError:
                     pass
+            self._writer.join()  # Flush, or raise, the last write.
 
     def _handle(self, conn: socket.socket, doc: dict) -> str | None:
         kind = doc.get("type")

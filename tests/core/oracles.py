@@ -15,12 +15,15 @@ They are test fixtures, not product: nothing in ``src/`` can select them.
 kernel off, the NumPy fallbacks and the Python peak walk on);
 :func:`loop_core` additionally swaps the walks in for the fallbacks.  Both
 are context managers rather than fixtures so they can wrap a single
-Hypothesis example.
+Hypothesis example.  :func:`overlap` picks, at any size, which of its
+two orders ``mimd_step`` runs the draw and ``alongside`` in.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -134,3 +137,23 @@ def loop_core():
         mp.setattr(KalmanBank, "_filter", _kalman_loop)
         mp.setattr(PriorityModule, "_classify", _classify_loop)
         yield
+
+
+@contextlib.contextmanager
+def overlap(on: bool):
+    """Force ``mimd_step`` to draw its order on the helper thread beside
+    ``alongside`` (``on``, as on a host with two CPUs) or before it, at
+    any unit count; yields the unit counts of the draws the helper was
+    handed."""
+    handed: list[int] = []
+    submit = stateless._DRAWER.submit
+
+    def counting(fn, *args):
+        handed.append(args[0])
+        return submit(fn, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stateless, "OVERLAP_MIN_UNITS", 1 if on else sys.maxsize)
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        mp.setattr(stateless._DRAWER, "submit", counting)
+        yield handed

@@ -60,7 +60,7 @@ from repro.core.priority import PriorityModule
 from repro.core.readjust import SATURATION_EPS_W, readjust
 from repro.core.slurm import SlurmManager
 from repro.core.stateless import mimd_step
-from tests.core.oracles import loop_core, no_native
+from tests.core.oracles import loop_core, no_native, overlap
 
 # Power-like values on a coarse grid so ties, plateaus, and exact
 # threshold hits are common — the cases where a vectorization shortcut
@@ -1182,6 +1182,16 @@ class TestConcurrentManagers:
         """ctypes drops the GIL for the length of a kernel call, and a
         caller may step managers from threads of its own: nothing in the
         kernels or their loader may be shared between managers."""
+        self._threads_equal_serial(beside=False)
+
+    def test_four_managers_drawing_beside_equal_their_serial_runs(self):
+        """The one helper that draws Algorithm 1's order beside the
+        classification serves one step at a time; a step that finds it
+        busy draws on its own thread."""
+        self._threads_equal_serial(beside=True)
+
+    @staticmethod
+    def _threads_equal_serial(beside):
         n, steps, workers = 2_000, 40, 4
 
         def run(seed):
@@ -1201,14 +1211,16 @@ class TestConcurrentManagers:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
+            with overlap(beside) as handed:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert threaded == serial
+        assert bool(handed) == beside
 
 
 class TestNoNative:

@@ -15,6 +15,7 @@ recovery or membership step is a structured event.  Mirrored by the CI
 
 import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from repro.shard import (
     ShardSpec,
     run_sharded,
 )
+from repro.shard import process
 from tests.shard import sessions
 from tests.shard.sessions import (
     assert_clean_run,
@@ -425,3 +427,62 @@ class TestGracefulDrain:
             < max(s.cycle for s in survivor_samples)
         )
         assert survivor_samples[-1].lease_w >= survivor_samples[0].lease_w
+
+
+class TestPersistWriter:
+    """The cluster-state writer of a shard-server process: a write that
+    fails is raised on the host's own thread, at the next persist at the
+    latest, and never leaves a persist waiting on a writer that is gone."""
+
+    @pytest.fixture
+    def host(self, tmp_path, monkeypatch):
+        spec = ShardSpec(
+            shard_id=0,
+            cluster=ClusterSpec(n_nodes=2, sockets_per_node=1),
+            rapl=RaplConfig(),
+            manager="dps",
+            lease_w=220.0,
+        )
+        host = process.ShardHost(spec, tmp_path, resume=False)
+        failures = [OSError("disk full")]
+        write = process._atomic_write
+
+        def fails_once(path, text):
+            if failures:
+                raise failures.pop()
+            write(path, text)
+
+        monkeypatch.setattr(process, "_atomic_write", fails_once)
+        return host
+
+    @staticmethod
+    def _bounded(call):
+        """``call()`` on another thread: what it raised (None when it
+        returned), or a test failure when it has not ended in 10 s."""
+        raised = []
+
+        def run():
+            try:
+                call()
+                raised.append(None)
+            except Exception as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive(), f"{call.__name__} hung"
+        return raised[0]
+
+    def test_drain_persist_raises_instead_of_hanging(self, host):
+        assert isinstance(self._bounded(host._persist), OSError)
+        assert not host.state_path.exists()
+        # The writer serves on: the next persist lands.
+        assert self._bounded(host._persist) is None
+        assert json.loads(host.state_path.read_text())["step"] == -1
+
+    def test_cadence_persist_raises_at_the_next_one(self, host):
+        host._persist_async()
+        assert isinstance(self._bounded(host._persist_async), OSError)
+        assert self._bounded(host._persist) is None
+        assert host.state_path.exists()
