@@ -113,7 +113,6 @@ def test_ablation_npb_barrier_sync(benchmark):
 
     from repro.workloads.npb import npb_workload
     from repro.workloads.registry import get_workload
-    from repro.cluster.cluster import Cluster
     from repro.cluster.simulator import Assignment, Simulation
     from repro.metrics.speedup import hmean, paired_hmean_speedup
 
@@ -122,13 +121,12 @@ def test_ablation_npb_barrier_sync(benchmark):
     def run_pair_with_sync(sync: str, manager_name: str):
         spark = get_workload("bayes")
         npb = dc.replace(npb_workload("cg"), sync=sync)
-        cluster = Cluster(cfg.cluster)
         sim = Simulation(
             cluster_spec=cfg.cluster,
             manager=cfg.make_manager(manager_name),
             assignments=[
-                Assignment(spec=spark, unit_ids=cluster.half_unit_ids(0)),
-                Assignment(spec=npb, unit_ids=cluster.half_unit_ids(1)),
+                Assignment(spec=spark, unit_ids=cfg.cluster.half_unit_ids(0)),
+                Assignment(spec=npb, unit_ids=cfg.cluster.half_unit_ids(1)),
             ],
             target_runs=cfg.repeats,
             sim_config=cfg.sim,

@@ -15,7 +15,6 @@ Run time: ~10 s.  Usage::
 import numpy as np
 
 from repro import ClusterSpec, SimulationConfig
-from repro.cluster.cluster import Cluster
 from repro.cluster.simulator import Assignment, Simulation
 from repro.core.managers import create_manager
 from repro.workloads.registry import get_workload
@@ -29,11 +28,10 @@ def run_solo(spec, cluster_spec, manager_name="constant",
         sockets_per_node=cluster_spec.sockets_per_node,
         budget_fraction=budget_fraction,
     )
-    cluster = Cluster(cs)
     sim = Simulation(
         cluster_spec=cs,
         manager=create_manager(manager_name),
-        assignments=[Assignment(spec=spec, unit_ids=cluster.half_unit_ids(0))],
+        assignments=[Assignment(spec=spec, unit_ids=cs.half_unit_ids(0))],
         target_runs=1,
         sim_config=SimulationConfig(time_scale=time_scale, max_steps=200_000),
         seed=seed,

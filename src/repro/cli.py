@@ -381,7 +381,6 @@ def _cmd_pair_checkpointed(
     import json
     from pathlib import Path
 
-    from repro.cluster.cluster import Cluster
     from repro.cluster.simulator import Assignment, Simulation
     from repro.workloads.registry import get_workload
 
@@ -423,7 +422,6 @@ def _cmd_pair_checkpointed(
         )
 
     cfg = _config(args)
-    cluster = Cluster(cfg.cluster)
     rows = []
     for m in managers:
         sim = Simulation(
@@ -432,11 +430,11 @@ def _cmd_pair_checkpointed(
             assignments=[
                 Assignment(
                     spec=get_workload(workload_a),
-                    unit_ids=cluster.half_unit_ids(0),
+                    unit_ids=cfg.cluster.half_unit_ids(0),
                 ),
                 Assignment(
                     spec=get_workload(workload_b),
-                    unit_ids=cluster.half_unit_ids(1),
+                    unit_ids=cfg.cluster.half_unit_ids(1),
                 ),
             ],
             target_runs=cfg.repeats,

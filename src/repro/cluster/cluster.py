@@ -1,13 +1,9 @@
-"""Cluster topology: nodes, sockets, budget, and the two-halves layout.
+"""Cluster topology: nodes, sockets and budget.
 
-The paper's experiments run "two clusters in parallel to reflect a
-real-world cloud service utility" (§5.2) — two workloads, each on half of
-the client nodes, under one shared cluster-wide power budget.
 :class:`Cluster` owns the simulated hardware — one
 :class:`~repro.powercap.rapl.RaplBank` holding every unit's state — and
-exposes the vectorized physics/metering interface the simulator drives,
-plus the half-split used by every pairing experiment.  Its nodes, sockets
-and domains are views of that bank.
+exposes the vectorized physics/metering interface the simulator drives.
+Its nodes, sockets and domains are views of that bank.
 """
 
 from __future__ import annotations
@@ -84,27 +80,6 @@ class Cluster:
     def sysfs(self) -> SysfsPowercap:
         """A powercap-sysfs view over every domain (for sysfs-level clients)."""
         return SysfsPowercap(self.domains)
-
-    def half_unit_ids(self, half: int) -> np.ndarray:
-        """Global unit indices of one half of the cluster (whole nodes).
-
-        Args:
-            half: 0 for the first half of the nodes, 1 for the second.
-
-        Returns:
-            Index array; the two halves partition all units when the node
-            count is even (an odd node count gives the larger share to
-            half 1, matching "two clusters" as closely as possible).
-        """
-        if half not in (0, 1):
-            raise ValueError(f"half must be 0 or 1, got {half}")
-        split = self.spec.n_nodes // 2
-        nodes = self.nodes[:split] if half == 0 else self.nodes[split:]
-        if not nodes:
-            raise ValueError("cluster too small to split into two halves")
-        return np.asarray(
-            [uid for node in nodes for uid in node.unit_ids], dtype=np.intp
-        )
 
     def caps_w(self) -> np.ndarray:
         """Currently programmed per-unit caps (W)."""

@@ -37,7 +37,8 @@ class NodeFailureEvent:
     While a node is down its units draw no power (the machine is off) and
     their meters read as dropouts (exactly 0.0 W) — the same signature a
     dead host leaves in real telemetry.  On recovery the node resumes from
-    cold (idle power, lagging back up under its workload's demand).
+    cold (idle power, lagging back up under its workload's demand).  The
+    windows ``[fail_at_s, recover_at_s)`` of one node must not overlap.
 
     Attributes:
         node_id: the node that fails.

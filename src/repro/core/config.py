@@ -14,6 +14,8 @@ import dataclasses
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 def _positive(name: str, value: float) -> None:
     if not value > 0:
@@ -256,6 +258,20 @@ class ClusterSpec:
     def constant_cap_w(self) -> float:
         """Per-unit cap under constant allocation (budget evenly divided)."""
         return self.budget_w / self.n_units
+
+    def half_unit_ids(self, half: int) -> np.ndarray:
+        """Global unit indices of the first (``half=0``) or second half of
+        the nodes: the paper runs "two clusters in parallel" (§5.2), two
+        workloads on a half each under one budget.  An odd node count
+        gives half 1 the extra node."""
+        if half not in (0, 1):
+            raise ValueError(f"half must be 0 or 1, got {half}")
+        split = self.n_nodes // 2
+        first, stop = (0, split) if half == 0 else (split, self.n_nodes)
+        if first == stop:
+            raise ValueError("cluster too small to split into two halves")
+        per = self.sockets_per_node
+        return np.arange(first * per, stop * per, dtype=np.intp)
 
 
 @dataclass(frozen=True)

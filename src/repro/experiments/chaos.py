@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cluster.cluster import Cluster
 from repro.cluster.events import NodeFailureEvent
 from repro.cluster.simulator import Assignment, Simulation, SimulationResult
 from repro.powercap.faults import FaultConfig
@@ -126,18 +125,17 @@ def run_chaos_pair(
     """
     from repro.workloads.registry import get_workload
 
-    cluster = Cluster(config.cluster)
     sim = Simulation(
         cluster_spec=config.cluster,
         manager=config.make_manager(manager_name),
         assignments=[
             Assignment(
                 spec=get_workload(workload_a),
-                unit_ids=cluster.half_unit_ids(0),
+                unit_ids=config.cluster.half_unit_ids(0),
             ),
             Assignment(
                 spec=get_workload(workload_b),
-                unit_ids=cluster.half_unit_ids(1),
+                unit_ids=config.cluster.half_unit_ids(1),
             ),
         ],
         target_runs=config.repeats,

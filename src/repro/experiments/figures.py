@@ -8,12 +8,12 @@ benchmarks call these functions directly.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.cluster.simulator import Assignment, Simulation
-from repro.core.config import ClusterSpec
 from repro.experiments.harness import ExperimentConfig, ExperimentHarness
 from repro.experiments.setups import (
     demanding_spark_names,
@@ -139,26 +139,16 @@ def figure2(
         Mapping workload name → ``(time_s, power_w)``.
     """
     cfg = config or ExperimentConfig()
-    uncapped = ClusterSpec(
-        n_nodes=cfg.cluster.n_nodes,
-        sockets_per_node=cfg.cluster.sockets_per_node,
-        tdp_w=cfg.cluster.tdp_w,
-        min_cap_w=cfg.cluster.min_cap_w,
-        budget_fraction=1.0,
-        idle_power_w=cfg.cluster.idle_power_w,
-    )
+    uncapped = dataclasses.replace(cfg.cluster, budget_fraction=1.0)
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for name in workloads:
-        from repro.cluster.cluster import Cluster
-
-        cluster = Cluster(uncapped)
         sim = Simulation(
             cluster_spec=uncapped,
             manager=cfg.make_manager("constant"),
             assignments=[
                 Assignment(
                     spec=get_workload(name),
-                    unit_ids=cluster.half_unit_ids(0),
+                    unit_ids=uncapped.half_unit_ids(0),
                 )
             ],
             target_runs=1,

@@ -230,9 +230,7 @@ class ExperimentHarness:
         self, spec_a: WorkloadSpec, spec_b: WorkloadSpec
     ) -> list[Assignment]:
         """Place workload A on cluster half 0 and B on half 1."""
-        from repro.cluster.cluster import Cluster  # Local to avoid cycles.
-
-        cluster = Cluster(self.config.cluster)
+        cluster = self.config.cluster
         return [
             Assignment(spec=spec_a, unit_ids=cluster.half_unit_ids(0)),
             Assignment(spec=spec_b, unit_ids=cluster.half_unit_ids(1)),
@@ -287,19 +285,11 @@ class ExperimentHarness:
             self._reference_cache[workload] = cached
             return cached
         spec = get_workload(workload)
-        uncapped_cluster = ClusterSpec(
-            n_nodes=self.config.cluster.n_nodes,
-            sockets_per_node=self.config.cluster.sockets_per_node,
-            tdp_w=self.config.cluster.tdp_w,
-            min_cap_w=self.config.cluster.min_cap_w,
-            budget_fraction=1.0,
-            idle_power_w=self.config.cluster.idle_power_w,
+        uncapped_cluster = dataclasses.replace(
+            self.config.cluster, budget_fraction=1.0
         )
-        from repro.cluster.cluster import Cluster
-
-        cluster = Cluster(uncapped_cluster)
         assignments = [
-            Assignment(spec=spec, unit_ids=cluster.half_unit_ids(0))
+            Assignment(spec=spec, unit_ids=uncapped_cluster.half_unit_ids(0))
         ]
         result = self._simulate(
             assignments,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.core.config import ClusterSpec, RaplConfig
+from repro.core.config import RaplConfig
 from repro.experiments.engine import ExperimentEngine, ResultCache
 from repro.experiments.harness import (
     ExperimentConfig,
@@ -121,14 +121,7 @@ def budget_sweep(
             raise ValueError(
                 f"budget fractions must be in (0, 1], got {fraction}"
             )
-        cluster = ClusterSpec(
-            n_nodes=config.cluster.n_nodes,
-            sockets_per_node=config.cluster.sockets_per_node,
-            tdp_w=config.cluster.tdp_w,
-            min_cap_w=config.cluster.min_cap_w,
-            budget_fraction=fraction,
-            idle_power_w=config.cluster.idle_power_w,
-        )
+        cluster = dataclasses.replace(config.cluster, budget_fraction=fraction)
         evals = _point_evaluations(
             dataclasses.replace(config, cluster=cluster),
             pair,

@@ -50,13 +50,13 @@ class WorkloadRow:
 
 def _constant_cap_duration(name: str, config: ExperimentConfig) -> float:
     """Solo constant-cap run of one workload, full-scale seconds."""
-    cluster = Cluster(config.cluster)
     sim = Simulation(
         cluster_spec=config.cluster,
         manager=config.make_manager("constant"),
         assignments=[
             Assignment(
-                spec=get_workload(name), unit_ids=cluster.half_unit_ids(0)
+                spec=get_workload(name),
+                unit_ids=config.cluster.half_unit_ids(0),
             )
         ],
         target_runs=config.repeats,

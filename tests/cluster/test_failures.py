@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.cluster.cluster import Cluster
 from repro.cluster.events import NodeFailureEvent
 from repro.cluster.simulator import Assignment, Simulation
 from repro.core.config import ClusterSpec, SimulationConfig
@@ -16,18 +15,17 @@ SIM = SimulationConfig(time_scale=0.05, max_steps=60_000, inter_run_gap_s=2.0)
 
 
 def build(manager="dps", failures=(), fault_config=None, record=True, spec=SPEC):
-    cluster = Cluster(spec)
     return Simulation(
         cluster_spec=spec,
         manager=create_manager(manager),
         assignments=[
             Assignment(
                 spec=get_workload("kmeans"),
-                unit_ids=cluster.half_unit_ids(0),
+                unit_ids=spec.half_unit_ids(0),
             ),
             Assignment(
                 spec=get_workload("gmm"),
-                unit_ids=cluster.half_unit_ids(1),
+                unit_ids=spec.half_unit_ids(1),
             ),
         ],
         target_runs=1,
@@ -61,6 +59,34 @@ class TestValidation:
     def test_unknown_node_rejected(self):
         with pytest.raises(ValueError, match="node 9"):
             build(failures=[NodeFailureEvent(node_id=9, fail_at_s=1.0)])
+
+
+    # Windows are half-open: [fail_at_s, recover_at_s), and a permanent
+    # failure runs forever.  Overlapping windows of one node used to be
+    # accepted, and the first recovery brought the node back while the
+    # other window still held it down.
+    @pytest.mark.parametrize(
+        "windows, shown",
+        [
+            (((10.0, 30.0), (20.0, 50.0)), r"\[10.0, 30.0\) and \[20.0, 50.0\)"),
+            (((10.0, 50.0), (20.0, 30.0)), r"\[10.0, 50.0\) and \[20.0, 30.0\)"),
+            (((40.0, 50.0), (10.0, None)), r"\[10.0, inf\) and \[40.0, 50.0\)"),
+        ],
+        ids=["overlap", "nested", "permanent"],
+    )
+    def test_overlapping_windows_of_one_node_rejected(self, windows, shown):
+        failures = [NodeFailureEvent(1, fail, end) for fail, end in windows]
+        with pytest.raises(ValueError, match=f"node 1: outage windows {shown}"):
+            build(failures=failures)
+
+    def test_touching_and_other_nodes_windows_accepted(self):
+        build(
+            failures=[
+                NodeFailureEvent(1, 10.0, 20.0),
+                NodeFailureEvent(1, 20.0, 30.0),
+                NodeFailureEvent(2, 15.0, 25.0),
+            ]
+        )
 
 
 class TestFailureInjection:

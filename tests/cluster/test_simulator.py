@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.cluster.cluster import Cluster
 from repro.cluster.simulator import Assignment, Simulation
 from repro.core.config import ClusterSpec, SimulationConfig
 from repro.core.managers import create_manager
@@ -32,11 +31,10 @@ SPEC = ClusterSpec(n_nodes=2, sockets_per_node=2)
 
 def make_sim(manager="constant", target_runs=1, spec=SPEC, workloads=None,
              **kwargs):
-    cluster = Cluster(spec)
     if workloads is None:
         workloads = [
-            (tiny_workload("a"), cluster.half_unit_ids(0)),
-            (tiny_workload("b"), cluster.half_unit_ids(1)),
+            (tiny_workload("a"), spec.half_unit_ids(0)),
+            (tiny_workload("b"), spec.half_unit_ids(1)),
         ]
     return Simulation(
         cluster_spec=spec,
@@ -137,8 +135,7 @@ class TestCapping:
 
 class TestValidation:
     def test_rejects_overlapping_assignments(self):
-        cluster = Cluster(SPEC)
-        ids = cluster.half_unit_ids(0)
+        ids = SPEC.half_unit_ids(0)
         with pytest.raises(ValueError, match="overlaps"):
             make_sim(
                 workloads=[
@@ -150,23 +147,21 @@ class TestValidation:
     def test_rejects_one_workload_name_twice(self):
         # durations and execution() are keyed by name: the two halves
         # used to merge into the first one's record.
-        cluster = Cluster(SPEC)
         with pytest.raises(ValueError, match="^tiny: workload assigned twice"):
             make_sim(
                 workloads=[
-                    (tiny_workload(), cluster.half_unit_ids(0)),
-                    (tiny_workload(), cluster.half_unit_ids(1)),
+                    (tiny_workload(), SPEC.half_unit_ids(0)),
+                    (tiny_workload(), SPEC.half_unit_ids(1)),
                 ]
             )
 
     def test_one_workload_twice_under_distinct_names(self):
-        cluster = Cluster(SPEC)
         spec = tiny_workload()
         result = make_sim(
             target_runs=2,
             workloads=[
-                (dataclasses.replace(spec, name="tiny-a"), cluster.half_unit_ids(0)),
-                (dataclasses.replace(spec, name="tiny-b"), cluster.half_unit_ids(1)),
+                (dataclasses.replace(spec, name="tiny-a"), SPEC.half_unit_ids(0)),
+                (dataclasses.replace(spec, name="tiny-b"), SPEC.half_unit_ids(1)),
             ],
         ).run()
         assert set(result.durations) == {"tiny-a", "tiny-b"}
@@ -219,9 +214,8 @@ class TestActuationDelay:
 
 class TestIdleUnits:
     def test_unassigned_units_stay_idle(self):
-        cluster = Cluster(SPEC)
         sim = make_sim(
-            workloads=[(tiny_workload("a"), cluster.half_unit_ids(0))],
+            workloads=[(tiny_workload("a"), SPEC.half_unit_ids(0))],
             record_telemetry=True,
         )
         result = sim.run()
@@ -259,6 +253,38 @@ class TestCheckpointing:
         assert not resumed.truncated
         assert resumed.max_caps_sum_w <= resumed.budget_w * (1 + 1e-6)
         assert first.checkpoints_written > 0
+
+    def test_controller_events_are_stamped_in_simulated_seconds(self, tmp_path):
+        # The controller stamps its events with its cycle count; a run's
+        # telemetry channel must carry them at the simulated time.
+        quarter = SimulationConfig(
+            dt_s=0.25, max_steps=5000, inter_run_gap_s=2.0
+        )
+        result = make_sim(
+            manager="dps", seed=7, target_runs=3, sim_config=quarter,
+            record_telemetry=True, checkpoint_dir=tmp_path,
+            checkpoint_every=40,
+        ).run()
+        events = list(result.telemetry.events)
+        written = result.telemetry.events.of_kind("checkpoint_written")
+        assert len(written) == result.checkpoints_written >= 3
+        assert [e.time_s for e in written] == [
+            10.0 * (k + 1) for k in range(len(written))
+        ]
+        times = [e.time_s for e in events]
+        assert times == sorted(times)
+        assert max(times) <= result.sim_time_s
+
+        resumed = make_sim(
+            manager="dps", seed=7, target_runs=3, sim_config=quarter,
+            record_telemetry=True, checkpoint_dir=tmp_path,
+            checkpoint_every=40, resume=True,
+        ).run()
+        restored = resumed.telemetry.events.of_kind("restore_performed")
+        assert [e.time_s for e in restored] == [0.0]
+        times = [e.time_s for e in resumed.telemetry.events]
+        assert times == sorted(times)
+        assert max(times) <= resumed.sim_time_s
 
     def test_rejects_resume_without_checkpoint_dir(self):
         with pytest.raises(ValueError, match="resume"):

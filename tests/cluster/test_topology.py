@@ -34,29 +34,41 @@ class TestCluster:
         assert ids == list(range(6))
 
     def test_halves_partition_units(self):
-        cluster = Cluster(ClusterSpec(n_nodes=4, sockets_per_node=2))
-        a = set(cluster.half_unit_ids(0).tolist())
-        b = set(cluster.half_unit_ids(1).tolist())
+        spec = ClusterSpec(n_nodes=4, sockets_per_node=2)
+        a = set(spec.half_unit_ids(0).tolist())
+        b = set(spec.half_unit_ids(1).tolist())
         assert a | b == set(range(8))
         assert not (a & b)
 
     def test_halves_split_on_node_boundary(self):
-        cluster = Cluster(ClusterSpec(n_nodes=4, sockets_per_node=2))
-        assert cluster.half_unit_ids(0).tolist() == [0, 1, 2, 3]
+        spec = ClusterSpec(n_nodes=4, sockets_per_node=2)
+        assert spec.half_unit_ids(0).tolist() == [0, 1, 2, 3]
 
     def test_odd_node_count(self):
-        cluster = Cluster(ClusterSpec(n_nodes=3, sockets_per_node=2))
-        assert cluster.half_unit_ids(0).tolist() == [0, 1]
-        assert cluster.half_unit_ids(1).tolist() == [2, 3, 4, 5]
+        spec = ClusterSpec(n_nodes=3, sockets_per_node=2)
+        assert spec.half_unit_ids(0).tolist() == [0, 1]
+        assert spec.half_unit_ids(1).tolist() == [2, 3, 4, 5]
 
     def test_half_rejects_bad_index(self):
         with pytest.raises(ValueError, match="half"):
-            Cluster().half_unit_ids(2)
+            ClusterSpec().half_unit_ids(2)
 
     def test_single_node_cannot_split(self):
-        cluster = Cluster(ClusterSpec(n_nodes=1, sockets_per_node=2))
+        spec = ClusterSpec(n_nodes=1, sockets_per_node=2)
         with pytest.raises(ValueError, match="two halves"):
-            cluster.half_unit_ids(0)
+            spec.half_unit_ids(0)
+
+    @pytest.mark.parametrize("n_nodes, per", [(1, 2), (3, 2), (10, 2), (5, 3)])
+    def test_halves_are_the_nodes_units(self, n_nodes, per):
+        spec = ClusterSpec(n_nodes=n_nodes, sockets_per_node=per)
+        nodes = Cluster(spec).nodes
+        split = n_nodes // 2
+        for half, members in ((0, nodes[:split]), (1, nodes[split:])):
+            if not members:
+                continue
+            ids = spec.half_unit_ids(half)
+            assert ids.dtype == np.intp
+            assert ids.tolist() == [u for n in members for u in n.unit_ids]
 
     def test_caps_start_at_tdp(self):
         cluster = Cluster(ClusterSpec(n_nodes=2, sockets_per_node=1))

@@ -51,3 +51,12 @@ def test_dps_pair_keeps_the_budget_through_faults_and_a_kill():
     assert outcome.node_failures == 1
     assert outcome.node_recoveries == 1
     assert not outcome.result.truncated
+
+
+def test_overlapping_kills_of_one_node_are_rejected():
+    # The directive parses, but the plant cannot hold node 1 down through
+    # [10, 50) while also bringing it back at 30.
+    chaos = parse_chaos("kill=1@10-50+1@20-30")
+    config = ExperimentConfig(sim=SimulationConfig(time_scale=0.05), repeats=1)
+    with pytest.raises(ValueError, match=r"node 1: outage windows \[10.0, 50.0\)"):
+        run_chaos_pair(config, "kmeans", "gmm", "dps", chaos)

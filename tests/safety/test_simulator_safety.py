@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.cluster.cluster import Cluster
 from repro.cluster.simulator import Assignment, Simulation
 from repro.core.config import ClusterSpec, SimulationConfig
 from repro.core.managers import PowerManager, create_manager
@@ -39,10 +38,9 @@ class GreedyManager(PowerManager):
 
 
 def make_sim(manager="dps", safety=None, **kwargs):
-    cluster = Cluster(SPEC)
     workloads = [
-        (tiny_workload("a"), cluster.half_unit_ids(0)),
-        (tiny_workload("b"), cluster.half_unit_ids(1)),
+        (tiny_workload("a"), SPEC.half_unit_ids(0)),
+        (tiny_workload("b"), SPEC.half_unit_ids(1)),
     ]
     return Simulation(
         cluster_spec=SPEC,
@@ -106,12 +104,11 @@ class TestRescaleEvents:
         """The rescale hook stamps the decision's own time, also when it
         is reached through ``RecoverableController.manager``."""
         spec = ClusterSpec()  # The 20-unit testbed.
-        cluster = Cluster(spec)
         result = Simulation(
             cluster_spec=spec,
             manager=GreedyManager(),
             assignments=[
-                Assignment(spec=tiny_workload(), unit_ids=cluster.half_unit_ids(0))
+                Assignment(spec=tiny_workload(), unit_ids=spec.half_unit_ids(0))
             ],
             sim_config=SimulationConfig(max_steps=4),
             safety=SafetyConfig(guard=True),

@@ -110,7 +110,6 @@ class TestJsonRoundTrip:
         derived metrics intact."""
         import numpy as np
 
-        from repro.cluster.cluster import Cluster
         from repro.cluster.simulator import Assignment, Simulation
         from repro.core.config import ClusterSpec, SimulationConfig
         from repro.core.managers import create_manager
@@ -119,14 +118,13 @@ class TestJsonRoundTrip:
         from repro.workloads.registry import get_workload
 
         spec = ClusterSpec(n_nodes=2, sockets_per_node=2)
-        cluster = Cluster(spec)
         sim = Simulation(
             cluster_spec=spec,
             manager=create_manager("dps"),
             assignments=[
                 Assignment(
                     spec=get_workload("sort"),
-                    unit_ids=cluster.half_unit_ids(0),
+                    unit_ids=spec.half_unit_ids(0),
                 )
             ],
             target_runs=1,

@@ -46,7 +46,6 @@ class TestRandomizedEndToEnd:
     def test_random_pair_completes_with_invariants(self, seed):
         """Any structurally valid workload pair simulates to completion
         with the budget respected, under DPS."""
-        cluster = Cluster(SPEC)
         a = random_workload(seed, max_phase_s=40.0)
         rng = np.random.default_rng(seed)
         b = random_workload(int(rng.integers(0, 2**31)), max_phase_s=40.0)
@@ -54,8 +53,8 @@ class TestRandomizedEndToEnd:
             cluster_spec=SPEC,
             manager=create_manager("dps"),
             assignments=[
-                Assignment(spec=a, unit_ids=cluster.half_unit_ids(0)),
-                Assignment(spec=b, unit_ids=cluster.half_unit_ids(1)),
+                Assignment(spec=a, unit_ids=SPEC.half_unit_ids(0)),
+                Assignment(spec=b, unit_ids=SPEC.half_unit_ids(1)),
             ],
             target_runs=1,
             sim_config=SimulationConfig(
@@ -74,14 +73,13 @@ class TestRandomizedEndToEnd:
         """Identical seeds give identical results for random workloads."""
 
         def run():
-            cluster = Cluster(SPEC)
             sim = Simulation(
                 cluster_spec=SPEC,
                 manager=create_manager("slurm"),
                 assignments=[
                     Assignment(
                         spec=random_workload(seed, max_phase_s=30.0),
-                        unit_ids=cluster.half_unit_ids(0),
+                        unit_ids=SPEC.half_unit_ids(0),
                     )
                 ],
                 target_runs=1,

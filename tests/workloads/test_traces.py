@@ -117,7 +117,6 @@ class TestRecordTrace:
 class TestTracedWorkload:
     def test_runs_through_simulator(self):
         """A traced workload is a drop-in replacement in the engine."""
-        from repro.cluster.cluster import Cluster
         from repro.cluster.simulator import Assignment, Simulation
         from repro.core.config import ClusterSpec, SimulationConfig
         from repro.core.managers import create_manager
@@ -126,12 +125,11 @@ class TestTracedWorkload:
         trace = PowerTrace(t, 80.0 + 60.0 * (t % 10 < 4), name="replayed")
         spec = traced_workload(trace)
         cluster_spec = ClusterSpec(n_nodes=2, sockets_per_node=2)
-        cluster = Cluster(cluster_spec)
         sim = Simulation(
             cluster_spec=cluster_spec,
             manager=create_manager("dps"),
             assignments=[
-                Assignment(spec=spec, unit_ids=cluster.half_unit_ids(0))
+                Assignment(spec=spec, unit_ids=cluster_spec.half_unit_ids(0))
             ],
             target_runs=1,
             sim_config=SimulationConfig(max_steps=2000, inter_run_gap_s=0.0),
