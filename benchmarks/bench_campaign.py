@@ -1,7 +1,7 @@
 """Campaign engine throughput: process-pool speedup and cache hit rate.
 
 The paper's full evaluation is >1,000 machine-hours of simulations; the
-reproduction's campaign engine fans the deduplicated job graph out over
+reproduction's campaign engine fans the deduplicated job list out over
 worker processes and short-circuits repeats through the persistent result
 cache.  This benchmark measures both levers on a smoke campaign
 (``low_utility``, ``REPRO_BENCH_CAMPAIGN_PAIRS`` pairs, each group's paper
@@ -30,8 +30,8 @@ from repro.experiments.campaign import Campaign
 from repro.experiments.engine import ResultCache
 from repro.experiments.harness import ExperimentConfig
 
-#: Pairs per group; 8 pairs x 3 managers dedups to a 38-job graph in two
-#: waves (6 references + 8 baselines, then 24 manager runs).
+#: Pairs per group; 8 pairs x 3 managers dedups to a 38-job batch
+#: (6 references, 8 baselines and 24 manager runs).
 PAIRS = int(os.environ.get("REPRO_BENCH_CAMPAIGN_PAIRS", "8"))
 JOBS = int(os.environ.get("REPRO_BENCH_CAMPAIGN_JOBS", "4"))
 #: The smoke campaign runs the test-sized cluster, not the paper topology:
@@ -108,8 +108,8 @@ def test_campaign_parallel_speedup(benchmark):
     )
 
     if (os.cpu_count() or 1) >= 4 and JOBS >= 4:
-        # The acceptance bar: a 38-job graph in two waves over 4 workers
-        # has ~3.5x of ideal parallelism in it.
+        # The acceptance bar: a 38-job batch over 4 workers has close to
+        # 4x of ideal parallelism in it.
         assert speedup >= 3.0, f"speedup {speedup:.2f}x at jobs={JOBS}"
 
 

@@ -206,7 +206,7 @@ class PowerManager(ABC):
         # Budget invariant: scale down uniformly above the per-unit floor if
         # a subclass ever over-allocates (never triggers for correct logic,
         # but keeps the §6 cap-respecting guarantee unconditional).
-        total = float(caps.sum())
+        total = float(np.add.reduce(caps))
         if total > self.budget_w * (1.0 + 1e-9):
             over = total - self.budget_w
             slack = caps - self.min_cap_w

@@ -22,7 +22,6 @@ from repro.experiments.engine import (
     job_digest,
 )
 from repro.experiments.jobs import (
-    JobGraph,
     SimJob,
     baseline_job,
     evaluation_jobs,
@@ -65,7 +64,6 @@ __all__ = [
     "ExperimentEngine",
     "ExperimentRecord",
     "LocalPoolBackend",
-    "JobGraph",
     "JobTiming",
     "ResultCache",
     "SimJob",

@@ -8,12 +8,12 @@ figure generators and external analysis can consume a finished campaign
 without re-simulating.
 
 Execution goes through the parallel engine
-(:mod:`repro.experiments.engine`): the campaign is enumerated as a
-deduplicated :class:`~repro.experiments.jobs.SimJob` graph (shared
-references and baselines run once), fanned out over ``jobs`` local worker
-processes wave by wave, and optionally backed by a persistent result
-cache.  Records are assembled in deterministic nested-loop order from the
-result map, so parallel and sequential runs are bit-identical.
+(:mod:`repro.experiments.engine`): the campaign is enumerated as a list of
+:class:`~repro.experiments.jobs.SimJob` (the engine runs shared references
+and baselines once), fanned out over ``jobs`` local worker processes in
+one batch, and optionally backed by a persistent result cache.  Records
+are assembled in deterministic nested-loop order from the result map, so
+parallel and sequential runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -24,14 +24,14 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.experiments.harness import ExperimentConfig, evaluate_outcome
-from repro.experiments.jobs import (
-    SimJob,
-    baseline_job,
-    evaluation_jobs,
-    pair_job,
-    reference_job,
+from repro.experiments.engine import (
+    EngineTelemetry,
+    ExperimentEngine,
+    ProgressFn,
+    ResultCache,
 )
+from repro.experiments.harness import ExperimentConfig, evaluate
+from repro.experiments.jobs import SimJob, evaluation_jobs
 from repro.experiments.setups import (
     GROUP_MANAGERS,
     high_utility_pairs,
@@ -90,7 +90,7 @@ class CampaignResult:
     records: list[ExperimentRecord] = field(default_factory=list)
     seed: int = 0
     time_scale: float = 1.0
-    engine: "object | None" = None
+    engine: EngineTelemetry | None = None
 
     def for_group(self, group: str) -> list[ExperimentRecord]:
         """Records of one group, in run order."""
@@ -160,8 +160,6 @@ class CampaignResult:
             raise ValueError(f"unsupported campaign format {fmt!r}")
         engine = None
         if fmt == _FORMAT_V2 and doc.get("engine") is not None:
-            from repro.experiments.engine import EngineTelemetry
-
             engine = EngineTelemetry.from_doc(doc["engine"])
         return cls(
             records=[ExperimentRecord(**r) for r in doc["records"]],
@@ -218,7 +216,7 @@ class Campaign:
 
     def simulation_jobs(self) -> list[SimJob]:
         """Every simulation the campaign needs (duplicates included; the
-        engine's job graph deduplicates)."""
+        engine deduplicates)."""
         jobs: list[SimJob] = []
         for _, (a, b), manager in self.plan():
             jobs.extend(evaluation_jobs(a, b, manager))
@@ -228,8 +226,8 @@ class Campaign:
         self,
         progress: Callable[[str, tuple[str, str], str], None] | None = None,
         jobs: int = 1,
-        cache: "object | None" = None,
-        engine_progress: "Callable | None" = None,
+        cache: ResultCache | None = None,
+        engine_progress: ProgressFn | None = None,
     ) -> CampaignResult:
         """Execute the campaign through the parallel engine.
 
@@ -244,9 +242,6 @@ class Campaign:
             engine_progress: optional per-*job* callback
                 ``(done, total, job, wall_s, cached, eta_s)``.
         """
-        from repro.experiments.engine import ExperimentEngine
-
-        plan = self.plan()
         engine = ExperimentEngine(self.config, jobs=jobs, cache=cache)
         results = engine.run(self.simulation_jobs(), progress=engine_progress)
 
@@ -255,22 +250,10 @@ class Campaign:
             time_scale=self.config.sim.time_scale,
             engine=engine.last_telemetry,
         )
-        for group, pair, manager in plan:
+        for group, (a, b), manager in self.plan():
             if progress is not None:
-                progress(group, pair, manager)
-            a, b = pair
-            baseline = results[baseline_job(a, b)]
-            outcome = (
-                baseline
-                if manager == "constant"
-                else results[pair_job(a, b, manager)]
-            )
-            ev = evaluate_outcome(
-                baseline,
-                outcome,
-                results[reference_job(a)],
-                results[reference_job(b)],
-            )
+                progress(group, (a, b), manager)
+            ev = evaluate(results, a, b, manager)
             result.records.append(
                 ExperimentRecord(
                     group=group,

@@ -15,16 +15,14 @@ recovery time kills the node for good).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.cluster.events import NodeFailureEvent
 from repro.cluster.simulator import Assignment, Simulation, SimulationResult
+from repro.experiments.jobs import ExperimentConfig
 from repro.powercap.faults import FaultConfig
-
-if TYPE_CHECKING:  # Imported lazily at runtime to avoid a cycle.
-    from repro.experiments.harness import ExperimentConfig
+from repro.workloads.registry import get_workload
 
 __all__ = ["ChaosSpec", "parse_chaos", "run_chaos_pair", "ChaosPairOutcome"]
 
@@ -123,8 +121,6 @@ def run_chaos_pair(
         manager_name: registry name of the manager under test.
         chaos: the parsed chaos directive.
     """
-    from repro.workloads.registry import get_workload
-
     sim = Simulation(
         cluster_spec=config.cluster,
         manager=config.make_manager(manager_name),

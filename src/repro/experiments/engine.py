@@ -6,18 +6,20 @@ seeded, which makes a campaign embarrassingly parallel.  This engine is the
 throughput layer every figure/table/campaign entry point sits on:
 
 * :func:`job_digest` — content address of one simulation: SHA-256 over the
-  frozen :class:`~repro.experiments.harness.ExperimentConfig`, the job's
+  frozen :class:`~repro.experiments.jobs.ExperimentConfig`, the job's
   identity tokens, and the repro version.  Any knob that could change the
   simulation's output changes the digest.
 * :class:`ResultCache` — an on-disk store of finished job payloads, one
   JSON record per digest, checksummed so corrupted or stale entries are
   detected and re-simulated rather than trusted.
-* :class:`LocalPoolBackend` — where one wave of uncached jobs runs: inline
+* :class:`LocalPoolBackend` — where a run's uncached jobs execute: inline
   for one job slot, otherwise a ``ProcessPoolExecutor`` with chunked
   dispatch that survives a worker segfault by rebuilding the pool once.
-* :class:`ExperimentEngine` — runs a :class:`~repro.experiments.jobs.JobGraph`
-  wave by wave over the pool with per-job wall timing, cache
-  short-circuiting, and a progress/ETA callback.
+* :class:`ExperimentEngine` — deduplicates a job list, serves what the
+  cache holds, and hands every other job to the pool in one batch, with
+  per-job wall timing and a progress/ETA callback.  It is the only way an
+  evaluation's simulations run: the in-process
+  :class:`~repro.experiments.harness.ExperimentHarness` sits on one too.
 
 Results are bit-identical to the sequential in-process path: every job
 derives its own seed from the campaign seed (independent of scheduling),
@@ -38,15 +40,16 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.experiments.harness import (
+from repro.experiments.jobs import (
     ExperimentConfig,
-    ExperimentHarness,
+    JobResult,
     PairOutcome,
     ReferenceStats,
+    SimJob,
+    simulate,
 )
-from repro.experiments.jobs import JobGraph, SimJob
 from repro.telemetry.log import ResilienceEventLog
 
 __all__ = [
@@ -64,8 +67,6 @@ __all__ = [
 
 #: Format tag of one on-disk cache record.
 CACHE_FORMAT = "repro-simcache-v1"
-
-JobResult = Union[ReferenceStats, PairOutcome]
 
 #: ``progress(done, total, job, wall_s, cached, eta_s)`` — invoked after
 #: every finished job; ``eta_s`` extrapolates from mean wall time so far.
@@ -300,11 +301,11 @@ class EngineTelemetry:
 
     Attributes:
         workers: process-pool size (1 = inline, no pool).
-        n_jobs: total jobs in the deduplicated graph.
+        n_jobs: total jobs in the deduplicated job list.
         cache_hits / cache_misses / cache_invalid: persistent-cache traffic
             of this run (all zero when no cache was attached).
         total_wall_s: end-to-end wall time of the engine run.
-        job_timings: per-job wall time and cache provenance, graph order.
+        job_timings: per-job wall time and cache provenance, list order.
 
     :meth:`from_doc` reads only these keys, so documents written with
     keys since dropped (an execution ``backend`` label) still load.
@@ -347,15 +348,9 @@ def execute_job(config: ExperimentConfig, job: SimJob) -> JobResult:
     """Run one job's simulation from scratch (no caches involved).
 
     Seeds derive from the campaign seed and the job's workload/manager
-    names exactly as the sequential harness derives them, so the result is
-    bit-identical to an in-process run regardless of worker or ordering.
+    names, so the result is bit-identical regardless of worker or ordering.
     """
-    harness = ExperimentHarness(config)
-    if job.kind == "reference":
-        return harness.uncapped_reference(job.workload_a)
-    outcome = harness.run_pair(job.workload_a, job.workload_b, job.manager)
-    assert isinstance(outcome, PairOutcome)
-    return outcome
+    return simulate(config, job)[0]
 
 
 _WORKER_CONFIG: ExperimentConfig | None = None
@@ -381,25 +376,25 @@ def _pool_run(job: SimJob) -> tuple[SimJob, JobResult, float]:
 
 
 class LocalPoolBackend:
-    """Execution of one wave's uncached jobs over a reused process pool.
+    """Execution of one run's uncached jobs over a process pool.
 
     Args:
         jobs: worker-process count; 1 executes inline (no pool, no pickle
             round trip) and is the bit-identity baseline every other
             execution path is tested against.
 
-    The engine calls :meth:`start` before the first wave of a run and
-    :meth:`shutdown` in a ``finally`` after the last, so an interrupted
-    campaign never leaks worker processes; a later :meth:`start` revives
-    the backend.  ``events`` collects ``pool_rebuilt`` events
+    The engine hands :meth:`execute` every uncached job of a run in one
+    batch and calls :meth:`shutdown` in a ``finally`` after it, so an
+    interrupted campaign never leaks worker processes.  ``events``
+    collects ``pool_rebuilt`` events
     (:data:`~repro.telemetry.log.WORKER_EVENT_KINDS`).
 
-    A worker process dying mid-wave (segfault, OOM kill) breaks the whole
+    A worker process dying mid-batch (segfault, OOM kill) breaks the whole
     executor — ``BrokenProcessPool`` — and used to abort the campaign.
-    The backend absorbs one such failure per wave: it reaps the broken
+    The backend absorbs one such failure per run: it reaps the broken
     pool, builds a fresh one, emits a ``pool_rebuilt`` event, and re-runs
-    the wave's not-yet-delivered jobs (idempotent, so a re-run is safe).
-    A second break in the same wave propagates — that is a systematically
+    the batch's not-yet-delivered jobs (idempotent, so a re-run is safe).
+    A second break in the same run propagates — that is a systematically
     crashing job, not a flaky worker.
     """
 
@@ -408,17 +403,8 @@ class LocalPoolBackend:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.events = ResilienceEventLog()
-        self._config: ExperimentConfig | None = None
         self._pool: ProcessPoolExecutor | None = None
         self._t0 = time.monotonic()
-
-    def start(self, config: ExperimentConfig) -> None:
-        """Bind the backend to one campaign configuration."""
-        if self._config is not None and config != self._config:
-            # The pool's initializer shipped the old config; a live pool
-            # would run new jobs under it.
-            self.shutdown()
-        self._config = config
 
     def shutdown(self) -> None:
         """Reap the pool (idempotent)."""
@@ -426,36 +412,27 @@ class LocalPoolBackend:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        # One pool serves every wave of a run (the engine shuts it down):
-        # respawning workers per wave would pay the fork + import cost at
-        # each dependency barrier.
-        if self._pool is None:
-            assert self._config is not None, "start() was not called"
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_pool_init,
-                initargs=(self._config,),
-            )
-        return self._pool
-
     def execute(
-        self, jobs: Sequence[SimJob]
+        self, config: ExperimentConfig, jobs: Sequence[SimJob]
     ) -> Iterator[tuple[SimJob, JobResult, float]]:
-        """Run one wave's jobs; yield ``(job, result, wall_s)`` as they
-        finish, in any order."""
+        """Run one batch of jobs under ``config``; yield ``(job, result,
+        wall_s)`` as they finish, in any order."""
         if not jobs:
             return
-        assert self._config is not None, "start() was not called"
-        if self.jobs == 1 or (len(jobs) == 1 and self._pool is None):
+        if self.jobs == 1 or len(jobs) == 1:
             for job in jobs:
                 t0 = time.perf_counter()
-                result = execute_job(self._config, job)
+                result = execute_job(config, job)
                 yield job, result, time.perf_counter() - t0
             return
         remaining = jobs
         for attempt in (1, 2):
-            pool = self._ensure_pool()
+            self.shutdown()
+            self._pool = pool = ProcessPoolExecutor(
+                max_workers=self.jobs,
+                initializer=_pool_init,
+                initargs=(config,),
+            )
             # Chunked dispatch: a handful of chunks per worker amortizes
             # the pickle/IPC round trip while keeping the tail balanced.
             chunksize = max(1, len(remaining) // (self.jobs * 4))
@@ -468,8 +445,7 @@ class LocalPoolBackend:
                     yield out
                 return
             except BrokenProcessPool:
-                self._pool = None
-                pool.shutdown(wait=True, cancel_futures=True)
+                self.shutdown()
                 remaining = remaining[delivered:]
                 if attempt == 2:
                     raise
@@ -490,7 +466,7 @@ class LocalPoolBackend:
 
 
 class ExperimentEngine:
-    """Fan a job graph out over a process pool, through the cache.
+    """Fan a job list out over a process pool, through the cache.
 
     Args:
         config: campaign configuration every job runs under.
@@ -522,14 +498,14 @@ class ExperimentEngine:
         jobs: Iterable[SimJob],
         progress: ProgressFn | None = None,
     ) -> dict[SimJob, JobResult]:
-        """Execute a job set; returns every job's result, cache-merged.
+        """Execute a job list; returns every job's result, cache-merged.
 
-        Jobs are deduplicated, closed over prerequisites, topologically
-        layered into waves, and each wave's uncached jobs are handed to
-        the pool.  Per-job wall times are measured where the job ran.
+        Jobs are deduplicated (the first occurrence keeps its place), cache
+        hits are served, and every other job goes to the backend in one
+        batch.  Per-job wall times are measured where the job ran.
         """
-        graph = JobGraph(jobs)
-        total = len(graph)
+        ordered = tuple(dict.fromkeys(jobs))
+        total = len(ordered)
         hits0, misses0, invalid0 = self._cache_counters()
         results: dict[SimJob, JobResult] = {}
         timings: dict[SimJob, JobTiming] = {}
@@ -545,31 +521,29 @@ class ExperimentEngine:
                 eta = elapsed / done * (total - done) if done else 0.0
                 progress(done, total, job, wall_s, cached, eta)
 
-        self.backend.start(self.config)
+        digests: dict[SimJob, str] = {}
+        for job in ordered:
+            digest = job_digest(self.config, job)
+            cached = (
+                self.cache.load_result(digest)
+                if self.cache is not None
+                else None
+            )
+            if cached is not None:
+                results[job] = cached
+                _finish(job, 0.0, cached=True)
+            else:
+                digests[job] = digest
         try:
-            for wave in graph.waves():
-                digests: dict[SimJob, str] = {}
-                for job in wave:
-                    digest = job_digest(self.config, job)
-                    cached = (
-                        self.cache.load_result(digest)
-                        if self.cache is not None
-                        else None
+            for job, result, wall_s in self.backend.execute(
+                self.config, list(digests)
+            ):
+                results[job] = result
+                if self.cache is not None:
+                    self.cache.store(
+                        digests[job], job.key, encode_result(result)
                     )
-                    if cached is not None:
-                        results[job] = cached
-                        _finish(job, 0.0, cached=True)
-                    else:
-                        digests[job] = digest
-                for job, result, wall_s in self.backend.execute(
-                    list(digests)
-                ):
-                    results[job] = result
-                    if self.cache is not None:
-                        self.cache.store(
-                            digests[job], job.key, encode_result(result)
-                        )
-                    _finish(job, wall_s, cached=False)
+                _finish(job, wall_s, cached=False)
         finally:
             self.backend.shutdown()
 
@@ -581,7 +555,7 @@ class ExperimentEngine:
             cache_misses=misses1 - misses0,
             cache_invalid=invalid1 - invalid0,
             total_wall_s=time.perf_counter() - t_start,
-            job_timings=tuple(timings[j] for j in graph),
+            job_timings=tuple(timings[j] for j in ordered),
         )
         return results
 

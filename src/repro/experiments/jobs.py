@@ -1,13 +1,13 @@
-"""Simulation job specs and the campaign job graph.
+"""Simulation jobs: what an evaluation runs, and the one body that runs it.
 
 A campaign is >100 (group, pair, manager) evaluations, but the simulations
 behind them are heavily shared: every evaluation of a pair divides by the
 same constant-allocation baseline, and every satisfaction number divides by
-the per-*workload* uncapped reference.  This module turns a campaign into
-an explicit, deduplicated set of :class:`SimJob` descriptions — small,
-picklable, order-able value objects the parallel engine can fan out over a
-process pool — plus the dependency bookkeeping that orders them into
-waves (prerequisites before the evaluations that normalize against them).
+the per-*workload* uncapped reference.  This module names each simulation
+as a :class:`SimJob` — a small, picklable, order-able value object the
+engine deduplicates and fans out over a process pool — and holds
+:func:`simulate`, the only place a job's
+:class:`~repro.cluster.simulator.Simulation` is built.
 
 Job kinds
 ---------
@@ -16,33 +16,132 @@ Job kinds
     Uncapped solo run of one workload (caps at TDP) — the denominator of
     satisfaction (Eq. 1).  Needed once per distinct workload.
 ``baseline``
-    Constant-allocation run of a pair — the denominator of every speedup.
-    Needed once per distinct pair.
+    Constant-allocation run of a pair — the denominator of every speedup
+    (Appendix: "The harmonic mean throughput time of each workload in the
+    Constant Allocation group will be the baseline").  Needed once per
+    distinct pair.
 ``pair``
     One pair under one non-constant manager — the actual evaluation run.
 
-Each job names exactly one :class:`~repro.cluster.simulator.Simulation`;
-its seed derives deterministically from the campaign seed and the job's
-workload/manager names (``ExperimentConfig.derive_seed``, exactly as the
-sequential harness derives them), so the same job always runs the same
-simulation regardless of which worker executes it or in which order.
+Each job's seed derives deterministically from the campaign seed and the
+job's workload/manager names (``ExperimentConfig.derive_seed``), so the
+same job always runs the same simulation regardless of which worker
+executes it or in which order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+import zlib
+from dataclasses import dataclass, field
+from typing import Union
+
+from repro.cluster.simulator import Assignment, Simulation, SimulationResult
+from repro.core.config import (
+    ClusterSpec,
+    DPSConfig,
+    PerfModelConfig,
+    RaplConfig,
+    SimulationConfig,
+    StatelessConfig,
+)
+from repro.core.managers import PowerManager, create_manager
+from repro.workloads.registry import get_workload
 
 __all__ = [
+    "ExperimentConfig",
+    "JobResult",
+    "PairOutcome",
+    "ReferenceStats",
     "SimJob",
     "reference_job",
     "baseline_job",
     "pair_job",
     "evaluation_jobs",
-    "JobGraph",
+    "simulate",
 ]
 
-#: Job kinds with no prerequisites (wave 0).
-_PREREQ_KINDS = ("reference", "baseline")
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Shared knobs of one experimental campaign.
+
+    Attributes:
+        cluster: topology/budget (defaults: the paper's testbed).
+        sim: step/scale/gap settings; ``time_scale`` below 1 shrinks runs.
+        perf: cap-to-performance model.
+        rapl: RAPL noise/lag.
+        dps: DPS configuration used whenever the ``"dps"`` manager runs.
+        slurm: MIMD configuration used for the ``"slurm"`` manager.
+        repeats: completed runs required of each workload per simulation
+            (the paper uses >= 10 on hardware; simulation variance is far
+            smaller, so a handful suffices).
+        seed: campaign master seed; per-(pair, manager) seeds derive from it
+            deterministically.
+    """
+
+    cluster: ClusterSpec = field(default_factory=ClusterSpec)
+    sim: SimulationConfig = field(default_factory=SimulationConfig)
+    perf: PerfModelConfig = field(default_factory=PerfModelConfig)
+    rapl: RaplConfig = field(default_factory=RaplConfig)
+    dps: DPSConfig = field(default_factory=DPSConfig)
+    slurm: StatelessConfig = field(default_factory=StatelessConfig)
+    repeats: int = 3
+    seed: int = 42
+
+    def make_manager(self, name: str) -> PowerManager:
+        """Instantiate a fresh manager with this campaign's configuration."""
+        if name in ("dps", "dps+"):
+            return create_manager(name, config=self.dps)
+        if name in ("slurm", "hierarchical"):
+            return create_manager(name, config=self.slurm)
+        return create_manager(name)
+
+    def derive_seed(self, *tokens: str) -> int:
+        """Deterministic per-experiment seed from the campaign seed."""
+        h = zlib.crc32("/".join(tokens).encode())
+        return (self.seed * 1_000_003 + h) % (2**31 - 1)
+
+
+@dataclass(frozen=True)
+class ReferenceStats:
+    """Uncapped solo-run statistics of one workload.
+
+    Attributes:
+        mean_duration_s: mean throughput time with caps at TDP.
+        mean_power_w: mean per-active-socket power with caps at TDP
+            (Eq. 1's denominator).
+    """
+
+    mean_duration_s: float
+    mean_power_w: float
+
+
+@dataclass(frozen=True)
+class PairOutcome:
+    """Raw (un-normalized) result of one pair under one manager.
+
+    Attributes:
+        manager: manager name.
+        workload_a / workload_b: the pair, half 0 / half 1.
+        times_a_s / times_b_s: per-run throughput times.
+        power_a_w / power_b_w: mean per-socket power over runs.
+        max_caps_sum_w: budget-respect check from the simulation.
+        sim_time_s: simulated duration.
+    """
+
+    manager: str
+    workload_a: str
+    workload_b: str
+    times_a_s: tuple[float, ...]
+    times_b_s: tuple[float, ...]
+    power_a_w: float
+    power_b_w: float
+    max_caps_sum_w: float
+    sim_time_s: float
+
+
+JobResult = Union[ReferenceStats, PairOutcome]
 
 
 @dataclass(frozen=True, order=True)
@@ -95,42 +194,6 @@ class SimJob:
             return ("reference", self.workload_a)
         return (self.kind, self.workload_a, self.workload_b, self.manager)
 
-    @classmethod
-    def from_tokens(cls, tokens: "tuple[str, ...] | list[str]") -> "SimJob":
-        """Reconstruct a job from its :attr:`tokens` (the wire form).
-
-        Raises:
-            ValueError: token tuple of the wrong arity or content
-                (validation runs in ``__post_init__``).
-        """
-        tokens = tuple(str(t) for t in tokens)
-        if len(tokens) == 2 and tokens[0] == "reference":
-            return cls(kind="reference", workload_a=tokens[1])
-        if len(tokens) == 4:
-            return cls(
-                kind=tokens[0],
-                workload_a=tokens[1],
-                workload_b=tokens[2],
-                manager=tokens[3],
-            )
-        raise ValueError(f"malformed job tokens {tokens!r}")
-
-    def prerequisites(self) -> tuple["SimJob", ...]:
-        """Jobs whose results this job's *evaluation* normalizes against.
-
-        The simulations themselves are shared-nothing; the dependency is in
-        the downstream math (speedups divide by the baseline, satisfactions
-        by the references), so evaluations are scheduled a wave after their
-        prerequisites and the normalization never waits mid-wave.
-        """
-        if self.kind in _PREREQ_KINDS:
-            return ()
-        return (
-            baseline_job(self.workload_a, self.workload_b),
-            reference_job(self.workload_a),
-            reference_job(self.workload_b),
-        )
-
 
 def reference_job(workload: str) -> SimJob:
     """The uncapped solo reference run of one workload."""
@@ -161,66 +224,84 @@ def pair_job(workload_a: str, workload_b: str, manager: str) -> SimJob:
 def evaluation_jobs(
     workload_a: str, workload_b: str, manager: str
 ) -> tuple[SimJob, ...]:
-    """Every job one (pair, manager) evaluation needs, prerequisites first."""
-    run = pair_job(workload_a, workload_b, manager)
-    return (*run.prerequisites(), run) if run.kind == "pair" else (
-        run,
+    """Every job one (pair, manager) evaluation needs: the baseline and the
+    two references first, then the manager's run (none for ``constant``)."""
+    jobs = (
+        baseline_job(workload_a, workload_b),
         reference_job(workload_a),
         reference_job(workload_b),
     )
+    run = pair_job(workload_a, workload_b, manager)
+    return jobs if run.kind == "baseline" else (*jobs, run)
 
 
-class JobGraph:
-    """Deduplicated job set with dependency-aware wave ordering.
+def simulate(
+    config: ExperimentConfig, job: SimJob, record_telemetry: bool = False
+) -> tuple[JobResult, SimulationResult]:
+    """Run one job's simulation from scratch; the result and the raw run.
 
-    Args:
-        jobs: any iterable of :class:`SimJob` (duplicates collapse; first
-            occurrence wins the ordering within a wave).  Prerequisites of
-            listed jobs are added implicitly so the graph is always closed.
+    A reference is a constant manager on a budget of 100 % of aggregate
+    TDP, so the "cap" never binds — the paper's "average power under no
+    cap" condition.  A pair places workload A on cluster half 0 and B on
+    half 1.
+
+    Raises:
+        RuntimeError: the simulation hit ``config.sim.max_steps``.
     """
-
-    def __init__(self, jobs) -> None:
-        ordered: dict[SimJob, None] = {}
-        for job in jobs:
-            for dep in job.prerequisites():
-                ordered.setdefault(dep, None)
-            ordered.setdefault(job, None)
-        self._jobs = tuple(ordered)
-
-    def __len__(self) -> int:
-        return len(self._jobs)
-
-    def __iter__(self):
-        return iter(self._jobs)
-
-    @property
-    def jobs(self) -> tuple[SimJob, ...]:
-        """All jobs, deduplicated, prerequisites-closed."""
-        return self._jobs
-
-    def waves(self) -> tuple[tuple[SimJob, ...], ...]:
-        """Topological layering of the graph.
-
-        Kahn-style: wave ``k`` holds every job whose prerequisites all sit
-        in earlier waves.  With the current three job kinds this is exactly
-        two waves (references + baselines, then manager runs), but the
-        layering is computed, not assumed, so richer graphs keep working.
-        """
-        placed: dict[SimJob, int] = {}
-        remaining = list(self._jobs)
-        waves: list[tuple[SimJob, ...]] = []
-        while remaining:
-            ready = [
-                j
-                for j in remaining
-                if all(dep in placed for dep in j.prerequisites())
-            ]
-            if not ready:  # pragma: no cover - guarded by SimJob validation
-                raise ValueError(
-                    f"dependency cycle among {[j.key for j in remaining]}"
-                )
-            for j in ready:
-                placed[j] = len(waves)
-            waves.append(tuple(ready))
-            remaining = [j for j in remaining if j not in placed]
-        return tuple(waves)
+    spec_a = get_workload(job.workload_a)
+    if job.kind == "reference":
+        cluster = dataclasses.replace(config.cluster, budget_fraction=1.0)
+        specs = [spec_a]
+        seed = config.derive_seed("reference", job.workload_a)
+    else:
+        cluster = config.cluster
+        spec_b = get_workload(job.workload_b)
+        if spec_b.name == spec_a.name:
+            # A self-pair (seven of the high-utility group's 49): the
+            # simulation keys its results by name, so half 1 gets its own.
+            spec_b = dataclasses.replace(spec_b, name=f"{spec_b.name}@1")
+        specs = [spec_a, spec_b]
+        seed = config.derive_seed(job.workload_a, job.workload_b, job.manager)
+    manager = config.make_manager(job.manager)
+    result = Simulation(
+        cluster_spec=cluster,
+        manager=manager,
+        assignments=[
+            Assignment(spec=spec, unit_ids=cluster.half_unit_ids(half))
+            for half, spec in enumerate(specs)
+        ],
+        target_runs=config.repeats,
+        sim_config=config.sim,
+        perf_config=config.perf,
+        rapl_config=config.rapl,
+        seed=seed,
+        record_telemetry=record_telemetry,
+    ).run()
+    if result.truncated:
+        names = [spec.name for spec in specs]
+        raise RuntimeError(
+            f"simulation of {names} under {manager.name} hit the "
+            f"{config.sim.max_steps}-step limit; raise max_steps "
+            "or time_scale"
+        )
+    executions = [result.execution(spec.name) for spec in specs]
+    if job.kind == "reference":
+        (execution,) = executions
+        stats = ReferenceStats(
+            mean_duration_s=execution.mean_duration_s(),
+            mean_power_w=execution.mean_power_w(),
+        )
+        return stats, result
+    exec_a, exec_b = executions
+    outcome = PairOutcome(
+        manager=job.manager,
+        workload_a=job.workload_a,
+        workload_b=job.workload_b,
+        times_a_s=tuple(r.duration_s for r in exec_a.records),
+        times_b_s=tuple(r.duration_s for r in exec_b.records),
+        power_a_w=exec_a.mean_power_w(),
+        power_b_w=exec_b.mean_power_w(),
+        max_caps_sum_w=result.max_caps_sum_w,
+        sim_time_s=result.sim_time_s,
+    )
+    return outcome, result

@@ -16,56 +16,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Callable
 
-from repro.core.config import RaplConfig
 from repro.experiments.engine import ExperimentEngine, ResultCache
-from repro.experiments.harness import (
-    ExperimentConfig,
-    PairEvaluation,
-    evaluate_outcome,
-)
-from repro.experiments.jobs import (
-    baseline_job,
-    evaluation_jobs,
-    pair_job,
-    reference_job,
-)
+from repro.experiments.harness import ExperimentConfig, evaluate
+from repro.experiments.jobs import evaluation_jobs
 
 __all__ = ["SweepPoint", "budget_sweep", "noise_sweep"]
-
-
-def _point_evaluations(
-    point_config: ExperimentConfig,
-    pair: tuple[str, str],
-    managers: tuple[str, ...],
-    cache: ResultCache | None,
-    jobs: int,
-) -> dict[str, PairEvaluation]:
-    """Evaluate one sweep point's managers in one engine run.
-
-    References and the baseline are shared across managers; ``jobs=1``
-    runs every simulation inline, and any ``jobs`` gives the same bits.
-    """
-    engine = ExperimentEngine(point_config, jobs=jobs, cache=cache)
-    sim_jobs = []
-    for manager in managers:
-        sim_jobs.extend(evaluation_jobs(pair[0], pair[1], manager))
-    results = engine.run(sim_jobs)
-    a, b = pair
-    baseline = results[baseline_job(a, b)]
-    ref_a = results[reference_job(a)]
-    ref_b = results[reference_job(b)]
-    return {
-        manager: evaluate_outcome(
-            baseline,
-            baseline
-            if manager == "constant"
-            else results[pair_job(a, b, manager)],
-            ref_a,
-            ref_b,
-        )
-        for manager in managers
-    }
 
 
 @dataclass(frozen=True)
@@ -84,6 +41,40 @@ class SweepPoint:
     manager: str
     hmean_speedup: float
     fairness: float
+
+
+def _sweep(
+    values: tuple[float, ...],
+    point_config: Callable[[float], ExperimentConfig],
+    pair: tuple[str, str],
+    managers: tuple[str, ...],
+    cache: ResultCache | None,
+    jobs: int,
+) -> list[SweepPoint]:
+    """One engine run per swept value, its managers normalized together.
+
+    References and the baseline are shared across a point's managers;
+    ``jobs=1`` runs every simulation inline, and any ``jobs`` gives the
+    same bits.
+    """
+    a, b = pair
+    points = []
+    for value in values:
+        engine = ExperimentEngine(point_config(value), jobs=jobs, cache=cache)
+        results = engine.run(
+            job for manager in managers for job in evaluation_jobs(a, b, manager)
+        )
+        for manager in managers:
+            ev = evaluate(results, a, b, manager)
+            points.append(
+                SweepPoint(
+                    parameter=value,
+                    manager=manager,
+                    hmean_speedup=ev.hmean_speedup,
+                    fairness=ev.fairness,
+                )
+            )
+    return points
 
 
 def budget_sweep(
@@ -115,31 +106,16 @@ def budget_sweep(
     """
     if not budget_fractions:
         raise ValueError("budget_fractions must be non-empty")
-    points = []
-    for fraction in budget_fractions:
+
+    def point_config(fraction: float) -> ExperimentConfig:
         if not 0 < fraction <= 1:
             raise ValueError(
                 f"budget fractions must be in (0, 1], got {fraction}"
             )
         cluster = dataclasses.replace(config.cluster, budget_fraction=fraction)
-        evals = _point_evaluations(
-            dataclasses.replace(config, cluster=cluster),
-            pair,
-            managers,
-            cache,
-            jobs,
-        )
-        for manager in managers:
-            ev = evals[manager]
-            points.append(
-                SweepPoint(
-                    parameter=fraction,
-                    manager=manager,
-                    hmean_speedup=ev.hmean_speedup,
-                    fairness=ev.fairness,
-                )
-            )
-    return points
+        return dataclasses.replace(config, cluster=cluster)
+
+    return _sweep(budget_fractions, point_config, pair, managers, cache, jobs)
 
 
 def noise_sweep(
@@ -166,30 +142,11 @@ def noise_sweep(
     """
     if not noise_stds_w:
         raise ValueError("noise_stds_w must be non-empty")
-    points = []
-    for noise in noise_stds_w:
+
+    def point_config(noise: float) -> ExperimentConfig:
         if noise < 0:
             raise ValueError(f"noise stds must be >= 0, got {noise}")
-        rapl = RaplConfig(
-            noise_std_w=noise,
-            lag_tau_s=config.rapl.lag_tau_s,
-            counter_wrap_uj=config.rapl.counter_wrap_uj,
-        )
-        evals = _point_evaluations(
-            dataclasses.replace(config, rapl=rapl),
-            pair,
-            managers,
-            cache,
-            jobs,
-        )
-        for manager in managers:
-            ev = evals[manager]
-            points.append(
-                SweepPoint(
-                    parameter=noise,
-                    manager=manager,
-                    hmean_speedup=ev.hmean_speedup,
-                    fairness=ev.fairness,
-                )
-            )
-    return points
+        rapl = dataclasses.replace(config.rapl, noise_std_w=noise)
+        return dataclasses.replace(config, rapl=rapl)
+
+    return _sweep(noise_stds_w, point_config, pair, managers, cache, jobs)

@@ -86,7 +86,7 @@ SAFETY_EVENT_KINDS = (
 #: engine's :class:`~repro.experiments.engine.LocalPoolBackend`).  They
 #: share the structured event channel so one stream covers everything
 #: that went wrong during a campaign: ``pool_rebuilt`` is the pool's
-#: recovery from a dead worker process, which re-runs the wave's
+#: recovery from a dead worker process, which re-runs the batch's
 #: undelivered jobs — never silently.
 WORKER_EVENT_KINDS = ("pool_rebuilt",)
 

@@ -191,7 +191,7 @@ class WorkloadExecution:
             # np.mean's own arithmetic: one pairwise sum, one true divide.
             rate = float(np.add.reduce(rates[:n_active]) / n_active)
         self.progress_s += rate * self._run_speed * dt_s
-        self._run_energy_j += float(true_power_w[:n_active].sum()) * dt_s
+        self._run_energy_j += float(np.add.reduce(true_power_w[:n_active])) * dt_s
         self._run_time_s += dt_s
 
         if self.progress_s >= self.program.duration_s:

@@ -1,4 +1,4 @@
-"""Parallel engine: job graph, digests, persistent cache, determinism."""
+"""Parallel engine: job list, digests, persistent cache, determinism."""
 
 import json
 import multiprocessing
@@ -14,6 +14,7 @@ from repro.experiments.engine import (
     CACHE_FORMAT,
     EngineTelemetry,
     ExperimentEngine,
+    LocalPoolBackend,
     ResultCache,
     decode_result,
     encode_result,
@@ -21,7 +22,6 @@ from repro.experiments.engine import (
 )
 from repro.experiments.harness import PairOutcome, ReferenceStats
 from repro.experiments.jobs import (
-    JobGraph,
     SimJob,
     baseline_job,
     evaluation_jobs,
@@ -69,18 +69,6 @@ class TestSimJob:
         assert reference_job("kmeans").key == "reference:kmeans"
         assert pair_job("kmeans", "gmm", "dps").key == "pair:kmeans/gmm:dps"
 
-    def test_pair_prerequisites(self):
-        job = pair_job("a", "b", "dps")
-        assert job.prerequisites() == (
-            baseline_job("a", "b"),
-            reference_job("a"),
-            reference_job("b"),
-        )
-
-    def test_prereq_jobs_have_no_prerequisites(self):
-        assert reference_job("a").prerequisites() == ()
-        assert baseline_job("a", "b").prerequisites() == ()
-
     def test_evaluation_jobs_constant_manager(self):
         jobs = evaluation_jobs("a", "b", "constant")
         assert jobs == (
@@ -88,26 +76,6 @@ class TestSimJob:
             reference_job("a"),
             reference_job("b"),
         )
-
-
-class TestJobGraph:
-    def test_dedups_and_closes_over_prerequisites(self):
-        graph = JobGraph([pair_job("a", "b", "dps"),
-                          pair_job("a", "b", "dps"),
-                          pair_job("a", "b", "slurm")])
-        keys = {j.key for j in graph}
-        assert len(graph) == 5
-        assert "baseline:a/b:constant" in keys
-        assert "reference:a" in keys and "reference:b" in keys
-
-    def test_two_waves(self):
-        graph = JobGraph([pair_job("a", "b", "dps"),
-                          pair_job("b", "c", "slurm")])
-        waves = graph.waves()
-        assert len(waves) == 2
-        assert all(j.kind in ("reference", "baseline") for j in waves[0])
-        assert all(j.kind == "pair" for j in waves[1])
-        assert sum(len(w) for w in waves) == len(graph)
 
 
 class TestJobDigest:
@@ -309,6 +277,33 @@ class TestDeterminism:
         )
         assert warm.records == cold.records
         assert warm.engine.cache_hits == warm.engine.n_jobs
+
+
+class TestOneBatch:
+    def test_one_backend_call_per_run(self, fast_config, monkeypatch):
+        batches = []
+        original = LocalPoolBackend.execute
+
+        def spy(self, *args):
+            batches.append(list(args[-1]))
+            return original(self, *args)
+
+        monkeypatch.setattr(LocalPoolBackend, "execute", spy)
+        result = small_campaign(fast_config).run(jobs=2)
+        assert len(batches) == 1
+        assert len(batches[0]) == result.engine.n_jobs
+
+    def test_duplicate_jobs_run_once(self, fast_config, monkeypatch):
+        calls = _count_sim_runs(monkeypatch)
+        engine = ExperimentEngine(fast_config)
+        results = engine.run([*evaluation_jobs("kmeans", "gmm", "dps"),
+                              *evaluation_jobs("kmeans", "gmm", "dps"),
+                              *evaluation_jobs("kmeans", "gmm", "slurm")])
+        keys = {j.key for j in results}
+        assert len(results) == engine.last_telemetry.n_jobs == 5
+        assert len(calls) == 5
+        assert "baseline:kmeans/gmm:constant" in keys
+        assert "reference:kmeans" in keys and "reference:gmm" in keys
 
 
 class TestEngineTelemetry:

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.experiments.engine import ResultCache
 from repro.experiments.harness import (
     ExperimentConfig,
     ExperimentHarness,
     PairOutcome,
 )
+from tests.experiments.test_engine import _count_sim_runs
 
 
 class TestConfig:
@@ -129,3 +131,23 @@ class TestEvaluatePair:
             "sort", "wordcount", ("slurm", "dps")
         )
         assert set(out) == {"slurm", "dps"}
+
+
+class TestEnginePath:
+    def test_each_job_runs_once_then_comes_from_the_cache(
+        self, fast_config, tmp_path, monkeypatch
+    ):
+        calls = _count_sim_runs(monkeypatch)
+        managers = ("slurm", "dps")
+        cold = ExperimentHarness(
+            fast_config, cache=ResultCache(tmp_path)
+        ).evaluate_managers("kmeans", "gmm", managers)
+        # Two references, one baseline and two pairs.
+        assert len(calls) == 5
+        warm_cache = ResultCache(tmp_path)
+        warm = ExperimentHarness(
+            fast_config, cache=warm_cache
+        ).evaluate_managers("kmeans", "gmm", managers)
+        assert len(calls) == 5
+        assert warm_cache.hits == 5
+        assert warm == cold
