@@ -109,36 +109,23 @@ def test_ablation_npb_barrier_sync(benchmark):
     (recorded in EXPERIMENTS.md; the default model is "mean", which
     matches the tolerance the paper's measured NPB numbers imply).
     """
-    import dataclasses as dc
-
-    from repro.workloads.npb import npb_workload
-    from repro.workloads.registry import get_workload
-    from repro.cluster.simulator import Assignment, Simulation
+    from repro.experiments.jobs import build
     from repro.metrics.speedup import hmean, paired_hmean_speedup
+    from repro.workloads.npb import npb_workload
 
     cfg = bench_config()
 
     def run_pair_with_sync(sync: str, manager_name: str):
-        spark = get_workload("bayes")
-        npb = dc.replace(npb_workload("cg"), sync=sync)
-        sim = Simulation(
-            cluster_spec=cfg.cluster,
-            manager=cfg.make_manager(manager_name),
-            assignments=[
-                Assignment(spec=spark, unit_ids=cfg.cluster.half_unit_ids(0)),
-                Assignment(spec=npb, unit_ids=cfg.cluster.half_unit_ids(1)),
-            ],
-            target_runs=cfg.repeats,
-            sim_config=cfg.sim,
-            perf_config=cfg.perf,
-            rapl_config=cfg.rapl,
-            seed=cfg.derive_seed("sync-ablation", sync, manager_name),
-        )
-        result = sim.run()
+        npb = dataclasses.replace(npb_workload("cg"), sync=sync)
+        result = build(
+            cfg, ["bayes", npb], manager_name,
+            ("sync-ablation", sync, manager_name),
+        ).run()
         assert not result.truncated
+        bayes, cg = result.executions
         return (
-            [r.duration_s for r in result.execution("bayes").records],
-            [r.duration_s for r in result.execution("cg").records],
+            [r.duration_s for r in bayes.records],
+            [r.duration_s for r in cg.records],
         )
 
     def run():

@@ -19,6 +19,7 @@ from repro.core.config import SimulationConfig
 from repro.experiments import figures as figmod
 from repro.experiments import reporting, tables as tabmod
 from repro.experiments.harness import ExperimentConfig, ExperimentHarness
+from repro.experiments.jobs import build
 
 __all__ = ["main", "build_parser"]
 
@@ -376,13 +377,8 @@ def _cmd_pair_chaos(
 def _cmd_pair_checkpointed(
     args: argparse.Namespace, managers: tuple[str, ...], resume: bool
 ) -> str:
-    # The checkpointed path pulls in the recovery + simulator stack;
-    # import lazily so the plain CLI paths stay light.
     import json
     from pathlib import Path
-
-    from repro.cluster.simulator import Assignment, Simulation
-    from repro.workloads.registry import get_workload
 
     root = Path(args.checkpoint_dir)
     meta_path = root / "session.json"
@@ -424,29 +420,13 @@ def _cmd_pair_checkpointed(
     cfg = _config(args)
     rows = []
     for m in managers:
-        sim = Simulation(
-            cluster_spec=cfg.cluster,
-            manager=cfg.make_manager(m),
-            assignments=[
-                Assignment(
-                    spec=get_workload(workload_a),
-                    unit_ids=cfg.cluster.half_unit_ids(0),
-                ),
-                Assignment(
-                    spec=get_workload(workload_b),
-                    unit_ids=cfg.cluster.half_unit_ids(1),
-                ),
-            ],
-            target_runs=cfg.repeats,
-            sim_config=cfg.sim,
-            perf_config=cfg.perf,
-            rapl_config=cfg.rapl,
-            seed=cfg.derive_seed("recover", workload_a, workload_b, m),
+        res = build(
+            cfg, [workload_a, workload_b], m,
+            ("recover", workload_a, workload_b, m),
             checkpoint_dir=root / m,
             checkpoint_every=checkpoint_every,
             resume=resume,
-        )
-        res = sim.run()
+        ).run()
         budget_ok = res.max_caps_sum_w <= res.budget_w * (1 + 1e-6)
         completed = sum(e.runs_completed for e in res.executions)
         rows.append(

@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.events import NodeFailureEvent
-from repro.cluster.simulator import Assignment, Simulation, SimulationResult
-from repro.experiments.jobs import ExperimentConfig
+from repro.cluster.simulator import SimulationResult
+from repro.experiments.jobs import ExperimentConfig, build
 from repro.powercap.faults import FaultConfig
-from repro.workloads.registry import get_workload
 
 __all__ = ["ChaosSpec", "parse_chaos", "run_chaos_pair", "ChaosPairOutcome"]
 
@@ -117,38 +116,17 @@ def run_chaos_pair(
 
     Args:
         config: campaign configuration (cluster, sim, repeats, seed).
-        workload_a / workload_b: pair names, placed on the cluster halves.
+        workload_a / workload_b: pair names, placed on the cluster halves
+            (a self-pair's half 1 runs as ``name@1``).
         manager_name: registry name of the manager under test.
         chaos: the parsed chaos directive.
     """
-    sim = Simulation(
-        cluster_spec=config.cluster,
-        manager=config.make_manager(manager_name),
-        assignments=[
-            Assignment(
-                spec=get_workload(workload_a),
-                unit_ids=config.cluster.half_unit_ids(0),
-            ),
-            Assignment(
-                spec=get_workload(workload_b),
-                unit_ids=config.cluster.half_unit_ids(1),
-            ),
-        ],
-        target_runs=config.repeats,
-        sim_config=config.sim,
-        perf_config=config.perf,
-        rapl_config=config.rapl,
-        seed=config.derive_seed(
-            "chaos", workload_a, workload_b, manager_name
-        ),
-        fault_config=(
-            chaos.faults
-            if chaos.faults != FaultConfig()
-            else None
-        ),
+    result = build(
+        config, [workload_a, workload_b], manager_name,
+        ("chaos", workload_a, workload_b, manager_name),
+        fault_config=chaos.faults if chaos.faults != FaultConfig() else None,
         failures=chaos.failures,
-    )
-    result = sim.run()
+    ).run()
     budget_ok = bool(
         np.isfinite(result.max_caps_sum_w)
         and result.max_caps_sum_w <= result.budget_w * (1 + 1e-6)

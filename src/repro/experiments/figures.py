@@ -8,13 +8,12 @@ benchmarks call these functions directly.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cluster.simulator import Assignment, Simulation
 from repro.experiments.harness import ExperimentConfig, ExperimentHarness
+from repro.experiments.jobs import build
 from repro.experiments.setups import (
     demanding_spark_names,
     low_utility_pairs,
@@ -22,7 +21,7 @@ from repro.experiments.setups import (
 )
 from repro.metrics.fairness import fairness_performance_correlation
 from repro.metrics.speedup import hmean
-from repro.workloads.registry import get_workload, workload_names
+from repro.workloads.registry import workload_names
 
 __all__ = [
     "Figure1Data",
@@ -139,26 +138,12 @@ def figure2(
         Mapping workload name → ``(time_s, power_w)``.
     """
     cfg = config or ExperimentConfig()
-    uncapped = dataclasses.replace(cfg.cluster, budget_fraction=1.0)
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for name in workloads:
-        sim = Simulation(
-            cluster_spec=uncapped,
-            manager=cfg.make_manager("constant"),
-            assignments=[
-                Assignment(
-                    spec=get_workload(name),
-                    unit_ids=uncapped.half_unit_ids(0),
-                )
-            ],
-            target_runs=1,
-            sim_config=cfg.sim,
-            perf_config=cfg.perf,
-            rapl_config=cfg.rapl,
-            seed=cfg.derive_seed("figure2", name),
-            record_telemetry=True,
-        )
-        result = sim.run()
+        result = build(
+            cfg, [name], "constant", ("figure2", name),
+            uncapped=True, target_runs=1, record_telemetry=True,
+        ).run()
         assert result.telemetry is not None
         out[name] = (result.telemetry.time_s, result.telemetry.power_w[:, 0])
     return out

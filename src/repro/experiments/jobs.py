@@ -6,8 +6,8 @@ same constant-allocation baseline, and every satisfaction number divides by
 the per-*workload* uncapped reference.  This module names each simulation
 as a :class:`SimJob` — a small, picklable, order-able value object the
 engine deduplicates and fans out over a process pool — and holds
-:func:`simulate`, the only place a job's
-:class:`~repro.cluster.simulator.Simulation` is built.
+:func:`simulate`, which runs one, and :func:`build`, the only place an
+experiment's :class:`~repro.cluster.simulator.Simulation` is built.
 
 Job kinds
 ---------
@@ -34,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import zlib
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Any, Sequence, Union
 
 from repro.cluster.simulator import Assignment, Simulation, SimulationResult
 from repro.core.config import (
@@ -47,6 +47,7 @@ from repro.core.config import (
 )
 from repro.core.managers import PowerManager, create_manager
 from repro.workloads.registry import get_workload
+from repro.workloads.spec import WorkloadSpec
 
 __all__ = [
     "ExperimentConfig",
@@ -58,6 +59,7 @@ __all__ = [
     "baseline_job",
     "pair_job",
     "evaluation_jobs",
+    "build",
     "simulate",
 ]
 
@@ -235,64 +237,88 @@ def evaluation_jobs(
     return jobs if run.kind == "baseline" else (*jobs, run)
 
 
+def build(
+    config: ExperimentConfig,
+    workloads: Sequence[str | WorkloadSpec],
+    manager: str,
+    tokens: Sequence[str],
+    *,
+    uncapped: bool = False,
+    target_runs: int | None = None,
+    **simulation_options: Any,
+) -> Simulation:
+    """The one recipe that turns an experiment into a :class:`Simulation`.
+
+    Half *k* of the cluster runs ``workloads[k]`` (a name or a spec); a
+    name placed twice runs its second copy as ``name@1``, since results
+    are keyed by name.  ``uncapped`` budgets 100 % of aggregate TDP, so
+    the cap never binds.  The seed is ``config.derive_seed(*tokens)``,
+    ``target_runs`` defaults to ``config.repeats``, and the
+    ``simulation_options`` go to :class:`Simulation` unchanged.
+    """
+    cluster = config.cluster
+    if uncapped:
+        cluster = dataclasses.replace(cluster, budget_fraction=1.0)
+    specs: list[WorkloadSpec] = []
+    for half, workload in enumerate(workloads):
+        spec = get_workload(workload) if isinstance(workload, str) else workload
+        if any(s.name == spec.name for s in specs):
+            spec = dataclasses.replace(spec, name=f"{spec.name}@{half}")
+        specs.append(spec)
+    return Simulation(
+        cluster_spec=cluster,
+        manager=config.make_manager(manager),
+        assignments=[
+            Assignment(spec=spec, unit_ids=cluster.half_unit_ids(half))
+            for half, spec in enumerate(specs)
+        ],
+        target_runs=config.repeats if target_runs is None else target_runs,
+        sim_config=config.sim,
+        perf_config=config.perf,
+        rapl_config=config.rapl,
+        seed=config.derive_seed(*tokens),
+        **simulation_options,
+    )
+
+
 def simulate(
     config: ExperimentConfig, job: SimJob, record_telemetry: bool = False
 ) -> tuple[JobResult, SimulationResult]:
     """Run one job's simulation from scratch; the result and the raw run.
 
-    A reference is a constant manager on a budget of 100 % of aggregate
-    TDP, so the "cap" never binds — the paper's "average power under no
-    cap" condition.  A pair places workload A on cluster half 0 and B on
-    half 1.
+    A reference is the constant manager on an uncapped cluster (the
+    paper's "average power under no cap"); a pair places workload A on
+    cluster half 0 and B on half 1.
 
     Raises:
         RuntimeError: the simulation hit ``config.sim.max_steps``.
     """
-    spec_a = get_workload(job.workload_a)
-    if job.kind == "reference":
-        cluster = dataclasses.replace(config.cluster, budget_fraction=1.0)
-        specs = [spec_a]
-        seed = config.derive_seed("reference", job.workload_a)
-    else:
-        cluster = config.cluster
-        spec_b = get_workload(job.workload_b)
-        if spec_b.name == spec_a.name:
-            # A self-pair (seven of the high-utility group's 49): the
-            # simulation keys its results by name, so half 1 gets its own.
-            spec_b = dataclasses.replace(spec_b, name=f"{spec_b.name}@1")
-        specs = [spec_a, spec_b]
-        seed = config.derive_seed(job.workload_a, job.workload_b, job.manager)
-    manager = config.make_manager(job.manager)
-    result = Simulation(
-        cluster_spec=cluster,
-        manager=manager,
-        assignments=[
-            Assignment(spec=spec, unit_ids=cluster.half_unit_ids(half))
-            for half, spec in enumerate(specs)
-        ],
-        target_runs=config.repeats,
-        sim_config=config.sim,
-        perf_config=config.perf,
-        rapl_config=config.rapl,
-        seed=seed,
+    reference = job.kind == "reference"
+    sim = build(
+        config,
+        [w for w in (job.workload_a, job.workload_b) if w],
+        job.manager,
+        # A reference seeds from its job tokens; a pair's drop the kind.
+        job.tokens if reference else job.tokens[1:],
+        uncapped=reference,
         record_telemetry=record_telemetry,
-    ).run()
+    )
+    result = sim.run()
     if result.truncated:
-        names = [spec.name for spec in specs]
+        names = [a.spec.name for a in sim.assignments]
         raise RuntimeError(
-            f"simulation of {names} under {manager.name} hit the "
+            f"simulation of {names} under {sim.manager.name} hit the "
             f"{config.sim.max_steps}-step limit; raise max_steps "
             "or time_scale"
         )
-    executions = [result.execution(spec.name) for spec in specs]
-    if job.kind == "reference":
-        (execution,) = executions
+    if reference:
+        (execution,) = result.executions
         stats = ReferenceStats(
             mean_duration_s=execution.mean_duration_s(),
             mean_power_w=execution.mean_power_w(),
         )
         return stats, result
-    exec_a, exec_b = executions
+    exec_a, exec_b = result.executions
     outcome = PairOutcome(
         manager=job.manager,
         workload_a=job.workload_a,

@@ -9,9 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.simulator import Assignment, Simulation
 from repro.comm.protocol import MESSAGE_SIZE_BYTES
-from repro.experiments.harness import ExperimentConfig
+from repro.experiments.jobs import ExperimentConfig, build
 from repro.workloads.registry import get_workload, workload_names
 
 __all__ = [
@@ -50,26 +49,11 @@ class WorkloadRow:
 
 def _constant_cap_duration(name: str, config: ExperimentConfig) -> float:
     """Solo constant-cap run of one workload, full-scale seconds."""
-    sim = Simulation(
-        cluster_spec=config.cluster,
-        manager=config.make_manager("constant"),
-        assignments=[
-            Assignment(
-                spec=get_workload(name),
-                unit_ids=config.cluster.half_unit_ids(0),
-            )
-        ],
-        target_runs=config.repeats,
-        sim_config=config.sim,
-        perf_config=config.perf,
-        rapl_config=config.rapl,
-        seed=config.derive_seed("table", name),
-    )
-    result = sim.run()
+    result = build(config, [name], "constant", ("table", name)).run()
     if result.truncated:
         raise RuntimeError(f"constant-cap run of {name} truncated")
-    mean = result.execution(name).mean_duration_s()
-    return mean / config.sim.time_scale
+    (execution,) = result.executions
+    return execution.mean_duration_s() / config.sim.time_scale
 
 
 def _workload_rows(names: list[str], config: ExperimentConfig) -> list[WorkloadRow]:

@@ -60,3 +60,12 @@ def test_overlapping_kills_of_one_node_are_rejected():
     config = ExperimentConfig(sim=SimulationConfig(time_scale=0.05), repeats=1)
     with pytest.raises(ValueError, match=r"node 1: outage windows \[10.0, 50.0\)"):
         run_chaos_pair(config, "kmeans", "gmm", "dps", chaos)
+
+
+def test_self_pair_runs_its_second_half_as_its_own_workload():
+    config = ExperimentConfig(sim=SimulationConfig(time_scale=0.05), repeats=1)
+    outcome = run_chaos_pair(config, "lr", "lr", "dps", parse_chaos("stuck=0.01"))
+    result = outcome.result
+    assert [e.spec.name for e in result.executions] == ["lr", "lr@1"]
+    assert all(e.runs_completed >= 1 for e in result.executions)
+    assert outcome.budget_respected and not result.truncated

@@ -1,5 +1,6 @@
 """Parallel engine: job list, digests, persistent cache, determinism."""
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -8,6 +9,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.cluster.events import NodeFailureEvent
 from repro.cluster.simulator import Simulation
 from repro.experiments.campaign import Campaign
 from repro.experiments.engine import (
@@ -24,10 +26,13 @@ from repro.experiments.harness import PairOutcome, ReferenceStats
 from repro.experiments.jobs import (
     SimJob,
     baseline_job,
+    build,
     evaluation_jobs,
     pair_job,
     reference_job,
 )
+from repro.powercap.faults import FaultConfig
+from repro.workloads.registry import get_workload
 
 
 def small_campaign(fast_config, **kwargs):
@@ -76,6 +81,51 @@ class TestSimJob:
             reference_job("a"),
             reference_job("b"),
         )
+
+
+class TestBuild:
+    def test_places_each_workload_on_its_half(self, fast_config):
+        sim = build(fast_config, ["kmeans", "gmm"], "dps", ("t",))
+        spec = fast_config.cluster
+        assert [a.spec.name for a in sim.assignments] == ["kmeans", "gmm"]
+        for half, assignment in enumerate(sim.assignments):
+            assert list(assignment.unit_ids) == list(spec.half_unit_ids(half))
+        assert sim.cluster_spec == spec
+        assert sim.manager.name == "dps"
+        assert sim.seed == fast_config.derive_seed("t")
+        assert sim.target_runs == fast_config.repeats
+        assert (sim.sim_config, sim.perf_config, sim.rapl_config) == (
+            fast_config.sim, fast_config.perf, fast_config.rapl
+        )
+
+    def test_a_repeated_name_runs_half_1_as_its_own(self, fast_config):
+        sim = build(fast_config, ["lr", "lr"], "constant", ("t",))
+        names = [a.spec.name for a in sim.assignments]
+        assert names == ["lr", "lr@1"]
+        assert sim.assignments[1].spec.program == get_workload("lr").program
+
+    def test_uncapped_budget_and_target_runs(self, fast_config):
+        sim = build(
+            fast_config, ["lr"], "constant", ("t",), uncapped=True,
+            target_runs=4,
+        )
+        assert sim.cluster_spec.budget_fraction == 1.0
+        assert sim.cluster_spec.n_units == fast_config.cluster.n_units
+        assert sim.target_runs == 4
+
+    def test_takes_a_spec_and_passes_options_through(self, fast_config, tmp_path):
+        spec = dataclasses.replace(get_workload("cg"), sync="min")
+        kill = (NodeFailureEvent(node_id=1, fail_at_s=5.0),)
+        faults = FaultConfig(stuck_prob=0.1)
+        sim = build(
+            fast_config, ["bayes", spec], "slurm", ("a", "b"),
+            failures=kill, fault_config=faults, checkpoint_dir=tmp_path,
+            checkpoint_every=3, record_telemetry=True,
+        )
+        assert sim.assignments[1].spec is spec
+        assert sim.failures == kill and sim.fault_config == faults
+        assert sim.checkpoint_dir == tmp_path and sim.checkpoint_every == 3
+        assert sim.record_telemetry
 
 
 class TestJobDigest:

@@ -1,9 +1,11 @@
-"""The experiment modules import each other at module level, as a DAG.
+"""The experiment modules import each other at module level, as a DAG,
+and build their simulations in one place.
 
 An import of a sibling module hidden inside a function or an
 ``if TYPE_CHECKING:`` block is how a cycle between two modules gets
 papered over; this module parses ``repro.experiments`` and forbids both
-the hiding place and the cycle.
+the hiding place and the cycle.  It also holds every experiment — and
+the CLI — to one recipe for a ``Simulation``: ``jobs.build``.
 """
 
 import ast
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.cli
 import repro.experiments
 
 PACKAGE = "repro.experiments"
@@ -101,3 +104,47 @@ def test_module_level_imports_form_a_dag():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as err:
         pytest.fail(f"import cycle: {' -> '.join(err.args[1])}")
+
+
+#: The constructors only the recipe may call.
+RECIPE_ONLY = ("Simulation", "Assignment")
+
+
+def _constructions(tree: ast.AST) -> list[tuple[str, str, int]]:
+    """``(constructor, enclosing function, line)`` of every call to one of
+    :data:`RECIPE_ONLY`; the function is ``<module>`` outside any."""
+    found: list[tuple[str, str, int]] = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in RECIPE_ONLY:
+                    found.append((name, where, child.lineno))
+            visit(child, inner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_recipe_builds_a_simulation():
+    sources = {**MODULES, "cli": Path(repro.cli.__file__)}
+    calls = [
+        (name, constructor, where, line)
+        for name, path in sources.items()
+        for constructor, where, line in _constructions(
+            ast.parse(path.read_text(encoding="utf-8"))
+        )
+    ]
+    outside = [
+        f"{name}.py:{line} calls {constructor}( in {where}"
+        for name, constructor, where, line in calls
+        if (name, where) != ("jobs", "build")
+    ]
+    assert outside == []
+    # The parse sees the recipe: exactly one construction of each.
+    assert sorted(c for _, c, _, _ in calls) == sorted(RECIPE_ONLY)

@@ -86,15 +86,25 @@ class TestFastCommands:
         ]
         assert row == ["dps", "2", "no", "yes", "1", "1"]
 
-    def test_checkpointed_self_pair_names_the_workload(self, tmp_path):
-        # Results are keyed by workload name, and this path places the
-        # registry's specs as they are (the harness renames half 1).
-        with pytest.raises(ValueError, match="linear: workload assigned twice"):
-            main(
-                ["--time-scale", "0.05", "--repeats", "1",
-                 "pair", "linear", "linear", "--manager", "constant",
-                 "--checkpoint-dir", str(tmp_path)]
-            )
+    def test_checkpointed_self_pair_finishes_and_resumes(self, capsys, tmp_path):
+        # Half 1 runs as linear@1, so both halves keep their own results,
+        # and the session's resume places the pair the same way.
+        head = ["--time-scale", "0.05", "--repeats", "1"]
+        assert main(
+            [*head, "pair", "linear", "linear", "--manager", "dps",
+             "--checkpoint-dir", str(tmp_path)]
+        ) == 0
+        row = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("dps")
+        ).split()
+        assert row[0:2] == ["dps", "2"] and row[3] == "cold"
+        assert row[-1] == "yes"
+        assert main([*head, "resume", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("resumed pair linear/linear")
+        row = next(line for line in out.splitlines() if line.startswith("dps"))
+        assert row.split()[3] == "cycle" and row.split()[-1] == "yes"
 
     def test_campaign_runs_and_writes(self, capsys, tmp_path):
         out_file = tmp_path / "campaign.json"
