@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
             "run the controller checkpointed: journal every cycle and "
             "write durable snapshots under PATH (one subdirectory per "
             "manager); a crashed run continues with `dps-repro resume "
-            "PATH`"
+            "PATH`, under the same --chaos if one was given"
         ),
     )
     pair.add_argument(
@@ -298,15 +298,10 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _cmd_pair(args: argparse.Namespace) -> str:
     managers = tuple(args.manager) if args.manager else ("slurm", "dps")
-    if args.chaos is not None and args.checkpoint_dir is not None:
-        raise SystemExit(
-            "--chaos and --checkpoint-dir cannot be combined (chaos runs "
-            "through the fault-injection path, which owns its own manager)"
-        )
-    if args.chaos is not None:
-        return _cmd_pair_chaos(args, managers)
     if args.checkpoint_dir is not None:
         return _cmd_pair_checkpointed(args, managers, resume=False)
+    if args.chaos is not None:
+        return _cmd_pair_chaos(args, managers)
     harness = ExperimentHarness(_config(args))
     rows = []
     for m in managers:
@@ -380,6 +375,8 @@ def _cmd_pair_checkpointed(
     import json
     from pathlib import Path
 
+    from repro.experiments.chaos import parse_chaos
+
     root = Path(args.checkpoint_dir)
     meta_path = root / "session.json"
     if resume:
@@ -397,25 +394,28 @@ def _cmd_pair_checkpointed(
         args.repeats = meta["repeats"]
         args.seed = meta["seed"]
         checkpoint_every = meta["checkpoint_every"]
+        spec = meta.get("chaos")
     else:
         workload_a = args.workload_a
         workload_b = args.workload_b
         checkpoint_every = args.checkpoint_every
+        spec = args.chaos
+    # Parsed before the session is written, so a bad spec writes none.
+    options = {} if spec is None else parse_chaos(spec).simulation_options()
+    if not resume:
+        session = {
+            "workload_a": workload_a,
+            "workload_b": workload_b,
+            "managers": list(managers),
+            "time_scale": args.time_scale,
+            "repeats": args.repeats,
+            "seed": args.seed,
+            "checkpoint_every": checkpoint_every,
+        }
+        if spec is not None:
+            session["chaos"] = spec
         root.mkdir(parents=True, exist_ok=True)
-        meta_path.write_text(
-            json.dumps(
-                {
-                    "workload_a": workload_a,
-                    "workload_b": workload_b,
-                    "managers": list(managers),
-                    "time_scale": args.time_scale,
-                    "repeats": args.repeats,
-                    "seed": args.seed,
-                    "checkpoint_every": checkpoint_every,
-                }
-            ),
-            encoding="utf-8",
-        )
+        meta_path.write_text(json.dumps(session), encoding="utf-8")
 
     cfg = _config(args)
     rows = []
@@ -426,6 +426,7 @@ def _cmd_pair_checkpointed(
             checkpoint_dir=root / m,
             checkpoint_every=checkpoint_every,
             resume=resume,
+            **options,
         ).run()
         budget_ok = res.max_caps_sum_w <= res.budget_w * (1 + 1e-6)
         completed = sum(e.runs_completed for e in res.executions)
@@ -444,9 +445,10 @@ def _cmd_pair_checkpointed(
             ]
         )
     verb = "resumed" if resume else "checkpointed"
+    under = "" if spec is None else f", chaos {spec}"
     header = (
         f"{verb} pair {workload_a}/{workload_b} "
-        f"(state under {root}, every {checkpoint_every} cycles):"
+        f"(state under {root}, every {checkpoint_every} cycles{under}):"
     )
     table = reporting.render_table(
         [
@@ -849,7 +851,7 @@ def _cmd_list(args: argparse.Namespace) -> str:
     compiled, detail = _native.status()
     lines = [
         "managers: " + ", ".join(available_managers()),
-        f"decision kernels: {'compiled' if compiled else 'python fallback'} "
+        f"kernels: {'compiled' if compiled else 'python fallback'} "
         f"({detail})",
         "workloads:",
     ]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import _native
 from repro.core.config import PerfModelConfig
 
 __all__ = ["progress_rate"]
@@ -41,6 +42,44 @@ def progress_rate(
     cfg = config or PerfModelConfig()
     cap = np.asarray(cap_w, dtype=np.float64)
     demand = np.asarray(demand_w, dtype=np.float64)
+    kernels = _native.kernels()
+    # NumPy's x ** 0.5 is sqrt and x ** 1.0 is x; any other exponent is
+    # its vector power, which the C library's pow does not reproduce.
+    exponent = 1.0 / cfg.theta
+    if (
+        kernels is None
+        or exponent not in (0.5, 1.0)
+        or cap.ndim != 1
+        or cap.shape != demand.shape
+        or not cap.size
+    ):
+        return _progress_rate(cap, demand, cfg)
+    # Both are n float64 by the checks above; the kernel also needs them
+    # adjacent.
+    cap = np.ascontiguousarray(cap)
+    demand = np.ascontiguousarray(demand)
+    rate = np.empty(cap.shape[0])
+    at = _native.address
+    bad = kernels.progress_rate(
+        at(cap),
+        at(demand),
+        at(rate),
+        cap.shape[0],
+        cfg.idle_power_w,
+        exponent == 0.5,
+        cfg.min_rate,
+    )
+    if bad >= 0:
+        raise ValueError("caps and demands must be >= 0")
+    return rate
+
+
+def _progress_rate(
+    cap: np.ndarray, demand: np.ndarray, cfg: PerfModelConfig
+) -> np.ndarray:
+    """:func:`progress_rate` in NumPy passes: the compiled pass's
+    fallback, and the only form for inputs of another shape and for a
+    ``theta`` other than 1 or 2."""
     # "Any element < 0" as one reduction: fmin skips a NaN, as the
     # elementwise comparison does, and ``initial`` covers an empty input.
     if (

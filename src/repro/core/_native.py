@@ -1,11 +1,14 @@
-"""On-demand compiled kernels behind the decision core's per-unit stages.
+"""On-demand compiled kernels behind the per-unit stages of the decision
+core and of the simulated plant.
 
 Five stages of the DPS decision do a few flops per unit behind a
 data-dependent walk or a chain of whole-array temporaries: the batched
 prominent-peak counter, Algorithm 1's decrease pass and random-order
 increase walk, the scalar Kalman update, Algorithm 2's flag transitions
-and the elementwise passes of Algorithm 4's water-fill.  This module
-compiles ``_peaks_kernel.c`` (C versions of the per-unit definitions, held
+and the elementwise passes of Algorithm 4's water-fill.  The plant's
+interval is three more such chains: the RAPL bank's lag-and-energy step,
+the cap-to-performance model and the meter read.  This module compiles
+``_peaks_kernel.c`` (C versions of the per-unit definitions, held
 bit-exact by the equivalence suite) with the system C compiler the first
 time a kernel is requested, caches the shared object under a hash of the
 source and the host CPU, and exposes the entry points through ctypes.
@@ -16,9 +19,12 @@ call site (:func:`repro.core.peaks.fill_features`,
 :func:`repro.core.stateless.mimd_step`,
 :meth:`repro.core.kalman.KalmanBank.update`,
 :meth:`repro.core.priority.PriorityModule.update`,
-:func:`repro.core.readjust.readjust`) runs its Python/NumPy fallback,
-which returns the same bits.  :func:`status` says which of the two this
-process runs, and why.
+:func:`repro.core.readjust.readjust`,
+:meth:`repro.powercap.rapl.RaplBank.step`,
+:meth:`repro.powercap.rapl.RaplBank.read_powers_w`,
+:func:`repro.cluster.perfmodel.progress_rate`) runs its Python/NumPy
+fallback, which returns the same bits.  :func:`status` says which of the
+two this process runs, and why.
 
 Environment:
     ``REPRO_NATIVE_CACHE``: directory the compiled ``.so`` is cached in
@@ -48,6 +54,7 @@ __all__ = [
     "MAX_HISTORY",
     "Kernels",
     "Pinned",
+    "address",
     "kernels",
     "peak_features",
     "status",
@@ -85,6 +92,23 @@ class Kernels(NamedTuple):
     fill_weights: Callable
     fill_grant: Callable
     fill_retire: Callable
+    rapl_step: Callable
+    progress_rate: Callable
+    meter_read: Callable
+
+
+def address(arr: np.ndarray) -> int:
+    """``arr.ctypes.data`` of a C-contiguous array, at a quarter of the cost.
+
+    ``arr.ctypes`` builds a helper object in Python on every access (about
+    1.2 µs, as much as a 20-unit kernel call); a ctypes view of the
+    array's buffer costs 0.3 µs.  A read-only array exports no writable
+    buffer and takes the slow road.
+    """
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+    except TypeError:
+        return arr.ctypes.data
 
 
 class Pinned:
@@ -236,6 +260,9 @@ _SIGNATURES = {
     "repro_fill_weights": (None, [_P, _P, _L]),
     "repro_fill_grant": (None, [_P, _P, _L, _D, _D, _D]),
     "repro_fill_retire": (_L, [_P, _P, _P, _L, _D]),
+    "repro_rapl_step": (_L, [_P, _P, _P, _P, _L, _D, _D]),
+    "repro_progress_rate": (_L, [_P, _P, _P, _L, _D, ctypes.c_int, _D]),
+    "repro_meter_read": (_L, [_P, _P, _P, _P, _P, _L, ctypes.c_int64, _D]),
 }
 
 
@@ -257,7 +284,7 @@ def _load() -> tuple[Kernels | None, str]:
         raws = [getattr(lib, name) for name in _SIGNATURES]
     except (_Unavailable, OSError, AttributeError) as why:
         warnings.warn(
-            "decision kernels unavailable, running the Python fallback "
+            "kernels unavailable, running the Python fallback "
             f"(same results, slower at scale): {why}",
             RuntimeWarning,
             stacklevel=3,

@@ -1,6 +1,7 @@
 /* The per-unit stages of the DPS decision core: peak/std features here,
  * Algorithm 1, the Kalman bank, Algorithm 2's flags and Algorithm 4's
- * water-fill passes at the end.
+ * water-fill passes after them, and the simulated plant's interval (RAPL
+ * step, progress rate, meter read) at the end.
  *
  * Compiled on demand by repro.core._native (cc -O3 -shared); when no C
  * compiler is available, repro.core.peaks.fill_features runs the Python
@@ -85,6 +86,8 @@
 #include <stdint.h>
 #define REPRO_MAX_H 64
 #define REPRO_BLOCK 128
+/* Samples per prefetched noise block (repro.powercap.rapl.NOISE_BLOCK). */
+#define REPRO_NOISE_BLOCK 64
 /* Columns counted side by side: what one vector register of the build
  * target holds.  A pack wider than the registers spills its state: eight
  * lanes on AVX2 measured twice the time of a scalar walk. */
@@ -389,4 +392,126 @@ long repro_fill_retire(double *caps, long *unit, double *c, long k,
         kept += v < ceiling;
     }
     return kept;
+}
+
+/* The simulated plant's per-unit interval: the RAPL bank's step and meter
+ * read (repro.powercap.rapl.RaplBank) and the cap-to-performance model
+ * (repro.cluster.perfmodel.progress_rate).  Each pass transcribes its
+ * NumPy fallback operation for operation and validates what the fallback
+ * validates before it writes anything, returning the index of the first
+ * rejected unit (-1: none) so the caller raises the fallback's message.
+ * Pointers are the caller's, already offset to the first unit of the
+ * range; no pass draws a number: the meter read returns early and lets
+ * the caller refill a spent noise block. */
+
+/* The bank's step: true power relaxes toward min(demand, cap) through the
+ * lag factor alpha, is clipped to [0, cap], and the energy integral takes
+ * the trapezoid of the interval.  Every min and max is Python's
+ * min(a, b) / max(a, b) (the first argument keeps a tie, a NaN first
+ * argument stays), as the fallback's selects and the scalar RaplDomain.step
+ * are.  A demand below 0 rejects the call unless some demand is NaN:
+ * the fallback's demand.min() < 0 is NaN then. */
+long repro_rapl_step(const double *demand, const double *cap, double *power,
+                     double *energy, long n, double alpha, double dt) {
+    long bad = -1;
+    int nan = 0;
+    for (long u = 0; u < n; u++) {
+        double d = demand[u];
+        nan |= d != d;
+        if (bad < 0 && d < 0.0)
+            bad = u;
+    }
+    if (bad >= 0 && !nan)
+        return bad;
+    for (long u = 0; u < n; u++) {
+        double d = demand[u], c = cap[u], old = power[u];
+        double x = c < d ? c : d;
+        x -= old;
+        x *= alpha;
+        x += old;
+        x = c < x ? c : x;
+        x = x < 0.0 ? 0.0 : x;
+        double e = old + x;
+        e *= 0.5;
+        e *= dt;
+        e *= 1e6;
+        energy[u] += e;
+        power[u] = x;
+    }
+    return -1;
+}
+
+/* NumPy's maximum/minimum of two doubles: a NaN operand is returned, the
+ * first one if both are.  Which zero a 0.0/-0.0 tie returns is left open
+ * here as there; progress_rate's outputs do not depend on it (a zero
+ * ratio ends clipped at min_rate > 0). */
+static inline double np_max(double a, double b) {
+    return a != a ? a : b != b ? b : a > b ? a : b;
+}
+static inline double np_min(double a, double b) {
+    return a != a ? a : b != b ? b : a < b ? a : b;
+}
+
+/* The progress rate of a capped unit, ((cap - idle) / (demand - idle)) **
+ * (1 / theta) when demand exceeds max(cap, idle), else 1, clipped to
+ * [min_rate, 1].  Only the two exponents NumPy computes exactly are
+ * compiled: root != 0 is theta = 2 (NumPy's x ** 0.5 is sqrt), root == 0
+ * is theta = 1 (x ** 1.0 is x); the caller keeps any other theta in NumPy.
+ * A cap or demand below 0 rejects the call; a NaN is not below 0, as in
+ * the fallback's np.fmin.reduce test. */
+long repro_progress_rate(const double *cap, const double *demand,
+                         double *rate, long n, double idle, int root,
+                         double min_rate) {
+    for (long u = 0; u < n; u++)
+        if (cap[u] < 0.0 || demand[u] < 0.0)
+            return u;
+    for (long u = 0; u < n; u++) {
+        double c = cap[u], d = demand[u];
+        double r = np_min(np_max(c - idle, 0.0) / np_max(d - idle, 1e-9), 1.0);
+        if (root)
+            r = sqrt(r);
+        r = d <= np_max(c, idle) ? 1.0 : r;
+        /* ndarray.clip: a NaN stays, the bounds are not zeros. */
+        r = r != r ? r : r > min_rate ? r : min_rate;
+        rate[u] = r != r ? r : r < 1.0 ? r : 1.0;
+    }
+    return -1;
+}
+
+/* The bank's meter read: the wrapping counter (energy % wrap as NumPy's
+ * float remainder for wrap > 0, truncated to int64), its difference from
+ * the cursor with one wrap added back, the average power over dt, the
+ * unit's next prefetched noise sample (block NULL: no noise), and a floor
+ * at 0 as Python's max(power, 0.0).  block is the range's (n, 64) rows,
+ * at the cursor into each.  A spent block (at == 64) anywhere in the
+ * range returns its unit before anything is written; the caller refills
+ * and calls again.  Integer arithmetic wraps as NumPy's does. */
+long repro_meter_read(const double *energy, int64_t *meter,
+                      const double *block, long *at, double *out, long n,
+                      int64_t wrap_uj, double dt) {
+    if (block)
+        for (long u = 0; u < n; u++)
+            if (at[u] == REPRO_NOISE_BLOCK)
+                return u;
+    double wrap = (double)wrap_uj;
+    for (long u = 0; u < n; u++) {
+        /* Python's remainder takes the divisor's sign: fmod's plus the
+         * divisor where fmod's is negative.  The sign of a zero is lost
+         * in the cast. */
+        double w = fmod(energy[u], wrap);
+        w = w < 0.0 ? w + wrap : w;
+        int64_t now = (int64_t)w;
+        int64_t delta = (int64_t)((uint64_t)now - (uint64_t)meter[u]);
+        if (delta < 0)
+            delta = (int64_t)((uint64_t)delta + (uint64_t)wrap_uj);
+        meter[u] = now;
+        double p = (double)delta / dt;
+        p *= 1e-6;
+        if (block) {
+            p += block[u * REPRO_NOISE_BLOCK + at[u]];
+            at[u] += 1;
+        }
+        out[u] = p < 0.0 ? 0.0 : p;
+    }
+    return -1;
 }

@@ -33,6 +33,16 @@ class ChaosSpec:
     faults: FaultConfig = field(default_factory=FaultConfig)
     failures: tuple[NodeFailureEvent, ...] = ()
 
+    def simulation_options(self) -> dict:
+        """The :class:`~repro.cluster.simulator.Simulation` options that
+        inject it (no meter faults at all when every probability is 0)."""
+        return {
+            "fault_config": (
+                self.faults if self.faults != FaultConfig() else None
+            ),
+            "failures": self.failures,
+        }
+
 
 def parse_chaos(spec: str) -> ChaosSpec:
     """Parse a ``--chaos`` spec string.
@@ -124,8 +134,7 @@ def run_chaos_pair(
     result = build(
         config, [workload_a, workload_b], manager_name,
         ("chaos", workload_a, workload_b, manager_name),
-        fault_config=chaos.faults if chaos.faults != FaultConfig() else None,
-        failures=chaos.failures,
+        **chaos.simulation_options(),
     ).run()
     budget_ok = bool(
         np.isfinite(result.max_caps_sum_w)

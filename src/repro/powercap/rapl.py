@@ -32,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core import _native
 from repro.core.config import RaplConfig
 from repro.powercap.faults import FaultConfig
 from repro.recovery.state import make_rng, rng_state, rng_state_doc
@@ -169,6 +170,23 @@ class RaplBank:
         self._has_last = np.zeros(n_units, dtype=bool)
         self._rolls: _Prefetch | None = None  # Built by the first set.
         self.faults_injected = np.zeros(n_units, dtype=np.int64)
+        # The compiled step and meter read write these arrays through
+        # their addresses, so each is only ever written in place; a
+        # reading is assembled in ``_reading`` and handed out as a copy.
+        self._reading = np.empty(n_units)
+        noise = () if self._noise is None else (
+            self._noise.block, self._noise.at
+        )
+        self._pinned = _native.Pinned(
+            self.cap_w, self.power_w, self.energy_uj, self.meter_uj,
+            self._reading, *noise,
+        )
+
+    def _range(self, span: slice) -> tuple[int, int] | None:
+        """``(first unit, count)`` of a non-empty step-1 span, else None
+        (the compiled passes take one offset and one length)."""
+        start, stop, stride = span.indices(self.n_units)
+        return (start, stop - start) if stride == 1 and stop > start else None
 
     # -- physics -------------------------------------------------------
 
@@ -193,6 +211,41 @@ class RaplBank:
         cap = self.cap_w[span]
         if demand.shape != cap.shape:
             raise ValueError(f"demand shape {demand.shape} != {cap.shape}")
+        kernels = _native.kernels()
+        # A bad dt_s takes the fallback, which checks the demand first.
+        where = None if kernels is None or not dt_s > 0 else self._range(span)
+        if where is None:
+            return self._step(demand, cap, dt_s, span)
+        start, n = where
+        alpha = 1.0 - math.exp(-dt_s / self.config.lag_tau_s)
+        # demand is n float64 by the check above; the kernel also needs
+        # them adjacent.
+        demand = np.ascontiguousarray(demand)
+        cap_at, power_at, energy_at = self._pinned.at[:3]
+        off = 8 * start
+        bad = kernels.rapl_step(
+            _native.address(demand), cap_at + off, power_at + off,
+            energy_at + off, n, alpha, dt_s,
+        )
+        if bad >= 0:
+            raise ValueError(f"demand_w must be >= 0, got {demand[bad]}")
+        return self.power_w[start:start + n].copy()
+
+    def _step(
+        self,
+        demand: np.ndarray,
+        cap: np.ndarray,
+        dt_s: float,
+        span: slice,
+    ) -> np.ndarray:
+        """:meth:`step` in NumPy passes (the compiled step's fallback).
+
+        Every min and max is Python's, as in the scalar form: each one
+        takes the second argument only where it is strictly beyond the
+        first, so the first keeps a tie (``np.minimum``/``np.maximum``
+        do not promise which zero a ``-0.0``/``0.0`` tie returns) and a
+        NaN.
+        """
         if demand.min() < 0:
             raise ValueError(
                 f"demand_w must be >= 0, got {demand[demand < 0][0]}"
@@ -201,12 +254,12 @@ class RaplBank:
             raise ValueError(f"dt_s must be > 0, got {dt_s}")
         old = self.power_w[span]
         alpha = 1.0 - math.exp(-dt_s / self.config.lag_tau_s)
-        new = np.minimum(demand, cap)
-        new -= old
+        new = demand - old  # min(demand, cap) - old
+        np.subtract(cap, old, out=new, where=cap < demand)
         new *= alpha
         new += old
-        np.minimum(new, cap, out=new)
-        np.maximum(new, 0.0, out=new)
+        np.minimum(new, cap, out=new, where=cap < new)
+        np.maximum(new, 0.0, out=new, where=new < 0.0)
         # Same operation order as the scalar form, one rounding each.
         energy = old + new
         energy *= 0.5
@@ -252,6 +305,37 @@ class RaplBank:
         """
         if dt_s <= 0:
             raise ValueError(f"dt_s must be > 0, got {dt_s}")
+        kernels = _native.kernels()
+        where = None if kernels is None else self._range(span)
+        if where is None:
+            power = self._read(dt_s, span)
+        else:
+            start, n = where
+            energy_at, meter_at, reading_at, *noise_at = self._pinned.at[2:]
+            off = 8 * start
+            block_at = at_at = None
+            if noise_at:
+                block_at = noise_at[0] + off * NOISE_BLOCK
+                at_at = noise_at[1] + off
+            args = (
+                energy_at + off, meter_at + off, block_at, at_at,
+                reading_at + off, n, self.config.counter_wrap_uj, dt_s,
+            )
+            if kernels.meter_read(*args) >= 0:
+                # A block ran out: draw what the range needs, read again.
+                at = self._noise.at[start:start + n]
+                spent = np.flatnonzero(at == NOISE_BLOCK) + start
+                self._noise.refill(spent.tolist())
+                kernels.meter_read(*args)
+            power = self._reading[start:start + n].copy()
+        if self._n_faulty:
+            self._apply_faults(power, span)
+        return power
+
+    def _read(self, dt_s: float, span: slice) -> np.ndarray:
+        """The healthy readings of :meth:`read_powers_w` in NumPy passes
+        (the compiled read's fallback); the floor at 0 is Python's
+        ``max(power, 0.0)``, as in the step."""
         now = self.read_energy_uj(span)
         delta = now - self.meter_uj[span]
         # Counter wrapped between reads (rare: ask before masking).
@@ -262,9 +346,7 @@ class RaplBank:
         power *= 1e-6
         if self._noise is not None:
             power += self._noise.take(self._units[span])
-        np.maximum(power, 0.0, out=power)
-        if self._n_faulty:
-            self._apply_faults(power, span)
+        np.maximum(power, 0.0, out=power, where=power < 0.0)
         return power
 
     # -- measurement faults --------------------------------------------

@@ -15,7 +15,9 @@ They are test fixtures, not product: nothing in ``src/`` can select them.
 kernel off, the NumPy fallbacks and the Python peak walk on);
 :func:`loop_core` additionally swaps the walks in for the fallbacks.  Both
 are context managers rather than fixtures so they can wrap a single
-Hypothesis example.  :func:`overlap` picks, at any size, which of its
+Hypothesis example.  :func:`outcome` makes a call's result comparable
+across them, and :func:`counting` records the calls of one compiled
+entry point.  :func:`overlap` picks, at any size, which of its
 two orders ``mimd_step`` runs the draw and ``alongside`` in.
 """
 
@@ -126,6 +128,37 @@ def no_native():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_native, "_cache", {"resolved": True, "fn": None})
         yield
+
+
+def outcome(call) -> tuple:
+    """What ``call()`` did, comparable across paths: the dtype, shape and
+    bytes of the array it returned, or the text of its ValueError."""
+    try:
+        out = np.asarray(call())
+    except ValueError as exc:
+        return ("raised", str(exc))
+    return ("returned", out.dtype, out.shape, out.tobytes())
+
+
+@contextlib.contextmanager
+def counting(name: str):
+    """Record the arguments of every call of the compiled entry point
+    ``name`` (a field of ``_native.Kernels``); none are made, and none
+    are recorded, on a host without the kernels."""
+    calls: list[tuple] = []
+    found = _native.kernels()
+    if found is None:
+        yield calls
+        return
+    raw = getattr(found, name)
+
+    def counted(*args):
+        calls.append(args)
+        return raw(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(_native._cache, "fn", found._replace(**{name: counted}))
+        yield calls
 
 
 @contextlib.contextmanager

@@ -11,9 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
+from repro.core import _native
 from repro.core.config import ClusterSpec, RaplConfig
 from repro.powercap.actuator import CapActuator
+from repro.powercap.faults import FaultConfig
 from repro.powercap.rapl import NOISE_BLOCK, RaplBank, RaplDomain, bank_span
+from tests.core import oracles
 from tests.powercap.oracles import OracleActuator, OracleCluster
 
 #: Caps whose microwatt quantisation or clamp is an edge: round-half-even
@@ -344,3 +347,256 @@ def test_threads_on_disjoint_ranges_of_one_bank_lose_no_update():
             == bits(getattr(serial.bank, column))
         ).all()
     assert shared.bank.meter_uj.tolist() == serial.bank.meter_uj.tolist()
+
+
+# -- compiled passes = NumPy fallback -----------------------------------
+
+WRAPS = (150_000_000, 262_143_328_850)
+
+
+def twin_banks(n_units, rapl, min_cap_w, seed):
+    """Two banks in the same state: one for each path."""
+    banks = []
+    for _ in range(2):
+        bank = RaplBank(n_units, 165.0, min_cap_w, rapl, 12.0)
+        rngs = np.random.default_rng(seed).spawn(n_units)
+        for index, rng in enumerate(rngs):
+            bank.attach_meter(index, rng)
+        banks.append(bank)
+    return banks
+
+
+def bank_bytes(bank):
+    """Every array the passes or the faults write, as bytes."""
+    arrays = [
+        bank.cap_w, bank.power_w, bank.energy_uj, bank.meter_uj,
+        bank.faults_injected, bank._last_w, bank._has_last,
+    ]
+    noise = bank._noise
+    if noise is not None:
+        # Rows never drawn are uninitialised memory.
+        drawn = [i for i, src in enumerate(noise.source) if src is not None]
+        arrays += [noise.block[drawn], noise.at]
+    return [arr.tobytes() for arr in arrays]
+
+
+def on_both(compiled, fallback, call):
+    """``call(bank)`` on the compiled path and on the fallback: the same
+    bytes out, or the same ValueError, and the same state after."""
+    got = oracles.outcome(lambda: call(compiled))
+    with oracles.no_native():
+        assert oracles.outcome(lambda: call(fallback)) == got
+    assert bank_bytes(compiled) == bank_bytes(fallback)
+    return got
+
+
+def draw_span(draw, n_units):
+    """The whole bank (either spelling) or a non-empty range of it."""
+    kind = draw.random()
+    if kind < 0.3:
+        return slice(None)
+    if kind < 0.4:
+        return slice(0, n_units)
+    start = int(draw.integers(n_units))
+    return slice(start, int(draw.integers(start + 1, n_units + 1)))
+
+
+def draw_demand(draw, bank, span):
+    """Demands with zeros of both signs, ties with the cap, the cap
+    bounds and the idle floor among uniform draws."""
+    cap = bank.cap_w[span]
+    n = cap.size
+    edge = np.array(
+        [0.0, -0.0, bank.min_power_w, bank.max_power_w, 12.0, 1e-300]
+    )
+    pick = draw.random(n)
+    return np.where(
+        pick < 0.25, cap,
+        np.where(pick < 0.45, draw.choice(edge, n),
+                 draw.uniform(0.0, 200.0, n)),
+    )
+
+
+class TestCompiledStepLockstep:
+    """``RaplBank.step``: the compiled pass writes the bytes the NumPy
+    passes write, on any range, and rejects what they reject."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_units=st.integers(1, 40),
+        min_cap_w=st.sampled_from([0.0, 30.0]),
+        dt=st.sampled_from([1.0, 0.5, 2.0, 1e-3]),
+        cycles=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_range_any_demand(self, n_units, min_cap_w, dt, cycles, seed):
+        rapl = RaplConfig(noise_std_w=0.0, lag_tau_s=0.8)
+        compiled, fallback = twin_banks(n_units, rapl, min_cap_w, seed)
+        draw = np.random.default_rng(seed)
+        edge_caps = np.array([-0.0, 0.0, min_cap_w, 165.0, -5.0, 500.0])
+        for _ in range(cycles):
+            caps = np.where(
+                draw.random(n_units) < 0.3,
+                draw.choice(edge_caps, n_units),
+                draw.uniform(0.0, 200.0, n_units),
+            )
+            signed_zero = draw.random() < 0.1
+            for bank in (compiled, fallback):
+                bank.set_caps_w(caps)
+                if signed_zero:
+                    bank.power_w[:] = -0.0  # A restore may write any zero.
+            span = draw_span(draw, n_units)
+            demand = draw_demand(draw, compiled, span)
+            on_both(compiled, fallback, lambda b: b.step(demand, dt, span))
+
+    def test_the_compiled_pass_runs_once_per_call(self):
+        compiled, fallback = twin_banks(5, RaplConfig(), 30.0, 1)
+        with oracles.counting("rapl_step") as calls:
+            on_both(compiled, fallback, lambda b: b.step(np.full(2, 90.0),
+                                                         1.0, slice(1, 3)))
+        assert len(calls) == (0 if _native.kernels() is None else 1)
+
+    @pytest.mark.parametrize(
+        "demand, message",
+        [
+            ([100.0, -1.0, -2.0], "demand_w must be >= 0, got -1.0"),
+            ([-0.5, 100.0, 100.0], "demand_w must be >= 0, got -0.5"),
+            ([-np.inf, 0.0, 1.0], "demand_w must be >= 0, got -inf"),
+        ],
+    )
+    def test_a_negative_demand_is_rejected_alike(self, demand, message):
+        compiled, fallback = twin_banks(4, RaplConfig(), 30.0, 2)
+        for span in (slice(None, 3), slice(1, 4)):
+            got = on_both(
+                compiled, fallback,
+                lambda b: b.step(np.array(demand), 1.0, span),
+            )
+            assert got == ("raised", message)
+
+    def test_a_nan_demand_passes_the_check_alike(self):
+        # demand.min() is NaN then, and NaN < 0 is false: nothing raises,
+        # and the NaN unit's power and energy go NaN on both paths.
+        compiled, fallback = twin_banks(3, RaplConfig(), 30.0, 3)
+        demand = np.array([-1.0, np.nan, 50.0])
+        got = on_both(compiled, fallback, lambda b: b.step(demand, 1.0))
+        assert got[0] == "returned"
+        assert np.isnan(compiled.power_w[1])
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, -1e300])
+    def test_a_bad_interval_is_rejected_alike(self, dt):
+        compiled, fallback = twin_banks(2, RaplConfig(), 30.0, 4)
+        got = on_both(compiled, fallback, lambda b: b.step(np.ones(2), dt))
+        assert got == ("raised", f"dt_s must be > 0, got {dt}")
+        got = on_both(
+            compiled, fallback, lambda b: b.step(np.array([1.0, -1.0]), dt)
+        )
+        assert got == ("raised", "demand_w must be >= 0, got -1.0")
+
+
+class TestCompiledMeterLockstep:
+    """``RaplBank.read_powers_w``: the compiled read returns and leaves
+    the bytes the NumPy passes do, across noise-block refills, counter
+    wraps and faults on part of the bank."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_units=st.integers(1, 40),
+        noise_std_w=st.sampled_from([0.0, 1.5, 40.0]),
+        counter_wrap_uj=st.sampled_from(WRAPS),
+        dt=st.sampled_from([1.0, 0.3, 2.0]),
+        cycles=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_range_any_block_position(
+        self, n_units, noise_std_w, counter_wrap_uj, dt, cycles, seed
+    ):
+        rapl = RaplConfig(
+            noise_std_w=noise_std_w, counter_wrap_uj=counter_wrap_uj
+        )
+        compiled, fallback = twin_banks(n_units, rapl, 30.0, seed)
+        draw = np.random.default_rng(seed)
+        for _ in range(cycles):
+            demand = draw.uniform(0.0, 200.0, n_units)
+            for bank in (compiled, fallback):
+                bank.step(demand, dt)
+            roll = draw.random()
+            if roll < 0.1 and noise_std_w > 0:
+                # Put every unit at 63, 64 or anywhere in its block.
+                at = draw.choice([0, 1, 62, 63, 64], n_units)
+                for bank in (compiled, fallback):
+                    bank._noise.refill(range(n_units))
+                    bank._noise.at[:] = at
+            elif roll < 0.2:
+                span = draw_span(draw, n_units)
+                n = compiled.cap_w[span].size
+                config = FaultConfig(
+                    stuck_prob=0.2, dropout_prob=0.2, spike_prob=0.2
+                )
+                rng_seed = int(draw.integers(2**32))
+                for bank in (compiled, fallback):
+                    rngs = np.random.default_rng(rng_seed).spawn(n)
+                    bank.set_faults(config, rngs, span)
+            elif roll < 0.25:
+                for bank in (compiled, fallback):
+                    bank.set_faults(None)
+            span = draw_span(draw, n_units)
+            on_both(compiled, fallback, lambda b: b.read_powers_w(dt, span))
+
+    @pytest.mark.parametrize(
+        "at, passes",
+        [
+            ([63, 63, 63, 63], 1),  # The last sample of every block.
+            ([64, 64, 64, 64], 2),  # Every block spent.
+            ([0, 64, 63, 64], 2),  # Mixed: two refills, two reads on.
+            ([63, 0, 1, 62], 1),
+        ],
+    )
+    def test_the_refill_boundary(self, at, passes):
+        compiled, fallback = twin_banks(6, RaplConfig(noise_std_w=2.0), 30.0, 5)
+        for bank in (compiled, fallback):
+            bank.step(np.full(6, 120.0), 1.0)
+            bank._noise.refill(range(6))
+            bank._noise.at[1:5] = at
+        with oracles.counting("meter_read") as calls:
+            on_both(compiled, fallback, lambda b: b.read_powers_w(1.0, slice(1, 5)))
+        assert len(calls) == (0 if _native.kernels() is None else passes)
+        # Refilled units restart their block; the others moved on by one.
+        want = [0 if a == NOISE_BLOCK else a for a in at]
+        assert compiled._noise.at[1:5].tolist() == [a + 1 for a in want]
+
+    def test_a_counter_wrap_between_reads(self):
+        rapl = RaplConfig(noise_std_w=0.0, counter_wrap_uj=150_000_000)
+        compiled, fallback = twin_banks(3, rapl, 30.0, 6)
+        for bank in (compiled, fallback):
+            bank.energy_uj[:] = [149_000_000.0, 10.0, 149_999_999.5]
+            bank.rebaseline()
+            bank.step(np.array([120.0, 50.0, 165.0]), 1.0)
+        got = on_both(compiled, fallback, lambda b: b.read_powers_w(1.0))
+        assert got[0] == "returned"
+        assert (compiled.meter_uj < 150_000_000).all()
+        assert (compiled.energy_uj > 150_000_000).tolist() == [True, False, True]
+
+    def test_a_negative_counter_reads_as_the_float_remainder(self):
+        # No step makes one, but a restored document can hold it: the
+        # counter is NumPy's energy % wrap, which takes the wrap's sign.
+        rapl = RaplConfig(noise_std_w=0.0, counter_wrap_uj=150_000_000)
+        compiled, fallback = twin_banks(4, rapl, 30.0, 10)
+        for bank in (compiled, fallback):
+            bank.energy_uj[:] = [-1.0, -150_000_001.5, -0.0, -7e20]
+        got = on_both(compiled, fallback, lambda b: b.read_powers_w(1.0))
+        assert got[0] == "returned"
+        assert compiled.meter_uj.min() >= 0
+
+    def test_faults_on_part_of_the_bank_follow_the_healthy_read(self):
+        compiled, fallback = twin_banks(8, RaplConfig(), 30.0, 7)
+        config = FaultConfig(stuck_prob=0.3, dropout_prob=0.3, spike_prob=0.3)
+        for bank in (compiled, fallback):
+            bank.set_faults(config, np.random.default_rng(8).spawn(3), slice(2, 5))
+        for cycle in range(2 * NOISE_BLOCK + 3):
+            for bank in (compiled, fallback):
+                bank.step(np.full(8, 100.0 + cycle % 7), 1.0)
+            span = (slice(None), slice(1, 6), slice(3, 4))[cycle % 3]
+            on_both(compiled, fallback, lambda b: b.read_powers_w(1.0, span))
+        assert compiled.faults_injected[2:5].sum() > 0
+        assert compiled.faults_injected[[0, 1, 5, 6, 7]].sum() == 0
+

@@ -1,5 +1,7 @@
 """CLI parser and the fast subcommands."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -47,11 +49,11 @@ class TestFastCommands:
         compiled, detail = _native.status()
         assert main(["list"]) == 0
         mode = "compiled" if compiled else "python fallback"
-        assert f"decision kernels: {mode} ({detail})" in capsys.readouterr().out
+        assert f"kernels: {mode} ({detail})" in capsys.readouterr().out
         with no_native():
             assert main(["list"]) == 0
         assert (
-            "decision kernels: python fallback (switched off)"
+            "kernels: python fallback (switched off)"
             in capsys.readouterr().out
         )
 
@@ -165,12 +167,54 @@ class TestFastCommands:
         with pytest.raises(SystemExit, match="resumable"):
             main(["resume", str(tmp_path / "nope")])
 
-    def test_pair_rejects_chaos_with_checkpointing(self, tmp_path):
-        with pytest.raises(SystemExit, match="chaos"):
+    def test_checkpointed_chaos_pair_finishes_and_resumes(
+        self, capsys, tmp_path
+    ):
+        # The session keeps the spec, so resume runs under it again.
+        head = ["--time-scale", "0.05", "--repeats", "1"]
+        spec = "stuck=0.05,dropout=0.05,spike=0.02,kill=1@5-15"
+        assert main(
+            [*head, "pair", "kmeans", "gmm", "--manager", "dps",
+             "--chaos", spec, "--checkpoint-dir", str(tmp_path)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0].endswith(f"chaos {spec}):")
+        row = next(line for line in out.splitlines() if line.startswith("dps"))
+        assert row.split()[3] == "cold" and row.split()[-1] == "yes"
+        session = json.loads((tmp_path / "session.json").read_text())
+        assert session["chaos"] == spec
+        assert main([*head, "resume", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("resumed pair kmeans/gmm")
+        assert out.splitlines()[0].endswith(f"chaos {spec}):")
+        row = next(line for line in out.splitlines() if line.startswith("dps"))
+        assert row.split()[3] == "cycle" and row.split()[-1] == "yes"
+
+    def test_a_session_without_chaos_keeps_its_old_document(self, tmp_path):
+        assert main(
+            ["--time-scale", "0.05", "--repeats", "1",
+             "pair", "sort", "wordcount", "--manager", "constant",
+             "--checkpoint-dir", str(tmp_path)]
+        ) == 0
+        assert (tmp_path / "session.json").read_text() == json.dumps(
+            {
+                "workload_a": "sort",
+                "workload_b": "wordcount",
+                "managers": ["constant"],
+                "time_scale": 0.05,
+                "repeats": 1,
+                "seed": 42,
+                "checkpoint_every": 10,
+            }
+        )
+
+    def test_a_bad_chaos_spec_starts_no_session(self, tmp_path):
+        with pytest.raises(ValueError, match="key=value"):
             main(
                 ["pair", "sort", "wordcount", "--chaos", "flaky_nodes",
-                 "--checkpoint-dir", str(tmp_path)]
+                 "--checkpoint-dir", str(tmp_path / "s")]
             )
+        assert not (tmp_path / "s").exists()
 
     def test_module_entry_point(self):
         import subprocess
