@@ -7,7 +7,6 @@ from repro.cluster.calibration import (
     observe_rates,
 )
 from repro.cluster.cluster import Cluster
-from repro.cluster.events import Event, EventLog
 from repro.cluster.node import Node, Socket
 from repro.cluster.perfmodel import progress_rate
 from repro.cluster.simulator import Assignment, Simulation, SimulationResult
@@ -16,8 +15,6 @@ __all__ = [
     "Assignment",
     "CalibrationResult",
     "Cluster",
-    "Event",
-    "EventLog",
     "Node",
     "Observation",
     "Simulation",

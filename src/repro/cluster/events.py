@@ -1,33 +1,16 @@
-"""Structured event log of a simulation run.
+"""The simulator's outage schedule.
 
-The paper's artifact logs "the start time, end time, and throughput time of
-each workload" alongside the per-cycle power data; this module is the
-structured half of that log (the per-cycle half lives in
-:mod:`repro.telemetry.log`).
+A run's events themselves are :class:`~repro.telemetry.log.ResilienceEvent`
+records in the run's one :class:`~repro.telemetry.log.ResilienceEventLog`;
+this module holds only the input that schedules node outages.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
-__all__ = ["Event", "EventLog", "EventKind", "NodeFailureEvent"]
-
-EventKind = str
-
-#: Recognized event kinds.
-EVENT_KINDS = (
-    "run_started",
-    "run_completed",
-    "caps_restored",
-    "budget_violation",
-    "simulation_truncated",
-    "node_failed",
-    "node_recovered",
-    "safe_mode_entered",
-    "safe_mode_exited",
-)
+__all__ = ["NodeFailureEvent"]
 
 
 @dataclass(frozen=True)
@@ -38,7 +21,9 @@ class NodeFailureEvent:
     their meters read as dropouts (exactly 0.0 W) — the same signature a
     dead host leaves in real telemetry.  On recovery the node resumes from
     cold (idle power, lagging back up under its workload's demand).  The
-    windows ``[fail_at_s, recover_at_s)`` of one node must not overlap.
+    windows ``[fail_at_s, recover_at_s)`` of one node must not overlap,
+    and both times must fall on the simulation's ``dt_s`` grid
+    (:meth:`~repro.cluster.plant.Plant.check`).
 
     Attributes:
         node_id: the node that fails.
@@ -73,61 +58,3 @@ class NodeFailureEvent:
                 f"recover_at_s {self.recover_at_s} must be after "
                 f"fail_at_s {self.fail_at_s}"
             )
-
-
-@dataclass(frozen=True)
-class Event:
-    """One timestamped simulation event.
-
-    Attributes:
-        time_s: simulation time of the event.
-        kind: one of :data:`EVENT_KINDS`.
-        workload: workload name, if the event concerns one.
-        detail: free-form payload (run index, violation magnitude, ...).
-    """
-
-    time_s: float
-    kind: EventKind
-    workload: str | None = None
-    detail: str = ""
-
-    def __post_init__(self) -> None:
-        if self.kind not in EVENT_KINDS:
-            raise ValueError(
-                f"unknown event kind {self.kind!r}; expected one of {EVENT_KINDS}"
-            )
-
-
-class EventLog:
-    """Append-only chronological event collection."""
-
-    def __init__(self) -> None:
-        self._events: list[Event] = []
-
-    def emit(
-        self,
-        time_s: float,
-        kind: EventKind,
-        workload: str | None = None,
-        detail: str = "",
-    ) -> Event:
-        """Append an event and return it."""
-        event = Event(time_s=time_s, kind=kind, workload=workload, detail=detail)
-        self._events.append(event)
-        return event
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self._events)
-
-    def of_kind(self, kind: EventKind) -> list[Event]:
-        """All events of one kind, in order."""
-        if kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {kind!r}")
-        return [e for e in self._events if e.kind == kind]
-
-    def for_workload(self, workload: str) -> list[Event]:
-        """All events tagged with the given workload, in order."""
-        return [e for e in self._events if e.workload == workload]

@@ -13,11 +13,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.events import EventLog, NodeFailureEvent
+from repro.cluster.events import NodeFailureEvent
 from repro.cluster.perfmodel import progress_rate
 from repro.core.config import ClusterSpec, PerfModelConfig, SimulationConfig
 from repro.powercap.faults import FaultConfig
-from repro.telemetry.log import ResilienceEventLog
+from repro.telemetry.log import Clock, ResilienceEventLog
 from repro.workloads.runtime import WorkloadExecution
 from repro.workloads.spec import WorkloadSpec
 
@@ -43,11 +43,12 @@ class Plant:
     node ``failures``: a down node's units draw nothing, its workload
     stalls and its readings are dropouts (0.0 W).  ``fault_config`` sets
     measurement faults on every unit, rolled from ``fault_rngs`` (one per
-    unit); ``outage_log``, when given, also gets each outage event.
+    unit).
 
     After a :meth:`step`, :attr:`demand`, :attr:`caps_in_effect` and
     :attr:`true_power` hold that interval's vectors, and :attr:`completed`
-    each workload's finished runs.
+    each workload's finished runs.  :attr:`events` is the run's one event
+    log, stamped with :attr:`now`.
     """
 
     def __init__(
@@ -60,11 +61,10 @@ class Plant:
         failures: Sequence[NodeFailureEvent] = (),
         fault_config: FaultConfig | None = None,
         fault_rngs: Sequence[np.random.Generator] = (),
-        outage_log: ResilienceEventLog | None = None,
     ) -> None:
         spec = cluster.spec
-        self.check(spec, assignments, failures)
         sim = sim_config or SimulationConfig()
+        self.check(spec, assignments, failures, sim.dt_s)
         self.cluster = cluster
         self.perf_config = perf_config or PerfModelConfig()
         if fault_config is not None:
@@ -82,12 +82,12 @@ class Plant:
             )
             for a, rng in zip(assignments, rngs)
         ]
-        #: Run and outage events, in the order they happened.
-        self.events = EventLog()
+        self._clock = Clock()
+        #: The run's events, in the order they happened, stamped with
+        #: :attr:`now`.
+        self.events = ResilienceEventLog(self._clock)
         for e in self.executions:
-            self.events.emit(0.0, "run_started", workload=e.spec.name)
-        self.outage_log = outage_log
-        self.now = 0.0
+            self.events.emit("run_started", workload=e.spec.name)
         self.completed = [0] * len(self.executions)
         self.demand = np.full(cluster.n_units, spec.idle_power_w)
         self.caps_in_effect: np.ndarray | None = None
@@ -105,15 +105,23 @@ class Plant:
         self._down_units: np.ndarray | None = None
         self._next_s = min((f.fail_at_s for f in failures), default=math.inf)
 
+    @property
+    def now(self) -> float:
+        """Simulated seconds at the end of the last step."""
+        return self._clock.now
+
     @staticmethod
     def check(
         spec: ClusterSpec,
         assignments: Sequence[Assignment],
         failures: Sequence[NodeFailureEvent],
+        dt_s: float,
     ) -> None:
-        """Raise ValueError for a failure off the cluster, two outage
-        windows of one node that overlap (windows are half-open, and a
-        permanent one never ends), or a bad placement."""
+        """Raise ValueError for a failure off the cluster, an outage time
+        that is not a whole number of ``dt_s`` steps (to a relative 1e-9:
+        a step cannot start or end inside itself), two outage windows of
+        one node that overlap (windows are half-open, and a permanent one
+        never ends), or a bad placement."""
         windows: dict[int, tuple[float, float]] = {}
         for nf in sorted(failures, key=lambda f: (f.node_id, f.fail_at_s)):
             if nf.node_id >= spec.n_nodes:
@@ -121,6 +129,12 @@ class Plant:
                     f"failure schedules node {nf.node_id} but the cluster "
                     f"has {spec.n_nodes} nodes"
                 )
+            for t in (nf.fail_at_s, nf.recover_at_s):
+                if t is not None and not math.isclose(round(t / dt_s) * dt_s, t):
+                    raise ValueError(
+                        f"node {nf.node_id}: outage time {t} s is not a "
+                        f"whole number of {dt_s} s steps"
+                    )
             end = nf.recover_at_s if nf.recover_at_s is not None else math.inf
             last = windows.get(nf.node_id)
             if last is not None and nf.fail_at_s < last[1]:
@@ -156,8 +170,8 @@ class Plant:
     def step(self, dt: float) -> np.ndarray:
         """Advance one interval of ``dt`` s; return the meters' readings."""
         # 0. Scheduled node failures/recoveries crossing this step.
-        if self.now >= self._next_s:
-            self._fire_outages()
+        if self.now + 0.5 * dt > self._next_s:
+            self._fire_outages(dt)
         down = self._down_units
 
         # 1. Demands from every workload; unassigned units idle.
@@ -171,7 +185,7 @@ class Plant:
         # 2. Physics under the caps currently in effect.
         caps = self.caps_in_effect = self.cluster.caps_w()
         true_power = self.true_power = self.cluster.step_physics(demand, dt)
-        self.now = now = self.now + dt
+        self._clock.now = now = self._clock.now + dt
 
         # 3. Progress under those caps; a dead node's workload stalls.
         rates = progress_rate(caps, demand, self.perf_config)
@@ -184,8 +198,7 @@ class Plant:
             if done > completed[k]:
                 completed[k] = done
                 self.events.emit(
-                    now, "run_completed", workload=e.spec.name,
-                    detail=f"run {done}",
+                    "run_completed", workload=e.spec.name, detail=f"run {done}"
                 )
 
         # 4. Measure; a dead host's telemetry is a dropout, not a number.
@@ -194,12 +207,14 @@ class Plant:
             readings[down] = 0.0
         return readings
 
-    def _fire_outages(self) -> None:
-        """Fire the outage transitions due by now, at most one per window:
-        a window that opens and closes within one step closes the next."""
-        now, nodes = self.now, self.cluster.nodes
+    def _fire_outages(self, dt: float) -> None:
+        """Fire the outage transitions due by now, in fail order.  Times
+        sit on the step grid (:meth:`check`), so each fires at its own
+        time, whatever rounding ``now`` gathered, and a window has at
+        most one due per step."""
+        due_by, nodes = self.now + 0.5 * dt, self.cluster.nodes
         for node, pending in self._windows:
-            if not pending or pending[0][0] > now:
+            if not pending or pending[0][0] >= due_by:
                 continue
             _, kind = pending.pop(0)
             if kind == "node_failed":
@@ -208,9 +223,7 @@ class Plant:
                     sock.domain.power_off()
             else:
                 self._down.discard(node)
-            self.events.emit(now, kind, detail=f"node={node}")
-            if self.outage_log is not None:
-                self.outage_log.emit(now, kind, node_id=node)
+            self.events.emit(kind, node_id=node, detail=f"node={node}")
         due = [pending[0][0] for _, pending in self._windows if pending]
         self._next_s = min(due, default=math.inf)
         down = [u for node in self._down for u in nodes[node].unit_ids]

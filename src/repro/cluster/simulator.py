@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.events import EventLog, NodeFailureEvent
+from repro.cluster.events import NodeFailureEvent
 from repro.cluster.plant import Assignment, Plant
 from repro.core.config import (
     ClusterSpec,
@@ -44,7 +44,9 @@ class SimulationResult:
     Attributes:
         executions: per-workload runtime state with completed-run records.
         telemetry: per-step traces (None unless recording was requested).
-        events: structured run/violation events.
+        events: the run's one event log, stamped in simulated seconds:
+            runs, outages, actuation retries, the controller's recovery
+            events and the safety envelope's.
         steps: control-loop iterations executed.
         sim_time_s: simulated wall-clock duration.
         truncated: True if ``max_steps`` was hit before all targets.
@@ -54,7 +56,7 @@ class SimulationResult:
 
     executions: list[WorkloadExecution]
     telemetry: TelemetryLog | None
-    events: EventLog
+    events: ResilienceEventLog
     steps: int
     sim_time_s: float
     truncated: bool
@@ -71,8 +73,9 @@ class SimulationResult:
     actuation_retries: int = 0
     #: Cap writes whose read-back verification exhausted the retry budget.
     actuation_verify_failures: int = 0
-    #: Structured ``budget_*`` / ``invariant_violation`` events (None
-    #: unless the safety envelope was enabled).
+    #: :attr:`events` again when the safety envelope was enabled, else
+    #: None; kept only for readers that look for ``invariant_violation``
+    #: here.
     safety_events: ResilienceEventLog | None = None
     #: Cycles whose worst-case committed power exceeded the budget.
     budget_excursions: int = 0
@@ -110,7 +113,7 @@ class Simulation:
         failures / fault_config: node outages and measurement faults,
             handed to the plant.
         verify_actuation: read every programmed cap back and retry on
-            mismatch; verification events go to the telemetry channel.
+            mismatch; verification events go to the run's event log.
         checkpoint_dir: run the manager in a
             :class:`~repro.recovery.controller.RecoverableController` that
             journals there and checkpoints every ``checkpoint_every`` cycles.
@@ -151,11 +154,13 @@ class Simulation:
         if checkpoint_every < 1:
             raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
         self.failures = tuple(failures)
-        Plant.check(cluster_spec, assignments, self.failures)
+        self.sim_config = sim_config or SimulationConfig()
+        Plant.check(
+            cluster_spec, assignments, self.failures, self.sim_config.dt_s
+        )
         self.fault_config = fault_config
         self.cluster_spec = cluster_spec
         self.manager = manager
-        self.sim_config = sim_config or SimulationConfig()
         self.perf_config = perf_config or PerfModelConfig()
         self.rapl_config = rapl_config or RaplConfig()
         self.target_runs = target_runs
@@ -182,14 +187,17 @@ class Simulation:
         cluster_rng, manager_rng, *workload_rngs = rng.spawn(2 + len(self.assignments))
         cluster = Cluster(self.cluster_spec, self.rapl_config, cluster_rng)
         dt = self.sim_config.dt_s
-        telemetry = TelemetryLog(cluster.n_units) if self.record_telemetry else None
         plant = Plant(
             cluster, self.assignments, workload_rngs, self.sim_config,
             self.perf_config, self.failures, self.fault_config,
             # Spawned after the baseline streams so fault-free runs keep
             # their exact seed lineage.
             rng.spawn(cluster.n_units) if self.fault_config is not None else (),
-            outage_log=telemetry.events if telemetry is not None else None,
+        )
+        events = plant.events
+        telemetry = (
+            TelemetryLog(cluster.n_units, events)
+            if self.record_telemetry else None
         )
 
         self.manager.bind(
@@ -211,6 +219,7 @@ class Simulation:
                 self.manager,
                 self.checkpoint_dir,
                 checkpoint_every=self.checkpoint_every,
+                events=events,
             )
             teardown.callback(controller.close)
             if self.resume and controller.resume():
@@ -220,12 +229,12 @@ class Simulation:
             cluster.domains,
             delay_steps=self.actuation_delay_steps,
             verify=self.verify_actuation,
+            events=events,
         )
         actuator.issue(np.asarray(self.manager.caps))
         actuator.flush()
 
-        safety_events = ResilienceEventLog() if self.safety is not None else None
-        stack = ControlStack(controller or self.manager, self.safety, safety_events)
+        stack = ControlStack(controller or self.manager, self.safety, events)
         if stack.envelope is not None:
             # The simulator can read the hardware back directly, so the
             # applied view starts from the domains' real caps instead of
@@ -233,24 +242,6 @@ class Simulation:
             stack.envelope.record_applied(slice(None), cluster.caps_w())
         stack.dispatched(slice(None), np.asarray(self.manager.caps))
 
-        drained = 0  # Controller events already in the telemetry channel.
-
-        def drain(at_s: float) -> None:
-            """Move new actuator and controller events into the telemetry
-            channel at ``at_s`` (the controller stamps cycle counts)."""
-            nonlocal drained
-            if telemetry is not None:
-                for kind, unit, detail in actuator.events:
-                    telemetry.events.emit(at_s, kind, unit=unit, detail=detail)
-                for e in controller.events[drained:] if controller else ():
-                    telemetry.events.emit(
-                        at_s, e.kind, unit=e.unit, node_id=e.node_id, detail=e.detail
-                    )
-            drained = len(controller.events) if controller else 0
-            actuator.events.clear()
-
-        drain(0.0)
-        events = plant.events
         with_priority = telemetry is not None and isinstance(self.manager, DPSManager)
         requires_demand = self.manager.requires_demand
         budget_limit_w = cluster.budget_w * (1 + 1e-6)
@@ -272,14 +263,12 @@ class Simulation:
             # written one since the plant read them) are what the coming
             # interval is committed to until the new dispatch lands.
             new_caps, _ = stack.decide(
-                readings, plant.demand if requires_demand else None, now,
+                readings, plant.demand if requires_demand else None,
                 applied_w=caps_in_effect, pending=actuator.pending,
             )
             actuator.issue(new_caps)
             stack.dispatched(slice(None), new_caps)
-            if actuator.events or controller is not None:
-                drain(now)
-            stack.check(new_caps, readings, now)
+            stack.check(new_caps, readings)
 
             if telemetry is not None:
                 telemetry.record(
@@ -288,15 +277,11 @@ class Simulation:
                 )
             caps_sum = float(np.add.reduce(new_caps))
             if caps_sum > budget_limit_w:
-                events.emit(
-                    now, "budget_violation", detail=f"sum={caps_sum:.1f}"
-                )
+                events.emit("budget_violation", detail=f"sum={caps_sum:.1f}")
 
         truncated = min(completed) < target_runs
         if truncated:
-            events.emit(plant.now, "simulation_truncated")
-        if telemetry is not None and safety_events is not None:
-            telemetry.events.extend(safety_events)
+            events.emit("simulation_truncated")
         durations = {
             e.spec.name: e.mean_duration_s() for e in plant.executions if e.records
         }
@@ -310,14 +295,12 @@ class Simulation:
             budget_w=cluster.budget_w,
             max_caps_sum_w=max_caps_sum,
             durations=durations,
-            checkpoints_written=len(
-                controller.events.of_kind("checkpoint_written") if controller else ()
-            ),
+            checkpoints_written=len(events.of_kind("checkpoint_written")),
             journal_replayed=controller.replayed if controller else 0,
             resumed_at_cycle=resumed_at,
             actuation_retries=actuator.retries,
             actuation_verify_failures=actuator.verify_failures,
-            safety_events=safety_events,
+            safety_events=events if self.safety is not None else None,
             budget_excursions=stack.guard.excursions if stack.guard else 0,
             guard_rungs=dict(stack.guard.rungs_taken) if stack.guard else {},
         )

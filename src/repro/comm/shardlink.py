@@ -35,7 +35,6 @@ import random
 import select
 import socket
 import time
-from typing import Callable
 
 from repro.comm.wire import FrameAssembler, FrameError, encode_frame
 from repro.telemetry.log import ResilienceEventLog
@@ -58,9 +57,8 @@ class TcpShardLink:
             delay after ``k`` failures is
             ``min(max, base * 2**k) * uniform(0.5, 1.5)``.
         seed: jitter stream seed (deterministic chaos drills).
-        events: optional structured event sink for ``link_reconnect``.
-        clock: event-timestamp source (the fleet passes its cycle
-            clock; wall time is meaningless inside a simulated drill).
+        events: optional event log for ``link_reconnect`` (the fleet
+            passes its own, stamped with its step).
     """
 
     def __init__(
@@ -73,7 +71,6 @@ class TcpShardLink:
         backoff_max_s: float = 1.0,
         seed: int = 0,
         events: ResilienceEventLog | None = None,
-        clock: Callable[[], float] | None = None,
     ) -> None:
         self.address = (str(address[0]), int(address[1]))
         self.shard_id = shard_id
@@ -82,7 +79,6 @@ class TcpShardLink:
         self.backoff_base_s = float(backoff_base_s)
         self.backoff_max_s = float(backoff_max_s)
         self.events = events
-        self.clock = clock if clock is not None else (lambda: 0.0)
         self._rng = random.Random(seed)
         self._sock: socket.socket | None = None
         self._assembler = FrameAssembler()
@@ -185,7 +181,6 @@ class TcpShardLink:
             self.reconnects += 1
             if self.events is not None:
                 self.events.emit(
-                    self.clock(),
                     "link_reconnect",
                     node_id=self.shard_id,
                     detail=(

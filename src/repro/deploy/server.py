@@ -168,10 +168,10 @@ class DeployServer:
             timeout of registration/dispatch writes) — a stuck client is
             quarantined instead of hanging the controller.
         resilience: quarantine/backoff/fallback configuration.
-        events: structured event sink for quarantine/fallback/clamp
-            transitions (an internal log is created if omitted; see
-            :attr:`events`).  Event times are control-cycle indices — the
-            deploy layer has no simulated clock.
+        events: the run's event log for quarantine/fallback/clamp
+            transitions; a standalone server keeps its own, stamped with
+            its control-cycle count (the deploy layer has no simulated
+            clock).
         safety: budget-safety envelope configuration.  When given, the
             server's :attr:`stack` tracks commanded/dispatched/applied
             cap views per unit, enforces the budget on worst-case
@@ -193,7 +193,9 @@ class DeployServer:
         self.manager = manager
         self.timeout_s = timeout_s
         self.resilience = resilience or ResilienceConfig()
-        self.events = events if events is not None else ResilienceEventLog()
+        self.events = events if events is not None else ResilienceEventLog(
+            lambda: self._cycle
+        )
         #: Per-cycle phase timings (the §6.5 overhead instrumentation).
         self.timings = CycleTimingLog()
         # Daemons that connect between two accept_clients calls wait in
@@ -320,14 +322,12 @@ class DeployServer:
             self.detach(record.peer)
         state = record.health.record_failure()
         self.events.emit(
-            float(self._cycle),
             "client_quarantined",
             node_id=record.node_id,
             detail=reason,
         )
         if state is HealthState.DEAD:
             self.events.emit(
-                float(self._cycle),
                 "client_dead",
                 node_id=record.node_id,
                 detail=f"after {record.health.consecutive_failures} failures",
@@ -398,7 +398,6 @@ class DeployServer:
             record.fallback_announced = False
             rejoined.append(record.node_id)
             self.events.emit(
-                float(self._cycle),
                 "client_rejoined",
                 node_id=record.node_id,
             )
@@ -475,7 +474,6 @@ class DeployServer:
                     and before is not HealthState.DEAD
                 ):
                     self.events.emit(
-                        float(self._cycle),
                         "client_dead",
                         node_id=record.node_id,
                         detail="rejoin window expired",
@@ -485,7 +483,6 @@ class DeployServer:
                 if not record.fallback_announced:
                     record.fallback_announced = True
                     self.events.emit(
-                        float(self._cycle),
                         "fallback_applied",
                         node_id=record.node_id,
                         detail=self.resilience.fallback,
@@ -534,7 +531,7 @@ class DeployServer:
         t3 = time.perf_counter()
 
         caps, guard_rung = self.stack.decide(
-            readings, None, float(self._cycle), unreachable=self.unreachable(),
+            readings, None, unreachable=self.unreachable(),
             assume_tdp=self.resilience.fallback == "assume-tdp",
         )
         t4 = time.perf_counter()
@@ -543,7 +540,7 @@ class DeployServer:
         # After dispatch on purpose: a strict-mode raise still fails the
         # run this very cycle, but the clients are not left half-polled
         # awaiting a CAPS batch that never comes.
-        self.stack.check(caps, readings, float(self._cycle))
+        self.stack.check(caps, readings)
         t5 = time.perf_counter()
 
         timings = CyclePhaseTimings(
@@ -721,7 +718,6 @@ class DeployServer:
         for unit in moved:
             record = next(r for r in live if r.base <= unit < r.base + r.n_units)
             self.events.emit(
-                float(self._cycle),
                 "cap_clamped",
                 unit=unit,
                 node_id=record.node_id,

@@ -402,9 +402,10 @@ class LocalPoolBackend:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self.events = ResilienceEventLog()
         self._pool: ProcessPoolExecutor | None = None
         self._t0 = time.monotonic()
+        #: Stamped in seconds since this backend was built.
+        self.events = ResilienceEventLog(lambda: time.monotonic() - self._t0)
 
     def shutdown(self) -> None:
         """Reap the pool (idempotent)."""
@@ -450,7 +451,6 @@ class LocalPoolBackend:
                 if attempt == 2:
                     raise
                 self.events.emit(
-                    time.monotonic() - self._t0,
                     "pool_rebuilt",
                     detail=(
                         f"worker process died; re-running "

@@ -15,9 +15,8 @@ limits back (the powercap sysfs returns what actually got programmed); the
 units that did not take are rewritten up to ``max_retries`` times with
 bounded backoff, and exhaustion is *reported, never raised* — an
 unverifiable unit must degrade the telemetry, not kill the control loop.
-Verification outcomes accumulate in :attr:`events` as
-``(kind, unit, detail)`` tuples for the caller to drain into its
-telemetry channel.
+Verification outcomes are ``actuation_*`` events in :attr:`events`, the
+run's event log.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ import numpy as np
 
 from repro.powercap.rapl import RaplDomain, bank_span
 from repro.recovery.state import decode_array, encode_array
+from repro.telemetry.log import ResilienceEventLog
 
 __all__ = ["CapActuator"]
 
@@ -50,6 +50,8 @@ class CapActuator:
         backoff_s: sleep before the first retry, doubled per attempt
             (0.0 — the default — never sleeps; simulations retry
             immediately, hardware deployments pass a real base delay).
+        events: the run's event log; without one the actuator keeps its
+            own, stamped with the number of commands applied so far.
     """
 
     def __init__(
@@ -59,6 +61,7 @@ class CapActuator:
         verify: bool = False,
         max_retries: int = 3,
         backoff_s: float = 0.0,
+        events: ResilienceEventLog | None = None,
     ) -> None:
         if not domains:
             raise ValueError("at least one domain is required")
@@ -83,9 +86,9 @@ class CapActuator:
         self.retries = 0
         #: Commands whose verification exhausted the retry budget.
         self.verify_failures = 0
-        #: Pending ``(kind, unit, detail)`` verification events; the owner
-        #: of the actuator drains these into its telemetry channel.
-        self.events: list[tuple[str, int, str]] = []
+        self.events = events if events is not None else ResilienceEventLog(
+            lambda: self.commands_applied // self.n_units
+        )
 
     @property
     def pending(self) -> list[np.ndarray]:
@@ -94,7 +97,8 @@ class CapActuator:
         return [caps.copy() for caps in self._pipeline]
 
     def reset(self) -> None:
-        """Drop all in-flight commands and counters.
+        """Drop all in-flight commands and counters (the event log keeps
+        what happened).
 
         Required between runs that reuse one actuator: without it, stale
         queued commands from the previous run would actuate into the next
@@ -104,7 +108,6 @@ class CapActuator:
         self.commands_applied = 0
         self.retries = 0
         self.verify_failures = 0
-        self.events.clear()
 
     def issue(self, caps_w: np.ndarray) -> int:
         """Issue a cap command vector; apply whatever is due this interval.
@@ -171,21 +174,17 @@ class CapActuator:
             bank.set_caps_w(caps, span)
             took = bank.cap_w[span][missed] == expected[missed]
             detail = f"verified after {attempt} retr{'y' if attempt == 1 else 'ies'}"
-            self.events.extend(
-                ("actuation_retried", unit, detail)
-                for unit in missed[took].tolist()
-            )
+            for unit in missed[took].tolist():
+                self.events.emit("actuation_retried", unit=unit, detail=detail)
             missed = missed[~took]
         read = bank.cap_w[span]
         for unit in missed.tolist():
             self.verify_failures += 1
-            self.events.append(
-                (
-                    "actuation_retry_exhausted",
-                    unit,
-                    f"cap {quantized[unit]:.3f} W unverified after "
-                    f"{self.max_retries} retries (read {read[unit]:.3f} W)",
-                )
+            self.events.emit(
+                "actuation_retry_exhausted",
+                unit=unit,
+                detail=f"cap {quantized[unit]:.3f} W unverified after "
+                f"{self.max_retries} retries (read {read[unit]:.3f} W)",
             )
 
     def flush(self) -> None:
@@ -215,4 +214,3 @@ class CapActuator:
         self.commands_applied = int(state["commands_applied"])
         self.retries = int(state.get("retries", 0))
         self.verify_failures = int(state.get("verify_failures", 0))
-        self.events.clear()

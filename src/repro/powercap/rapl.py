@@ -28,6 +28,7 @@ sysfs emulation and the node-crash model use.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +47,16 @@ __all__ = ["RaplBank", "RaplDomain", "bank_span"]
 NOISE_BLOCK = 64
 
 _ALL = slice(None)
+
+
+def _normal_block(sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """A meter-noise block: ``NOISE_BLOCK`` normal samples of σ ``sigma``."""
+    return rng.normal(0.0, sigma, NOISE_BLOCK)
+
+
+def _uniform_block(rng: np.random.Generator) -> np.ndarray:
+    """A fault-roll block: ``NOISE_BLOCK`` samples uniform on [0, 1)."""
+    return rng.random(NOISE_BLOCK)
 
 
 class _Prefetch:
@@ -146,16 +157,12 @@ class RaplBank:
         self.power_w = np.full(n_units, float(initial_power_w))
         self.energy_uj = np.zeros(n_units)
         self.meter_uj = np.zeros(n_units, dtype=np.int64)
-        # The same storage for the one-unit views: indexing a memoryview
-        # yields a Python float or int at half the cost of ndarray.item().
-        self._cap_w = memoryview(self.cap_w)
-        self._power_w = memoryview(self.power_w)
-        self._energy_uj = memoryview(self.energy_uj)
+        self._take_views()
         # ``_units`` is arange(n), kept for the per-unit block lookups.
         self._units = np.arange(n_units)
         sigma = self.config.noise_std_w
         self._noise = (
-            _Prefetch(n_units, lambda rng: rng.normal(0.0, sigma, NOISE_BLOCK))
+            _Prefetch(n_units, partial(_normal_block, sigma))
             if sigma > 0
             else None
         )
@@ -181,6 +188,25 @@ class RaplBank:
             self.cap_w, self.power_w, self.energy_uj, self.meter_uj,
             self._reading, *noise,
         )
+
+    def _take_views(self) -> None:
+        # The same storage for the one-unit views: indexing a memoryview
+        # yields a Python float or int at half the cost of ndarray.item().
+        self._cap_w = memoryview(self.cap_w)
+        self._power_w = memoryview(self.power_w)
+        self._energy_uj = memoryview(self.energy_uj)
+
+    def __getstate__(self) -> dict:
+        # A memoryview neither copies nor pickles: a copy takes its own
+        # views of its own arrays (and ``_native.Pinned`` its addresses).
+        state = dict(self.__dict__)
+        for name in ("_cap_w", "_power_w", "_energy_uj"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._take_views()
 
     def _range(self, span: slice) -> tuple[int, int] | None:
         """``(first unit, count)`` of a non-empty step-1 span, else None
@@ -385,9 +411,7 @@ class RaplBank:
             self._spike_gain[span] = config.spike_gain
             self._has_last[span] = False
             if self._rolls is None:
-                self._rolls = _Prefetch(
-                    self.n_units, lambda rng: rng.random(NOISE_BLOCK)
-                )
+                self._rolls = _Prefetch(self.n_units, _uniform_block)
             for index, rng in zip(units.tolist(), rngs):
                 self._rolls.attach(index, rng)
         self._n_faulty = int(np.count_nonzero(self._fault_on))

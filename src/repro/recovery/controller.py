@@ -44,8 +44,8 @@ class RecoverableController:
         store: durable checkpoint store.
         journal: cycle journal (should live next to the store).
         checkpoint_every: cycles between checkpoints (>= 1).
-        events: recovery event sink (an internal log is created if
-            omitted).  Event times are control-cycle indices.
+        events: the run's event log; without one the controller keeps
+            its own, stamped with :attr:`cycle`.
     """
 
     def __init__(
@@ -64,7 +64,9 @@ class RecoverableController:
         self.store = store
         self.journal = journal
         self.checkpoint_every = checkpoint_every
-        self.events = events if events is not None else ResilienceEventLog()
+        self.events = events if events is not None else ResilienceEventLog(
+            lambda: self.cycle
+        )
         #: Completed control cycles (monotonic across restarts).
         self.cycle = 0
         #: Journal records replayed by the last ``resume`` (0 if none).
@@ -172,7 +174,6 @@ class RecoverableController:
         path = self.store.save(self.cycle, {"manager": self.manager.snapshot()})
         self.journal.truncate()
         self.events.emit(
-            float(self.cycle),
             "checkpoint_written",
             detail=f"{path.name} @ cycle {self.cycle}",
         )
@@ -194,18 +195,13 @@ class RecoverableController:
         self.replayed = 0
         ckpt = self.store.load_latest()
         for rejected in self.store.last_rejected:
-            self.events.emit(
-                float(self.cycle),
-                "checkpoint_rejected",
-                detail=rejected.name,
-            )
+            self.events.emit("checkpoint_rejected", detail=rejected.name)
         if ckpt is None:
             self.journal.retain([])
             return False
         self.manager.restore(ckpt.payload["manager"])
         self.cycle = ckpt.cycle
         self.events.emit(
-            float(self.cycle),
             "restore_performed",
             detail=f"{ckpt.path.name} @ cycle {ckpt.cycle}",
         )
@@ -228,7 +224,6 @@ class RecoverableController:
         self.replayed = len(tail)
         if tail:
             self.events.emit(
-                float(self.cycle),
                 "journal_replayed",
                 detail=f"{len(tail)} cycles "
                 f"({ckpt.cycle + 1}..{self.cycle})",

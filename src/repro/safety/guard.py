@@ -89,8 +89,9 @@ class BudgetGuard:
     Args:
         envelope: the cap-view ledger this guard reads.
         min_cap_w: per-unit cap floor rungs 2 and 3 respect.
-        events: structured event sink for ``budget_*`` emissions (an
-            internal log is created if omitted).
+        events: the run's event log for ``budget_*`` emissions; without
+            one the guard keeps its own, stamped with the number of
+            cycles it has gated.
         tol_w: absolute slack (W) below which an overshoot is treated as
             float noise, not an excursion.  The default covers the wire
             quantization of a thousand units.
@@ -112,9 +113,13 @@ class BudgetGuard:
             raise ValueError(f"tol_w must be > 0, got {tol_w}")
         self.envelope = envelope
         self.min_cap_w = float(min_cap_w)
-        self.events = events if events is not None else ResilienceEventLog()
+        self.events = events if events is not None else ResilienceEventLog(
+            lambda: self.cycles
+        )
         self.tol_w = float(tol_w)
         self.dry_run = dry_run
+        #: Cycles gated so far.
+        self.cycles = 0
         #: Cycles whose worst-case committed power exceeded the budget.
         self.excursions = 0
         #: Ladder rungs taken, by event kind.
@@ -125,7 +130,6 @@ class BudgetGuard:
     def enforce(
         self,
         caps_w: np.ndarray,
-        now: float,
         unreachable: np.ndarray | None = None,
         assume_tdp: bool = False,
         pending: Sequence[np.ndarray] = (),
@@ -135,7 +139,6 @@ class BudgetGuard:
 
         Args:
             caps_w: the manager's candidate caps for this cycle.
-            now: event timestamp (simulation seconds or cycle index).
             unreachable: mask of units no dispatch can reach this cycle.
             assume_tdp: count unreachable units at TDP (pessimistic).
             pending: in-flight actuator command vectors.
@@ -145,6 +148,7 @@ class BudgetGuard:
         Returns:
             The caps to dispatch plus the rung/overshoot accounting.
         """
+        self.cycles += 1
         envelope = self.envelope
         budget = envelope.budget_w
         caps = np.asarray(caps_w, dtype=np.float64).copy()
@@ -166,7 +170,6 @@ class BudgetGuard:
             rung = self._degrade(caps, reach, over, target, grants_w)
             self.rungs_taken[rung] = self.rungs_taken.get(rung, 0) + 1
             self.events.emit(
-                now,
                 rung,
                 detail=(
                     f"overshoot={over:.3f}W held={held_w:.3f}W "
@@ -203,7 +206,6 @@ class BudgetGuard:
                     caps -= raises * frac
                     self.raises_deferred += 1
                     self.events.emit(
-                        now,
                         "budget_raise_deferred",
                         detail=(
                             f"deferred={total_raise * frac:.3f}W "
@@ -219,7 +221,6 @@ class BudgetGuard:
         if worst_over > self.tol_w:
             self.excursions += 1
             self.events.emit(
-                now,
                 "budget_overshoot",
                 detail=(
                     f"worst_case={committed.worst_case_total_w:.3f}W "

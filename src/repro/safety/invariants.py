@@ -433,7 +433,9 @@ class InvariantMonitor:
             ``sample_every``-th cycle, events only), or ``"off"``.
         sample_every: sweep spacing in sampling mode.
         invariants: the checks to run (the full registry by default).
-        events: sink for ``invariant_violation`` events.
+        events: the run's event log for ``invariant_violation`` events;
+            without one the monitor keeps its own, stamped with
+            :attr:`cycles_seen`.
         raise_on_violation: overrides the mode's default raising
             behaviour when not None.
     """
@@ -459,13 +461,11 @@ class InvariantMonitor:
         if self.invariants is None:
             self.invariants = default_invariants()
         if self.events is None:
-            self.events = ResilienceEventLog()
+            self.events = ResilienceEventLog(lambda: self.cycles_seen)
         if self.raise_on_violation is None:
             self.raise_on_violation = self.mode == "strict"
 
-    def run(
-        self, ctx: InvariantContext, now: float
-    ) -> list[InvariantViolation]:
+    def run(self, ctx: InvariantContext) -> list[InvariantViolation]:
         """Run one cycle's sweep (or skip it, per the cadence).
 
         Raises:
@@ -488,7 +488,6 @@ class InvariantMonitor:
                 found.append(violation)
                 self.violations.append(violation)
                 self.events.emit(
-                    now,
                     "invariant_violation",
                     detail=f"{invariant.name}: {detail}",
                 )

@@ -31,9 +31,10 @@ class ControlStack:
         stepper: a bound power manager or a
             :class:`~repro.recovery.controller.RecoverableController`.
         safety: budget-safety configuration; None only steps.
-        events: sink of every ``budget_*`` / ``invariant_violation`` event,
-            and of ``budget_rescaled`` from every member of the manager
-            stack whose rescale observer is unset or an earlier stack's.
+        events: the run's event log: every ``budget_*`` /
+            ``invariant_violation`` event, and ``budget_rescaled`` from
+            every member of the manager stack whose rescale observer is
+            unset or an earlier stack's.
 
     Attributes:
         envelope / guard / monitor: None while disabled (``monitor`` also
@@ -44,15 +45,13 @@ class ControlStack:
         self,
         stepper: object,
         safety: SafetyConfig | None,
-        events: ResilienceEventLog | None,
+        events: ResilienceEventLog,
     ) -> None:
         self.stepper = stepper
         self.events = events
         self.envelope: BudgetEnvelope | None = None
         self.guard: BudgetGuard | None = None
         self.monitor: InvariantMonitor | None = None
-        #: Time of the decision in progress (rescale events carry it).
-        self.now = 0.0
         if safety is None:
             return
         self.envelope = BudgetEnvelope(
@@ -77,22 +76,20 @@ class ControlStack:
 
     def _rescaled(self, name: str, over_w: float) -> None:
         detail = f"manager={name} overshoot={over_w:.3f}W"
-        self.events.emit(self.now, "budget_rescaled", detail=detail)
+        self.events.emit("budget_rescaled", detail=detail)
 
     def decide(
-        self, readings: np.ndarray, demand: np.ndarray | None, now: float,
+        self, readings: np.ndarray, demand: np.ndarray | None,
         applied_w: np.ndarray | None = None,
         unreachable: np.ndarray | None = None, assume_tdp: bool = False,
         pending: Sequence[np.ndarray] = (),
     ) -> tuple[np.ndarray, str | None]:
         """Step the manager and gate its caps; returns ``(caps, rung)``.
 
-        ``now`` stamps the cycle's events (simulation seconds or cycle
-        index); ``applied_w``, every unit's read-back cap, is recorded
-        before the guard judges the candidate; the rest is passed to
+        ``applied_w``, every unit's read-back cap, is recorded before the
+        guard judges the candidate; the rest is passed to
         :meth:`~repro.safety.guard.BudgetGuard.enforce`.
         """
-        self.now = now
         caps = self.stepper.step(readings, demand)
         if self.envelope is None:
             return caps, None
@@ -101,7 +98,6 @@ class ControlStack:
         self.envelope.record_commanded(caps)
         decision = self.guard.enforce(
             caps,
-            now=now,
             unreachable=unreachable,
             assume_tdp=assume_tdp,
             pending=pending,
@@ -114,7 +110,7 @@ class ControlStack:
         if self.envelope is not None:
             self.envelope.record_dispatched(units, caps)
 
-    def check(self, caps: np.ndarray, readings: np.ndarray, now: float) -> None:
+    def check(self, caps: np.ndarray, readings: np.ndarray) -> None:
         """Run the invariant monitors over one cycle's dispatched caps."""
         if self.monitor is not None:
             stepper = self.stepper
@@ -126,7 +122,7 @@ class ControlStack:
                 readings_w=readings,
                 manager=stepper,
             )
-            self.monitor.run(ctx, now=now)
+            self.monitor.run(ctx)
 
     def set_budget_w(self, budget_w: float) -> None:
         """Re-lease the budget to the stepper and the guard alike."""

@@ -158,8 +158,9 @@ class BudgetArbiter:
             seed the envelope's applied view); proportional-by-units
             shares are used when omitted.
         config: lease protocol knobs.
-        events: structured event sink (``shard_*`` kinds; shared with
-            the shards so one log tells the whole story).
+        events: the session's event log (``shard_*`` kinds; shared with
+            the fleet so one log tells the whole story); without one the
+            arbiter keeps its own, stamped with :attr:`cycle`.
         timeline: per-shard lease timeline to append to (owned by the
             caller so it survives arbiter restarts).
         store: checkpoint store for arbiter crash recovery (optional).
@@ -186,7 +187,9 @@ class BudgetArbiter:
             raise ValueError(f"budget_w must be > 0, got {budget_w}")
         self.budget_w = float(budget_w)
         self.config = config or ArbiterConfig()
-        self.events = events if events is not None else ResilienceEventLog()
+        self.events = events if events is not None else ResilienceEventLog(
+            lambda: self.cycle
+        )
         self.timeline = timeline if timeline is not None else LeaseTimeline()
         self.store = store
         self.cycle = 0
@@ -226,7 +229,6 @@ class BudgetArbiter:
         ]
         for i, spec in enumerate(shards):
             self.events.emit(
-                0.0,
                 "shard_registered",
                 node_id=spec.shard_id,
                 detail=f"units={spec.n_units} lease={initial[i]:.1f}W",
@@ -299,7 +301,7 @@ class BudgetArbiter:
     # Live membership.
     # ------------------------------------------------------------------
 
-    def admit(self, spec: ArbiterShard, now: float) -> None:
+    def admit(self, spec: ArbiterShard) -> None:
         """Start the HELLO/ADMIT handshake for a joining shard.
 
         The shard becomes *pending*: its link is polled each cycle for a
@@ -327,7 +329,7 @@ class BudgetArbiter:
             )
         self._pending.append(pending)
 
-    def drain(self, shard_id: int, now: float) -> None:
+    def drain(self, shard_id: int) -> None:
         """Begin draining a member shard (idempotent).
 
         The shard is marked draining — treated as frozen at its held
@@ -345,7 +347,6 @@ class BudgetArbiter:
             raise ValueError("cannot drain the last active shard")
         record.draining = True
         self.events.emit(
-            now,
             "shard_draining",
             node_id=shard_id,
             detail=f"lease={record.lease_w:.1f}W held until final summary",
@@ -376,7 +377,7 @@ class BudgetArbiter:
             dtype=np.float64,
         )
 
-    def _reap_drained(self, now: float) -> None:
+    def _reap_drained(self) -> None:
         """Remove draining members whose final frozen summary arrived."""
         for i in reversed(range(len(self._records))):
             record = self._records[i]
@@ -392,7 +393,6 @@ class BudgetArbiter:
             self.envelope.remove_unit(i)
             self._rebuild_bounds()
             self.events.emit(
-                now,
                 "shard_drained",
                 node_id=record.spec.shard_id,
                 detail=(
@@ -401,7 +401,7 @@ class BudgetArbiter:
                 ),
             )
 
-    def _admit_pending(self, now: float) -> None:
+    def _admit_pending(self) -> None:
         """Poll pending shards for HELLOs; finalize those that fit."""
         for pending in self._pending:
             for doc in pending.spec.link.take_summaries():
@@ -438,7 +438,6 @@ class BudgetArbiter:
             self._pending.remove(pending)
             held_total += pending.floor_w
             self.events.emit(
-                now,
                 "shard_admitted",
                 node_id=pending.spec.shard_id,
                 detail=(
@@ -451,17 +450,17 @@ class BudgetArbiter:
     # The arbiter cycle.
     # ------------------------------------------------------------------
 
-    def cycle_once(self, now: float) -> ArbiterCycleStats:
+    def cycle_once(self) -> ArbiterCycleStats:
         """Collect summaries, reshape membership, redistribute, grant,
         checkpoint, verify."""
         self.cycle += 1
-        summaries = self._collect(now)
+        summaries = self._collect()
         # Membership changes happen between collection and policy: a
         # drained shard's final summary (just collected) releases its
         # budget for this very cycle, and an admitted shard joins the
         # redistribution that carves its first lease.
-        self._reap_drained(now)
-        self._admit_pending(now)
+        self._reap_drained()
+        self._admit_pending()
         dark = np.asarray(
             [r.health.quarantined for r in self._records], dtype=bool
         )
@@ -538,7 +537,6 @@ class BudgetArbiter:
             )
         if result.reclaimed_w > self.config.budget_epsilon:
             self.events.emit(
-                now,
                 "shard_headroom_reclaimed",
                 detail=f"{result.reclaimed_w:.1f}W from live shards",
             )
@@ -551,14 +549,13 @@ class BudgetArbiter:
         self.envelope.record_commanded(result.leases_w)
         decision = self.guard.enforce(
             result.leases_w,
-            now=now,
             unreachable=dark,
             assume_tdp=False,
             grants_w=result.granted_w,
         )
         leases = decision.caps_w
 
-        self._grant(leases, dark, summaries, now)
+        self._grant(leases, dark, summaries)
         self._sample(dark, frozen, committed)
         if self.store is not None:
             self.store.save(self.cycle, self.snapshot())
@@ -581,11 +578,10 @@ class BudgetArbiter:
                 caps_w=decision.committed.steady_w,
                 manager=self,
             ),
-            now=now,
         )
         return stats
 
-    def _collect(self, now: float) -> dict[int, ShardSummary]:
+    def _collect(self) -> dict[int, ShardSummary]:
         """Drain every link; advance health from who reported."""
         summaries: dict[int, ShardSummary] = {}
         for i, record in enumerate(self._records):
@@ -601,7 +597,6 @@ class BudgetArbiter:
                 if record.health.quarantined:
                     record.health.rejoin()
                     self.events.emit(
-                        now,
                         "shard_rejoined",
                         node_id=record.spec.shard_id,
                         detail=f"summary at shard cycle {newest.cycle}",
@@ -622,14 +617,12 @@ class BudgetArbiter:
                 if not record.health.quarantined:
                     state = record.health.record_failure()
                     self.events.emit(
-                        now,
                         "shard_quarantined",
                         node_id=record.spec.shard_id,
                         detail="no summary at collection",
                     )
                     if state is HealthState.DEAD:
                         self.events.emit(
-                            now,
                             "shard_dead",
                             node_id=record.spec.shard_id,
                             detail=(
@@ -645,7 +638,6 @@ class BudgetArbiter:
                         and before is not HealthState.DEAD
                     ):
                         self.events.emit(
-                            now,
                             "shard_dead",
                             node_id=record.spec.shard_id,
                             detail="rejoin window expired",
@@ -657,7 +649,6 @@ class BudgetArbiter:
         leases: np.ndarray,
         dark: np.ndarray,
         summaries: dict[int, ShardSummary],
-        now: float,
     ) -> None:
         """Send renewals/new grants to every live shard.
 
@@ -691,7 +682,6 @@ class BudgetArbiter:
             self.envelope.record_dispatched(np.asarray([i]), value)
             if changed or rejoining:
                 self.events.emit(
-                    now,
                     "shard_lease_granted",
                     node_id=record.spec.shard_id,
                     detail=f"seq={record.seq} lease={value:.1f}W",

@@ -231,8 +231,9 @@ class ShardedResult:
         cycles: control cycles executed.
         n_shards: shard servers in the session.
         budget_w: the global budget that was arbitrated.
-        events: merged structured events of the whole session — fleet,
-            arbiter, and every shard's deploy/recovery stack.
+        events: the session's one event log — fleet, arbiter, and every
+            shard's deploy/recovery stack — stamped with fleet steps and
+            in step order.
         timeline: per-shard lease timeline across every arbiter cycle
             (survives arbiter restarts).
         leases_w: final per-shard leases.
@@ -468,12 +469,13 @@ class Fleet:
             self._units * spec.tdp_w,
         )
 
-        #: The fleet's own log (links and arbiter included); the shards'
-        #: events arrive in acks and stay apart until :meth:`close`.
-        self.events = ResilienceEventLog()
-        self._shard_events = ResilienceEventLog()
+        #: The step being dispatched or finalized: the session's clock.
+        self._step = 0
+        #: The session's one log, stamped with the fleet step (links and
+        #: arbiter included); the shards' events arrive in acks, stamped
+        #: by the shard with the step it was executing.
+        self.events = ResilienceEventLog(lambda: self._step)
         self.timeline = LeaseTimeline()
-        self._now = 0.0
         #: Shard id → transport handle; a drained shard leaves it.
         self.handles: dict[int, ShardProcess | InlineShard] = {}
         #: Restarts performed per shard (a crash that exhausts the
@@ -505,7 +507,7 @@ class Fleet:
         #: dispatched cycle not yet finalized.
         self._upcoming = _Cycle(step=0)
         self._pending: _Cycle | None = None
-        self._marks = (0, 0, 0)  # log lengths at the last FleetCycle
+        self._marks = (0, 0)  # log lengths at the last FleetCycle
 
     def __enter__(self) -> Fleet:
         return self
@@ -625,18 +627,15 @@ class Fleet:
         self._pending = cycle
         if prior is None:
             return None
-        logs = (self.events, self._shard_events, self.timeline)
-        marks, self._marks = self._marks, tuple(map(len, logs))
-        events = self.events[marks[0]:] + self._shard_events[marks[1]:]
-        events.sort(key=lambda e: e.time_s)
+        marks, self._marks = self._marks, (len(self.events), len(self.timeline))
         return FleetCycle(
             step=prior.step,
             statuses=prior.statuses,
             acks=prior.acks,
             power=self._power[-1],
             caps=self._caps[-1],
-            leases=self.timeline[marks[2]:],
-            events=events,
+            leases=self.timeline[marks[1]:],
+            events=self.events.settle(marks[0]),
         )
 
     def close(self) -> ShardedResult:
@@ -649,16 +648,14 @@ class Fleet:
             self._shutdown()
         if self.arbiter is not None:
             self._retire(self.arbiter)
-        events = ResilienceEventLog()
-        events.extend(self.events)
-        events.extend(self._shard_events)
+        self.events.settle(self._marks[0])
         links = [member.link for member in self._members.values()]
         stats = self._last_stats
         return ShardedResult(
             cycles=self._upcoming.step,
             n_shards=self.n_shards,
             budget_w=self.cluster.budget_w,
-            events=events,
+            events=self.events,
             timeline=self.timeline,
             leases_w=(
                 self._acked_leases if self.arbiter is None else self.arbiter.leases_w
@@ -718,7 +715,6 @@ class Fleet:
                 shard_id=shard_id,
                 seed=shard_id,
                 events=self.events,
-                clock=lambda: self._now,
             )
             # Dial now, so the shard holds an arbiter connection before its
             # first summary, and drain its answering HELLO so finalize's
@@ -754,13 +750,13 @@ class Fleet:
         self._sweeps += arbiter.monitor.sweeps_run
         self._violations += len(arbiter.monitor.violations)
 
-    def _admit_known(self, shard_id: int, now: float) -> None:
+    def _admit_known(self, shard_id: int) -> None:
         """Admit a live member the running arbiter does not know yet."""
         arbiter = self.arbiter
         if arbiter is not None and not (
             shard_id in arbiter.member_ids or shard_id in arbiter.pending_ids
         ):
-            arbiter.admit(self._members[shard_id], now)
+            arbiter.admit(self._members[shard_id])
 
     # -- the two phases of a cycle --------------------------------------
 
@@ -775,8 +771,7 @@ class Fleet:
         out.  A hang needs no settling: the ``hang`` document is ordered
         after the previous cycle document on the clock socket.
         """
-        step = cycle.step
-        self._now = float(step)
+        step = self._step = cycle.step
         spec = self.cluster.spec
         for _ in range(cycle.admits):
             shard_id = self.n_shards + len(self.admitted)
@@ -865,8 +860,7 @@ class Fleet:
         Acks first: every shard has then finished the cycle, summary
         included, so the link strikes below can never race a summary.
         """
-        step = cycle.step
-        now = self._now = float(step)
+        step = self._step = cycle.step
         for shard_id in cycle.awaiting:
             ack = self.handles[shard_id].await_ack(step, self.recovery.hang_timeout_s)
             if ack is None:
@@ -882,54 +876,53 @@ class Fleet:
         for shard_id, status in sorted(cycle.statuses.items()):
             if status in _DOWN_EVENTS:
                 kind, detail = _DOWN_EVENTS[status]
-                self.events.emit(now, kind, node_id=shard_id, detail=detail)
+                self.events.emit(kind, node_id=shard_id, detail=detail)
             elif status == "ok":
                 ack = cycle.acks[shard_id]
                 if shard_id < self.n_shards:
                     power[self._slices[shard_id]] = ack["power"]
                     caps[self._slices[shard_id]] = ack["caps"]
                     self._acked_leases[shard_id] = ack["lease_w"]
-                self._record_shard_events(ack.get("events", ()))
+                self._append_acked(ack.get("events", ()))
         for shard_id in cycle.partitions:
             self._members[shard_id].link.partition()
             self.events.emit(
-                now,
                 "shard_partitioned",
                 node_id=shard_id,
                 detail="link severed both directions",
             )
         for shard_id in cycle.heals:
             self._members[shard_id].link.heal()
-            self.events.emit(now, "shard_partition_healed", node_id=shard_id)
+            self.events.emit("shard_partition_healed", node_id=shard_id)
         if cycle.kill_arbiter and self.arbiter is not None:
             self._retire(self.arbiter)
             self._saved_members = list(self.arbiter.member_specs)
             self.arbiter = None
-            self.events.emit(now, "arbiter_killed", detail="injected kill")
+            self.events.emit("arbiter_killed", detail="injected kill")
         if cycle.restart_arbiter and self.arbiter is None:
             self.arbiter = self._make_arbiter(self._saved_members, None)
             resumed = self.arbiter.resume()
             self.arbiter_restarts += 1
             self._arbiter_cycles -= self.arbiter.cycle
             self.events.emit(
-                now, "arbiter_restarted", detail=f"resumed_from_checkpoint={resumed}"
+                "arbiter_restarted", detail=f"resumed_from_checkpoint={resumed}"
             )
             # Re-admit live fleet members the snapshot predates.
             for shard_id in sorted(self.handles.keys() & self._members.keys()):
-                self._admit_known(shard_id, now)
+                self._admit_known(shard_id)
         for shard_id in cycle.admitted:
             # The arbiter-restart path above may already have swept the
             # new shard in; only register a genuinely unknown member.
-            self._admit_known(shard_id, now)
+            self._admit_known(shard_id)
         for shard_id in sorted(cycle.drains):
             if self.arbiter is not None:
-                self.arbiter.drain(shard_id, now)
+                self.arbiter.drain(shard_id)
             handle = self.handles.pop(shard_id)
             doc = handle.finish_drain() or {}
             self._bytes_retired += handle.bytes_clock
             self.drained.append(shard_id)
             self.drained_rcs[shard_id] = doc.get("rc")
-            self._record_shard_events(doc.get("events", ()))
+            self._append_acked(doc.get("events", ()))
 
         if self.arbiter is not None and (step + 1) % self.config.period_cycles == 0:
             # Shards sent their summaries before their acks, but over
@@ -939,7 +932,7 @@ class Fleet:
             for shard_id, status in cycle.statuses.items():
                 if status == "ok" and shard_id in self._members:
                     self._members[shard_id].link.wait_readable(1.0)
-            self._last_stats = self.arbiter.cycle_once(now=now)
+            self._last_stats = self.arbiter.cycle_once()
         self._power.append(power)
         self._caps.append(caps)
         # Finalize to finalize: the per-cycle throughput a deployment sees.
@@ -947,11 +940,10 @@ class Fleet:
         self._walls.append(wall_now - self._wall_anchor)
         self._wall_anchor = wall_now
 
-    def _record_shard_events(self, docs) -> None:
-        for e in map(event_from_doc, docs):
-            self._shard_events.emit(
-                e.time_s, e.kind, unit=e.unit, node_id=e.node_id, detail=e.detail
-            )
+    def _append_acked(self, docs) -> None:
+        """Log a shard's acked events with the shard's own stamps."""
+        for doc in docs:
+            self.events.append(event_from_doc(doc))
 
     # -- restart bookkeeping --------------------------------------------
 
@@ -978,16 +970,14 @@ class Fleet:
     def _watchdog(self, shard_id: int) -> None:
         """A shard stayed silent past its ack deadline: SIGKILL, restart."""
         detail = f"no ack within {self.recovery.hang_timeout_s}s; killed"
-        self.events.emit(self._now, "controller_hung", node_id=shard_id, detail=detail)
+        self.events.emit("controller_hung", node_id=shard_id, detail=detail)
         self.handles[shard_id].kill()
         self._crash(shard_id)
 
     def _crash(self, shard_id: int) -> None:
         restarts = self.restarts[shard_id]
         detail = f"shard down after {restarts} restarts"
-        self.events.emit(
-            self._now, "controller_killed", node_id=shard_id, detail=detail
-        )
+        self.events.emit("controller_killed", node_id=shard_id, detail=detail)
         if restarts >= self.recovery.max_restarts:
             self.failed.add(shard_id)
         elif self.recovery.restart_delay_cycles > 0:
@@ -996,7 +986,7 @@ class Fleet:
             self._respawn(shard_id)
 
     def _respawn(self, shard_id: int) -> None:
-        self.handles[shard_id].spawn(resume=True)
+        self.handles[shard_id].spawn(resume=self._step)
         self.restarts[shard_id] += 1
         attempt = (
             f"restart {self.restarts[shard_id]} of at most "
@@ -1006,7 +996,7 @@ class Fleet:
             ("controller_restarted", f"{attempt}, resumed from checkpoint"),
             ("shard_restarted", f"shard respawned from its checkpoint ({attempt})"),
         ):
-            self.events.emit(self._now, kind, node_id=shard_id, detail=detail)
+            self.events.emit(kind, node_id=shard_id, detail=detail)
 
 
 def run_sharded(

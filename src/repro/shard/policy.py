@@ -207,8 +207,8 @@ def _water_fill(
                 eligible, units**2 / np.maximum(new, 1e-9), 0.0
             )
             share = leftover * weights / float(weights.sum())
-            room = ceiling - new
-            add = np.minimum(share, room)
+            # A frozen lease an ulp over its ceiling must not shrink.
+            add = np.where(live, np.minimum(share, ceiling - new), 0.0)
             new = new + add
             leftover -= float(add.sum())
         if leftover <= cfg.budget_epsilon:

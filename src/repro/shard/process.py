@@ -33,9 +33,9 @@ go silent (the fleet's ack deadline detects it and SIGKILLs the
 process), SIGKILL needs no cooperation, and SIGTERM triggers the
 graceful drain — checkpoint, freeze at the last confirmed committed
 power, one final ``final=True`` summary to the arbiter, a ``drained``
-document to the clock, exit 0.  ``--resume`` restarts the host from its
-checkpoint store and persisted cluster state, the process-mode analog
-of a supervised warm restart.
+document to the clock, exit 0.  ``--resume STEP`` restarts the host from
+its checkpoint store and persisted cluster state at fleet step ``STEP``,
+the process-mode analog of a supervised warm restart.
 """
 
 from __future__ import annotations
@@ -105,10 +105,13 @@ class ShardHost:
     Args:
         spec: what to build — the slice, its manager and every knob.
         directory: checkpoints, journal and persisted cluster state.
-        resume: warm-restart from that directory.
+        resume: the fleet step to warm-restart at from that directory;
+            None starts cold.
     """
 
-    def __init__(self, spec: ShardSpec, directory: Path, resume: bool) -> None:
+    def __init__(
+        self, spec: ShardSpec, directory: Path, resume: int | None
+    ) -> None:
         self.shard_id = spec.shard_id
         self.cluster = Cluster(
             spec.cluster, spec.rapl, rng=np.random.default_rng(spec.seed)
@@ -130,8 +133,10 @@ class ShardHost:
         )
         self.shard = self.hosted.shard
         self.state_path = directory / "cluster.json"
-        if resume:
-            self._resume()
+        #: The last step this host ran (the one before a resume's).
+        self._step = -1
+        if resume is not None:
+            self._resume(resume)
 
         self.codec = spec.codec
         self._persist_every = spec.checkpoint_every
@@ -144,18 +149,18 @@ class ShardHost:
         #: dropped with the connection exactly like its assembler.
         self._send_caches: dict[socket.socket, ArrayCache] = {}
         self._unassigned: list[socket.socket] = []
-        self._step = -1
         self._terminate = False
 
     # -- lifecycle ------------------------------------------------------
 
-    def _resume(self) -> None:
-        """Warm-restart: checkpointed controller + persisted hardware."""
+    def _resume(self, step: int) -> None:
+        """Warm-restart at ``step``: checkpointed controller + persisted
+        hardware."""
         if self.state_path.exists():
             state = json.loads(self.state_path.read_text(encoding="utf-8"))
-            self._step = int(state["step"])
             self.cluster.restore(state["cluster"])
-        self.hosted.resume()
+        self._step = step - 1
+        self.hosted.resume(step)
 
     def _install_signals(self) -> None:
         def _on_term(signum: int, frame: object) -> None:
@@ -292,7 +297,7 @@ class ShardHost:
         """
         self._writer.submit(
             self._write_state,
-            {"step": self._step, "cluster": self.cluster.snapshot()},
+            {"cluster": self.cluster.snapshot()},
         )
 
     def _write_state(self, state: dict) -> None:
@@ -329,8 +334,8 @@ class ShardHost:
 
     def _drain_and_exit(self) -> int:
         """SIGTERM path: freeze, final summary, notify the clock."""
-        now = float(self._step + 1)
-        self.shard.drain(now)
+        self.shard.step = self._step + 1
+        self.shard.drain()
         self._persist()
         if self._clock is not None:
             self._send(
@@ -427,8 +432,11 @@ def add_shard_server_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--resume",
-        action="store_true",
-        help="warm-restart from the checkpoint store and persisted cluster",
+        type=int,
+        default=None,
+        metavar="STEP",
+        help="warm-restart at fleet step STEP from the checkpoint store "
+        "and persisted cluster",
     )
 
 

@@ -61,7 +61,8 @@ def event_to_doc(event: ResilienceEvent) -> dict:
 
 
 def event_from_doc(doc: dict) -> ResilienceEvent:
-    """Rebuild a shard-local event shipped through a cycle ack."""
+    """Rebuild a shard-local event shipped through a cycle ack, with the
+    shard's stamp."""
     return ResilienceEvent(
         time_s=float(doc["time_s"]),
         kind=str(doc["kind"]),
@@ -80,7 +81,8 @@ class ShardServer:
             the shard's slice topology with the initial lease as budget.
         link: the channel to the arbiter.
         config: the lease protocol's shared knobs.
-        events: structured event sink shared with the arbiter/fleet.
+        events: the shard's event log, stamped with :attr:`step`; a
+            server given none keeps its own over the same clock.
         resilience: client quarantine configuration for the deploy
             server (defaults applied when omitted).
         safety: deploy-server safety envelope configuration; the
@@ -104,7 +106,12 @@ class ShardServer:
         self.controller = controller
         self.link = link
         self.config = config or ArbiterConfig()
-        self.events = events if events is not None else ResilienceEventLog()
+        #: The fleet step this shard is executing (the owner sets it
+        #: before each cycle, a restore and a drain).
+        self.step = 0
+        self.events = events if events is not None else ResilienceEventLog(
+            lambda: self.step
+        )
         self.resilience = resilience or ResilienceConfig()
         self.safety = safety or SafetyConfig(guard=True)
         #: The budget currently leased to this shard (W).
@@ -161,7 +168,7 @@ class ShardServer:
     # The lease state machine.
     # ------------------------------------------------------------------
 
-    def poll_grants(self, now: float) -> bool:
+    def poll_grants(self) -> bool:
         """Apply the newest pending grant, if any.
 
         Grants are idempotent renewals: any grant with a sequence number
@@ -186,7 +193,6 @@ class ShardServer:
             self._apply_budget(newest.budget_w)
             self.lease_w = newest.budget_w
             self.events.emit(
-                now,
                 "shard_lease_applied",
                 node_id=self.shard_id,
                 detail=f"seq={newest.seq} lease={newest.budget_w:.1f}W",
@@ -197,7 +203,6 @@ class ShardServer:
         if self.frozen:
             self.frozen = False
             self.events.emit(
-                now,
                 "shard_unfrozen",
                 node_id=self.shard_id,
                 detail=f"lease renewed at seq={self.lease_seq}",
@@ -228,10 +233,9 @@ class ShardServer:
         else:
             self.controller.set_budget_w(budget_w)
 
-    def _expire_lease(self, now: float) -> None:
+    def _expire_lease(self) -> None:
         """Freeze at the last confirmed committed power (floor-clipped)."""
         self.events.emit(
-            now,
             "shard_lease_expired",
             node_id=self.shard_id,
             detail=(
@@ -239,9 +243,9 @@ class ShardServer:
                 f"term={self.config.lease_term_cycles}"
             ),
         )
-        self._freeze(now)
+        self._freeze()
 
-    def _freeze(self, now: float) -> None:
+    def _freeze(self) -> None:
         committed = self._steady_committed_w()
         frozen_w = float(
             np.clip(
@@ -253,13 +257,12 @@ class ShardServer:
         self.frozen = True
         self._apply_budget(frozen_w)
         self.events.emit(
-            now,
             "shard_frozen",
             node_id=self.shard_id,
             detail=f"held at {frozen_w:.1f}W of {self.lease_w:.1f}W lease",
         )
 
-    def drain(self, now: float) -> bool:
+    def drain(self) -> bool:
         """Graceful shutdown: checkpoint, freeze, send the final summary.
 
         The SIGTERM half of the drain protocol: the shard checkpoints
@@ -273,30 +276,29 @@ class ShardServer:
             True when the final summary was accepted by the link.
         """
         self.events.emit(
-            now,
             "shard_draining",
             node_id=self.shard_id,
             detail="graceful drain requested",
         )
         self.controller.checkpoint()
         if not self.frozen:
-            self._freeze(now)
-        return self.summarize(cycle=int(now), final=True)
+            self._freeze()
+        return self.summarize(final=True)
 
     # ------------------------------------------------------------------
     # The control cycle and the summary.
     # ------------------------------------------------------------------
 
-    def run_cycle(self, now: float) -> DeployCycleStats:
+    def run_cycle(self) -> DeployCycleStats:
         """One shard control cycle: grants → deploy cycle → lease aging."""
         if self.server is None:
             raise RuntimeError("shard server not started")
-        self.poll_grants(now)
+        self.poll_grants()
         stats = self.server.control_cycle()
         self._last_stats = stats
         self.lease_age += 1
         if not self.frozen and self.lease_age > self.config.lease_term_cycles:
-            self._expire_lease(now)
+            self._expire_lease()
         return stats
 
     def _committed(self) -> tuple[float, float]:
@@ -334,11 +336,11 @@ class ShardServer:
         budget = float(self.controller.budget_w)
         return bool(np.isfinite(steady) and steady >= 0.85 * budget)
 
-    def summarize(self, cycle: int, final: bool = False) -> bool:
-        """Build and send this cycle's summary to the arbiter.
+    def summarize(self, final: bool = False) -> bool:
+        """Build and send the summary of the step in :attr:`step` to the
+        arbiter.
 
         Args:
-            cycle: the shard control cycle the summary describes.
             final: True on a drain's last summary (the shard's frozen
                 state will never change again).
 
@@ -350,7 +352,7 @@ class ShardServer:
         steady, worst = self._committed()
         summary = ShardSummary(
             shard_id=self.shard_id,
-            cycle=cycle,
+            cycle=self.step,
             seq=self.lease_seq,
             lease_w=self.lease_w,
             committed_w=steady,
@@ -420,8 +422,10 @@ class HostedShard:
         self.shard.stop()
         self.shard.controller.close()
 
-    def resume(self) -> None:
-        """Warm restart: checkpointed controller, re-anchored meters."""
+    def resume(self, step: int) -> None:
+        """Warm restart at fleet step ``step``: checkpointed controller,
+        re-anchored meters."""
+        self.shard.step = step
         if self.shard.controller.resume():
             self.shard.resume_lease_state()
         # Only this shard's meters re-anchor; without it the outage's
@@ -448,14 +452,15 @@ class HostedShard:
         """
         if self._plane is None:
             raise RuntimeError("hosted shard not started")
+        self.shard.step = step
         for index in kill:
             self._plane.kill(self.nodes[index].node_id)
         for index in reconnect:
             self._plane.reconnect(self.nodes[index].node_id)
         self._bank.step(demand, self.dt_s, self._span)
-        self.shard.run_cycle(now=float(step))
+        self.shard.run_cycle()
         if (step + 1) % self.shard.config.period_cycles == 0:
-            self.shard.summarize(cycle=step)
+            self.shard.summarize()
         return {
             "type": "cycle_ack",
             "step": step,

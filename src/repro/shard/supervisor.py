@@ -218,8 +218,9 @@ def host_shard(
 
     Binds ``manager`` (with ``rng``) to the slice with the initial lease
     as its budget and opens its recoverable controller in ``directory``.
-    One event log serves the deploy, lease and recovery stacks: it ships
-    home in acks, so a restore is as visible as the crash.
+    One event log serves the deploy, lease and recovery stacks, stamped
+    with the step the shard is executing: it ships home in acks, so a
+    restore is as visible as the crash.
     """
     manager.bind(
         n_units=spec.cluster.n_units,
@@ -229,7 +230,7 @@ def host_shard(
         dt_s=spec.dt_s,
         rng=rng,
     )
-    events = ResilienceEventLog()
+    events = ResilienceEventLog(lambda: shard.step)
     shard = ShardServer(
         shard_id=spec.shard_id,
         controller=RecoverableController.open(
@@ -276,7 +277,7 @@ class ShardProcess:
 
     # -- spawning -------------------------------------------------------
 
-    def _command(self, resume: bool) -> list[str]:
+    def _command(self, resume: int | None) -> list[str]:
         # Respawns pin the originally learned port so the arbiter link's
         # dial address survives the restart.
         port = self.address[1] if self.address is not None else 0
@@ -289,12 +290,13 @@ class ShardProcess:
             "--port", str(port),
             "--port-file", str(self._port_file),
         ]
-        if resume:
-            cmd.append("--resume")
+        if resume is not None:
+            cmd += ["--resume", str(resume)]
         return cmd
 
-    def launch(self, resume: bool = False) -> None:
-        """Start the subprocess without waiting for it to come up.
+    def launch(self, resume: int | None = None) -> None:
+        """Start the subprocess without waiting for it to come up; with
+        ``resume``, a warm restart at that fleet step.
 
         Pair with :meth:`complete`; :meth:`spawn` does both.  Splitting
         the two lets a fleet overlap the interpreter start-up of a
@@ -326,7 +328,7 @@ class ShardProcess:
         self.address = self._await_port()
         self._connect_clock()
 
-    def spawn(self, resume: bool = False) -> None:
+    def spawn(self, resume: int | None = None) -> None:
         """Launch (or relaunch) the subprocess and dial its clock port."""
         self.launch(resume)
         self.complete()
@@ -554,12 +556,13 @@ class InlineShard:
         self._commands: deque[tuple | None] = deque()
         self.alive = False
 
-    def launch(self, resume: bool = False) -> None:
-        """Bring the attempt up: warm restore if asked, then start."""
+    def launch(self, resume: int | None = None) -> None:
+        """Bring the attempt up: with ``resume``, a warm restore at that
+        fleet step; then start."""
         self._commands.clear()
         try:
-            if resume:
-                self.hosted.resume()
+            if resume is not None:
+                self.hosted.resume(resume)
             self.hosted.start()
         except Exception as exc:
             self.hosted.stop()

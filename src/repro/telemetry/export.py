@@ -10,9 +10,10 @@ that its plotting scripts consume.  This module writes a
 * **JSON** — a compact column-oriented document that round-trips back
   into a ``TelemetryLog`` exactly.
 
-Structured resilience events (quarantines, fallbacks, safe-mode
-transitions) attached to the log ride along in the JSON document and have
-their own long-format CSV via :func:`events_to_csv`.
+The run's event log attached to the trace (runs, outages, quarantines,
+fallbacks, guard rungs, recovery) rides along in the JSON document, one
+``[time_s, kind, unit, node_id, detail, workload]`` row per event, and
+has its own long-format CSV via :func:`events_to_csv`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.telemetry.log import (
     CyclePhaseTimings,
     CycleTimingLog,
     LeaseTimeline,
+    ResilienceEvent,
     ResilienceEventLog,
     ShardLeaseSample,
     TelemetryLog,
@@ -131,7 +133,7 @@ def to_json(log: TelemetryLog) -> str:
         "caps_w": log.caps_w.tolist(),
         "priority": log.priority.astype(int).tolist(),
         "events": [
-            [e.time_s, e.kind, e.unit, e.node_id, e.detail]
+            [e.time_s, e.kind, e.unit, e.node_id, e.detail, e.workload]
             for e in log.events
         ],
     }
@@ -139,14 +141,15 @@ def to_json(log: TelemetryLog) -> str:
 
 
 def events_to_csv(events: ResilienceEventLog) -> str:
-    """Render a resilience event log as long-format CSV."""
+    """Render an event log as long-format CSV."""
     buf = io.StringIO()
-    buf.write("time_s,kind,unit,node_id,detail\n")
+    buf.write("time_s,kind,unit,node_id,detail,workload\n")
     for e in events:
         unit = "" if e.unit is None else str(e.unit)
         node = "" if e.node_id is None else str(e.node_id)
         detail = e.detail.replace(",", ";")
-        buf.write(f"{e.time_s:.3f},{e.kind},{unit},{node},{detail}\n")
+        workload = e.workload or ""
+        buf.write(f"{e.time_s:.3f},{e.kind},{unit},{node},{detail},{workload}\n")
     return buf.getvalue()
 
 
@@ -293,14 +296,16 @@ def from_json(text: str) -> TelemetryLog:
     for i, t in enumerate(time_s):
         log.record(float(t), power[i], readings[i], caps[i], priority[i])
     # Events are optional so documents written before the resilience layer
-    # still load.
-    for row in doc.get("events", []):
-        time, kind, unit, node_id, detail = row
-        log.events.emit(
-            float(time),
-            str(kind),
-            unit=None if unit is None else int(unit),
-            node_id=None if node_id is None else int(node_id),
-            detail=str(detail),
+    # still load, and so is their workload column (added later).
+    for time, kind, unit, node_id, detail, *workload in doc.get("events", []):
+        log.events.append(
+            ResilienceEvent(
+                float(time),
+                str(kind),
+                unit=None if unit is None else int(unit),
+                node_id=None if node_id is None else int(node_id),
+                detail=str(detail),
+                workload=workload[0] if workload else None,
+            )
         )
     return log

@@ -1,24 +1,46 @@
-"""Per-cycle trace recorder (the artifact's power/cap/priority log).
+"""Per-cycle trace recorder and the run's one event log.
 
 The paper's artifact logs "the average power during every operating cycle,
 the power cap set, and the priority (if DPS is running) at every operating
 decision for each socket".  :class:`TelemetryLog` records exactly those
 channels per step and finalizes them into contiguous arrays for analysis
 (figures 2 and 7 are computed from this log).
+
+Everything that *happens* during a run — a workload run starting or
+completing, a node outage, a quarantine, a guard rung, a checkpoint —
+is one :class:`ResilienceEvent` in one :class:`ResilienceEventLog`.  The
+run's owner builds that log over the run's clock and hands it down;
+:meth:`ResilienceEventLog.emit` stamps every event from that clock, so no
+emitter picks a time of its own:
+
+======================================  ==================================
+run                                     clock
+======================================  ==================================
+``Simulation`` (and a bare ``Plant``)   ``Plant.now``, simulated seconds
+``Fleet``                               the fleet step
+a shard (thread or process)             the step the shard is executing
+a standalone ``DeployServer``           its control-cycle count
+a standalone ``RecoverableController``  its completed-cycle count
+======================================  ==================================
+
+A record stamped elsewhere (a shard's event shipped home in an ack, a
+decoded document) enters through :meth:`ResilienceEventLog.append`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 __all__ = [
     "TelemetryLog",
+    "Clock",
     "ResilienceEvent",
     "ResilienceEventLog",
     "RecoveryEvent",
+    "RUN_EVENT_KINDS",
     "RESILIENCE_EVENT_KINDS",
     "RECOVERY_EVENT_KINDS",
     "SAFETY_EVENT_KINDS",
@@ -31,6 +53,15 @@ __all__ = [
     "LeaseTimeline",
     "LEASE_TIMELINE_FIELDS",
 ]
+
+#: A simulated run's own events: each workload run's start and end, a cap
+#: sum over the budget, and a run the step limit cut.
+RUN_EVENT_KINDS = (
+    "run_started",
+    "run_completed",
+    "budget_violation",
+    "simulation_truncated",
+)
 
 #: Recognized structured resilience event kinds (control-plane failures,
 #: fallback decisions, and safe-mode transitions).
@@ -134,7 +165,8 @@ SHARD_EVENT_KINDS = (
 )
 
 _ALL_EVENT_KINDS = (
-    RESILIENCE_EVENT_KINDS
+    RUN_EVENT_KINDS
+    + RESILIENCE_EVENT_KINDS
     + RECOVERY_EVENT_KINDS
     + SAFETY_EVENT_KINDS
     + WORKER_EVENT_KINDS
@@ -144,16 +176,17 @@ _ALL_EVENT_KINDS = (
 
 @dataclass(frozen=True)
 class ResilienceEvent:
-    """One structured fault/fallback/safe-mode transition.
+    """One structured event of a run.
 
     Attributes:
-        time_s: event time — simulation seconds, or the control-cycle
-            index for the TCP deploy layer (which has no simulated clock).
-        kind: one of :data:`RESILIENCE_EVENT_KINDS` or
-            :data:`RECOVERY_EVENT_KINDS`.
+        time_s: the run's clock when the event happened (see the module
+            docstring's table).
+        kind: one of the ``*_EVENT_KINDS``.
         unit: global unit index, if the event concerns a single unit.
-        node_id: node index, if the event concerns a node or its client.
+        node_id: node index, if the event concerns a node or its client
+            (the shard index for ``shard_*`` kinds).
         detail: free-form payload (failure reason, counts, fractions).
+        workload: workload name, if the event concerns one.
     """
 
     time_s: float
@@ -161,6 +194,7 @@ class ResilienceEvent:
     unit: int | None = None
     node_id: int | None = None
     detail: str = ""
+    workload: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _ALL_EVENT_KINDS:
@@ -170,40 +204,66 @@ class ResilienceEvent:
             )
 
 
-class ResilienceEventLog:
-    """Append-only chronological log of resilience events."""
+def _time(event: ResilienceEvent) -> float:
+    return event.time_s
 
-    def __init__(self) -> None:
+
+class Clock:
+    """A clock its owner moves by hand (``clock.now = t``); calling it
+    reads it.  A log built over one holds no reference to the owner, so
+    no cycle keeps a finished run alive, and a copy of the owner carries
+    its own."""
+
+    __slots__ = ("now",)
+
+    def __init__(self, now: float = 0.0) -> None:
+        self.now = now
+
+    def __call__(self) -> float:
+        return self.now
+
+
+class ResilienceEventLog:
+    """A run's chronological event log, stamped by the run's clock.
+
+    Args:
+        clock: the run's clock; :meth:`emit` stamps each event with its
+            value at the time of the call.
+    """
+
+    def __init__(self, clock: Callable[[], float]) -> None:
+        self.clock = clock
         self._events: list[ResilienceEvent] = []
 
     def emit(
         self,
-        time_s: float,
         kind: str,
+        *,
         unit: int | None = None,
         node_id: int | None = None,
+        workload: str | None = None,
         detail: str = "",
     ) -> ResilienceEvent:
-        """Append an event and return it."""
+        """Append an event stamped with the clock's current value."""
         event = ResilienceEvent(
-            time_s=time_s, kind=kind, unit=unit, node_id=node_id, detail=detail
+            float(self.clock()), kind, unit, node_id, detail, workload
         )
         self._events.append(event)
         return event
 
-    def extend(self, other: "ResilienceEventLog") -> None:
-        """Merge another log (e.g. a manager's internal log) into this one.
+    def append(self, event: ResilienceEvent) -> None:
+        """Append an event stamped elsewhere (an ack, a decoded document)."""
+        self._events.append(event)
 
-        The merge is stable by ``time_s``, preserving the chronological
-        ordering that ``window()``-style consumers and the CSV/JSON
-        exporters assume; at equal times this log's events come first,
-        then the other log's, each in their original order.
-        """
-        if not other._events:
-            return
-        merged = self._events + list(other._events)
-        merged.sort(key=lambda e: e.time_s)  # Stable: ties keep order.
-        self._events = merged
+    def settle(self, start: int) -> list[ResilienceEvent]:
+        """Stable-sort the events from index ``start`` on by time; return
+        them.  For an owner whose pipeline logs a later step's events
+        before an earlier one's (the fleet dispatches N+1 before it
+        finalizes N): every event before ``start`` must be no later than
+        those after it."""
+        tail = sorted(self._events[start:], key=_time)
+        self._events[start:] = tail
+        return tail
 
     def __len__(self) -> int:
         return len(self._events)
@@ -400,9 +460,14 @@ class TelemetryLog:
 
     Args:
         n_units: number of units traced.
+        events: the run's event log, carried beside the traces; without
+            one the trace keeps its own, stamped with the last recorded
+            step's time.
     """
 
-    def __init__(self, n_units: int) -> None:
+    def __init__(
+        self, n_units: int, events: ResilienceEventLog | None = None
+    ) -> None:
         if n_units < 1:
             raise ValueError(f"n_units must be >= 1, got {n_units}")
         self.n_units = n_units
@@ -412,9 +477,9 @@ class TelemetryLog:
         self._caps: list[np.ndarray] = []
         self._priority: list[np.ndarray] = []
         self._finalized: dict[str, np.ndarray] | None = None
-        #: Structured resilience events recorded alongside the traces
-        #: (quarantines, fallbacks, clamps, safe-mode transitions).
-        self.events = ResilienceEventLog()
+        self.events = events if events is not None else ResilienceEventLog(
+            lambda: self._time[-1] if self._time else 0.0
+        )
 
     def __len__(self) -> int:
         return len(self._time)

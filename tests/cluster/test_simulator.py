@@ -301,3 +301,33 @@ class TestVerifiedActuation:
         assert not result.truncated
         assert result.actuation_retries == 0
         assert result.actuation_verify_failures == 0
+
+
+class TestOneEventLog:
+    def test_the_run_has_one_log_stamped_in_simulated_seconds(self, tmp_path):
+        from repro.safety import SafetyConfig
+
+        result = make_sim(
+            manager="dps",
+            record_telemetry=True,
+            safety=SafetyConfig(guard=True),
+            checkpoint_dir=tmp_path,
+            checkpoint_every=5,
+            verify_actuation=True,
+        ).run()
+        assert result.events is result.telemetry.events is result.safety_events
+        times = [e.time_s for e in result.events]
+        assert times == sorted(times)
+        kinds = {e.kind for e in result.events}
+        assert {"run_started", "run_completed", "checkpoint_written"} <= kinds
+        # The controller's checkpoints sit at the plant's seconds.
+        written = result.events.of_kind("checkpoint_written")
+        assert [e.time_s for e in written] == [
+            5.0 * k for k in range(1, len(written) + 1)
+        ]
+        assert result.checkpoints_written == len(written)
+
+    def test_no_safety_no_safety_events(self):
+        result = make_sim(record_telemetry=True).run()
+        assert result.safety_events is None
+        assert result.events is result.telemetry.events

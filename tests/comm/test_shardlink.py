@@ -118,7 +118,7 @@ class TestConnectAndRoundTrip:
 
 class TestReconnect:
     def test_redials_after_peer_drop(self, peer):
-        events = ResilienceEventLog()
+        events = ResilienceEventLog(lambda: 0)
         link = make_link(peer, events=events)
         link.send_grant({"type": "grant", "seq": 1})
         peer.accept()

@@ -253,8 +253,8 @@ class TestObservability:
 
     def test_budget_rescaled_restamped_after_a_restart(self, tmp_path):
         """The restarted attempt's stack takes over the durable manager's
-        rescale hook: its events carry its own cycle index, not the dead
-        attempt's last one."""
+        rescale hook: its events carry the fleet step it ran, not the dead
+        attempt's last one (the kill at 3 costs steps 3-5)."""
         cluster = Cluster(
             ClusterSpec(n_nodes=2, sockets_per_node=2),
             RaplConfig(noise_std_w=0.0),
@@ -270,4 +270,4 @@ class TestObservability:
             chaos=ShardChaosSchedule(shard_kill_at={0: 3}),
         )
         rescaled = result.events.of_kind("budget_rescaled")
-        assert [e.time_s for e in rescaled] == [1.0, 1.0, 2.0, 2.0, 3.0]
+        assert [e.time_s for e in rescaled] == [0.0, 1.0, 2.0, 6.0, 7.0]

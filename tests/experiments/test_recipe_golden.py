@@ -8,7 +8,10 @@ SHA-256 over everything one of them returns or leaves on disk, at
 constants were computed while each caller still built its simulation by
 hand, before they shared ``jobs.build``, and committed unchanged: a
 failure here means a seed, a placement or a budget moved, not that the
-constant is stale.
+constant is stale.  One moved on purpose: ``chaos`` hashes each event's
+``repr``, which changed when the simulator's own event record folded into
+:class:`~repro.telemetry.log.ResilienceEvent`; the ``(time_s, kind,
+workload, detail)`` sequence it hashes stayed the same, event for event.
 """
 
 import hashlib
@@ -34,8 +37,8 @@ CHAOS = "stuck=0.05,dropout=0.05,spike=0.02,kill=1@30-60"
 
 GOLDEN = {
     "chaos": (
-        "7454d21c88922dde0d2fcfde9a4b7a5e"
-        "233e0b095efa4834bc6298660f07188a"
+        "fac6fc5d4b3e11a080952ab521451ea8"
+        "7f274ac0ddd34459bce9343adeda6b81"
     ),
     "checkpointed": (
         "37ca10ffbdcfab7080d360de9ac442b8"

@@ -6,6 +6,7 @@ import pytest
 from repro.core.config import RaplConfig
 from repro.powercap.actuator import CapActuator
 from repro.powercap.rapl import RaplBank, RaplDomain
+from repro.telemetry.log import ResilienceEventLog
 
 
 class FlakyBank(RaplBank):
@@ -57,7 +58,7 @@ class TestVerify:
         act.issue(np.array([100.0, 120.0]))
         assert act.retries == 0
         assert act.verify_failures == 0
-        assert act.events == []
+        assert len(act.events) == 0
 
     def test_transient_failure_retried_and_reported(self):
         doms = flaky_domains(drop_prob=1.0, max_drops=1)
@@ -68,8 +69,10 @@ class TestVerify:
         assert doms[1].cap_w == pytest.approx(120.0)
         assert act.retries == 2
         assert act.verify_failures == 0
-        kinds = [kind for kind, _, _ in act.events]
+        kinds = [e.kind for e in act.events]
         assert kinds == ["actuation_retried", "actuation_retried"]
+        # The actuator's own log is stamped with the commands applied.
+        assert [e.time_s for e in act.events] == [1.0, 1.0]
 
     def test_exhaustion_reported_never_raised(self):
         doms = flaky_domains(n=1, drop_prob=1.0)  # Every write fails.
@@ -77,10 +80,10 @@ class TestVerify:
         act.issue(np.array([100.0]))  # Must not raise.
         assert act.verify_failures == 1
         assert act.retries == 2
-        (kind, unit, detail) = act.events[0]
-        assert kind == "actuation_retry_exhausted"
-        assert unit == 0
-        assert "100.000" in detail
+        (event,) = act.events
+        assert event.kind == "actuation_retry_exhausted"
+        assert event.unit == 0
+        assert "100.000" in event.detail
 
     def test_expected_value_is_the_sysfs_clamp(self):
         # A request outside the accepted range reads back clamped; that
@@ -93,7 +96,7 @@ class TestVerify:
         doms = flaky_domains(n=1, drop_prob=1.0)
         act = CapActuator(doms, verify=False)
         act.issue(np.array([100.0]))
-        assert act.retries == 0 and act.events == []
+        assert act.retries == 0 and len(act.events) == 0
 
     def test_backoff_doubles_but_stays_bounded(self, monkeypatch):
         sleeps = []
@@ -131,15 +134,19 @@ class TestPipelineReset:
         act.issue(np.array([100.0, 120.0]))
         assert doms[0].cap_w == pytest.approx(100.0)  # Never saw 50 W.
 
-    def test_reset_clears_counters_and_events(self):
-        act = CapActuator(flaky_domains(n=1, drop_prob=1.0), verify=True)
+    def test_reset_clears_counters_keeps_the_log(self):
+        log = ResilienceEventLog(lambda: 0)
+        act = CapActuator(
+            flaky_domains(n=1, drop_prob=1.0), verify=True, events=log
+        )
         act.issue(np.array([100.0]))
-        assert act.verify_failures == 1 and act.events
+        assert act.verify_failures == 1 and len(log) == 1
         act.reset()
         assert act.retries == 0
         assert act.verify_failures == 0
-        assert act.events == []
         assert act.commands_applied == 0
+        # What happened stays in the run's log.
+        assert act.events is log and len(log) == 1
 
     def test_snapshot_restore_round_trips_pipeline(self):
         act = CapActuator(healthy_domains(), delay_steps=2)

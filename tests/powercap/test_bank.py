@@ -1,7 +1,10 @@
 """The RAPL bank: bulk calls, scalar views and the per-object model the
 bank replaced agree bit for bit, under any interleaving."""
 
+import contextlib
+import copy
 import json
+import pickle
 import sys
 import threading
 
@@ -210,6 +213,35 @@ def test_snapshot_mid_block_resumes_the_reading_stream():
         assert (
             bits(live.read_powers_w(1.0)) == bits(resumed.read_powers_w(1.0))
         ).all()
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernels", "numpy"])
+def test_copied_and_pickled_cluster_read_as_the_original(compiled):
+    """A deep copy and an unpickled copy of a 1,000-unit cluster taken mid
+    noise block, faults set, read the original's powers byte for byte
+    for 200 reads: each copy re-takes its views and pinned addresses on
+    its own arrays, and its streams resume where the original's stand."""
+    spec = ClusterSpec(n_nodes=500, sockets_per_node=2)
+    live = Cluster(spec, RaplConfig(noise_std_w=1.5), np.random.default_rng(7))
+    live.bank.set_faults(
+        FaultConfig(stuck_prob=0.05, dropout_prob=0.05, spike_prob=0.05),
+        np.random.default_rng(8).spawn(spec.n_units),
+    )
+    demand = np.random.default_rng(9).uniform(40.0, 160.0, spec.n_units)
+    with oracles.no_native() if not compiled else contextlib.nullcontext():
+        for _ in range(NOISE_BLOCK + 11):  # Eleven into the 2nd block.
+            live.step_physics(demand, 1.0)
+            live.read_powers_w(1.0)
+        copies = [copy.deepcopy(live), pickle.loads(pickle.dumps(live))]
+        for twin in copies:
+            assert twin.bank._pinned.at[0] == twin.bank.cap_w.ctypes.data
+        for _ in range(200):
+            readings = []
+            for cluster in (live, *copies):
+                cluster.step_physics(demand, 1.0)
+                readings.append(cluster.read_powers_w(1.0).tobytes())
+            assert readings[1] == readings[0] and readings[2] == readings[0]
+        assert live.bank.faults_injected.sum() > 0
 
 
 def test_views_and_cluster_documents_are_the_same_documents():

@@ -6,7 +6,6 @@ import pytest
 from repro.core.managers import create_manager
 from repro.recovery.controller import RecoverableController
 from repro.safety import BudgetEnvelope, BudgetGuard, last_readjust_grants
-from repro.telemetry.log import ResilienceEventLog
 
 
 def make_guard(n=4, budget=400.0, max_cap=165.0, min_cap=30.0, **kwargs):
@@ -14,15 +13,14 @@ def make_guard(n=4, budget=400.0, max_cap=165.0, min_cap=30.0, **kwargs):
     # Settle the applied view so ladder tests exercise steady-state
     # enforcement, not the cold-start prior.
     env.record_applied(slice(None), np.full(n, budget / n))
-    events = ResilienceEventLog()
-    return BudgetGuard(env, min_cap_w=min_cap, events=events, **kwargs), env
+    return BudgetGuard(env, min_cap_w=min_cap, **kwargs), env
 
 
 class TestNoAction:
     def test_within_budget_passes_through(self):
         guard, _ = make_guard()
         caps = np.array([100.0, 100.0, 100.0, 100.0])
-        decision = guard.enforce(caps, now=0.0)
+        decision = guard.enforce(caps)
         assert decision.rung is None
         np.testing.assert_array_equal(decision.caps_w, caps)
         assert guard.excursions == 0
@@ -31,7 +29,7 @@ class TestNoAction:
     def test_float_noise_is_not_an_excursion(self):
         guard, _ = make_guard()
         caps = np.full(4, 100.0 + 1e-10)
-        decision = guard.enforce(caps, now=0.0)
+        decision = guard.enforce(caps)
         assert decision.rung is None
         assert guard.excursions == 0
 
@@ -41,7 +39,7 @@ class TestLadder:
         guard, _ = make_guard()
         caps = np.array([120.0, 120.0, 100.0, 100.0])  # 40 W over.
         grants = np.array([30.0, 30.0, 0.0, 0.0])  # 60 W of fresh grants.
-        decision = guard.enforce(caps, now=1.0, grants_w=grants)
+        decision = guard.enforce(caps, grants_w=grants)
         assert decision.rung == "budget_shave_grants"
         assert decision.caps_w.sum() == pytest.approx(400.0)
         # Proportional: each granted unit gives back 40/60 of its grant.
@@ -57,7 +55,7 @@ class TestLadder:
         caps = np.array([120.0, 120.0, 100.0, 100.0])
         env.record_applied(slice(None), caps)  # Rung output, not pacing.
         grants = np.array([10.0, 10.0, 0.0, 0.0])  # Only 20 W of 40 W.
-        decision = guard.enforce(caps, now=1.0, grants_w=grants)
+        decision = guard.enforce(caps, grants_w=grants)
         assert decision.rung == "budget_scale_down"
         assert decision.caps_w.sum() == pytest.approx(400.0)
 
@@ -65,7 +63,7 @@ class TestLadder:
         guard, env = make_guard()
         caps = np.array([150.0, 150.0, 31.0, 109.0])  # 40 W over.
         env.record_applied(slice(None), caps)  # Rung output, not pacing.
-        decision = guard.enforce(caps, now=2.0)
+        decision = guard.enforce(caps)
         assert decision.rung == "budget_scale_down"
         assert decision.caps_w.sum() == pytest.approx(400.0)
         assert np.all(decision.caps_w >= 30.0 - 1e-9)
@@ -81,7 +79,7 @@ class TestLadder:
         unreachable = np.array([True, True, False, False])
         # Held power: 2 x 160 = 320 W > 200 W budget on its own.
         decision = guard.enforce(
-            np.full(4, 50.0), now=3.0, unreachable=unreachable
+            np.full(4, 50.0), unreachable=unreachable
         )
         assert decision.rung == "budget_emergency_drop"
         # Reachable units drop to the floor; the residual excursion is
@@ -96,7 +94,7 @@ class TestLadder:
         unreachable = np.array([True, False, False, False])
         # Unit 0 holds 130 W, so the other three must fit in 270 W.
         decision = guard.enforce(
-            np.full(4, 100.0), now=4.0, unreachable=unreachable
+            np.full(4, 100.0), unreachable=unreachable
         )
         assert decision.rung == "budget_scale_down"
         assert decision.caps_w[1:].sum() == pytest.approx(270.0)
@@ -105,9 +103,11 @@ class TestLadder:
 
     def test_rung_counters(self):
         guard, _ = make_guard()
-        guard.enforce(np.full(4, 110.0), now=0.0)
-        guard.enforce(np.full(4, 120.0), now=1.0)
+        guard.enforce(np.full(4, 110.0))
+        guard.enforce(np.full(4, 120.0))
         assert guard.rungs_taken == {"budget_scale_down": 2}
+        # The guard's own log is stamped with the cycles it has gated.
+        assert [e.time_s for e in guard.events] == [1.0, 2.0]
 
 
 class TestRaisePacing:
@@ -117,7 +117,7 @@ class TestRaisePacing:
         cycle so the union never exceeds the budget."""
         guard, _ = make_guard()  # Applied settled at 100 W each.
         decision = guard.enforce(
-            np.array([60.0, 140.0, 100.0, 100.0]), now=0.0
+            np.array([60.0, 140.0, 100.0, 100.0])
         )
         assert decision.rung is None  # Steady state fits exactly.
         # The decrease lands now; the raise is held at the applied value.
@@ -134,7 +134,7 @@ class TestRaisePacing:
         guard, env = make_guard()
         env.record_applied(slice(None), np.full(4, 90.0))  # 40 W headroom.
         decision = guard.enforce(
-            np.array([120.0, 120.0, 60.0, 60.0]), now=0.0
+            np.array([120.0, 120.0, 60.0, 60.0])
         )
         # 60 W of raises, 20 W of transient excess: defer a third of each.
         np.testing.assert_allclose(
@@ -146,13 +146,13 @@ class TestRaisePacing:
     def test_deferred_raise_lands_next_cycle(self):
         guard, env = make_guard()
         want = np.array([60.0, 140.0, 100.0, 100.0])
-        first = guard.enforce(want, now=0.0)
+        first = guard.enforce(want)
         # The paced dispatch is acknowledged...
         env.record_dispatched(slice(None), first.caps_w)
         env.confirm_applied(slice(None))
         # ...so the same request now fits: the old 100 W cap of unit 0 is
         # gone and unit 1's raise no longer double-counts.
-        second = guard.enforce(want, now=1.0)
+        second = guard.enforce(want)
         np.testing.assert_allclose(second.caps_w, want)
         assert guard.raises_deferred == 1
         assert guard.excursions == 0
@@ -160,7 +160,7 @@ class TestRaisePacing:
     def test_dry_run_never_defers(self):
         guard, _ = make_guard(dry_run=True)
         caps = np.array([60.0, 140.0, 100.0, 100.0])
-        decision = guard.enforce(caps, now=0.0)
+        decision = guard.enforce(caps)
         np.testing.assert_array_equal(decision.caps_w, caps)
         assert guard.raises_deferred == 0
         assert not guard.events.of_kind("budget_raise_deferred")
@@ -172,7 +172,7 @@ class TestOvershootReporting:
         when the new candidate already fits."""
         guard, env = make_guard()
         env.record_applied(slice(None), np.full(4, 150.0))  # 600 W held.
-        decision = guard.enforce(np.full(4, 90.0), now=5.0)
+        decision = guard.enforce(np.full(4, 90.0))
         assert decision.rung is None  # Steady state fits.
         assert guard.excursions == 1
         (event,) = guard.events.of_kind("budget_overshoot")
@@ -181,7 +181,7 @@ class TestOvershootReporting:
     def test_dry_run_reports_but_never_modifies(self):
         guard, _ = make_guard(dry_run=True)
         caps = np.full(4, 120.0)
-        decision = guard.enforce(caps, now=0.0)
+        decision = guard.enforce(caps)
         assert decision.rung is None
         assert decision.overshoot_w == pytest.approx(80.0)
         np.testing.assert_array_equal(decision.caps_w, caps)

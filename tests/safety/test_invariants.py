@@ -621,7 +621,7 @@ class TestMonitor:
     def test_strict_raises(self):
         monitor = InvariantMonitor(mode="strict", invariants=(self.failing(),))
         with pytest.raises(InvariantViolationError, match="always-fails"):
-            monitor.run(ctx(np.full(4, 110.0)), now=0.0)
+            monitor.run(ctx(np.full(4, 110.0)))
         assert len(monitor.events.of_kind("invariant_violation")) == 1
 
     def test_sampling_emits_without_raising(self):
@@ -629,14 +629,16 @@ class TestMonitor:
             mode="sampling", sample_every=3, invariants=(self.failing(),)
         )
         for cycle in range(7):
-            monitor.run(ctx(np.full(4, 110.0)), now=float(cycle))
+            monitor.run(ctx(np.full(4, 110.0)))
         # Cycles 1, 4, and 7 are swept (1-based, every 3rd).
         assert monitor.sweeps_run == 3
         assert len(monitor.violations) == 3
+        # The monitor's own log is stamped with the cycles it has seen.
+        assert [e.time_s for e in monitor.events] == [1.0, 4.0, 7.0]
 
     def test_off_does_nothing(self):
         monitor = InvariantMonitor(mode="off", invariants=(self.failing(),))
-        assert monitor.run(ctx(np.full(4, 110.0)), now=0.0) == []
+        assert monitor.run(ctx(np.full(4, 110.0))) == []
         assert monitor.sweeps_run == 0
 
     def test_default_invariants_pass_on_healthy_state(self):
@@ -645,7 +647,7 @@ class TestMonitor:
         caps = mgr.step(np.full(4, 120.0))
         monitor = InvariantMonitor(mode="strict")
         assert monitor.invariants == default_invariants()
-        assert monitor.run(ctx(caps, mgr), now=0.0) == []
+        assert monitor.run(ctx(caps, mgr)) == []
 
     def test_validation(self):
         with pytest.raises(ValueError, match="mode"):

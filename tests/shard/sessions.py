@@ -104,12 +104,68 @@ def assert_budget_conserved(result):
     assert np.nansum(result.leases_w) <= result.budget_w * (1 + 1e-9)
 
 
+def assert_chronological(result):
+    """One log, one clock: every event is stamped with a step of the
+    session, and the log reads in step order."""
+    times = [e.time_s for e in result.events]
+    assert all(t == int(t) and 0 <= t < result.cycles for t in times), times
+    assert times == sorted(times)
+
+
+def run_restart_chronology(mode, tmp_path):
+    """Shard 0 killed at step 6 (restarted at 8), then its node 0's
+    daemon killed at 11 and reconnected at 13: a ``dps`` fleet of two
+    shards over 4 x 2 units, 16 steps."""
+    cluster = Cluster(
+        ClusterSpec(n_nodes=4, sockets_per_node=2), rng=np.random.default_rng(0)
+    )
+    demand = np.full(cluster.n_units, 150.0)
+    return run_sharded(
+        cluster,
+        n_shards=2,
+        manager_factory=None,
+        demand_fn=lambda step: demand,
+        cycles=16,
+        checkpoint_dir=tmp_path / "ckpt",
+        chaos=ShardChaosSchedule(
+            shard_kill_at={0: 6}, node_kill_at={0: 11}, node_reconnect_at={0: 13}
+        ),
+        rng=np.random.default_rng(1),
+        mode=mode,
+        manager_name="dps",
+    )
+
+
+def assert_events_at_their_steps(result):
+    """Every event of :func:`run_restart_chronology` reads the fleet step
+    it happened at — not a restarted shard's own cycle count, not a
+    checkpoint's cycle, not a 1-based deploy cycle."""
+
+    def at(kind, node_id=None):
+        return [
+            e.time_s
+            for e in result.events.of_kind(kind)
+            if node_id is None or e.node_id == node_id
+        ]
+
+    assert_chronological(result)
+    assert at("controller_killed") == [6.0]
+    assert at("shard_restarted") == [8.0]
+    assert at("restore_performed") == at("journal_replayed") == [8.0]
+    assert at("client_quarantined", 0) == [11.0]
+    assert at("fallback_applied", 0) == [12.0]
+    assert at("client_rejoined", 0) == [13.0]
+    # Both shards' cold-start envelopes overshoot on the first step, 0.
+    assert at("budget_overshoot")[:2] == [0.0, 0.0]
+
+
 def assert_clean_run(result, mode, n_shards, cycles):
     """A healthy fleet: conserved, fully reported, recovery untouched."""
     assert result.mode == mode
     assert result.cycles == cycles
     assert result.n_shards == n_shards
     assert_budget_conserved(result)
+    assert_chronological(result)
     assert result.failed_shards == ()
     assert result.shard_restarts == [0] * n_shards
     assert result.arbiter_cycles == cycles // 2
@@ -134,6 +190,7 @@ def assert_failure_matrix(result, killed, hung, partitioned):
     # The global invariant held on every arbiter cycle, across both
     # arbiter incarnations.
     assert_budget_conserved(result)
+    assert_chronological(result)
 
     # Every injected failure recovered within its restart budget.
     assert result.failed_shards == ()

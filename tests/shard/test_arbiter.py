@@ -80,7 +80,7 @@ class TestCycle:
         arbiter, links = make_arbiter()
         report(links[0], 0, committed_w=180.0)
         report(links[1], 1, committed_w=180.0)
-        stats = arbiter.cycle_once(now=0.0)
+        stats = arbiter.cycle_once()
         assert not np.any(stats.dark)
         assert stats.worst_case_w <= BUDGET * (1 + 1e-9)
         for link in links:
@@ -93,11 +93,11 @@ class TestCycle:
         arbiter, links = make_arbiter()
         report(links[0], 0)
         report(links[1], 1)
-        arbiter.cycle_once(now=0.0)
+        arbiter.cycle_once()
         # Echo the granted seq from shard 0 only.
         report(links[0], 0, cycle=1, seq=1)
         report(links[1], 1, cycle=1, seq=0)
-        arbiter.cycle_once(now=1.0)
+        arbiter.cycle_once()
         applied = arbiter.envelope.applied_w
         assert applied[0] == arbiter.leases_w[0]
         # In-flight entries at or below the acked seq were dropped.
@@ -106,7 +106,7 @@ class TestCycle:
     def test_missing_summary_quarantines_and_skips_grant(self):
         arbiter, links = make_arbiter()
         report(links[0], 0)
-        stats = arbiter.cycle_once(now=0.0)
+        stats = arbiter.cycle_once()
         assert list(stats.dark) == [False, True]
         assert arbiter.dark_shards == (1,)
         events = arbiter.events.of_kind("shard_quarantined")
@@ -119,11 +119,11 @@ class TestCycle:
     def test_rejoin_restores_grants(self):
         arbiter, links = make_arbiter()
         report(links[0], 0)
-        arbiter.cycle_once(now=0.0)
+        arbiter.cycle_once()
         links[0].take_grants()
         report(links[0], 0, cycle=1, seq=1)
         report(links[1], 1, cycle=1, seq=0)
-        stats = arbiter.cycle_once(now=1.0)
+        stats = arbiter.cycle_once()
         assert not np.any(stats.dark)
         rejoined = arbiter.events.of_kind("shard_rejoined")
         assert [e.node_id for e in rejoined] == [1]
@@ -134,7 +134,7 @@ class TestCycle:
         dead_before = len(arbiter.events.of_kind("shard_dead"))
         for cycle in range(8):
             report(links[0], 0, cycle=cycle, seq=0)
-            arbiter.cycle_once(now=float(cycle))
+            arbiter.cycle_once()
         dead = arbiter.events.of_kind("shard_dead")
         assert len(dead) == dead_before + 1
         assert dead[-1].node_id == 1
@@ -144,14 +144,14 @@ class TestCycle:
         report(links[0], 0)
         report(links[1], 1)
         links[1].partition()
-        arbiter.cycle_once(now=0.0)
+        arbiter.cycle_once()
         # Shard 1's summary beat the partition; the grant back did not.
         assert not links[1].take_grants()
         assert arbiter._records[1].seq == 0  # Number never hit the wire.
         links[1].heal()
         report(links[0], 0, cycle=1, seq=1)
         report(links[1], 1, cycle=1, seq=0)
-        arbiter.cycle_once(now=1.0)
+        arbiter.cycle_once()
         [doc] = links[1].take_grants()
         assert doc["seq"] == 1
 
@@ -167,7 +167,7 @@ class TestCycle:
                 committed_w=215.0,
                 prio=True,
             )
-            stats = arbiter.cycle_once(now=float(cycle))
+            stats = arbiter.cycle_once()
             assert stats.worst_case_w <= BUDGET * (1 + 1e-9)
             # The dark shard's held power plus every live lease fits.
             assert float(arbiter.leases_w.sum()) <= BUDGET * (1 + 1e-9)
@@ -178,7 +178,7 @@ class TestCycle:
         for cycle in range(3):
             report(links[0], 0, cycle=cycle)
             report(links[1], 1, cycle=cycle)
-            arbiter.cycle_once(now=float(cycle))
+            arbiter.cycle_once()
         assert len(arbiter.timeline) == 3 * 2
         assert len(arbiter.timeline.for_shard(0)) == 3
 
@@ -199,10 +199,10 @@ class TestMembership:
             initial_leases_w=np.asarray([150.0, 150.0])
         )
         link3 = ShardLink()
-        arbiter.admit(make_spec(2, link3), now=0.0)
+        arbiter.admit(make_spec(2, link3))
         report(links[0], 0, lease_w=150.0, committed_w=140.0)
         report(links[1], 1, lease_w=150.0, committed_w=140.0)
-        arbiter.cycle_once(now=0.0)
+        arbiter.cycle_once()
         # No HELLO yet: still pending, no grants, not a member.
         assert arbiter.member_ids == (0, 1)
         assert arbiter.pending_ids == (2,)
@@ -217,7 +217,7 @@ class TestMembership:
                    committed_w=140.0)
             report(links[1], 1, cycle=cycle, seq=cycle, lease_w=150.0,
                    committed_w=140.0)
-            arbiter.cycle_once(now=float(cycle))
+            arbiter.cycle_once()
             if 2 in arbiter.member_ids:
                 break
         assert arbiter.member_ids == (0, 1, 2)
@@ -233,26 +233,26 @@ class TestMembership:
     def test_admit_rejects_duplicate_and_uncoverable_floor(self):
         arbiter, links = make_arbiter()
         with pytest.raises(ValueError, match="already known"):
-            arbiter.admit(make_spec(0, ShardLink()), now=0.0)
+            arbiter.admit(make_spec(0, ShardLink()))
         # 2 x 60 W existing floors + an 11-unit floor of 330 W > 440 W.
         with pytest.raises(ValueError, match="floor"):
-            arbiter.admit(make_spec(9, ShardLink(), n_units=11), now=0.0)
+            arbiter.admit(make_spec(9, ShardLink(), n_units=11))
 
     def test_drain_reclaims_only_after_final_frozen_summary(self):
         arbiter, links = make_arbiter()
         report(links[0], 0)
         report(links[1], 1)
-        arbiter.cycle_once(now=0.0)
+        arbiter.cycle_once()
         links[1].take_grants()
 
-        arbiter.drain(1, now=0.5)
+        arbiter.drain(1)
         [draining] = arbiter.events.of_kind("shard_draining")
         assert draining.node_id == 1
 
         # Until the final frozen summary arrives, the shard stays a
         # member (its watts stay booked) and receives no grants.
         report(links[0], 0, cycle=1, seq=1)
-        arbiter.cycle_once(now=1.0)
+        arbiter.cycle_once()
         assert arbiter.member_ids == (0, 1)
         assert not arbiter.events.of_kind("shard_drained")
         assert not links[1].take_grants()
@@ -274,7 +274,7 @@ class TestMembership:
                 final=True,
             ).to_doc()
         )
-        arbiter.cycle_once(now=2.0)
+        arbiter.cycle_once()
         assert arbiter.member_ids == (0,)
         [drained] = arbiter.events.of_kind("shard_drained")
         assert drained.node_id == 1
@@ -284,11 +284,11 @@ class TestMembership:
 
     def test_drain_is_idempotent_and_keeps_last_shard(self):
         arbiter, _ = make_arbiter()
-        arbiter.drain(1, now=0.0)
-        arbiter.drain(1, now=0.1)  # Idempotent.
+        arbiter.drain(1)
+        arbiter.drain(1)  # Idempotent.
         assert len(arbiter.events.of_kind("shard_draining")) == 1
         with pytest.raises(ValueError, match="last active"):
-            arbiter.drain(0, now=0.2)
+            arbiter.drain(0)
 
 
 class TestCrashRecovery:
@@ -296,7 +296,7 @@ class TestCrashRecovery:
         arbiter, links = make_arbiter()
         report(links[0], 0)
         report(links[1], 1)
-        arbiter.cycle_once(now=0.0)
+        arbiter.cycle_once()
         snap = arbiter.snapshot()
 
         clone, _ = make_arbiter()
@@ -322,7 +322,7 @@ class TestCrashRecovery:
         arbiter, links = make_arbiter()
         report(links[0], 0)
         report(links[1], 1)
-        arbiter.cycle_once(now=0.0)
+        arbiter.cycle_once()
         snap = arbiter.snapshot()
         snap["shards"] = [
             d for d in snap["shards"] if d["shard_id"] == 0
@@ -338,7 +338,7 @@ class TestCrashRecovery:
         arbiter, links = make_arbiter()
         report(links[0], 0)
         report(links[1], 1)
-        arbiter.cycle_once(now=0.0)
+        arbiter.cycle_once()
         legacy = {
             "version": 1,
             "cycle": arbiter.cycle,
@@ -368,7 +368,7 @@ class TestCrashRecovery:
         arbiter, links = make_arbiter(store=store)
         report(links[0], 0)
         report(links[1], 1)
-        arbiter.cycle_once(now=0.0)
+        arbiter.cycle_once()
 
         fresh, _ = make_arbiter(store=store)
         assert fresh.resume()

@@ -6,10 +6,13 @@ a node daemon kill and reconnect.  One SHA-256 covers the whole record a
 session leaves: the power and cap histories, the structured event stream
 (``time_s, kind, node_id, unit, detail``) and the lease timeline.  The
 constant was computed with the closure-based ``run_sharded`` loop, before
-the fleet became an object, and committed unchanged: a failure here means
-the fleet's schedule moved — which phase a strike fires in, where the
-pipeline breaks, the order acks are applied — not that the constant is
-stale.
+the fleet became an object: a failure here means the fleet's schedule
+moved — which phase a strike fires in, where the pipeline breaks, the
+order acks are applied — not that the constant is stale.  It moved once,
+on purpose, when the session got one log stamped with fleet steps: the
+events a shard emits read the step it was executing (not its attempt's
+own cycle count), the restarted arbiter registers its members at its
+restart step, and the histories and lease timeline stayed bit for bit.
 """
 
 import hashlib
@@ -27,7 +30,7 @@ from repro.shard import (
 )
 from tests.shard.sessions import dump_artifacts
 
-GOLDEN = "61239e9cf4f41985a76a7232b59ddfe4fe67211fb0416a66767fe4c474cfc9a4"
+GOLDEN = "ce0deaa12d3e6d683cae2bd57a726b144cae923bc3d93e9fc71143034313d267"
 
 CYCLES = 28
 

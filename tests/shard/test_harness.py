@@ -20,10 +20,12 @@ import pytest
 from repro.shard import ArbiterConfig, RecoveryOptions, ShardChaosSchedule
 from tests.shard.sessions import (
     assert_clean_run,
+    assert_events_at_their_steps,
     assert_failure_matrix,
     check_arbiter_kill_without_restart,
     dump_artifacts,
     make_cluster,
+    run_restart_chronology,
     run_session,
 )
 
@@ -235,6 +237,9 @@ class TestRestartBookkeeping:
         [restarted] = result.events.of_kind("controller_restarted")
         # Down at 3, outage at 4 and 5, respawned at the end of 5.
         assert (killed.time_s, restarted.time_s) == (3.0, 5.0)
+
+    def test_events_read_the_step_they_happened_at(self, tmp_path):
+        assert_events_at_their_steps(run_restart_chronology("thread", tmp_path))
 
     def test_inline_hang_costs_cycles_not_seconds(self, tmp_path):
         """An in-process shard's silence is known at once: the ack

@@ -280,3 +280,21 @@ def test_deterministic(inputs):
     np.testing.assert_array_equal(first.granted_w, second.granted_w)
     assert first.reclaimed_w == second.reclaimed_w
     assert first.restored == second.restored
+
+
+def test_frozen_lease_an_ulp_over_its_ceiling_is_untouched():
+    """The water-fill hands a frozen shard nothing, not even the
+    negative room of a lease that sits one ulp above its ceiling."""
+    ceiling = 653.1420607351832
+    lease = np.array([np.nextafter(ceiling, np.inf), 5.125, 5.125, 5.125])
+    result = redistribute(
+        lease_w=lease,
+        committed_w=np.array([np.nan, 0.0, 0.0, 0.0]),
+        floor_w=np.array([128.0, 5.125, 5.125, 5.125]),
+        ceiling_w=np.array([ceiling, 26.125, 26.125, 26.125]),
+        n_units=np.array([25.0, 1.0, 1.0, 1.0]),
+        priority=np.zeros(4, dtype=bool),
+        frozen=np.array([True, False, False, False]),
+        budget_w=670.5,
+    )
+    assert result.leases_w[0] == lease[0]

@@ -35,9 +35,11 @@ from repro.shard import process
 from tests.shard import sessions
 from tests.shard.sessions import (
     assert_clean_run,
+    assert_events_at_their_steps,
     assert_failure_matrix,
     check_arbiter_kill_without_restart,
     dump_artifacts,
+    run_restart_chronology,
 )
 from tests.shard.test_transport_parity import both_modes
 
@@ -247,6 +249,12 @@ class TestProcessCleanRun:
     def test_arbiter_kill_without_restart_freezes_shards(self, tmp_path):
         check_arbiter_kill_without_restart("process", tmp_path)
 
+    def test_events_read_the_step_they_happened_at(self, tmp_path):
+        """The fleet hands the respawned process its step on ``--resume``."""
+        result = run_restart_chronology("process", tmp_path)
+        dump_artifacts(result, tmp_path, "process_chronology")
+        assert_events_at_their_steps(result)
+
 
 class TestProcessChaosAcceptance:
     def test_full_failure_matrix_with_live_membership(self, tmp_path):
@@ -443,7 +451,7 @@ class TestPersistWriter:
             manager="dps",
             lease_w=220.0,
         )
-        host = process.ShardHost(spec, tmp_path, resume=False)
+        host = process.ShardHost(spec, tmp_path, resume=None)
         failures = [OSError("disk full")]
         write = process._atomic_write
 
@@ -479,7 +487,7 @@ class TestPersistWriter:
         assert not host.state_path.exists()
         # The writer serves on: the next persist lands.
         assert self._bounded(host._persist) is None
-        assert json.loads(host.state_path.read_text())["step"] == -1
+        assert "cluster" in json.loads(host.state_path.read_text())
 
     def test_cadence_persist_raises_at_the_next_one(self, host):
         host._persist_async()

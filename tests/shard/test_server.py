@@ -54,13 +54,13 @@ class TestLeaseStateMachine:
 
     def test_no_grants_returns_false(self, tmp_path):
         shard, _ = make_shard(tmp_path)
-        assert not shard.poll_grants(now=0.0)
+        assert not shard.poll_grants()
 
     def test_newest_grant_wins(self, tmp_path):
         shard, link = make_shard(tmp_path)
         link.send_grant(grant(seq=1, budget_w=200.0))
         link.send_grant(grant(seq=2, budget_w=210.0))
-        assert shard.poll_grants(now=0.0)
+        assert shard.poll_grants()
         assert shard.lease_seq == 2
         assert shard.lease_w == 210.0
         assert shard.controller.budget_w == 210.0
@@ -70,10 +70,10 @@ class TestLeaseStateMachine:
     def test_renewal_resets_age_without_reapplying(self, tmp_path):
         shard, link = make_shard(tmp_path)
         link.send_grant(grant(seq=1, budget_w=200.0))
-        shard.poll_grants(now=0.0)
+        shard.poll_grants()
         shard.lease_age = 4
         link.send_grant(grant(seq=1, budget_w=200.0))
-        assert shard.poll_grants(now=1.0)
+        assert shard.poll_grants()
         assert shard.lease_age == 0
         assert shard.lease_seq == 1
         assert len(shard.events.of_kind("shard_lease_applied")) == 1
@@ -81,16 +81,16 @@ class TestLeaseStateMachine:
     def test_stale_grant_never_applied(self, tmp_path):
         shard, link = make_shard(tmp_path)
         link.send_grant(grant(seq=3, budget_w=180.0))
-        shard.poll_grants(now=0.0)
+        shard.poll_grants()
         link.send_grant(grant(seq=2, budget_w=500.0))
-        shard.poll_grants(now=1.0)
+        shard.poll_grants()
         assert shard.lease_w == 180.0
         assert shard.lease_seq == 3
 
     def test_resume_lease_state_rebuilds_from_controller(self, tmp_path):
         shard, link = make_shard(tmp_path)
         link.send_grant(grant(seq=5, budget_w=150.0))
-        shard.poll_grants(now=0.0)
+        shard.poll_grants()
         shard.lease_age = 3
         shard.frozen = True
         shard.resume_lease_state()
@@ -102,7 +102,7 @@ class TestLeaseStateMachine:
     def test_run_cycle_requires_started_server(self, tmp_path):
         shard, _ = make_shard(tmp_path)
         with pytest.raises(RuntimeError, match="not started"):
-            shard.run_cycle(now=0.0)
+            shard.run_cycle()
 
 
 @pytest.fixture
@@ -129,9 +129,9 @@ class TestExpiryOverLiveServer:
 
     def test_lease_expires_and_freezes(self, live_shard):
         _, shard, link = live_shard
-        shard.run_cycle(now=0.0)  # age 1, term 1: still live.
+        shard.run_cycle()  # age 1, term 1: still live.
         assert not shard.frozen
-        shard.run_cycle(now=1.0)  # age 2 > term: expire.
+        shard.run_cycle()  # age 2 > term: expire.
         assert shard.frozen
         assert shard.events.of_kind("shard_lease_expired")
         assert shard.events.of_kind("shard_frozen")
@@ -141,18 +141,18 @@ class TestExpiryOverLiveServer:
         # The freeze reaches the guard, not only the controller.
         assert shard.server.stack.envelope.budget_w == shard.controller.budget_w
         # The summary reports the freeze (and the lease it returns to).
-        assert shard.summarize(cycle=1)
+        assert shard.summarize()
         [doc] = link.take_summaries()
         assert doc["frozen"] is True
         assert doc["lease_w"] == shard.lease_w
 
     def test_renewal_unfreezes_and_restores_lease(self, live_shard):
         _, shard, link = live_shard
-        shard.run_cycle(now=0.0)
-        shard.run_cycle(now=1.0)
+        shard.run_cycle()
+        shard.run_cycle()
         assert shard.frozen
         link.send_grant(grant(seq=1, budget_w=220.0, term=1))
-        shard.run_cycle(now=2.0)
+        shard.run_cycle()
         assert not shard.frozen
         assert shard.events.of_kind("shard_unfrozen")
         assert shard.controller.budget_w == 220.0
@@ -161,8 +161,8 @@ class TestExpiryOverLiveServer:
 
     def test_summary_blocked_by_partition(self, live_shard):
         _, shard, link = live_shard
-        shard.run_cycle(now=0.0)
+        shard.run_cycle()
         link.partition()
-        assert not shard.summarize(cycle=0)
+        assert not shard.summarize()
         link.heal()
-        assert shard.summarize(cycle=1)
+        assert shard.summarize()

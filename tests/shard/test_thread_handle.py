@@ -61,6 +61,6 @@ def test_worker_death_reads_as_a_closed_connection(handle):
     assert handle.await_ack(0, timeout_s=30.0) is None
     handle.kill()  # What the supervisor does with a silent shard: reap it.
     assert not handle.alive
-    handle.spawn(resume=True)
+    handle.spawn(resume=1)
     handle.command_cycle(1, np.full(2, 120.0))
     assert handle.await_ack(1, timeout_s=5.0)["step"] == 1

@@ -32,58 +32,74 @@ class TestResilienceEvent:
 
 class TestResilienceEventLog:
     def test_emit_of_kind_for_node(self):
-        log = ResilienceEventLog()
-        log.emit(1.0, "client_quarantined", node_id=2, detail="timeout")
-        log.emit(2.0, "client_rejoined", node_id=2)
-        log.emit(3.0, "cap_clamped", unit=5, node_id=1)
+        now = [1]
+        log = ResilienceEventLog(lambda: now[0])
+        log.emit("client_quarantined", node_id=2, detail="timeout")
+        now[0] = 2
+        log.emit("client_rejoined", node_id=2)
+        log.emit("cap_clamped", unit=5, node_id=1)
         assert len(log) == 3
         assert [e.kind for e in log.of_kind("client_rejoined")] == [
             "client_rejoined"
         ]
         assert len(log.for_node(2)) == 2
+        # Stamped by the clock, as floats.
+        assert [e.time_s for e in log] == [1.0, 2.0, 2.0]
 
-    def test_extend_merges(self):
-        a, b = ResilienceEventLog(), ResilienceEventLog()
-        b.emit(0.0, "safe_mode_entered")
-        a.extend(b)
-        assert len(a) == 1
+    def test_append_keeps_the_stamp(self):
+        log = ResilienceEventLog(lambda: 9)
+        log.append(ResilienceEvent(0.0, "safe_mode_entered"))
+        assert [(e.time_s, e.kind) for e in log] == [(0.0, "safe_mode_entered")]
 
-    def test_extend_merges_chronologically(self):
-        """Regression: extend() used to append, leaving interleaved logs
-        out of time order and breaking window()-style consumers."""
-        a, b = ResilienceEventLog(), ResilienceEventLog()
-        a.emit(1.0, "client_quarantined", node_id=0)
-        a.emit(3.0, "client_rejoined", node_id=0)
-        b.emit(0.0, "safe_mode_entered")
-        b.emit(2.0, "safe_mode_exited")
-        a.extend(b)
-        assert [e.time_s for e in a] == [0.0, 1.0, 2.0, 3.0]
+    def test_settle_sorts_the_tail_chronologically(self):
+        """A pipelined owner logs step N+1 before step N: settling from
+        the last mark puts the tail in time order and returns it."""
+        log = ResilienceEventLog(lambda: 0)
+        log.append(ResilienceEvent(0.0, "safe_mode_entered"))
+        log.append(ResilienceEvent(2.0, "client_quarantined", node_id=0))
+        log.append(ResilienceEvent(1.0, "safe_mode_exited"))
+        tail = log.settle(1)
+        assert [e.time_s for e in tail] == [1.0, 2.0]
+        assert [e.time_s for e in log] == [0.0, 1.0, 2.0]
 
-    def test_extend_is_stable_at_equal_times(self):
-        """Ties keep self's events first, then the other's, in their
-        original order — the merge never reshuffles same-time events."""
-        a, b = ResilienceEventLog(), ResilienceEventLog()
-        a.emit(1.0, "client_quarantined", node_id=0)
-        b.emit(1.0, "safe_mode_entered")
-        b.emit(1.0, "safe_mode_exited")
-        a.extend(b)
-        assert [e.kind for e in a] == [
+    def test_settle_is_stable_at_equal_times(self):
+        """Ties keep the order they were logged in."""
+        log = ResilienceEventLog(lambda: 1)
+        log.append(ResilienceEvent(2.0, "client_rejoined", node_id=0))
+        log.emit("client_quarantined", node_id=0)
+        log.emit("safe_mode_entered")
+        log.emit("safe_mode_exited")
+        log.settle(0)
+        assert [e.kind for e in log] == [
             "client_quarantined",
             "safe_mode_entered",
             "safe_mode_exited",
+            "client_rejoined",
         ]
 
 
 class TestEventExport:
     def test_json_round_trip_preserves_events(self):
         log = small_log()
-        log.events.emit(0.0, "node_failed", node_id=1)
-        log.events.emit(1.0, "fallback_applied", node_id=1, detail="hold-last")
+        log.events.emit("node_failed", node_id=1)
+        log.events.emit("fallback_applied", node_id=1, detail="hold-last")
+        log.events.emit("run_completed", workload="kmeans", detail="run 1")
         restored = from_json(to_json(log))
-        assert len(restored.events) == 2
+        assert list(restored.events) == list(log.events)
         evts = list(restored.events)
-        assert evts[0].kind == "node_failed" and evts[0].node_id == 1
+        # A trace's own log is stamped with its last recorded step.
+        assert evts[0].kind == "node_failed" and evts[0].time_s == 1.0
         assert evts[1].detail == "hold-last"
+        assert evts[2].workload == "kmeans"
+
+    def test_json_without_the_workload_column_still_loads(self):
+        """Documents written before the workload column keep loading."""
+        import json
+
+        doc = json.loads(to_json(small_log()))
+        doc["events"] = [[3.0, "node_failed", None, 1, ""]]
+        (event,) = from_json(json.dumps(doc)).events
+        assert event == ResilienceEvent(3.0, "node_failed", node_id=1)
 
     def test_json_without_events_still_loads(self):
         """Documents written before the events channel keep loading."""
@@ -95,10 +111,10 @@ class TestEventExport:
         assert len(restored.events) == 0
 
     def test_events_to_csv(self):
-        log = ResilienceEventLog()
-        log.emit(2.0, "client_quarantined", node_id=0, detail="poll, timeout")
+        log = ResilienceEventLog(lambda: 2)
+        log.emit("client_quarantined", node_id=0, detail="poll, timeout")
         text = events_to_csv(log)
         lines = text.strip().splitlines()
-        assert lines[0] == "time_s,kind,unit,node_id,detail"
+        assert lines[0] == "time_s,kind,unit,node_id,detail,workload"
         # A comma inside the detail must not add a column.
-        assert lines[1].count(",") == 4
+        assert lines[1].count(",") == 5

@@ -22,7 +22,9 @@ def recovery_log():
     caps = np.array([110.0, 110.0])
     log.record(0.0, np.array([100.0, 90.0]), np.array([99.0, 91.0]), caps)
     for i, kind in enumerate(RECOVERY_EVENT_KINDS):
-        log.events.emit(float(i), kind, unit=i % 2, detail=f"d{i}")
+        log.events.append(
+            ResilienceEvent(float(i), kind, unit=i % 2, detail=f"d{i}")
+        )
     return log
 
 
@@ -36,8 +38,8 @@ class TestKinds:
         assert RecoveryEvent is ResilienceEvent
 
     def test_emit_accepts_recovery_kinds(self):
-        log = ResilienceEventLog()
-        log.emit(0.0, "checkpoint_written", detail="ckpt-00000005.json")
+        log = ResilienceEventLog(lambda: 0)
+        log.emit("checkpoint_written", detail="ckpt-00000005.json")
         assert log.of_kind("checkpoint_written")[0].detail.startswith("ckpt")
 
 
